@@ -10,6 +10,7 @@ value.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +35,8 @@ from .rotation import (
     centrifugal_from_momentum,
     constant_g_modes,
 )
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -361,7 +364,7 @@ def _solve_modes(
         res = _sup_norm_modes(grid, rhs)
         history.append(res)
         if opts.verbose:
-            print(f"  iter {it:2d}  residual {res:.3e}")
+            _log.info("iter %2d  residual %.3e", it, res)
         if res <= opts.tol:
             return U, history, g_modes
         if not np.isfinite(res):

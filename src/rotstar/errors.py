@@ -34,7 +34,10 @@ class DivergentAxisIntegral(RotstarError):
 
 
 class NoConvergence(RotstarError):
-    """The equilibrium iteration failed to reach the requested residual."""
+    """An iteration (equilibrium solve or mode contraction) failed to reach its tolerance.
+
+    ``residual_history`` holds the per-step residuals or step sizes.
+    """
 
     def __init__(self, message, residual_history=()):
         self.residual_history = list(residual_history)
@@ -76,10 +79,6 @@ class NoBracket(RotstarError):
 
 class GammaFourThirds(RotstarError):
     """The mass-density inversion is degenerate at gamma = 4/3."""
-
-
-class NonConvergence(RotstarError):
-    """A fixed-point mode iteration failed to contract."""
 
 
 class ConfigError(RotstarError):

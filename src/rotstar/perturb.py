@@ -1,16 +1,18 @@
 """First-order response of the spherical state to slow rigid rotation.
 
 The correction field splits into even Legendre modes.  Each radial mode
-function solves a second-order problem that is equivalent to an integral
-representation with the two-sided kernel (min/max)^degree; homogeneous
-modes of degree >= 4 contract to zero, the degree-2 mode carries the
-oblateness, and the degree-0 mode is a Volterra equation.  A shooting
-solver for the underlying ODE provides an independent validation path.
+function solves a linear second-order problem that is equivalent to an
+integral representation with the two-sided kernel (min/max)^degree; the
+degree-2 mode carries the oblateness and the degree-0 mode is a Volterra
+equation.  Each mode operator is assembled once as a dense matrix and the
+mode is found by one direct linear solve.  A damped contraction iteration
+from a prescribed start checks that homogeneous modes of degree >= 4 decay
+to zero, and a shooting solver for the underlying ODE provides an
+independent validation path.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +20,7 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from .eos import EquationOfState, scaled_density_deriv
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, NoConvergence
 from .grids import AxiGrid, clustered_nodes, interp_matrix
 from .radial import RadialProfile
 from .equilibrium import gravity_jacobian_packed, pack_modes, packed_size, unpack_modes
@@ -55,21 +57,55 @@ class ModeGrid:
         return cls(nodes, x, w, interp_matrix(nodes, x), q, profile.psi_at(nodes))
 
 
-def _kernel_apply(mg: ModeGrid, degree: int, qy_gauss: np.ndarray) -> np.ndarray:
-    """Two-sided radial kernel of the mode problem at the nodes:
+def _kernel_matrix(mg: ModeGrid, degree: int) -> np.ndarray:
+    """Two-sided radial kernel of the mode problem, nodes x Gauss points:
     (1/r^2) int_0^r qy (s/r)^(j-1) s^3 ds + r int_r^R qy (r/s)^(j-1) ds,
-    in overflow-safe ratio powers."""
+    in overflow-safe ratio powers, quadrature weights included."""
     r = mg.r[:, None]
     x = mg.gauss_x[None, :]
     below = x < r
-    inner = np.where(below, (x / r) ** (degree + 1) * x, 0.0)
-    outer = np.where(below, 0.0, (r / x) ** max(degree - 1, 0) * r)
     if degree == 0:
         # the j = 0 kernel collapses to s (s/r - 1) on s < r
-        inner = np.where(below, x * (x / r - 1.0), 0.0)
-        outer = 0.0 * outer
-    ker = (inner + outer) * mg.gauss_w[None, :]
-    return ker @ qy_gauss
+        ker = np.where(below, x * (x / r - 1.0), 0.0)
+    else:
+        inner = (x / r) ** (degree + 1) * x
+        outer = (r / x) ** (degree - 1) * r
+        ker = np.where(below, inner, outer)
+    ker *= mg.gauss_w[None, :]
+    return ker
+
+
+def _kernel_apply(mg: ModeGrid, degree: int, qy_gauss: np.ndarray) -> np.ndarray:
+    """The two-sided kernel applied to q y sampled at the Gauss points."""
+    return _kernel_matrix(mg, degree) @ qy_gauss
+
+
+def _mode_operator(mg: ModeGrid, degree: int) -> np.ndarray:
+    """Dense matrix of the linear mode map y -> kernel(q y)/(2 degree + 1) at the nodes."""
+    ker = _kernel_matrix(mg, degree)
+    ker *= mg.q_gauss[None, :]
+    return ker @ mg.interp / (2.0 * degree + 1.0)
+
+
+# damped contraction from a prescribed start (the homogeneous decay check)
+_DAMPING = 0.5
+_TOL = 5e-14
+_MAX_ITER = 800
+
+
+def _contract(op: np.ndarray, inhom: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+    """Damped fixed-point iteration y <- inhom + op y; returns (y, number of steps)."""
+    steps = []
+    for it in range(1, _MAX_ITER + 1):
+        mapped = inhom + op @ y
+        steps.append(float(np.max(np.abs(mapped - y))))
+        y = (1.0 - _DAMPING) * y + _DAMPING * mapped
+        if steps[-1] <= _TOL * max(1.0, float(np.max(np.abs(y)))):
+            return y, it
+    raise NoConvergence(
+        f"mode iteration stalled after {_MAX_ITER} steps (step {steps[-1]:.2e})",
+        residual_history=steps,
+    )
 
 
 @dataclass
@@ -95,22 +131,20 @@ def solve_mode(
     far_coefficient: float = 0.0,
     *,
     n_nodes: int = 700,
-    damping: float = 0.5,
-    tol: float = 5e-14,
-    max_iter: int = 800,
-    method: str = "auto",
     initial=None,
 ) -> ModeSolution:
     """Solve one radial mode problem on (0, xi1].
 
-    degree >= 2: fixed point of
+    The mode function is the solution of the linear equation
         y = source + (far_coefficient r^degree + two-sided kernel of q y)/(2 degree + 1)
-    with damping; the kernel contracts like 3/(2 degree + 1) in the
-    y/psi-weighted norm.  degree = 0: the Volterra form with the center value
-    pinned to source(0) (= 0 for polynomial sources).  ``source`` is a
-    callable of r or None.  Falls back to the shooting path when the
-    iteration stalls (only relevant for the near-critical homogeneous
-    degree-2 problem).
+    (degree = 0: the Volterra form with the center value pinned to
+    source(0), = 0 for polynomial sources).  ``source`` is a callable of r
+    or None.  The mode operator is assembled once as a dense matrix A and
+    the equation is solved directly, y = (I - A)^-1 inhom (``iterations``
+    is 1).  With an ``initial`` callable the damped contraction iteration
+    runs from that start instead; for degree >= 4 the map contracts like
+    3/(2 degree + 1) in the y/psi-weighted norm, and a stall raises
+    NoConvergence.  ``mode_shooting`` is the independent ODE oracle.
     """
     if degree % 2 != 0 or degree < 0:
         raise DomainError("mode degree must be a nonnegative even integer")
@@ -119,38 +153,15 @@ def solve_mode(
     inhom = src + (
         far_coefficient * mg.r ** degree / (2.0 * degree + 1.0) if degree > 0 else 0.0
     )
-    y = inhom.copy() if initial is None else np.asarray(initial(mg.r), dtype=float)
-    if method in ("auto", "iteration"):
-        it = 0
-        for it in range(1, max_iter + 1):
-            qy = mg.q_gauss * (mg.interp @ y)
-            mapped = inhom + _kernel_apply(mg, degree, qy) / (2.0 * degree + 1.0)
-            step = float(np.max(np.abs(mapped - y)))
-            y = (1.0 - damping) * y + damping * mapped
-            if step <= tol * max(1.0, float(np.max(np.abs(y)))):
-                break
-        else:
-            if method == "iteration":
-                raise NonConvergence(
-                    f"mode degree {degree} iteration stalled (step {step:.2e})"
-                )
-            method = "shooting"
-        if method != "shooting":
-            qy = mg.q_gauss * (mg.interp @ y)
-            resid = float(
-                np.max(
-                    np.abs(
-                        inhom + _kernel_apply(mg, degree, qy) / (2.0 * degree + 1.0) - y
-                    )
-                )
-            )
-            psi = np.where(mg.psi > 0, mg.psi, np.inf)
-            return ModeSolution(degree, mg.r, y, far_coefficient, y / psi, it, resid)
-    if degree == 0:
-        raise NonConvergence("no shooting path for the degree-0 Volterra problem")
-    y = mode_shooting(profile, eos, u_center, degree, far_coefficient, mg.r, source)
+    op = _mode_operator(mg, degree)
+    if initial is None:
+        y = np.linalg.solve(np.eye(mg.r.size) - op, inhom)
+        it = 1
+    else:
+        y, it = _contract(op, inhom, np.asarray(initial(mg.r), dtype=float))
+    resid = float(np.max(np.abs(inhom + op @ y - y)))
     psi = np.where(mg.psi > 0, mg.psi, np.inf)
-    return ModeSolution(degree, mg.r, y, far_coefficient, y / psi, -1, math.nan)
+    return ModeSolution(degree, mg.r, y, far_coefficient, y / psi, it, resid)
 
 
 def mode_shooting(

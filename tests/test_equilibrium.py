@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,21 @@ def test_solve_returns_from_perturbed_start(profile15, eos15, grid15):
     start = AxiField.from_modes(grid15, init.modes() + noise)
     sol = solve_equilibrium(None, eos15, 1.0, start, SolverOptions(tol=1e-12, certify=False))
     assert (sol.u - init).sup_norm() < 1e-6
+
+
+def test_verbose_solve_logs_each_iteration(profile15, eos15, grid15, caplog, capsys):
+    init = initial_field_from_profile(grid15, profile15)
+    noise = np.zeros((grid15.n_l, grid15.n_r))
+    noise[0] = 1e-3 * np.sin(3 * grid15.r)
+    start = AxiField.from_modes(grid15, init.modes() + noise)
+    opts = SolverOptions(tol=1e-12, certify=False, verbose=True)
+    with caplog.at_level(logging.INFO, logger="rotstar.equilibrium"):
+        sol = solve_equilibrium(None, eos15, 1.0, start, opts)
+    records = [r for r in caplog.records if r.name == "rotstar.equilibrium"]
+    assert len(sol.residual_history) > 1
+    assert len(records) == len(sol.residual_history)
+    assert all("residual" in r.getMessage() for r in records)
+    assert capsys.readouterr().out == ""
 
 
 def test_free_boundary_examples(grid15, theta15, profile15):

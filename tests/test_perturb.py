@@ -12,6 +12,8 @@ from rotstar import (
     solve_lane_emden,
     solve_mode,
 )
+from rotstar import perturb
+from rotstar.errors import DomainError, NoConvergence
 from rotstar.perturb import ModeGrid, _kernel_apply
 
 
@@ -33,6 +35,8 @@ def profile15_mod(eos15_mod):
 def test_vacuum_kernel_reduces_to_power(profile15_mod, eos15_mod):
     # q = 0: the degree-2 representation returns A r^2 / 5 = r^2/5 for A = 1
     sol = solve_mode(profile15_mod, eos15_mod, 1e-300, 2, far_coefficient=1.0)
+    assert np.all(np.isfinite(sol.values))
+    assert sol.residual <= 1e-12
     # with a tiny central enthalpy the coupling is unchanged, so instead zero
     # the coupling explicitly through the kernel helper
     mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 300)
@@ -49,6 +53,48 @@ def test_homogeneous_modes_vanish(profile15_mod, eos15_mod, degree):
     )
     assert np.max(np.abs(sol.values)) <= 1e-8
     assert sol.iterations > 3  # it genuinely contracted from a nonzero start
+
+
+# the two rotational mode problems: degree -> (source, far coefficient,
+# inhomogeneous term source + far r^degree / (2 degree + 1))
+_ROTATION_MODES = {
+    0: (lambda r: r ** 2 / 6.0, 0.0, lambda r: r ** 2 / 6.0),
+    2: (None, -5.0 / 6.0, lambda r: -(r ** 2) / 6.0),
+}
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5, 3.0])
+@pytest.mark.parametrize("degree", [0, 2])
+def test_direct_solve_matches_contraction(nu, degree):
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    source, far, inhom = _ROTATION_MODES[degree]
+    direct = solve_mode(prof, eos, 1.0, degree, source=source, far_coefficient=far)
+    assert direct.iterations == 1
+    assert direct.residual <= 1e-12
+    contracted = solve_mode(
+        prof, eos, 1.0, degree, source=source, far_coefficient=far, initial=inhom
+    )
+    assert contracted.iterations > 3
+    assert np.max(np.abs(contracted.values - direct.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("degree", [1, 3, -2])
+def test_solve_mode_rejects_bad_degree(profile15_mod, eos15_mod, degree):
+    with pytest.raises(DomainError):
+        solve_mode(profile15_mod, eos15_mod, 1.0, degree)
+
+
+def test_stalled_contraction_raises_with_history(profile15_mod, eos15_mod, monkeypatch):
+    monkeypatch.setattr(perturb, "_MAX_ITER", 2)
+    with pytest.raises(NoConvergence) as info:
+        solve_mode(
+            profile15_mod, eos15_mod, 1.0, 4,
+            initial=lambda r: profile15_mod.psi_at(r) * np.cos(r),
+        )
+    history = info.value.residual_history
+    assert len(history) == 2
+    assert all(step > 0 for step in history)
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
