@@ -29,7 +29,6 @@ from .mass import (
     MassPoint,
     central_density_from_mass,
     dm_drho_at_constant_omega,
-    mass_point,
     physical_mass,
     total_mass_dimensionless,
     trace_constant_mass_curve,

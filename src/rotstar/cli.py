@@ -15,6 +15,7 @@ import csv
 import hashlib
 import io
 import json
+import logging
 import os
 import sys
 import tempfile
@@ -48,9 +49,10 @@ from .rotation import (
     ConstantRotation,
     DifferentialRotation,
     centrifugal_from_omega,
-    constant_g_modes,
-    CentrifugalField,
+    rigid_rotation,
 )
+
+_log = logging.getLogger(__name__)
 
 COMMANDS = ("lane-emden", "solve", "oblateness", "mass-curve", "kernel-check", "hl-check")
 
@@ -394,12 +396,7 @@ def cmd_solve(config, writer):
         cf = None
     elif isinstance(rot, tuple):  # ("beta", value)
         beta = rot[1]
-        gm = constant_g_modes(grid, beta)
-        cf = CentrifugalField(
-            grid.r.copy(), 0.25 * beta * grid.r ** 2, 0.5 * beta * grid.r,
-            AxiField.from_modes(grid, gm), gm, beta,
-            _interp=lambda v, b=beta: 0.25 * b * np.asarray(v) ** 2,
-        )
+        cf = rigid_rotation(grid, beta)
     elif isinstance(rot, AngularMomentumLaw):
         law, cf = rot, None
     else:
@@ -450,7 +447,8 @@ def cmd_oblateness(config, writer):
             config["grid"]["l_max"], focus=prof.xi1,
         )
         fam = ConstantRotationFamily(
-            eos, u_c, grid=grid, opts=SolverOptions(tol=1e-12, certify=False)
+            eos, u_c, grid=grid, opts=SolverOptions(tol=1e-12, certify=False),
+            profile=prof,
         )
         solution = fam.solve_at(beta)
     rep = oblateness(prof, hf, beta, solution=solution)
@@ -581,7 +579,7 @@ def cmd_hl_check(config, writer):
     return 0 if sigma > threshold else 3
 
 
-def run(config: dict, out_dir: Path, jobs: int = 1, verbose: bool = False) -> int:
+def run(config: dict, out_dir: Path, jobs: int = 1) -> int:
     """Execute the configured command; returns a process exit status."""
     command = config["run"]["command"]
     writer = OutputWriter(out_dir, config)
@@ -598,8 +596,7 @@ def run(config: dict, out_dir: Path, jobs: int = 1, verbose: bool = False) -> in
     else:
         status = cmd_hl_check(config, writer)
     writer.finish(command)
-    if verbose:
-        print(f"{command}: wrote {len(writer.files)} files to {out_dir}")
+    _log.info("%s: wrote %d files to %s", command, len(writer.files), out_dir)
     return status
 
 
@@ -626,8 +623,15 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         report("ConfigError", exc)
         return 2
+    # --verbose: every rotstar logger reports to stderr for this run only
+    log = logging.getLogger("rotstar")
+    level = log.level
+    handler = logging.StreamHandler(sys.stderr)
+    if args.verbose:
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
     try:
-        return run(config, Path(args.out), jobs=args.jobs, verbose=args.verbose)
+        return run(config, Path(args.out), jobs=args.jobs)
     except ConfigError as exc:
         report("ConfigError", exc)
         return 2
@@ -637,6 +641,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         report("IOError", exc)
         return 4
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,
     centrifugal_from_momentum,
-    constant_g_modes,
+    rigid_rotation,
 )
 
 _log = logging.getLogger(__name__)
@@ -48,9 +48,6 @@ class SolverOptions:
     hl_threshold: float = 1e-3
     certify: bool = True
     rebuild_ratio: float = 0.25   # rebuild the Jacobian when contraction is worse
-    r0_fraction: float = 0.05
-    allow_regrid: bool = True     # re-cluster nodes when the boundary drifts
-    verbose: bool = False
 
 
 @dataclass
@@ -185,13 +182,6 @@ def gravity_jacobian_packed(
 
 def _sup_norm_modes(grid: AxiGrid, modes: np.ndarray) -> float:
     return float(np.max(np.abs(grid.synthesize(modes))))
-
-
-def _regrid_g_modes(g: CentrifugalField, grid: AxiGrid) -> np.ndarray:
-    varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
-    gm = grid.project_fine(np.asarray(g.b_at(varpi_fine)).T)
-    gm[1:, 0] = 0.0
-    return gm
 
 
 def initial_field_from_profile(grid: AxiGrid, profile: RadialProfile) -> AxiField:
@@ -363,8 +353,7 @@ def _solve_modes(
         ) - U
         res = _sup_norm_modes(grid, rhs)
         history.append(res)
-        if opts.verbose:
-            _log.info("iter %2d  residual %.3e", it, res)
+        _log.debug("iter %2d  residual %.3e", it, res)
         if res <= opts.tol:
             return U, history, g_modes
         if not np.isfinite(res):
@@ -420,7 +409,8 @@ def solve_equilibrium(
 
     For angular-momentum laws pass ``law`` (and ``scale``); the centrifugal
     term is then rebuilt from the current iterate each step and its
-    linearization joins the Newton matrix.  After convergence the free
+    linearization joins the Newton matrix.  The solution lives on
+    ``init.grid``, the grid ``g`` was built on.  After convergence the free
     boundary, admissibility flags and (optionally) the invertibility
     certificate are produced.
     """
@@ -435,9 +425,10 @@ def solve_equilibrium(
         U, history, g_modes = _solve_modes(
             grid, eos, u_center, U0.copy(), g_modes, opts, law, scale
         )
-    except NoConvergence:
+    except NoConvergence as exc:
         if not opts.newton:
             raise
+        _log.debug("Newton failed (%s); damped Picard from the start", exc)
         fallback = SolverOptions(**{**opts.__dict__, "newton": False})
         fallback.max_iter = max(opts.max_iter * 4, 200)
         U, history, g_modes = _solve_modes(
@@ -445,32 +436,6 @@ def solve_equilibrium(
         )
 
     u_field = AxiField.from_modes(grid, U)
-    if opts.allow_regrid and getattr(grid, "focus", None) is not None:
-        # if the boundary drifted out of the clustered band, rebuild the grid
-        # around the new boundary and re-converge
-        try:
-            R_now = free_boundary(u_field, 0.0)
-        except NoSignChange:
-            R_now = None
-        band = getattr(grid, "focus_width", 0.03) * grid.r_inf
-        if R_now is not None and abs(float(np.mean(R_now)) - grid.focus) > band:
-            grid = AxiGrid.build(
-                grid.r_inf,
-                grid.n_r,
-                grid.n_zeta,
-                grid.l_max,
-                focus=float(np.mean(R_now)),
-            )
-            U_new = np.zeros((grid.n_l, grid.n_r))
-            old = u_field.grid
-            U_new[:, :] = old.eval_modes_at(U, grid.r)
-            U_new[1:, 0] = 0.0
-            g_modes = None if g is None else _regrid_g_modes(g, grid)
-            U, hist2, g_modes = _solve_modes(
-                grid, eos, u_center, U_new, g_modes, opts, law, scale
-            )
-            history = history + hist2
-            u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)
     R = None
     if report.a2:
@@ -523,18 +488,8 @@ def continuation_in_beta(
     out: list[EquilibriumSolution] = []
     current = init
     for beta in schedule:
-        gm = constant_g_modes(grid, beta)
-        cf = CentrifugalField(
-            grid.r.copy(),
-            0.25 * beta * grid.r ** 2,
-            0.5 * beta * grid.r,
-            AxiField.from_modes(grid, gm),
-            gm,
-            beta,
-            _interp=lambda v, b=beta: 0.25 * b * np.asarray(v) ** 2,
-        )
         try:
-            sol = solve_equilibrium(cf, eos, u_center, current, opts)
+            sol = solve_equilibrium(rigid_rotation(grid, beta), eos, u_center, current, opts)
         except Exception as exc:  # noqa: BLE001 - annotate and re-raise
             raise ContinuationFailure(beta, exc, out) from exc
         sol.beta = beta
@@ -555,10 +510,11 @@ class ConstantRotationFamily:
         u_center: float = 1.0,
         grid: AxiGrid | None = None,
         opts: SolverOptions | None = None,
+        profile: RadialProfile | None = None,
     ):
         self.eos = eos
         self.u_center = u_center
-        self.profile = solve_lane_emden(eos, u_center)
+        self.profile = profile or solve_lane_emden(eos, u_center)
         self.grid = grid or AxiGrid.build(self.profile.r_inf, focus=self.profile.xi1)
         self.opts = opts or SolverOptions(certify=False)
         self._cache: dict[float, EquilibriumSolution] = {}
@@ -571,16 +527,7 @@ class ConstantRotationFamily:
             init = self._cache[nearest].u
         else:
             init = initial_field_from_profile(self.grid, self.profile)
-        gm = constant_g_modes(self.grid, beta)
-        cf = CentrifugalField(
-            self.grid.r.copy(),
-            0.25 * beta * self.grid.r ** 2,
-            0.5 * beta * self.grid.r,
-            AxiField.from_modes(self.grid, gm),
-            gm,
-            beta,
-            _interp=lambda v, b=beta: 0.25 * b * np.asarray(v) ** 2,
-        )
+        cf = rigid_rotation(self.grid, beta)
         sol = solve_equilibrium(cf, self.eos, self.u_center, init, self.opts)
         sol.beta = beta
         self._cache[beta] = sol

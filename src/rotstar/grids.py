@@ -182,9 +182,6 @@ class AxiGrid:
                 else:
                     ker[0, :] = 0.0
                 self.kernels[k] = (self.gauss_w * self.gauss_x / (2.0 * l + 1.0)) * ker
-        self._mode_ops = None
-        self.focus = None
-        self.focus_width = 0.03
 
     @classmethod
     def build(
@@ -210,10 +207,7 @@ class AxiGrid:
             focus_weight=focus_weight,
             focus_width=focus_width,
         )
-        grid = cls(nodes, n_zeta, l_max, zeta_oversample)
-        grid.focus = focus
-        grid.focus_width = focus_width
-        return grid
+        return cls(nodes, n_zeta, l_max, zeta_oversample)
 
     # -- mode transforms -------------------------------------------------
 
@@ -243,23 +237,11 @@ class AxiGrid:
         potential mode values at the nodes."""
         return np.einsum("kip,kp->ki", self.kernels, source_modes_gauss)
 
-    @property
-    def mode_operators(self) -> np.ndarray:
-        """Node-to-node potential operator per mode, kernels composed with
-        the interpolation matrix.  Shape (n_l, n_r, n_r)."""
-        if self._mode_ops is None:
-            self._mode_ops = np.einsum("kip,pm->kim", self.kernels, self.interp)
-        return self._mode_ops
-
     def eval_modes_at(self, modes: np.ndarray, r_query: np.ndarray) -> np.ndarray:
         """Local-cubic evaluation of mode functions at arbitrary radii."""
         r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
         mat = interp_matrix(self.r, r_query)
         return modes @ mat.T
-
-    def radial_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Gauss points and weights of the composite radial rule."""
-        return self.gauss_x, self.gauss_w
 
 
 @dataclass

@@ -12,10 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .eos import EquationOfState, POLYTROPE, ScaleSet, scaled_density
+from .eos import EquationOfState, POLYTROPE, scaled_density
 from .equilibrium import ConstantRotationFamily, EquilibriumSolution, SolverOptions
 from .errors import DomainError, GammaFourThirds, NoBracket
-from .grids import AxiField
+from .grids import AxiField, AxiGrid
+from .radial import solve_lane_emden
 
 
 @dataclass
@@ -67,23 +68,6 @@ def physical_mass(
     ) * m1
 
 
-def mass_point(
-    sol: EquilibriumSolution,
-    eos: EquationOfState,
-    scale: ScaleSet,
-    omega2: float,
-    beta: float,
-) -> MassPoint:
-    m1 = total_mass_dimensionless(sol, eos, scale.u_center)
-    return MassPoint(
-        rho_center=scale.rho_center,
-        omega2=omega2,
-        beta=beta,
-        m1=m1,
-        mass=physical_mass(m1, eos, scale.rho_center, scale.grav_const),
-    )
-
-
 def dm_drho_at_constant_omega(
     point: MassPoint, eos: EquationOfState, dm1_dbeta: float, grav_const: float = 1.0
 ) -> float:
@@ -109,20 +93,16 @@ class MassCalculator:
         n_zeta: int = 32,
         l_max: int = 8,
     ):
-        from .grids import AxiGrid
-
         self.eos = eos
         self.grav_const = grav_const
+        prof = solve_lane_emden(eos, 1.0)
         self.family = ConstantRotationFamily(
             eos,
             1.0,
+            grid=AxiGrid.build(prof.r_inf, n_r, n_zeta, l_max, focus=prof.xi1),
             opts=opts or SolverOptions(certify=False),
+            profile=prof,
         )
-        if (n_r, n_zeta, l_max) != (256, 32, 8):
-            prof = self.family.profile
-            self.family.grid = AxiGrid.build(
-                prof.r_inf, n_r, n_zeta, l_max, focus=prof.xi1
-            )
 
     def m1(self, beta: float) -> float:
         sol = self.family.solve_at(beta)

@@ -24,6 +24,7 @@ from .errors import DomainError, NoConvergence
 from .grids import AxiGrid, clustered_nodes, interp_matrix
 from .radial import RadialProfile
 from .equilibrium import gravity_jacobian_packed, pack_modes, packed_size, unpack_modes
+from .rotation import rigid_rotation
 
 _G4X, _G4W = np.polynomial.legendre.leggauss(4)
 
@@ -149,6 +150,13 @@ def solve_mode(
     if degree % 2 != 0 or degree < 0:
         raise DomainError("mode degree must be a nonnegative even integer")
     mg = ModeGrid.build(profile, eos, u_center, n_nodes)
+    return _solve_on(mg, degree, source, far_coefficient, initial)
+
+
+def _solve_on(
+    mg: ModeGrid, degree: int, source, far_coefficient: float, initial=None
+) -> ModeSolution:
+    """``solve_mode`` on a prebuilt mode grid."""
     src = np.zeros_like(mg.r) if source is None else np.asarray(source(mg.r), float)
     inhom = src + (
         far_coefficient * mg.r ** degree / (2.0 * degree + 1.0) if degree > 0 else 0.0
@@ -244,9 +252,7 @@ def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
     modes0 = np.zeros((grid.n_l, grid.n_r))
     modes0[0] = profile.theta_at(grid.r)
     jac = gravity_jacobian_packed(grid, eos, u_center, modes0)
-    g1 = np.zeros((grid.n_l, grid.n_r))
-    g1[0] = grid.r ** 2 / 6.0
-    g1[1] = -grid.r ** 2 / 6.0
+    g1 = rigid_rotation(grid, 1.0).g_modes
     n = packed_size(grid)
     sol = np.linalg.solve(np.eye(n) - jac, pack_modes(grid, g1))
     return unpack_modes(grid, sol)
@@ -267,13 +273,9 @@ def compute_h_field(
     cross-checked against the resolvent solve on a 2-D grid; the sup
     difference is recorded as ``consistency_sup``.
     """
-    h2 = solve_mode(
-        profile, eos, u_center, 2, source=None, far_coefficient=-5.0 / 6.0,
-        n_nodes=n_nodes,
-    )
-    h0 = solve_mode(
-        profile, eos, u_center, 0, source=lambda r: r ** 2 / 6.0, n_nodes=n_nodes,
-    )
+    mg = ModeGrid.build(profile, eos, u_center, n_nodes)
+    h2 = _solve_on(mg, 2, None, -5.0 / 6.0)
+    h0 = _solve_on(mg, 0, lambda r: r ** 2 / 6.0, 0.0)
     if grid is None:
         grid = AxiGrid.build(
             profile.r_inf, n_r=256, n_zeta=16, l_max=4, focus=profile.xi1,

@@ -134,18 +134,42 @@ def _field_from_b(grid: AxiGrid, b_interp) -> tuple[AxiField, np.ndarray]:
     return g, g_modes
 
 
+def rigid_rotation(grid: AxiGrid, beta: float) -> CentrifugalField:
+    """Rigid-rotation field b = beta varpi^2 / 4 on the grid.
+
+    Its mode content is exact: g = beta r^2 (1 - zeta^2) / 4 has only the
+    degree-0 and degree-2 parts +-beta r^2 / 6.
+    """
+    r = grid.r
+    g_modes = np.zeros((grid.n_l, grid.n_r))
+    g_modes[0] = beta * r ** 2 / 6.0
+    g_modes[1] = -beta * r ** 2 / 6.0
+    return CentrifugalField(
+        r.copy(),
+        0.25 * beta * r ** 2,
+        0.5 * beta * r,
+        AxiField.from_modes(grid, g_modes),
+        g_modes,
+        beta,
+        _interp=lambda v: 0.25 * beta * np.asarray(v) ** 2,
+    )
+
+
 def centrifugal_from_omega(
     law: RotationLaw, scale: ScaleSet, grid: AxiGrid
 ) -> CentrifugalField:
     """Centrifugal potential for constant or differential angular velocity.
 
     b(varpi) = u_center^{-1} * integral of Omega^2 varpi' dvarpi' up to the
-    physical radius a*varpi, returned on the grid's scaled radii.
+    physical radius a*varpi, returned on the grid's scaled radii.  Constant
+    Omega gives the closed form ``rigid_rotation`` with beta = 2 a^2 Omega^2 / u_center.
     """
     if isinstance(law, AngularMomentumLaw):
         raise DomainError("angular-momentum laws need centrifugal_from_momentum")
     a = scale.length_scale
     pref = a ** 2 / scale.u_center
+    if isinstance(law, ConstantRotation):
+        return rigid_rotation(grid, 2.0 * pref * law.omega ** 2)
     v = grid.r
     # panel Gauss quadrature of Omega(a t)^2 t dt on the scaled radii
     mid = 0.5 * (v[1:] + v[:-1])
@@ -158,23 +182,7 @@ def centrifugal_from_omega(
     db = pref * np.asarray(law.omega_at(a * v)) ** 2 * v
     interp = CubicSpline(v, b)
     g, g_modes = _field_from_b(grid, interp)
-    beta = None
-    if isinstance(law, ConstantRotation):
-        # closed form b = beta varpi^2 / 4
-        beta = 2.0 * pref * law.omega ** 2
-        interp = lambda vv: 0.25 * beta * np.asarray(vv) ** 2
-        b = 0.25 * beta * v ** 2
-        db = 0.5 * beta * v
-        g, g_modes = _field_from_b(grid, interp)
-    return CentrifugalField(v.copy(), b, db, g, g_modes, beta, _interp=interp)
-
-
-def constant_g_modes(grid: AxiGrid, beta: float) -> np.ndarray:
-    """Exact mode content of the rigid-rotation field beta r^2 (1-zeta^2)/4."""
-    g = np.zeros((grid.n_l, grid.n_r))
-    g[0] = beta * grid.r ** 2 / 6.0
-    g[1] = -beta * grid.r ** 2 / 6.0
-    return g
+    return CentrifugalField(v.copy(), b, db, g, g_modes, None, _interp=interp)
 
 
 # ---------------------------------------------------------------------------

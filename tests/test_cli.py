@@ -117,6 +117,26 @@ def test_deterministic_outputs(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_verbose_solve_reports_on_stderr(tmp_path, capsys):
+    cfg = _write(tmp_path, SOLVE_INI)
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["--config", str(cfg), "--out", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["--config", str(cfg), "--out", str(loud), "--verbose"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    iters = [line for line in captured.err.splitlines() if line.startswith("iter")]
+    assert len(iters) >= 2 and all("residual" in line for line in iters)
+    names = sorted(p.name for p in quiet.iterdir())
+    assert names == sorted(p.name for p in loud.iterdir())
+    assert "manifest.json" in names
+    for name in names:
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+    # the handler is detached again after the run
+    assert main(["--config", str(cfg), "--out", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_subprocess_entry(tmp_path):
     cfg = _write(tmp_path, LANE_EMDEN_INI)
     out = tmp_path / "sub"

@@ -22,9 +22,10 @@ from rotstar import (
     scaled_density,
     solve_equilibrium,
     solve_lane_emden,
+    total_mass_dimensionless,
 )
 from rotstar.errors import ContinuationFailure, DomainError, NoSignChange
-from rotstar.rotation import centrifugal_from_omega, ConstantRotation
+from rotstar.rotation import CentrifugalField, centrifugal_from_omega, ConstantRotation, rigid_rotation
 
 
 def test_gravity_map_on_vacuum(grid15, eos15):
@@ -100,9 +101,8 @@ def test_verbose_solve_logs_each_iteration(profile15, eos15, grid15, caplog, cap
     noise = np.zeros((grid15.n_l, grid15.n_r))
     noise[0] = 1e-3 * np.sin(3 * grid15.r)
     start = AxiField.from_modes(grid15, init.modes() + noise)
-    opts = SolverOptions(tol=1e-12, certify=False, verbose=True)
-    with caplog.at_level(logging.INFO, logger="rotstar.equilibrium"):
-        sol = solve_equilibrium(None, eos15, 1.0, start, opts)
+    caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
+    sol = solve_equilibrium(None, eos15, 1.0, start, SolverOptions(tol=1e-12, certify=False))
     records = [r for r in caplog.records if r.name == "rotstar.equilibrium"]
     assert len(sol.residual_history) > 1
     assert len(records) == len(sol.residual_history)
@@ -326,3 +326,45 @@ def test_large_rotation_reports_flags(eos15, profile15):
     rep = sols[-1].admissibility
     assert isinstance(rep.a1, bool) and isinstance(rep.a2, bool)
     assert not (rep.a1 and rep.a2)
+
+
+def test_family_stays_on_its_grid(eos15, profile15):
+    # a family whose grid is focused away from the boundary must give the
+    # same states as a well-focused one, on the grid it was built with
+    def family(focus):
+        grid = AxiGrid.build(profile15.r_inf, focus=focus)
+        return ConstantRotationFamily(
+            eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-12, certify=False),
+            profile=profile15,
+        )
+
+    off, ref = family(0.8 * profile15.xi1), family(profile15.xi1)
+    for beta in (1e-3, 2e-3):
+        sol, sol_ref = off.solve_at(beta), ref.solve_at(beta)
+        assert sol.u.grid is off.grid
+        R, R_ref = sol.boundary_at([0.0])[0], sol_ref.boundary_at([0.0])[0]
+        assert abs(R - R_ref) <= 1e-6
+        m1 = total_mass_dimensionless(sol, eos15, 1.0)
+        m1_ref = total_mass_dimensionless(sol_ref, eos15, 1.0)
+        assert abs(m1 - m1_ref) <= 1e-6 * m1_ref
+
+
+def test_rigid_rotation_matches_hand_built_field(eos15, profile15):
+    grid = AxiGrid.build(profile15.r_inf, n_r=128, n_zeta=16, l_max=4, focus=profile15.xi1)
+    beta = 2e-3
+    gm = np.zeros((grid.n_l, grid.n_r))
+    gm[0] = beta * grid.r ** 2 / 6.0
+    gm[1] = -beta * grid.r ** 2 / 6.0
+    by_hand = CentrifugalField(
+        grid.r.copy(), 0.25 * beta * grid.r ** 2, 0.5 * beta * grid.r,
+        AxiField.from_modes(grid, gm), gm, beta,
+        _interp=lambda v: 0.25 * beta * np.asarray(v) ** 2,
+    )
+    init = initial_field_from_profile(grid, profile15)
+    opts = SolverOptions(tol=1e-12)
+    sol = solve_equilibrium(rigid_rotation(grid, beta), eos15, 1.0, init, opts)
+    sol_hand = solve_equilibrium(by_hand, eos15, 1.0, init, opts)
+    assert sol.beta == beta
+    assert np.max(np.abs(sol.u.values - sol_hand.u.values)) <= 1e-14
+    assert np.max(np.abs(sol.R_of_zeta - sol_hand.R_of_zeta)) <= 1e-14
+    assert sol.hl_sigma_min == pytest.approx(sol_hand.hl_sigma_min, rel=1e-12)

@@ -16,6 +16,7 @@ from rotstar import (
     total_mass_dimensionless,
 )
 from rotstar.errors import DivergentAxisIntegral, DomainError
+from rotstar.rotation import _field_from_b, rigid_rotation
 
 
 def test_zero_rotation(scale15, grid15):
@@ -35,6 +36,21 @@ def test_constant_rotation_closed_form(scale15, grid15, eos15):
     # field is b(r sqrt(1-zeta^2))
     expect = 0.25 * beta * grid15.r[:, None] ** 2 * (1 - grid15.zeta[None, :] ** 2)
     assert np.max(np.abs(cf.g.values - expect)) < 1e-13 * beta
+
+
+def test_rigid_rotation_modes_are_exact(scale15, grid15):
+    # the closed-form modes agree with projecting b(varpi) on the fine rule,
+    # and constant omega goes through the same constructor
+    beta = 3e-3
+    cf = rigid_rotation(grid15, beta)
+    _, projected = _field_from_b(grid15, lambda v: 0.25 * beta * v ** 2)
+    assert np.max(np.abs(cf.g_modes - projected)) <= 1e-13 * beta
+    assert np.all(cf.g_modes[2:] == 0.0)
+    omega = 0.05
+    via_law = centrifugal_from_omega(ConstantRotation(omega), scale15, grid15)
+    direct = rigid_rotation(grid15, via_law.beta)
+    assert np.array_equal(via_law.g_modes, direct.g_modes)
+    assert np.array_equal(via_law.b, direct.b)
 
 
 def test_differential_rotation_against_antiderivative(scale15, grid15):
