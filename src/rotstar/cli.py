@@ -626,8 +626,9 @@ def main(argv=None) -> int:
     # --verbose: every rotstar logger reports to stderr for this run only
     log = logging.getLogger("rotstar")
     level = log.level
-    handler = logging.StreamHandler(sys.stderr)
+    handler = None
     if args.verbose:
+        handler = logging.StreamHandler(sys.stderr)
         log.addHandler(handler)
         log.setLevel(logging.DEBUG)
     try:
@@ -642,8 +643,9 @@ def main(argv=None) -> int:
         report("IOError", exc)
         return 4
     finally:
-        log.removeHandler(handler)
-        log.setLevel(level)
+        if handler is not None:
+            log.removeHandler(handler)
+            log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -150,13 +150,6 @@ def solve_mode(
     if degree % 2 != 0 or degree < 0:
         raise DomainError("mode degree must be a nonnegative even integer")
     mg = ModeGrid.build(profile, eos, u_center, n_nodes)
-    return _solve_on(mg, degree, source, far_coefficient, initial)
-
-
-def _solve_on(
-    mg: ModeGrid, degree: int, source, far_coefficient: float, initial=None
-) -> ModeSolution:
-    """``solve_mode`` on a prebuilt mode grid."""
     src = np.zeros_like(mg.r) if source is None else np.asarray(source(mg.r), float)
     inhom = src + (
         far_coefficient * mg.r ** degree / (2.0 * degree + 1.0) if degree > 0 else 0.0
@@ -273,9 +266,13 @@ def compute_h_field(
     cross-checked against the resolvent solve on a 2-D grid; the sup
     difference is recorded as ``consistency_sup``.
     """
-    mg = ModeGrid.build(profile, eos, u_center, n_nodes)
-    h2 = _solve_on(mg, 2, None, -5.0 / 6.0)
-    h0 = _solve_on(mg, 0, lambda r: r ** 2 / 6.0, 0.0)
+    h2 = solve_mode(
+        profile, eos, u_center, 2, source=None, far_coefficient=-5.0 / 6.0,
+        n_nodes=n_nodes,
+    )
+    h0 = solve_mode(
+        profile, eos, u_center, 0, source=lambda r: r ** 2 / 6.0, n_nodes=n_nodes,
+    )
     if grid is None:
         grid = AxiGrid.build(
             profile.r_inf, n_r=256, n_zeta=16, l_max=4, focus=profile.xi1,

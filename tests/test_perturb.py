@@ -79,26 +79,6 @@ def test_direct_solve_matches_contraction(nu, degree):
     assert np.max(np.abs(contracted.values - direct.values)) <= 1e-12
 
 
-def test_h_field_builds_one_mode_grid(profile15_mod, eos15_mod, monkeypatch):
-    build = ModeGrid.build.__func__
-    calls = []
-
-    def counting(cls, *args, **kwargs):
-        calls.append(args)
-        return build(cls, *args, **kwargs)
-
-    monkeypatch.setattr(ModeGrid, "build", classmethod(counting))
-    grid = AxiGrid.build(profile15_mod.r_inf, n_r=64, n_zeta=8, l_max=4, focus=profile15_mod.xi1)
-    hf = compute_h_field(profile15_mod, eos15_mod, 1.0, grid=grid, n_nodes=300)
-    assert len(calls) == 1
-    h2 = solve_mode(profile15_mod, eos15_mod, 1.0, 2, far_coefficient=-5.0 / 6.0, n_nodes=300)
-    h0 = solve_mode(
-        profile15_mod, eos15_mod, 1.0, 0, source=lambda r: r ** 2 / 6.0, n_nodes=300
-    )
-    assert np.array_equal(hf.h2, h2.values)
-    assert np.array_equal(hf.h0, h0.values)
-
-
 @pytest.mark.parametrize("degree", [1, 3, -2])
 def test_solve_mode_rejects_bad_degree(profile15_mod, eos15_mod, degree):
     with pytest.raises(DomainError):
