@@ -421,6 +421,8 @@ def cmd_solve(config, writer):
         "xi1_spherical": prof.xi1,
         "m1": total_mass_dimensionless(sol, eos, scale.u_center),
     }
+    if "fallback" in sol.meta:
+        doc["meta"]["fallback"] = sol.meta["fallback"]
     writer.write_json("solution.json", doc)
     writer.write_csv(
         "boundary.csv", ["zeta", "R"], zip(grid.zeta, sol.R_of_zeta)

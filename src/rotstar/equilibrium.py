@@ -32,6 +32,7 @@ from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,
+    LinearizedCentrifugal,
     centrifugal_from_momentum,
     rigid_rotation,
 )
@@ -109,8 +110,8 @@ class EquilibriumSolution:
 
 def pack_modes(grid: AxiGrid, modes: np.ndarray) -> np.ndarray:
     """Flatten mode coefficients, dropping the structurally-zero center values
-    of the l >= 2 modes."""
-    return np.concatenate([modes[0], modes[1:, 1:].ravel()])
+    of the l >= 2 modes.  Trailing axes of ``modes`` (n_l, n_r, ...) are kept."""
+    return np.concatenate([modes[0], modes[1:, 1:].reshape((-1,) + modes.shape[2:])])
 
 
 def unpack_modes(grid: AxiGrid, x: np.ndarray) -> np.ndarray:
@@ -305,20 +306,16 @@ def centrifugal_deriv_matrix(
     eos: EquationOfState,
     scale: ScaleSet,
 ) -> np.ndarray:
-    """Packed dense matrix of the centrifugal linearization, assembled by
-    probing the packed mode basis through the frozen linearization."""
-    from .rotation import LinearizedCentrifugal
+    """Packed dense matrix of the centrifugal linearization.
 
+    It is the product of the factors of ``LinearizedCentrifugal``: packed
+    h modes -> cylinder-mass response dm -> packed g modes, of rank <= n_r.
+    """
     grid = u.grid
-    n = packed_size(grid)
     lin = LinearizedCentrifugal(law, u, eos, scale)
-    cols = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        h_values = grid.synthesize(unpack_modes(grid, e))
-        cols[:, k] = pack_modes(grid, lin.apply_values(h_values))
-    return cols
+    modes_of_dm = pack_modes(grid, lin.b_to_modes @ lin.cum)  # (n, n_q)
+    dm_of_modes = pack_modes(grid, lin.dm_response().transpose(0, 2, 1))  # (n, n_q)
+    return modes_of_dm @ dm_of_modes.T
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +418,7 @@ def solve_equilibrium(
     g_modes = None if g is None else g.g_modes
     U0 = init.modes().copy()
     U0[1:, 0] = 0.0
+    meta = {}
     try:
         U, history, g_modes = _solve_modes(
             grid, eos, u_center, U0.copy(), g_modes, opts, law, scale
@@ -434,6 +432,10 @@ def solve_equilibrium(
         U, history, g_modes = _solve_modes(
             grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale
         )
+        # the Newton attempt's residuals come first, so the history and the
+        # iteration count cover both runs
+        history = exc.residual_history + history
+        meta["fallback"] = f"Newton failed: {exc}"
 
     u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)
@@ -454,7 +456,7 @@ def solve_equilibrium(
         hl_sigma_min=sigma,
         beta=beta,
         iterations=len(history),
-        meta={"g_sup": 0.0 if g_modes is None else _sup_norm_modes(grid, g_modes)},
+        meta={"g_sup": 0.0 if g_modes is None else _sup_norm_modes(grid, g_modes), **meta},
     )
 
 

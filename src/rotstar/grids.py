@@ -79,30 +79,33 @@ def fornberg_weights(x_stencil: np.ndarray, x0: float, order: int) -> np.ndarray
     return w[order]
 
 
-def _lagrange_row(x_stencil: np.ndarray, x: float) -> np.ndarray:
-    """Lagrange interpolation weights at point x for the given stencil."""
-    w = np.empty(len(x_stencil))
-    for s in range(len(x_stencil)):
-        num = 1.0
-        den = 1.0
-        for m in range(len(x_stencil)):
-            if m == s:
-                continue
-            num *= x - x_stencil[m]
-            den *= x_stencil[s] - x_stencil[m]
-        w[s] = num / den
-    return w
-
-
 def interp_matrix(nodes: np.ndarray, points: np.ndarray, width: int = 4) -> np.ndarray:
-    """Dense matrix mapping nodal values to local-cubic values at ``points``."""
+    """Dense matrix mapping nodal values to local-cubic values at ``points``.
+
+    Each point uses the ``width`` nodes around the panel holding it (shifted
+    inward at the ends); its row holds the Lagrange weights on that stencil.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    points = np.asarray(points, dtype=float)
     n = len(nodes)
+    idx = np.clip(np.searchsorted(nodes, points) - 1, 0, n - 2)
+    s0 = np.minimum(np.maximum(idx - (width // 2 - 1), 0), n - width)
+    cols = s0[:, None] + np.arange(width)
+    stencil = nodes[cols]
+    # factors [p, s, m] of the weight of node s: x - x_m and x_s - x_m, with
+    # the exact factor 1 at m = s; multiplied in ascending m as in the scalar
+    # product formula, so the weights do not depend on the batch
+    own = np.eye(width, dtype=bool)
+    dx = np.where(own, 1.0, (points[:, None] - stencil)[:, None, :])
+    dn = np.where(own, 1.0, stencil[:, :, None] - stencil[:, None, :])
+    num = 1.0
+    den = 1.0
+    for m in range(width):
+        num = num * dx[:, :, m]
+        den = den * dn[:, :, m]
+    weights = num / den
     mat = np.zeros((len(points), n))
-    idx = np.searchsorted(nodes, points) - 1
-    idx = np.clip(idx, 0, n - 2)
-    for p, x in enumerate(points):
-        s0 = min(max(idx[p] - (width // 2 - 1), 0), n - width)
-        mat[p, s0 : s0 + width] = _lagrange_row(nodes[s0 : s0 + width], x)
+    mat[np.arange(len(points))[:, None], cols] = weights
     return mat
 
 

@@ -206,26 +206,26 @@ class CylinderRule:
         # force full coverage when the cut leaves the domain
         at_edge = rcut >= grid.r_inf * (1 - 1e-15)
         self.kcut[at_edge] = grid.n_r - 1
-        self.part_x = np.zeros((nq, nj, 4))
-        self.part_w = np.zeros((nq, nj, 4))
-        self.part_stencil = np.zeros((nq, nj, 4), dtype=int)
+        # partial panel [r_k, rcut) on every ray the cylinder cuts; rays it
+        # covers whole (kcut = n_r - 1) or cuts at a node keep zero entries
+        k = np.minimum(self.kcut, grid.n_r - 2)
+        lo = grid.r[k]
+        cut = (self.kcut < grid.n_r - 1) & (rcut > lo)
+        half = 0.5 * (rcut - lo)
+        x = (0.5 * (rcut + lo))[..., None] + half[..., None] * _G4X
+        self.part_x = np.where(cut[..., None], x, 0.0)
+        self.part_w = np.where(cut[..., None], half[..., None] * _G4W * x ** 2, 0.0)
+        s0 = np.minimum(np.maximum(k - 1, 0), grid.n_r - 4)
+        self.part_stencil = np.where(cut[..., None], s0[..., None] + np.arange(4), 0)
+        # local-cubic weights of the partial points, one batch per zeta column:
+        # points inside (r_k, r_k+1) get the same 4-node stencil from interp_matrix
         self.part_coef = np.zeros((nq, nj, 4, 4))
-        r = grid.r
-        for q in range(nq):
-            for j in range(nj):
-                k = self.kcut[q, j]
-                if k >= grid.n_r - 1:
-                    continue  # cylinder covers the whole ray
-                lo, hi = r[k], rcut[q, j]
-                if hi <= lo:
-                    continue
-                half = 0.5 * (hi - lo)
-                x = 0.5 * (hi + lo) + half * _G4X
-                self.part_x[q, j] = x
-                self.part_w[q, j] = half * _G4W * x ** 2
-                s0 = min(max(k - 1, 0), grid.n_r - 4)
-                self.part_stencil[q, j] = np.arange(s0, s0 + 4)
-                self.part_coef[q, j] = interp_matrix(r[s0 : s0 + 4], x)
+        for j in range(nj):
+            sel = np.nonzero(cut[:, j])[0]
+            mat = interp_matrix(grid.r, self.part_x[sel, j].ravel())
+            self.part_coef[sel, j] = np.take_along_axis(
+                mat.reshape(len(sel), 4, grid.n_r), self.part_stencil[sel, j, None, :], axis=2
+            )
         self.gauss_w2 = grid.gauss_w * grid.gauss_x ** 2
 
     def field_at_partials(self, values: np.ndarray) -> np.ndarray:
@@ -377,70 +377,20 @@ def centrifugal_from_momentum(
     return CentrifugalField(grid.r.copy(), b, db, g, g_modes, None, _interp=interp)
 
 
-def standard_rule(grid: AxiGrid) -> CylinderRule:
-    """Cylinder rule on the grid's own radii, cached on the grid object."""
-    rule = getattr(grid, "_cylinder_rule", None)
-    if rule is None:
-        rule = CylinderRule(grid, grid.r)
-        grid._cylinder_rule = rule
-    return rule
-
-
-def linearized_cylinder_mass(
-    u: AxiField,
-    h: AxiField,
-    eos: EquationOfState,
-    scale: ScaleSet,
-    varpi: np.ndarray,
-    rule: CylinderRule | None = None,
-) -> np.ndarray:
-    """Directional derivative of the cylinder mass along h (density weight
-    scaled_density_deriv(u) * h)."""
-    grid = u.grid
-    if rule is None or not np.array_equal(rule.varpi, varpi):
-        rule = CylinderRule(grid, varpi)
-    gauss_u = grid.interp @ u.values
-    gauss_h = grid.interp @ h.values
-    gvals = scaled_density_deriv(gauss_u, eos, scale.u_center) * gauss_h
-    part_u = rule.field_at_partials(u.values)
-    part_h = rule.field_at_partials(h.values)
-    pvals = scaled_density_deriv(part_u, eos, scale.u_center) * part_h
-    return cylinder_mass_prefactor(eos, scale) * rule.integrate(gvals, pvals)
-
-
-def centrifugal_deriv_apply(
-    law: AngularMomentumLaw,
-    u: AxiField,
-    h: AxiField,
-    eos: EquationOfState,
-    scale: ScaleSet,
-    grid: AxiGrid,
-    cyl: CylinderMass | None = None,
-) -> AxiField:
-    """Apply the u-derivative of the momentum-law centrifugal map to h."""
-    if cyl is None:
-        cyl = mass_within_cylinder(u, eos, scale)
-    dm = linearized_cylinder_mass(u, h, eos, scale, grid.r, rule=standard_rule(grid))
-    dm_interp = CubicSpline(grid.r, dm)
-    pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
-
-    def integrand(t):
-        t = np.asarray(t, dtype=float)
-        m = cyl.at_scaled(t)
-        return pref * 2.0 * law.j_at(m) * law.dj_at(m) * dm_interp(t) / t ** 3
-
-    _, interp = _b_from_integrand(grid, grid.r, integrand)
-    gfield, _ = _field_from_b(grid, lambda vv: interp(np.clip(vv, 0.0, grid.r_inf)))
-    return gfield
-
-
 class LinearizedCentrifugal:
-    """Precomputed linearization of the momentum-law centrifugal map at u.
+    """Linearization of the momentum-law centrifugal map at u, in factored form.
 
-    Every stage of the derivative (cylinder-mass response, cumulative
-    centrifugal integral, field projection) is linear; the u-dependent
-    coefficients are frozen here so repeated applications (dense matrix
-    assembly) cost only matrix products.
+    The derivative along a field perturbation h is a chain of linear maps
+    whose u-dependent coefficients are frozen here:
+
+    - h -> dm, the cylinder-mass response at the grid radii
+      (``dm_response`` on the even-mode basis);
+    - dm -> b, the cumulative centrifugal integral on the cubic-spline basis
+      of the nonlinear path (``cum``);
+    - b -> g modes, the projection of b(r sqrt(1 - zeta^2)) (``b_to_modes``).
+
+    The dense matrix is the product of these factors, so its rank is at most
+    n_r; ``apply_values`` runs the chain on nodal values.
     """
 
     def __init__(
@@ -453,11 +403,9 @@ class LinearizedCentrifugal:
     ):
         grid = u.grid
         self.grid = grid
-        self.eos = eos
-        self.scale = scale
         if cyl is None:
             cyl = mass_within_cylinder(u, eos, scale)
-        self.rule = standard_rule(grid)
+        self.rule = CylinderRule(grid, grid.r)
         self.fp_gauss = scaled_density_deriv(
             grid.interp @ u.values, eos, scale.u_center
         )
@@ -490,6 +438,33 @@ class LinearizedCentrifugal:
         self.b_to_modes = np.einsum("la,iab->lib", grid.proj_f, bspline)
         self.b_to_modes[1:, 0, :] = 0.0
 
+    def dm_response(self) -> np.ndarray:
+        """Cylinder-mass response to each mode coefficient of h, shape
+        (n_l, n_q, n_r): entry [l, q, i] is d dm(varpi_q) / d h_l(r_i).
+
+        Built one zeta column at a time: the rule's prefix sums over complete
+        panels and its partial-panel stencils, weighted by leg * zeta_w.
+        """
+        grid, rule = self.grid, self.rule
+        nq = len(rule.varpi)
+        rows = np.arange(nq)[:, None]
+        out = np.zeros((grid.n_l, nq, grid.n_r))
+        for j in range(grid.n_zeta):
+            panels = (rule.gauss_w2 * self.fp_gauss[:, j])[:, None] * grid.interp
+            prefix = np.zeros((grid.n_r, grid.n_r))
+            np.cumsum(
+                panels.reshape(grid.n_r - 1, 4, grid.n_r).sum(axis=1), axis=0,
+                out=prefix[1:],
+            )
+            col = prefix[rule.kcut[:, j]]
+            part = np.einsum(
+                "qg,qgs->qs", rule.part_w[:, j] * self.fp_part[:, j], rule.part_coef[:, j]
+            )
+            np.add.at(col, (rows, rule.part_stencil[:, j]), part)
+            weight = self.mass_pref * grid.zeta_w[j] * grid.leg[:, j]
+            out += weight[:, None, None] * col
+        return out
+
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:
         """g-mode response (n_l, n_r) for a nodal field perturbation."""
         gvals = self.fp_gauss * (self.grid.interp @ h_values)
@@ -497,3 +472,17 @@ class LinearizedCentrifugal:
         dm = self.mass_pref * self.rule.integrate(gvals, pvals)
         b = self.cum @ dm
         return np.einsum("lib,b->li", self.b_to_modes, b)
+
+
+def centrifugal_deriv_apply(
+    law: AngularMomentumLaw,
+    u: AxiField,
+    h: AxiField,
+    eos: EquationOfState,
+    scale: ScaleSet,
+    grid: AxiGrid,
+    cyl: CylinderMass | None = None,
+) -> AxiField:
+    """Apply the u-derivative of the momentum-law centrifugal map to h."""
+    lin = LinearizedCentrifugal(law, u, eos, scale, cyl)
+    return AxiField.from_modes(grid, lin.apply_values(h.values))

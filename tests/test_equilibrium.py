@@ -26,6 +26,8 @@ from rotstar import (
 )
 from rotstar.errors import ContinuationFailure, DomainError, NoSignChange
 from rotstar.rotation import CentrifugalField, centrifugal_from_omega, ConstantRotation, rigid_rotation
+from rotstar.equilibrium import centrifugal_deriv_matrix, pack_modes, packed_size, unpack_modes
+from rotstar.rotation import LinearizedCentrifugal
 
 
 def test_gravity_map_on_vacuum(grid15, eos15):
@@ -277,6 +279,44 @@ def test_momentum_law_solve(eos15, profile15, scale15):
     assert rep.a1 and rep.a2 and rep.monotone
     assert sol.hl_sigma_min > 1e-3
     assert sol.residual_history[-1] <= 1e-10
+
+
+def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale15):
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
+    u0 = initial_field_from_profile(grid, profile15)
+    u = AxiField(grid, u0.values - 0.03 * grid.r[:, None] ** 2 * p2)
+    cyl = mass_within_cylinder(u, eos15, scale15)
+    ms = np.linspace(0, 1.3 * cyl.total, 60)
+    law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
+    mat = centrifugal_deriv_matrix(law, u, eos15, scale15)
+    # reference: apply the linearization to each packed unit mode
+    lin = LinearizedCentrifugal(law, u, eos15, scale15)
+    n = packed_size(grid)
+    probe = np.empty((n, n))
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = 1.0
+        probe[:, k] = pack_modes(grid, lin.apply_values(grid.synthesize(unpack_modes(grid, e))))
+    assert np.max(np.abs(mat - probe)) <= 1e-12 * np.max(np.abs(probe))
+    assert np.linalg.matrix_rank(mat) <= grid.n_r
+
+
+def test_newton_fallback_keeps_newton_history(eos15, profile15):
+    # two Newton steps cannot reach the tolerance, so the solve falls back to
+    # damped Picard; the result must still account for the Newton attempt
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    init = initial_field_from_profile(grid, profile15)
+    cf = rigid_rotation(grid, 1e-3)
+    newton = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(certify=False))
+    picard = solve_equilibrium(
+        cf, eos15, 1.0, init, SolverOptions(newton=False, max_iter=200, certify=False)
+    )
+    sol = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(max_iter=2, certify=False))
+    assert sol.residual_history == newton.residual_history[:3] + picard.residual_history
+    assert sol.iterations == 3 + picard.iterations
+    assert "no convergence after 2 iterations" in sol.meta["fallback"]
+    assert "fallback" not in newton.meta
 
 
 def test_law_requires_scale(eos15, theta15):

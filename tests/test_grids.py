@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotstar import AxiField, AxiGrid, clustered_nodes
+from rotstar.grids import interp_matrix
 from rotstar.errors import DomainError
 
 
@@ -66,3 +67,35 @@ def test_interpolation_and_derivative_accuracy():
     assert np.max(np.abs(at_gauss - np.sin(1.7 * grid.gauss_x))) < 2e-6
     dv = grid.deriv @ vals
     assert np.max(np.abs(dv - 1.7 * np.cos(1.7 * grid.r))) < 2e-4
+
+
+def _interp_matrix_loop(nodes, points, width):
+    """Per-point reference: Lagrange weights on each point's stencil."""
+    n = len(nodes)
+    mat = np.zeros((len(points), n))
+    idx = np.clip(np.searchsorted(nodes, points) - 1, 0, n - 2)
+    for p, x in enumerate(points):
+        s0 = min(max(idx[p] - (width // 2 - 1), 0), n - width)
+        stencil = nodes[s0 : s0 + width]
+        for s in range(width):
+            num = 1.0
+            den = 1.0
+            for m in range(width):
+                if m != s:
+                    num *= x - stencil[m]
+                    den *= stencil[s] - stencil[m]
+            mat[p, s0 + s] = num / den
+    return mat
+
+
+@pytest.mark.parametrize("width", [4, 6])
+def test_interp_matrix_matches_per_point_loop(width):
+    grid = AxiGrid.build(3.0, n_r=40, n_zeta=12, l_max=4, focus=2.0)
+    rng = np.random.default_rng(3)
+    # points below 0, on every node, inside panels and beyond r_inf
+    points = np.concatenate(
+        [[-0.5, -1e-3], grid.r, rng.uniform(-0.2, 3.4, 300), [3.0 + 1e-9, 4.5]]
+    )
+    assert np.array_equal(
+        interp_matrix(grid.r, points, width), _interp_matrix_loop(grid.r, points, width)
+    )

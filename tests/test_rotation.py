@@ -16,7 +16,9 @@ from rotstar import (
     total_mass_dimensionless,
 )
 from rotstar.errors import DivergentAxisIntegral, DomainError
-from rotstar.rotation import _field_from_b, rigid_rotation
+from rotstar import rotation
+from rotstar.grids import interp_matrix
+from rotstar.rotation import CylinderRule, _default_varpi_samples, _field_from_b, rigid_rotation
 
 
 def test_zero_rotation(scale15, grid15):
@@ -205,6 +207,66 @@ def test_momentum_deriv_finite_difference_order(theta15, eos15, scale15):
         errs.append(np.max(np.abs((b1.g.values - b0.g.values) / eps - db.values)))
     order = np.polyfit(np.log(eps_list), np.log(errs), 1)[0]
     assert order >= 1.0 - 0.05
+
+
+def _oblate_state(theta):
+    grid = theta.grid
+    p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
+    return AxiField(grid, theta.values - 0.03 * grid.r[:, None] ** 2 * p2)
+
+
+def _partial_panels_loop(grid, varpi, kcut):
+    """Per-point reference for the rule's partial panels."""
+    g4x, g4w = np.polynomial.legendre.leggauss(4)
+    nq, nj = len(varpi), grid.n_zeta
+    sin = np.sqrt(1.0 - grid.zeta ** 2)
+    rcut = np.minimum(varpi[:, None] / sin[None, :], grid.r_inf)
+    part_x = np.zeros((nq, nj, 4))
+    part_w = np.zeros((nq, nj, 4))
+    part_stencil = np.zeros((nq, nj, 4), dtype=int)
+    part_coef = np.zeros((nq, nj, 4, 4))
+    r = grid.r
+    for q in range(nq):
+        for j in range(nj):
+            k = kcut[q, j]
+            if k >= grid.n_r - 1:
+                continue
+            lo, hi = r[k], rcut[q, j]
+            if hi <= lo:
+                continue
+            half = 0.5 * (hi - lo)
+            x = 0.5 * (hi + lo) + half * g4x
+            part_x[q, j] = x
+            part_w[q, j] = half * g4w * x ** 2
+            s0 = min(max(k - 1, 0), grid.n_r - 4)
+            part_stencil[q, j] = np.arange(s0, s0 + 4)
+            part_coef[q, j] = interp_matrix(r[s0 : s0 + 4], x)
+    return part_x, part_w, part_stencil, part_coef
+
+
+def test_cylinder_rule_matches_per_point_loop(theta15):
+    grid = theta15.grid
+    varpi = _default_varpi_samples(grid, _oblate_state(theta15))
+    assert varpi[0] == 0.0 and varpi[-1] == grid.r_inf  # includes cuts that leave the domain
+    rule = CylinderRule(grid, varpi)
+    assert np.any(rule.kcut == grid.n_r - 1)
+    ref = _partial_panels_loop(grid, varpi, rule.kcut)
+    for name, want in zip(("part_x", "part_w", "part_stencil", "part_coef"), ref):
+        got = getattr(rule, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_cylinder_rule_batches_interpolation(theta15, monkeypatch):
+    grid = theta15.grid
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return interp_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(rotation, "interp_matrix", counting)
+    CylinderRule(grid, _default_varpi_samples(grid, _oblate_state(theta15)))
+    assert 0 < len(calls) <= grid.n_zeta
 
 
 def test_law_validation():
