@@ -470,7 +470,8 @@ def _mass_point_worker(args):
     calc = MassCalculator(eos, grav_const, n_r=n_r, n_zeta=n_zeta, l_max=l_max)
     out = trace_constant_mass_curve(eos, rho_ref, [om2], calculator=calc, rtol=rtol)
     p = out["points"][0]
-    return (p.rho_center, p.omega2, p.beta, p.m1, p.mass, out["relative_errors"][0])
+    return (p.rho_center, p.omega2, p.beta, p.m1, p.mass, out["relative_errors"][0],
+            out["mass_reference"])
 
 
 def cmd_mass_curve(config, writer, jobs=1):
@@ -481,7 +482,7 @@ def cmd_mass_curve(config, writer, jobs=1):
     schedule = config["mass"]["omega2_schedule"]
     rho_ref = config["mass"]["rho_center"]
     grav = config["scale"]["grav_const"]
-    if jobs > 1:
+    if jobs > 1 and schedule:
         from concurrent.futures import ProcessPoolExecutor
 
         args = [
@@ -492,8 +493,9 @@ def cmd_mass_curve(config, writer, jobs=1):
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_mass_point_worker, args))
         errors = [r[5] for r in rows]
+        # every worker computes the same zero-rotation mass at rho_ref
+        mass_ref = rows[0][6]
         rows = [r[:5] for r in rows]
-        mass_ref = rows[0][4] if schedule and schedule[0] == 0.0 else None
         beta_max = max(r[2] for r in rows)
     else:
         calc = MassCalculator(

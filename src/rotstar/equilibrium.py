@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve, svdvals
-from scipy.optimize import brentq
 from scipy.special import eval_legendre
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
@@ -58,6 +57,8 @@ class AdmissibilityReport:
     monotone: bool
     one_over_C: float
     r0: float
+    # the free boundary beyond r0, or None where a ray has no single crossing
+    boundary: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -157,27 +158,87 @@ def gravity_map_deriv(
     return AxiField.from_modes(grid, out)
 
 
+# Interpolation to the Gauss points reads the 4 stencil nodes of a point's
+# panel, and the stencils shift inward at both ends, so node c is read only by
+# the Gauss points of panels c-3 .. c+2: a window of 24 points starting at
+# Gauss point 4c - 12.
+_PER_PANEL = 4
+_LEAD = 12
+_WINDOW = 24
+
+
+def _window_weights(grid: AxiGrid) -> np.ndarray:
+    """wn[c, t]: interpolation weight of node c at Gauss point 4c - 12 + t."""
+    cols = grid.interp_cols
+    t = np.arange(grid.n_gauss)[:, None] + _LEAD - _PER_PANEL * cols
+    wn = np.zeros((grid.n_r, _WINDOW))
+    wn[cols, t] = grid.interp_weights
+    return wn
+
+
+def _kernel_interp(grid: AxiGrid, k: int, coef: np.ndarray) -> np.ndarray:
+    """kernels[k] @ diag(coef[:, j]) @ interp for each column j of ``coef``.
+
+    Returned transposed as out[c, j, i] (node column c, coefficient set j,
+    node row i).  Each column c is one (n_j x 24) @ (24 x n_r) product over
+    the Gauss points that read node c, instead of a sum over all of them.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view
+    ker = np.zeros((grid.n_r, grid.n_gauss + 2 * _LEAD))
+    ker[:, _LEAD:-_LEAD] = grid.kernels[k]
+    ker = windows(ker, _WINDOW, axis=1)[:, ::_PER_PANEL]  # (i, c, t)
+    cw = np.zeros((grid.n_gauss + 2 * _LEAD, coef.shape[1]))
+    cw[_LEAD:-_LEAD] = coef
+    wn = _window_weights(grid)
+    cw = windows(cw, _WINDOW, axis=0)[::_PER_PANEL] * wn[:, None, :]  # (c, j, t)
+    return np.matmul(cw, ker.transpose(1, 2, 0))
+
+
+def _packed_block(grid: AxiGrid, k: int) -> tuple[slice, int]:
+    """Rows of mode k in the packed vector and the first radial index kept."""
+    nr = grid.n_r
+    if k == 0:
+        return slice(0, nr), 0
+    return slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1)), 1
+
+
 def gravity_jacobian_packed(
     grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray
 ) -> np.ndarray:
-    """Dense packed matrix of the linearized self-gravity map at u."""
+    """Packed matrix of the linearized self-gravity map at u, Fortran-ordered.
+
+    Block (li, lj) is kernels[li] @ diag(coupling of mode lj into mode li at
+    the Gauss radii) @ interp, assembled from the interpolation stencil.
+    """
     fine = grid.fine_field_at_gauss(modes)
     fp = scaled_density_deriv(fine, eos, u_center)
     # coupling of incoming mode lj to outgoing mode li at each gauss radius
     coup = np.einsum("la,ap,ma->plm", grid.proj_f, fp, grid.leg_f)
     n = packed_size(grid)
-    jac = np.zeros((n, n))
-    nr = grid.n_r
+    jac = np.empty((n, n), order="F")
     for li in range(grid.n_l):
-        rows = slice(0, nr) if li == 0 else slice(nr + (li - 1) * (nr - 1), nr + li * (nr - 1))
+        rows, r0 = _packed_block(grid, li)
+        blk = _kernel_interp(grid, li, coup[:, li, :])
+        if li == 0:
+            blk -= blk[:, :, :1]
         for lj in range(grid.n_l):
-            blk = (grid.kernels[li] * coup[:, li, lj][None, :]) @ grid.interp
-            if li == 0:
-                blk = blk - blk[0:1, :]
-            cols = slice(0, nr) if lj == 0 else slice(nr + (lj - 1) * (nr - 1), nr + lj * (nr - 1))
-            r0 = 0 if li == 0 else 1
-            c0 = 0 if lj == 0 else 1
-            jac[rows, cols] = blk[r0:, c0:]
+            cols, c0 = _packed_block(grid, lj)
+            jac.T[cols, rows] = blk[c0:, lj, r0:]
+    return jac
+
+
+def newton_matrix(jac: np.ndarray, b_matrix: np.ndarray | None = None) -> np.ndarray:
+    """Overwrite ``jac`` with I - jac - b_matrix and return it.
+
+    Applied to ``gravity_jacobian_packed`` (and the centrifugal linearization
+    of an angular-momentum law) this gives the Newton matrix in one
+    Fortran-ordered buffer, ready to be factored in place.
+    """
+    if b_matrix is not None:
+        jac += b_matrix
+    np.negative(jac, out=jac)
+    diag = np.arange(jac.shape[0])
+    jac[diag, diag] += 1.0
     return jac
 
 
@@ -199,24 +260,32 @@ def free_boundary(u: AxiField, r0: float = 0.0) -> np.ndarray:
     """Per-zeta root of the radial enthalpy profile.
 
     Requires a single + to - sign change beyond r0 along each ray; raises
-    NoSignChange otherwise.  Roots are refined on the cubic interpolant.
+    NoSignChange otherwise.  Each root is refined on the cubic of its panel
+    in one spline through all rays.
     """
     grid = u.grid
-    R = np.empty(grid.n_zeta)
+    vals = u.values
+    cross = (vals[:-1] > 0) & (vals[1:] <= 0) & (grid.r[1:, None] > r0)
+    k = np.argmax(cross, axis=0)
+    single = (cross.sum(axis=0) == 1) & ~np.any(vals[grid.r <= r0] <= 0, axis=0)
+    # reject profiles that come back up after the crossing
+    back = np.any((vals > 0) & (np.arange(grid.n_r)[:, None] > k), axis=0)
     for j in range(grid.n_zeta):
-        col = u.values[:, j]
-        beyond = grid.r > r0
-        sgn = np.sign(col)
-        crossings = np.nonzero((sgn[:-1] > 0) & (sgn[1:] <= 0) & beyond[1:])[0]
-        if len(crossings) != 1 or np.any(col[grid.r <= r0] <= 0):
+        if not single[j]:
             raise NoSignChange(float(grid.zeta[j]))
-        k = crossings[0]
-        # reject profiles that come back up after the crossing
-        if np.any(col[k + 1 :] > 0):
+        if back[j]:
             raise NoSignChange(float(grid.zeta[j]), "multiple sign changes")
-        spline = CubicSpline(grid.r, col)
-        R[j] = brentq(spline, grid.r[k], grid.r[k + 1], xtol=1e-12)
-    return R
+    # coefficients of powers of r - r_k on each ray's crossing panel
+    c = CubicSpline(grid.r, vals, axis=0).c[:, k, np.arange(grid.n_zeta)]
+    lo = np.zeros(grid.n_zeta)
+    hi = grid.r[k + 1] - grid.r[k]
+    # bisection: the cubic is positive at lo and not positive at hi
+    while np.any(hi - lo > 1e-14 * grid.r_inf):
+        mid = 0.5 * (lo + hi)
+        pos = ((c[0] * mid + c[1]) * mid + c[2]) * mid + c[3] > 0
+        lo = np.where(pos, mid, lo)
+        hi = np.where(pos, hi, mid)
+    return grid.r[k] + 0.5 * (lo + hi)
 
 
 def check_admissibility(u: AxiField, r0: float | None = None) -> AdmissibilityReport:
@@ -230,6 +299,7 @@ def check_admissibility(u: AxiField, r0: float | None = None) -> AdmissibilityRe
         except NoSignChange:
             r0 = 0.05 * grid.r_inf
     a1 = bool(np.all(du[grid.r >= r0, :] < 0.0))
+    R = None
     try:
         R = free_boundary(u, r0)
         a2 = bool(np.all((R > r0) & (R < grid.r_inf)))
@@ -238,7 +308,7 @@ def check_admissibility(u: AxiField, r0: float | None = None) -> AdmissibilityRe
     with np.errstate(divide="ignore"):
         ratios = -du[1:, :] / grid.r[1:, None]
     one_over_c = float(np.min(ratios))
-    return AdmissibilityReport(a1, a2, a1 and one_over_c > 0.0, one_over_c, r0)
+    return AdmissibilityReport(a1, a2, a1 and one_over_c > 0.0, one_over_c, r0, R)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +335,12 @@ def hl_certificate_blocks(
     q = scaled_density_deriv(grid.interp @ modes[0], eos, u_center)
     out = {}
     for k, l in enumerate(grid.lvals):
-        blk = (grid.kernels[k] * q[None, :]) @ grid.interp
+        blk = _kernel_interp(grid, k, q[:, None])[:, 0, :].T
         if l == 0:
-            blk = blk - blk[0:1, :]
-            mat = np.eye(grid.n_r) - blk
+            blk -= blk[0:1, :]
         else:
-            mat = np.eye(grid.n_r - 1) - blk[1:, 1:]
-        out[int(l)] = float(svdvals(mat)[-1])
+            blk = blk[1:, 1:]
+        out[int(l)] = float(svdvals(newton_matrix(blk), overwrite_a=True)[-1])
     return out
 
 
@@ -289,15 +358,15 @@ def hl_certificate(
     momentum law couples the modes; otherwise the full dense matrix.
     """
     modes = u.modes()
-    grid = u.grid
     if law is None and _is_spherical(modes):
         return min(hl_certificate_blocks(u, eos, u_center).values())
-    mat = np.eye(packed_size(grid)) - gravity_jacobian_packed(grid, eos, u_center, modes)
+    b_matrix = None
     if law is not None:
         if scale is None:
             raise DomainError("angular-momentum certificate needs a ScaleSet")
-        mat = mat - centrifugal_deriv_matrix(law, u, eos, scale)
-    return float(svdvals(mat)[-1])
+        b_matrix = centrifugal_deriv_matrix(law, u, eos, scale)
+    mat = newton_matrix(gravity_jacobian_packed(u.grid, eos, u_center, modes), b_matrix)
+    return float(svdvals(mat, overwrite_a=True)[-1])
 
 
 def centrifugal_deriv_matrix(
@@ -335,8 +404,6 @@ def _solve_modes(
     """Newton iteration in mode space; returns (U, history, g_modes)."""
     history = []
     lu = None
-    n = packed_size(grid)
-    eye = np.eye(n)
     b_matrix = None
     last_res = None
 
@@ -360,15 +427,17 @@ def _solve_modes(
                 last_res is not None and res > opts.rebuild_ratio * last_res
             )
             if stale:
-                jac = gravity_jacobian_packed(grid, eos, u_center, U)
-                if law is not None:
-                    if b_matrix is None:
-                        b_matrix = centrifugal_deriv_matrix(
-                            law, AxiField.from_modes(grid, U), eos, scale
-                        )
-                    jac = jac + b_matrix
+                lu = None  # a rebuild never holds two factorizations
+                if law is not None and b_matrix is None:
+                    b_matrix = centrifugal_deriv_matrix(
+                        law, AxiField.from_modes(grid, U), eos, scale
+                    )
                 try:
-                    lu = lu_factor(eye - jac)
+                    # factored in place: the LU takes over the Jacobian's buffer
+                    lu = lu_factor(
+                        newton_matrix(gravity_jacobian_packed(grid, eos, u_center, U), b_matrix),
+                        overwrite_a=True,
+                    )
                 except np.linalg.LinAlgError as exc:
                     raise SingularLinearization(0.0, opts.hl_threshold) from exc
             delta = lu_solve(lu, pack_modes(grid, rhs))
@@ -439,9 +508,7 @@ def solve_equilibrium(
 
     u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)
-    R = None
-    if report.a2:
-        R = free_boundary(u_field, report.r0)
+    R = report.boundary if report.a2 else None
     sigma = None
     if opts.certify:
         sigma = hl_certificate(u_field, eos, u_center, law=law, scale=scale)

@@ -4,7 +4,8 @@ A field u(r, zeta) lives on radial nodes times Gauss-Legendre nodes in
 zeta = cos(polar angle).  Equatorial symmetry restricts the Legendre
 content to even degrees; the grid caches the even-degree transform
 tables, a composite 4-point Gauss rule on the radial panels, and the
-cubic interpolation matrix from nodes to the radial quadrature points.
+cubic interpolation from nodes to the radial quadrature points, both as its
+stencil and as a dense matrix.
 """
 
 from __future__ import annotations
@@ -79,11 +80,14 @@ def fornberg_weights(x_stencil: np.ndarray, x0: float, order: int) -> np.ndarray
     return w[order]
 
 
-def interp_matrix(nodes: np.ndarray, points: np.ndarray, width: int = 4) -> np.ndarray:
-    """Dense matrix mapping nodal values to local-cubic values at ``points``.
+def interp_stencil(
+    nodes: np.ndarray, points: np.ndarray, width: int = 4
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil columns and Lagrange weights of local-cubic interpolation.
 
     Each point uses the ``width`` nodes around the panel holding it (shifted
-    inward at the ends); its row holds the Lagrange weights on that stencil.
+    inward at the ends).  Returns ``(cols, weights)``, both (n_points, width):
+    the node indices of each point's stencil and the weights on them.
     """
     nodes = np.asarray(nodes, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -103,10 +107,20 @@ def interp_matrix(nodes: np.ndarray, points: np.ndarray, width: int = 4) -> np.n
     for m in range(width):
         num = num * dx[:, :, m]
         den = den * dn[:, :, m]
-    weights = num / den
-    mat = np.zeros((len(points), n))
-    mat[np.arange(len(points))[:, None], cols] = weights
+    return cols, num / den
+
+
+def _stencil_matrix(cols: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    mat = np.zeros((len(cols), n))
+    mat[np.arange(len(cols))[:, None], cols] = weights
     return mat
+
+
+def interp_matrix(nodes: np.ndarray, points: np.ndarray, width: int = 4) -> np.ndarray:
+    """Dense matrix mapping nodal values to local-cubic values at ``points``;
+    row p holds the weights of ``interp_stencil`` at its stencil columns."""
+    cols, weights = interp_stencil(nodes, points, width)
+    return _stencil_matrix(cols, weights, len(nodes))
 
 
 def derivative_matrix(nodes: np.ndarray, width: int = 4) -> np.ndarray:
@@ -165,7 +179,10 @@ class AxiGrid:
         self.gauss_w = (half[:, None] * _GAUSS4_W[None, :]).ravel()
         self.n_gauss = len(self.gauss_x)
 
-        self.interp = interp_matrix(self.r, self.gauss_x)
+        # the interpolation to the Gauss points: 4 nonzeros per row, shared by
+        # the Gauss points of a panel; kept as the stencil and as a matrix
+        self.interp_cols, self.interp_weights = interp_stencil(self.r, self.gauss_x)
+        self.interp = _stencil_matrix(self.interp_cols, self.interp_weights, self.n_r)
         self.deriv = derivative_matrix(self.r)
 
         # radial kernels of the multipole potential, in overflow-safe ratio form:

@@ -23,7 +23,7 @@ from .eos import EquationOfState, scaled_density_deriv
 from .errors import DomainError, NoConvergence
 from .grids import AxiGrid, clustered_nodes, interp_matrix
 from .radial import RadialProfile
-from .equilibrium import gravity_jacobian_packed, pack_modes, packed_size, unpack_modes
+from .equilibrium import gravity_jacobian_packed, newton_matrix, pack_modes, unpack_modes
 from .rotation import rigid_rotation
 
 _G4X, _G4W = np.polynomial.legendre.leggauss(4)
@@ -244,10 +244,9 @@ def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
     """Solve (I - D[gravity map]) h = g1 on the 2-D grid, g1 = r^2 (1-zeta^2)/4."""
     modes0 = np.zeros((grid.n_l, grid.n_r))
     modes0[0] = profile.theta_at(grid.r)
-    jac = gravity_jacobian_packed(grid, eos, u_center, modes0)
     g1 = rigid_rotation(grid, 1.0).g_modes
-    n = packed_size(grid)
-    sol = np.linalg.solve(np.eye(n) - jac, pack_modes(grid, g1))
+    mat = newton_matrix(gravity_jacobian_packed(grid, eos, u_center, modes0))
+    sol = np.linalg.solve(mat, pack_modes(grid, g1))
     return unpack_modes(grid, sol)
 
 

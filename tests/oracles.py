@@ -1,8 +1,10 @@
-"""Independent numerical oracles used to freeze golden values.
+"""Independent numerical oracles used to freeze golden values and to check
+the library's fast paths.
 
 Everything here is deliberately primitive: fixed-step classical RK4 with
 step halving to self-consistency, no adaptive machinery shared with the
-library.  Run as a script to regenerate tests/golden_lane_emden.json.
+library; dense products and per-ray splines where the library exploits
+structure.  Run as a script to regenerate tests/golden_lane_emden.json.
 """
 
 from __future__ import annotations
@@ -10,6 +12,11 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
+
+import numpy as np
+from scipy.interpolate import CubicSpline
+from scipy.linalg import svdvals
+from scipy.optimize import brentq
 
 GOLDEN_PATH = Path(__file__).parent / "golden_lane_emden.json"
 
@@ -83,6 +90,53 @@ def lane_emden_oracle(nu: float, tol: float = 1e-10):
         xi_prev, mu_prev = xi, mu
         if h < 1e-5:
             raise RuntimeError("step halving did not settle")
+
+
+def _packed_rows(grid, k):
+    nr = grid.n_r
+    return slice(0, nr) if k == 0 else slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1))
+
+
+def gravity_jacobian_dense(grid, fp):
+    """Packed linearized gravity map from dense (n_r x n_gauss) @ (n_gauss x n_r)
+    block products; ``fp`` is rho'(u) on (fine zeta) x (Gauss radius)."""
+    coup = np.einsum("la,ap,ma->plm", grid.proj_f, fp, grid.leg_f)
+    n = grid.n_r + (grid.n_l - 1) * (grid.n_r - 1)
+    jac = np.zeros((n, n))
+    for li in range(grid.n_l):
+        for lj in range(grid.n_l):
+            blk = (grid.kernels[li] * coup[:, li, lj][None, :]) @ grid.interp
+            if li == 0:
+                blk = blk - blk[0:1, :]
+            jac[_packed_rows(grid, li), _packed_rows(grid, lj)] = blk[
+                (li > 0):, (lj > 0):
+            ]
+    return jac
+
+
+def block_sigma_min_dense(grid, q):
+    """Smallest singular value of I - (degree-l block) per even degree l, for
+    a spherical state with rho'(u) = ``q`` at the Gauss radii."""
+    out = {}
+    for k, l in enumerate(grid.lvals):
+        blk = (grid.kernels[k] * q[None, :]) @ grid.interp
+        if l == 0:
+            blk = blk - blk[0:1, :]
+            mat = np.eye(grid.n_r) - blk
+        else:
+            mat = np.eye(grid.n_r - 1) - blk[1:, 1:]
+        out[int(l)] = float(svdvals(mat)[-1])
+    return out
+
+
+def free_boundary_per_ray(grid, values, r0):
+    """Root of each column of ``values`` past r0 on its own cubic spline."""
+    R = np.empty(grid.n_zeta)
+    for j in range(grid.n_zeta):
+        col = values[:, j]
+        k = np.nonzero((col[:-1] > 0) & (col[1:] <= 0) & (grid.r[1:] > r0))[0][0]
+        R[j] = brentq(CubicSpline(grid.r, col), grid.r[k], grid.r[k + 1], xtol=1e-12)
+    return R
 
 
 def regenerate() -> dict:

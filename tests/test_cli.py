@@ -278,3 +278,37 @@ rtol = 1e-7
     assert main(["--config", str(cfg), "--out", str(out), "--jobs", "2"]) == 0
     rows = (out / "mass_curve.csv").read_text().splitlines()
     assert len(rows) == 3
+
+
+def test_mass_curve_parallel_writes_mass_reference(tmp_path):
+    # a schedule without Omega^2 = 0, or an empty one, still has the
+    # zero-rotation reference mass
+    ini = """
+[run]
+command = mass-curve
+
+[eos]
+kind = polytrope
+gamma = 1.6666666666666667
+
+[grid]
+n_r = 64
+n_zeta = 12
+l_max = 4
+
+[mass]
+rho_center = 1.0
+omega2_schedule = 1e-4, 3e-4
+rtol = 1e-7
+"""
+    for schedule in ("1e-4, 3e-4", ""):
+        cfg = _write(tmp_path, ini.replace("1e-4, 3e-4", schedule))
+        docs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"out{jobs}-{len(schedule)}"
+            assert main(["--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+            docs.append(json.loads((out / "mass_curve.json").read_text()))
+        serial, parallel = docs
+        assert serial["mass_reference"] is not None
+        assert parallel["mass_reference"] == serial["mass_reference"]
+        assert len(parallel["points"]) == len(serial["points"])

@@ -26,8 +26,16 @@ from rotstar import (
 )
 from rotstar.errors import ContinuationFailure, DomainError, NoSignChange
 from rotstar.rotation import CentrifugalField, centrifugal_from_omega, ConstantRotation, rigid_rotation
-from rotstar.equilibrium import centrifugal_deriv_matrix, pack_modes, packed_size, unpack_modes
+from rotstar.eos import scaled_density_deriv
+from rotstar.equilibrium import (
+    centrifugal_deriv_matrix,
+    gravity_jacobian_packed,
+    pack_modes,
+    packed_size,
+    unpack_modes,
+)
 from rotstar.rotation import LinearizedCentrifugal
+from oracles import block_sigma_min_dense, free_boundary_per_ray, gravity_jacobian_dense
 
 
 def test_gravity_map_on_vacuum(grid15, eos15):
@@ -408,3 +416,102 @@ def test_rigid_rotation_matches_hand_built_field(eos15, profile15):
     assert np.max(np.abs(sol.u.values - sol_hand.u.values)) <= 1e-14
     assert np.max(np.abs(sol.R_of_zeta - sol_hand.R_of_zeta)) <= 1e-14
     assert sol.hl_sigma_min == pytest.approx(sol_hand.hl_sigma_min, rel=1e-12)
+
+
+def _oblate_state(profile):
+    grid = AxiGrid.build(profile.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile.xi1)
+    p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
+    u0 = initial_field_from_profile(grid, profile)
+    return AxiField(grid, u0.values - 0.03 * grid.r[:, None] ** 2 * p2)
+
+
+def test_gravity_jacobian_matches_dense_products(eos15, profile15):
+    # 64 radial nodes: the clipped end stencils touch a large share of the columns
+    u = _oblate_state(profile15)
+    grid = u.grid
+    jac = gravity_jacobian_packed(grid, eos15, 1.0, u.modes())
+    fp = scaled_density_deriv(grid.fine_field_at_gauss(u.modes()), eos15, 1.0)
+    dense = gravity_jacobian_dense(grid, fp)
+    assert jac.flags.f_contiguous
+    assert np.max(np.abs(jac - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+def test_gravity_jacobian_applies_the_derivative(eos15, profile15):
+    u = _oblate_state(profile15)
+    grid = u.grid
+    jac = gravity_jacobian_packed(grid, eos15, 1.0, u.modes())
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        h = AxiField.from_modes(grid, unpack_modes(grid, rng.standard_normal(packed_size(grid))))
+        want = pack_modes(grid, gravity_map_deriv(u, h, eos15, 1.0).modes())
+        got = jac @ pack_modes(grid, h.modes())
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_hl_certificate_blocks_match_dense_products(eos15, theta15):
+    grid = theta15.grid
+    q = scaled_density_deriv(grid.interp @ theta15.modes()[0], eos15, 1.0)
+    want = block_sigma_min_dense(grid, q)
+    got = hl_certificate_blocks(theta15, eos15, 1.0)
+    assert set(got) == set(want)
+    for l, sigma in want.items():
+        assert got[l] == pytest.approx(sigma, rel=1e-12, abs=0.0)
+
+
+def test_newton_matrix_is_factored_in_place(eos15, profile15, scale15, monkeypatch):
+    # one n x n buffer per factorization: the Newton matrix arrives
+    # Fortran-ordered and lu_factor overwrites it
+    from rotstar import equilibrium
+
+    calls = []
+
+    def checked(a, *args, **kwargs):
+        lu = lu_factor_orig(a, *args, **kwargs)
+        calls.append((a.flags.f_contiguous, kwargs.get("overwrite_a"),
+                      np.shares_memory(lu[0], a)))
+        return lu
+
+    lu_factor_orig = equilibrium.lu_factor
+    monkeypatch.setattr(equilibrium, "lu_factor", checked)
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    u0 = initial_field_from_profile(grid, profile15)
+    solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, u0, SolverOptions(certify=False))
+    n_rigid = len(calls)
+    cyl = mass_within_cylinder(u0, eos15, scale15)
+    ms = np.linspace(0, 1.3 * cyl.total, 60)
+    law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
+    solve_equilibrium(
+        None, eos15, 1.0, u0, SolverOptions(certify=False), law=law, scale=scale15
+    )
+    assert 0 < n_rigid < len(calls)
+    assert all(c == (True, True, True) for c in calls)
+
+
+def test_free_boundary_runs_twice_per_solve(eos15, profile15, monkeypatch):
+    # the admissibility check's r0 probe and boundary; the solve reuses the latter
+    from rotstar import equilibrium
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return free_boundary(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "free_boundary", counting)
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    init = initial_field_from_profile(grid, profile15)
+    sol = solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, init,
+                            SolverOptions(certify=False))
+    assert len(calls) == 2
+    assert np.array_equal(sol.R_of_zeta, sol.admissibility.boundary)
+
+
+def test_free_boundary_matches_per_ray_splines(eos15, profile15):
+    grid = AxiGrid.build(profile15.r_inf, n_r=128, n_zeta=16, l_max=4, focus=profile15.xi1)
+    init = initial_field_from_profile(grid, profile15)
+    sol = solve_equilibrium(rigid_rotation(grid, 0.02), eos15, 1.0, init,
+                            SolverOptions(certify=False))
+    for field in (sol.u, init):
+        R = free_boundary(field, 0.2)
+        want = free_boundary_per_ray(field.grid, field.values, 0.2)
+        assert np.max(np.abs(R - want)) <= 1e-12
