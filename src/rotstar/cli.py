@@ -28,12 +28,11 @@ from .eos import EquationOfState, ScaleSet
 from .equilibrium import (
     ConstantRotationFamily,
     SolverOptions,
-    hl_certificate,
     hl_certificate_blocks,
     initial_field_from_profile,
     solve_equilibrium,
 )
-from .errors import ConfigError, RotstarError
+from .errors import ConfigError, NoSignChange, RotstarError
 from .grids import AxiField, AxiGrid
 from .mass import MassCalculator, trace_constant_mass_curve
 from .perturb import compute_h_field, oblateness
@@ -403,6 +402,13 @@ def cmd_solve(config, writer):
         cf = centrifugal_from_omega(rot, scale, grid)
         beta = cf.beta
     sol = solve_equilibrium(cf, eos, scale.u_center, init, opts, law=law, scale=scale)
+    if sol.R_of_zeta is None:
+        rep = sol.admissibility
+        raise NoSignChange(
+            None,
+            "converged field has no admissible free boundary "
+            f"(a1={rep.a1}, a2={rep.a2}); nothing written",
+        )
     from .mass import total_mass_dimensionless
 
     doc = sol.to_dict()
@@ -567,8 +573,9 @@ def cmd_hl_check(config, writer):
     u_c = config["scale"]["u_center"]
     grid, prof = _grid_and_profile(config, eos)
     u = initial_field_from_profile(grid, prof)
+    # the spherical state's certificate is the smallest per-degree value
     blocks = hl_certificate_blocks(u, eos, u_c)
-    sigma = hl_certificate(u, eos, u_c)
+    sigma = min(blocks.values())
     threshold = config["solver"]["hl_threshold"]
     writer.write_json(
         "hl_check.json",

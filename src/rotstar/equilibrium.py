@@ -14,9 +14,7 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import lu_factor, lu_solve, svdvals
-from scipy.special import eval_legendre
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
 from .errors import (
@@ -26,13 +24,15 @@ from .errors import (
     NoSignChange,
     SingularLinearization,
 )
-from .grids import AxiField, AxiGrid
+from .grids import AxiField, AxiGrid, cubic_spline, legendre_table
 from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,
+    CylinderMass,
     LinearizedCentrifugal,
     centrifugal_from_momentum,
+    mass_within_cylinder,
     rigid_rotation,
 )
 
@@ -78,8 +78,7 @@ class EquilibriumSolution:
         w = (2.0 * grid.lvals[:, None] + 1.0) / 2.0 * grid.zeta_w[None, :]
         coeffs = (w * grid.leg) @ self.R_of_zeta
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
-        tab = np.array([eval_legendre(l, zeta) for l in grid.lvals])
-        return coeffs @ tab
+        return coeffs @ legendre_table(grid.lvals, zeta)
 
     def to_dict(self) -> dict:
         rep = self.admissibility
@@ -276,7 +275,7 @@ def free_boundary(u: AxiField, r0: float = 0.0) -> np.ndarray:
         if back[j]:
             raise NoSignChange(float(grid.zeta[j]), "multiple sign changes")
     # coefficients of powers of r - r_k on each ray's crossing panel
-    c = CubicSpline(grid.r, vals, axis=0).c[:, k, np.arange(grid.n_zeta)]
+    c = cubic_spline(grid.r, vals).c[:, k, np.arange(grid.n_zeta)]
     lo = np.zeros(grid.n_zeta)
     hi = grid.r[k + 1] - grid.r[k]
     # bisection: the cubic is positive at lo and not positive at hi
@@ -374,14 +373,16 @@ def centrifugal_deriv_matrix(
     u: AxiField,
     eos: EquationOfState,
     scale: ScaleSet,
+    cyl: CylinderMass | None = None,
 ) -> np.ndarray:
     """Packed dense matrix of the centrifugal linearization.
 
     It is the product of the factors of ``LinearizedCentrifugal``: packed
     h modes -> cylinder-mass response dm -> packed g modes, of rank <= n_r.
+    ``cyl`` is the cylinder mass of u, when the caller already has it.
     """
     grid = u.grid
-    lin = LinearizedCentrifugal(law, u, eos, scale)
+    lin = LinearizedCentrifugal(law, u, eos, scale, cyl)
     modes_of_dm = pack_modes(grid, lin.b_to_modes @ lin.cum)  # (n, n_q)
     dm_of_modes = pack_modes(grid, lin.dm_response().transpose(0, 2, 1))  # (n, n_q)
     return modes_of_dm @ dm_of_modes.T
@@ -410,8 +411,8 @@ def _solve_modes(
     for it in range(opts.max_iter):
         if law is not None:
             u_field = AxiField.from_modes(grid, U)
-            cf = centrifugal_from_momentum(law, u_field, eos, scale, grid)
-            g_modes = cf.g_modes
+            cyl = mass_within_cylinder(u_field, eos, scale)
+            g_modes = centrifugal_from_momentum(law, u_field, eos, scale, grid, cyl).g_modes
         rhs = (g_modes if g_modes is not None else 0.0) + gravity_modes(
             grid, eos, u_center, U
         ) - U
@@ -429,9 +430,7 @@ def _solve_modes(
             if stale:
                 lu = None  # a rebuild never holds two factorizations
                 if law is not None and b_matrix is None:
-                    b_matrix = centrifugal_deriv_matrix(
-                        law, AxiField.from_modes(grid, U), eos, scale
-                    )
+                    b_matrix = centrifugal_deriv_matrix(law, u_field, eos, scale, cyl)
                 try:
                     # factored in place: the LU takes over the Jacobian's buffer
                     lu = lu_factor(
@@ -488,23 +487,32 @@ def solve_equilibrium(
     U0 = init.modes().copy()
     U0[1:, 0] = 0.0
     meta = {}
-    try:
-        U, history, g_modes = _solve_modes(
-            grid, eos, u_center, U0.copy(), g_modes, opts, law, scale
-        )
-    except NoConvergence as exc:
-        if not opts.newton:
-            raise
-        _log.debug("Newton failed (%s); damped Picard from the start", exc)
-        fallback = SolverOptions(**{**opts.__dict__, "newton": False})
-        fallback.max_iter = max(opts.max_iter * 4, 200)
-        U, history, g_modes = _solve_modes(
-            grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale
-        )
-        # the Newton attempt's residuals come first, so the history and the
-        # iteration count cover both runs
-        history = exc.residual_history + history
-        meta["fallback"] = f"Newton failed: {exc}"
+    # a diverging iterate overflows the density; that surfaces as a
+    # non-finite residual (NoConvergence), not as floating-point warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            U, history, g_modes = _solve_modes(
+                grid, eos, u_center, U0.copy(), g_modes, opts, law, scale
+            )
+        except NoConvergence as exc:
+            if not opts.newton:
+                raise
+            _log.debug("Newton failed (%s); damped Picard from the start", exc)
+            fallback = SolverOptions(**{**opts.__dict__, "newton": False})
+            fallback.max_iter = max(opts.max_iter * 4, 200)
+            try:
+                U, history, g_modes = _solve_modes(
+                    grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale
+                )
+            except NoConvergence as picard:
+                raise NoConvergence(
+                    f"Newton failed ({exc}); Picard fallback failed ({picard})",
+                    exc.residual_history + picard.residual_history,
+                ) from picard
+            # the Newton attempt's residuals come first, so the history and the
+            # iteration count cover both runs
+            history = exc.residual_history + history
+            meta["fallback"] = f"Newton failed: {exc}"
 
     u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)

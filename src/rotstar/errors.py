@@ -56,7 +56,8 @@ class SingularLinearization(RotstarError):
 
 
 class NoSignChange(RotstarError):
-    """No admissible single sign change of the enthalpy along a radial ray."""
+    """No admissible single sign change of the enthalpy along a radial ray
+    (``zeta`` is None when the failing ray is not singled out)."""
 
     def __init__(self, zeta, message=None):
         self.zeta = zeta

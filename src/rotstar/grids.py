@@ -1,4 +1,5 @@
-"""Tensor grids for axisymmetric, equatorially symmetric fields.
+"""Tensor grids for axisymmetric, equatorially symmetric fields, and the
+one-dimensional routines the package builds on.
 
 A field u(r, zeta) lives on radial nodes times Gauss-Legendre nodes in
 zeta = cos(polar angle).  Equatorial symmetry restricts the Legendre
@@ -6,6 +7,11 @@ content to even degrees; the grid caches the even-degree transform
 tables, a composite 4-point Gauss rule on the radial panels, and the
 cubic interpolation from nodes to the radial quadrature points, both as its
 stencil and as a dense matrix.
+
+The 1-D routines are piecewise polynomials (the not-a-knot cubic spline,
+PCHIP, and the profile's dense output), the Legendre recurrence and the
+cumulative trapezoid, in numpy, so that importing the package needs no
+scipy subpackage beyond ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -13,12 +19,178 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.special import eval_legendre
+from scipy.linalg import solve_banded
 
 from .errors import DomainError
 
 _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
+
+
+# ---------------------------------------------------------------------------
+# one-dimensional building blocks
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x, starting from 0."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+def legendre_table(degrees, x) -> np.ndarray:
+    """Table P[k] = P_{degrees[k]}(x) by the three-term recurrence, written
+    for the differences d_n = P_n - P_(n-1), which keeps full accuracy near
+    x = 1."""
+    x = np.asarray(x, dtype=float)
+    table = {0: np.ones_like(x), 1: x}
+    d, p = x - 1.0, x
+    for n in range(2, max(degrees) + 1):
+        k = n - 1.0
+        d = (2.0 * k + 1.0) / (k + 1.0) * (x - 1.0) * p + k / (k + 1.0) * d
+        p = p + d
+        table[n] = p
+    return np.array([table[l] for l in degrees])
+
+
+class PiecewisePoly:
+    """Piecewise polynomial on increasing breakpoints x.
+
+    On [x_k, x_k+1] the value is sum_m c[m, k] (t - x_k)^(deg - m), so c has
+    shape (deg + 1, len(x) - 1, ...) and trailing axes are value axes.  The
+    end pieces continue outside [x_0, x_-1]; with ``extrapolate=False`` those
+    points give NaN instead.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray, extrapolate: bool = True):
+        self.x = x
+        self.c = c
+        self.extrapolate = extrapolate
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        flat = t.ravel()
+        k = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, len(self.x) - 2)
+        s = (flat - self.x[k]).reshape((-1,) + (1,) * (self.c.ndim - 2))
+        # constant term first, then c[m] s^p with the powers built by products
+        out = self.c[-1, k]
+        power = s
+        for m in range(self.c.shape[0] - 2, -1, -1):
+            out = out + self.c[m, k] * power
+            if m:
+                power = power * s
+        if not self.extrapolate:
+            out[(flat < self.x[0]) | (flat > self.x[-1])] = np.nan
+        return out.reshape(t.shape + self.c.shape[2:])
+
+    def weighted_sums(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """out[l, i] = sum_a weights[l, a] f(t[i, a]) for 2-D t.
+
+        The weights are binned per panel and power of (t - x_k) and then
+        contracted with the coefficients in one product, so f is never formed
+        at the individual points.
+        """
+        n_i, n_a = t.shape
+        deg, npan = self.c.shape[0] - 1, len(self.x) - 1
+        flat = t.ravel()
+        k = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, npan - 1)
+        s = flat - self.x[k]
+        powers = np.empty((deg + 1, flat.size))  # powers[m] = s^(deg - m)
+        powers[deg] = 1.0
+        for m in range(deg - 1, -1, -1):
+            powers[m] = powers[m + 1] * s
+        rows = np.repeat(np.arange(n_i) * (deg + 1), n_a)
+        bins = ((rows + np.arange(deg + 1)[:, None]) * npan + k).ravel()
+        size = n_i * (deg + 1) * npan
+        binned = np.stack([
+            np.bincount(bins, (powers * np.tile(w, n_i)).ravel(), minlength=size)
+            for w in weights
+        ])
+        out = binned.reshape(-1, (deg + 1) * npan) @ self.c.reshape((deg + 1) * npan, -1)
+        return out.reshape((len(weights), n_i) + self.c.shape[2:])
+
+    def derivative(self) -> "PiecewisePoly":
+        deg = self.c.shape[0] - 1
+        powers = np.arange(deg, 0, -1, dtype=float).reshape((-1,) + (1,) * (self.c.ndim - 1))
+        return PiecewisePoly(self.x, self.c[:-1] * powers, self.extrapolate)
+
+
+def _hermite_cubic(x, y, dydx, extrapolate=True) -> PiecewisePoly:
+    """Cubic through values y and slopes dydx at x, along axis 0."""
+    dxr = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
+    c = np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]))
+    return PiecewisePoly(x, c, extrapolate)
+
+
+def cubic_spline(x, y) -> PiecewisePoly:
+    """Not-a-knot cubic spline through (x, y) along axis 0 of y.
+
+    The slopes solve the usual tridiagonal system; the third derivative is
+    continuous across x_1 and x_-2.  Needs at least 4 nodes.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    if n < 4:
+        raise DomainError("a not-a-knot spline needs at least 4 nodes")
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    ab = np.zeros((3, n))  # banded rows: upper, diagonal, lower
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    s = solve_banded(
+        (1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
+        check_finite=False,
+    )
+    return _hermite_cubic(x, y, s.reshape(y.shape))
+
+
+def _pchip_end_slope(h0, h1, m0, m1) -> float:
+    """One-sided three-point end slope, limited to keep the data's shape."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip(x, y, extrapolate: bool = True) -> PiecewisePoly:
+    """Monotone piecewise-cubic interpolant of 1-D data (Fritsch & Carlson,
+    SIAM J. Numer. Anal. 17, 238, 1980): interior slopes are the weighted
+    harmonic mean of the neighbouring secants, or 0 at a local extremum."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.diff(x)
+    m = np.diff(y) / h
+    dk = np.zeros_like(y)
+    if len(x) == 2:
+        dk[:] = m[0]
+        return _hermite_cubic(x, y, dk, extrapolate)
+    smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    dk[1:-1][smooth] = 1.0 / whmean[smooth]
+    dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    return _hermite_cubic(x, y, dk, extrapolate)
+
+
+# ---------------------------------------------------------------------------
+# grids
 
 
 def clustered_nodes(
@@ -45,7 +217,7 @@ def clustered_nodes(
         if not (0.0 < focus < r_max):
             raise DomainError("focus must lie strictly inside (0, r_max)")
         dens += focus_weight * np.exp(-0.5 * ((t - focus / r_max) / focus_width) ** 2)
-    cdf = cumulative_trapezoid(dens, t, initial=0.0)
+    cdf = cumulative_trapezoid(dens, t)
     cdf /= cdf[-1]
     nodes = np.interp(np.linspace(0.0, 1.0, n), cdf, t) * r_max
     nodes[0] = 0.0
@@ -160,11 +332,11 @@ class AxiGrid:
         self.zeta, self.zeta_w = np.polynomial.legendre.leggauss(n_zeta)
         self.n_zeta = n_zeta
         # table P[k, j] = P_{l_k}(zeta_j)
-        self.leg = np.array([eval_legendre(l, self.zeta) for l in self.lvals])
+        self.leg = legendre_table(self.lvals, self.zeta)
 
         nf = max(zeta_oversample * n_zeta, l_max + 1)
         self.zeta_f, self.zeta_fw = np.polynomial.legendre.leggauss(nf)
-        self.leg_f = np.array([eval_legendre(l, self.zeta_f) for l in self.lvals])
+        self.leg_f = legendre_table(self.lvals, self.zeta_f)
         # projection onto even modes using the fine rule
         self.proj_f = (
             (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_fw[None, :] * self.leg_f

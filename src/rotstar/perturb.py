@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .eos import EquationOfState, scaled_density_deriv
 from .errors import DomainError, NoConvergence
-from .grids import AxiGrid, clustered_nodes, interp_matrix
+from .grids import AxiGrid, clustered_nodes, cubic_spline, interp_matrix
 from .radial import RadialProfile
 from .equilibrium import gravity_jacobian_packed, newton_matrix, pack_modes, unpack_modes
 from .rotation import rigid_rotation
@@ -120,7 +118,7 @@ class ModeSolution:
     residual: float
 
     def at(self, r):
-        return CubicSpline(self.r, self.values)(np.asarray(r, dtype=float))
+        return cubic_spline(self.r, self.values)(np.asarray(r, dtype=float))
 
 
 def solve_mode(
@@ -177,6 +175,8 @@ def mode_shooting(
     """Validation path: integrate the mode ODE from a regular series start and
     match the outer condition r y' + (degree+1) y = far_coefficient * r^degree
     at xi1 (where the density response vanishes), for homogeneous problems."""
+    from scipy.integrate import solve_ivp  # validation path only
+
     if source is not None:
         raise DomainError("shooting path implemented for homogeneous sources only")
     j = degree
@@ -225,8 +225,8 @@ class PerturbationField:
 
     def __post_init__(self):
         if self._h0_spline is None:
-            self._h0_spline = CubicSpline(self.r, self.h0)
-            self._h2_spline = CubicSpline(self.r, self.h2)
+            self._h0_spline = cubic_spline(self.r, self.h0)
+            self._h2_spline = cubic_spline(self.r, self.h2)
 
     def h0_at(self, r):
         return self._h0_spline(np.asarray(r, dtype=float))
@@ -280,8 +280,8 @@ def compute_h_field(
     res_modes = _resolvent_h(profile, eos, u_center, grid)
     inside = grid.r <= profile.xi1
     r_cmp = grid.r[inside]
-    dev0 = np.abs(CubicSpline(h0.r, h0.values)(r_cmp[1:]) - res_modes[0][inside][1:])
-    dev2 = np.abs(CubicSpline(h2.r, h2.values)(r_cmp[1:]) - res_modes[1][inside][1:])
+    dev0 = np.abs(h0.at(r_cmp[1:]) - res_modes[0][inside][1:])
+    dev2 = np.abs(h2.at(r_cmp[1:]) - res_modes[1][inside][1:])
     consistency = float(max(dev0.max(), dev2.max()))
     return PerturbationField(
         profile=profile,

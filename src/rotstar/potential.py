@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ellipk, eval_legendre
 
 from .errors import SingularPoint
 from .grids import AxiField, AxiGrid
@@ -35,6 +33,9 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
     "elliptic" (complete elliptic integral closed form, used as an internal
     cross-check).
     """
+    from scipy.integrate import quad  # validation path only
+    from scipy.special import ellipk
+
     a, b = _kernel_parts(r, zeta, rp, zetap)
     scale = max(r, rp, 1e-300)
     if a - b <= (1e-14 * scale) ** 2:
@@ -56,6 +57,8 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
 
 
 def _kernel_elliptic_arrays(r, zeta, rp, zetap):
+    from scipy.special import ellipk  # validation path only
+
     a, b = _kernel_parts(r, zeta, rp, zetap)
     m = 2.0 * b / (a + b)
     return 4.0 * ellipk(m) / np.sqrt(a + b)
@@ -148,6 +151,8 @@ def potential_direct(
     quadrature points instead of interpolating the sampled field (for sources
     such as indicators that node samples cannot represent).
     """
+    from scipy.special import eval_legendre  # validation path only
+
     grid = field.grid
     modes = field.modes()
 

@@ -12,15 +12,14 @@ same ODE continues theta as the harmonic tail -mu1 (1/xi1 - 1/r).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .eos import EquationOfState, scaled_density
 from .errors import DomainError, NoZeroFound, StepFailure
-from .grids import clustered_nodes
+from .grids import PiecewisePoly, clustered_nodes
 
 _SERIES_CUT = 1e-4  # switch radius between the center series and the ODE
 
@@ -64,7 +63,7 @@ class RadialProfile:
         else:
             out[small] = -f1 * r[small] / 3.0
         if np.any(~small):
-            out[~small] = self._dense(np.minimum(r[~small], self.r_inf))[comp]
+            out[~small] = self._dense[comp](np.minimum(r[~small], self.r_inf))
         return float(out[0]) if scalar else out
 
     def export_csv(self, path) -> None:
@@ -75,38 +74,119 @@ class RadialProfile:
                 writer.writerow([format(v, ".17g") for v in row])
 
 
-def _rhs(eos: EquationOfState, u_center: float):
-    def rhs(r, y):
-        u, v = y
-        return (v, -scaled_density(u, eos, u_center) - 2.0 * v / r)
+# Dormand & Prince (1980, J. Comput. Appl. Math. 6, 19), RK5(4)7M: stage
+# nodes, stage rows (the last row is the 5th-order solution, so the last stage
+# is the next step's first) and the weights of the 5th-minus-4th-order error.
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
-    return rhs
+
+def _dp_step(accel, r, u, v, a, h):
+    """One Dormand-Prince step of u'' = accel(r, u, u') from (r, u, u', u'');
+    returns the 5th-order (u, u', u'') at r + h and the two error estimates."""
+    ku, kv = [v], [a]
+    for c, row in zip(_DP_C, _DP_A):
+        uu = u + h * sum(w * k for w, k in zip(row, ku))
+        vv = v + h * sum(w * k for w, k in zip(row, kv))
+        ku.append(vv)
+        kv.append(accel(r + c * h, uu, vv))
+    eu = h * sum(e * k for e, k in zip(_DP_E, ku))
+    ev = h * sum(e * k for e, k in zip(_DP_E, kv))
+    return uu, vv, kv[-1], eu, ev
 
 
-def _integrate(eos, u_center, r_end, tol, events):
-    f1 = scaled_density(1.0, eos, u_center)
-    r0 = _SERIES_CUT
-    y0 = (1.0 - f1 * r0 ** 2 / 6.0, -f1 * r0 / 3.0)
-    sol = solve_ivp(
-        _rhs(eos, u_center),
-        (r0, r_end),
-        y0,
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=True,
-        events=events,
-    )
-    if not sol.success:
-        raise StepFailure(f"ODE integration failed: {sol.message}")
-    return sol
+def _dp_steps(accel, trail, r_end, tol, stop_at_zero=False):
+    """Extend ``trail`` = lists (r, u, u', u'') by adaptive Dormand-Prince
+    steps up to r_end, or only to the end of the first step that takes u
+    from > 0 to <= 0.
+
+    The local error of each step is held to tol relative (tol * 1e-2
+    absolute) in the RMS norm over (u, u').
+    """
+    rs, us, vs, acs = trail
+    r, u, v, a = rs[-1], us[-1], vs[-1], acs[-1]
+    atol = tol * 1e-2
+    h = r
+    while r < r_end:
+        h = min(h, r_end - r)
+        uu, vv, aa, eu, ev = _dp_step(accel, r, u, v, a, h)
+        eu /= atol + tol * max(abs(u), abs(uu))
+        ev /= atol + tol * max(abs(v), abs(vv))
+        err = math.sqrt(0.5 * (eu * eu + ev * ev))
+        if not math.isfinite(err) or h < 1e-13 * r:
+            raise StepFailure(f"ODE integration failed at r={r:.6g} (step {h:.3e})")
+        if err <= 1.0:
+            r, u, v, a = r + h, uu, vv, aa
+            rs.append(r)
+            us.append(u)
+            vs.append(v)
+            acs.append(a)
+            if stop_at_zero and us[-2] > 0.0 >= u:
+                return
+        h *= min(5.0, max(0.2, 0.9 * err ** -0.2)) if err > 0.0 else 5.0
+
+
+def _quintic_hermite(trail) -> PiecewisePoly:
+    """Quintic through u, u', u'' at both ends of every step: O(h^6) error
+    in u and O(h^5) in u' on a step of length h."""
+    r, u, v, a = (np.asarray(col) for col in trail)
+    h = np.diff(r)
+    du = u[1:] - (u[:-1] + h * (v[:-1] + 0.5 * h * a[:-1]))
+    dv = h * (v[1:] - (v[:-1] + h * a[:-1]))
+    da = h * h * (a[1:] - a[:-1])
+    c = np.stack((
+        (12.0 * du - 6.0 * dv + da) / (2.0 * h ** 5),
+        (7.0 * dv - 15.0 * du - da) / h ** 4,
+        (20.0 * du - 8.0 * dv + da) / (2.0 * h ** 3),
+        0.5 * a[:-1],
+        v[:-1],
+        u[:-1],
+    ))
+    return PiecewisePoly(r, c)
+
+
+def _land_on_zero(accel, trail) -> float | None:
+    """Find the first + to - crossing of u and put a node on it.
+
+    The zero is bisected on the crossing step's quintic, and the step is
+    redone up to it, so the kink of the density lies on a node and the
+    pieces on both sides are smooth.  Returns None if u does not cross.
+    """
+    rs, us, vs, acs = trail
+    if len(us) < 2 or not us[-2] > 0.0 >= us[-1]:
+        return None
+    theta = _quintic_hermite([col[-2:] for col in trail])
+    lo, hi = rs[-2], rs[-1]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if theta(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    xi1 = 0.5 * (lo + hi)
+    for col in trail:
+        col.pop()
+    u, v, a, _, _ = _dp_step(accel, rs[-1], us[-1], vs[-1], acs[-1], xi1 - rs[-1])
+    rs.append(xi1)
+    us.append(u)
+    vs.append(v)
+    acs.append(a)
+    return xi1
 
 
 def solve_lane_emden(
     eos: EquationOfState,
     u_center: float = 1.0,
     r_inf: float | None = None,
-    tol: float = 1e-12,
+    tol: float = 1e-13,
     n_nodes: int = 600,
 ) -> RadialProfile:
     """Integrate the hydrostatic ODE, locate the first zero, extend harmonically.
@@ -115,11 +195,11 @@ def solve_lane_emden(
     ----------
     eos, u_center : equation of state and central enthalpy (the white dwarf
         correction depends on u_center; the exact gamma-law does not).
-    r_inf : outer radius of the returned profile.  Defaults to 1.5 * xi1
-        found by a pilot integration.  If given and the zero is not bracketed
-        below it, NoZeroFound is raised.
-    tol : local error tolerance of the adaptive integrator; the zero is
-        refined to 1e-12 relative on the dense interpolant.
+    r_inf : outer radius of the returned profile.  Defaults to 1.5 * xi1,
+        continuing the same integration past the zero.  If given and the
+        zero is not bracketed below it, NoZeroFound is raised.
+    tol : relative local error tolerance of the adaptive Dormand-Prince
+        integrator; the zero is bisected on the dense quintic interpolant.
     n_nodes : size of the returned node set (clustered at 0 and xi1).
     """
     if u_center <= 0:
@@ -127,39 +207,31 @@ def solve_lane_emden(
     if not (1.0 <= eos.nu < 5.0):
         raise DomainError("finite-radius solve requires 1 <= nu < 5")
 
-    def hit_zero(r, y):
-        return y[0]
+    def accel(r, u, v):
+        return -scaled_density(u, eos, u_center) - 2.0 * v / r
 
-    hit_zero.direction = -1
-
+    f1 = scaled_density(1.0, eos, u_center)
+    r0 = _SERIES_CUT
+    u0, v0 = 1.0 - f1 * r0 ** 2 / 6.0, -f1 * r0 / 3.0
+    trail = ([r0], [u0], [v0], [accel(r0, u0, v0)])
+    r_end = 1e4 if r_inf is None else r_inf
+    _dp_steps(accel, trail, r_end, tol, stop_at_zero=True)
+    xi1 = _land_on_zero(accel, trail)
+    if xi1 is None:
+        raise NoZeroFound(eos.nu, r_end)
+    mu1 = -xi1 ** 2 * trail[2][-1]
     if r_inf is None:
-        hit_zero.terminal = True
-        pilot = _integrate(eos, u_center, 1e4, tol, [hit_zero])
-        if len(pilot.t_events[0]) == 0:
-            raise NoZeroFound(eos.nu, 1e4)
-        r_inf = 1.5 * float(pilot.t_events[0][0])
-
-    hit_zero.terminal = False
-    sol = _integrate(eos, u_center, r_inf, tol, [hit_zero])
-    if len(sol.t_events[0]) == 0:
-        raise NoZeroFound(eos.nu, r_inf)
-
-    xi_event = float(sol.t_events[0][0])
-    lo, hi = xi_event * (1 - 1e-6), min(xi_event * (1 + 1e-6), r_inf)
-    th = lambda s: sol.sol(s)[0]
-    if th(lo) <= 0 or th(hi) >= 0:  # widen if the event landed on the root
-        lo, hi = xi_event * 0.99, min(xi_event * 1.01, r_inf)
-    xi1 = brentq(th, lo, hi, xtol=1e-14, rtol=1e-15)
-    mu1 = -xi1 ** 2 * float(sol.sol(xi1)[1])
+        r_inf = 1.5 * xi1
+    _dp_steps(accel, trail, r_inf, tol)
+    dense = _quintic_hermite(trail)
+    dense_slope = dense.derivative()
 
     nodes = clustered_nodes(r_inf, n_nodes, focus=xi1, focus_weight=4.0)
     theta = np.empty(n_nodes)
     dtheta = np.empty(n_nodes)
     inner = nodes >= _SERIES_CUT
-    vals = sol.sol(nodes[inner])
-    theta[inner] = vals[0]
-    dtheta[inner] = vals[1]
-    f1 = scaled_density(1.0, eos, u_center)
+    theta[inner] = dense(nodes[inner])
+    dtheta[inner] = dense_slope(nodes[inner])
     theta[~inner] = 1.0 - f1 * nodes[~inner] ** 2 / 6.0
     dtheta[~inner] = -f1 * nodes[~inner] / 3.0
     theta[0], dtheta[0] = 1.0, 0.0
@@ -174,7 +246,7 @@ def solve_lane_emden(
         xi1=xi1,
         mu1=mu1,
         r_inf=float(r_inf),
-        _dense=sol.sol,
+        _dense=(dense, dense_slope),
     )
 
 

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
 from .errors import DivergentAxisIntegral, DomainError
-from .grids import AxiField, AxiGrid, interp_matrix
+from .grids import AxiField, AxiGrid, cubic_spline, interp_matrix, pchip
 
 _G4X, _G4W = np.polynomial.legendre.leggauss(4)
 
@@ -54,7 +53,7 @@ class DifferentialRotation:
         if np.any(self.omega < 0):
             raise DomainError("omega samples must be nonnegative")
         object.__setattr__(
-            self, "_interp", PchipInterpolator(self.varpi, self.omega, extrapolate=True)
+            self, "_interp", pchip(self.varpi, self.omega, extrapolate=True)
         )
 
     kind = "differential"
@@ -78,7 +77,7 @@ class AngularMomentumLaw:
             raise DomainError("mass samples must start at 0 and increase")
         if self.j[0] != 0.0:
             raise DomainError("j(0) must vanish")
-        interp = PchipInterpolator(self.m, self.j, extrapolate=False)
+        interp = pchip(self.m, self.j, extrapolate=False)
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_dinterp", interp.derivative())
         norm = float(np.max(np.abs(self.j))) + float(
@@ -180,7 +179,7 @@ def centrifugal_from_omega(
     panels = np.sum(w * om2 * x, axis=1)
     b = pref * np.concatenate(([0.0], np.cumsum(panels)))
     db = pref * np.asarray(law.omega_at(a * v)) ** 2 * v
-    interp = CubicSpline(v, b)
+    interp = cubic_spline(v, b)
     g, g_modes = _field_from_b(grid, interp)
     return CentrifugalField(v.copy(), b, db, g, g_modes, None, _interp=interp)
 
@@ -271,7 +270,7 @@ class CylinderMass:
 
     def __post_init__(self):
         if self._interp is None:
-            self._interp = PchipInterpolator(self.varpi, self.mass, extrapolate=True)
+            self._interp = pchip(self.varpi, self.mass, extrapolate=True)
 
     def at_scaled(self, varpi):
         v = np.clip(np.asarray(varpi, dtype=float), 0.0, self.varpi[-1])
@@ -331,7 +330,7 @@ def _b_from_integrand(grid: AxiGrid, samples_v: np.ndarray, integrand) -> tuple:
     w = half[:, None] * _G4W[None, :]
     vals = integrand(x.ravel()).reshape(x.shape)
     b = np.concatenate(([0.0], np.cumsum(np.sum(w * vals, axis=1))))
-    return b, CubicSpline(v, b)
+    return b, cubic_spline(v, b)
 
 
 def _axis_integrability_check(integrand, v1: float) -> None:
@@ -415,8 +414,10 @@ class LinearizedCentrifugal:
         self.mass_pref = cylinder_mass_prefactor(eos, scale)
 
         # cumulative map: dm samples at grid.r -> b samples at grid.r,
-        # assembled on the cubic-spline basis used by the nonlinear path
+        # assembled on the cubic-spline basis used by the nonlinear path; the
+        # cardinal basis (one spline per unit vector) serves both point sets
         v = grid.r
+        basis = cubic_spline(v, np.eye(grid.n_r))
         mid = 0.5 * (v[1:] + v[:-1])
         half = 0.5 * (v[1:] - v[:-1])
         xb = (mid[:, None] + half[:, None] * _G4X[None, :]).ravel()
@@ -424,18 +425,15 @@ class LinearizedCentrifugal:
         m_at = cyl.at_scaled(xb)
         pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
         coef = pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / xb ** 3
-        basis = np.eye(grid.n_r)
-        spline_vals = CubicSpline(v, basis, axis=0)(xb)  # (n_xb, n_r)
-        panel = (wb * coef)[:, None] * spline_vals
+        panel = (wb * coef)[:, None] * basis(xb)  # (n_xb, n_r basis)
         panel = panel.reshape(grid.n_r - 1, 4, grid.n_r).sum(axis=1)
         self.cum = np.zeros((grid.n_r, grid.n_r))
         np.cumsum(panel, axis=0, out=self.cum[1:])
 
-        # b samples -> packed g-mode vector, on the same spline basis
+        # b samples -> g modes (n_l, n_r, n_r basis): the fine-zeta projection
+        # of the basis at the cylinder radii of every node
         varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
-        bspline = CubicSpline(v, basis, axis=0)(np.clip(varpi_fine, 0, v[-1]))
-        # bspline: (n_r, n_fzeta, n_r basis) -> modes (n_l, n_r, basis)
-        self.b_to_modes = np.einsum("la,iab->lib", grid.proj_f, bspline)
+        self.b_to_modes = basis.weighted_sums(np.clip(varpi_fine, 0, v[-1]), grid.proj_f)
         self.b_to_modes[1:, 0, :] = 0.0
 
     def dm_response(self) -> np.ndarray:

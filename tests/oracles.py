@@ -92,6 +92,11 @@ def lane_emden_oracle(nu: float, tol: float = 1e-10):
             raise RuntimeError("step halving did not settle")
 
 
+def trapezoid(y, x):
+    """Composite trapezoid rule (np.trapezoid exists only from numpy 2.0)."""
+    return float(np.sum(np.diff(x) * (y[1:] + y[:-1])) / 2.0)
+
+
 def _packed_rows(grid, k):
     nr = grid.n_r
     return slice(0, nr) if k == 0 else slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1))

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +314,85 @@ rtol = 1e-7
         assert serial["mass_reference"] is not None
         assert parallel["mass_reference"] == serial["mass_reference"]
         assert len(parallel["points"]) == len(serial["points"])
+
+
+def test_solve_without_free_boundary_exits_3(tmp_path, capsys):
+    # past mass shedding the field converges but crosses zero on no ray
+    ini = SOLVE_INI.replace("nu = 1.5", "nu = 3.0").replace("beta = 1e-3", "beta = 3e-2")
+    ini = ini.replace("n_r = 128", "n_r = 64").replace("n_zeta = 16", "n_zeta = 12")
+    cfg = _write(tmp_path, ini + "certify = false\n")
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "NoSignChange"
+    assert "a1=False" in err["message"] and "a2=False" in err["message"]
+    assert not (out / "solution.json").exists()
+    assert not (out / "boundary.csv").exists()
+    assert not (out / "manifest.json").exists()
+
+
+def test_hl_check_computes_the_blocks_once(tmp_path, monkeypatch):
+    from rotstar import cli, equilibrium
+
+    blocks = equilibrium.hl_certificate_blocks
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return blocks(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "hl_certificate_blocks", counting)
+    monkeypatch.setattr(equilibrium, "hl_certificate_blocks", counting)
+    ini = """
+[run]
+command = hl-check
+
+[eos]
+kind = polytrope
+nu = 1.5
+
+[grid]
+n_r = 96
+n_zeta = 16
+l_max = 4
+"""
+    cfg = _write(tmp_path, ini)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    # the same document as taking the full certificate separately
+    monkeypatch.undo()
+    config = load_config(cfg)
+    eos = cli.build_eos(config)
+    grid, prof = cli._grid_and_profile(config, eos)
+    u = equilibrium.initial_field_from_profile(grid, prof)
+    sigma = equilibrium.hl_certificate(u, eos, 1.0)
+    doc = {
+        "nu": eos.nu,
+        "blocks": {str(k): v for k, v in blocks(u, eos, 1.0).items()},
+        "sigma_min": sigma,
+        "threshold": 1e-3,
+        "pass": sigma > 1e-3,
+    }
+    want = json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    assert (out / "hl_check.json").read_text() == want
+
+
+def test_import_path_leaves_out_heavy_scipy_subpackages():
+    # importing the package and the CLI adds no scipy subpackage beyond what
+    # scipy.linalg loads itself; the validation paths import the rest when
+    # they run
+    import rotstar
+
+    heavy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.special")
+    code = (
+        "import sys, scipy.linalg\n"
+        "before = set(sys.modules)\n"
+        "import rotstar, rotstar.cli\n"
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules and m not in before))\n"
+    )
+    src = str(Path(rotstar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

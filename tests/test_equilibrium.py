@@ -1,4 +1,5 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
@@ -515,3 +516,62 @@ def test_free_boundary_matches_per_ray_splines(eos15, profile15):
         R = free_boundary(field, 0.2)
         want = free_boundary_per_ray(field.grid, field.values, 0.2)
         assert np.max(np.abs(R - want)) <= 1e-12
+
+
+def test_failed_fallback_reports_newton_and_picard(eos3, profile3):
+    # past mass shedding Newton diverges (the density overflows) and the
+    # Picard fallback stalls; one error names both and keeps both histories
+    from rotstar.errors import NoConvergence
+
+    grid = AxiGrid.build(profile3.r_inf, n_r=96, n_zeta=16, l_max=6, focus=profile3.xi1)
+    init = initial_field_from_profile(grid, profile3)
+    cf = rigid_rotation(grid, 3e-2)
+    with pytest.raises(NoConvergence) as picard_only:
+        solve_equilibrium(cf, eos3, 1.0, init,
+                          SolverOptions(newton=False, max_iter=240, certify=False))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NoConvergence) as info:
+            solve_equilibrium(cf, eos3, 1.0, init, SolverOptions(certify=False))
+    msg = str(info.value)
+    assert "Newton failed (residual is not finite)" in msg
+    assert "Picard fallback failed (no convergence after 240 iterations" in msg
+    picard = picard_only.value.residual_history
+    history = info.value.residual_history
+    n_newton = len(history) - len(picard)
+    assert n_newton >= 2 and history[n_newton:] == picard
+    assert not np.isfinite(history[n_newton - 1])
+    assert all(np.isfinite(history[: n_newton - 1]))
+
+
+def test_jacobian_build_reuses_the_iterate_cylinder_mass(eos15, profile15, scale15, monkeypatch):
+    # one cylinder-mass evaluation per iterate: the Newton build takes the one
+    # the centrifugal term was computed from
+    from rotstar import equilibrium, rotation
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return mass_within_cylinder(*args, **kwargs)
+
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    u0 = initial_field_from_profile(grid, profile15)
+    cyl = mass_within_cylinder(u0, eos15, scale15)
+    ms = np.linspace(0, 1.3 * cyl.total, 60)
+    law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
+    builds = []
+    lin_orig = equilibrium.LinearizedCentrifugal
+
+    def lin_counting(*args, **kwargs):
+        builds.append(1)
+        return lin_orig(*args, **kwargs)
+
+    monkeypatch.setattr(rotation, "mass_within_cylinder", counting)
+    monkeypatch.setattr(equilibrium, "mass_within_cylinder", counting, raising=False)
+    monkeypatch.setattr(equilibrium, "LinearizedCentrifugal", lin_counting)
+    sol = solve_equilibrium(
+        None, eos15, 1.0, u0, SolverOptions(certify=False), law=law, scale=scale15
+    )
+    assert len(builds) == 1
+    assert len(calls) == len(sol.residual_history)

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from rotstar import AxiField, AxiGrid, clustered_nodes
-from rotstar.grids import interp_matrix
+from rotstar.grids import (
+    cubic_spline,
+    cumulative_trapezoid,
+    interp_matrix,
+    legendre_table,
+    pchip,
+)
 from rotstar.errors import DomainError
 
 
@@ -99,3 +105,83 @@ def test_interp_matrix_matches_per_point_loop(width):
     assert np.array_equal(
         interp_matrix(grid.r, points, width), _interp_matrix_loop(grid.r, points, width)
     )
+
+
+# ---------------------------------------------------------------------------
+# the in-house 1-D routines against scipy, which stays the oracle here
+
+
+def _scipy_interpolate():
+    return pytest.importorskip("scipy.interpolate")
+
+
+def test_cubic_spline_matches_scipy_on_grid_nodes():
+    si = _scipy_interpolate()
+    grid = AxiGrid.build(5.5, n_r=256, n_zeta=32, l_max=8, focus=3.65)
+    rng = np.random.default_rng(11)
+    y = np.sin(grid.r)[:, None] * rng.standard_normal((1, 7)) + np.cos(2 * grid.r)[:, None]
+    t = np.concatenate([grid.r, rng.uniform(-0.3, 5.8, 2000)])
+    want = si.CubicSpline(grid.r, y, axis=0)
+    got = cubic_spline(grid.r, y)
+    scale = np.max(np.abs(want.c), axis=(0, 1))
+    assert got.c.shape == want.c.shape
+    assert np.max(np.abs(got.c - want.c) / scale) <= 1e-13
+    assert np.max(np.abs(got(t) - want(t))) <= 1e-13 * np.max(np.abs(want(t)))
+    d_want = want.derivative()(t)
+    assert np.max(np.abs(got.derivative()(t) - d_want)) <= 1e-13 * np.max(np.abs(d_want))
+    # 1-D data and scalar points keep scipy's shapes
+    assert cubic_spline(grid.r, y[:, 0])(2.0).shape == ()
+    assert cubic_spline(grid.r, y[:, 0])(t[:2000].reshape(40, 50)).shape == (40, 50)
+
+
+@pytest.mark.parametrize("extrapolate", [True, False])
+def test_pchip_matches_scipy(extrapolate):
+    si = _scipy_interpolate()
+    rng = np.random.default_rng(12)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 39))])
+    datasets = [
+        rng.standard_normal(40),                     # sign changes, extrema
+        np.cumsum(rng.uniform(0.0, 1.0, 40)),        # monotone
+        0.01 * x ** 2 / x[-1],                       # a j(m) table
+        np.r_[np.zeros(5), np.linspace(0.0, 1.0, 35)],  # flat piece
+    ]
+    t = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 3000)])
+    outside = (t < x[0]) | (t > x[-1])
+    for y in datasets:
+        want = si.PchipInterpolator(x, y, extrapolate=extrapolate)
+        got = pchip(x, y, extrapolate=extrapolate)
+        for g, w in ((got(t), want(t)), (got.derivative()(t), want.derivative()(t))):
+            assert np.array_equal(np.isnan(g), np.isnan(w))
+            assert np.all(np.isnan(g[outside])) == (not extrapolate)
+            ok = ~np.isnan(w)
+            assert np.max(np.abs(g[ok] - w[ok])) <= 1e-13 * max(1.0, np.max(np.abs(w[ok])))
+
+
+def test_legendre_table_matches_eval_legendre():
+    special = pytest.importorskip("scipy.special")
+    degrees = np.arange(0, 25, 2)
+    for x in (
+        np.polynomial.legendre.leggauss(33)[0],
+        np.polynomial.legendre.leggauss(64)[0],
+        np.linspace(-1.0, 1.0, 1001),
+    ):
+        want = np.array([special.eval_legendre(l, x) for l in degrees])
+        assert np.max(np.abs(legendre_table(degrees, x) - want)) <= 1e-14
+    assert legendre_table([3], 0.5)[0] == pytest.approx(-0.4375, abs=1e-16)
+
+
+def test_cumulative_trapezoid_matches_scipy():
+    integrate = pytest.importorskip("scipy.integrate")
+    t = np.linspace(0.0, 1.0, 2049) ** 1.5
+    y = np.exp(-t ** 2)
+    want = integrate.cumulative_trapezoid(y, t, initial=0.0)
+    assert np.max(np.abs(cumulative_trapezoid(y, t) - want)) <= 1e-15
+
+
+def test_weighted_sums_match_pointwise_evaluation():
+    grid = AxiGrid.build(5.5, n_r=64, n_zeta=12, l_max=4, focus=3.65)
+    basis = cubic_spline(grid.r, np.eye(grid.n_r))
+    t = np.clip(grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2), 0, grid.r_inf)
+    want = np.einsum("la,iab->lib", grid.proj_f, basis(t))
+    got = basis.weighted_sums(t, grid.proj_f)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

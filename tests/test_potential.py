@@ -16,6 +16,7 @@ from rotstar import (
     uniform_ball_potential,
 )
 from rotstar.errors import SingularPoint
+from oracles import trapezoid
 
 
 def test_kernel_center_value():
@@ -89,7 +90,7 @@ def test_uniform_ball_multipole_smooth_nodal_field():
     out = potential_multipole(f).modes()
     s = np.linspace(0, grid.r_inf, 200001)[1:]
     exact = np.array(
-        [np.trapezoid(prof(s) * s ** 2 / np.maximum(s, ri), s) for ri in grid.r]
+        [trapezoid(prof(s) * s ** 2 / np.maximum(s, ri), s) for ri in grid.r]
     )
     assert np.max(np.abs(out[0] - exact)) < 1e-6
 

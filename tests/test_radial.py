@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import GOLDEN
+from oracles import trapezoid
 from rotstar import EquationOfState, harmonic_extension, scaled_density, scaled_density_deriv, solve_lane_emden
 from rotstar.errors import DomainError, NoZeroFound
 
@@ -39,7 +40,7 @@ def test_profile_invariants(profile15, eos15):
     # mass integral identity mu1 = int f(theta) r^2 dr
     r = np.linspace(0, p.xi1, 20001)
     f = scaled_density(p.theta_at(r), eos15, 1.0)
-    mu = np.trapezoid(f * r ** 2, r)
+    mu = trapezoid(f * r ** 2, r)
     assert mu == pytest.approx(p.mu1, rel=1e-7)
 
 
@@ -109,3 +110,65 @@ def test_white_dwarf_profiles_finite_radius():
         assert 0 < prof.xi1 < prof.r_inf
         if kappa < 1e-10:
             assert prof.xi1 == pytest.approx(polytrope.xi1, abs=1e-6)
+
+
+def _dop853_profile(eos, u_center=1.0, rtol=1e-12, atol=1e-14):
+    """The hydrostatic ODE through scipy's DOP853 from the same series start;
+    returns the dense solution and its first zero (xi1, mu1)."""
+    integrate = pytest.importorskip("scipy.integrate")
+    optimize = pytest.importorskip("scipy.optimize")
+    f1 = scaled_density(1.0, eos, u_center)
+    r0 = 1e-4
+
+    def rhs(r, y):
+        return (y[1], -scaled_density(y[0], eos, u_center) - 2.0 * y[1] / r)
+
+    def hit_zero(r, y):
+        return y[0]
+
+    hit_zero.terminal = True
+    hit_zero.direction = -1
+    pilot = integrate.solve_ivp(rhs, (r0, 1e4), (1 - f1 * r0 ** 2 / 6, -f1 * r0 / 3),
+                                method="DOP853", rtol=rtol, atol=atol, events=hit_zero)
+    r_end = 1.5 * pilot.t_events[0][0]
+    sol = integrate.solve_ivp(rhs, (r0, r_end), (1 - f1 * r0 ** 2 / 6, -f1 * r0 / 3),
+                              method="DOP853", rtol=rtol, atol=atol, dense_output=True)
+    xe = pilot.t_events[0][0]
+    xi1 = optimize.brentq(lambda s: sol.sol(s)[0], xe * 0.99, xe * 1.01, xtol=1e-15)
+    return sol.sol, xi1, -xi1 ** 2 * sol.sol(xi1)[1]
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5, 3.0])
+def test_profile_matches_dop853_at_mode_grid_points(nu):
+    from rotstar.perturb import ModeGrid
+
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    dense, _, _ = _dop853_profile(eos)
+    x = ModeGrid.build(prof, eos, 1.0, 700).gauss_x
+    x = x[x >= 1e-4]
+    want = dense(x)
+    assert np.max(np.abs(prof.theta_at(x) - want[0])) <= 1e-11
+    assert np.max(np.abs(prof.psi_at(x) + want[1])) <= 1e-11
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 2.5, 3.0])
+def test_first_zero_against_tight_dop853_and_rk4_oracle(nu):
+    # the golden file holds the step-halved RK4 oracle to 1e-10; a DOP853
+    # run at its tightest tolerance checks the zero further down
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    _, xi1, mu1 = _dop853_profile(eos, rtol=3e-14, atol=1e-17)
+    assert abs(prof.xi1 - xi1) <= 5e-12
+    assert abs(prof.mu1 - mu1) <= 5e-12
+    gold = GOLDEN[str(nu)]
+    assert abs(prof.xi1 - gold["xi1"]) <= 1e-10
+    assert abs(prof.mu1 - gold["mu1"]) <= 1e-10
+
+
+def test_given_outer_radius_keeps_the_same_zero(profile15, eos15):
+    # the steps up to the zero do not depend on where the integration stops
+    prof = solve_lane_emden(eos15, 1.0, r_inf=2.0 * profile15.xi1)
+    assert prof.xi1 == profile15.xi1 and prof.mu1 == profile15.mu1
+    r = np.linspace(0.0, profile15.xi1, 500)
+    assert np.array_equal(prof.theta_at(r), profile15.theta_at(r))
