@@ -32,7 +32,7 @@ from .equilibrium import (
     initial_field_from_profile,
     solve_equilibrium,
 )
-from .errors import ConfigError, NoSignChange, RotstarError
+from .errors import ConfigError, RotstarError
 from .grids import AxiField, AxiGrid
 from .mass import MassCalculator, trace_constant_mass_curve
 from .perturb import compute_h_field, oblateness
@@ -401,14 +401,9 @@ def cmd_solve(config, writer):
     else:
         cf = centrifugal_from_omega(rot, scale, grid)
         beta = cf.beta
-    sol = solve_equilibrium(cf, eos, scale.u_center, init, opts, law=law, scale=scale)
-    if sol.R_of_zeta is None:
-        rep = sol.admissibility
-        raise NoSignChange(
-            None,
-            "converged field has no admissible free boundary "
-            f"(a1={rep.a1}, a2={rep.a2}); nothing written",
-        )
+    sol = solve_equilibrium(
+        cf, eos, scale.u_center, init, opts, law=law, scale=scale
+    ).require_boundary()
     from .mass import total_mass_dimensionless
 
     doc = sol.to_dict()

@@ -3,18 +3,22 @@
 G(u) = 1 + potential(density(u)) - potential(density(u))(center) is the
 self-gravity update of the enthalpy field, normalized to 1 at the center.
 The solver runs Newton-Kantorovich on even-Legendre mode coefficients with
-a dense linearization per solve, falling back to damped Picard iteration,
-and certifies invertibility of the linearization by its smallest singular
-value.
+a dense LU of the linearization, refactored only when the contraction
+degrades, falling back to damped Picard iteration.  A warm-started family
+(``ConstantRotationFamily``, ``continuation_in_beta``) carries that LU from
+one solve to the next.  Invertibility of the linearization is certified by
+its smallest singular value: per Legendre degree at a spherical state, and
+otherwise by block inverse iteration on one LU of the full matrix.
 """
 
 from __future__ import annotations
 
 import logging
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, svdvals
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, svdvals
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
 from .errors import (
@@ -79,6 +83,17 @@ class EquilibriumSolution:
         coeffs = (w * grid.leg) @ self.R_of_zeta
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         return coeffs @ legendre_table(grid.lvals, zeta)
+
+    def require_boundary(self) -> EquilibriumSolution:
+        """This solution, or NoSignChange if its field has no admissible free boundary."""
+        if self.R_of_zeta is None:
+            rep = self.admissibility
+            raise NoSignChange(
+                None,
+                "converged field has no admissible free boundary "
+                f"(a1={rep.a1}, a2={rep.a2})",
+            )
+        return self
 
     def to_dict(self) -> dict:
         rep = self.admissibility
@@ -241,6 +256,18 @@ def newton_matrix(jac: np.ndarray, b_matrix: np.ndarray | None = None) -> np.nda
     return jac
 
 
+def _factor_in_place(mat: np.ndarray):
+    """LU of ``mat`` in its own buffer, or None if ``mat`` is not finite or
+    has an exact zero pivot."""
+    if not np.isfinite(mat).all():
+        return None
+    with warnings.catch_warnings():
+        # a zero pivot is reported by the None below, not as a warning
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(mat, overwrite_a=True, check_finite=False)
+    return lu if np.all(np.diagonal(lu[0])) else None
+
+
 def _sup_norm_modes(grid: AxiGrid, modes: np.ndarray) -> float:
     return float(np.max(np.abs(grid.synthesize(modes))))
 
@@ -343,29 +370,88 @@ def hl_certificate_blocks(
     return out
 
 
+# block inverse iteration: block size, relative stopping change, step cap
+_CERT_BLOCK = 6
+_CERT_RTOL = 1e-14
+_CERT_MAX_ITER = 100
+
+
+def _sigma_min_from_lu(lu) -> tuple[float, int, float | None]:
+    """Smallest singular value of M from its LU: (sigma, steps, residual bound).
+
+    Block inverse iteration on (M^T M)^-1 from a seeded start.  Each step
+    solves Y = M^-T X and Z = M^-1 Y and orthonormalizes Z into the next X;
+    sigma is 1/sqrt of the largest eigenvalue of Y^T Y, a Ritz value of
+    (M^T M)^-1, so sigma >= sigma_min at every step.  For the Ritz vector x,
+    with y = M^-T x, z = M^-1 y, u = sigma y and v = z/|z|, both residuals
+    M v - sigma u and M^T u - sigma v are known without M, and some singular
+    value of M lies within sqrt((|Mv - sigma u|^2 + |M^T u - sigma v|^2)/2)
+    of sigma.  Solves that overflow give sigma = 0.0 and no bound.
+    """
+    n = lu[0].shape[0]
+    z = np.random.default_rng(0).standard_normal((n, min(_CERT_BLOCK, n)))
+    sigma = np.inf
+    for step in range(1, _CERT_MAX_ITER + 1):
+        x = np.linalg.qr(z)[0]
+        y = lu_solve(lu, x, trans=1, check_finite=False)
+        z = lu_solve(lu, y, check_finite=False)
+        if not (np.isfinite(y).all() and np.isfinite(z).all()):
+            return 0.0, step, None
+        lam, w = np.linalg.eigh(y.T @ y)
+        last, sigma = sigma, 1.0 / np.sqrt(lam[-1])
+        if abs(sigma - last) <= _CERT_RTOL * sigma:
+            break
+    w = w[:, -1]
+    xv, zv = x @ w, z @ w
+    znorm = np.linalg.norm(zv)
+    r_left = abs(1.0 / (sigma * znorm) - sigma)            # |M v - sigma u|
+    r_right = sigma * np.linalg.norm(xv - zv / znorm)     # |M^T u - sigma v|
+    return float(sigma), step, float(np.sqrt(0.5 * (r_left ** 2 + r_right ** 2)))
+
+
 def hl_certificate(
     u: AxiField,
     eos: EquationOfState,
     u_center: float,
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
-) -> float:
+    *,
+    full_output: bool = False,
+):
     """Smallest singular value of the discretized (I - D[gravity map]),
     including the centrifugal linearization for angular-momentum laws.
 
     Uses the per-block decomposition when the state is spherical and no
-    momentum law couples the modes; otherwise the full dense matrix.
+    momentum law couples the modes.  Otherwise the full Newton matrix is
+    factored in place and sigma_min found by block inverse iteration on the
+    LU (``_sigma_min_from_lu``); a matrix that is not finite or exactly
+    singular gives 0.0 with no bound.  With ``full_output`` the result is
+    (sigma, info), info = {"iterations", "residual_bound"}: the
+    inverse-iteration steps and the distance from sigma within which some
+    singular value lies (both None on the per-block path, which takes a
+    dense SVD of each block).
     """
     modes = u.modes()
     if law is None and _is_spherical(modes):
-        return min(hl_certificate_blocks(u, eos, u_center).values())
-    b_matrix = None
-    if law is not None:
-        if scale is None:
-            raise DomainError("angular-momentum certificate needs a ScaleSet")
-        b_matrix = centrifugal_deriv_matrix(law, u, eos, scale)
-    mat = newton_matrix(gravity_jacobian_packed(u.grid, eos, u_center, modes), b_matrix)
-    return float(svdvals(mat, overwrite_a=True)[-1])
+        sigma = min(hl_certificate_blocks(u, eos, u_center).values())
+        info = {"iterations": None, "residual_bound": None}
+        _log.debug("certificate: sigma_min %.6e from the per-degree blocks", sigma)
+    else:
+        b_matrix = None
+        if law is not None:
+            if scale is None:
+                raise DomainError("angular-momentum certificate needs a ScaleSet")
+            b_matrix = centrifugal_deriv_matrix(law, u, eos, scale)
+        lu = _factor_in_place(
+            newton_matrix(gravity_jacobian_packed(u.grid, eos, u_center, modes), b_matrix)
+        )
+        sigma, steps, bound = (0.0, 0, None) if lu is None else _sigma_min_from_lu(lu)
+        info = {"iterations": steps, "residual_bound": bound}
+        _log.debug(
+            "certificate: sigma_min %.6e (%d inverse-iteration steps, residual bound %s)",
+            sigma, steps, bound,
+        )
+    return (sigma, info) if full_output else sigma
 
 
 def centrifugal_deriv_matrix(
@@ -401,10 +487,18 @@ def _solve_modes(
     opts: SolverOptions,
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
+    lu=None,
 ):
-    """Newton iteration in mode space; returns (U, history, g_modes)."""
+    """Newton iteration in mode space; returns (U, history, g_modes, lu).
+
+    ``lu`` is a factorization carried in from a nearby state.  It serves
+    until the contraction rule asks for a rebuild; with rebuild_ratio 0 it is
+    stale from the start.  The LU in use at the end is returned.
+    """
     history = []
-    lu = None
+    if not (opts.newton and opts.rebuild_ratio > 0):
+        lu = None
+    lu_from = "carried from the family"
     b_matrix = None
     last_res = None
 
@@ -418,30 +512,30 @@ def _solve_modes(
         ) - U
         res = _sup_norm_modes(grid, rhs)
         history.append(res)
-        _log.debug("iter %2d  residual %.3e", it, res)
         if res <= opts.tol:
-            return U, history, g_modes
+            _log.debug("iter %2d  residual %.3e  converged", it, res)
+            return U, history, g_modes, lu
         if not np.isfinite(res):
+            _log.debug("iter %2d  residual %.3e", it, res)
             raise NoConvergence("residual is not finite", history)
         if opts.newton:
-            stale = lu is None or (
-                last_res is not None and res > opts.rebuild_ratio * last_res
-            )
-            if stale:
+            step = f"Newton step, LU {lu_from}"
+            if lu is None or (last_res is not None and res > opts.rebuild_ratio * last_res):
                 lu = None  # a rebuild never holds two factorizations
                 if law is not None and b_matrix is None:
                     b_matrix = centrifugal_deriv_matrix(law, u_field, eos, scale, cyl)
-                try:
-                    # factored in place: the LU takes over the Jacobian's buffer
-                    lu = lu_factor(
-                        newton_matrix(gravity_jacobian_packed(grid, eos, u_center, U), b_matrix),
-                        overwrite_a=True,
-                    )
-                except np.linalg.LinAlgError as exc:
-                    raise SingularLinearization(0.0, opts.hl_threshold) from exc
+                # factored in place: the LU takes over the Jacobian's buffer
+                lu = _factor_in_place(
+                    newton_matrix(gravity_jacobian_packed(grid, eos, u_center, U), b_matrix)
+                )
+                if lu is None:
+                    raise SingularLinearization(0.0, opts.hl_threshold)
+                step, lu_from = "Newton step, Jacobian built", f"of iteration {it}"
+            _log.debug("iter %2d  residual %.3e  %s", it, res, step)
             delta = lu_solve(lu, pack_modes(grid, rhs))
             U = U + unpack_modes(grid, delta)
         else:
+            _log.debug("iter %2d  residual %.3e  Picard step", it, res)
             U = U + opts.picard_damping * rhs
         last_res = res
     if law is not None:
@@ -453,11 +547,34 @@ def _solve_modes(
     res = _sup_norm_modes(grid, rhs)
     history.append(res)
     if res <= opts.tol:
-        return U, history, g_modes
+        return U, history, g_modes, lu
     raise NoConvergence(
         f"no convergence after {opts.max_iter} iterations (residual {history[-1]:.3e})",
         history,
     )
+
+
+class _CarriedLU:
+    """The Newton LU a warm-started family carries from one solve to the next.
+
+    A solve takes it out (so a rebuild never holds two factorizations) and
+    puts its own last LU back only when it succeeds with a free boundary.
+    """
+
+    def __init__(self):
+        self.lu = None
+
+    def take(self):
+        lu, self.lu = self.lu, None
+        return lu
+
+    def solve(self, g, eos, u_center, init, opts) -> EquilibriumSolution:
+        """``solve_equilibrium`` from the carried LU; a converged field without
+        a free boundary raises NoSignChange."""
+        sol = solve_equilibrium(g, eos, u_center, init, opts, carried=self)
+        if sol.R_of_zeta is None:
+            self.lu = None
+        return sol.require_boundary()
 
 
 def solve_equilibrium(
@@ -469,6 +586,7 @@ def solve_equilibrium(
     *,
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
+    carried: _CarriedLU | None = None,
 ) -> EquilibriumSolution:
     """Solve u = g + G(u) starting from init.
 
@@ -477,7 +595,10 @@ def solve_equilibrium(
     linearization joins the Newton matrix.  The solution lives on
     ``init.grid``, the grid ``g`` was built on.  After convergence the free
     boundary, admissibility flags and (optionally) the invertibility
-    certificate are produced.
+    certificate are produced; ``meta["certificate"]`` records how the
+    certificate was found.  ``carried`` is the Newton LU of a warm-started
+    family (``ConstantRotationFamily``, ``continuation_in_beta``): the solve
+    starts from it and leaves its own last LU there when it succeeds.
     """
     opts = opts or SolverOptions()
     grid = init.grid
@@ -491,8 +612,9 @@ def solve_equilibrium(
     # non-finite residual (NoConvergence), not as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            U, history, g_modes = _solve_modes(
-                grid, eos, u_center, U0.copy(), g_modes, opts, law, scale
+            U, history, g_modes, lu = _solve_modes(
+                grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
+                None if carried is None else carried.take(),
             )
         except NoConvergence as exc:
             if not opts.newton:
@@ -501,7 +623,7 @@ def solve_equilibrium(
             fallback = SolverOptions(**{**opts.__dict__, "newton": False})
             fallback.max_iter = max(opts.max_iter * 4, 200)
             try:
-                U, history, g_modes = _solve_modes(
+                U, history, g_modes, lu = _solve_modes(
                     grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale
                 )
             except NoConvergence as picard:
@@ -513,15 +635,21 @@ def solve_equilibrium(
             # iteration count cover both runs
             history = exc.residual_history + history
             meta["fallback"] = f"Newton failed: {exc}"
+    if carried is None:
+        lu = None  # the certificate factors its own matrix
 
     u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)
     R = report.boundary if report.a2 else None
     sigma = None
     if opts.certify:
-        sigma = hl_certificate(u_field, eos, u_center, law=law, scale=scale)
+        sigma, meta["certificate"] = hl_certificate(
+            u_field, eos, u_center, law=law, scale=scale, full_output=True
+        )
         if sigma < opts.hl_threshold:
             raise SingularLinearization(sigma, opts.hl_threshold)
+    if carried is not None:
+        carried.lu = lu
     beta = g.beta if g is not None else (0.0 if law is None else None)
     return EquilibriumSolution(
         u=u_field,
@@ -544,10 +672,11 @@ def continuation_in_beta(
     profile: RadialProfile | None = None,
 ) -> list[EquilibriumSolution]:
     """Solve the rigid-rotation family along an increasing beta schedule,
-    warm-starting each solve from the previous solution.
+    warm-starting each solve from the previous solution and its Newton LU.
 
     Raises ContinuationFailure with the partial results attached if a solve
-    fails; an empty schedule returns an empty list.
+    fails, including one whose field has no free boundary (NoSignChange); an
+    empty schedule returns an empty list.
     """
     schedule = list(schedule)
     if not schedule:
@@ -564,9 +693,10 @@ def continuation_in_beta(
     init = initial_field_from_profile(grid, profile)
     out: list[EquilibriumSolution] = []
     current = init
+    carried = _CarriedLU()
     for beta in schedule:
         try:
-            sol = solve_equilibrium(rigid_rotation(grid, beta), eos, u_center, current, opts)
+            sol = carried.solve(rigid_rotation(grid, beta), eos, u_center, current, opts)
         except Exception as exc:  # noqa: BLE001 - annotate and re-raise
             raise ContinuationFailure(beta, exc, out) from exc
         sol.beta = beta
@@ -578,7 +708,10 @@ def continuation_in_beta(
 class ConstantRotationFamily:
     """Random-access rigid-rotation solves with warm starts, keyed by beta.
 
-    Used wherever many nearby solves are needed (mass curves, slope fits).
+    Each solve starts from the nearest cached state and from the Newton LU of
+    the last solve.  A converged field without a free boundary raises
+    NoSignChange and is not cached.  Used wherever many nearby solves are
+    needed (mass curves, slope fits).
     """
 
     def __init__(
@@ -595,6 +728,7 @@ class ConstantRotationFamily:
         self.grid = grid or AxiGrid.build(self.profile.r_inf, focus=self.profile.xi1)
         self.opts = opts or SolverOptions(certify=False)
         self._cache: dict[float, EquilibriumSolution] = {}
+        self._lu = _CarriedLU()
 
     def solve_at(self, beta: float) -> EquilibriumSolution:
         if beta in self._cache:
@@ -605,7 +739,7 @@ class ConstantRotationFamily:
         else:
             init = initial_field_from_profile(self.grid, self.profile)
         cf = rigid_rotation(self.grid, beta)
-        sol = solve_equilibrium(cf, self.eos, self.u_center, init, self.opts)
+        sol = self._lu.solve(cf, self.eos, self.u_center, init, self.opts)
         sol.beta = beta
         self._cache[beta] = sol
         return sol

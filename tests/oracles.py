@@ -134,6 +134,11 @@ def block_sigma_min_dense(grid, q):
     return out
 
 
+def sigma_min_dense(mat):
+    """Smallest singular value of ``mat`` from its full dense SVD."""
+    return float(svdvals(mat)[-1])
+
+
 def free_boundary_per_ray(grid, values, r0):
     """Root of each column of ``values`` past r0 on its own cubic spline."""
     R = np.empty(grid.n_zeta)

@@ -77,6 +77,16 @@ def test_solve_command_flags_true(tmp_path):
     assert len(doc["boundary"]) == 16
 
 
+def test_solution_json_meta_keeps_its_keys(tmp_path):
+    # the library's certificate record stays out of the artifact
+    cfg = _write(tmp_path, SOLVE_INI)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    assert set(doc["meta"]) == {"eos_kind", "gamma", "nu", "beta", "rotation_kind",
+                                "grid", "xi1_spherical", "m1"}
+
+
 def test_solve_command_reports_newton_fallback(tmp_path):
     cfg = _write(tmp_path, SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\nmax_iter = 2"))
     out = tmp_path / "out"

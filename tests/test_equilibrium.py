@@ -25,18 +25,29 @@ from rotstar import (
     solve_lane_emden,
     total_mass_dimensionless,
 )
-from rotstar.errors import ContinuationFailure, DomainError, NoSignChange
+from rotstar.errors import (
+    ContinuationFailure,
+    DomainError,
+    NoSignChange,
+    SingularLinearization,
+)
 from rotstar.rotation import CentrifugalField, centrifugal_from_omega, ConstantRotation, rigid_rotation
 from rotstar.eos import scaled_density_deriv
 from rotstar.equilibrium import (
     centrifugal_deriv_matrix,
     gravity_jacobian_packed,
+    newton_matrix,
     pack_modes,
     packed_size,
     unpack_modes,
 )
 from rotstar.rotation import LinearizedCentrifugal
-from oracles import block_sigma_min_dense, free_boundary_per_ray, gravity_jacobian_dense
+from oracles import (
+    block_sigma_min_dense,
+    free_boundary_per_ray,
+    gravity_jacobian_dense,
+    sigma_min_dense,
+)
 
 
 def test_gravity_map_on_vacuum(grid15, eos15):
@@ -366,15 +377,17 @@ def test_differential_law_solve(eos15, profile15, scale15):
 
 def test_large_rotation_reports_flags(eos15, profile15):
     # far beyond the slow-rotation regime the fixed point loses admissibility;
-    # the solver still reports the flags rather than failing
+    # the continuation stops there and its error reports the flags
     grid = AxiGrid.build(profile15.r_inf, n_r=96, n_zeta=16, l_max=4, focus=profile15.xi1)
-    sols = continuation_in_beta(
-        [0.0, 0.1, 0.4], eos15, 1.0, grid=grid,
-        opts=SolverOptions(tol=1e-9, certify=False), profile=profile15,
-    )
-    rep = sols[-1].admissibility
-    assert isinstance(rep.a1, bool) and isinstance(rep.a2, bool)
-    assert not (rep.a1 and rep.a2)
+    with pytest.raises(ContinuationFailure) as exc:
+        continuation_in_beta(
+            [0.0, 0.1, 0.4], eos15, 1.0, grid=grid,
+            opts=SolverOptions(tol=1e-9, certify=False), profile=profile15,
+        )
+    assert exc.value.failed_beta == 0.1
+    assert isinstance(exc.value.cause, NoSignChange)
+    assert "a1=False" in str(exc.value) and "a2=False" in str(exc.value)
+    assert [s.beta for s in exc.value.partial] == [0.0]
 
 
 def test_family_stays_on_its_grid(eos15, profile15):
@@ -575,3 +588,174 @@ def test_jacobian_build_reuses_the_iterate_cylinder_mass(eos15, profile15, scale
     )
     assert len(builds) == 1
     assert len(calls) == len(sol.residual_history)
+
+
+# ---------------------------------------------------------------------------
+# the certificate from one LU, and one Newton LU per warm-started family
+
+
+def _converged_state(kind, nu, size):
+    """A converged rigid, differential or momentum-law state; returns
+    (state, eos, law, scale) with law None unless it is a momentum law."""
+    from rotstar import DifferentialRotation, ScaleSet
+
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    grid = AxiGrid.build(prof.r_inf, *size, focus=prof.xi1)
+    init = initial_field_from_profile(grid, prof)
+    scale = ScaleSet.from_central_enthalpy(eos, 1.0, 1.0)
+    opts = SolverOptions(certify=False)
+    law = None
+    if kind == "rigid":
+        sol = solve_equilibrium(rigid_rotation(grid, 1e-3), eos, 1.0, init, opts)
+    elif kind == "differential":
+        radius = scale.length_scale * prof.xi1
+        varpi = np.linspace(0.0, 1.5 * radius, 9)
+        omega = np.sqrt(1e-3) / scale.length_scale / (1.0 + (varpi / radius) ** 2)
+        cf = centrifugal_from_omega(DifferentialRotation(varpi, omega), scale, grid)
+        sol = solve_equilibrium(cf, eos, 1.0, init, opts)
+    else:
+        cyl = mass_within_cylinder(init, eos, scale)
+        ms = np.linspace(0, 1.3 * cyl.total, 60)
+        law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
+        sol = solve_equilibrium(None, eos, 1.0, init, opts, law=law, scale=scale)
+    return sol.u, eos, law, scale
+
+
+@pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
+@pytest.mark.parametrize("nu", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
+def test_certificate_matches_dense_svd(kind, nu, size):
+    u, eos, law, scale = _converged_state(kind, nu, size)
+    mat = newton_matrix(
+        gravity_jacobian_packed(u.grid, eos, 1.0, u.modes()),
+        None if law is None else centrifugal_deriv_matrix(law, u, eos, scale),
+    )
+    want = sigma_min_dense(mat)
+    sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
+    assert abs(sigma - want) <= 1e-12 * want
+    assert 0 < info["iterations"] < 100
+    # some singular value lies within the residual bound; here it is sigma_min
+    assert abs(sigma - want) <= info["residual_bound"] + 1e-14 * want < 1e-6
+
+
+def test_certificate_is_deterministic(eos15, profile15):
+    u = _oblate_state(profile15)
+    assert hl_certificate(u, eos15, 1.0) == hl_certificate(u, eos15, 1.0)
+
+
+def test_singular_or_nonfinite_newton_matrix_certifies_zero(eos15, profile15, monkeypatch):
+    # J = I makes I - J exactly zero; a NaN entry makes it non-finite.  Both
+    # give sigma = 0.0 and SingularLinearization, with no warning escaping.
+    from rotstar import equilibrium
+
+    def identity(grid, *args):
+        return np.asfortranarray(np.eye(packed_size(grid)))
+
+    def with_nan(grid, *args):
+        jac = identity(grid)
+        jac[3, 5] = np.nan
+        return jac
+
+    u = _oblate_state(profile15)
+    init = initial_field_from_profile(u.grid, profile15)
+    cf = rigid_rotation(u.grid, 1e-3)
+    for jacobian in (identity, with_nan):
+        monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", jacobian)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hl_certificate(u, eos15, 1.0) == 0.0
+            for opts in (SolverOptions(), SolverOptions(newton=False, max_iter=400)):
+                with pytest.raises(SingularLinearization) as info:
+                    solve_equilibrium(cf, eos15, 1.0, init, opts)
+                assert info.value.sigma_min == 0.0
+
+
+def test_certified_solve_records_the_certificate(eos15, profile15):
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    init = initial_field_from_profile(grid, profile15)
+    sol = solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, init, SolverOptions())
+    cert = sol.meta["certificate"]
+    assert set(cert) == {"iterations", "residual_bound"}
+    assert cert["iterations"] > 0 and 0.0 <= cert["residual_bound"] < 1e-6
+    assert sol.hl_sigma_min == hl_certificate(sol.u, eos15, 1.0)
+    spherical = solve_equilibrium(None, eos15, 1.0, init, SolverOptions())
+    assert spherical.meta["certificate"] == {"iterations": None, "residual_bound": None}
+    unchecked = solve_equilibrium(None, eos15, 1.0, init, SolverOptions(certify=False))
+    assert "certificate" not in unchecked.meta
+
+
+def _no_boundary_case(profile3):
+    # past mass shedding at nu = 3 this grid converges to a field that crosses
+    # zero on no ray
+    return AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
+
+
+def test_family_refuses_a_state_without_boundary(eos3, profile3):
+    fam = ConstantRotationFamily(eos3, 1.0, grid=_no_boundary_case(profile3), profile=profile3)
+    with pytest.raises(NoSignChange, match="a1=False, a2=False"):
+        fam.solve_at(3e-2)
+    assert fam._cache == {} and fam._lu.lu is None
+    assert fam.solve_at(1e-3).R_of_zeta is not None
+    assert fam._lu.lu is not None
+
+
+def test_continuation_refuses_a_state_without_boundary(eos3, profile3):
+    with pytest.raises(ContinuationFailure) as exc:
+        continuation_in_beta(
+            [0.0, 3e-2], eos3, 1.0, grid=_no_boundary_case(profile3),
+            opts=SolverOptions(certify=False), profile=profile3,
+        )
+    assert exc.value.failed_beta == 3e-2
+    assert isinstance(exc.value.cause, NoSignChange)
+    assert [s.beta for s in exc.value.partial] == [0.0]
+
+
+def _counting_lu(monkeypatch):
+    from rotstar import equilibrium
+
+    calls = []
+    lu_factor_orig = equilibrium.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lu_factor_orig(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "lu_factor", counting)
+    return calls
+
+
+def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(), profile=profile15)
+    calls = _counting_lu(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
+    fam.solve_at(1e-3)
+    first = [r.getMessage() for r in caplog.records]
+    n_first = len(calls)
+    caplog.clear()
+    sol = fam.solve_at(1.1e-3)
+    second = [r.getMessage() for r in caplog.records]
+    # the first solve builds its Jacobian; the second starts from the family's
+    # LU and needs only the certificate's factorization
+    assert "Jacobian built" in first[0]
+    assert "LU carried from the family" in second[0]
+    assert not any("Jacobian built" in m for m in second)
+    assert len(calls) - n_first == 1
+    assert [m for m in second if m.startswith("certificate")] == [
+        f"certificate: sigma_min {sol.hl_sigma_min:.6e} "
+        f"({sol.meta['certificate']['iterations']} inverse-iteration steps, "
+        f"residual bound {sol.meta['certificate']['residual_bound']})"
+    ]
+    assert sum(m.startswith("iter") for m in second) == sol.iterations
+
+
+def test_rebuild_ratio_zero_refreshes_a_carried_lu(eos15, profile15, monkeypatch):
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    opts = SolverOptions(certify=False, rebuild_ratio=0.0)
+    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=opts, profile=profile15)
+    fam.solve_at(1e-3)
+    calls = _counting_lu(monkeypatch)
+    sol = fam.solve_at(1.1e-3)
+    # every step but the converged last iteration factors a fresh matrix
+    assert len(calls) == sol.iterations - 1 > 0

@@ -14,7 +14,7 @@ from rotstar import (
     total_mass_dimensionless,
     trace_constant_mass_curve,
 )
-from rotstar.errors import GammaFourThirds, NoBracket
+from rotstar.errors import GammaFourThirds, NoBracket, NoSignChange
 
 
 @pytest.fixture(scope="module")
@@ -143,3 +143,46 @@ def test_white_dwarf_mass_slope_nonzero():
         m1 = total_mass_dimensionless(u, eos, u_c)
         masses.append(rho_scale * scale.length_scale ** 3 * m1)
     assert masses[1] != pytest.approx(masses[0], rel=1e-3)
+
+
+def test_mass_calculator_refuses_a_state_without_boundary():
+    # past mass shedding at nu = 3 the 64x12xl4 solve converges to a field
+    # with no free boundary; its mass is not an answer
+    eos = EquationOfState.from_index(3.0)
+    calc = MassCalculator(eos, 1.0, n_r=64, n_zeta=12, l_max=4)
+    with pytest.raises(NoSignChange):
+        calc.m1(3e-2)
+
+
+def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
+    # the family's 27 warm-started solves share one Newton LU; the curve is
+    # the one that a fresh factorization per solve gives
+    from rotstar import equilibrium
+
+    calls = []
+    lu_factor = equilibrium.lu_factor
+    solve = equilibrium.solve_equilibrium
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    def per_solve_lu(*args, carried=None, **kwargs):
+        return solve(*args, **kwargs)
+
+    def curve():
+        eos = EquationOfState.polytrope(5 / 3)
+        return trace_constant_mass_curve(
+            eos, 1.0, [0.0, 1e-4, 3e-4], calculator=MassCalculator(eos, 1.0)
+        )
+
+    monkeypatch.setattr(equilibrium, "lu_factor", counting)
+    carried = curve()
+    assert len(calls) <= 2
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", per_solve_lu)
+    fresh = curve()
+    assert len(calls) > 10
+    assert carried["mass_reference"] == fresh["mass_reference"]
+    for p, q in zip(carried["points"], fresh["points"], strict=True):
+        for name in ("rho_center", "beta", "m1", "mass"):
+            assert getattr(p, name) == pytest.approx(getattr(q, name), rel=1e-12, abs=0.0)
