@@ -79,8 +79,7 @@ class EquilibriumSolution:
     def boundary_at(self, zeta) -> np.ndarray:
         """Evaluate the boundary curve at arbitrary zeta via its even-mode fit."""
         grid = self.u.grid
-        w = (2.0 * grid.lvals[:, None] + 1.0) / 2.0 * grid.zeta_w[None, :]
-        coeffs = (w * grid.leg) @ self.R_of_zeta
+        coeffs = grid.proj @ self.R_of_zeta
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         return coeffs @ legendre_table(grid.lvals, zeta)
 
@@ -502,7 +501,7 @@ def _solve_modes(
     b_matrix = None
     last_res = None
 
-    for it in range(opts.max_iter):
+    for it in range(opts.max_iter + 1):
         if law is not None:
             u_field = AxiField.from_modes(grid, U)
             cyl = mass_within_cylinder(u_field, eos, scale)
@@ -515,6 +514,8 @@ def _solve_modes(
         if res <= opts.tol:
             _log.debug("iter %2d  residual %.3e  converged", it, res)
             return U, history, g_modes, lu
+        if it == opts.max_iter:
+            break
         if not np.isfinite(res):
             _log.debug("iter %2d  residual %.3e", it, res)
             raise NoConvergence("residual is not finite", history)
@@ -538,16 +539,6 @@ def _solve_modes(
             _log.debug("iter %2d  residual %.3e  Picard step", it, res)
             U = U + opts.picard_damping * rhs
         last_res = res
-    if law is not None:
-        u_field = AxiField.from_modes(grid, U)
-        g_modes = centrifugal_from_momentum(law, u_field, eos, scale, grid).g_modes
-    rhs = (g_modes if g_modes is not None else 0.0) + gravity_modes(
-        grid, eos, u_center, U
-    ) - U
-    res = _sup_norm_modes(grid, rhs)
-    history.append(res)
-    if res <= opts.tol:
-        return U, history, g_modes, lu
     raise NoConvergence(
         f"no convergence after {opts.max_iter} iterations (residual {history[-1]:.3e})",
         history,

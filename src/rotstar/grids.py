@@ -4,9 +4,10 @@ one-dimensional routines the package builds on.
 A field u(r, zeta) lives on radial nodes times Gauss-Legendre nodes in
 zeta = cos(polar angle).  Equatorial symmetry restricts the Legendre
 content to even degrees; the grid caches the even-degree transform
-tables, a composite 4-point Gauss rule on the radial panels, and the
-cubic interpolation from nodes to the radial quadrature points, both as its
-stencil and as a dense matrix.
+tables, a composite 4-point Gauss rule on the radial panels (``panel_gauss``;
+``AxiGrid.cumulative`` integrates from the axis on it), and the cubic
+interpolation from nodes to the radial quadrature points, both as its stencil
+and as a dense matrix.
 
 The 1-D routines are piecewise polynomials (the not-a-knot cubic spline,
 PCHIP, and the profile's dense output), the Legendre recurrence and the
@@ -33,6 +34,17 @@ _GAUSS4_X, _GAUSS4_W = np.polynomial.legendre.leggauss(4)
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of y over x, starting from 0."""
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
+def panel_gauss(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Points and weights of the 4-point Gauss rule on each panel [lo, hi].
+
+    lo and hi broadcast; the rule is the trailing axis of both outputs.
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    half = 0.5 * (hi - lo)
+    return 0.5 * (hi + lo) + half * _GAUSS4_X, half * _GAUSS4_W
 
 
 def legendre_table(degrees, x) -> np.ndarray:
@@ -337,18 +349,15 @@ class AxiGrid:
         nf = max(zeta_oversample * n_zeta, l_max + 1)
         self.zeta_f, self.zeta_fw = np.polynomial.legendre.leggauss(nf)
         self.leg_f = legendre_table(self.lvals, self.zeta_f)
-        # projection onto even modes using the fine rule
+        # projection onto even modes, on the grid's rule and on the fine rule
+        self.proj = (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_w[None, :] * self.leg
         self.proj_f = (
             (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_fw[None, :] * self.leg_f
         )
 
         # composite 4-point Gauss rule on the radial panels
-        a = self.r[:-1]
-        b = self.r[1:]
-        half = 0.5 * (b - a)
-        mid = 0.5 * (b + a)
-        self.gauss_x = (mid[:, None] + half[:, None] * _GAUSS4_X[None, :]).ravel()
-        self.gauss_w = (half[:, None] * _GAUSS4_W[None, :]).ravel()
+        x, w = panel_gauss(self.r[:-1], self.r[1:])
+        self.gauss_x, self.gauss_w = x.ravel(), w.ravel()
         self.n_gauss = len(self.gauss_x)
 
         # the interpolation to the Gauss points: 4 nonzeros per row, shared by
@@ -401,12 +410,23 @@ class AxiGrid:
         )
         return cls(nodes, n_zeta, l_max, zeta_oversample)
 
+    # -- radial quadrature ----------------------------------------------
+
+    def cumulative(self, vals: np.ndarray) -> np.ndarray:
+        """int_0^{r_i} f dr at every node, for f sampled at ``gauss_x`` along
+        axis 0; trailing axes are kept."""
+        vals = np.asarray(vals, dtype=float)
+        w = self.gauss_w.reshape((-1,) + (1,) * (vals.ndim - 1))
+        panels = (w * vals).reshape((self.n_r - 1, 4) + vals.shape[1:]).sum(axis=1)
+        out = np.zeros((self.n_r,) + vals.shape[1:])
+        np.cumsum(panels, axis=0, out=out[1:])
+        return out
+
     # -- mode transforms -------------------------------------------------
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """Even-Legendre coefficients f_l(r_i) from grid values (n_r, n_zeta)."""
-        w = (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_w[None, :]
-        return np.einsum("kj,ij->ki", w * self.leg, values)
+        return np.einsum("kj,ij->ki", self.proj, values)
 
     def synthesize(self, modes: np.ndarray) -> np.ndarray:
         """Grid values (n_r, n_zeta) from mode coefficients (n_l, n_r)."""
@@ -495,9 +515,6 @@ class AxiField:
         cdev = np.max(np.abs(self.values[0] - self.values[0, 0]))
         if cdev > tol * scale:
             raise DomainError(f"center value varies with zeta (dev {cdev:.2e})")
-
-    def center(self) -> float:
-        return float(self.values[0, 0])
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

@@ -28,16 +28,6 @@ class MassPoint:
     mass: float
     dm_drho: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "rho_center": self.rho_center,
-            "omega2": self.omega2,
-            "beta": self.beta,
-            "m1": self.m1,
-            "mass": self.mass,
-            "dm_drho": self.dm_drho,
-        }
-
 
 def total_mass_dimensionless(
     sol: EquilibriumSolution | AxiField, eos: EquationOfState, u_center: float

@@ -19,12 +19,10 @@ import numpy as np
 
 from .eos import EquationOfState, scaled_density_deriv
 from .errors import DomainError, NoConvergence
-from .grids import AxiGrid, clustered_nodes, cubic_spline, interp_matrix
+from .grids import AxiGrid, clustered_nodes, cubic_spline, interp_matrix, panel_gauss
 from .radial import RadialProfile
 from .equilibrium import gravity_jacobian_packed, newton_matrix, pack_modes, unpack_modes
 from .rotation import rigid_rotation
-
-_G4X, _G4W = np.polynomial.legendre.leggauss(4)
 
 
 @dataclass
@@ -48,10 +46,7 @@ class ModeGrid:
         )
         nodes[-1] = profile.xi1
         nodes[0] = 1e-8 * profile.xi1  # keep H = y/psi finite at the first node
-        mid = 0.5 * (nodes[1:] + nodes[:-1])
-        half = 0.5 * (nodes[1:] - nodes[:-1])
-        x = (mid[:, None] + half[:, None] * _G4X[None, :]).ravel()
-        w = (half[:, None] * _G4W[None, :]).ravel()
+        x, w = (a.ravel() for a in panel_gauss(nodes[:-1], nodes[1:]))
         q = scaled_density_deriv(profile.theta_at(x), eos, u_center)
         return cls(nodes, x, w, interp_matrix(nodes, x), q, profile.psi_at(nodes))
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
 from .errors import DivergentAxisIntegral, DomainError
-from .grids import AxiField, AxiGrid, cubic_spline, interp_matrix, pchip
-
-_G4X, _G4W = np.polynomial.legendre.leggauss(4)
+from .grids import AxiField, AxiGrid, cubic_spline, interp_matrix, panel_gauss, pchip
 
 
 @dataclass(frozen=True)
@@ -169,15 +167,8 @@ def centrifugal_from_omega(
     pref = a ** 2 / scale.u_center
     if isinstance(law, ConstantRotation):
         return rigid_rotation(grid, 2.0 * pref * law.omega ** 2)
-    v = grid.r
-    # panel Gauss quadrature of Omega(a t)^2 t dt on the scaled radii
-    mid = 0.5 * (v[1:] + v[:-1])
-    half = 0.5 * (v[1:] - v[:-1])
-    x = mid[:, None] + half[:, None] * _G4X[None, :]
-    w = half[:, None] * _G4W[None, :]
-    om2 = np.asarray(law.omega_at(a * x)) ** 2
-    panels = np.sum(w * om2 * x, axis=1)
-    b = pref * np.concatenate(([0.0], np.cumsum(panels)))
+    v, x = grid.r, grid.gauss_x
+    b = pref * grid.cumulative(np.asarray(law.omega_at(a * x)) ** 2 * x)
     db = pref * np.asarray(law.omega_at(a * v)) ** 2 * v
     interp = cubic_spline(v, b)
     g, g_modes = _field_from_b(grid, interp)
@@ -210,10 +201,9 @@ class CylinderRule:
         k = np.minimum(self.kcut, grid.n_r - 2)
         lo = grid.r[k]
         cut = (self.kcut < grid.n_r - 1) & (rcut > lo)
-        half = 0.5 * (rcut - lo)
-        x = (0.5 * (rcut + lo))[..., None] + half[..., None] * _G4X
+        x, w = panel_gauss(lo, rcut)
         self.part_x = np.where(cut[..., None], x, 0.0)
-        self.part_w = np.where(cut[..., None], half[..., None] * _G4W * x ** 2, 0.0)
+        self.part_w = np.where(cut[..., None], w * x ** 2, 0.0)
         s0 = np.minimum(np.maximum(k - 1, 0), grid.n_r - 4)
         self.part_stencil = np.where(cut[..., None], s0[..., None] + np.arange(4), 0)
         # local-cubic weights of the partial points, one batch per zeta column:
@@ -225,7 +215,6 @@ class CylinderRule:
             self.part_coef[sel, j] = np.take_along_axis(
                 mat.reshape(len(sel), 4, grid.n_r), self.part_stencil[sel, j, None, :], axis=2
             )
-        self.gauss_w2 = grid.gauss_w * grid.gauss_x ** 2
 
     def field_at_partials(self, values: np.ndarray) -> np.ndarray:
         """Interpolate nodal field values (n_r, n_zeta) to the partial points."""
@@ -240,9 +229,7 @@ class CylinderRule:
         points (n_q, n_zeta, 4).  Returns the n_q cylinder integrals.
         """
         g = self.grid
-        contrib = (self.gauss_w2[:, None] * gauss_vals).reshape(g.n_r - 1, 4, g.n_zeta)
-        prefix = np.zeros((g.n_r, g.n_zeta))
-        np.cumsum(contrib.sum(axis=1), axis=0, out=prefix[1:])
+        prefix = g.cumulative(g.gauss_x[:, None] ** 2 * gauss_vals)
         full = prefix[self.kcut, np.arange(g.n_zeta)[None, :]]
         partial = np.einsum("qjg,qjg->qj", self.part_w, part_vals)
         return (full + partial) @ g.zeta_w
@@ -276,9 +263,6 @@ class CylinderMass:
         v = np.clip(np.asarray(varpi, dtype=float), 0.0, self.varpi[-1])
         out = self._interp(v)
         return float(out) if out.ndim == 0 else out
-
-    def at_physical(self, varpi):
-        return self.at_scaled(np.asarray(varpi, dtype=float) / self.length_scale)
 
     @property
     def total(self) -> float:
@@ -320,19 +304,6 @@ def mass_within_cylinder(
     return CylinderMass(v, m, scale.length_scale)
 
 
-def _b_from_integrand(grid: AxiGrid, samples_v: np.ndarray, integrand) -> tuple:
-    """Cumulative integral of `integrand(t)` over [0, varpi] on panel Gauss
-    points of the sample radii; returns (b values at samples, interpolator)."""
-    v = samples_v
-    mid = 0.5 * (v[1:] + v[:-1])
-    half = 0.5 * (v[1:] - v[:-1])
-    x = mid[:, None] + half[:, None] * _G4X[None, :]
-    w = half[:, None] * _G4W[None, :]
-    vals = integrand(x.ravel()).reshape(x.shape)
-    b = np.concatenate(([0.0], np.cumsum(np.sum(w * vals, axis=1))))
-    return b, cubic_spline(v, b)
-
-
 def _axis_integrability_check(integrand, v1: float) -> None:
     """The sampled integrand must not blow up like 1/varpi toward the axis."""
     t = v1 * np.logspace(-6.0, -1.0, 8)
@@ -369,7 +340,8 @@ def centrifugal_from_momentum(
         return pref * jj ** 2 / t ** 3
 
     _axis_integrability_check(integrand, grid.r[1])
-    b, interp = _b_from_integrand(grid, grid.r, integrand)
+    b = grid.cumulative(integrand(grid.gauss_x))
+    interp = cubic_spline(grid.r, b)
     db = np.zeros_like(grid.r)
     db[1:] = integrand(grid.r[1:])
     g, g_modes = _field_from_b(grid, lambda vv: interp(np.clip(vv, 0.0, grid.r_inf)))
@@ -416,19 +388,12 @@ class LinearizedCentrifugal:
         # cumulative map: dm samples at grid.r -> b samples at grid.r,
         # assembled on the cubic-spline basis used by the nonlinear path; the
         # cardinal basis (one spline per unit vector) serves both point sets
-        v = grid.r
+        v, x = grid.r, grid.gauss_x
         basis = cubic_spline(v, np.eye(grid.n_r))
-        mid = 0.5 * (v[1:] + v[:-1])
-        half = 0.5 * (v[1:] - v[:-1])
-        xb = (mid[:, None] + half[:, None] * _G4X[None, :]).ravel()
-        wb = (half[:, None] * _G4W[None, :]).ravel()
-        m_at = cyl.at_scaled(xb)
+        m_at = cyl.at_scaled(x)
         pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
-        coef = pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / xb ** 3
-        panel = (wb * coef)[:, None] * basis(xb)  # (n_xb, n_r basis)
-        panel = panel.reshape(grid.n_r - 1, 4, grid.n_r).sum(axis=1)
-        self.cum = np.zeros((grid.n_r, grid.n_r))
-        np.cumsum(panel, axis=0, out=self.cum[1:])
+        coef = pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3
+        self.cum = grid.cumulative(coef[:, None] * basis(x))  # (n_r, n_r basis)
 
         # b samples -> g modes (n_l, n_r, n_r basis): the fine-zeta projection
         # of the basis at the cylinder radii of every node
@@ -440,20 +405,16 @@ class LinearizedCentrifugal:
         """Cylinder-mass response to each mode coefficient of h, shape
         (n_l, n_q, n_r): entry [l, q, i] is d dm(varpi_q) / d h_l(r_i).
 
-        Built one zeta column at a time: the rule's prefix sums over complete
-        panels and its partial-panel stencils, weighted by leg * zeta_w.
+        Built one zeta column at a time: the cumulative integral over complete
+        panels and the rule's partial-panel stencils, weighted by leg * zeta_w.
         """
         grid, rule = self.grid, self.rule
         nq = len(rule.varpi)
         rows = np.arange(nq)[:, None]
+        x2 = grid.gauss_x ** 2
         out = np.zeros((grid.n_l, nq, grid.n_r))
         for j in range(grid.n_zeta):
-            panels = (rule.gauss_w2 * self.fp_gauss[:, j])[:, None] * grid.interp
-            prefix = np.zeros((grid.n_r, grid.n_r))
-            np.cumsum(
-                panels.reshape(grid.n_r - 1, 4, grid.n_r).sum(axis=1), axis=0,
-                out=prefix[1:],
-            )
+            prefix = grid.cumulative((x2 * self.fp_gauss[:, j])[:, None] * grid.interp)
             col = prefix[rule.kcut[:, j]]
             part = np.einsum(
                 "qg,qgs->qs", rule.part_w[:, j] * self.fp_part[:, j], rule.part_coef[:, j]

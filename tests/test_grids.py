@@ -7,6 +7,7 @@ from rotstar.grids import (
     cumulative_trapezoid,
     interp_matrix,
     legendre_table,
+    panel_gauss,
     pchip,
 )
 from rotstar.errors import DomainError
@@ -185,3 +186,59 @@ def test_weighted_sums_match_pointwise_evaluation():
     want = np.einsum("la,iab->lib", grid.proj_f, basis(t))
     got = basis.weighted_sums(t, grid.proj_f)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _monomial_integrals(lo, hi, degree):
+    return (hi ** (degree + 1) - lo ** (degree + 1)) / (degree + 1)
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (0.3, 1.7),
+        (np.array([[0.0], [0.5], [1.0]]), np.array([[2.0, 2.5, 3.0, 4.0]])),
+    ],
+)
+def test_panel_gauss_is_exact_through_degree_7(lo, hi):
+    x, w = panel_gauss(lo, hi)
+    shape = np.broadcast(np.asarray(lo), np.asarray(hi)).shape + (4,)
+    assert x.shape == w.shape == shape
+    for degree in range(8):
+        want = _monomial_integrals(lo, hi, degree)
+        got = np.sum(w * x ** degree, axis=-1)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_cumulative_integrates_polynomials_from_the_axis():
+    grid = AxiGrid.build(3.0, n_r=40, n_zeta=8, l_max=4, focus=1.7)
+    rng = np.random.default_rng(3)
+    # columns: degrees 0, 3 and 7; the third column has a trailing axis of 2
+    coef = [rng.standard_normal(d + 1) for d in (0, 3, 7)]
+
+    def poly(c, r):
+        return sum(ck * r ** k for k, ck in enumerate(c))
+
+    def antiderivative(c, r):
+        return sum(ck * r ** (k + 1) / (k + 1) for k, ck in enumerate(c))
+
+    vals = np.stack([poly(c, grid.gauss_x) for c in coef], axis=1)
+    want = np.stack([antiderivative(c, grid.r) for c in coef], axis=1)
+    got = grid.cumulative(vals)
+    assert got.shape == (grid.n_r, 3)
+    assert got[0].tolist() == [0.0, 0.0, 0.0]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    got_1d = grid.cumulative(vals[:, 2])
+    assert np.max(np.abs(got_1d - want[:, 2])) <= 1e-13 * np.max(np.abs(want[:, 2]))
+    got_3d = grid.cumulative(np.stack([vals, 2.0 * vals], axis=2))
+    assert got_3d.shape == (grid.n_r, 3, 2)
+    assert np.array_equal(got_3d[:, :, 0], got)
+
+
+def test_grid_gauss_rule_equals_the_inline_panel_formula():
+    grid = AxiGrid.build(5.5, n_r=64, n_zeta=12, l_max=4, focus=3.65)
+    g4x, g4w = np.polynomial.legendre.leggauss(4)
+    a, b = grid.r[:-1], grid.r[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (b + a)
+    assert np.array_equal(grid.gauss_x, (mid[:, None] + half[:, None] * g4x[None, :]).ravel())
+    assert np.array_equal(grid.gauss_w, (half[:, None] * g4w[None, :]).ravel())
