@@ -2,13 +2,17 @@
 
 G(u) = 1 + potential(density(u)) - potential(density(u))(center) is the
 self-gravity update of the enthalpy field, normalized to 1 at the center.
-The solver runs Newton-Kantorovich on even-Legendre mode coefficients with
-a dense LU of the linearization, refactored only when the contraction
-degrades, falling back to damped Picard iteration.  A warm-started family
-(``ConstantRotationFamily``, ``continuation_in_beta``) carries that LU from
-one solve to the next.  Invertibility of the linearization is certified by
-its smallest singular value: per Legendre degree at a spherical state, and
-otherwise by block inverse iteration on one LU of the full matrix.
+The solver runs Newton-Kantorovich on even-Legendre mode coefficients,
+falling back to damped Picard iteration.  Each Newton system is solved by
+GMRES to a fixed tight tolerance, with products taken matrix-free at the
+current iterate and right-preconditioned by the per-degree diagonal blocks
+of the linearization (``gravity_jacobian_packed`` with ``diagonal``), which
+are refactored only when the contraction degrades.  A warm-started family (``ConstantRotationFamily``,
+``continuation_in_beta``) carries those block LUs from one solve to the
+next.  Invertibility of the linearization is certified by its smallest
+singular value: per Legendre degree at a spherical state, and otherwise by
+block inverse iteration on one LU of the full matrix, the only place the
+full matrix is built.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, svdvals
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular, svdvals
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
 from .errors import (
@@ -33,7 +37,6 @@ from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,
-    CylinderMass,
     LinearizedCentrifugal,
     centrifugal_from_momentum,
     mass_within_cylinder,
@@ -51,7 +54,7 @@ class SolverOptions:
     picard_damping: float = 0.5
     hl_threshold: float = 1e-3
     certify: bool = True
-    rebuild_ratio: float = 0.25   # rebuild the Jacobian when contraction is worse
+    rebuild_ratio: float = 0.25   # rebuild the preconditioner when contraction is worse
 
 
 @dataclass
@@ -157,18 +160,30 @@ def gravity_map(u: AxiField, eos: EquationOfState, u_center: float) -> AxiField:
     return AxiField.from_modes(u.grid, gravity_modes(u.grid, eos, u_center, u.modes()))
 
 
+def _density_deriv_fine(
+    grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray
+) -> np.ndarray:
+    """rho'(u) on (fine zeta) x (Gauss radius) for u given by mode coefficients."""
+    return scaled_density_deriv(grid.fine_field_at_gauss(modes), eos, u_center)
+
+
+def _gravity_deriv_modes(grid: AxiGrid, fp: np.ndarray, h_modes: np.ndarray) -> np.ndarray:
+    """Mode coefficients of D[G] h, with rho'(u) given as ``fp`` by
+    ``_density_deriv_fine``."""
+    w = fp * grid.fine_field_at_gauss(h_modes)
+    out = grid.potential_modes_from_gauss(grid.project_fine(w))
+    out[0] -= out[0, 0]
+    out[1:, 0] = 0.0
+    return out
+
+
 def gravity_map_deriv(
     u: AxiField, h: AxiField, eos: EquationOfState, u_center: float
 ) -> AxiField:
     """Directional derivative of the self-gravity map at u along h."""
     grid = u.grid
-    fine_u = grid.fine_field_at_gauss(u.modes())
-    fine_h = grid.fine_field_at_gauss(h.modes())
-    w = scaled_density_deriv(fine_u, eos, u_center) * fine_h
-    out = grid.potential_modes_from_gauss(grid.project_fine(w))
-    out[0] -= out[0, 0]
-    out[1:, 0] = 0.0
-    return AxiField.from_modes(grid, out)
+    fp = _density_deriv_fine(grid, eos, u_center, u.modes())
+    return AxiField.from_modes(grid, _gravity_deriv_modes(grid, fp, h.modes()))
 
 
 # Interpolation to the Gauss points reads the 4 stencil nodes of a point's
@@ -216,19 +231,36 @@ def _packed_block(grid: AxiGrid, k: int) -> tuple[slice, int]:
 
 
 def gravity_jacobian_packed(
-    grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray
-) -> np.ndarray:
-    """Packed matrix of the linearized self-gravity map at u, Fortran-ordered.
+    grid: AxiGrid,
+    eos: EquationOfState,
+    u_center: float,
+    modes: np.ndarray,
+    *,
+    diagonal: bool = False,
+    out: np.ndarray | None = None,
+):
+    """Packed matrix J of the linearized self-gravity map at u, Fortran-ordered.
 
     Block (li, lj) is kernels[li] @ diag(coupling of mode lj into mode li at
     the Gauss radii) @ interp, assembled from the interpolation stencil.
+    With ``out``, a Fortran-ordered n x n matrix, J is added into it in
+    place and ``out`` is returned.  With ``diagonal`` only the blocks J_kk
+    are built, as the list ``degree_blocks`` returns, and nothing n x n is
+    allocated: they are the part of J that preconditions the Newton systems,
+    and all of J at a spherical state.
     """
-    fine = grid.fine_field_at_gauss(modes)
-    fp = scaled_density_deriv(fine, eos, u_center)
+    fp = _density_deriv_fine(grid, eos, u_center, modes)
+    if diagonal:
+        return degree_blocks(grid, np.einsum("la,ap,la->pl", grid.proj_f, fp, grid.leg_f))
     # coupling of incoming mode lj to outgoing mode li at each gauss radius
     coup = np.einsum("la,ap,ma->plm", grid.proj_f, fp, grid.leg_f)
     n = packed_size(grid)
-    jac = np.empty((n, n), order="F")
+    if out is None:
+        jac = np.zeros((n, n), order="F")
+    elif out.shape == (n, n) and out.flags.f_contiguous:
+        jac = out
+    else:
+        raise ValueError(f"out must be a Fortran-ordered {n} x {n} matrix")
     for li in range(grid.n_l):
         rows, r0 = _packed_block(grid, li)
         blk = _kernel_interp(grid, li, coup[:, li, :])
@@ -236,7 +268,7 @@ def gravity_jacobian_packed(
             blk -= blk[:, :, :1]
         for lj in range(grid.n_l):
             cols, c0 = _packed_block(grid, lj)
-            jac.T[cols, rows] = blk[c0:, lj, r0:]
+            jac.T[cols, rows] += blk[c0:, lj, r0:]
     return jac
 
 
@@ -253,6 +285,28 @@ def newton_matrix(jac: np.ndarray, b_matrix: np.ndarray | None = None) -> np.nda
     diag = np.arange(jac.shape[0])
     jac[diag, diag] += 1.0
     return jac
+
+
+def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> list[np.ndarray]:
+    """Diagonal blocks J_kk of the linearized self-gravity map, one per
+    degree k (``newton_matrix`` turns each into I - J_kk).
+
+    ``coef[:, k]`` is the coupling of mode k into itself at the Gauss radii
+    (rho'(u) itself at a spherical state, where these blocks are the whole
+    linearization); blocks are built for the first ``coef.shape[1]``
+    degrees.  Each is Fortran-ordered, n_r x n_r for degree 0 and
+    (n_r - 1) x (n_r - 1) without the center for the others, as in the
+    packed vector.
+    """
+    out = []
+    for k in range(coef.shape[1]):
+        blk = _kernel_interp(grid, k, coef[:, k : k + 1])[:, 0, :].T
+        if k == 0:
+            blk -= blk[0:1, :]
+        else:
+            blk = np.asfortranarray(blk[1:, 1:])
+        out.append(blk)
+    return out
 
 
 def _factor_in_place(mat: np.ndarray):
@@ -358,15 +412,11 @@ def hl_certificate_blocks(
     if not _is_spherical(modes):
         raise DomainError("per-block certificate requires a spherical state")
     q = scaled_density_deriv(grid.interp @ modes[0], eos, u_center)
-    out = {}
-    for k, l in enumerate(grid.lvals):
-        blk = _kernel_interp(grid, k, q[:, None])[:, 0, :].T
-        if l == 0:
-            blk -= blk[0:1, :]
-        else:
-            blk = blk[1:, 1:]
-        out[int(l)] = float(svdvals(newton_matrix(blk), overwrite_a=True)[-1])
-    return out
+    blocks = degree_blocks(grid, np.broadcast_to(q[:, None], (grid.n_gauss, grid.n_l)))
+    return {
+        int(l): float(svdvals(newton_matrix(blk), overwrite_a=True)[-1])
+        for l, blk in zip(grid.lvals, blocks)
+    }
 
 
 # block inverse iteration: block size, relative stopping change, step cap
@@ -436,14 +486,16 @@ def hl_certificate(
         info = {"iterations": None, "residual_bound": None}
         _log.debug("certificate: sigma_min %.6e from the per-degree blocks", sigma)
     else:
-        b_matrix = None
-        if law is not None:
-            if scale is None:
-                raise DomainError("angular-momentum certificate needs a ScaleSet")
+        if law is None:
+            mat = gravity_jacobian_packed(u.grid, eos, u_center, modes)
+        elif scale is None:
+            raise DomainError("angular-momentum certificate needs a ScaleSet")
+        else:
+            # B first, so that its factors are freed before J is added into
+            # its buffer: one n x n buffer in all
             b_matrix = centrifugal_deriv_matrix(law, u, eos, scale)
-        lu = _factor_in_place(
-            newton_matrix(gravity_jacobian_packed(u.grid, eos, u_center, modes), b_matrix)
-        )
+            mat = gravity_jacobian_packed(u.grid, eos, u_center, modes, out=b_matrix)
+        lu = _factor_in_place(newton_matrix(mat))
         sigma, steps, bound = (0.0, 0, None) if lu is None else _sigma_min_from_lu(lu)
         info = {"iterations": steps, "residual_bound": bound}
         _log.debug(
@@ -458,23 +510,147 @@ def centrifugal_deriv_matrix(
     u: AxiField,
     eos: EquationOfState,
     scale: ScaleSet,
-    cyl: CylinderMass | None = None,
 ) -> np.ndarray:
-    """Packed dense matrix of the centrifugal linearization.
+    """Packed dense matrix of the centrifugal linearization, for the
+    certificate, Fortran-ordered.
 
     It is the product of the factors of ``LinearizedCentrifugal``: packed
     h modes -> cylinder-mass response dm -> packed g modes, of rank <= n_r.
-    ``cyl`` is the cylinder mass of u, when the caller already has it.
     """
     grid = u.grid
-    lin = LinearizedCentrifugal(law, u, eos, scale, cyl)
+    lin = LinearizedCentrifugal(law, u, eos, scale)
     modes_of_dm = pack_modes(grid, lin.b_to_modes @ lin.cum)  # (n, n_q)
     dm_of_modes = pack_modes(grid, lin.dm_response().transpose(0, 2, 1))  # (n, n_q)
-    return modes_of_dm @ dm_of_modes.T
+    del lin
+    return (dm_of_modes @ modes_of_dm.T).T
 
 
 # ---------------------------------------------------------------------------
 # the solver
+
+
+# GMRES for each Newton system: relative residual reached, iteration cap
+_GMRES_RTOL = 1e-12
+_GMRES_MAX_ITER = 50
+
+
+def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Solve A x = b by right-preconditioned GMRES from x = 0 (Saad & Schultz
+    1986, SIAM J. Sci. Stat. Comput. 7, 856); returns (x, iterations,
+    relative residual |b - A x| / |b|).
+
+    ``apply`` is x -> A x and ``precondition`` is x -> M^-1 x.  The Arnoldi
+    basis of A M^-1 is orthogonalized by classical Gram-Schmidt done twice,
+    and Givens rotations track the residual.  At the iteration cap the
+    minimal-residual iterate of the basis built so far is returned.  The
+    iteration runs on b / max|b|, so that the norms of a diverging Newton
+    iterate's residual do not overflow.
+    """
+    size = float(np.max(np.abs(b)))
+    if size == 0.0:
+        return np.zeros_like(b), 0, 0.0
+    b = b / size
+    beta = float(np.linalg.norm(b))
+    m = _GMRES_MAX_ITER
+    basis = np.empty((m + 1, b.size))
+    hess = np.zeros((m + 1, m))
+    cs, sn = np.zeros(m), np.zeros(m)
+    g = np.zeros(m + 1)
+    g[0] = beta
+    basis[0] = b / beta
+    k = 0
+    while k < m:
+        w = apply(precondition(basis[k]))
+        h = basis[: k + 1] @ w
+        w -= h @ basis[: k + 1]
+        h2 = basis[: k + 1] @ w
+        w -= h2 @ basis[: k + 1]
+        col = hess[:, k]
+        col[: k + 1] = h + h2
+        col[k + 1] = np.linalg.norm(w)
+        for i in range(k):
+            a, c = col[i], col[i + 1]
+            col[i], col[i + 1] = cs[i] * a + sn[i] * c, cs[i] * c - sn[i] * a
+        d = np.hypot(col[k], col[k + 1])
+        if not np.isfinite(d):
+            # an overflowed product: a non-finite step, so that the next
+            # residual reports the divergence
+            return np.full_like(b, np.nan), k + 1, np.nan
+        if d == 0.0:
+            break
+        cs[k], sn[k] = col[k] / d, col[k + 1] / d
+        w_norm = col[k + 1]
+        col[k], col[k + 1] = d, 0.0
+        g[k + 1], g[k] = -sn[k] * g[k], cs[k] * g[k]
+        k += 1
+        if abs(g[k]) <= _GMRES_RTOL * beta or w_norm == 0.0:
+            break
+        basis[k] = w / w_norm
+    y = solve_triangular(hess[:k, :k], g[:k], check_finite=False)
+    return size * precondition(y @ basis[:k]), k, abs(g[k]) / beta
+
+
+def _factor_blocks(
+    grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray,
+    hl_threshold: float,
+) -> list:
+    """LUs of the per-degree blocks I - J_kk at u given by mode coefficients.
+
+    A block that is not finite or has an exact zero pivot raises
+    SingularLinearization with sigma 0.0.
+    """
+    lus = []
+    for blk in gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True):
+        lu = _factor_in_place(newton_matrix(blk))
+        if lu is None:
+            raise SingularLinearization(0.0, hl_threshold)
+        lus.append(lu)
+    return lus
+
+
+def _newton_step(
+    grid: AxiGrid,
+    fp: np.ndarray,
+    lin: LinearizedCentrifugal | None,
+    lus: list,
+    rhs: np.ndarray,
+) -> tuple[np.ndarray, int, float]:
+    """Packed Newton step (I - J - B)^-1 rhs by GMRES; returns (step,
+    iterations, relative residual).
+
+    J is applied matrix-free at the state with rho'(u) = ``fp``, B through
+    the centrifugal linearization ``lin`` of a momentum law (None
+    otherwise), and the system is right-preconditioned by the block LUs
+    ``lus`` of ``_factor_blocks``.
+    """
+
+    def apply(x):
+        modes = unpack_modes(grid, x)
+        jh = _gravity_deriv_modes(grid, fp, modes)
+        if lin is not None:
+            jh += lin.apply_values(grid.synthesize(modes))
+        return x - pack_modes(grid, jh)
+
+    def precondition(x):
+        out = np.empty_like(x)
+        for k, lu in enumerate(lus):
+            rows, _ = _packed_block(grid, k)
+            out[rows] = lu_solve(lu, x[rows], check_finite=False)
+        return out
+
+    return _gmres(apply, precondition, rhs)
+
+
+def _not_finite(history: list, U: np.ndarray) -> NoConvergence:
+    """The error for an iteration whose residual stopped being finite: it
+    names that iteration, the cause and the last finite residual."""
+    it = len(history) - 1
+    cause = "the density overflowed" if np.isfinite(U).all() else "the iterate is not finite"
+    where = (
+        f"after a last finite residual of {history[-2]:.3e} at iteration {it - 1}"
+        if it > 0 else "at the starting iterate"
+    )
+    return NoConvergence(f"residual is not finite at iteration {it}: {cause} {where}", history)
 
 
 def _solve_modes(
@@ -487,18 +663,24 @@ def _solve_modes(
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
     lu=None,
+    stats: dict | None = None,
 ):
     """Newton iteration in mode space; returns (U, history, g_modes, lu).
 
-    ``lu`` is a factorization carried in from a nearby state.  It serves
-    until the contraction rule asks for a rebuild; with rebuild_ratio 0 it is
-    stale from the start.  The LU in use at the end is returned.
+    ``lu`` holds the block LUs of the preconditioner, carried in from a
+    nearby state.  They serve until the contraction rule asks for a rebuild;
+    with rebuild_ratio 0 they are stale from the start.  The block LUs in
+    use at the end are returned.  ``stats`` collects the GMRES iterations of
+    each Newton step and the number of preconditioner builds, also when the
+    iteration fails.
     """
     history = []
     if not (opts.newton and opts.rebuild_ratio > 0):
         lu = None
+    if stats is None:
+        stats = {"gmres_iterations": [], "preconditioner_builds": 0}
     lu_from = "carried from the family"
-    b_matrix = None
+    lin = None
     last_res = None
 
     for it in range(opts.max_iter + 1):
@@ -518,22 +700,25 @@ def _solve_modes(
             break
         if not np.isfinite(res):
             _log.debug("iter %2d  residual %.3e", it, res)
-            raise NoConvergence("residual is not finite", history)
+            raise _not_finite(history, U)
         if opts.newton:
-            step = f"Newton step, LU {lu_from}"
+            fp = _density_deriv_fine(grid, eos, u_center, U)
+            if law is not None and lin is None:
+                lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
+            built = ""
             if lu is None or (last_res is not None and res > opts.rebuild_ratio * last_res):
-                lu = None  # a rebuild never holds two factorizations
-                if law is not None and b_matrix is None:
-                    b_matrix = centrifugal_deriv_matrix(law, u_field, eos, scale, cyl)
-                # factored in place: the LU takes over the Jacobian's buffer
-                lu = _factor_in_place(
-                    newton_matrix(gravity_jacobian_packed(grid, eos, u_center, U), b_matrix)
-                )
-                if lu is None:
-                    raise SingularLinearization(0.0, opts.hl_threshold)
-                step, lu_from = "Newton step, Jacobian built", f"of iteration {it}"
-            _log.debug("iter %2d  residual %.3e  %s", it, res, step)
-            delta = lu_solve(lu, pack_modes(grid, rhs))
+                lu = None  # a rebuild never holds two sets of block LUs
+                lu = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
+                stats["preconditioner_builds"] += 1
+                built, lu_from = "built", f"of iteration {it}"
+            delta, inner, lin_res = _newton_step(grid, fp, lin, lu, pack_modes(grid, rhs))
+            stats["gmres_iterations"].append(inner)
+            capped = inner == _GMRES_MAX_ITER and lin_res > _GMRES_RTOL
+            _log.debug(
+                "iter %2d  residual %.3e  Newton step, preconditioner %s, "
+                "GMRES %d iterations to %.1e%s",
+                it, res, built or lu_from, inner, lin_res, " (iteration cap)" if capped else "",
+            )
             U = U + unpack_modes(grid, delta)
         else:
             _log.debug("iter %2d  residual %.3e  Picard step", it, res)
@@ -546,10 +731,11 @@ def _solve_modes(
 
 
 class _CarriedLU:
-    """The Newton LU a warm-started family carries from one solve to the next.
+    """The preconditioner's block LUs a warm-started family carries from one
+    solve to the next.
 
-    A solve takes it out (so a rebuild never holds two factorizations) and
-    puts its own last LU back only when it succeeds with a free boundary.
+    A solve takes them out (so a rebuild never holds two sets) and puts its
+    own last block LUs back only when it succeeds with a free boundary.
     """
 
     def __init__(self):
@@ -560,8 +746,8 @@ class _CarriedLU:
         return lu
 
     def solve(self, g, eos, u_center, init, opts) -> EquilibriumSolution:
-        """``solve_equilibrium`` from the carried LU; a converged field without
-        a free boundary raises NoSignChange."""
+        """``solve_equilibrium`` from the carried block LUs; a converged field
+        without a free boundary raises NoSignChange."""
         sol = solve_equilibrium(g, eos, u_center, init, opts, carried=self)
         if sol.R_of_zeta is None:
             self.lu = None
@@ -583,13 +769,15 @@ def solve_equilibrium(
 
     For angular-momentum laws pass ``law`` (and ``scale``); the centrifugal
     term is then rebuilt from the current iterate each step and its
-    linearization joins the Newton matrix.  The solution lives on
-    ``init.grid``, the grid ``g`` was built on.  After convergence the free
-    boundary, admissibility flags and (optionally) the invertibility
-    certificate are produced; ``meta["certificate"]`` records how the
-    certificate was found.  ``carried`` is the Newton LU of a warm-started
-    family (``ConstantRotationFamily``, ``continuation_in_beta``): the solve
-    starts from it and leaves its own last LU there when it succeeds.
+    linearization, taken at the starting iterate, joins the Newton systems.
+    The solution lives on ``init.grid``, the grid ``g`` was built on.  After
+    convergence the free boundary, admissibility flags and (optionally) the
+    invertibility certificate are produced; ``meta["certificate"]`` records
+    how the certificate was found, and ``meta["newton"]`` the GMRES
+    iterations of each Newton step and the number of preconditioner builds.
+    ``carried`` holds the preconditioner of a warm-started family
+    (``ConstantRotationFamily``, ``continuation_in_beta``): the solve starts
+    from it and leaves its own last one there when it succeeds.
     """
     opts = opts or SolverOptions()
     grid = init.grid
@@ -599,13 +787,14 @@ def solve_equilibrium(
     U0 = init.modes().copy()
     U0[1:, 0] = 0.0
     meta = {}
+    newton = {"gmres_iterations": [], "preconditioner_builds": 0}
     # a diverging iterate overflows the density; that surfaces as a
     # non-finite residual (NoConvergence), not as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             U, history, g_modes, lu = _solve_modes(
                 grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
-                None if carried is None else carried.take(),
+                None if carried is None else carried.take(), newton,
             )
         except NoConvergence as exc:
             if not opts.newton:
@@ -626,8 +815,10 @@ def solve_equilibrium(
             # iteration count cover both runs
             history = exc.residual_history + history
             meta["fallback"] = f"Newton failed: {exc}"
+    if opts.newton:
+        meta["newton"] = newton
     if carried is None:
-        lu = None  # the certificate factors its own matrix
+        lu = None  # nothing carries the block LUs past this solve
 
     u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)
@@ -663,7 +854,7 @@ def continuation_in_beta(
     profile: RadialProfile | None = None,
 ) -> list[EquilibriumSolution]:
     """Solve the rigid-rotation family along an increasing beta schedule,
-    warm-starting each solve from the previous solution and its Newton LU.
+    warm-starting each solve from the previous solution and its preconditioner.
 
     Raises ContinuationFailure with the partial results attached if a solve
     fails, including one whose field has no free boundary (NoSignChange); an
@@ -699,10 +890,10 @@ def continuation_in_beta(
 class ConstantRotationFamily:
     """Random-access rigid-rotation solves with warm starts, keyed by beta.
 
-    Each solve starts from the nearest cached state and from the Newton LU of
-    the last solve.  A converged field without a free boundary raises
-    NoSignChange and is not cached.  Used wherever many nearby solves are
-    needed (mass curves, slope fits).
+    Each solve starts from the nearest cached state and from the
+    preconditioner of the last solve.  A converged field without a free
+    boundary raises NoSignChange and is not cached.  Used wherever many
+    nearby solves are needed (mass curves, slope fits).
     """
 
     def __init__(

@@ -95,9 +95,9 @@ class PiecewisePoly:
     def weighted_sums(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """out[l, i] = sum_a weights[l, a] f(t[i, a]) for 2-D t.
 
-        The weights are binned per panel and power of (t - x_k) and then
-        contracted with the coefficients in one product, so f is never formed
-        at the individual points.
+        Each row of weights is binned per panel and power of (t - x_k) and
+        then contracted with the coefficients in one product, so f is never
+        formed at the individual points.
         """
         n_i, n_a = t.shape
         deg, npan = self.c.shape[0] - 1, len(self.x) - 1
@@ -111,11 +111,12 @@ class PiecewisePoly:
         rows = np.repeat(np.arange(n_i) * (deg + 1), n_a)
         bins = ((rows + np.arange(deg + 1)[:, None]) * npan + k).ravel()
         size = n_i * (deg + 1) * npan
-        binned = np.stack([
-            np.bincount(bins, (powers * np.tile(w, n_i)).ravel(), minlength=size)
-            for w in weights
-        ])
-        out = binned.reshape(-1, (deg + 1) * npan) @ self.c.reshape((deg + 1) * npan, -1)
+        coef = self.c.reshape((deg + 1) * npan, -1)
+        out = np.empty((len(weights), n_i, coef.shape[1]))
+        # one row at a time, so that only one row's bins are held
+        for row, w in zip(out, weights):
+            binned = np.bincount(bins, (powers * np.tile(w, n_i)).ravel(), minlength=size)
+            np.matmul(binned.reshape(n_i, (deg + 1) * npan), coef, out=row)
         return out.reshape((len(weights), n_i) + self.c.shape[2:])
 
     def derivative(self) -> "PiecewisePoly":
@@ -433,8 +434,9 @@ class AxiGrid:
         return np.einsum("ki,kj->ij", modes, self.leg)
 
     def modes_at_gauss(self, modes: np.ndarray) -> np.ndarray:
-        """Interpolate each radial mode onto the panel Gauss points."""
-        return modes @ self.interp.T
+        """Interpolate each radial mode onto the panel Gauss points, on the
+        4-node stencil."""
+        return np.einsum("lps,ps->lp", modes[:, self.interp_cols], self.interp_weights)
 
     def fine_field_at_gauss(self, modes: np.ndarray) -> np.ndarray:
         """Field values on (fine zeta) x (gauss radius), shape (n_fine, n_gauss)."""
@@ -447,7 +449,7 @@ class AxiGrid:
     def potential_modes_from_gauss(self, source_modes_gauss: np.ndarray) -> np.ndarray:
         """Radial multipole integrals: source mode samples at Gauss points ->
         potential mode values at the nodes."""
-        return np.einsum("kip,kp->ki", self.kernels, source_modes_gauss)
+        return np.matmul(self.kernels, source_modes_gauss[:, :, None])[:, :, 0]
 
     def eval_modes_at(self, modes: np.ndarray, r_query: np.ndarray) -> np.ndarray:
         """Local-cubic evaluation of mode functions at arbitrary radii."""

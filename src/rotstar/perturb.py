@@ -21,7 +21,7 @@ from .eos import EquationOfState, scaled_density_deriv
 from .errors import DomainError, NoConvergence
 from .grids import AxiGrid, clustered_nodes, cubic_spline, interp_matrix, panel_gauss
 from .radial import RadialProfile
-from .equilibrium import gravity_jacobian_packed, newton_matrix, pack_modes, unpack_modes
+from .equilibrium import gravity_jacobian_packed, newton_matrix
 from .rotation import rigid_rotation
 
 
@@ -236,13 +236,20 @@ class PerturbationField:
 
 
 def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
-    """Solve (I - D[gravity map]) h = g1 on the 2-D grid, g1 = r^2 (1-zeta^2)/4."""
+    """Solve (I - D[gravity map]) h = g1 on the 2-D grid, g1 = r^2 (1-zeta^2)/4.
+
+    At the spherical state the linearization is one block per Legendre
+    degree, and g1 has degrees 0 and 2 only: h is one solve with each of
+    those two blocks, and its higher modes are zero.
+    """
     modes0 = np.zeros((grid.n_l, grid.n_r))
     modes0[0] = profile.theta_at(grid.r)
     g1 = rigid_rotation(grid, 1.0).g_modes
-    mat = newton_matrix(gravity_jacobian_packed(grid, eos, u_center, modes0))
-    sol = np.linalg.solve(mat, pack_modes(grid, g1))
-    return unpack_modes(grid, sol)
+    blocks = gravity_jacobian_packed(grid, eos, u_center, modes0, diagonal=True)
+    h = np.zeros((grid.n_l, grid.n_r))
+    h[0] = np.linalg.solve(newton_matrix(blocks[0]), g1[0])
+    h[1, 1:] = np.linalg.solve(newton_matrix(blocks[1]), g1[1, 1:])
+    return h
 
 
 def compute_h_field(

@@ -407,14 +407,24 @@ class LinearizedCentrifugal:
 
         Built one zeta column at a time: the cumulative integral over complete
         panels and the rule's partial-panel stencils, weighted by leg * zeta_w.
+        The complete panels are summed on the interpolation stencil, whose 4
+        nodes every Gauss point of a panel shares.
         """
         grid, rule = self.grid, self.rule
         nq = len(rule.varpi)
         rows = np.arange(nq)[:, None]
+        npan = grid.n_r - 1
+        panel_rows = np.arange(npan)[:, None]
+        panel_cols = grid.interp_cols[::4]
         x2 = grid.gauss_x ** 2
         out = np.zeros((grid.n_l, nq, grid.n_r))
+        prefix = np.zeros((grid.n_r, grid.n_r))
         for j in range(grid.n_zeta):
-            prefix = grid.cumulative((x2 * self.fp_gauss[:, j])[:, None] * grid.interp)
+            vals = (x2 * self.fp_gauss[:, j])[:, None] * grid.interp_weights
+            vals *= grid.gauss_w[:, None]
+            prefix[1:] = 0.0
+            prefix[1:][panel_rows, panel_cols] = vals.reshape(npan, 4, 4).sum(axis=1)
+            np.cumsum(prefix[1:], axis=0, out=prefix[1:])
             col = prefix[rule.kcut[:, j]]
             part = np.einsum(
                 "qg,qgs->qs", rule.part_w[:, j] * self.fp_part[:, j], rule.part_coef[:, j]

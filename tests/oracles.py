@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import svdvals
+from scipy.linalg import lu_factor, lu_solve, svdvals
 from scipy.optimize import brentq
 
 GOLDEN_PATH = Path(__file__).parent / "golden_lane_emden.json"
@@ -137,6 +137,36 @@ def block_sigma_min_dense(grid, q):
 def sigma_min_dense(mat):
     """Smallest singular value of ``mat`` from its full dense SVD."""
     return float(svdvals(mat)[-1])
+
+
+def dense_newton_step(grid, eos, u_center, modes, rhs, b_matrix=None):
+    """The packed Newton step (I - J - B)^-1 rhs from an LU of the dense
+    Newton matrix, J the linearized gravity map at ``modes`` and B the dense
+    centrifugal linearization of a momentum law (None otherwise)."""
+    from rotstar.equilibrium import gravity_jacobian_packed, newton_matrix
+
+    mat = newton_matrix(gravity_jacobian_packed(grid, eos, u_center, modes), b_matrix)
+    return lu_solve(lu_factor(mat), rhs)
+
+
+def dm_response_dense(lin):
+    """``LinearizedCentrifugal.dm_response`` from the dense (n_gauss x n_r)
+    interpolation matrix, one zeta column at a time."""
+    grid, rule = lin.grid, lin.rule
+    nq = len(rule.varpi)
+    rows = np.arange(nq)[:, None]
+    x2 = grid.gauss_x ** 2
+    out = np.zeros((grid.n_l, nq, grid.n_r))
+    for j in range(grid.n_zeta):
+        prefix = grid.cumulative((x2 * lin.fp_gauss[:, j])[:, None] * grid.interp)
+        col = prefix[rule.kcut[:, j]]
+        part = np.einsum(
+            "qg,qgs->qs", rule.part_w[:, j] * lin.fp_part[:, j], rule.part_coef[:, j]
+        )
+        np.add.at(col, (rows, rule.part_stencil[:, j]), part)
+        weight = lin.mass_pref * grid.zeta_w[j] * grid.leg[:, j]
+        out += weight[:, None, None] * col
+    return out
 
 
 def free_boundary_per_ray(grid, values, r0):

@@ -88,12 +88,12 @@ def test_solution_json_meta_keeps_its_keys(tmp_path):
 
 
 def test_solve_command_reports_newton_fallback(tmp_path):
-    cfg = _write(tmp_path, SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\nmax_iter = 2"))
+    cfg = _write(tmp_path, SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\nmax_iter = 1"))
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "solution.json").read_text())
-    assert "no convergence after 2 iterations" in doc["meta"]["fallback"]
-    assert doc["iterations"] == len(doc["residual_history"]) > 3
+    assert "no convergence after 1 iterations" in doc["meta"]["fallback"]
+    assert doc["iterations"] == len(doc["residual_history"]) > 2
 
 
 def test_malformed_config_negative_tol(tmp_path, capsys):

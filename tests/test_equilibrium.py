@@ -44,6 +44,7 @@ from rotstar.equilibrium import (
 from rotstar.rotation import LinearizedCentrifugal
 from oracles import (
     block_sigma_min_dense,
+    dense_newton_step,
     free_boundary_per_ray,
     gravity_jacobian_dense,
     sigma_min_dense,
@@ -130,6 +131,32 @@ def test_verbose_solve_logs_each_iteration(profile15, eos15, grid15, caplog, cap
     assert len(records) == len(sol.residual_history)
     assert all("residual" in r.getMessage() for r in records)
     assert capsys.readouterr().out == ""
+
+
+def test_newton_lines_name_gmres_and_preconditioner(eos15, profile15, caplog):
+    # each Newton line gives the GMRES iterations and linear residual and says
+    # whether the preconditioner was built or carried; meta["newton"] counts both
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    fam = ConstantRotationFamily(
+        eos15, 1.0, grid=grid, opts=SolverOptions(certify=False), profile=profile15
+    )
+    caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
+    for beta in (1e-3, 1.1e-3):
+        caplog.clear()
+        sol = fam.solve_at(beta)
+        lines = [r.getMessage() for r in caplog.records]
+        steps = [m for m in lines if "Newton step" in m]
+        assert len(steps) == sol.iterations - 1 == len(sol.meta["newton"]["gmres_iterations"])
+        for line, inner in zip(steps, sol.meta["newton"]["gmres_iterations"]):
+            assert f"GMRES {inner} iterations to " in line
+            assert float(line.rsplit(" ", 1)[1]) <= 1e-12
+        built = [m for m in steps if "preconditioner built" in m]
+        assert len(built) == sol.meta["newton"]["preconditioner_builds"]
+        if beta == 1e-3:
+            assert "preconditioner built" in steps[0]
+            assert all("preconditioner of iteration 0" in m for m in steps[1:])
+        else:
+            assert all("preconditioner carried from the family" in m for m in steps)
 
 
 def test_free_boundary_examples(grid15, theta15, profile15):
@@ -323,7 +350,7 @@ def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale
 
 
 def test_newton_fallback_keeps_newton_history(eos15, profile15):
-    # two Newton steps cannot reach the tolerance, so the solve falls back to
+    # one Newton step cannot reach the tolerance, so the solve falls back to
     # damped Picard; the result must still account for the Newton attempt
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     init = initial_field_from_profile(grid, profile15)
@@ -332,10 +359,10 @@ def test_newton_fallback_keeps_newton_history(eos15, profile15):
     picard = solve_equilibrium(
         cf, eos15, 1.0, init, SolverOptions(newton=False, max_iter=200, certify=False)
     )
-    sol = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(max_iter=2, certify=False))
-    assert sol.residual_history == newton.residual_history[:3] + picard.residual_history
-    assert sol.iterations == 3 + picard.iterations
-    assert "no convergence after 2 iterations" in sol.meta["fallback"]
+    sol = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(max_iter=1, certify=False))
+    assert sol.residual_history == newton.residual_history[:2] + picard.residual_history
+    assert sol.iterations == 2 + picard.iterations
+    assert "no convergence after 1 iterations" in sol.meta["fallback"]
     assert "fallback" not in newton.meta
 
 
@@ -472,33 +499,96 @@ def test_hl_certificate_blocks_match_dense_products(eos15, theta15):
         assert got[l] == pytest.approx(sigma, rel=1e-12, abs=0.0)
 
 
+def _momentum_law(u0, eos, scale):
+    cyl = mass_within_cylinder(u0, eos, scale)
+    ms = np.linspace(0, 1.3 * cyl.total, 60)
+    return AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
+
+
 def test_newton_matrix_is_factored_in_place(eos15, profile15, scale15, monkeypatch):
-    # one n x n buffer per factorization: the Newton matrix arrives
+    # the certificate's one n x n buffer: the Newton matrix arrives
     # Fortran-ordered and lu_factor overwrites it
     from rotstar import equilibrium
 
-    calls = []
+    calls, factored, b_buffers = [], [], []
 
     def checked(a, *args, **kwargs):
         lu = lu_factor_orig(a, *args, **kwargs)
-        calls.append((a.flags.f_contiguous, kwargs.get("overwrite_a"),
+        factored.append(a)
+        calls.append((a.shape[0], a.flags.f_contiguous, kwargs.get("overwrite_a"),
                       np.shares_memory(lu[0], a)))
         return lu
 
-    lu_factor_orig = equilibrium.lu_factor
+    def recorded_b(*args, **kwargs):
+        b_buffers.append(b_orig(*args, **kwargs))
+        return b_buffers[-1]
+
+    lu_factor_orig, b_orig = equilibrium.lu_factor, equilibrium.centrifugal_deriv_matrix
     monkeypatch.setattr(equilibrium, "lu_factor", checked)
+    monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", recorded_b)
+    u = _oblate_state(profile15)
+    n = packed_size(u.grid)
+    law = _momentum_law(u, eos15, scale15)
+    hl_certificate(u, eos15, 1.0)
+    hl_certificate(u, eos15, 1.0, law=law, scale=scale15)
+    assert calls == [(n, True, True, True)] * 2
+    # with a momentum law J is added into B's buffer, which is then factored
+    assert len(b_buffers) == 1 and factored[1] is b_buffers[0]
+
+
+def test_jacobian_adds_into_out(eos15, profile15, scale15):
+    u = _oblate_state(profile15)
+    grid, modes = u.grid, u.modes()
+    n = packed_size(grid)
+    base = np.asfortranarray(np.random.default_rng(3).standard_normal((n, n)))
+    jac = gravity_jacobian_packed(grid, eos15, 1.0, modes)
+    got = gravity_jacobian_packed(grid, eos15, 1.0, modes, out=base.copy(order="F"))
+    assert np.array_equal(got, base + jac)
+    with pytest.raises(ValueError):
+        gravity_jacobian_packed(grid, eos15, 1.0, modes, out=np.ascontiguousarray(base))
+
+
+def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale15, monkeypatch):
+    # Newton products are matrix-free and only the per-degree diagonal blocks
+    # of the Jacobian are formed and factored, each in its own buffer
+    from rotstar import equilibrium
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense Newton matrix built on the solve path")
+
+    jacobian_orig = equilibrium.gravity_jacobian_packed
+
+    def diagonal_only(*args, diagonal=False):
+        if not diagonal:
+            forbidden()
+        return jacobian_orig(*args, diagonal=True)
+
+    sizes, factored = [], []
+    newton_matrix_orig, lu_factor_orig = equilibrium.newton_matrix, equilibrium.lu_factor
+
+    def recording_newton_matrix(jac, *args):
+        sizes.append(jac.shape)
+        return newton_matrix_orig(jac, *args)
+
+    def recording_lu_factor(a, *args, **kwargs):
+        factored.append((a.shape, a.flags.f_contiguous, kwargs.get("overwrite_a")))
+        return lu_factor_orig(a, *args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", diagonal_only)
+    monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", forbidden)
+    monkeypatch.setattr(equilibrium, "newton_matrix", recording_newton_matrix)
+    monkeypatch.setattr(equilibrium, "lu_factor", recording_lu_factor)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     u0 = initial_field_from_profile(grid, profile15)
-    solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, u0, SolverOptions(certify=False))
-    n_rigid = len(calls)
-    cyl = mass_within_cylinder(u0, eos15, scale15)
-    ms = np.linspace(0, 1.3 * cyl.total, 60)
-    law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
-    solve_equilibrium(
-        None, eos15, 1.0, u0, SolverOptions(certify=False), law=law, scale=scale15
-    )
-    assert 0 < n_rigid < len(calls)
-    assert all(c == (True, True, True) for c in calls)
+    opts = SolverOptions(certify=False)
+    rigid = solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, u0, opts)
+    law = _momentum_law(u0, eos15, scale15)
+    momentum = solve_equilibrium(None, eos15, 1.0, u0, opts, law=law, scale=scale15)
+    builds = sum(s.meta["newton"]["preconditioner_builds"] for s in (rigid, momentum))
+    assert builds >= 2
+    assert len(sizes) == len(factored) == builds * grid.n_l
+    assert max(max(shape) for shape in sizes) == grid.n_r
+    assert all(shape[0] <= grid.n_r and f and o for shape, f, o in factored)
 
 
 def test_free_boundary_runs_twice_per_solve(eos15, profile15, monkeypatch):
@@ -547,7 +637,7 @@ def test_failed_fallback_reports_newton_and_picard(eos3, profile3):
         with pytest.raises(NoConvergence) as info:
             solve_equilibrium(cf, eos3, 1.0, init, SolverOptions(certify=False))
     msg = str(info.value)
-    assert "Newton failed (residual is not finite)" in msg
+    assert "Newton failed (residual is not finite at iteration" in msg
     assert "Picard fallback failed (no convergence after 240 iterations" in msg
     picard = picard_only.value.residual_history
     history = info.value.residual_history
@@ -555,6 +645,39 @@ def test_failed_fallback_reports_newton_and_picard(eos3, profile3):
     assert n_newton >= 2 and history[n_newton:] == picard
     assert not np.isfinite(history[n_newton - 1])
     assert all(np.isfinite(history[: n_newton - 1]))
+
+
+def test_divergence_error_names_the_overflow(eos3, profile3, caplog):
+    # past mass shedding both Newton and the Picard fallback overflow the
+    # density; the error names where, and the last finite residual before it.
+    # On the way GMRES stops at its cap, and the iteration line says so.
+    from rotstar import equilibrium
+    from rotstar.errors import NoConvergence
+
+    grid = AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
+    init = initial_field_from_profile(grid, profile3)
+    caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
+    with pytest.raises(NoConvergence) as info:
+        solve_equilibrium(rigid_rotation(grid, 6e-2), eos3, 1.0, init,
+                          SolverOptions(certify=False))
+    history = info.value.residual_history
+    bad = [i for i, r in enumerate(history) if not np.isfinite(r)]
+    assert len(bad) == 2
+    n_newton = bad[0] + 1
+    newton, picard = history[:n_newton], history[n_newton:]
+    assert len(picard) == bad[1] - n_newton + 1
+
+    def overflow(run):
+        it = len(run) - 1
+        return (f"residual is not finite at iteration {it}: the density overflowed "
+                f"after a last finite residual of {run[-2]:.3e} at iteration {it - 1}")
+
+    assert str(info.value) == (
+        f"Newton failed ({overflow(newton)}); Picard fallback failed ({overflow(picard)})"
+    )
+    capped = [r.getMessage() for r in caplog.records if "(iteration cap)" in r.getMessage()]
+    assert capped
+    assert all(f"GMRES {equilibrium._GMRES_MAX_ITER} iterations" in m for m in capped)
 
 
 def test_jacobian_build_reuses_the_iterate_cylinder_mass(eos15, profile15, scale15, monkeypatch):
@@ -639,6 +762,27 @@ def test_certificate_matches_dense_svd(kind, nu, size):
     assert abs(sigma - want) <= info["residual_bound"] + 1e-14 * want < 1e-6
 
 
+@pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
+@pytest.mark.parametrize("nu", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
+def test_gmres_newton_step_matches_dense_lu(kind, nu, size):
+    from rotstar import equilibrium
+
+    u, eos, law, scale = _converged_state(kind, nu, size)
+    grid, modes = u.grid, u.modes()
+    lin, b_matrix = None, None
+    if law is not None:
+        lin = LinearizedCentrifugal(law, u, eos, scale)
+        b_matrix = centrifugal_deriv_matrix(law, u, eos, scale)
+    rhs = np.random.default_rng(7).standard_normal(packed_size(grid))
+    want = dense_newton_step(grid, eos, 1.0, modes, rhs, b_matrix)
+    fp = equilibrium._density_deriv_fine(grid, eos, 1.0, modes)
+    lus = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
+    got, inner, lin_res = equilibrium._newton_step(grid, fp, lin, lus, rhs)
+    assert inner < equilibrium._GMRES_MAX_ITER and lin_res <= equilibrium._GMRES_RTOL
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
 def test_certificate_is_deterministic(eos15, profile15):
     u = _oblate_state(profile15)
     assert hl_certificate(u, eos15, 1.0) == hl_certificate(u, eos15, 1.0)
@@ -649,12 +793,17 @@ def test_singular_or_nonfinite_newton_matrix_certifies_zero(eos15, profile15, mo
     # give sigma = 0.0 and SingularLinearization, with no warning escaping.
     from rotstar import equilibrium
 
-    def identity(grid, *args):
+    jacobian_orig = equilibrium.gravity_jacobian_packed
+
+    def identity(grid, *args, diagonal=False):
+        if diagonal:  # the preconditioner's blocks of the same J
+            return [np.eye(len(b), order="F")
+                    for b in jacobian_orig(grid, *args, diagonal=True)]
         return np.asfortranarray(np.eye(packed_size(grid)))
 
-    def with_nan(grid, *args):
-        jac = identity(grid)
-        jac[3, 5] = np.nan
+    def with_nan(grid, *args, diagonal=False):
+        jac = identity(grid, *args, diagonal=diagonal)
+        (jac[1] if diagonal else jac)[3, 5] = np.nan
         return jac
 
     u = _oblate_state(profile15)
@@ -669,6 +818,36 @@ def test_singular_or_nonfinite_newton_matrix_certifies_zero(eos15, profile15, mo
                 with pytest.raises(SingularLinearization) as info:
                     solve_equilibrium(cf, eos15, 1.0, init, opts)
                 assert info.value.sigma_min == 0.0
+
+
+def test_singular_or_nonfinite_block_stops_the_newton_solve(eos15, profile15, monkeypatch):
+    # a preconditioner block with a zero pivot or a NaN raises
+    # SingularLinearization with sigma 0.0, with no warning escaping
+    from rotstar import equilibrium
+
+    blocks_orig = equilibrium.degree_blocks
+
+    def zero(grid, coef):
+        # J_kk = I makes the block I - J_kk zero
+        blocks = blocks_orig(grid, coef)
+        blocks[1][:] = np.eye(len(blocks[1]))
+        return blocks
+
+    def with_nan(grid, coef):
+        blocks = blocks_orig(grid, coef)
+        blocks[1][3, 5] = np.nan
+        return blocks
+
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    init = initial_field_from_profile(grid, profile15)
+    cf = rigid_rotation(grid, 1e-3)
+    for broken in (zero, with_nan):
+        monkeypatch.setattr(equilibrium, "degree_blocks", broken)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularLinearization) as info:
+                solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(certify=False))
+        assert info.value.sigma_min == 0.0
 
 
 def test_certified_solve_records_the_certificate(eos15, profile15):
@@ -726,21 +905,26 @@ def _counting_lu(monkeypatch):
 
 
 def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
+    # the family carries the preconditioner of its Newton systems, the block
+    # LUs of the per-degree blocks, from one solve to the next
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(), profile=profile15)
     calls = _counting_lu(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
-    fam.solve_at(1e-3)
+    first_sol = fam.solve_at(1e-3)
     first = [r.getMessage() for r in caplog.records]
     n_first = len(calls)
     caplog.clear()
     sol = fam.solve_at(1.1e-3)
     second = [r.getMessage() for r in caplog.records]
-    # the first solve builds its Jacobian; the second starts from the family's
-    # LU and needs only the certificate's factorization
-    assert "Jacobian built" in first[0]
-    assert "LU carried from the family" in second[0]
-    assert not any("Jacobian built" in m for m in second)
+    # the first solve builds the preconditioner; the second starts from the
+    # family's and factors only the certificate's matrix
+    assert "preconditioner built" in first[0]
+    assert first_sol.meta["newton"]["preconditioner_builds"] == 1
+    assert n_first == grid.n_l + 1
+    assert "preconditioner carried from the family" in second[0]
+    assert not any("preconditioner built" in m for m in second)
+    assert sol.meta["newton"]["preconditioner_builds"] == 0
     assert len(calls) - n_first == 1
     assert [m for m in second if m.startswith("certificate")] == [
         f"certificate: sigma_min {sol.hl_sigma_min:.6e} "
@@ -757,5 +941,8 @@ def test_rebuild_ratio_zero_refreshes_a_carried_lu(eos15, profile15, monkeypatch
     fam.solve_at(1e-3)
     calls = _counting_lu(monkeypatch)
     sol = fam.solve_at(1.1e-3)
-    # every step but the converged last iteration factors a fresh matrix
-    assert len(calls) == sol.iterations - 1 > 0
+    # every step but the converged last iteration builds a fresh
+    # preconditioner, one LU per degree
+    builds = sol.meta["newton"]["preconditioner_builds"]
+    assert builds == sol.iterations - 1 > 0
+    assert len(calls) == grid.n_l * builds

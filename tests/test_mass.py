@@ -155,17 +155,18 @@ def test_mass_calculator_refuses_a_state_without_boundary():
 
 
 def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
-    # the family's 27 warm-started solves share one Newton LU; the curve is
-    # the one that a fresh factorization per solve gives
+    # the family's 27 warm-started solves share one preconditioner (the
+    # block LUs of the Newton systems); the curve is the one that a fresh
+    # preconditioner per solve gives
     from rotstar import equilibrium
 
-    calls = []
-    lu_factor = equilibrium.lu_factor
+    builds = []
+    factor_blocks = equilibrium._factor_blocks
     solve = equilibrium.solve_equilibrium
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return lu_factor(*args, **kwargs)
+        builds.append(1)
+        return factor_blocks(*args, **kwargs)
 
     def per_solve_lu(*args, carried=None, **kwargs):
         return solve(*args, **kwargs)
@@ -176,12 +177,12 @@ def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
             eos, 1.0, [0.0, 1e-4, 3e-4], calculator=MassCalculator(eos, 1.0)
         )
 
-    monkeypatch.setattr(equilibrium, "lu_factor", counting)
+    monkeypatch.setattr(equilibrium, "_factor_blocks", counting)
     carried = curve()
-    assert len(calls) <= 2
+    assert len(builds) <= 2
     monkeypatch.setattr(equilibrium, "solve_equilibrium", per_solve_lu)
     fresh = curve()
-    assert len(calls) > 10
+    assert len(builds) > 10
     assert carried["mass_reference"] == fresh["mass_reference"]
     for p, q in zip(carried["points"], fresh["points"], strict=True):
         for name in ("rho_center", "beta", "m1", "mass"):

@@ -165,6 +165,29 @@ def test_modes_beyond_two_vanish_in_resolvent(hfield15):
     assert np.max(np.abs(res[2:])) < 1e-6
 
 
+@pytest.mark.parametrize("nu", [1.5, 3.0])
+def test_resolvent_blocks_match_the_dense_solve(nu):
+    # at the spherical state the degree-0 and degree-2 block solves are the
+    # dense solve with the full linearization
+    from rotstar.equilibrium import (
+        gravity_jacobian_packed, newton_matrix, pack_modes, unpack_modes,
+    )
+    from rotstar.rotation import rigid_rotation
+
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    grid = AxiGrid.build(prof.r_inf, n_r=256, n_zeta=16, l_max=4, focus=prof.xi1,
+                         focus_weight=12.0, focus_width=0.015)
+    modes0 = np.zeros((grid.n_l, grid.n_r))
+    modes0[0] = prof.theta_at(grid.r)
+    mat = newton_matrix(gravity_jacobian_packed(grid, eos, 1.0, modes0))
+    g1 = pack_modes(grid, rigid_rotation(grid, 1.0).g_modes)
+    want = unpack_modes(grid, np.linalg.solve(mat, g1))
+    got = perturb._resolvent_h(prof, eos, 1.0, grid)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.all(got[2:] == 0.0)
+
+
 def test_oblateness_report(profile15_mod, hfield15):
     rep0 = oblateness(profile15_mod, hfield15, 0.0)
     assert rep0.sigma == 0.0

@@ -6,19 +6,28 @@ import pytest
 from rotstar import (
     AngularMomentumLaw,
     AxiField,
+    AxiGrid,
     ConstantRotation,
     DifferentialRotation,
     beta_from_omega,
     centrifugal_deriv_apply,
     centrifugal_from_momentum,
     centrifugal_from_omega,
+    initial_field_from_profile,
     mass_within_cylinder,
     total_mass_dimensionless,
 )
 from rotstar.errors import DivergentAxisIntegral, DomainError
 from rotstar import rotation
 from rotstar.grids import interp_matrix
-from rotstar.rotation import CylinderRule, _default_varpi_samples, _field_from_b, rigid_rotation
+from rotstar.rotation import (
+    CylinderRule,
+    LinearizedCentrifugal,
+    _default_varpi_samples,
+    _field_from_b,
+    rigid_rotation,
+)
+from oracles import dm_response_dense
 
 
 def test_zero_rotation(scale15, grid15):
@@ -267,6 +276,25 @@ def test_cylinder_rule_batches_interpolation(theta15, monkeypatch):
     monkeypatch.setattr(rotation, "interp_matrix", counting)
     CylinderRule(grid, _default_varpi_samples(grid, _oblate_state(theta15)))
     assert 0 < len(calls) <= grid.n_zeta
+
+
+def test_dm_response_matches_dense_interpolation(eos15, scale15, profile15):
+    # the complete panels summed on the interpolation stencil give the dense
+    # interp product, on 64 nodes (clipped end stencils) and 160
+    for grid in (
+        AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1),
+        AxiGrid.build(profile15.r_inf, n_r=160, n_zeta=16, l_max=8, focus=profile15.xi1),
+    ):
+        p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
+        theta = initial_field_from_profile(grid, profile15)
+        u = AxiField(grid, theta.values - 0.03 * grid.r[:, None] ** 2 * p2)
+        cyl = mass_within_cylinder(u, eos15, scale15)
+        ms = np.linspace(0, 1.3 * cyl.total, 60)
+        lin = LinearizedCentrifugal(
+            AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total), u, eos15, scale15, cyl
+        )
+        want = dm_response_dense(lin)
+        assert np.max(np.abs(lin.dm_response() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_law_validation():
