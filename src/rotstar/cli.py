@@ -109,7 +109,7 @@ SCHEMA = {
     },
     "mass": {
         "rho_center": ("float", _positive),
-        "omega2_schedule": ("floatlist", None),
+        "omega2_schedule": ("floatlist", _nonneg),
         "rtol": ("float", _positive),
     },
     "output": {

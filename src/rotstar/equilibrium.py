@@ -6,10 +6,10 @@ The solver runs Newton-Kantorovich on even-Legendre mode coefficients,
 falling back to damped Picard iteration.  Each Newton system is solved by
 GMRES to a fixed tight tolerance, with products taken matrix-free at the
 current iterate and right-preconditioned by the per-degree diagonal blocks
-of the linearization (``gravity_jacobian_packed`` with ``diagonal``), which
-are refactored only when the contraction degrades.  A warm-started family (``ConstantRotationFamily``,
-``continuation_in_beta``) carries those block LUs from one solve to the
-next.  Invertibility of the linearization is certified by its smallest
+of the linearization (``gravity_jacobian_packed`` with ``diagonal``),
+factored once per warm-started family at its spherical start, or at a lone
+solve's first Newton step, and again only after a GMRES solve stops at its
+cap.  Invertibility of the linearization is certified by its smallest
 singular value: per Legendre degree at a spherical state, and otherwise by
 block inverse iteration on one LU of the full matrix, the only place the
 full matrix is built.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular, svdvals
@@ -54,7 +54,6 @@ class SolverOptions:
     picard_damping: float = 0.5
     hl_threshold: float = 1e-3
     certify: bool = True
-    rebuild_ratio: float = 0.25   # rebuild the preconditioner when contraction is worse
 
 
 @dataclass
@@ -411,8 +410,7 @@ def hl_certificate_blocks(
     modes = u.modes()
     if not _is_spherical(modes):
         raise DomainError("per-block certificate requires a spherical state")
-    q = scaled_density_deriv(grid.interp @ modes[0], eos, u_center)
-    blocks = degree_blocks(grid, np.broadcast_to(q[:, None], (grid.n_gauss, grid.n_l)))
+    blocks = gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True)
     return {
         int(l): float(svdvals(newton_matrix(blk), overwrite_a=True)[-1])
         for l, blk in zip(grid.lvals, blocks)
@@ -662,26 +660,21 @@ def _solve_modes(
     opts: SolverOptions,
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
-    lu=None,
-    stats: dict | None = None,
+    *,
+    lus: list | None = None,
+    stats: dict,
 ):
-    """Newton iteration in mode space; returns (U, history, g_modes, lu).
+    """Newton iteration in mode space; returns (U, history, g_modes).
 
-    ``lu`` holds the block LUs of the preconditioner, carried in from a
-    nearby state.  They serve until the contraction rule asks for a rebuild;
-    with rebuild_ratio 0 they are stale from the start.  The block LUs in
-    use at the end are returned.  ``stats`` collects the GMRES iterations of
-    each Newton step and the number of preconditioner builds, also when the
-    iteration fails.
+    ``lus`` are the preconditioner's block LUs (``_factor_blocks``), built
+    at the first Newton step if not given, and again at the step after one
+    whose GMRES solve stops at its cap.  ``stats`` collects the GMRES
+    iterations of each Newton step and the number of preconditioner builds,
+    also when the iteration fails.
     """
     history = []
-    if not (opts.newton and opts.rebuild_ratio > 0):
-        lu = None
-    if stats is None:
-        stats = {"gmres_iterations": [], "preconditioner_builds": 0}
     lu_from = "carried from the family"
     lin = None
-    last_res = None
 
     for it in range(opts.max_iter + 1):
         if law is not None:
@@ -695,7 +688,7 @@ def _solve_modes(
         history.append(res)
         if res <= opts.tol:
             _log.debug("iter %2d  residual %.3e  converged", it, res)
-            return U, history, g_modes, lu
+            return U, history, g_modes
         if it == opts.max_iter:
             break
         if not np.isfinite(res):
@@ -706,12 +699,11 @@ def _solve_modes(
             if law is not None and lin is None:
                 lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
             built = ""
-            if lu is None or (last_res is not None and res > opts.rebuild_ratio * last_res):
-                lu = None  # a rebuild never holds two sets of block LUs
-                lu = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
+            if lus is None:
+                lus = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
                 stats["preconditioner_builds"] += 1
                 built, lu_from = "built", f"of iteration {it}"
-            delta, inner, lin_res = _newton_step(grid, fp, lin, lu, pack_modes(grid, rhs))
+            delta, inner, lin_res = _newton_step(grid, fp, lin, lus, pack_modes(grid, rhs))
             stats["gmres_iterations"].append(inner)
             capped = inner == _GMRES_MAX_ITER and lin_res > _GMRES_RTOL
             _log.debug(
@@ -719,39 +711,16 @@ def _solve_modes(
                 "GMRES %d iterations to %.1e%s",
                 it, res, built or lu_from, inner, lin_res, " (iteration cap)" if capped else "",
             )
+            if capped:
+                lus = None  # too far from the operator: rebuild at the next iterate
             U = U + unpack_modes(grid, delta)
         else:
             _log.debug("iter %2d  residual %.3e  Picard step", it, res)
             U = U + opts.picard_damping * rhs
-        last_res = res
     raise NoConvergence(
         f"no convergence after {opts.max_iter} iterations (residual {history[-1]:.3e})",
         history,
     )
-
-
-class _CarriedLU:
-    """The preconditioner's block LUs a warm-started family carries from one
-    solve to the next.
-
-    A solve takes them out (so a rebuild never holds two sets) and puts its
-    own last block LUs back only when it succeeds with a free boundary.
-    """
-
-    def __init__(self):
-        self.lu = None
-
-    def take(self):
-        lu, self.lu = self.lu, None
-        return lu
-
-    def solve(self, g, eos, u_center, init, opts) -> EquilibriumSolution:
-        """``solve_equilibrium`` from the carried block LUs; a converged field
-        without a free boundary raises NoSignChange."""
-        sol = solve_equilibrium(g, eos, u_center, init, opts, carried=self)
-        if sol.R_of_zeta is None:
-            self.lu = None
-        return sol.require_boundary()
 
 
 def solve_equilibrium(
@@ -763,7 +732,7 @@ def solve_equilibrium(
     *,
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
-    carried: _CarriedLU | None = None,
+    preconditioner: list | None = None,
 ) -> EquilibriumSolution:
     """Solve u = g + G(u) starting from init.
 
@@ -775,9 +744,8 @@ def solve_equilibrium(
     invertibility certificate are produced; ``meta["certificate"]`` records
     how the certificate was found, and ``meta["newton"]`` the GMRES
     iterations of each Newton step and the number of preconditioner builds.
-    ``carried`` holds the preconditioner of a warm-started family
-    (``ConstantRotationFamily``, ``continuation_in_beta``): the solve starts
-    from it and leaves its own last one there when it succeeds.
+    ``preconditioner`` holds the block LUs of a warm-started family
+    (``ConstantRotationFamily``); without it the solve builds its own.
     """
     opts = opts or SolverOptions()
     grid = init.grid
@@ -792,19 +760,18 @@ def solve_equilibrium(
     # non-finite residual (NoConvergence), not as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            U, history, g_modes, lu = _solve_modes(
+            U, history, g_modes = _solve_modes(
                 grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
-                None if carried is None else carried.take(), newton,
+                lus=preconditioner, stats=newton,
             )
         except NoConvergence as exc:
             if not opts.newton:
                 raise
             _log.debug("Newton failed (%s); damped Picard from the start", exc)
-            fallback = SolverOptions(**{**opts.__dict__, "newton": False})
-            fallback.max_iter = max(opts.max_iter * 4, 200)
+            fallback = replace(opts, newton=False, max_iter=max(opts.max_iter * 4, 200))
             try:
-                U, history, g_modes, lu = _solve_modes(
-                    grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale
+                U, history, g_modes = _solve_modes(
+                    grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale, stats=newton
                 )
             except NoConvergence as picard:
                 raise NoConvergence(
@@ -817,8 +784,6 @@ def solve_equilibrium(
             meta["fallback"] = f"Newton failed: {exc}"
     if opts.newton:
         meta["newton"] = newton
-    if carried is None:
-        lu = None  # nothing carries the block LUs past this solve
 
     u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)
@@ -830,8 +795,6 @@ def solve_equilibrium(
         )
         if sigma < opts.hl_threshold:
             raise SingularLinearization(sigma, opts.hl_threshold)
-    if carried is not None:
-        carried.lu = lu
     beta = g.beta if g is not None else (0.0 if law is None else None)
     return EquilibriumSolution(
         u=u_field,
@@ -854,7 +817,8 @@ def continuation_in_beta(
     profile: RadialProfile | None = None,
 ) -> list[EquilibriumSolution]:
     """Solve the rigid-rotation family along an increasing beta schedule,
-    warm-starting each solve from the previous solution and its preconditioner.
+    warm-starting each solve from the previous solution; the solves are
+    those of one ``ConstantRotationFamily``.
 
     Raises ContinuationFailure with the partial results attached if a solve
     fails, including one whose field has no free boundary (NoSignChange); an
@@ -863,37 +827,26 @@ def continuation_in_beta(
     schedule = list(schedule)
     if not schedule:
         return []
-    if any(b < 0 for b in schedule) or any(
-        b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])
-    ):
+    if schedule[0] < 0 or any(b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])):
         raise DomainError("schedule must be nonnegative and strictly increasing")
-    opts = opts or SolverOptions()
-    if profile is None:
-        profile = solve_lane_emden(eos, u_center)
-    if grid is None:
-        grid = AxiGrid.build(profile.r_inf, focus=profile.xi1)
-    init = initial_field_from_profile(grid, profile)
+    family = ConstantRotationFamily(eos, u_center, grid, opts or SolverOptions(), profile)
     out: list[EquilibriumSolution] = []
-    current = init
-    carried = _CarriedLU()
     for beta in schedule:
         try:
-            sol = carried.solve(rigid_rotation(grid, beta), eos, u_center, current, opts)
+            out.append(family.solve_at(beta))
         except Exception as exc:  # noqa: BLE001 - annotate and re-raise
             raise ContinuationFailure(beta, exc, out) from exc
-        sol.beta = beta
-        out.append(sol)
-        current = sol.u
     return out
 
 
 class ConstantRotationFamily:
     """Random-access rigid-rotation solves with warm starts, keyed by beta.
 
-    Each solve starts from the nearest cached state and from the
-    preconditioner of the last solve.  A converged field without a free
-    boundary raises NoSignChange and is not cached.  Used wherever many
-    nearby solves are needed (mass curves, slope fits).
+    Each solve starts from the nearest cached state, and every Newton solve
+    of the family is preconditioned by the block LUs factored once at its
+    spherical start.  A converged field without a free boundary raises
+    NoSignChange and is not cached.  Used wherever many nearby solves are
+    needed (mass curves, slope fits).
     """
 
     def __init__(
@@ -910,9 +863,11 @@ class ConstantRotationFamily:
         self.grid = grid or AxiGrid.build(self.profile.r_inf, focus=self.profile.xi1)
         self.opts = opts or SolverOptions(certify=False)
         self._cache: dict[float, EquilibriumSolution] = {}
-        self._lu = _CarriedLU()
+        self._lus = None
 
     def solve_at(self, beta: float) -> EquilibriumSolution:
+        if beta < 0:
+            raise DomainError(f"beta must be nonnegative, got {beta!r}")
         if beta in self._cache:
             return self._cache[beta]
         if self._cache:
@@ -920,8 +875,18 @@ class ConstantRotationFamily:
             init = self._cache[nearest].u
         else:
             init = initial_field_from_profile(self.grid, self.profile)
+        built = self._lus is None and self.opts.newton
+        if built:  # only at the first solve, whose start is spherical
+            self._lus = _factor_blocks(
+                self.grid, self.eos, self.u_center, init.modes(), self.opts.hl_threshold
+            )
+            _log.debug("preconditioner built at the spherical start")
         cf = rigid_rotation(self.grid, beta)
-        sol = self._lu.solve(cf, self.eos, self.u_center, init, self.opts)
+        sol = solve_equilibrium(
+            cf, self.eos, self.u_center, init, self.opts, preconditioner=self._lus
+        ).require_boundary()
+        if built:
+            sol.meta["newton"]["preconditioner_builds"] += 1
         sol.beta = beta
         self._cache[beta] = sol
         return sol

@@ -242,6 +242,51 @@ rtol = 1e-8
     assert max(doc["relative_errors"]) <= 1e-6
 
 
+def test_mass_curve_refuses_negative_rotation(tmp_path, capsys):
+    ini = """
+[run]
+command = mass-curve
+
+[eos]
+kind = polytrope
+gamma = 1.6666666666666667
+
+[grid]
+n_r = 64
+n_zeta = 12
+l_max = 4
+
+[mass]
+omega2_schedule = 0.0, -1e-4
+"""
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, ini)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["parameter"] == "mass.omega2_schedule"
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_every_solver_option_is_a_config_key(tmp_path):
+    # each SolverOptions field is set from a [solver] key: a config giving
+    # every key a non-default value leaves no field at its default
+    import dataclasses
+
+    from rotstar.cli import solver_options
+    from rotstar.equilibrium import SolverOptions
+
+    ini = SOLVE_INI.replace("tol = 1e-10", """tol = 1e-9
+max_iter = 7
+newton = false
+damping = 0.25
+hl_threshold = 1e-4
+certify = false""")
+    opts = solver_options(load_config(_write(tmp_path, ini)))
+    default = SolverOptions()
+    for f in dataclasses.fields(SolverOptions):
+        assert getattr(opts, f.name) != getattr(default, f.name), f.name
+
+
 def test_missing_command(tmp_path, capsys):
     cfg = _write(tmp_path, "[eos]\nkind = polytrope\ngamma = 1.5\n")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

@@ -135,28 +135,37 @@ def test_verbose_solve_logs_each_iteration(profile15, eos15, grid15, caplog, cap
 
 def test_newton_lines_name_gmres_and_preconditioner(eos15, profile15, caplog):
     # each Newton line gives the GMRES iterations and linear residual and says
-    # whether the preconditioner was built or carried; meta["newton"] counts both
+    # whether the preconditioner was built or carried; meta["newton"] counts
+    # both.  A lone solve builds it at its first step; a family builds it
+    # once, at its spherical start, and carries it into every solve.
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
-    fam = ConstantRotationFamily(
-        eos15, 1.0, grid=grid, opts=SolverOptions(certify=False), profile=profile15
-    )
+    opts = SolverOptions(certify=False)
+    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=opts, profile=profile15)
+    init = initial_field_from_profile(grid, profile15)
     caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
-    for beta in (1e-3, 1.1e-3):
+    solves = [
+        ("lone", lambda: solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, init, opts)),
+        ("first", lambda: fam.solve_at(1e-3)),
+        ("second", lambda: fam.solve_at(1.1e-3)),
+    ]
+    for kind, solve in solves:
         caplog.clear()
-        sol = fam.solve_at(beta)
+        sol = solve()
         lines = [r.getMessage() for r in caplog.records]
         steps = [m for m in lines if "Newton step" in m]
         assert len(steps) == sol.iterations - 1 == len(sol.meta["newton"]["gmres_iterations"])
         for line, inner in zip(steps, sol.meta["newton"]["gmres_iterations"]):
             assert f"GMRES {inner} iterations to " in line
             assert float(line.rsplit(" ", 1)[1]) <= 1e-12
-        built = [m for m in steps if "preconditioner built" in m]
+        built = [m for m in lines if "preconditioner built" in m]
         assert len(built) == sol.meta["newton"]["preconditioner_builds"]
-        if beta == 1e-3:
+        if kind == "lone":
             assert "preconditioner built" in steps[0]
             assert all("preconditioner of iteration 0" in m for m in steps[1:])
         else:
             assert all("preconditioner carried from the family" in m for m in steps)
+        if kind == "first":
+            assert built == ["preconditioner built at the spherical start"]
 
 
 def test_free_boundary_examples(grid15, theta15, profile15):
@@ -300,7 +309,7 @@ def test_newton_convergence_order(nu, order_floor):
     start = AxiField.from_modes(grid, init.modes() + pert)
     sol = solve_equilibrium(
         None, eos, 1.0, start,
-        SolverOptions(tol=1e-14, certify=False, rebuild_ratio=0.0, max_iter=30),
+        SolverOptions(tol=1e-14, certify=False, max_iter=30),
     )
     res = np.array(sol.residual_history)
     idx = np.nonzero((res > 2e-14) & (res < 1e-2))[0]
@@ -874,9 +883,11 @@ def test_family_refuses_a_state_without_boundary(eos3, profile3):
     fam = ConstantRotationFamily(eos3, 1.0, grid=_no_boundary_case(profile3), profile=profile3)
     with pytest.raises(NoSignChange, match="a1=False, a2=False"):
         fam.solve_at(3e-2)
-    assert fam._cache == {} and fam._lu.lu is None
+    # the family keeps the preconditioner of its spherical start
+    lus = fam._lus
+    assert fam._cache == {} and lus is not None
     assert fam.solve_at(1e-3).R_of_zeta is not None
-    assert fam._lu.lu is not None
+    assert fam._lus is lus
 
 
 def test_continuation_refuses_a_state_without_boundary(eos3, profile3):
@@ -905,8 +916,9 @@ def _counting_lu(monkeypatch):
 
 
 def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
-    # the family carries the preconditioner of its Newton systems, the block
-    # LUs of the per-degree blocks, from one solve to the next
+    # the family builds the preconditioner of its Newton systems, the block
+    # LUs of the per-degree blocks, in its first solve and carries it into
+    # the next
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(), profile=profile15)
     calls = _counting_lu(monkeypatch)
@@ -934,15 +946,67 @@ def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
     assert sum(m.startswith("iter") for m in second) == sol.iterations
 
 
-def test_rebuild_ratio_zero_refreshes_a_carried_lu(eos15, profile15, monkeypatch):
+def test_family_factors_its_blocks_once(eos15, profile15, monkeypatch):
+    # three solves of one family share the block LUs built at its spherical start
+    from rotstar import equilibrium
+
+    builds = []
+    factor_blocks = equilibrium._factor_blocks
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return factor_blocks(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "_factor_blocks", counting)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
-    opts = SolverOptions(certify=False, rebuild_ratio=0.0)
+    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, profile=profile15)
+    sols = [fam.solve_at(beta) for beta in (0.0, 1e-3, 2e-3)]
+    assert len(builds) == 1
+    assert [s.meta["newton"]["preconditioner_builds"] for s in sols] == [1, 0, 0]
+
+
+def test_continuation_is_the_family_over_its_schedule(eos15, profile15):
+    # an increasing schedule warm-starts each solve from the previous one, as
+    # the family does from the nearest cached beta: the states are bitwise equal
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    opts = SolverOptions(tol=1e-11)
+    schedule = [0.0, 1e-3, 2.5e-3]
+    sols = continuation_in_beta(schedule, eos15, 1.0, grid=grid, opts=opts, profile=profile15)
     fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=opts, profile=profile15)
-    fam.solve_at(1e-3)
-    calls = _counting_lu(monkeypatch)
-    sol = fam.solve_at(1.1e-3)
-    # every step but the converged last iteration builds a fresh
-    # preconditioner, one LU per degree
-    builds = sol.meta["newton"]["preconditioner_builds"]
-    assert builds == sol.iterations - 1 > 0
-    assert len(calls) == grid.n_l * builds
+    for sol, beta in zip(sols, schedule, strict=True):
+        ref = fam.solve_at(beta)
+        assert sol.beta == ref.beta == beta
+        assert np.array_equal(sol.u.values, ref.u.values)
+        assert np.array_equal(sol.R_of_zeta, ref.R_of_zeta)
+        assert sol.residual_history == ref.residual_history
+        assert sol.hl_sigma_min == ref.hl_sigma_min
+
+
+def test_family_refuses_negative_rotation(eos15, profile15):
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, profile=profile15)
+    with pytest.raises(DomainError):
+        fam.solve_at(-1e-3)
+    assert fam._cache == {} and fam._lus is None
+
+
+def test_capped_gmres_step_rebuilds_the_preconditioner(eos3, profile3, caplog):
+    # past mass shedding the blocks stop resembling the operator and GMRES
+    # stops at its cap; the next Newton step rebuilds them at its iterate
+    from rotstar.errors import NoConvergence
+
+    grid = AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
+    init = initial_field_from_profile(grid, profile3)
+    caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
+    with pytest.raises(NoConvergence):
+        solve_equilibrium(rigid_rotation(grid, 6e-2), eos3, 1.0, init,
+                          SolverOptions(certify=False))
+    steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+    capped = [i for i, m in enumerate(steps) if "(iteration cap)" in m]
+    assert capped and capped[0] > 0
+    assert "preconditioner built" in steps[0]
+    for i in capped:
+        if i + 1 < len(steps):
+            assert "preconditioner built" in steps[i + 1]
+    rebuilt = [i for i, m in enumerate(steps) if "preconditioner built" in m]
+    assert rebuilt == [0] + [i + 1 for i in capped if i + 1 < len(steps)]

@@ -168,7 +168,7 @@ def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
         builds.append(1)
         return factor_blocks(*args, **kwargs)
 
-    def per_solve_lu(*args, carried=None, **kwargs):
+    def per_solve_lu(*args, preconditioner=None, **kwargs):
         return solve(*args, **kwargs)
 
     def curve():
