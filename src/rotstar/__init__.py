@@ -45,7 +45,6 @@ from .perturb import (
 from .potential import (
     grad_at_origin,
     kernel_eval,
-    legendre_coeffs,
     potential_direct,
     potential_modes_from_samples,
     potential_multipole,

@@ -14,12 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import SingularPoint
-from .grids import AxiField, AxiGrid, panel_gauss
-
-# the scalar leaf rule of _refine_cell, kept inline: a kernel-check visits
-# ~17,400 leaves, and a panel_gauss call per leaf costs more than it saves
-_G4X, _G4W = np.polynomial.legendre.leggauss(4)
+from .errors import DomainError, SingularPoint
+from .grids import AxiField, AxiGrid, interp_stencil, legendre_table, panel_gauss
 
 
 def _kernel_parts(r, zeta, rp, zetap):
@@ -36,7 +32,6 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
     cross-check).
     """
     from scipy.integrate import quad  # validation path only
-    from scipy.special import ellipk
 
     a, b = _kernel_parts(r, zeta, rp, zetap)
     scale = max(r, rp, 1e-300)
@@ -45,8 +40,7 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
             f"kernel evaluated at coincident points (r={r:g}, zeta={zeta:g})"
         )
     if method == "elliptic":
-        m = 2.0 * b / (a + b)
-        return 4.0 * float(ellipk(m)) / math.sqrt(a + b)
+        return float(_kernel_elliptic(a, b))
     val, _ = quad(
         lambda phi: 1.0 / math.sqrt(a - b * math.cos(phi)),
         0.0,
@@ -58,17 +52,13 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
     return val
 
 
-def _kernel_elliptic_arrays(r, zeta, rp, zetap):
+def _kernel_elliptic(a, b):
+    """The integral of 1/sqrt(a - b cos phi) over one turn, 4 K(m)/sqrt(a + b)
+    with m = 2b/(a + b), from the parts a, b of ``_kernel_parts``."""
     from scipy.special import ellipk  # validation path only
 
-    a, b = _kernel_parts(r, zeta, rp, zetap)
     m = 2.0 * b / (a + b)
     return 4.0 * ellipk(m) / np.sqrt(a + b)
-
-
-def legendre_coeffs(field: AxiField) -> np.ndarray:
-    """Even-degree Legendre coefficients f_l(r_i), shape (n_l, n_r)."""
-    return field.modes()
 
 
 def potential_multipole(field: AxiField) -> AxiField:
@@ -115,28 +105,6 @@ def grad_at_origin(field: AxiField) -> float:
 # direct quadrature path
 
 
-def _refine_cell(evalf, tr, tz, r_lo, r_hi, z_lo, z_hi, f_t, depth):
-    """Recursively integrate K * (f - f_t) * r'^2 over a cell containing (or
-    near) the singular target; the subtraction keeps the integrand bounded."""
-    inside = (r_lo <= tr <= r_hi) and (z_lo <= tz <= z_hi)
-    if depth == 0 or not inside:
-        xr = 0.5 * (r_hi + r_lo) + 0.5 * (r_hi - r_lo) * _G4X
-        wr = 0.5 * (r_hi - r_lo) * _G4W
-        xz = 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * _G4X
-        wz = 0.5 * (z_hi - z_lo) * _G4W
-        f = evalf(xr, xz) - f_t
-        ker = _kernel_elliptic_arrays(tr, tz, xr[:, None], xz[None, :])
-        w2 = (wr * xr ** 2)[:, None] * wz[None, :]
-        return float(np.sum(ker * w2 * f))
-    rm = 0.5 * (r_lo + r_hi)
-    zm = 0.5 * (z_lo + z_hi)
-    total = 0.0
-    for rl, rh in ((r_lo, rm), (rm, r_hi)):
-        for zl, zh in ((z_lo, zm), (zm, z_hi)):
-            total += _refine_cell(evalf, tr, tz, rl, rh, zl, zh, f_t, depth - 1)
-    return total
-
-
 def potential_direct(
     field: AxiField,
     refine_depth: int = 5,
@@ -153,79 +121,99 @@ def potential_direct(
     quadrature points instead of interpolating the sampled field (for sources
     such as indicators that node samples cannot represent).
     """
-    from scipy.special import eval_legendre  # validation path only
-
+    if refine_depth < 0:
+        raise DomainError(f"refine_depth must be >= 0, got {refine_depth}")
+    if window < 0:
+        raise DomainError(f"window must be >= 0, got {window}")
+    if zeta_cells is not None and zeta_cells < 1:
+        raise DomainError(f"zeta_cells must be >= 1, got {zeta_cells}")
     grid = field.grid
     modes = field.modes()
 
-    if source_fn is None:
-        def evalf(r_arr, z_arr):
-            fl = grid.eval_modes_at(modes, np.asarray(r_arr, dtype=float))
-            pz = np.array([eval_legendre(l, np.asarray(z_arr, dtype=float))
-                           for l in grid.lvals])
-            return fl.T @ pz
-    else:
-        def evalf(r_arr, z_arr):
-            r_arr = np.asarray(r_arr, dtype=float)
-            z_arr = np.asarray(z_arr, dtype=float)
-            return source_fn(r_arr[:, None], z_arr[None, :])
-    n_zc = zeta_cells or 4 * grid.n_zeta  # zeta panels of the composite rule
+    def cell_rule(r_lo, r_hi, z_lo, z_hi):
+        """Radii, zetas, weights r'^2 dr' dzeta' and source values of the
+        4 x 4 Gauss rule on each cell; the last two axes are radius, zeta."""
+        xr, wr = panel_gauss(r_lo, r_hi)
+        xz, wz = panel_gauss(z_lo, z_hi)
+        w = (wr * xr ** 2)[:, :, None] * wz[:, None, :]
+        if source_fn is None:
+            cols, weights = interp_stencil(grid.r, xr.ravel())
+            fr = np.einsum("lps,ps->lp", modes[:, cols], weights)
+            fr = fr.reshape((grid.n_l,) + xr.shape)
+            f = np.einsum("lmr,lmz->mrz", fr, legendre_table(grid.lvals, xz))
+        else:
+            f = source_fn(xr[:, :, None], xz[:, None, :]) * np.ones(w.shape)
+        return xr[:, :, None], xz[:, None, :], w, f
+
+    n_zc = 4 * grid.n_zeta if zeta_cells is None else zeta_cells
     z_edges = np.linspace(-1.0, 1.0, n_zc + 1)
-    r_edges = grid.r
-
-    # coarse source points, ordered cell by cell ((n_r-1) * n_zc blocks of 16)
-    xz_cells, wz_cells = panel_gauss(z_edges[:-1], z_edges[1:])
-    xr_cells, wr_cells = panel_gauss(r_edges[:-1], r_edges[1:])
     n_rc = grid.n_r - 1
-    src_r = np.repeat(xr_cells.reshape(n_rc, 1, 4, 1), n_zc, axis=1)
-    src_z = np.broadcast_to(xz_cells.reshape(1, n_zc, 1, 4), (n_rc, n_zc, 4, 4))
-    src_w = (wr_cells * xr_cells ** 2).reshape(n_rc, 1, 4, 1) * wz_cells.reshape(1, n_zc, 1, 4)
     if source_fn is None:
-        f_modes_r = grid.eval_modes_at(modes, xr_cells.ravel())
-        pz = np.stack([eval_legendre(l, xz_cells) for l in grid.lvals])
-        src_f = np.einsum("lkg,ljz->kjgz", f_modes_r.reshape(grid.n_l, n_rc, 4), pz)
-    else:
-        src_f = source_fn(
-            xr_cells.reshape(n_rc, 1, 4, 1), xz_cells.reshape(1, n_zc, 1, 4)
-        ) * np.ones((n_rc, n_zc, 4, 4))
-    shape = (n_rc, n_zc, 4, 4)
-    src_r = np.broadcast_to(src_r, shape).reshape(-1)
-    src_z = src_z.reshape(-1)
-    src_w = src_w.reshape(-1)
-    src_f = src_f.reshape(-1)
-
-    out = np.empty((grid.n_r, grid.n_zeta))
-    if source_fn is None:
-        leg_t = np.stack([eval_legendre(l, grid.zeta) for l in grid.lvals])
-        f_nodes = modes.T @ leg_t  # target values (n_r, n_zeta)
+        f_nodes = grid.synthesize(modes)  # target values (n_r, n_zeta)
     else:
         f_nodes = source_fn(grid.r[:, None], grid.zeta[None, :]) * np.ones(
             (grid.n_r, grid.n_zeta)
         )
-    for i in range(grid.n_r):
-        tr = grid.r[i]
-        kt = min(max(np.searchsorted(r_edges, tr) - 1, 0), n_rc - 1)
-        near_k = range(max(kt - window, 0), min(kt + window + 1, n_rc))
-        ker = _kernel_elliptic_arrays(tr, grid.zeta[:, None], src_r[None, :], src_z[None, :])
-        base = ker * src_w[None, :]
-        for j in range(grid.n_zeta):
-            tz = grid.zeta[j]
-            jt = min(max(np.searchsorted(z_edges, tz) - 1, 0), n_zc - 1)
-            near_j = range(max(jt - window, 0), min(jt + window + 1, n_zc))
-            f_t = float(f_nodes[i, j])
-            vec = base[j] * (src_f - f_t)
-            acc = float(np.sum(vec))
-            for kk in near_k:
-                for jj in near_j:
-                    lo = 16 * (kk * n_zc + jj)
-                    acc -= float(np.sum(vec[lo : lo + 16]))
-                    acc += _refine_cell(
-                        evalf, tr, tz,
-                        r_edges[kk], r_edges[kk + 1],
-                        z_edges[jj], z_edges[jj + 1],
-                        f_t, refine_depth,
-                    )
-            out[i, j] = acc / (4.0 * math.pi) + f_t * uniform_ball_potential(
-                grid.r_inf, tr
-            )
-    return AxiField(grid, out)
+    # the cells refined for a target: those within `window` cells of its own
+    # cell, radially and in zeta
+    kt = np.clip(np.searchsorted(grid.r, grid.r) - 1, 0, n_rc - 1)
+    jt = np.clip(np.searchsorted(z_edges, grid.zeta) - 1, 0, n_zc - 1)
+    near_k = np.abs(np.arange(n_rc) - kt[:, None]) <= window
+    near_j = np.abs(np.arange(n_zc) - jt[:, None]) <= window
+
+    # far field: the coarse rule on every cell, one kernel row per target
+    # radius (never targets x sources at once).  The kernel is even under
+    # (zeta, zeta') -> (-zeta, -zeta'), and the zeta nodes and cells are
+    # mirror images (to rounding), so the rows of zeta < 0 are those of
+    # zeta >= 0 with the cells mirrored.  _kernel_parts' a and b are
+    # r^2 + r'^2 - r zeta (2 r' zeta') and r sqrt(1 - zeta^2) (2 r' sqrt(1 - zeta'^2)),
+    # with the source factors formed once.
+    kc, jc = np.divmod(np.arange(n_rc * n_zc), n_zc)
+    xr, xz, w, f = cell_rule(grid.r[kc], grid.r[kc + 1], z_edges[jc], z_edges[jc + 1])
+    cells = (n_rc, n_zc, 4, 4)
+    w, wf = w.reshape(cells), (w * f).reshape(cells)
+    r2, cz, sz = xr ** 2, 2.0 * xr * xz, 2.0 * xr * np.sqrt(1.0 - xz ** 2)
+    half = grid.n_zeta // 2
+    tz = grid.zeta[half:, None, None, None]
+    acc = np.empty((grid.n_r, grid.n_zeta))
+    for i, r in enumerate(grid.r):
+        ker = _kernel_elliptic(r * r + r2 - r * tz * cz, r * np.sqrt(1.0 - tz ** 2) * sz)
+        ker = ker.reshape((-1,) + cells)
+        ker = np.concatenate((ker[::-1, :, ::-1, :, ::-1][:half], ker))
+        kw = np.einsum("jkcrz,kcrz->jkc", ker, w)
+        kwf = np.einsum("jkcrz,kcrz->jkc", ker, wf)
+        near = near_k[i][:, None] & near_j[:, None, :]
+        acc[i] = np.where(near, 0.0, kwf - f_nodes[i][:, None, None] * kw).sum(axis=(1, 2))
+
+    # near field, level by level over every (target, near cell) pair: a cell
+    # that holds its target (closed test, so a target on an edge goes into
+    # every cell touching it) splits in four above depth 0; the others are leaves
+    pi, pk = np.nonzero(near_k)
+    pj, pc = np.nonzero(near_j)
+    a, b = np.repeat(np.arange(len(pi)), len(pj)), np.tile(np.arange(len(pj)), len(pi))
+    tgt = pi[a] * grid.n_zeta + pj[b]
+    r_lo, r_hi = grid.r[pk[a]], grid.r[pk[a] + 1]
+    z_lo, z_hi = z_edges[pc[b]], z_edges[pc[b] + 1]
+    t_r, t_z = np.repeat(grid.r, grid.n_zeta), np.tile(grid.zeta, grid.n_r)
+    t_f = f_nodes.ravel()
+    for depth in range(refine_depth, -1, -1):
+        tr, tz = t_r[tgt], t_z[tgt]
+        split = (r_lo <= tr) & (tr <= r_hi) & (z_lo <= tz) & (tz <= z_hi) & (depth > 0)
+        leaf = ~split
+        xr, xz, w, f = cell_rule(r_lo[leaf], r_hi[leaf], z_lo[leaf], z_hi[leaf])
+        ker = _kernel_elliptic(*_kernel_parts(tr[leaf, None, None], tz[leaf, None, None], xr, xz))
+        vals = np.sum(ker * w * (f - t_f[tgt[leaf], None, None]), axis=(1, 2))
+        # bincount adds in a fixed order, so the result is deterministic
+        acc += np.bincount(tgt[leaf], weights=vals, minlength=acc.size).reshape(acc.shape)
+        r_lo, r_hi, z_lo, z_hi = r_lo[split], r_hi[split], z_lo[split], z_hi[split]
+        rm, zm = 0.5 * (r_lo + r_hi), 0.5 * (z_lo + z_hi)
+        children = (
+            (r_lo, r_lo, rm, rm),
+            (rm, rm, r_hi, r_hi),
+            (z_lo, zm, z_lo, zm),
+            (zm, z_hi, zm, z_hi),
+        )
+        r_lo, r_hi, z_lo, z_hi = (np.stack(c, axis=1).ravel() for c in children)
+        tgt = np.repeat(tgt[split], 4)
+    ball = uniform_ball_potential(grid.r_inf, grid.r)
+    return AxiField(grid, acc / (4.0 * math.pi) + f_nodes * ball[:, None])

@@ -179,6 +179,123 @@ def free_boundary_per_ray(grid, values, r0):
     return R
 
 
+# the scalar 4-point Gauss rule of the recursive direct quadrature's leaves
+_G4X, _G4W = np.polynomial.legendre.leggauss(4)
+
+
+def _refine_cell(evalf, tr, tz, r_lo, r_hi, z_lo, z_hi, f_t, depth):
+    """Recursively integrate K * (f - f_t) * r'^2 over a cell containing (or
+    near) the singular target; the subtraction keeps the integrand bounded."""
+    from rotstar.potential import _kernel_elliptic, _kernel_parts
+
+    inside = (r_lo <= tr <= r_hi) and (z_lo <= tz <= z_hi)
+    if depth == 0 or not inside:
+        xr = 0.5 * (r_hi + r_lo) + 0.5 * (r_hi - r_lo) * _G4X
+        wr = 0.5 * (r_hi - r_lo) * _G4W
+        xz = 0.5 * (z_hi + z_lo) + 0.5 * (z_hi - z_lo) * _G4X
+        wz = 0.5 * (z_hi - z_lo) * _G4W
+        f = evalf(xr, xz) - f_t
+        ker = _kernel_elliptic(*_kernel_parts(tr, tz, xr[:, None], xz[None, :]))
+        w2 = (wr * xr ** 2)[:, None] * wz[None, :]
+        return float(np.sum(ker * w2 * f))
+    rm = 0.5 * (r_lo + r_hi)
+    zm = 0.5 * (z_lo + z_hi)
+    total = 0.0
+    for rl, rh in ((r_lo, rm), (rm, r_hi)):
+        for zl, zh in ((z_lo, zm), (zm, z_hi)):
+            total += _refine_cell(evalf, tr, tz, rl, rh, zl, zh, f_t, depth - 1)
+    return total
+
+
+def potential_direct_recursive(
+    field, refine_depth=5, window=2, zeta_cells=None, source_fn=None
+):
+    """``potential.potential_direct`` as a per-target recursion over the
+    refinement cells, one leaf at a time: the reference for the level-by-level
+    array version."""
+    from scipy.special import eval_legendre
+
+    from rotstar.grids import AxiField, panel_gauss
+    from rotstar.potential import _kernel_elliptic, _kernel_parts, uniform_ball_potential
+
+    grid = field.grid
+    modes = field.modes()
+
+    if source_fn is None:
+        def evalf(r_arr, z_arr):
+            fl = grid.eval_modes_at(modes, np.asarray(r_arr, dtype=float))
+            pz = np.array([eval_legendre(l, np.asarray(z_arr, dtype=float))
+                           for l in grid.lvals])
+            return fl.T @ pz
+    else:
+        def evalf(r_arr, z_arr):
+            r_arr = np.asarray(r_arr, dtype=float)
+            z_arr = np.asarray(z_arr, dtype=float)
+            return source_fn(r_arr[:, None], z_arr[None, :])
+    n_zc = zeta_cells or 4 * grid.n_zeta  # zeta panels of the composite rule
+    z_edges = np.linspace(-1.0, 1.0, n_zc + 1)
+    r_edges = grid.r
+
+    # coarse source points, ordered cell by cell ((n_r-1) * n_zc blocks of 16)
+    xz_cells, wz_cells = panel_gauss(z_edges[:-1], z_edges[1:])
+    xr_cells, wr_cells = panel_gauss(r_edges[:-1], r_edges[1:])
+    n_rc = grid.n_r - 1
+    src_r = np.repeat(xr_cells.reshape(n_rc, 1, 4, 1), n_zc, axis=1)
+    src_z = np.broadcast_to(xz_cells.reshape(1, n_zc, 1, 4), (n_rc, n_zc, 4, 4))
+    src_w = (wr_cells * xr_cells ** 2).reshape(n_rc, 1, 4, 1) * wz_cells.reshape(1, n_zc, 1, 4)
+    if source_fn is None:
+        f_modes_r = grid.eval_modes_at(modes, xr_cells.ravel())
+        pz = np.stack([eval_legendre(l, xz_cells) for l in grid.lvals])
+        src_f = np.einsum("lkg,ljz->kjgz", f_modes_r.reshape(grid.n_l, n_rc, 4), pz)
+    else:
+        src_f = source_fn(
+            xr_cells.reshape(n_rc, 1, 4, 1), xz_cells.reshape(1, n_zc, 1, 4)
+        ) * np.ones((n_rc, n_zc, 4, 4))
+    shape = (n_rc, n_zc, 4, 4)
+    src_r = np.broadcast_to(src_r, shape).reshape(-1)
+    src_z = src_z.reshape(-1)
+    src_w = src_w.reshape(-1)
+    src_f = src_f.reshape(-1)
+
+    out = np.empty((grid.n_r, grid.n_zeta))
+    if source_fn is None:
+        leg_t = np.stack([eval_legendre(l, grid.zeta) for l in grid.lvals])
+        f_nodes = modes.T @ leg_t  # target values (n_r, n_zeta)
+    else:
+        f_nodes = source_fn(grid.r[:, None], grid.zeta[None, :]) * np.ones(
+            (grid.n_r, grid.n_zeta)
+        )
+    for i in range(grid.n_r):
+        tr = grid.r[i]
+        kt = min(max(np.searchsorted(r_edges, tr) - 1, 0), n_rc - 1)
+        near_k = range(max(kt - window, 0), min(kt + window + 1, n_rc))
+        ker = _kernel_elliptic(
+            *_kernel_parts(tr, grid.zeta[:, None], src_r[None, :], src_z[None, :])
+        )
+        base = ker * src_w[None, :]
+        for j in range(grid.n_zeta):
+            tz = grid.zeta[j]
+            jt = min(max(np.searchsorted(z_edges, tz) - 1, 0), n_zc - 1)
+            near_j = range(max(jt - window, 0), min(jt + window + 1, n_zc))
+            f_t = float(f_nodes[i, j])
+            vec = base[j] * (src_f - f_t)
+            acc = float(np.sum(vec))
+            for kk in near_k:
+                for jj in near_j:
+                    lo = 16 * (kk * n_zc + jj)
+                    acc -= float(np.sum(vec[lo : lo + 16]))
+                    acc += _refine_cell(
+                        evalf, tr, tz,
+                        r_edges[kk], r_edges[kk + 1],
+                        z_edges[jj], z_edges[jj + 1],
+                        f_t, refine_depth,
+                    )
+            out[i, j] = acc / (4.0 * math.pi) + f_t * uniform_ball_potential(
+                grid.r_inf, tr
+            )
+    return AxiField(grid, out)
+
+
 def regenerate() -> dict:
     data = {}
     for nu in (1.5, 2.0, 2.5, 3.0):

@@ -8,15 +8,14 @@ from rotstar import (
     AxiGrid,
     grad_at_origin,
     kernel_eval,
-    legendre_coeffs,
     potential_direct,
     potential_modes_from_samples,
     potential_multipole,
     scaled_density,
     uniform_ball_potential,
 )
-from rotstar.errors import SingularPoint
-from oracles import trapezoid
+from rotstar.errors import DomainError, SingularPoint
+from oracles import potential_direct_recursive, trapezoid
 
 
 def test_kernel_center_value():
@@ -52,20 +51,20 @@ def test_kernel_singular_point():
 def test_legendre_coeffs_examples():
     grid = AxiGrid.build(2.0, n_r=32, n_zeta=16, l_max=8)
     ones = AxiField.from_function(grid, lambda r, z: np.ones_like(r * z))
-    m = legendre_coeffs(ones)
+    m = ones.modes()
     assert np.allclose(m[0], 1.0, atol=1e-14)
     assert np.max(np.abs(m[1:])) < 1e-14
 
     # pure P2 content (the center row is pinned to a constant, so the
     # assertion applies away from r = 0 where the field is in the space)
     p2 = AxiField.from_function(grid, lambda r, z: 0.5 * (3 * z ** 2 - 1) + 0 * r)
-    m = legendre_coeffs(p2)
+    m = p2.modes()
     assert np.allclose(m[1][1:], 1.0, atol=1e-13)
     assert np.max(np.abs(m[[2, 3, 4]])) < 1e-13
 
     # the rigid centrifugal source r^2 (1 - zeta^2)/4 splits into r^2/6 - r^2/6 P2
     g1 = AxiField.from_function(grid, lambda r, z: 0.25 * r ** 2 * (1 - z ** 2))
-    m = legendre_coeffs(g1)
+    m = g1.modes()
     assert np.allclose(m[0], grid.r ** 2 / 6, atol=1e-13)
     assert np.allclose(m[1], -grid.r ** 2 / 6, atol=1e-13)
     assert np.max(np.abs(m[2:])) < 1e-13
@@ -192,12 +191,53 @@ def test_multipole_vs_direct_small_grid():
 
 
 def test_direct_ball_center_exact_sources():
+    f, ball = _ball_case()
+    R = f.grid.r[22]
+    kd = potential_direct(f, refine_depth=3, window=1, source_fn=ball)
+    assert abs(kd.values[0, 0] - uniform_ball_potential(R, 0.0)) < 1e-4
+
+
+def _ball_case():
     grid = AxiGrid.build(2.0, n_r=32, n_zeta=12, l_max=4)
     R = grid.r[22]
     ball = lambda r, z: 1.0 * (r <= R) + 0.0 * z
-    f = AxiField.from_function(grid, ball)
-    kd = potential_direct(f, refine_depth=3, window=1, source_fn=ball)
-    assert abs(kd.values[0, 0] - uniform_ball_potential(R, 0.0)) < 1e-4
+    return AxiField.from_function(grid, ball), ball
+
+
+@pytest.mark.parametrize(
+    "case, refine_depth, window",
+    [("smooth", 4, 2), ("ball", 3, 1), ("odd", 0, 2), ("odd", 3, 2), ("tilted", 2, 1)],
+)
+def test_direct_matches_recursive_oracle(case, refine_depth, window):
+    # the level-by-level quadrature against the per-leaf recursion; with odd
+    # n_zeta the target zeta = 0 sits on a zeta edge as well as an r edge, so
+    # it goes into several cells at every level; the tilted source is not
+    # equatorially symmetric, though the far field mirrors kernel rows
+    source_fn = None
+    if case == "ball":
+        f, source_fn = _ball_case()
+    elif case == "tilted":
+        grid = AxiGrid.build(2.0, n_r=14, n_zeta=8, l_max=6)
+        source_fn = lambda r, z: np.exp(-(r ** 2)) * (1.0 + 0.5 * z)
+        f = AxiField(grid, source_fn(grid.r[:, None], grid.zeta[None, :]))
+    else:
+        n_zeta = 8 if case == "smooth" else 7
+        grid = AxiGrid.build(2.0, n_r=14, n_zeta=n_zeta, l_max=6)
+        f = AxiField.from_modes(grid, _smooth_modes(grid, np.random.default_rng(5)))
+    kw = dict(refine_depth=refine_depth, window=window, source_fn=source_fn)
+    got = potential_direct(f, **kw).values
+    want = potential_direct_recursive(f, **kw).values
+    assert np.max(np.abs(got - want)) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "kw", [{"refine_depth": -1}, {"window": -1}, {"zeta_cells": 0}, {"zeta_cells": -4}]
+)
+def test_direct_rejects_invalid_arguments(kw):
+    grid = AxiGrid.build(2.0, n_r=16, n_zeta=6, l_max=2)
+    f = AxiField.from_modes(grid, _smooth_modes(grid, np.random.default_rng(1)))
+    with pytest.raises(DomainError):
+        potential_direct(f, **kw)
 
 
 def test_grad_at_origin_vanishes(grid15, theta15, eos15):
