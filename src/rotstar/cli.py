@@ -16,6 +16,7 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -164,14 +165,15 @@ def _coerce(section: str, key: str, raw, kind: str, check):
         raise ConfigError(
             f"[{section}] {key}: cannot parse {raw!r} ({exc})", parameter=f"{section}.{key}"
         ) from None
-    if kind != "choice" and check is not None:
-        bad = (
-            any(not check(v) for v in val) if kind == "floatlist" else not check(val)
+    values = val if kind == "floatlist" else [val]
+    if kind in ("float", "floatlist") and not all(map(math.isfinite, values)):
+        raise ConfigError(
+            f"[{section}] {key}: value {val!r} is not finite", parameter=f"{section}.{key}"
         )
-        if bad:
-            raise ConfigError(
-                f"[{section}] {key}: value {val!r} out of range", parameter=f"{section}.{key}"
-            )
+    if check is not None and any(not check(v) for v in values):
+        raise ConfigError(
+            f"[{section}] {key}: value {val!r} out of range", parameter=f"{section}.{key}"
+        )
     return val
 
 
@@ -465,52 +467,19 @@ def cmd_oblateness(config, writer):
     return 0
 
 
-def _mass_point_worker(args):
-    gamma, pressure_const, grav_const, rho_ref, om2, n_r, n_zeta, l_max, rtol = args
-    eos = EquationOfState.polytrope(gamma, pressure_const)
-    calc = MassCalculator(eos, grav_const, n_r=n_r, n_zeta=n_zeta, l_max=l_max)
-    out = trace_constant_mass_curve(eos, rho_ref, [om2], calculator=calc, rtol=rtol)
-    p = out["points"][0]
-    return (p.rho_center, p.omega2, p.beta, p.m1, p.mass, out["relative_errors"][0],
-            out["mass_reference"])
-
-
-def cmd_mass_curve(config, writer, jobs=1):
+def cmd_mass_curve(config, writer):
     eos = build_eos(config)
     if eos.kind != "polytrope":
         raise ConfigError("mass-curve requires the exact gamma-law", parameter="eos.kind")
     g = config["grid"]
-    schedule = config["mass"]["omega2_schedule"]
-    rho_ref = config["mass"]["rho_center"]
-    grav = config["scale"]["grav_const"]
-    if jobs > 1 and schedule:
-        from concurrent.futures import ProcessPoolExecutor
-
-        args = [
-            (eos.gamma, eos.pressure_const, grav, rho_ref, om2,
-             g["n_r"], g["n_zeta"], g["l_max"], config["mass"]["rtol"])
-            for om2 in schedule
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_mass_point_worker, args))
-        errors = [r[5] for r in rows]
-        # every worker computes the same zero-rotation mass at rho_ref
-        mass_ref = rows[0][6]
-        rows = [r[:5] for r in rows]
-        beta_max = max(r[2] for r in rows)
-    else:
-        calc = MassCalculator(
-            eos, grav, n_r=g["n_r"], n_zeta=g["n_zeta"], l_max=g["l_max"]
-        )
-        out = trace_constant_mass_curve(
-            eos, rho_ref, schedule, calculator=calc, rtol=config["mass"]["rtol"]
-        )
-        rows = [
-            (p.rho_center, p.omega2, p.beta, p.m1, p.mass) for p in out["points"]
-        ]
-        errors = out["relative_errors"]
-        mass_ref = out["mass_reference"]
-        beta_max = out["beta_monotone_max"]
+    calc = MassCalculator(
+        eos, config["scale"]["grav_const"], n_r=g["n_r"], n_zeta=g["n_zeta"], l_max=g["l_max"]
+    )
+    out = trace_constant_mass_curve(
+        eos, config["mass"]["rho_center"], config["mass"]["omega2_schedule"],
+        calculator=calc, rtol=config["mass"]["rtol"],
+    )
+    rows = [(p.rho_center, p.omega2, p.beta, p.m1, p.mass) for p in out["points"]]
     writer.write_csv(
         "mass_curve.csv",
         ["Omega2", "beta", "rho_O", "M1", "M"],
@@ -520,9 +489,9 @@ def cmd_mass_curve(config, writer, jobs=1):
         "mass_curve.json",
         {
             "gamma": eos.gamma,
-            "mass_reference": mass_ref,
-            "relative_errors": errors,
-            "beta_monotone_max": beta_max,
+            "mass_reference": out["mass_reference"],
+            "relative_errors": out["relative_errors"],
+            "beta_monotone_max": out["beta_monotone_max"],
             "points": [
                 {"rho_center": rho, "omega2": om2, "beta": b, "m1": m1, "mass": m}
                 for (rho, om2, b, m1, m) in rows
@@ -585,7 +554,7 @@ def cmd_hl_check(config, writer):
     return 0 if sigma > threshold else 3
 
 
-def run(config: dict, out_dir: Path, jobs: int = 1) -> int:
+def run(config: dict, out_dir: Path) -> int:
     """Execute the configured command; returns a process exit status."""
     command = config["run"]["command"]
     writer = OutputWriter(out_dir, config)
@@ -596,7 +565,7 @@ def run(config: dict, out_dir: Path, jobs: int = 1) -> int:
     elif command == "oblateness":
         status = cmd_oblateness(config, writer)
     elif command == "mass-curve":
-        status = cmd_mass_curve(config, writer, jobs=jobs)
+        status = cmd_mass_curve(config, writer)
     elif command == "kernel-check":
         status = cmd_kernel_check(config, writer)
     else:
@@ -613,7 +582,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--config", required=True, metavar="PATH")
     parser.add_argument("--out", default="out", metavar="DIR")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
+    # kept so that existing command lines still parse; it has no effect
+    parser.add_argument("--jobs", type=int, default=1, metavar="N", help="ignored")
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     args = parser.parse_args(argv)
@@ -638,7 +608,7 @@ def main(argv=None) -> int:
         log.addHandler(handler)
         log.setLevel(logging.DEBUG)
     try:
-        return run(config, Path(args.out), jobs=args.jobs)
+        return run(config, Path(args.out))
     except ConfigError as exc:
         report("ConfigError", exc)
         return 2

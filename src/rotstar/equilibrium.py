@@ -32,7 +32,15 @@ from .errors import (
     NoSignChange,
     SingularLinearization,
 )
-from .grids import AxiField, AxiGrid, cubic_spline, legendre_table
+from .grids import (
+    AxiField,
+    AxiGrid,
+    apply_stencil,
+    cubic_spline,
+    derivative_stencil,
+    kernel_interp,
+    legendre_table,
+)
 from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
     AngularMomentumLaw,
@@ -185,42 +193,6 @@ def gravity_map_deriv(
     return AxiField.from_modes(grid, _gravity_deriv_modes(grid, fp, h.modes()))
 
 
-# Interpolation to the Gauss points reads the 4 stencil nodes of a point's
-# panel, and the stencils shift inward at both ends, so node c is read only by
-# the Gauss points of panels c-3 .. c+2: a window of 24 points starting at
-# Gauss point 4c - 12.
-_PER_PANEL = 4
-_LEAD = 12
-_WINDOW = 24
-
-
-def _window_weights(grid: AxiGrid) -> np.ndarray:
-    """wn[c, t]: interpolation weight of node c at Gauss point 4c - 12 + t."""
-    cols = grid.interp_cols
-    t = np.arange(grid.n_gauss)[:, None] + _LEAD - _PER_PANEL * cols
-    wn = np.zeros((grid.n_r, _WINDOW))
-    wn[cols, t] = grid.interp_weights
-    return wn
-
-
-def _kernel_interp(grid: AxiGrid, k: int, coef: np.ndarray) -> np.ndarray:
-    """kernels[k] @ diag(coef[:, j]) @ interp for each column j of ``coef``.
-
-    Returned transposed as out[c, j, i] (node column c, coefficient set j,
-    node row i).  Each column c is one (n_j x 24) @ (24 x n_r) product over
-    the Gauss points that read node c, instead of a sum over all of them.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view
-    ker = np.zeros((grid.n_r, grid.n_gauss + 2 * _LEAD))
-    ker[:, _LEAD:-_LEAD] = grid.kernels[k]
-    ker = windows(ker, _WINDOW, axis=1)[:, ::_PER_PANEL]  # (i, c, t)
-    cw = np.zeros((grid.n_gauss + 2 * _LEAD, coef.shape[1]))
-    cw[_LEAD:-_LEAD] = coef
-    wn = _window_weights(grid)
-    cw = windows(cw, _WINDOW, axis=0)[::_PER_PANEL] * wn[:, None, :]  # (c, j, t)
-    return np.matmul(cw, ker.transpose(1, 2, 0))
-
-
 def _packed_block(grid: AxiGrid, k: int) -> tuple[slice, int]:
     """Rows of mode k in the packed vector and the first radial index kept."""
     nr = grid.n_r
@@ -241,7 +213,7 @@ def gravity_jacobian_packed(
     """Packed matrix J of the linearized self-gravity map at u, Fortran-ordered.
 
     Block (li, lj) is kernels[li] @ diag(coupling of mode lj into mode li at
-    the Gauss radii) @ interp, assembled from the interpolation stencil.
+    the Gauss radii) @ the interpolation, by ``kernel_interp``.
     With ``out``, a Fortran-ordered n x n matrix, J is added into it in
     place and ``out`` is returned.  With ``diagonal`` only the blocks J_kk
     are built, as the list ``degree_blocks`` returns, and nothing n x n is
@@ -262,7 +234,7 @@ def gravity_jacobian_packed(
         raise ValueError(f"out must be a Fortran-ordered {n} x {n} matrix")
     for li in range(grid.n_l):
         rows, r0 = _packed_block(grid, li)
-        blk = _kernel_interp(grid, li, coup[:, li, :])
+        blk = kernel_interp(grid, li, coup[:, li, :])
         if li == 0:
             blk -= blk[:, :, :1]
         for lj in range(grid.n_l):
@@ -299,7 +271,7 @@ def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> list[np.ndarray]:
     """
     out = []
     for k in range(coef.shape[1]):
-        blk = _kernel_interp(grid, k, coef[:, k : k + 1])[:, 0, :].T
+        blk = kernel_interp(grid, k, coef[:, k : k + 1])[:, 0, :].T
         if k == 0:
             blk -= blk[0:1, :]
         else:
@@ -369,7 +341,7 @@ def free_boundary(u: AxiField, r0: float = 0.0) -> np.ndarray:
 def check_admissibility(u: AxiField, r0: float | None = None) -> AdmissibilityReport:
     """Radial-decrease, single-boundary, and monotonicity flags for a field."""
     grid = u.grid
-    du = grid.deriv @ u.values
+    du = apply_stencil(*derivative_stencil(grid.r), u.values, axis=0)
     if r0 is None:
         try:
             R_probe = free_boundary(u, 0.0)

@@ -5,9 +5,9 @@ A field u(r, zeta) lives on radial nodes times Gauss-Legendre nodes in
 zeta = cos(polar angle).  Equatorial symmetry restricts the Legendre
 content to even degrees; the grid caches the even-degree transform
 tables, a composite 4-point Gauss rule on the radial panels (``panel_gauss``;
-``AxiGrid.cumulative`` integrates from the axis on it), and the cubic
-interpolation from nodes to the radial quadrature points, both as its stencil
-and as a dense matrix.
+``AxiGrid.cumulative`` integrates from the axis on it), the two-sided radial
+kernel of each degree (``radial_kernel``), and the cubic interpolation from
+nodes to the radial quadrature points as a 4-node stencil.
 
 The 1-D routines are piecewise polynomials (the not-a-knot cubic spline,
 PCHIP, and the profile's dense output), the Legendre recurrence and the
@@ -238,33 +238,6 @@ def clustered_nodes(
     return nodes
 
 
-def fornberg_weights(x_stencil: np.ndarray, x0: float, order: int) -> np.ndarray:
-    """Finite-difference weights for d^order/dx^order at x0 on arbitrary nodes."""
-    x = np.asarray(x_stencil, dtype=float)
-    n = len(x)
-    w = np.zeros((order + 1, n))
-    w[0, 0] = 1.0
-    c1 = 1.0
-    c4 = x[0] - x0
-    for i in range(1, n):
-        mn = min(i, order)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - x0
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    w[k, i] = c1 * (k * w[k - 1, i - 1] - c5 * w[k, i - 1]) / c2
-                w[0, i] = -c1 * c5 * w[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                w[k, j] = ((x[i] - x0) * w[k, j] - k * w[k - 1, j]) / c3
-            w[0, j] = (x[i] - x0) * w[0, j] / c3
-        c1 = c2
-    return w[order]
-
-
 def interp_stencil(
     nodes: np.ndarray, points: np.ndarray, width: int = 4
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -295,27 +268,68 @@ def interp_stencil(
     return cols, num / den
 
 
-def _stencil_matrix(cols: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
-    mat = np.zeros((len(cols), n))
-    mat[np.arange(len(cols))[:, None], cols] = weights
-    return mat
-
-
 def interp_matrix(nodes: np.ndarray, points: np.ndarray, width: int = 4) -> np.ndarray:
     """Dense matrix mapping nodal values to local-cubic values at ``points``;
     row p holds the weights of ``interp_stencil`` at its stencil columns."""
     cols, weights = interp_stencil(nodes, points, width)
-    return _stencil_matrix(cols, weights, len(nodes))
-
-
-def derivative_matrix(nodes: np.ndarray, width: int = 4) -> np.ndarray:
-    """Dense matrix approximating d/dr at the nodes (local stencils)."""
-    n = len(nodes)
-    mat = np.zeros((n, n))
-    for i in range(n):
-        s0 = min(max(i - (width // 2 - 1), 0), n - width)
-        mat[i, s0 : s0 + width] = fornberg_weights(nodes[s0 : s0 + width], nodes[i], 1)
+    mat = np.zeros((len(cols), len(nodes)))
+    mat[np.arange(len(cols))[:, None], cols] = weights
     return mat
+
+
+def derivative_stencil(nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stencil columns and weights of d/dr at the nodes themselves.
+
+    Node i differentiates the cubic through nodes i - 1 .. i + 2 (shifted
+    inward at the ends), by the barycentric rule; its own weight is minus the
+    sum of the others, so constants have derivative 0.  Same layout as
+    ``interp_stencil``.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    n = len(nodes)
+    rows = np.arange(n)
+    s0 = np.clip(rows - 1, 0, n - 4)
+    cols = s0[:, None] + np.arange(4)
+    stencil = nodes[cols]
+    own = np.eye(4, dtype=bool)
+    lam = 1.0 / np.prod(np.where(own, 1.0, stencil[:, :, None] - stencil[:, None, :]), axis=2)
+    at = rows - s0  # position of node i in its stencil
+    with np.errstate(divide="ignore"):
+        weights = lam / lam[rows, at, None] / (nodes[:, None] - stencil)
+    weights[rows, at] = 0.0
+    weights[rows, at] = -weights.sum(axis=1)
+    return cols, weights
+
+
+def apply_stencil(cols: np.ndarray, weights: np.ndarray, values, axis: int = -1) -> np.ndarray:
+    """sum_s weights[p, s] values[cols[p, s]] along the radial ``axis`` of
+    ``values``: -1 for mode arrays (n_l, n_r), 0 for nodal fields (n_r, ...)."""
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    return np.moveaxis(np.einsum("...ps,ps->...p", v[..., cols], weights), -1, axis)
+
+
+def radial_kernel(r: np.ndarray, x: np.ndarray, w: np.ndarray, l: int) -> np.ndarray:
+    """Two-sided radial Green's function of degree l with quadrature weights:
+    K[i, p] = w_p x_p / (2l + 1) times (x_p / r_i)^(l + 1) for x_p < r_i and
+    (r_i / x_p)^l otherwise, the ratios taken <= 1 so no power overflows.
+
+    K couples a source value at the quadrature point x_p to the degree-l
+    potential at r_i; row r = 0 is x w for l = 0 (0^0 = 1) and 0 otherwise.
+    """
+    r = np.asarray(r, dtype=float)[:, None]
+    x = np.asarray(x, dtype=float)[None, :]
+    above = x >= r
+    # built in place, so that at most two n_r x n_x arrays are held at once
+    with np.errstate(divide="ignore"):
+        ker = x / r
+    np.copyto(ker, 1.0, where=above)
+    ker **= l + 1
+    outer = r / x
+    np.copyto(outer, 1.0, where=~above)
+    outer **= l
+    np.copyto(ker, outer, where=above)
+    ker *= w * x / (2.0 * l + 1.0)
+    return ker
 
 
 class AxiGrid:
@@ -362,28 +376,14 @@ class AxiGrid:
         self.n_gauss = len(self.gauss_x)
 
         # the interpolation to the Gauss points: 4 nonzeros per row, shared by
-        # the Gauss points of a panel; kept as the stencil and as a matrix
+        # the Gauss points of a panel
         self.interp_cols, self.interp_weights = interp_stencil(self.r, self.gauss_x)
-        self.interp = _stencil_matrix(self.interp_cols, self.interp_weights, self.n_r)
-        self.deriv = derivative_matrix(self.r)
 
-        # radial kernels of the multipole potential, in overflow-safe ratio form:
-        # T[k][i, p] couples a source value at gauss point x_p to the potential
-        # of mode l_k at node r_i.
-        x = self.gauss_x[None, :]
-        r = self.r[:, None]
-        below = x < r
+        # radial kernels of the multipole potential: kernels[k][i, p] couples a
+        # source value at gauss point x_p to the potential of mode l_k at r_i
         self.kernels = np.empty((self.n_l, self.n_r, self.n_gauss))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for k, l in enumerate(self.lvals):
-                inner = np.where(below, np.where(r > 0, x / r, 0.0), 1.0) ** (l + 1)
-                outer = np.where(below, 1.0, (r / x) ** l)
-                ker = np.where(below, inner, outer)
-                if l == 0:
-                    ker[0, :] = 1.0  # (0/x)^0 at the center
-                else:
-                    ker[0, :] = 0.0
-                self.kernels[k] = (self.gauss_w * self.gauss_x / (2.0 * l + 1.0)) * ker
+        for k, l in enumerate(self.lvals):
+            self.kernels[k] = radial_kernel(self.r, self.gauss_x, self.gauss_w, l)
 
     @classmethod
     def build(
@@ -433,14 +433,14 @@ class AxiGrid:
         """Grid values (n_r, n_zeta) from mode coefficients (n_l, n_r)."""
         return np.einsum("ki,kj->ij", modes, self.leg)
 
-    def modes_at_gauss(self, modes: np.ndarray) -> np.ndarray:
-        """Interpolate each radial mode onto the panel Gauss points, on the
-        4-node stencil."""
-        return np.einsum("lps,ps->lp", modes[:, self.interp_cols], self.interp_weights)
+    def at_gauss(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
+        """Interpolate onto the panel Gauss points along the radial ``axis``
+        (-1 for modes, 0 for nodal fields), on the 4-node stencil."""
+        return apply_stencil(self.interp_cols, self.interp_weights, values, axis)
 
     def fine_field_at_gauss(self, modes: np.ndarray) -> np.ndarray:
         """Field values on (fine zeta) x (gauss radius), shape (n_fine, n_gauss)."""
-        return self.leg_f.T @ self.modes_at_gauss(modes)
+        return self.leg_f.T @ self.at_gauss(modes)
 
     def project_fine(self, values_fine: np.ndarray) -> np.ndarray:
         """Mode coefficients from values on the fine zeta rule (any radial set)."""
@@ -456,6 +456,43 @@ class AxiGrid:
         r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
         mat = interp_matrix(self.r, r_query)
         return modes @ mat.T
+
+
+# Interpolation to the Gauss points reads the 4 stencil nodes of a point's
+# panel, and the stencils shift inward at both ends, so node c is read only by
+# the Gauss points of panels c-3 .. c+2: a window of 24 points starting at
+# Gauss point 4c - 12.
+_PER_PANEL = 4
+_LEAD = 12
+_WINDOW = 24
+
+
+def _window_weights(grid: AxiGrid) -> np.ndarray:
+    """wn[c, t]: interpolation weight of node c at Gauss point 4c - 12 + t."""
+    cols = grid.interp_cols
+    t = np.arange(grid.n_gauss)[:, None] + _LEAD - _PER_PANEL * cols
+    wn = np.zeros((grid.n_r, _WINDOW))
+    wn[cols, t] = grid.interp_weights
+    return wn
+
+
+def kernel_interp(grid: AxiGrid, k: int, coef: np.ndarray) -> np.ndarray:
+    """kernels[k] @ diag(coef[:, j]) @ (the interpolation to the Gauss points)
+    for each column j of ``coef``, from the interpolation stencil.
+
+    Returned transposed as out[c, j, i] (node column c, coefficient set j,
+    node row i).  Each column c is one (n_j x 24) @ (24 x n_r) product over
+    the Gauss points that read node c, instead of a sum over all of them.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view
+    ker = np.zeros((grid.n_r, grid.n_gauss + 2 * _LEAD))
+    ker[:, _LEAD:-_LEAD] = grid.kernels[k]
+    ker = windows(ker, _WINDOW, axis=1)[:, ::_PER_PANEL]  # (i, c, t)
+    cw = np.zeros((grid.n_gauss + 2 * _LEAD, coef.shape[1]))
+    cw[_LEAD:-_LEAD] = coef
+    wn = _window_weights(grid)
+    cw = windows(cw, _WINDOW, axis=0)[::_PER_PANEL] * wn[:, None, :]  # (c, j, t)
+    return np.matmul(cw, ker.transpose(1, 2, 0))
 
 
 @dataclass

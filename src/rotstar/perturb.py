@@ -2,10 +2,11 @@
 
 The correction field splits into even Legendre modes.  Each radial mode
 function solves a linear second-order problem that is equivalent to an
-integral representation with the two-sided kernel (min/max)^degree; the
-degree-2 mode carries the oblateness and the degree-0 mode is a Volterra
-equation.  Each mode operator is assembled once as a dense matrix and the
-mode is found by one direct linear solve.  A damped contraction iteration
+integral representation with the two-sided kernel (min/max)^degree, the
+multipole potential's ``grids.radial_kernel``; the degree-2 mode carries the
+oblateness and the degree-0 mode is a Volterra equation.  Each mode operator
+is that kernel times the density response times the dense interpolation, and
+the mode is found by one direct linear solve.  A damped contraction iteration
 from a prescribed start checks that homogeneous modes of degree >= 4 decay
 to zero, and a shooting solver for the underlying ODE provides an
 independent validation path.
@@ -19,7 +20,14 @@ import numpy as np
 
 from .eos import EquationOfState, scaled_density_deriv
 from .errors import DomainError, NoConvergence
-from .grids import AxiGrid, clustered_nodes, cubic_spline, interp_matrix, panel_gauss
+from .grids import (
+    AxiGrid,
+    clustered_nodes,
+    cubic_spline,
+    interp_matrix,
+    panel_gauss,
+    radial_kernel,
+)
 from .radial import RadialProfile
 from .equilibrium import gravity_jacobian_packed, newton_matrix
 from .rotation import rigid_rotation
@@ -51,34 +59,19 @@ class ModeGrid:
         return cls(nodes, x, w, interp_matrix(nodes, x), q, profile.psi_at(nodes))
 
 
-def _kernel_matrix(mg: ModeGrid, degree: int) -> np.ndarray:
-    """Two-sided radial kernel of the mode problem, nodes x Gauss points:
-    (1/r^2) int_0^r qy (s/r)^(j-1) s^3 ds + r int_r^R qy (r/s)^(j-1) ds,
-    in overflow-safe ratio powers, quadrature weights included."""
-    r = mg.r[:, None]
-    x = mg.gauss_x[None, :]
-    below = x < r
-    if degree == 0:
-        # the j = 0 kernel collapses to s (s/r - 1) on s < r
-        ker = np.where(below, x * (x / r - 1.0), 0.0)
-    else:
-        inner = (x / r) ** (degree + 1) * x
-        outer = (r / x) ** (degree - 1) * r
-        ker = np.where(below, inner, outer)
-    ker *= mg.gauss_w[None, :]
-    return ker
-
-
-def _kernel_apply(mg: ModeGrid, degree: int, qy_gauss: np.ndarray) -> np.ndarray:
-    """The two-sided kernel applied to q y sampled at the Gauss points."""
-    return _kernel_matrix(mg, degree) @ qy_gauss
-
-
 def _mode_operator(mg: ModeGrid, degree: int) -> np.ndarray:
-    """Dense matrix of the linear mode map y -> kernel(q y)/(2 degree + 1) at the nodes."""
-    ker = _kernel_matrix(mg, degree)
-    ker *= mg.q_gauss[None, :]
-    return ker @ mg.interp / (2.0 * degree + 1.0)
+    """Dense matrix of the linear mode map y -> kernel(q y) at the nodes, the
+    kernel being the multipole potential's ``radial_kernel`` of this degree.
+
+    Degree 0 subtracts the kernel's first row, x w (the first node lies below
+    every Gauss point): what is left is x (x/r - 1) w on x < r, the Volterra
+    form that pins the center value.
+    """
+    ker = radial_kernel(mg.r, mg.gauss_x, mg.gauss_w, degree)
+    if degree == 0:
+        ker -= ker[0]
+    ker *= mg.q_gauss
+    return ker @ mg.interp
 
 
 # damped contraction from a prescribed start (the homogeneous decay check)

@@ -65,7 +65,7 @@ def potential_multipole(field: AxiField) -> AxiField:
     """Potential of the field via the per-mode radial kernels."""
     grid = field.grid
     modes = field.modes()
-    src = grid.modes_at_gauss(modes)
+    src = grid.at_gauss(modes)
     out_modes = grid.potential_modes_from_gauss(src)
     return AxiField.from_modes(grid, out_modes)
 

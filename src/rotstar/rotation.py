@@ -296,7 +296,7 @@ def mass_within_cylinder(
     grid = u.grid
     v = _default_varpi_samples(grid, u) if varpi is None else np.asarray(varpi, float)
     rule = CylinderRule(grid, v)
-    gauss_field = grid.interp @ u.values
+    gauss_field = grid.at_gauss(u.values, axis=0)
     gvals = scaled_density(gauss_field, eos, scale.u_center)
     pvals = scaled_density(rule.field_at_partials(u.values), eos, scale.u_center)
     m = cylinder_mass_prefactor(eos, scale) * rule.integrate(gvals, pvals)
@@ -378,7 +378,7 @@ class LinearizedCentrifugal:
             cyl = mass_within_cylinder(u, eos, scale)
         self.rule = CylinderRule(grid, grid.r)
         self.fp_gauss = scaled_density_deriv(
-            grid.interp @ u.values, eos, scale.u_center
+            grid.at_gauss(u.values, axis=0), eos, scale.u_center
         )
         self.fp_part = scaled_density_deriv(
             self.rule.field_at_partials(u.values), eos, scale.u_center
@@ -436,7 +436,7 @@ class LinearizedCentrifugal:
 
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:
         """g-mode response (n_l, n_r) for a nodal field perturbation."""
-        gvals = self.fp_gauss * (self.grid.interp @ h_values)
+        gvals = self.fp_gauss * self.grid.at_gauss(h_values, axis=0)
         pvals = self.fp_part * self.rule.field_at_partials(h_values)
         dm = self.mass_pref * self.rule.integrate(gvals, pvals)
         b = self.cum @ dm

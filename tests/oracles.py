@@ -105,12 +105,15 @@ def _packed_rows(grid, k):
 def gravity_jacobian_dense(grid, fp):
     """Packed linearized gravity map from dense (n_r x n_gauss) @ (n_gauss x n_r)
     block products; ``fp`` is rho'(u) on (fine zeta) x (Gauss radius)."""
+    from rotstar.grids import interp_matrix
+
     coup = np.einsum("la,ap,ma->plm", grid.proj_f, fp, grid.leg_f)
+    interp = interp_matrix(grid.r, grid.gauss_x)
     n = grid.n_r + (grid.n_l - 1) * (grid.n_r - 1)
     jac = np.zeros((n, n))
     for li in range(grid.n_l):
         for lj in range(grid.n_l):
-            blk = (grid.kernels[li] * coup[:, li, lj][None, :]) @ grid.interp
+            blk = (grid.kernels[li] * coup[:, li, lj][None, :]) @ interp
             if li == 0:
                 blk = blk - blk[0:1, :]
             jac[_packed_rows(grid, li), _packed_rows(grid, lj)] = blk[
@@ -119,12 +122,47 @@ def gravity_jacobian_dense(grid, fp):
     return jac
 
 
+def axigrid_kernels_loop(grid):
+    """``AxiGrid.kernels`` by a loop over degrees with the ratios guarded at
+    the center and the center row set by hand."""
+    x = grid.gauss_x[None, :]
+    r = grid.r[:, None]
+    below = x < r
+    kernels = np.empty((grid.n_l, grid.n_r, grid.n_gauss))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k, l in enumerate(grid.lvals):
+            inner = np.where(below, np.where(r > 0, x / r, 0.0), 1.0) ** (l + 1)
+            outer = np.where(below, 1.0, (r / x) ** l)
+            ker = np.where(below, inner, outer)
+            ker[0, :] = 1.0 if l == 0 else 0.0  # (0/x)^l at the center
+            kernels[k] = (grid.gauss_w * grid.gauss_x / (2.0 * l + 1.0)) * ker
+    return kernels
+
+
+def mode_operator_dense(mg, degree):
+    """The first-order mode operator from the mode problem's own kernel,
+    (1/r^2) int_0^r q y (s/r)^(j-1) s^3 ds + r int_r^R q y (r/s)^(j-1) ds over
+    2 degree + 1, with the degree-0 kernel s (s/r - 1) on s < r written out."""
+    r = mg.r[:, None]
+    x = mg.gauss_x[None, :]
+    below = x < r
+    if degree == 0:
+        ker = np.where(below, x * (x / r - 1.0), 0.0)
+    else:
+        ker = np.where(below, (x / r) ** (degree + 1) * x, (r / x) ** (degree - 1) * r)
+    ker = ker * mg.gauss_w[None, :] * mg.q_gauss[None, :]
+    return ker @ mg.interp / (2.0 * degree + 1.0)
+
+
 def block_sigma_min_dense(grid, q):
     """Smallest singular value of I - (degree-l block) per even degree l, for
     a spherical state with rho'(u) = ``q`` at the Gauss radii."""
+    from rotstar.grids import interp_matrix
+
     out = {}
+    interp = interp_matrix(grid.r, grid.gauss_x)
     for k, l in enumerate(grid.lvals):
-        blk = (grid.kernels[k] * q[None, :]) @ grid.interp
+        blk = (grid.kernels[k] * q[None, :]) @ interp
         if l == 0:
             blk = blk - blk[0:1, :]
             mat = np.eye(grid.n_r) - blk
@@ -152,13 +190,16 @@ def dense_newton_step(grid, eos, u_center, modes, rhs, b_matrix=None):
 def dm_response_dense(lin):
     """``LinearizedCentrifugal.dm_response`` from the dense (n_gauss x n_r)
     interpolation matrix, one zeta column at a time."""
+    from rotstar.grids import interp_matrix
+
     grid, rule = lin.grid, lin.rule
     nq = len(rule.varpi)
     rows = np.arange(nq)[:, None]
     x2 = grid.gauss_x ** 2
+    interp = interp_matrix(grid.r, grid.gauss_x)
     out = np.zeros((grid.n_l, nq, grid.n_r))
     for j in range(grid.n_zeta):
-        prefix = grid.cumulative((x2 * lin.fp_gauss[:, j])[:, None] * grid.interp)
+        prefix = grid.cumulative((x2 * lin.fp_gauss[:, j])[:, None] * interp)
         col = prefix[rule.kcut[:, j]]
         part = np.einsum(
             "qg,qgs->qs", rule.part_w[:, j] * lin.fp_part[:, j], rule.part_coef[:, j]

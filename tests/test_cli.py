@@ -105,6 +105,58 @@ def test_malformed_config_negative_tol(tmp_path, capsys):
     assert err["parameter"] == "solver.tol"
 
 
+MASS_INI = """
+[run]
+command = mass-curve
+
+[eos]
+kind = polytrope
+gamma = 1.6666666666666667
+
+[grid]
+n_r = 64
+n_zeta = 12
+l_max = 4
+
+[mass]
+rho_center = 1.0
+omega2_schedule = 0.0, 2e-4, 5e-4
+rtol = 1e-9
+"""
+
+DIFFERENTIAL_ROTATION = """
+[rotation]
+kind = differential
+varpi = 0.0, 1.0, 2.0
+omega_profile = 0.1, nan, 0.05
+"""
+
+
+# each exited 0 or failed late before non-finite values were refused: an
+# infinite tol stopped after one iteration at the unrotated boundary, an
+# infinite rtol wrote a 6% mass error, an infinite r_inf integrated the
+# profile out to 1e307
+@pytest.mark.parametrize(
+    "ini, parameter",
+    [
+        (SOLVE_INI.replace("beta = 1e-3", "beta = 1e-2").replace("tol = 1e-10", "tol = inf"),
+         "solver.tol"),
+        (MASS_INI.replace("rtol = 1e-9", "rtol = inf"), "mass.rtol"),
+        (SOLVE_INI.replace("l_max = 4", "l_max = 4\nr_inf = inf"), "grid.r_inf"),
+        (SOLVE_INI.split("[rotation]")[0] + DIFFERENTIAL_ROTATION
+         + "\n[grid]" + SOLVE_INI.split("[grid]")[1], "rotation.omega_profile"),
+    ],
+    ids=["tol-inf", "rtol-inf", "r_inf-inf", "omega_profile-nan"],
+)
+def test_non_finite_value_is_a_config_error(tmp_path, capsys, ini, parameter):
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, ini)), "--out", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["parameter"] == parameter
+    assert not out.exists()
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = _write(tmp_path, LANE_EMDEN_INI + "\n[solver]\nbogus = 1\n")
     with pytest.raises(ConfigError):
@@ -369,6 +421,16 @@ rtol = 1e-7
         assert serial["mass_reference"] is not None
         assert parallel["mass_reference"] == serial["mass_reference"]
         assert len(parallel["points"]) == len(serial["points"])
+
+
+def test_mass_curve_jobs_changes_no_byte(tmp_path):
+    cfg = _write(tmp_path, MASS_INI)
+    outs = []
+    for jobs in ("1", "2"):
+        outs.append(tmp_path / f"out{jobs}")
+        assert main(["--config", str(cfg), "--out", str(outs[-1]), "--jobs", jobs]) == 0
+    for name in ("mass_curve.json", "mass_curve.csv", "manifest.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_solve_without_free_boundary_exits_3(tmp_path, capsys):

@@ -33,6 +33,7 @@ from rotstar.errors import (
 )
 from rotstar.rotation import CentrifugalField, centrifugal_from_omega, ConstantRotation, rigid_rotation
 from rotstar.eos import scaled_density_deriv
+from rotstar.grids import apply_stencil, derivative_stencil, interp_matrix
 from rotstar.equilibrium import (
     centrifugal_deriv_matrix,
     gravity_jacobian_packed,
@@ -186,7 +187,7 @@ def test_check_admissibility_flags(grid15, theta15, eos15, profile15):
     assert rep.a1 and rep.a2 and rep.monotone
     assert rep.one_over_C > 0
     # near the axis -du/dr / r approaches f(1)/3
-    du = grid15.deriv @ theta15.values
+    du = apply_stencil(*derivative_stencil(grid15.r), theta15.values, axis=0)
     f1 = scaled_density(1.0, eos15, 1.0)
     near = -du[1, 0] / grid15.r[1]
     assert near == pytest.approx(f1 / 3, rel=2e-2)
@@ -219,9 +220,10 @@ def test_hl_weighted_degree4_block(profile15, eos15):
 
     grid = AxiGrid.build(profile15.r_inf, n_r=160, n_zeta=16, l_max=8, focus=profile15.xi1)
     u = initial_field_from_profile(grid, profile15)
-    q = scaled_density_deriv(grid.interp @ u.modes()[0], eos15, 1.0)
+    interp = interp_matrix(grid.r, grid.gauss_x)
+    q = scaled_density_deriv(interp @ u.modes()[0], eos15, 1.0)
     k = list(grid.lvals).index(4)
-    blk = (grid.kernels[k] * q[None, :]) @ grid.interp
+    blk = (grid.kernels[k] * q[None, :]) @ interp
     inside = (grid.r > 0) & (grid.r <= profile15.xi1)
     psi = profile15.psi_at(grid.r[inside])
     sub = blk[np.ix_(inside, inside)]
@@ -500,7 +502,7 @@ def test_gravity_jacobian_applies_the_derivative(eos15, profile15):
 
 def test_hl_certificate_blocks_match_dense_products(eos15, theta15):
     grid = theta15.grid
-    q = scaled_density_deriv(grid.interp @ theta15.modes()[0], eos15, 1.0)
+    q = scaled_density_deriv(interp_matrix(grid.r, grid.gauss_x) @ theta15.modes()[0], eos15, 1.0)
     want = block_sigma_min_dense(grid, q)
     got = hl_certificate_blocks(theta15, eos15, 1.0)
     assert set(got) == set(want)

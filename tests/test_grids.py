@@ -3,14 +3,19 @@ import pytest
 
 from rotstar import AxiField, AxiGrid, clustered_nodes
 from rotstar.grids import (
+    apply_stencil,
     cubic_spline,
     cumulative_trapezoid,
+    derivative_stencil,
     interp_matrix,
     legendre_table,
     panel_gauss,
     pchip,
+    radial_kernel,
 )
 from rotstar.errors import DomainError
+
+from oracles import axigrid_kernels_loop
 
 
 def test_zeta_nodes_symmetric_with_paired_weights():
@@ -70,9 +75,9 @@ def test_odd_coefficients_vanish():
 def test_interpolation_and_derivative_accuracy():
     grid = AxiGrid.build(2.0, n_r=80, n_zeta=12, l_max=4)
     vals = np.sin(1.7 * grid.r)
-    at_gauss = grid.interp @ vals
+    at_gauss = interp_matrix(grid.r, grid.gauss_x) @ vals
     assert np.max(np.abs(at_gauss - np.sin(1.7 * grid.gauss_x))) < 2e-6
-    dv = grid.deriv @ vals
+    dv = apply_stencil(*derivative_stencil(grid.r), vals)
     assert np.max(np.abs(dv - 1.7 * np.cos(1.7 * grid.r))) < 2e-4
 
 
@@ -106,6 +111,45 @@ def test_interp_matrix_matches_per_point_loop(width):
     assert np.array_equal(
         interp_matrix(grid.r, points, width), _interp_matrix_loop(grid.r, points, width)
     )
+
+
+@pytest.mark.parametrize("shape", [(256, 32, 8), (96, 18, 16)])
+def test_radial_kernel_fills_kernels_as_the_loop(shape):
+    grid = AxiGrid.build(12.0, *shape, focus=3.6)
+    assert np.array_equal(grid.kernels, axigrid_kernels_loop(grid))
+    # the center row needs no special case: 0^0 = 1 and 0^l = 0
+    ker = radial_kernel(grid.r, grid.gauss_x, grid.gauss_w, 0)
+    assert np.array_equal(ker[0], grid.gauss_w * grid.gauss_x)
+    assert not np.any(radial_kernel(grid.r, grid.gauss_x, grid.gauss_w, 2)[0])
+
+
+def test_at_gauss_matches_interp_matrix():
+    grid = AxiGrid.build(3.0, n_r=64, n_zeta=12, l_max=6, focus=2.0)
+    rng = np.random.default_rng(8)
+    dense = interp_matrix(grid.r, grid.gauss_x)
+    modes = rng.standard_normal((grid.n_l, grid.n_r))
+    field = rng.standard_normal((grid.n_r, grid.n_zeta))
+    for got, want in (
+        (grid.at_gauss(modes), modes @ dense.T),
+        (grid.at_gauss(field, axis=0), dense @ field),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_derivative_stencil_exact_on_cubics():
+    # exactness on cubics fixes the 4 weights; the stencil of node i starts at
+    # node i - 1, shifted inward at both ends
+    nodes = clustered_nodes(3.0, 40, focus=2.0)
+    cols, weights = derivative_stencil(nodes)
+    n = len(nodes)
+    assert np.array_equal(cols[:, 0], np.clip(np.arange(n) - 1, 0, n - 4))
+    rng = np.random.default_rng(2)
+    c = rng.standard_normal((4, 5))
+    vals = sum(c[m] * nodes[:, None] ** m for m in range(4))
+    want = sum(m * c[m] * nodes[:, None] ** (m - 1) for m in range(1, 4))
+    got = apply_stencil(cols, weights, vals, axis=0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ from rotstar import (
 )
 from rotstar import perturb
 from rotstar.errors import DomainError, NoConvergence
-from rotstar.perturb import ModeGrid, _kernel_apply
+from rotstar.grids import radial_kernel
+from rotstar.perturb import ModeGrid, _mode_operator
+
+from oracles import mode_operator_dense
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +44,8 @@ def test_vacuum_kernel_reduces_to_power(profile15_mod, eos15_mod):
     # the coupling explicitly through the kernel helper
     mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 300)
     y = np.zeros_like(mg.r)
-    mapped = 1.0 * mg.r ** 2 / 5.0 + _kernel_apply(mg, 2, 0.0 * (mg.interp @ y)) / 5.0
+    ker = radial_kernel(mg.r, mg.gauss_x, mg.gauss_w, 2)  # the 1/5 included
+    mapped = 1.0 * mg.r ** 2 / 5.0 + ker @ (0.0 * (mg.interp @ y))
     assert np.allclose(mapped, mg.r ** 2 / 5.0, atol=1e-15)
 
 
@@ -104,13 +108,27 @@ def test_weighted_contraction_constant(profile15_mod, eos15_mod, degree):
     mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 500)
     psi = profile15_mod.psi_at(mg.r)
     rng = np.random.default_rng(degree)
+    op = _mode_operator(mg, degree)
     worst = 0.0
     for k in range(13):
         H = np.ones(mg.r.size) if k == 0 else rng.standard_normal(mg.r.size)
         y = H * psi
-        out = _kernel_apply(mg, degree, mg.q_gauss * (mg.interp @ y)) / (2 * degree + 1)
+        out = op @ y
         worst = max(worst, np.max(np.abs(out / psi)) / np.max(np.abs(H)))
     assert worst <= 3.0 / (2 * degree + 1) + 0.05
+
+
+@pytest.mark.parametrize("nu", [1.5, 3.0])
+def test_mode_operator_matches_dense_formula(nu):
+    # the multipole kernel of each degree (less its first row at degree 0)
+    # is the mode problem's own kernel, ratios rewritten
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    mg = ModeGrid.build(prof, eos, 1.0, 700)
+    for degree in (0, 2, 4, 8):
+        want = mode_operator_dense(mg, degree)
+        got = _mode_operator(mg, degree)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_h2_negative_and_consistent(hfield15):
