@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_triangular, svdvals
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
 from .errors import (
@@ -280,11 +279,21 @@ def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> list[np.ndarray]:
     return out
 
 
+def lu_factor(a: np.ndarray, **kwargs):
+    """``scipy.linalg.lu_factor``, imported on the first factorization so that
+    importing the package loads no ``scipy.linalg``."""
+    from scipy.linalg import lu_factor as factor
+
+    return factor(a, **kwargs)
+
+
 def _factor_in_place(mat: np.ndarray):
     """LU of ``mat`` in its own buffer, or None if ``mat`` is not finite or
     has an exact zero pivot."""
     if not np.isfinite(mat).all():
         return None
+    from scipy.linalg import LinAlgWarning
+
     with warnings.catch_warnings():
         # a zero pivot is reported by the None below, not as a warning
         warnings.simplefilter("ignore", LinAlgWarning)
@@ -384,7 +393,7 @@ def hl_certificate_blocks(
         raise DomainError("per-block certificate requires a spherical state")
     blocks = gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True)
     return {
-        int(l): float(svdvals(newton_matrix(blk), overwrite_a=True)[-1])
+        int(l): float(np.linalg.svd(newton_matrix(blk), compute_uv=False)[-1])
         for l, blk in zip(grid.lvals, blocks)
     }
 
@@ -407,6 +416,8 @@ def _sigma_min_from_lu(lu) -> tuple[float, int, float | None]:
     value of M lies within sqrt((|Mv - sigma u|^2 + |M^T u - sigma v|^2)/2)
     of sigma.  Solves that overflow give sigma = 0.0 and no bound.
     """
+    from scipy.linalg import lu_solve
+
     n = lu[0].shape[0]
     z = np.random.default_rng(0).standard_normal((n, min(_CERT_BLOCK, n)))
     sigma = np.inf
@@ -556,6 +567,8 @@ def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
         if abs(g[k]) <= _GMRES_RTOL * beta or w_norm == 0.0:
             break
         basis[k] = w / w_norm
+    from scipy.linalg import solve_triangular
+
     y = solve_triangular(hess[:k, :k], g[:k], check_finite=False)
     return size * precondition(y @ basis[:k]), k, abs(g[k]) / beta
 
@@ -593,6 +606,7 @@ def _newton_step(
     otherwise), and the system is right-preconditioned by the block LUs
     ``lus`` of ``_factor_blocks``.
     """
+    from scipy.linalg import lu_solve
 
     def apply(x):
         modes = unpack_modes(grid, x)

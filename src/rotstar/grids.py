@@ -11,8 +11,8 @@ nodes to the radial quadrature points as a 4-node stencil.
 
 The 1-D routines are piecewise polynomials (the not-a-knot cubic spline,
 PCHIP, and the profile's dense output), the Legendre recurrence and the
-cumulative trapezoid, in numpy, so that importing the package needs no
-scipy subpackage beyond ``scipy.linalg``.
+cumulative trapezoid, in numpy, so that importing the package needs numpy
+alone; the spline's banded solve loads ``scipy.linalg`` at its first call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError
 
@@ -162,6 +161,8 @@ def cubic_spline(x, y) -> PiecewisePoly:
     ab[1, -1] = dx[-2]
     ab[-1, -2] = d
     b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    from scipy.linalg import solve_banded
+
     s = solve_banded(
         (1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
         check_finite=False,

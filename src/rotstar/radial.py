@@ -223,15 +223,22 @@ def solve_lane_emden(
     if r_inf is None:
         r_inf = 1.5 * xi1
     _dp_steps(accel, trail, r_inf, tol)
-    dense = _quintic_hermite(trail)
-    dense_slope = dense.derivative()
-
     nodes = clustered_nodes(r_inf, n_nodes, focus=xi1, focus_weight=4.0)
     theta = np.empty(n_nodes)
     dtheta = np.empty(n_nodes)
     inner = nodes >= _SERIES_CUT
-    theta[inner] = dense(nodes[inner])
-    dtheta[inner] = dense_slope(nodes[inner])
+    try:
+        # the exterior steps grow with r, and h^5 of a step past ~1e61
+        # overflows: refuse such an r_inf rather than return NaN rows
+        with np.errstate(over="raise", invalid="raise"):
+            dense = _quintic_hermite(trail)
+            dense_slope = dense.derivative()
+            theta[inner] = dense(nodes[inner])
+            dtheta[inner] = dense_slope(nodes[inner])
+    except FloatingPointError:
+        raise DomainError(
+            f"r_inf={r_inf:g} is too large: the profile's dense output is not finite"
+        ) from None
     theta[~inner] = 1.0 - f1 * nodes[~inner] ** 2 / 6.0
     dtheta[~inner] = -f1 * nodes[~inner] / 3.0
     theta[0], dtheta[0] = 1.0, 0.0

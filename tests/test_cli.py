@@ -45,6 +45,31 @@ l_max = 4
 tol = 1e-10
 """
 
+HL_CHECK_INI = """
+[run]
+command = hl-check
+
+[eos]
+kind = polytrope
+nu = 1.5
+
+[grid]
+n_r = 96
+n_zeta = 16
+l_max = 4
+"""
+
+KERNEL_CHECK_INI = """
+[run]
+command = kernel-check
+
+[grid]
+n_r = 32
+n_zeta = 12
+l_max = 4
+r_inf = 2.0
+"""
+
 
 def _write(tmp_path, text, name="run.ini"):
     p = tmp_path / name
@@ -244,20 +269,7 @@ beta = 1e-3
 
 
 def test_hl_check_command(tmp_path):
-    ini = """
-[run]
-command = hl-check
-
-[eos]
-kind = polytrope
-nu = 1.5
-
-[grid]
-n_r = 96
-n_zeta = 16
-l_max = 4
-"""
-    cfg = _write(tmp_path, ini)
+    cfg = _write(tmp_path, HL_CHECK_INI)
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "hl_check.json").read_text())
@@ -346,17 +358,7 @@ def test_missing_command(tmp_path, capsys):
 
 
 def test_kernel_check_command(tmp_path):
-    ini = """
-[run]
-command = kernel-check
-
-[grid]
-n_r = 32
-n_zeta = 12
-l_max = 4
-r_inf = 2.0
-"""
-    cfg = _write(tmp_path, ini)
+    cfg = _write(tmp_path, KERNEL_CHECK_INI)
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "kernel_check.json").read_text())
@@ -460,20 +462,7 @@ def test_hl_check_computes_the_blocks_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "hl_certificate_blocks", counting)
     monkeypatch.setattr(equilibrium, "hl_certificate_blocks", counting)
-    ini = """
-[run]
-command = hl-check
-
-[eos]
-kind = polytrope
-nu = 1.5
-
-[grid]
-n_r = 96
-n_zeta = 16
-l_max = 4
-"""
-    cfg = _write(tmp_path, ini)
+    cfg = _write(tmp_path, HL_CHECK_INI)
     out = tmp_path / "out"
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     assert len(calls) == 1
@@ -495,12 +484,23 @@ l_max = 4
     assert (out / "hl_check.json").read_text() == want
 
 
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this package's source."""
+    import rotstar
+
+    src = str(Path(rotstar.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_import_path_leaves_out_heavy_scipy_subpackages():
     # importing the package and the CLI adds no scipy subpackage beyond what
     # scipy.linalg loads itself; the validation paths import the rest when
     # they run
-    import rotstar
-
     heavy = ("scipy.interpolate", "scipy.integrate", "scipy.optimize", "scipy.special")
     code = (
         "import sys, scipy.linalg\n"
@@ -508,8 +508,54 @@ def test_import_path_leaves_out_heavy_scipy_subpackages():
         "import rotstar, rotstar.cli\n"
         f"print(sorted(m for m in {heavy!r} if m in sys.modules and m not in before))\n"
     )
-    src = str(Path(rotstar.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"
+
+
+def test_import_path_loads_no_scipy():
+    code = (
+        "import sys, rotstar, rotstar.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _fresh_python(code) == "[]"
+
+
+_RUN_AND_LIST_LINALG = (
+    "import sys\n"
+    "from rotstar.cli import main\n"
+    "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
+    "print(status, 'scipy.linalg' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "ini", [LANE_EMDEN_INI, HL_CHECK_INI, KERNEL_CHECK_INI],
+    ids=["lane-emden", "hl-check", "kernel-check"],
+)
+def test_commands_that_factor_nothing_leave_out_scipy_linalg(tmp_path, ini):
+    cfg = _write(tmp_path, ini)
+    out = _fresh_python(_RUN_AND_LIST_LINALG, str(cfg), str(tmp_path / "out"))
+    assert out == "0 False"
+
+
+def test_solve_loads_scipy_linalg(tmp_path):
+    # the converse, so that the check above can fail: a solve factors its
+    # preconditioner blocks
+    cfg = _write(tmp_path, SOLVE_INI)
+    out = _fresh_python(_RUN_AND_LIST_LINALG, str(cfg), str(tmp_path / "out"))
+    assert out == "0 True"
+
+
+def test_lane_emden_refuses_an_outer_radius_too_large(tmp_path):
+    # h^5 of the exterior steps overflows past r_inf ~ 1e61: a fresh process
+    # (warnings not turned into errors) exits 3 without NaN rows or warnings
+    cfg = _write(tmp_path, LANE_EMDEN_INI + "r_inf = 1e100\n")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "rotstar", "--config", str(cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 3
+    assert "r_inf=1e+100" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert not (out / "profile.csv").exists() and not (out / "lane_emden.json").exists()

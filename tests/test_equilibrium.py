@@ -510,6 +510,23 @@ def test_hl_certificate_blocks_match_dense_products(eos15, theta15):
         assert got[l] == pytest.approx(sigma, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("nu", [1.5, 3.0])
+def test_hl_certificate_blocks_match_scipy_svdvals(nu):
+    # numpy's SVD of the per-degree blocks against scipy's, block by block
+    from scipy.linalg import svdvals
+
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    grid = AxiGrid.build(prof.r_inf, n_r=160, n_zeta=16, l_max=8, focus=prof.xi1)
+    u = initial_field_from_profile(grid, prof)
+    blocks = gravity_jacobian_packed(grid, eos, 1.0, u.modes(), diagonal=True)
+    want = {int(l): float(svdvals(newton_matrix(b))[-1]) for l, b in zip(grid.lvals, blocks)}
+    got = hl_certificate_blocks(u, eos, 1.0)
+    assert set(got) == set(want)
+    for l, sigma in want.items():
+        assert abs(got[l] - sigma) <= 1e-15 * sigma
+
+
 def _momentum_law(u0, eos, scale):
     cyl = mass_within_cylinder(u0, eos, scale)
     ms = np.linspace(0, 1.3 * cyl.total, 60)

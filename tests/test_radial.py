@@ -92,6 +92,20 @@ def test_no_zero_found_below_r_inf():
         solve_lane_emden(eos, 1.0, r_inf=2.0)
 
 
+@pytest.mark.parametrize("r_inf", [1e62, 1e100])
+def test_outer_radius_too_large_for_the_dense_output(eos15, r_inf):
+    # the exterior steps grow with r until h^5 of the quintic overflows; the
+    # solve refuses such an r_inf instead of returning NaN rows
+    with pytest.raises(DomainError, match="r_inf"):
+        solve_lane_emden(eos15, 1.0, r_inf=r_inf)
+
+
+@pytest.mark.parametrize("r_inf", [1e6, 1e20, 1e60])
+def test_large_outer_radius_gives_a_finite_profile(eos15, r_inf):
+    prof = solve_lane_emden(eos15, 1.0, r_inf=r_inf)
+    assert np.isfinite(prof.theta).all() and np.isfinite(prof.dtheta).all()
+
+
 def test_csv_export(tmp_path, profile15):
     path = tmp_path / "profile.csv"
     profile15.export_csv(path)
