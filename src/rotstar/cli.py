@@ -33,9 +33,9 @@ from .equilibrium import (
     initial_field_from_profile,
     solve_equilibrium,
 )
-from .errors import ConfigError, RotstarError
+from .errors import ConfigError, DomainError, RotstarError
 from .grids import AxiField, AxiGrid
-from .mass import MassCalculator, trace_constant_mass_curve
+from .mass import MassCalculator, total_mass_dimensionless, trace_constant_mass_curve
 from .perturb import compute_h_field, oblateness
 from .potential import (
     potential_direct,
@@ -54,184 +54,17 @@ from .rotation import (
 
 _log = logging.getLogger(__name__)
 
-COMMANDS = ("lane-emden", "solve", "oblateness", "mass-curve", "kernel-check", "hl-check")
 
-
-def _positive(x: float) -> bool:
-    return x > 0
-
-
-def _nonneg(x: float) -> bool:
-    return x >= 0
-
-
-# section -> key -> (type tag, validator or None)
-SCHEMA = {
-    "run": {"command": ("choice", COMMANDS)},
-    "eos": {
-        "kind": ("choice", ("polytrope", "white_dwarf")),
-        "gamma": ("float", _positive),
-        "nu": ("float", _positive),
-        "pressure_const": ("float", _positive),
-        "wd_a": ("float", _positive),
-        "wd_b": ("float", _positive),
-        "wd_c": ("float", _positive),
-    },
-    "scale": {
-        "u_center": ("float", _positive),
-        "grav_const": ("float", _positive),
-    },
-    "rotation": {
-        "kind": ("choice", ("none", "constant", "differential", "angular-momentum")),
-        "omega": ("float", _nonneg),
-        "beta": ("float", _nonneg),
-        "varpi": ("floatlist", None),
-        "omega_profile": ("floatlist", None),
-        "m": ("floatlist", None),
-        "j": ("floatlist", None),
-    },
-    "grid": {
-        "n_r": ("int", lambda n: n >= 16),
-        "n_zeta": ("int", lambda n: n >= 4),
-        "l_max": ("int", lambda n: n >= 0 and n % 2 == 0),
-        "r_inf": ("float", _positive),
-    },
-    "solver": {
-        "tol": ("float", _positive),
-        "max_iter": ("int", _positive),
-        "newton": ("bool", None),
-        "damping": ("float", lambda x: 0 < x <= 1),
-        "hl_threshold": ("float", _positive),
-        "certify": ("bool", None),
-    },
-    "perturb": {
-        "beta": ("float", _nonneg),
-        "measure": ("bool", None),
-    },
-    "mass": {
-        "rho_center": ("float", _positive),
-        "omega2_schedule": ("floatlist", _nonneg),
-        "rtol": ("float", _positive),
-    },
-    "output": {
-        "prefix": ("str", None),
-        "field_csv": ("bool", None),
-    },
-}
-
-DEFAULTS = {
-    "eos": {"kind": "polytrope", "gamma": None, "nu": None, "pressure_const": 1.0,
-            "wd_a": None, "wd_b": None, "wd_c": None},
-    "scale": {"u_center": 1.0, "grav_const": 1.0},
-    "rotation": {"kind": "none", "omega": None, "beta": None, "varpi": None,
-                 "omega_profile": None, "m": None, "j": None},
-    "grid": {"n_r": 256, "n_zeta": 32, "l_max": 8, "r_inf": None},
-    "solver": {"tol": 1e-10, "max_iter": 60, "newton": True, "damping": 0.5,
-               "hl_threshold": 1e-3, "certify": True},
-    "perturb": {"beta": 1e-3, "measure": False},
-    "mass": {"rho_center": 1.0, "omega2_schedule": [0.0], "rtol": 1e-9},
-    "output": {"prefix": None, "field_csv": False},
-}
-
-
-def _coerce(section: str, key: str, raw, kind: str, check):
-    try:
-        if kind == "float":
-            val = float(raw)
-        elif kind == "int":
-            val = int(str(raw))
-        elif kind == "bool":
-            if isinstance(raw, bool):
-                val = raw
-            elif str(raw).lower() in ("true", "yes", "1"):
-                val = True
-            elif str(raw).lower() in ("false", "no", "0"):
-                val = False
-            else:
-                raise ValueError(raw)
-        elif kind == "floatlist":
-            if isinstance(raw, (list, tuple)):
-                val = [float(x) for x in raw]
-            else:
-                val = [float(x) for x in str(raw).split(",") if x.strip()]
-        elif kind == "choice":
-            val = str(raw)
-            if val not in check:
-                raise ValueError(f"must be one of {check}")
-            return val
-        else:
-            val = str(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(
-            f"[{section}] {key}: cannot parse {raw!r} ({exc})", parameter=f"{section}.{key}"
-        ) from None
-    values = val if kind == "floatlist" else [val]
-    if kind in ("float", "floatlist") and not all(map(math.isfinite, values)):
-        raise ConfigError(
-            f"[{section}] {key}: value {val!r} is not finite", parameter=f"{section}.{key}"
-        )
-    if check is not None and any(not check(v) for v in values):
-        raise ConfigError(
-            f"[{section}] {key}: value {val!r} out of range", parameter=f"{section}.{key}"
-        )
-    return val
-
-
-def load_config(path: str | Path) -> dict:
-    """Parse and validate a run configuration (INI or JSON)."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    stripped = text.lstrip()
-    if path.suffix == ".json" or stripped.startswith("{"):
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON config: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError("JSON config must be an object of sections")
-        sections = {str(k): dict(v) for k, v in raw.items()}
-    else:
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"invalid INI config: {exc}") from None
-        sections = {name: dict(parser[name]) for name in parser.sections()}
-
-    for section in sections:
-        if section not in SCHEMA:
-            raise ConfigError(f"unknown section [{section}]", parameter=section)
-    if "run" not in sections or "command" not in sections["run"]:
-        raise ConfigError("missing [run] command", parameter="run.command")
-
-    config = {"run": {}}
-    for section, keys in sections.items():
-        out = dict(DEFAULTS.get(section, {}))
-        for key, raw in keys.items():
-            if key not in SCHEMA[section]:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section}]", parameter=f"{section}.{key}"
-                )
-            kind, check = SCHEMA[section][key]
-            out[key] = _coerce(section, key, raw, kind, check)
-        config[section] = out
-    for section, defaults in DEFAULTS.items():
-        config.setdefault(section, dict(defaults))
-    return config
-
-
-def config_hash(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+# ---------------------------------------------------------------------------
+# the run's objects from a validated configuration
 
 
 def build_eos(config: dict) -> EquationOfState:
     sec = config["eos"]
     if sec["kind"] == "white_dwarf":
+        for k in ("gamma", "nu"):
+            if sec[k] is not None:
+                raise ConfigError(f"white dwarf EOS takes no {k}", parameter=f"eos.{k}")
         for k in ("wd_a", "wd_b", "wd_c"):
             if sec[k] is None:
                 raise ConfigError("white dwarf EOS needs wd_a, wd_b, wd_c", parameter=f"eos.{k}")
@@ -245,39 +78,58 @@ def build_eos(config: dict) -> EquationOfState:
     raise ConfigError("polytrope EOS needs gamma or nu", parameter="eos.gamma")
 
 
-def build_rotation(config: dict, scale: ScaleSet):
+def _tabulated_law(sec: dict, law, x: str, y: str):
+    if sec[x] is None or sec[y] is None:
+        raise ConfigError(
+            f"{sec['kind']} rotation needs {x} and {y} tables", parameter=f"rotation.{x}"
+        )
+    try:
+        return law(np.asarray(sec[x]), np.asarray(sec[y]))
+    except DomainError as exc:
+        raise ConfigError(f"[rotation] {x}, {y}: {exc}", parameter=f"rotation.{x}") from None
+
+
+def build_rotation(config: dict, scale: ScaleSet, grid: AxiGrid):
+    """``[rotation]`` as (centrifugal field, angular-momentum law) on ``grid``.
+
+    Rigid and Omega(varpi) rotation give a field, j(m) gives a law, and
+    ``kind = none`` neither.
+    """
     sec = config["rotation"]
     kind = sec["kind"]
     if kind == "none":
-        return None
+        return None, None
     if kind == "constant":
+        if sec["omega"] is not None and sec["beta"] is not None:
+            raise ConfigError("give either omega or beta, not both", parameter="rotation.beta")
         if sec["beta"] is not None:
-            return ("beta", sec["beta"])
+            return rigid_rotation(grid, sec["beta"]), None
         if sec["omega"] is None:
             raise ConfigError("constant rotation needs omega or beta", parameter="rotation.omega")
-        return ConstantRotation(sec["omega"])
+        return centrifugal_from_omega(ConstantRotation(sec["omega"]), scale, grid), None
     if kind == "differential":
-        if sec["varpi"] is None or sec["omega_profile"] is None:
-            raise ConfigError(
-                "differential rotation needs varpi and omega_profile tables",
-                parameter="rotation.varpi",
-            )
-        return DifferentialRotation(np.asarray(sec["varpi"]), np.asarray(sec["omega_profile"]))
-    if sec["m"] is None or sec["j"] is None:
-        raise ConfigError("angular-momentum law needs m and j tables", parameter="rotation.m")
-    return AngularMomentumLaw(np.asarray(sec["m"]), np.asarray(sec["j"]))
+        law = _tabulated_law(sec, DifferentialRotation, "varpi", "omega_profile")
+        return centrifugal_from_omega(law, scale, grid), None
+    return None, _tabulated_law(sec, AngularMomentumLaw, "m", "j")
 
 
 def solver_options(config: dict) -> SolverOptions:
-    sec = config["solver"]
-    return SolverOptions(
-        tol=sec["tol"],
-        max_iter=sec["max_iter"],
-        newton=sec["newton"],
-        picard_damping=sec["damping"],
-        hl_threshold=sec["hl_threshold"],
-        certify=sec["certify"],
-    )
+    return SolverOptions(**config["solver"])
+
+
+def _profile(config, eos):
+    """The spherical profile at ``[scale] u_center``, out to ``[grid] r_inf``."""
+    return solve_lane_emden(eos, config["scale"]["u_center"], r_inf=config["grid"]["r_inf"])
+
+
+def _grid(config, prof):
+    g = config["grid"]
+    return AxiGrid.build(prof.r_inf, g["n_r"], g["n_zeta"], g["l_max"], focus=prof.xi1)
+
+
+def _grid_and_profile(config, eos):
+    prof = _profile(config, eos)
+    return _grid(config, prof), prof
 
 
 # ---------------------------------------------------------------------------
@@ -346,23 +198,9 @@ class OutputWriter:
 # commands
 
 
-def _grid_and_profile(config, eos):
-    scale_sec = config["scale"]
-    prof = solve_lane_emden(eos, scale_sec["u_center"], r_inf=config["grid"]["r_inf"])
-    grid = AxiGrid.build(
-        prof.r_inf,
-        config["grid"]["n_r"],
-        config["grid"]["n_zeta"],
-        config["grid"]["l_max"],
-        focus=prof.xi1,
-    )
-    return grid, prof
-
-
 def cmd_lane_emden(config, writer):
     eos = build_eos(config)
-    u_c = config["scale"]["u_center"]
-    prof = solve_lane_emden(eos, u_c, r_inf=config["grid"]["r_inf"])
+    prof = _profile(config, eos)
     writer.write_csv(
         "profile.csv",
         ["r", "theta", "dtheta", "psi"],
@@ -373,7 +211,7 @@ def cmd_lane_emden(config, writer):
         {
             "gamma": eos.gamma,
             "nu": eos.nu,
-            "u_center": u_c,
+            "u_center": prof.u_center,
             "xi1": prof.xi1,
             "mu1": prof.mu1,
             "r_inf": prof.r_inf,
@@ -389,31 +227,17 @@ def cmd_solve(config, writer):
     )
     grid, prof = _grid_and_profile(config, eos)
     init = initial_field_from_profile(grid, prof)
-    opts = solver_options(config)
-    rot = build_rotation(config, scale)
-    law = None
-    beta = None
-    if rot is None:
-        cf = None
-    elif isinstance(rot, tuple):  # ("beta", value)
-        beta = rot[1]
-        cf = rigid_rotation(grid, beta)
-    elif isinstance(rot, AngularMomentumLaw):
-        law, cf = rot, None
-    else:
-        cf = centrifugal_from_omega(rot, scale, grid)
-        beta = cf.beta
+    cf, law = build_rotation(config, scale, grid)
     sol = solve_equilibrium(
-        cf, eos, scale.u_center, init, opts, law=law, scale=scale
+        cf, eos, scale.u_center, init, solver_options(config), law=law, scale=scale
     ).require_boundary()
-    from .mass import total_mass_dimensionless
 
     doc = sol.to_dict()
     doc["meta"] = {
         "eos_kind": eos.kind,
         "gamma": eos.gamma,
         "nu": eos.nu,
-        "beta": beta,
+        "beta": None if cf is None else cf.beta,
         "rotation_kind": config["rotation"]["kind"],
         "grid": {
             "n_r": grid.n_r,
@@ -441,18 +265,15 @@ def cmd_solve(config, writer):
 
 def cmd_oblateness(config, writer):
     eos = build_eos(config)
-    u_c = config["scale"]["u_center"]
-    prof = solve_lane_emden(eos, u_c, r_inf=config["grid"]["r_inf"])
+    prof = _profile(config, eos)
+    u_c = prof.u_center
     hf = compute_h_field(prof, eos, u_c)
     beta = config["perturb"]["beta"]
     solution = None
     if config["perturb"]["measure"]:
-        grid = AxiGrid.build(
-            prof.r_inf, config["grid"]["n_r"], config["grid"]["n_zeta"],
-            config["grid"]["l_max"], focus=prof.xi1,
-        )
+        # fixed options, not [solver]: this solve only measures the oblateness
         fam = ConstantRotationFamily(
-            eos, u_c, grid=grid, opts=SolverOptions(tol=1e-12, certify=False),
+            eos, u_c, grid=_grid(config, prof), opts=SolverOptions(tol=1e-12, certify=False),
             profile=prof,
         )
         solution = fam.solve_at(beta)
@@ -472,8 +293,11 @@ def cmd_mass_curve(config, writer):
     if eos.kind != "polytrope":
         raise ConfigError("mass-curve requires the exact gamma-law", parameter="eos.kind")
     g = config["grid"]
+    # the calculator's default options, not [solver]: certify off keeps the
+    # curve's many warm-started solves fast
     calc = MassCalculator(
-        eos, config["scale"]["grav_const"], n_r=g["n_r"], n_zeta=g["n_zeta"], l_max=g["l_max"]
+        eos, config["scale"]["grav_const"], n_r=g["n_r"], n_zeta=g["n_zeta"],
+        l_max=g["l_max"], profile=_profile(config, eos),
     )
     out = trace_constant_mass_curve(
         eos, config["mass"]["rho_center"], config["mass"]["omega2_schedule"],
@@ -534,11 +358,10 @@ def cmd_kernel_check(config, writer):
 
 def cmd_hl_check(config, writer):
     eos = build_eos(config)
-    u_c = config["scale"]["u_center"]
     grid, prof = _grid_and_profile(config, eos)
     u = initial_field_from_profile(grid, prof)
     # the spherical state's certificate is the smallest per-degree value
-    blocks = hl_certificate_blocks(u, eos, u_c)
+    blocks = hl_certificate_blocks(u, eos, prof.u_center)
     sigma = min(blocks.values())
     threshold = config["solver"]["hl_threshold"]
     writer.write_json(
@@ -554,22 +377,180 @@ def cmd_hl_check(config, writer):
     return 0 if sigma > threshold else 3
 
 
+COMMANDS = {
+    "lane-emden": cmd_lane_emden,
+    "solve": cmd_solve,
+    "oblateness": cmd_oblateness,
+    "mass-curve": cmd_mass_curve,
+    "kernel-check": cmd_kernel_check,
+    "hl-check": cmd_hl_check,
+}
+
+
+# ---------------------------------------------------------------------------
+# configuration
+
+
+def _positive(x: float) -> bool:
+    return x > 0
+
+
+def _nonneg(x: float) -> bool:
+    return x >= 0
+
+
+# section -> key -> (type tag, validator or choices or None, default)
+CONFIG = {
+    "run": {"command": ("choice", tuple(COMMANDS), None)},
+    "eos": {
+        "kind": ("choice", ("polytrope", "white_dwarf"), "polytrope"),
+        "gamma": ("float", _positive, None),
+        "nu": ("float", _positive, None),
+        "pressure_const": ("float", _positive, 1.0),
+        "wd_a": ("float", _positive, None),
+        "wd_b": ("float", _positive, None),
+        "wd_c": ("float", _positive, None),
+    },
+    "scale": {
+        "u_center": ("float", _positive, 1.0),
+        "grav_const": ("float", _positive, 1.0),
+    },
+    "rotation": {
+        "kind": ("choice", ("none", "constant", "differential", "angular-momentum"), "none"),
+        "omega": ("float", _nonneg, None),
+        "beta": ("float", _nonneg, None),
+        "varpi": ("floatlist", None, None),
+        "omega_profile": ("floatlist", None, None),
+        "m": ("floatlist", None, None),
+        "j": ("floatlist", None, None),
+    },
+    "grid": {
+        "n_r": ("int", lambda n: n >= 16, 256),
+        "n_zeta": ("int", lambda n: n >= 4, 32),
+        "l_max": ("int", lambda n: n >= 0 and n % 2 == 0, 8),
+        "r_inf": ("float", _positive, None),
+    },
+    # one key per SolverOptions field
+    "solver": {
+        "tol": ("float", _positive, 1e-10),
+        "max_iter": ("int", _positive, 60),
+        "newton": ("bool", None, True),
+        "damping": ("float", lambda x: 0 < x <= 1, 0.5),
+        "hl_threshold": ("float", _positive, 1e-3),
+        "certify": ("bool", None, True),
+    },
+    "perturb": {
+        "beta": ("float", _nonneg, 1e-3),
+        "measure": ("bool", None, False),
+    },
+    "mass": {
+        "rho_center": ("float", _positive, 1.0),
+        "omega2_schedule": ("floatlist", _nonneg, [0.0]),
+        "rtol": ("float", _positive, 1e-9),
+    },
+    "output": {
+        "field_csv": ("bool", None, False),
+    },
+}
+
+
+def _coerce(section: str, key: str, raw, kind: str, check):
+    try:
+        if kind == "float":
+            val = float(raw)
+        elif kind == "int":
+            val = int(str(raw))
+        elif kind == "bool":
+            if isinstance(raw, bool):
+                val = raw
+            elif str(raw).lower() in ("true", "yes", "1"):
+                val = True
+            elif str(raw).lower() in ("false", "no", "0"):
+                val = False
+            else:
+                raise ValueError(raw)
+        elif kind == "floatlist":
+            if isinstance(raw, (list, tuple)):
+                val = [float(x) for x in raw]
+            else:
+                val = [float(x) for x in str(raw).split(",") if x.strip()]
+        else:  # choice
+            val = str(raw)
+            if val not in check:
+                raise ValueError(f"must be one of {check}")
+            return val
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"[{section}] {key}: cannot parse {raw!r} ({exc})", parameter=f"{section}.{key}"
+        ) from None
+    values = val if kind == "floatlist" else [val]
+    if kind in ("float", "floatlist") and not all(map(math.isfinite, values)):
+        raise ConfigError(
+            f"[{section}] {key}: value {val!r} is not finite", parameter=f"{section}.{key}"
+        )
+    if check is not None and any(not check(v) for v in values):
+        raise ConfigError(
+            f"[{section}] {key}: value {val!r} out of range", parameter=f"{section}.{key}"
+        )
+    return val
+
+
+def load_config(path: str | Path) -> dict:
+    """Parse and validate a run configuration (INI or JSON)."""
+    path = Path(path)
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    stripped = text.lstrip()
+    if path.suffix == ".json" or stripped.startswith("{"):
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON config: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ConfigError("JSON config must be an object of sections")
+        sections = {str(k): dict(v) for k, v in raw.items()}
+    else:
+        parser = configparser.ConfigParser()
+        try:
+            parser.read_string(text)
+        except configparser.Error as exc:
+            raise ConfigError(f"invalid INI config: {exc}") from None
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+
+    for section in sections:
+        if section not in CONFIG:
+            raise ConfigError(f"unknown section [{section}]", parameter=section)
+    if "run" not in sections or "command" not in sections["run"]:
+        raise ConfigError("missing [run] command", parameter="run.command")
+
+    config = {}
+    for section, keys in CONFIG.items():
+        given = sections.get(section, {})
+        for key in given:
+            if key not in keys:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{section}]", parameter=f"{section}.{key}"
+                )
+        config[section] = {
+            key: _coerce(section, key, given[key], kind, check) if key in given else default
+            for key, (kind, check, default) in keys.items()
+        }
+    return config
+
+
+def config_hash(config: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+    ).hexdigest()
+
+
 def run(config: dict, out_dir: Path) -> int:
     """Execute the configured command; returns a process exit status."""
     command = config["run"]["command"]
     writer = OutputWriter(out_dir, config)
-    if command == "lane-emden":
-        status = cmd_lane_emden(config, writer)
-    elif command == "solve":
-        status = cmd_solve(config, writer)
-    elif command == "oblateness":
-        status = cmd_oblateness(config, writer)
-    elif command == "mass-curve":
-        status = cmd_mass_curve(config, writer)
-    elif command == "kernel-check":
-        status = cmd_kernel_check(config, writer)
-    else:
-        status = cmd_hl_check(config, writer)
+    status = COMMANDS[command](config, writer)
     writer.finish(command)
     _log.info("%s: wrote %d files to %s", command, len(writer.files), out_dir)
     return status

@@ -58,7 +58,7 @@ class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 60
     newton: bool = True
-    picard_damping: float = 0.5
+    damping: float = 0.5
     hl_threshold: float = 1e-3
     certify: bool = True
 
@@ -242,15 +242,13 @@ def gravity_jacobian_packed(
     return jac
 
 
-def newton_matrix(jac: np.ndarray, b_matrix: np.ndarray | None = None) -> np.ndarray:
-    """Overwrite ``jac`` with I - jac - b_matrix and return it.
+def newton_matrix(jac: np.ndarray) -> np.ndarray:
+    """Overwrite ``jac`` with I - jac and return it.
 
-    Applied to ``gravity_jacobian_packed`` (and the centrifugal linearization
-    of an angular-momentum law) this gives the Newton matrix in one
+    Applied to ``gravity_jacobian_packed`` (with the centrifugal linearization
+    of an angular-momentum law added in) this gives the Newton matrix in one
     Fortran-ordered buffer, ready to be factored in place.
     """
-    if b_matrix is not None:
-        jac += b_matrix
     np.negative(jac, out=jac)
     diag = np.arange(jac.shape[0])
     jac[diag, diag] += 1.0
@@ -702,7 +700,7 @@ def _solve_modes(
             U = U + unpack_modes(grid, delta)
         else:
             _log.debug("iter %2d  residual %.3e  Picard step", it, res)
-            U = U + opts.picard_damping * rhs
+            U = U + opts.damping * rhs
     raise NoConvergence(
         f"no convergence after {opts.max_iter} iterations (residual {history[-1]:.3e})",
         history,

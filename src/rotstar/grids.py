@@ -66,14 +66,12 @@ class PiecewisePoly:
 
     On [x_k, x_k+1] the value is sum_m c[m, k] (t - x_k)^(deg - m), so c has
     shape (deg + 1, len(x) - 1, ...) and trailing axes are value axes.  The
-    end pieces continue outside [x_0, x_-1]; with ``extrapolate=False`` those
-    points give NaN instead.
+    end pieces continue outside [x_0, x_-1].
     """
 
-    def __init__(self, x: np.ndarray, c: np.ndarray, extrapolate: bool = True):
+    def __init__(self, x: np.ndarray, c: np.ndarray):
         self.x = x
         self.c = c
-        self.extrapolate = extrapolate
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -87,8 +85,6 @@ class PiecewisePoly:
             out = out + self.c[m, k] * power
             if m:
                 power = power * s
-        if not self.extrapolate:
-            out[(flat < self.x[0]) | (flat > self.x[-1])] = np.nan
         return out.reshape(t.shape + self.c.shape[2:])
 
     def weighted_sums(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -121,16 +117,16 @@ class PiecewisePoly:
     def derivative(self) -> "PiecewisePoly":
         deg = self.c.shape[0] - 1
         powers = np.arange(deg, 0, -1, dtype=float).reshape((-1,) + (1,) * (self.c.ndim - 1))
-        return PiecewisePoly(self.x, self.c[:-1] * powers, self.extrapolate)
+        return PiecewisePoly(self.x, self.c[:-1] * powers)
 
 
-def _hermite_cubic(x, y, dydx, extrapolate=True) -> PiecewisePoly:
+def _hermite_cubic(x, y, dydx) -> PiecewisePoly:
     """Cubic through values y and slopes dydx at x, along axis 0."""
     dxr = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
     t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
     c = np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]))
-    return PiecewisePoly(x, c, extrapolate)
+    return PiecewisePoly(x, c)
 
 
 def cubic_spline(x, y) -> PiecewisePoly:
@@ -180,7 +176,7 @@ def _pchip_end_slope(h0, h1, m0, m1) -> float:
     return d
 
 
-def pchip(x, y, extrapolate: bool = True) -> PiecewisePoly:
+def pchip(x, y) -> PiecewisePoly:
     """Monotone piecewise-cubic interpolant of 1-D data (Fritsch & Carlson,
     SIAM J. Numer. Anal. 17, 238, 1980): interior slopes are the weighted
     harmonic mean of the neighbouring secants, or 0 at a local extremum."""
@@ -191,7 +187,7 @@ def pchip(x, y, extrapolate: bool = True) -> PiecewisePoly:
     dk = np.zeros_like(y)
     if len(x) == 2:
         dk[:] = m[0]
-        return _hermite_cubic(x, y, dk, extrapolate)
+        return _hermite_cubic(x, y, dk)
     smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
@@ -200,7 +196,7 @@ def pchip(x, y, extrapolate: bool = True) -> PiecewisePoly:
     dk[1:-1][smooth] = 1.0 / whmean[smooth]
     dk[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
     dk[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
-    return _hermite_cubic(x, y, dk, extrapolate)
+    return _hermite_cubic(x, y, dk)
 
 
 # ---------------------------------------------------------------------------
@@ -336,13 +332,7 @@ def radial_kernel(r: np.ndarray, x: np.ndarray, w: np.ndarray, l: int) -> np.nda
 class AxiGrid:
     """Discretization of [0, r_inf] x [-1, 1] with even-Legendre mode tables."""
 
-    def __init__(
-        self,
-        r_nodes: np.ndarray,
-        n_zeta: int,
-        l_max: int,
-        zeta_oversample: int = 2,
-    ):
+    def __init__(self, r_nodes: np.ndarray, n_zeta: int, l_max: int):
         r_nodes = np.asarray(r_nodes, dtype=float)
         if r_nodes[0] != 0.0 or np.any(np.diff(r_nodes) <= 0):
             raise DomainError("radial nodes must start at 0 and strictly increase")
@@ -362,8 +352,7 @@ class AxiGrid:
         # table P[k, j] = P_{l_k}(zeta_j)
         self.leg = legendre_table(self.lvals, self.zeta)
 
-        nf = max(zeta_oversample * n_zeta, l_max + 1)
-        self.zeta_f, self.zeta_fw = np.polynomial.legendre.leggauss(nf)
+        self.zeta_f, self.zeta_fw = np.polynomial.legendre.leggauss(2 * n_zeta)
         self.leg_f = legendre_table(self.lvals, self.zeta_f)
         # projection onto even modes, on the grid's rule and on the fine rule
         self.proj = (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_w[None, :] * self.leg
@@ -397,20 +386,11 @@ class AxiGrid:
         focus: float | None = None,
         focus_weight: float = 5.0,
         focus_width: float = 0.03,
-        axis_weight: float = 2.0,
-        axis_width: float = 0.05,
-        zeta_oversample: int = 2,
     ) -> "AxiGrid":
         nodes = clustered_nodes(
-            r_inf,
-            n_r,
-            axis_weight=axis_weight,
-            axis_width=axis_width,
-            focus=focus,
-            focus_weight=focus_weight,
-            focus_width=focus_width,
+            r_inf, n_r, focus=focus, focus_weight=focus_weight, focus_width=focus_width
         )
-        return cls(nodes, n_zeta, l_max, zeta_oversample)
+        return cls(nodes, n_zeta, l_max)
 
     # -- radial quadrature ----------------------------------------------
 

@@ -16,7 +16,7 @@ from .eos import EquationOfState, POLYTROPE, scaled_density
 from .equilibrium import ConstantRotationFamily, EquilibriumSolution, SolverOptions
 from .errors import DomainError, GammaFourThirds, NoBracket
 from .grids import AxiField, AxiGrid
-from .radial import solve_lane_emden
+from .radial import RadialProfile, solve_lane_emden
 
 
 @dataclass
@@ -26,7 +26,6 @@ class MassPoint:
     beta: float
     m1: float
     mass: float
-    dm_drho: float | None = None
 
 
 def total_mass_dimensionless(
@@ -72,7 +71,11 @@ def dm_drho_at_constant_omega(
 
 
 class MassCalculator:
-    """beta |-> M1 on a shared rigid-rotation continuation family."""
+    """beta |-> M1 on a shared rigid-rotation continuation family.
+
+    ``profile`` is the family's spherical start, solved at u_center = 1 when
+    not given; the grid spans [0, profile.r_inf].
+    """
 
     def __init__(
         self,
@@ -82,10 +85,11 @@ class MassCalculator:
         n_r: int = 256,
         n_zeta: int = 32,
         l_max: int = 8,
+        profile: RadialProfile | None = None,
     ):
         self.eos = eos
         self.grav_const = grav_const
-        prof = solve_lane_emden(eos, 1.0)
+        prof = profile or solve_lane_emden(eos, 1.0)
         self.family = ConstantRotationFamily(
             eos,
             1.0,

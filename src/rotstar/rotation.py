@@ -35,6 +35,17 @@ class ConstantRotation:
         return np.full_like(np.asarray(varpi, dtype=float), self.omega)
 
 
+def _sample_tables(x, y, names: str) -> tuple[np.ndarray, np.ndarray]:
+    """A law's abscissa and value tables as float arrays of one length >= 2."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
+        raise DomainError(
+            f"{names} need the same number of samples, at least 2 "
+            f"(got {x.size} and {y.size})"
+        )
+    return x, y
+
+
 @dataclass(frozen=True)
 class DifferentialRotation:
     """Angular velocity sampled against the physical cylinder radius,
@@ -44,15 +55,14 @@ class DifferentialRotation:
     omega: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "varpi", np.asarray(self.varpi, dtype=float))
-        object.__setattr__(self, "omega", np.asarray(self.omega, dtype=float))
+        varpi, omega = _sample_tables(self.varpi, self.omega, "varpi and omega")
+        object.__setattr__(self, "varpi", varpi)
+        object.__setattr__(self, "omega", omega)
         if np.any(np.diff(self.varpi) <= 0) or self.varpi[0] != 0.0:
             raise DomainError("varpi samples must start at 0 and increase")
         if np.any(self.omega < 0):
             raise DomainError("omega samples must be nonnegative")
-        object.__setattr__(
-            self, "_interp", pchip(self.varpi, self.omega, extrapolate=True)
-        )
+        object.__setattr__(self, "_interp", pchip(self.varpi, self.omega))
 
     kind = "differential"
 
@@ -69,13 +79,14 @@ class AngularMomentumLaw:
     j: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
-        object.__setattr__(self, "j", np.asarray(self.j, dtype=float))
+        m, j = _sample_tables(self.m, self.j, "m and j")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "j", j)
         if self.m[0] != 0.0 or np.any(np.diff(self.m) <= 0):
             raise DomainError("mass samples must start at 0 and increase")
         if self.j[0] != 0.0:
             raise DomainError("j(0) must vanish")
-        interp = pchip(self.m, self.j, extrapolate=False)
+        interp = pchip(self.m, self.j)
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_dinterp", interp.derivative())
         norm = float(np.max(np.abs(self.j))) + float(
@@ -257,7 +268,7 @@ class CylinderMass:
 
     def __post_init__(self):
         if self._interp is None:
-            self._interp = pchip(self.varpi, self.mass, extrapolate=True)
+            self._interp = pchip(self.varpi, self.mass)
 
     def at_scaled(self, varpi):
         v = np.clip(np.asarray(varpi, dtype=float), 0.0, self.varpi[-1])

@@ -183,7 +183,10 @@ def dense_newton_step(grid, eos, u_center, modes, rhs, b_matrix=None):
     centrifugal linearization of a momentum law (None otherwise)."""
     from rotstar.equilibrium import gravity_jacobian_packed, newton_matrix
 
-    mat = newton_matrix(gravity_jacobian_packed(grid, eos, u_center, modes), b_matrix)
+    mat = gravity_jacobian_packed(grid, eos, u_center, modes)
+    if b_matrix is not None:
+        mat += b_matrix
+    mat = newton_matrix(mat)
     return lu_solve(lu_factor(mat), rhs)
 
 

@@ -182,6 +182,54 @@ def test_non_finite_value_is_a_config_error(tmp_path, capsys, ini, parameter):
     assert not out.exists()
 
 
+# each exited 1 with an IndexError traceback
+@pytest.mark.parametrize(
+    "rotation, parameter",
+    [
+        ("kind = differential\nvarpi = 0, 1, 2\nomega_profile = 1, 1", "rotation.varpi"),
+        ("kind = angular-momentum\nm = 0, 1, 2\nj = 0, 1", "rotation.m"),
+        ("kind = differential\nvarpi = 0\nomega_profile = 1", "rotation.varpi"),
+    ],
+    ids=["differential-lengths", "momentum-lengths", "one-sample"],
+)
+def test_rotation_tables_that_do_not_line_up(tmp_path, capsys, rotation, parameter):
+    ini = SOLVE_INI.replace("kind = constant\nbeta = 1e-3", rotation)
+    assert main(["--config", str(_write(tmp_path, ini)), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["parameter"] == parameter
+    assert "same number of samples" in err["message"]
+
+
+WHITE_DWARF_INI = """
+[run]
+command = lane-emden
+
+[eos]
+kind = white_dwarf
+wd_a = 1.0
+wd_b = 1.0
+wd_c = 1.0
+"""
+
+
+# each ran on one of the keys and ignored the other, and exited 0
+@pytest.mark.parametrize(
+    "ini, parameter",
+    [
+        (SOLVE_INI.replace("beta = 1e-3", "beta = 1e-3\nomega = 0.05"), "rotation.beta"),
+        (WHITE_DWARF_INI + "gamma = 2.0\n", "eos.gamma"),
+        (WHITE_DWARF_INI + "nu = 1.0\n", "eos.nu"),
+    ],
+    ids=["omega-and-beta", "white-dwarf-gamma", "white-dwarf-nu"],
+)
+def test_conflicting_keys_are_a_config_error(tmp_path, capsys, ini, parameter):
+    assert main(["--config", str(_write(tmp_path, ini)), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["parameter"] == parameter
+
+
 def test_unknown_key_rejected(tmp_path):
     cfg = _write(tmp_path, LANE_EMDEN_INI + "\n[solver]\nbogus = 1\n")
     with pytest.raises(ConfigError):
@@ -304,6 +352,19 @@ rtol = 1e-8
     assert len(rows) == 3
     doc = json.loads((out / "mass_curve.json").read_text())
     assert max(doc["relative_errors"]) <= 1e-6
+
+
+def test_mass_curve_reads_the_outer_radius(tmp_path):
+    # [grid] r_inf was ignored: the curve came out byte-identical without it
+    outs = []
+    for extra in ("", "r_inf = 8.0\n"):
+        outs.append(tmp_path / f"out{len(outs)}")
+        cfg = _write(tmp_path, MASS_INI.replace("l_max = 4\n", "l_max = 4\n" + extra))
+        assert main(["--config", str(cfg), "--out", str(outs[-1])]) == 0
+    default, wide = (json.loads((o / "mass_curve.json").read_text()) for o in outs)
+    assert max(wide["relative_errors"]) <= 1e-6
+    assert wide["mass_reference"] == pytest.approx(default["mass_reference"], rel=1e-3)
+    assert wide["mass_reference"] != default["mass_reference"]
 
 
 def test_mass_curve_refuses_negative_rotation(tmp_path, capsys):

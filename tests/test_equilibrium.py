@@ -778,10 +778,10 @@ def _converged_state(kind, nu, size):
 @pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
 def test_certificate_matches_dense_svd(kind, nu, size):
     u, eos, law, scale = _converged_state(kind, nu, size)
-    mat = newton_matrix(
-        gravity_jacobian_packed(u.grid, eos, 1.0, u.modes()),
-        None if law is None else centrifugal_deriv_matrix(law, u, eos, scale),
-    )
+    mat = gravity_jacobian_packed(u.grid, eos, 1.0, u.modes())
+    if law is not None:
+        mat += centrifugal_deriv_matrix(law, u, eos, scale)
+    mat = newton_matrix(mat)
     want = sigma_min_dense(mat)
     sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
     assert abs(sigma - want) <= 1e-12 * want

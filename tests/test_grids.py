@@ -179,8 +179,7 @@ def test_cubic_spline_matches_scipy_on_grid_nodes():
     assert cubic_spline(grid.r, y[:, 0])(t[:2000].reshape(40, 50)).shape == (40, 50)
 
 
-@pytest.mark.parametrize("extrapolate", [True, False])
-def test_pchip_matches_scipy(extrapolate):
+def test_pchip_matches_scipy():
     si = _scipy_interpolate()
     rng = np.random.default_rng(12)
     x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 39))])
@@ -190,16 +189,13 @@ def test_pchip_matches_scipy(extrapolate):
         0.01 * x ** 2 / x[-1],                       # a j(m) table
         np.r_[np.zeros(5), np.linspace(0.0, 1.0, 35)],  # flat piece
     ]
+    # points on both sides of the table: the end pieces continue outside
     t = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 3000)])
-    outside = (t < x[0]) | (t > x[-1])
     for y in datasets:
-        want = si.PchipInterpolator(x, y, extrapolate=extrapolate)
-        got = pchip(x, y, extrapolate=extrapolate)
+        want = si.PchipInterpolator(x, y)
+        got = pchip(x, y)
         for g, w in ((got(t), want(t)), (got.derivative()(t), want.derivative()(t))):
-            assert np.array_equal(np.isnan(g), np.isnan(w))
-            assert np.all(np.isnan(g[outside])) == (not extrapolate)
-            ok = ~np.isnan(w)
-            assert np.max(np.abs(g[ok] - w[ok])) <= 1e-13 * max(1.0, np.max(np.abs(w[ok])))
+            assert np.max(np.abs(g - w)) <= 1e-13 * max(1.0, np.max(np.abs(w)))
 
 
 def test_legendre_table_matches_eval_legendre():

@@ -304,3 +304,16 @@ def test_law_validation():
         AngularMomentumLaw(np.array([0.0, 1.0]), np.array([0.5, 1.0]))  # j(0) != 0
     with pytest.raises(DomainError):
         AngularMomentumLaw(np.array([0.5, 1.0]), np.array([0.0, 1.0]))  # m[0] != 0
+
+
+# tables of unequal length, or of fewer than 2 samples, raised IndexError
+# from the interpolant, or (a longer value table) built a law without a word
+@pytest.mark.parametrize("law", [DifferentialRotation, AngularMomentumLaw])
+@pytest.mark.parametrize(
+    "x, y", [([0.0, 1.0, 2.0], [0.0, 1.0]), ([0.0, 1.0], [0.0, 1.0, 2.0]), ([0.0], [0.0]),
+             ([], [])],
+    ids=["short-values", "long-values", "one-sample", "empty"],
+)
+def test_law_tables_must_line_up(law, x, y):
+    with pytest.raises(DomainError, match="same number of samples"):
+        law(np.array(x), np.array(y))
