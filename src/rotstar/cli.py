@@ -89,14 +89,27 @@ def _tabulated_law(sec: dict, law, x: str, y: str):
         raise ConfigError(f"[rotation] {x}, {y}: {exc}", parameter=f"rotation.{x}") from None
 
 
+# the [rotation] keys that each kind reads
+_ROTATION_KEYS = {
+    "none": (),
+    "constant": ("omega", "beta"),
+    "differential": ("varpi", "omega_profile"),
+    "angular-momentum": ("m", "j"),
+}
+
+
 def build_rotation(config: dict, scale: ScaleSet, grid: AxiGrid):
     """``[rotation]`` as (centrifugal field, angular-momentum law) on ``grid``.
 
     Rigid and Omega(varpi) rotation give a field, j(m) gives a law, and
-    ``kind = none`` neither.
+    ``kind = none`` neither.  A key that the kind does not read is a
+    ConfigError.
     """
     sec = config["rotation"]
     kind = sec["kind"]
+    for key, val in sec.items():
+        if key != "kind" and val is not None and key not in _ROTATION_KEYS[kind]:
+            raise ConfigError(f"{kind} rotation takes no {key}", parameter=f"rotation.{key}")
     if kind == "none":
         return None, None
     if kind == "constant":
@@ -416,7 +429,7 @@ CONFIG = {
         "grav_const": ("float", _positive, 1.0),
     },
     "rotation": {
-        "kind": ("choice", ("none", "constant", "differential", "angular-momentum"), "none"),
+        "kind": ("choice", tuple(_ROTATION_KEYS), "none"),
         "omega": ("float", _nonneg, None),
         "beta": ("float", _nonneg, None),
         "varpi": ("floatlist", None, None),

@@ -6,13 +6,14 @@ The solver runs Newton-Kantorovich on even-Legendre mode coefficients,
 falling back to damped Picard iteration.  Each Newton system is solved by
 GMRES to a fixed tight tolerance, with products taken matrix-free at the
 current iterate and right-preconditioned by the per-degree diagonal blocks
-of the linearization (``gravity_jacobian_packed`` with ``diagonal``),
-factored once per warm-started family at its spherical start, or at a lone
-solve's first Newton step, and again only after a GMRES solve stops at its
-cap.  Invertibility of the linearization is certified by its smallest
-singular value: per Legendre degree at a spherical state, and otherwise by
-block inverse iteration on one LU of the full matrix, the only place the
-full matrix is built.
+of the linearization (``gravity_jacobian_packed`` with ``diagonal``), each
+inverted on the star's support once per warm-started family at its
+spherical start, or at a lone solve's first Newton step, and again only
+after a GMRES solve stops at its cap.  Invertibility of the linearization is
+certified by its smallest singular value: per Legendre degree at a
+spherical state, and otherwise by block inverse iteration on one LU of the
+full matrix, the only place the full matrix is built and the only use of
+``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -278,8 +279,8 @@ def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> list[np.ndarray]:
 
 
 def lu_factor(a: np.ndarray, **kwargs):
-    """``scipy.linalg.lu_factor``, imported on the first factorization so that
-    importing the package loads no ``scipy.linalg``."""
+    """``scipy.linalg.lu_factor`` for the certificate, imported on its first
+    factorization so that no other path loads ``scipy.linalg``."""
     from scipy.linalg import lu_factor as factor
 
     return factor(a, **kwargs)
@@ -565,35 +566,76 @@ def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
         if abs(g[k]) <= _GMRES_RTOL * beta or w_norm == 0.0:
             break
         basis[k] = w / w_norm
-    from scipy.linalg import solve_triangular
-
-    y = solve_triangular(hess[:k, :k], g[:k], check_finite=False)
+    y = np.linalg.solve(hess[:k, :k], g[:k])  # upper triangular
     return size * precondition(y @ basis[:k]), k, abs(g[k]) / beta
+
+
+def _support_size(blk: np.ndarray) -> int:
+    """The number of leading columns of ``blk`` through its last nonzero one.
+
+    A column of J_kk is zero where rho'(u) is zero at every Gauss point that
+    reads its node, so past the star's support."""
+    nonzero = np.flatnonzero(np.any(blk != 0.0, axis=0))
+    return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+
+def _invert_on_support(blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(I - J_kk)^-1 for the block J_kk = ``blk`` (overwritten), as the pair
+    (inverse, lower).
+
+    With n_in = ``_support_size(blk)``, I - J_kk = [[I - A, 0], [-B, I]], so
+    its inverse is [[(I - A)^-1, 0], [B (I - A)^-1, I]]: ``inverse`` is the
+    n_in x n_in (I - A)^-1 and ``lower`` is -B.  An exactly singular I - A
+    raises LinAlgError.
+    """
+    n_in = _support_size(blk)
+    mat = newton_matrix(blk)
+    return np.linalg.inv(mat[:n_in, :n_in]), mat[n_in:, :n_in].copy()
+
+
+def _solve_block(block: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """(I - J_kk)^-1 x from the pair of ``_invert_on_support``."""
+    inverse, lower = block
+    y_in = inverse @ x[: len(inverse)]
+    return np.concatenate([y_in, x[len(inverse) :] - lower @ y_in])
 
 
 def _factor_blocks(
     grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray,
     hl_threshold: float,
 ) -> list:
-    """LUs of the per-degree blocks I - J_kk at u given by mode coefficients.
+    """The preconditioner at u given by mode coefficients: each per-degree
+    block I - J_kk inverted on the star's support (``_invert_on_support``).
 
-    A block that is not finite or has an exact zero pivot raises
-    SingularLinearization with sigma 0.0.
+    Each n_r x n_r block is dropped as soon as it is inverted.  A block that
+    is not finite or is exactly singular raises SingularLinearization with
+    sigma 0.0.
     """
-    lus = []
-    for blk in gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True):
-        lu = _factor_in_place(newton_matrix(blk))
-        if lu is None:
+    blocks = gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True)[::-1]
+    out = []
+    while blocks:
+        blk = blocks.pop()  # so that the list lets go of each block in turn
+        if not np.isfinite(blk).all():
             raise SingularLinearization(0.0, hl_threshold)
-        lus.append(lu)
-    return lus
+        try:
+            out.append(_invert_on_support(blk))
+        except np.linalg.LinAlgError:
+            raise SingularLinearization(0.0, hl_threshold) from None
+    return out
+
+
+def _support_note(grid: AxiGrid, blocks: list) -> str:
+    """The preconditioner's support for the log, in radial nodes from the
+    center (the blocks of degree k > 0 leave out the center node)."""
+    nodes = max(len(inverse) + (k > 0) for k, (inverse, _) in enumerate(blocks))
+    return f"support {nodes} of {grid.n_r} nodes"
 
 
 def _newton_step(
     grid: AxiGrid,
     fp: np.ndarray,
     lin: LinearizedCentrifugal | None,
-    lus: list,
+    blocks: list,
     rhs: np.ndarray,
 ) -> tuple[np.ndarray, int, float]:
     """Packed Newton step (I - J - B)^-1 rhs by GMRES; returns (step,
@@ -601,11 +643,9 @@ def _newton_step(
 
     J is applied matrix-free at the state with rho'(u) = ``fp``, B through
     the centrifugal linearization ``lin`` of a momentum law (None
-    otherwise), and the system is right-preconditioned by the block LUs
-    ``lus`` of ``_factor_blocks``.
+    otherwise), and the system is right-preconditioned by the block
+    inverses ``blocks`` of ``_factor_blocks``.
     """
-    from scipy.linalg import lu_solve
-
     def apply(x):
         modes = unpack_modes(grid, x)
         jh = _gravity_deriv_modes(grid, fp, modes)
@@ -615,9 +655,9 @@ def _newton_step(
 
     def precondition(x):
         out = np.empty_like(x)
-        for k, lu in enumerate(lus):
+        for k, block in enumerate(blocks):
             rows, _ = _packed_block(grid, k)
-            out[rows] = lu_solve(lu, x[rows], check_finite=False)
+            out[rows] = _solve_block(block, x[rows])
         return out
 
     return _gmres(apply, precondition, rhs)
@@ -645,19 +685,19 @@ def _solve_modes(
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
     *,
-    lus: list | None = None,
+    blocks: list | None = None,
     stats: dict,
 ):
     """Newton iteration in mode space; returns (U, history, g_modes).
 
-    ``lus`` are the preconditioner's block LUs (``_factor_blocks``), built
-    at the first Newton step if not given, and again at the step after one
-    whose GMRES solve stops at its cap.  ``stats`` collects the GMRES
+    ``blocks`` are the preconditioner's block inverses (``_factor_blocks``),
+    built at the first Newton step if not given, and again at the step after
+    one whose GMRES solve stops at its cap.  ``stats`` collects the GMRES
     iterations of each Newton step and the number of preconditioner builds,
     also when the iteration fails.
     """
     history = []
-    lu_from = "carried from the family"
+    blocks_from = "carried from the family"
     lin = None
 
     for it in range(opts.max_iter + 1):
@@ -683,20 +723,21 @@ def _solve_modes(
             if law is not None and lin is None:
                 lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
             built = ""
-            if lus is None:
-                lus = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
+            if blocks is None:
+                blocks = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
                 stats["preconditioner_builds"] += 1
-                built, lu_from = "built", f"of iteration {it}"
-            delta, inner, lin_res = _newton_step(grid, fp, lin, lus, pack_modes(grid, rhs))
+                built = f"built ({_support_note(grid, blocks)})"
+                blocks_from = f"of iteration {it}"
+            delta, inner, lin_res = _newton_step(grid, fp, lin, blocks, pack_modes(grid, rhs))
             stats["gmres_iterations"].append(inner)
             capped = inner == _GMRES_MAX_ITER and lin_res > _GMRES_RTOL
             _log.debug(
                 "iter %2d  residual %.3e  Newton step, preconditioner %s, "
                 "GMRES %d iterations to %.1e%s",
-                it, res, built or lu_from, inner, lin_res, " (iteration cap)" if capped else "",
+                it, res, built or blocks_from, inner, lin_res, " (iteration cap)" if capped else "",
             )
             if capped:
-                lus = None  # too far from the operator: rebuild at the next iterate
+                blocks = None  # too far from the operator: rebuild at the next iterate
             U = U + unpack_modes(grid, delta)
         else:
             _log.debug("iter %2d  residual %.3e  Picard step", it, res)
@@ -728,7 +769,7 @@ def solve_equilibrium(
     invertibility certificate are produced; ``meta["certificate"]`` records
     how the certificate was found, and ``meta["newton"]`` the GMRES
     iterations of each Newton step and the number of preconditioner builds.
-    ``preconditioner`` holds the block LUs of a warm-started family
+    ``preconditioner`` holds the block inverses of a warm-started family
     (``ConstantRotationFamily``); without it the solve builds its own.
     """
     opts = opts or SolverOptions()
@@ -746,7 +787,7 @@ def solve_equilibrium(
         try:
             U, history, g_modes = _solve_modes(
                 grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
-                lus=preconditioner, stats=newton,
+                blocks=preconditioner, stats=newton,
             )
         except NoConvergence as exc:
             if not opts.newton:
@@ -827,7 +868,7 @@ class ConstantRotationFamily:
     """Random-access rigid-rotation solves with warm starts, keyed by beta.
 
     Each solve starts from the nearest cached state, and every Newton solve
-    of the family is preconditioned by the block LUs factored once at its
+    of the family is preconditioned by the block inverses built once at its
     spherical start.  A converged field without a free boundary raises
     NoSignChange and is not cached.  Used wherever many nearby solves are
     needed (mass curves, slope fits).
@@ -847,7 +888,7 @@ class ConstantRotationFamily:
         self.grid = grid or AxiGrid.build(self.profile.r_inf, focus=self.profile.xi1)
         self.opts = opts or SolverOptions(certify=False)
         self._cache: dict[float, EquilibriumSolution] = {}
-        self._lus = None
+        self._preconditioner = None
 
     def solve_at(self, beta: float) -> EquilibriumSolution:
         if beta < 0:
@@ -859,15 +900,18 @@ class ConstantRotationFamily:
             init = self._cache[nearest].u
         else:
             init = initial_field_from_profile(self.grid, self.profile)
-        built = self._lus is None and self.opts.newton
+        built = self._preconditioner is None and self.opts.newton
         if built:  # only at the first solve, whose start is spherical
-            self._lus = _factor_blocks(
+            self._preconditioner = _factor_blocks(
                 self.grid, self.eos, self.u_center, init.modes(), self.opts.hl_threshold
             )
-            _log.debug("preconditioner built at the spherical start")
+            _log.debug(
+                "preconditioner built at the spherical start (%s)",
+                _support_note(self.grid, self._preconditioner),
+            )
         cf = rigid_rotation(self.grid, beta)
         sol = solve_equilibrium(
-            cf, self.eos, self.u_center, init, self.opts, preconditioner=self._lus
+            cf, self.eos, self.u_center, init, self.opts, preconditioner=self._preconditioner
         ).require_boundary()
         if built:
             sol.meta["newton"]["preconditioner_builds"] += 1

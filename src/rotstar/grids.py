@@ -11,8 +11,7 @@ nodes to the radial quadrature points as a 4-node stencil.
 
 The 1-D routines are piecewise polynomials (the not-a-knot cubic spline,
 PCHIP, and the profile's dense output), the Legendre recurrence and the
-cumulative trapezoid, in numpy, so that importing the package needs numpy
-alone; the spline's banded solve loads ``scipy.linalg`` at its first call.
+cumulative trapezoid, in numpy alone.
 """
 
 from __future__ import annotations
@@ -132,8 +131,9 @@ def _hermite_cubic(x, y, dydx) -> PiecewisePoly:
 def cubic_spline(x, y) -> PiecewisePoly:
     """Not-a-knot cubic spline through (x, y) along axis 0 of y.
 
-    The slopes solve the usual tridiagonal system; the third derivative is
-    continuous across x_1 and x_-2.  Needs at least 4 nodes.
+    The slopes solve the usual tridiagonal system, by elimination without
+    pivoting: past the first row every pivot is positive.  The third
+    derivative is continuous across x_1 and x_-2.  Needs at least 4 nodes.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -143,27 +143,36 @@ def cubic_spline(x, y) -> PiecewisePoly:
     dx = np.diff(x)
     dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
     slope = np.diff(y, axis=0) / dxr
-    ab = np.zeros((3, n))  # banded rows: upper, diagonal, lower
-    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-    ab[0, 2:] = dx[:-1]
-    ab[-1, :-2] = dx[1:]
+    # row i: lower[i - 1] s[i - 1] + diag[i] s[i] + upper[i] s[i + 1] = b[i]
+    lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
     b = np.empty_like(y)
     b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
     d = x[2] - x[0]
-    ab[1, 0] = dx[1]
-    ab[0, 1] = d
+    diag[0] = dx[1]
+    upper[0] = d
     b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
     d = x[-1] - x[-3]
-    ab[1, -1] = dx[-2]
-    ab[-1, -2] = d
+    diag[-1] = dx[-2]
+    lower[-1] = d
     b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
-    from scipy.linalg import solve_banded
-
-    s = solve_banded(
-        (1, 1), ab, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True,
-        check_finite=False,
-    )
-    return _hermite_cubic(x, y, s.reshape(y.shape))
+    # Thomas elimination in the operation order of LAPACK's banded solve:
+    # where that swaps no rows, as on the grids' nodes, the slopes are
+    # bitwise scipy's.  The rows are Python floats for 1-D data, and views
+    # of b, updated in place, otherwise.
+    piv, up, low = diag.tolist(), upper.tolist(), lower.tolist()
+    rows = b.tolist() if b.ndim == 1 else list(b)
+    for i in range(1, n):
+        mult = low[i - 1] / piv[i - 1]
+        piv[i] -= mult * up[i - 1]
+        rows[i] -= mult * rows[i - 1]
+    rows[-1] /= piv[-1]
+    for i in range(n - 2, -1, -1):
+        rows[i] -= up[i] * rows[i + 1]
+        rows[i] /= piv[i]
+    return _hermite_cubic(x, y, np.array(rows))
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:

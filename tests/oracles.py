@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve, svdvals
+from scipy.linalg import lu_factor, lu_solve, solve_banded, svdvals
 from scipy.optimize import brentq
 
 GOLDEN_PATH = Path(__file__).parent / "golden_lane_emden.json"
@@ -188,6 +188,38 @@ def dense_newton_step(grid, eos, u_center, modes, rhs, b_matrix=None):
         mat += b_matrix
     mat = newton_matrix(mat)
     return lu_solve(lu_factor(mat), rhs)
+
+
+def block_solve_lu(blk, x):
+    """(I - J_kk)^-1 x for the block J_kk = ``blk`` from an LU of the whole
+    I - J_kk, with no use of its zero columns."""
+    return lu_solve(lu_factor(np.eye(len(blk)) - blk), x)
+
+
+def cubic_spline_slopes_banded(x, y):
+    """Node slopes of the not-a-knot cubic spline through (x, y) along axis 0,
+    from one banded LAPACK solve of the tridiagonal system."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    dx = np.diff(x)
+    dxr = dx.reshape((-1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    ab = np.zeros((3, n))  # banded rows: upper, diagonal, lower
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    d = x[2] - x[0]
+    ab[1, 0] = dx[1]
+    ab[0, 1] = d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * slope[0] + dxr[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1] = dx[-2]
+    ab[-1, -2] = d
+    b[-1] = (dxr[-1] ** 2 * slope[-2] + (2 * d + dxr[-1]) * dxr[-2] * slope[-1]) / d
+    return solve_banded((1, 1), ab, b.reshape(n, -1)).reshape(y.shape)
 
 
 def dm_response_dense(lin):

@@ -220,8 +220,16 @@ wd_c = 1.0
         (SOLVE_INI.replace("beta = 1e-3", "beta = 1e-3\nomega = 0.05"), "rotation.beta"),
         (WHITE_DWARF_INI + "gamma = 2.0\n", "eos.gamma"),
         (WHITE_DWARF_INI + "nu = 1.0\n", "eos.nu"),
+        # a rotation key that the chosen kind does not read
+        (SOLVE_INI.replace("kind = constant\nbeta = 1e-3", "kind = none\nbeta = 1e-2"),
+         "rotation.beta"),
+        (SOLVE_INI.replace("beta = 1e-3", "beta = 1e-3\nm = 0, 1, 2\nj = 0, 0.1, 0.2"),
+         "rotation.m"),
+        (SOLVE_INI.split("[rotation]")[0] + DIFFERENTIAL_ROTATION.replace("nan", "0.07")
+         + "omega = 0.05\n\n[grid]" + SOLVE_INI.split("[grid]")[1], "rotation.omega"),
     ],
-    ids=["omega-and-beta", "white-dwarf-gamma", "white-dwarf-nu"],
+    ids=["omega-and-beta", "white-dwarf-gamma", "white-dwarf-nu", "none-with-beta",
+         "constant-with-tables", "differential-with-omega"],
 )
 def test_conflicting_keys_are_a_config_error(tmp_path, capsys, ini, parameter):
     assert main(["--config", str(_write(tmp_path, ini)), "--out", str(tmp_path / "o")]) == 2
@@ -588,9 +596,34 @@ _RUN_AND_LIST_LINALG = (
 )
 
 
+OBLATENESS_MEASURED_INI = """
+[run]
+command = oblateness
+
+[eos]
+kind = polytrope
+nu = 1.5
+
+[grid]
+n_r = 64
+n_zeta = 12
+l_max = 4
+
+[perturb]
+beta = 1e-3
+measure = true
+"""
+
+
+# only the certificate of a rotating state factors a matrix: the Newton
+# solves are preconditioned by block inverses, and the splines and the
+# GMRES least-squares problems are solved in numpy
 @pytest.mark.parametrize(
-    "ini", [LANE_EMDEN_INI, HL_CHECK_INI, KERNEL_CHECK_INI],
-    ids=["lane-emden", "hl-check", "kernel-check"],
+    "ini",
+    [LANE_EMDEN_INI, HL_CHECK_INI, KERNEL_CHECK_INI, OBLATENESS_MEASURED_INI, MASS_INI,
+     SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\ncertify = false")],
+    ids=["lane-emden", "hl-check", "kernel-check", "oblateness-measured", "mass-curve",
+         "solve-uncertified"],
 )
 def test_commands_that_factor_nothing_leave_out_scipy_linalg(tmp_path, ini):
     cfg = _write(tmp_path, ini)
@@ -599,8 +632,8 @@ def test_commands_that_factor_nothing_leave_out_scipy_linalg(tmp_path, ini):
 
 
 def test_solve_loads_scipy_linalg(tmp_path):
-    # the converse, so that the check above can fail: a solve factors its
-    # preconditioner blocks
+    # the converse, so that the check above can fail: a certified solve at a
+    # rotating state factors the certificate's matrix
     cfg = _write(tmp_path, SOLVE_INI)
     out = _fresh_python(_RUN_AND_LIST_LINALG, str(cfg), str(tmp_path / "out"))
     assert out == "0 True"

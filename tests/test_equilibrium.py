@@ -45,6 +45,7 @@ from rotstar.equilibrium import (
 from rotstar.rotation import LinearizedCentrifugal
 from oracles import (
     block_sigma_min_dense,
+    block_solve_lu,
     dense_newton_step,
     free_boundary_per_ray,
     gravity_jacobian_dense,
@@ -136,13 +137,20 @@ def test_verbose_solve_logs_each_iteration(profile15, eos15, grid15, caplog, cap
 
 def test_newton_lines_name_gmres_and_preconditioner(eos15, profile15, caplog):
     # each Newton line gives the GMRES iterations and linear residual and says
-    # whether the preconditioner was built or carried; meta["newton"] counts
-    # both.  A lone solve builds it at its first step; a family builds it
-    # once, at its spherical start, and carries it into every solve.
+    # whether the preconditioner was built, on what support, or carried;
+    # meta["newton"] counts both.  A lone solve builds it at its first step;
+    # a family builds it once, at its spherical start, and carries it into
+    # every solve.
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     opts = SolverOptions(certify=False)
     fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=opts, profile=profile15)
     init = initial_field_from_profile(grid, profile15)
+    # the nodes up to the last one whose column of a block is not zero: the
+    # star's support at the spherical start, where both builds take place
+    blocks = gravity_jacobian_packed(grid, eos15, 1.0, init.modes(), diagonal=True)
+    nodes = max(np.flatnonzero(np.any(b, axis=0))[-1] + 1 + (k > 0) for k, b in enumerate(blocks))
+    assert grid.r[nodes - 1] > profile15.xi1 and nodes < grid.n_r
+    support = f"support {nodes} of {grid.n_r} nodes"
     caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
     solves = [
         ("lone", lambda: solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, init, opts)),
@@ -161,12 +169,12 @@ def test_newton_lines_name_gmres_and_preconditioner(eos15, profile15, caplog):
         built = [m for m in lines if "preconditioner built" in m]
         assert len(built) == sol.meta["newton"]["preconditioner_builds"]
         if kind == "lone":
-            assert "preconditioner built" in steps[0]
+            assert f"preconditioner built ({support})" in steps[0]
             assert all("preconditioner of iteration 0" in m for m in steps[1:])
         else:
             assert all("preconditioner carried from the family" in m for m in steps)
         if kind == "first":
-            assert built == ["preconditioner built at the spherical start"]
+            assert built == [f"preconditioner built at the spherical start ({support})"]
 
 
 def test_free_boundary_examples(grid15, theta15, profile15):
@@ -578,7 +586,9 @@ def test_jacobian_adds_into_out(eos15, profile15, scale15):
 
 def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale15, monkeypatch):
     # Newton products are matrix-free and only the per-degree diagonal blocks
-    # of the Jacobian are formed and factored, each in its own buffer
+    # of the Jacobian are formed, n_l of them per preconditioner build, each
+    # in its own buffer and inverted on the star's support: nothing is LU
+    # factored without the certificate
     from rotstar import equilibrium
 
     def forbidden(*args, **kwargs):
@@ -599,7 +609,7 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
         return newton_matrix_orig(jac, *args)
 
     def recording_lu_factor(a, *args, **kwargs):
-        factored.append((a.shape, a.flags.f_contiguous, kwargs.get("overwrite_a")))
+        factored.append(a.shape)
         return lu_factor_orig(a, *args, **kwargs)
 
     monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", diagonal_only)
@@ -614,9 +624,9 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
     momentum = solve_equilibrium(None, eos15, 1.0, u0, opts, law=law, scale=scale15)
     builds = sum(s.meta["newton"]["preconditioner_builds"] for s in (rigid, momentum))
     assert builds >= 2
-    assert len(sizes) == len(factored) == builds * grid.n_l
+    assert len(sizes) == builds * grid.n_l
     assert max(max(shape) for shape in sizes) == grid.n_r
-    assert all(shape[0] <= grid.n_r and f and o for shape, f, o in factored)
+    assert factored == []
 
 
 def test_free_boundary_runs_twice_per_solve(eos15, profile15, monkeypatch):
@@ -805,10 +815,58 @@ def test_gmres_newton_step_matches_dense_lu(kind, nu, size):
     rhs = np.random.default_rng(7).standard_normal(packed_size(grid))
     want = dense_newton_step(grid, eos, 1.0, modes, rhs, b_matrix)
     fp = equilibrium._density_deriv_fine(grid, eos, 1.0, modes)
-    lus = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
-    got, inner, lin_res = equilibrium._newton_step(grid, fp, lin, lus, rhs)
+    blocks = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
+    got, inner, lin_res = equilibrium._newton_step(grid, fp, lin, blocks, rhs)
     assert inner < equilibrium._GMRES_MAX_ITER and lin_res <= equilibrium._GMRES_RTOL
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("nu", [1.0, 3.0])
+@pytest.mark.parametrize("state", ["spherical", "rotating"])
+def test_block_inverses_on_the_support_match_a_full_lu(state, nu):
+    # the columns of J_kk past the star's support are zero, so the inverse
+    # kept on the support and the rows below it solve I - J_kk as an LU of
+    # the whole block does; at nu = 1 rho'(u) jumps at the surface
+    from rotstar import equilibrium
+
+    size = (128, 16, 6)
+    if state == "spherical":
+        eos = EquationOfState.from_index(nu)
+        prof = solve_lane_emden(eos, 1.0)
+        u = initial_field_from_profile(AxiGrid.build(prof.r_inf, *size, focus=prof.xi1), prof)
+    else:
+        u, eos, _, _ = _converged_state("rigid", nu, size)
+    grid, modes = u.grid, u.modes()
+    blocks = gravity_jacobian_packed(grid, eos, 1.0, modes, diagonal=True)
+    inverses = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
+    assert len(inverses) == len(blocks) == grid.n_l
+    rng = np.random.default_rng(13)
+    for blk, block in zip(blocks, inverses, strict=True):
+        n_in = equilibrium._support_size(blk)
+        # the last nonzero column + 1, short of the whole block
+        assert np.any(blk[:, n_in - 1]) and not np.any(blk[:, n_in:])
+        assert len(block[0]) == n_in < len(blk)
+        x = rng.standard_normal(len(blk))
+        want = block_solve_lu(blk, x)
+        got = equilibrium._solve_block(block, x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_block_inverse_with_full_or_empty_support():
+    from rotstar import equilibrium
+
+    rng = np.random.default_rng(2)
+    blk = np.asfortranarray(0.1 * rng.standard_normal((9, 9)))
+    x = rng.standard_normal(9)
+    blk[:, 4] = 0.0  # a zero column inside the support changes nothing
+    for n_in in (9, 6, 0):
+        blk[:, n_in:] = 0.0
+        assert equilibrium._support_size(blk) == n_in
+        inverse, lower = equilibrium._invert_on_support(blk.copy(order="F"))
+        assert inverse.shape == (n_in, n_in) and lower.shape == (9 - n_in, n_in)
+        got = equilibrium._solve_block((inverse, lower), x)
+        want = block_solve_lu(blk, x)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_certificate_is_deterministic(eos15, profile15):
@@ -849,8 +907,9 @@ def test_singular_or_nonfinite_newton_matrix_certifies_zero(eos15, profile15, mo
 
 
 def test_singular_or_nonfinite_block_stops_the_newton_solve(eos15, profile15, monkeypatch):
-    # a preconditioner block with a zero pivot or a NaN raises
-    # SingularLinearization with sigma 0.0, with no warning escaping
+    # a preconditioner block that is singular, on the whole block or on the
+    # star's support only, or holds a NaN raises SingularLinearization with
+    # sigma 0.0, with no warning escaping
     from rotstar import equilibrium
 
     blocks_orig = equilibrium.degree_blocks
@@ -861,6 +920,13 @@ def test_singular_or_nonfinite_block_stops_the_newton_solve(eos15, profile15, mo
         blocks[1][:] = np.eye(len(blocks[1]))
         return blocks
 
+    def zero_on_the_support(grid, coef):
+        # I - J_kk = [[0, 0], [-B, I]] with B the rows past the support
+        blocks = blocks_orig(grid, coef)
+        n_in = np.flatnonzero(np.any(blocks[1], axis=0))[-1] + 1
+        blocks[1][:n_in, :n_in] = np.eye(n_in)
+        return blocks
+
     def with_nan(grid, coef):
         blocks = blocks_orig(grid, coef)
         blocks[1][3, 5] = np.nan
@@ -869,7 +935,7 @@ def test_singular_or_nonfinite_block_stops_the_newton_solve(eos15, profile15, mo
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     init = initial_field_from_profile(grid, profile15)
     cf = rigid_rotation(grid, 1e-3)
-    for broken in (zero, with_nan):
+    for broken in (zero, zero_on_the_support, with_nan):
         monkeypatch.setattr(equilibrium, "degree_blocks", broken)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -903,10 +969,10 @@ def test_family_refuses_a_state_without_boundary(eos3, profile3):
     with pytest.raises(NoSignChange, match="a1=False, a2=False"):
         fam.solve_at(3e-2)
     # the family keeps the preconditioner of its spherical start
-    lus = fam._lus
-    assert fam._cache == {} and lus is not None
+    blocks = fam._preconditioner
+    assert fam._cache == {} and blocks is not None
     assert fam.solve_at(1e-3).R_of_zeta is not None
-    assert fam._lus is lus
+    assert fam._preconditioner is blocks
 
 
 def test_continuation_refuses_a_state_without_boundary(eos3, profile3):
@@ -935,9 +1001,9 @@ def _counting_lu(monkeypatch):
 
 
 def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
-    # the family builds the preconditioner of its Newton systems, the block
-    # LUs of the per-degree blocks, in its first solve and carries it into
-    # the next
+    # the family builds the preconditioner of its Newton systems, the
+    # per-degree blocks inverted on the star's support, in its first solve
+    # and carries it into the next; the certificate's is the only LU
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(), profile=profile15)
     calls = _counting_lu(monkeypatch)
@@ -948,11 +1014,11 @@ def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
     caplog.clear()
     sol = fam.solve_at(1.1e-3)
     second = [r.getMessage() for r in caplog.records]
-    # the first solve builds the preconditioner; the second starts from the
-    # family's and factors only the certificate's matrix
+    # the first solve builds the preconditioner; each solve factors only the
+    # certificate's matrix
     assert "preconditioner built" in first[0]
     assert first_sol.meta["newton"]["preconditioner_builds"] == 1
-    assert n_first == grid.n_l + 1
+    assert n_first == 1
     assert "preconditioner carried from the family" in second[0]
     assert not any("preconditioner built" in m for m in second)
     assert sol.meta["newton"]["preconditioner_builds"] == 0
@@ -966,7 +1032,8 @@ def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
 
 
 def test_family_factors_its_blocks_once(eos15, profile15, monkeypatch):
-    # three solves of one family share the block LUs built at its spherical start
+    # three solves of one family share the block inverses built at its
+    # spherical start
     from rotstar import equilibrium
 
     builds = []
@@ -1006,7 +1073,7 @@ def test_family_refuses_negative_rotation(eos15, profile15):
     fam = ConstantRotationFamily(eos15, 1.0, grid=grid, profile=profile15)
     with pytest.raises(DomainError):
         fam.solve_at(-1e-3)
-    assert fam._cache == {} and fam._lus is None
+    assert fam._cache == {} and fam._preconditioner is None
 
 
 def test_capped_gmres_step_rebuilds_the_preconditioner(eos3, profile3, caplog):

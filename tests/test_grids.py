@@ -3,6 +3,7 @@ import pytest
 
 from rotstar import AxiField, AxiGrid, clustered_nodes
 from rotstar.grids import (
+    _hermite_cubic,
     apply_stencil,
     cubic_spline,
     cumulative_trapezoid,
@@ -14,8 +15,9 @@ from rotstar.grids import (
     radial_kernel,
 )
 from rotstar.errors import DomainError
+from rotstar.perturb import ModeGrid
 
-from oracles import axigrid_kernels_loop
+from oracles import axigrid_kernels_loop, cubic_spline_slopes_banded
 
 
 def test_zeta_nodes_symmetric_with_paired_weights():
@@ -177,6 +179,33 @@ def test_cubic_spline_matches_scipy_on_grid_nodes():
     # 1-D data and scalar points keep scipy's shapes
     assert cubic_spline(grid.r, y[:, 0])(2.0).shape == ()
     assert cubic_spline(grid.r, y[:, 0])(t[:2000].reshape(40, 50)).shape == (40, 50)
+
+
+def _spline_cases(profile, eos):
+    rng = np.random.default_rng(29)
+    nodes = clustered_nodes(5.5, 256, focus=3.65)
+    yield nodes, np.cos(np.outer(nodes, np.linspace(0.0, 2.0, 32)))
+    yield nodes, np.sin(nodes)
+    mode_nodes = ModeGrid.build(profile, eos, 1.0, 700).r
+    yield mode_nodes, profile.theta_at(mode_nodes)
+    yield mode_nodes, np.exp(-mode_nodes)[:, None, None] * rng.standard_normal((1, 2, 3))
+    for n in range(4, 10):
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(0.01, 1.0, n))
+            yield x, rng.standard_normal(n)
+            yield x, rng.standard_normal((n, 3, 2))
+
+
+def test_cubic_spline_matches_the_banded_solve(profile15, eos15):
+    # the Thomas elimination against LAPACK's banded solve of the same
+    # not-a-knot system: the node slopes and the spline between the nodes
+    for x, y in _spline_cases(profile15, eos15):
+        got = cubic_spline(x, y)
+        slopes = cubic_spline_slopes_banded(x, y)
+        assert np.max(np.abs(got.c[2] - slopes[:-1])) <= 1e-13 * np.max(np.abs(slopes))
+        t = np.concatenate([x, 0.5 * (x[1:] + x[:-1])])
+        want = _hermite_cubic(x, y, slopes)(t)
+        assert np.max(np.abs(got(t) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pchip_matches_scipy():

@@ -156,8 +156,8 @@ def test_mass_calculator_refuses_a_state_without_boundary():
 
 def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
     # the family's 27 warm-started solves share one preconditioner (the
-    # block LUs of the Newton systems); the curve is the one that a fresh
-    # preconditioner per solve gives
+    # block inverses of the Newton systems); the curve is the one that a
+    # fresh preconditioner per solve gives
     from rotstar import equilibrium
 
     builds = []
