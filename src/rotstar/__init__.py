@@ -5,6 +5,7 @@ from .eos import (
     ScaleSet,
     WhiteDwarfParams,
     beta_from_omega,
+    mass_unit,
     scaled_density,
     scaled_density_deriv,
 )

@@ -62,7 +62,7 @@ _log = logging.getLogger(__name__)
 def build_eos(config: dict) -> EquationOfState:
     sec = config["eos"]
     if sec["kind"] == "white_dwarf":
-        for k in ("gamma", "nu"):
+        for k in ("gamma", "nu", "pressure_const"):
             if sec[k] is not None:
                 raise ConfigError(f"white dwarf EOS takes no {k}", parameter=f"eos.{k}")
         for k in ("wd_a", "wd_b", "wd_c"):
@@ -71,10 +71,13 @@ def build_eos(config: dict) -> EquationOfState:
         return EquationOfState.white_dwarf(sec["wd_a"], sec["wd_b"], sec["wd_c"])
     if sec["nu"] is not None and sec["gamma"] is not None:
         raise ConfigError("give either gamma or nu, not both", parameter="eos.nu")
+    # the white dwarf's constant follows from wd_a and wd_b, so the key has no
+    # default in the table
+    pressure_const = 1.0 if sec["pressure_const"] is None else sec["pressure_const"]
     if sec["nu"] is not None:
-        return EquationOfState.from_index(sec["nu"], sec["pressure_const"])
+        return EquationOfState.from_index(sec["nu"], pressure_const)
     if sec["gamma"] is not None:
-        return EquationOfState.polytrope(sec["gamma"], sec["pressure_const"])
+        return EquationOfState.polytrope(sec["gamma"], pressure_const)
     raise ConfigError("polytrope EOS needs gamma or nu", parameter="eos.gamma")
 
 
@@ -419,7 +422,7 @@ CONFIG = {
         "kind": ("choice", ("polytrope", "white_dwarf"), "polytrope"),
         "gamma": ("float", _positive, None),
         "nu": ("float", _positive, None),
-        "pressure_const": ("float", _positive, 1.0),
+        "pressure_const": ("float", _positive, None),
         "wd_a": ("float", _positive, None),
         "wd_b": ("float", _positive, None),
         "wd_c": ("float", _positive, None),

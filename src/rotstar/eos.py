@@ -2,8 +2,10 @@
 
 The solvers work with a dimensionless enthalpy u normalized to 1 at the
 center.  An equation of state enters only through the scaled density
-``scaled_density(u)`` and its derivative; all unit bookkeeping lives in
-:class:`ScaleSet`.
+``scaled_density(u)`` and its derivative.  All unit bookkeeping lives here:
+:class:`ScaleSet` holds the scales, :func:`mass_unit` is the one mass unit
+(of the total and of the cylinder mass), and :func:`beta_from_omega` gives
+the rotation parameter.
 """
 
 from __future__ import annotations
@@ -223,6 +225,14 @@ def length_scale(eos: EquationOfState, u_center: float, grav_const: float) -> fl
         * (eos.pressure_const * g / (g - 1.0)) ** (1.0 / (2.0 * (g - 1.0)))
         * u_center ** (-(2.0 - g) / (2.0 * (g - 1.0)))
     )
+
+
+def mass_unit(eos: EquationOfState, scale: ScaleSet) -> float:
+    """Physical mass of a unit of the dimensionless mass integral:
+    rho_scale a^3, with rho_scale the central density without the white
+    dwarf correction 1 + lambda_rho(u_center)."""
+    rho_scale = scale.rho_center / (1.0 + float(eos.lambda_rho(scale.u_center)))
+    return rho_scale * scale.length_scale ** 3
 
 
 def beta_from_omega(omega: float, scale: ScaleSet, eos: EquationOfState) -> float:

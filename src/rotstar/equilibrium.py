@@ -350,19 +350,17 @@ def check_admissibility(u: AxiField, r0: float | None = None) -> AdmissibilityRe
     """Radial-decrease, single-boundary, and monotonicity flags for a field."""
     grid = u.grid
     du = apply_stencil(*derivative_stencil(grid.r), u.values, axis=0)
-    if r0 is None:
-        try:
-            R_probe = free_boundary(u, 0.0)
-            r0 = 0.05 * float(np.min(R_probe))
-        except NoSignChange:
-            r0 = 0.05 * grid.r_inf
-    a1 = bool(np.all(du[grid.r >= r0, :] < 0.0))
-    R = None
+    # with r0 None the boundary is found from the center, and r0 is then
+    # 0.05 min R: a search beyond that r0 would find the same boundary, and
+    # would fail too where the search from the center fails
     try:
-        R = free_boundary(u, r0)
-        a2 = bool(np.all((R > r0) & (R < grid.r_inf)))
+        R = free_boundary(u, 0.0 if r0 is None else r0)
     except NoSignChange:
-        a2 = False
+        R = None
+    if r0 is None:
+        r0 = 0.05 * (grid.r_inf if R is None else float(np.min(R)))
+    a1 = bool(np.all(du[grid.r >= r0, :] < 0.0))
+    a2 = R is not None and bool(np.all((R > r0) & (R < grid.r_inf)))
     with np.errstate(divide="ignore"):
         ratios = -du[1:, :] / grid.r[1:, None]
     one_over_c = float(np.min(ratios))

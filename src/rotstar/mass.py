@@ -1,22 +1,30 @@
 """Total mass, the mass to central-density relation, and constant-mass curves.
 
-For the exact gamma-law the physical mass factorizes as
-M = (A gamma / (4 pi G (gamma-1)))^{3/2} rho_c^{(3 gamma - 4)/2} M1(nu, beta),
-with M1 the dimensionless mass integral of the scaled state.  The scaled
-problem depends on the central density only through beta, so sweeps in
-rho_c reuse a single continuation family.
+For the exact gamma-law the physical mass obeys the scaling law
+M = a^3 rho_c M1(nu, beta), beta = Omega^2 / (2 pi G rho_c), with a the
+length scale and M1 the dimensionless mass integral of the scaled state.
+Since a^3 rho_c is proportional to rho_c^e, e = (3 gamma - 4)/2, the
+zero-rotation mass is a power of the central density.  The scaled problem
+depends on the central density only through beta, so sweeps in rho_c reuse
+a single continuation family.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
-from .eos import EquationOfState, POLYTROPE, scaled_density
+from .eos import EquationOfState, POLYTROPE, ScaleSet, mass_unit, scaled_density
 from .equilibrium import ConstantRotationFamily, EquilibriumSolution, SolverOptions
 from .errors import DomainError, GammaFourThirds, NoBracket
 from .grids import AxiField, AxiGrid
 from .radial import RadialProfile, solve_lane_emden
+
+_log = logging.getLogger(__name__)
+
+# mass evaluations (equilibrium solves) allowed to one central-density inversion
+_MAX_MASS_EVALUATIONS = 30
 
 
 @dataclass
@@ -40,21 +48,11 @@ def total_mass_dimensionless(
     return float(2.0 * math.pi * grid.zeta_fw @ radial)
 
 
-def mass_prefactor(eos: EquationOfState, grav_const: float) -> float:
-    g = eos.gamma
-    return (
-        eos.pressure_const * g / (4.0 * math.pi * grav_const * (g - 1.0))
-    ) ** 1.5
-
-
 def physical_mass(
     m1: float, eos: EquationOfState, rho_center: float, grav_const: float = 1.0
 ) -> float:
-    if eos.kind != POLYTROPE:
-        raise DomainError("the closed-form mass relation holds for the gamma-law")
-    return mass_prefactor(eos, grav_const) * rho_center ** (
-        (3.0 * eos.gamma - 4.0) / 2.0
-    ) * m1
+    """M = a^3 rho_c M1 for the exact gamma-law."""
+    return mass_unit(eos, ScaleSet.from_central_density(eos, rho_center, grav_const)) * m1
 
 
 def dm_drho_at_constant_omega(
@@ -63,18 +61,16 @@ def dm_drho_at_constant_omega(
     """(dM/drho_c) at fixed Omega.  beta = Omega^2/(2 pi G rho_c) varies with
     rho_c, which contributes the -beta dM1/dbeta term."""
     e = (3.0 * eos.gamma - 4.0) / 2.0
-    return (
-        mass_prefactor(eos, grav_const)
-        * point.rho_center ** (e - 1.0)
-        * (e * point.m1 - point.beta * dm1_dbeta)
-    )
+    dm1 = e * point.m1 - point.beta * dm1_dbeta
+    return physical_mass(dm1, eos, point.rho_center, grav_const) / point.rho_center
 
 
 class MassCalculator:
     """beta |-> M1 on a shared rigid-rotation continuation family.
 
     ``profile`` is the family's spherical start, solved at u_center = 1 when
-    not given; the grid spans [0, profile.r_inf].
+    not given; the grid spans [0, profile.r_inf].  ``mass_evaluations``
+    counts the calls of :meth:`total_mass`.
     """
 
     def __init__(
@@ -89,6 +85,7 @@ class MassCalculator:
     ):
         self.eos = eos
         self.grav_const = grav_const
+        self.mass_evaluations = 0
         prof = profile or solve_lane_emden(eos, 1.0)
         self.family = ConstantRotationFamily(
             eos,
@@ -108,6 +105,7 @@ class MassCalculator:
         return (self.m1(hi) - self.m1(lo)) / (hi - lo)
 
     def total_mass(self, rho_center: float, omega2: float) -> float:
+        self.mass_evaluations += 1
         beta = omega2 / (2.0 * math.pi * self.grav_const * rho_center)
         return physical_mass(self.m1(beta), self.eos, rho_center, self.grav_const)
 
@@ -124,9 +122,16 @@ def central_density_from_mass(
 ) -> float:
     """Invert M(rho_c, Omega^2) = mass_target for the central density.
 
-    Every evaluation is a full equilibrium solve (warm-started).  Refuses
-    gamma = 4/3, where the zero-rotation mass is independent of the central
-    density.  ``bracket`` must contain a sign change of M - mass_target.
+    Secant iteration on log M against log rho_c, whose slope is
+    e - beta M1'(beta)/M1 by the scaling law, e = (3 gamma - 4)/2: the first
+    step takes the zero-rotation slope e, each later one the secant through
+    the last two iterates, until |M - mass_target| <= rtol * mass_target.
+    Every evaluation is a full (warm-started) equilibrium solve.
+
+    ``bracket`` bounds the search: the iteration starts at its geometric
+    mean, its ends are never evaluated, and an iterate outside it raises
+    NoBracket, as does running out of evaluations.  Refuses gamma = 4/3,
+    where the zero-rotation mass is independent of the central density.
     """
     if eos.kind != POLYTROPE:
         raise DomainError("central_density_from_mass requires the exact gamma-law")
@@ -136,34 +141,29 @@ def central_density_from_mass(
     lo, hi = bracket
     if not (0 < lo < hi):
         raise DomainError("bracket must be positive and increasing")
-    f_lo = calc.total_mass(lo, omega2) - mass_target
-    f_hi = calc.total_mass(hi, omega2) - mass_target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
-        raise NoBracket(
-            f"no sign change of M - target on [{lo:g}, {hi:g}] "
-            f"(endpoint values {f_lo:.3e}, {f_hi:.3e})"
-        )
-    # bisection with secant acceleration on log(rho); the map is smooth and
-    # monotone for small beta
-    a, fa, b, fb = lo, f_lo, hi, f_hi
-    for _ in range(200):
-        mid = math.exp(
-            (math.log(a) * fb - math.log(b) * fa) / (fb - fa)
-        )  # secant in log rho
-        if not (a < mid < b):
-            mid = math.sqrt(a * b)
-        fm = calc.total_mass(mid, omega2) - mass_target
-        if abs(fm) <= rtol * mass_target:
-            return mid
-        if fa * fm < 0:
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    raise NoBracket("root refinement did not reach the requested tolerance")
+    if not mass_target > 0:
+        raise DomainError("mass_target must be positive")
+    rho = math.sqrt(lo * hi)
+    x, slope = math.log(rho), (3.0 * eos.gamma - 4.0) / 2.0
+    x_prev = f_prev = None
+    for _ in range(_MAX_MASS_EVALUATIONS):
+        if not lo <= rho <= hi:
+            raise NoBracket(f"iterate rho_c = {rho:g} left the bracket [{lo:g}, {hi:g}]")
+        mass = calc.total_mass(rho, omega2)
+        if abs(mass - mass_target) <= rtol * mass_target:
+            return rho
+        f = math.log(mass / mass_target)
+        if x_prev is not None:
+            slope = (f - f_prev) / (x - x_prev)
+        if slope == 0.0:
+            raise NoBracket(f"the mass does not change with rho_c near {rho:g}")
+        x_prev, f_prev = x, f
+        x -= f / slope
+        rho = math.exp(x)
+    raise NoBracket(
+        f"no central density within rtol = {rtol:g} of the target mass after "
+        f"{_MAX_MASS_EVALUATIONS} mass evaluations"
+    )
 
 
 def trace_constant_mass_curve(
@@ -177,39 +177,35 @@ def trace_constant_mass_curve(
 ) -> dict:
     """The curve Omega^2 -> rho_c holding the total mass at its Omega = 0 value.
 
-    Returns the points, the relative mass errors, and the largest beta at
-    which the bracketing stayed monotone (a diagnostic for how far the
-    inversion was exercised).
+    Each point's inversion searches (rho/2, 2 rho) around the previous
+    point's central density rho, starting at rho.  Returns the points, the
+    relative mass errors, and the largest beta reached (a diagnostic for how
+    far the inversion was exercised).  Logs one DEBUG line per point.
     """
     calc = calculator or MassCalculator(eos, grav_const)
     mass_ref = calc.total_mass(rho_reference, 0.0)
     points: list[MassPoint] = []
     errors = []
     rho = rho_reference
-    beta_monotone_max = 0.0
     for om2 in omega2_schedule:
-        if om2 == 0.0:
-            rho_sol = rho_reference
-        else:
-            rho_sol = central_density_from_mass(
-                mass_ref,
-                om2,
-                eos,
-                (0.5 * rho, 2.0 * rho),
-                grav_const=grav_const,
-                rtol=rtol,
-                calculator=calc,
-            )
-        beta = om2 / (2.0 * math.pi * grav_const * rho_sol)
+        evaluations = calc.mass_evaluations
+        rho = rho_reference if om2 == 0.0 else central_density_from_mass(
+            mass_ref, om2, eos, (0.5 * rho, 2.0 * rho),
+            grav_const=grav_const, rtol=rtol, calculator=calc,
+        )
+        beta = om2 / (2.0 * math.pi * grav_const * rho)
         m1 = calc.m1(beta)
-        mass = physical_mass(m1, eos, rho_sol, grav_const)
-        points.append(MassPoint(rho_sol, om2, beta, m1, mass))
+        mass = physical_mass(m1, eos, rho, grav_const)
+        points.append(MassPoint(rho, om2, beta, m1, mass))
         errors.append(abs(mass - mass_ref) / mass_ref)
-        beta_monotone_max = max(beta_monotone_max, beta)
-        rho = rho_sol
+        _log.debug(
+            "mass curve point: Omega^2 %.6g, rho_c %.15g, %d mass evaluations, "
+            "relative mass error %.2e",
+            om2, rho, calc.mass_evaluations - evaluations, errors[-1],
+        )
     return {
         "mass_reference": mass_ref,
         "points": points,
         "relative_errors": errors,
-        "beta_monotone_max": beta_monotone_max,
+        "beta_monotone_max": max((p.beta for p in points), default=0.0),
     }

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
+from .eos import EquationOfState, ScaleSet, mass_unit, scaled_density, scaled_density_deriv
 from .errors import DivergentAxisIntegral, DomainError
 from .grids import AxiField, AxiGrid, cubic_spline, interp_matrix, panel_gauss, pchip
 
@@ -246,17 +246,6 @@ class CylinderRule:
         return (full + partial) @ g.zeta_w
 
 
-def cylinder_mass_prefactor(eos: EquationOfState, scale: ScaleSet) -> float:
-    g = eos.gamma
-    return (
-        2.0
-        * math.pi
-        * (4.0 * math.pi * scale.grav_const) ** -1.5
-        * (eos.pressure_const * g / (g - 1.0)) ** (1.0 / (2.0 * (g - 1.0)))
-        * scale.u_center ** ((3.0 * g - 4.0) / (2.0 * (g - 1.0)))
-    )
-
-
 @dataclass
 class CylinderMass:
     """Sampled cylinder-mass curve m(varpi); varpi in scaled units, m physical."""
@@ -310,7 +299,7 @@ def mass_within_cylinder(
     gauss_field = grid.at_gauss(u.values, axis=0)
     gvals = scaled_density(gauss_field, eos, scale.u_center)
     pvals = scaled_density(rule.field_at_partials(u.values), eos, scale.u_center)
-    m = cylinder_mass_prefactor(eos, scale) * rule.integrate(gvals, pvals)
+    m = 2.0 * math.pi * mass_unit(eos, scale) * rule.integrate(gvals, pvals)
     m = np.maximum.accumulate(m)  # guard monotonicity against roundoff
     return CylinderMass(v, m, scale.length_scale)
 
@@ -394,7 +383,7 @@ class LinearizedCentrifugal:
         self.fp_part = scaled_density_deriv(
             self.rule.field_at_partials(u.values), eos, scale.u_center
         )
-        self.mass_pref = cylinder_mass_prefactor(eos, scale)
+        self.mass_pref = 2.0 * math.pi * mass_unit(eos, scale)
 
         # cumulative map: dm samples at grid.r -> b samples at grid.r,
         # assembled on the cubic-spline basis used by the nonlinear path; the

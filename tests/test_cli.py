@@ -220,6 +220,8 @@ wd_c = 1.0
         (SOLVE_INI.replace("beta = 1e-3", "beta = 1e-3\nomega = 0.05"), "rotation.beta"),
         (WHITE_DWARF_INI + "gamma = 2.0\n", "eos.gamma"),
         (WHITE_DWARF_INI + "nu = 1.0\n", "eos.nu"),
+        # the white dwarf's constant is 8 wd_a / (5 wd_b^(5/3))
+        (WHITE_DWARF_INI + "pressure_const = 7\n", "eos.pressure_const"),
         # a rotation key that the chosen kind does not read
         (SOLVE_INI.replace("kind = constant\nbeta = 1e-3", "kind = none\nbeta = 1e-2"),
          "rotation.beta"),
@@ -228,7 +230,8 @@ wd_c = 1.0
         (SOLVE_INI.split("[rotation]")[0] + DIFFERENTIAL_ROTATION.replace("nan", "0.07")
          + "omega = 0.05\n\n[grid]" + SOLVE_INI.split("[grid]")[1], "rotation.omega"),
     ],
-    ids=["omega-and-beta", "white-dwarf-gamma", "white-dwarf-nu", "none-with-beta",
+    ids=["omega-and-beta", "white-dwarf-gamma", "white-dwarf-nu",
+         "white-dwarf-pressure-const", "none-with-beta",
          "constant-with-tables", "differential-with-omega"],
 )
 def test_conflicting_keys_are_a_config_error(tmp_path, capsys, ini, parameter):
@@ -236,6 +239,17 @@ def test_conflicting_keys_are_a_config_error(tmp_path, capsys, ini, parameter):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError"
     assert err["parameter"] == parameter
+
+
+def test_pressure_const_defaults_to_one_for_a_polytrope(tmp_path):
+    from rotstar.cli import build_eos
+
+    config = load_config(_write(tmp_path, SOLVE_INI))
+    assert config["eos"]["pressure_const"] is None
+    assert build_eos(config).pressure_const == 1.0
+    ini = SOLVE_INI.replace("nu = 1.5", "nu = 1.5\npressure_const = 2.5")
+    given = load_config(_write(tmp_path, ini))
+    assert build_eos(given).pressure_const == 2.5
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -272,23 +286,28 @@ def test_deterministic_outputs(tmp_path):
 
 
 def test_verbose_solve_reports_on_stderr(tmp_path, capsys):
-    cfg = _write(tmp_path, SOLVE_INI)
-    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
-    assert main(["--config", str(cfg), "--out", str(quiet)]) == 0
-    assert capsys.readouterr().err == ""
-    assert main(["--config", str(cfg), "--out", str(loud), "--verbose"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    iters = [line for line in captured.err.splitlines() if line.startswith("iter")]
-    assert len(iters) >= 2 and all("residual" in line for line in iters)
-    names = sorted(p.name for p in quiet.iterdir())
-    assert names == sorted(p.name for p in loud.iterdir())
-    assert "manifest.json" in names
-    for name in names:
-        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
-    # the handler is detached again after the run
-    assert main(["--config", str(cfg), "--out", str(quiet)]) == 0
-    assert capsys.readouterr().err == ""
+    # a solve reports each iteration, a mass curve each point; neither report
+    # changes an artifact or the manifest
+    for ini, prefix, least in ((SOLVE_INI, "iter", 2), (MASS_INI, "mass curve point", 3)):
+        cfg = _write(tmp_path, ini)
+        quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+        assert main(["--config", str(cfg), "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["--config", str(cfg), "--out", str(loud), "--verbose"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = [line for line in captured.err.splitlines() if line.startswith(prefix)]
+        assert len(lines) >= least
+        assert all(("residual" if prefix == "iter" else "mass evaluations") in line
+                   for line in lines)
+        names = sorted(p.name for p in quiet.iterdir())
+        assert names == sorted(p.name for p in loud.iterdir())
+        assert "manifest.json" in names
+        for name in names:
+            assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+        # the handler is detached again after the run
+        assert main(["--config", str(cfg), "--out", str(quiet)]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_cli_subprocess_entry(tmp_path):

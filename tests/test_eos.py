@@ -7,6 +7,7 @@ from rotstar import (
     EquationOfState,
     ScaleSet,
     beta_from_omega,
+    mass_unit,
     scaled_density,
     scaled_density_deriv,
 )
@@ -132,6 +133,36 @@ def test_scale_density_form_of_length():
         eos.pressure_const * g / (4 * math.pi * scale.grav_const * (g - 1))
     ) * scale.rho_center ** (-(2 - g) / 2)
     assert scale.length_scale == pytest.approx(a2, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "eos, u_c",
+    [
+        (EquationOfState.from_index(1.5, 0.8), 1.7),
+        (EquationOfState.from_index(3.0), 0.4),
+        (EquationOfState.white_dwarf(1.0, 1.0, 1.0), 0.17),
+    ],
+    ids=["nu1.5", "nu3.0", "white-dwarf"],
+)
+def test_mass_unit_closed_forms(eos, u_c):
+    scale = ScaleSet.from_central_enthalpy(eos, u_c, 1.3)
+    g = eos.gamma
+    # the cylinder-mass prefactor of the enthalpy form, over 2 pi
+    closed = (
+        (4 * math.pi * scale.grav_const) ** -1.5
+        * (eos.pressure_const * g / (g - 1)) ** (1 / (2 * (g - 1)))
+        * u_c ** ((3 * g - 4) / (2 * (g - 1)))
+    )
+    assert mass_unit(eos, scale) == pytest.approx(closed, rel=1e-14)
+    if eos.kind == "polytrope":
+        # a^3 rho_c, a power rho_c^((3 gamma - 4)/2) of the central density
+        assert mass_unit(eos, scale) == pytest.approx(
+            scale.length_scale ** 3 * scale.rho_center, rel=1e-14
+        )
+        pref = (eos.pressure_const * g / (4 * math.pi * scale.grav_const * (g - 1))) ** 1.5
+        assert mass_unit(eos, scale) == pytest.approx(
+            pref * scale.rho_center ** ((3 * g - 4) / 2), rel=1e-14
+        )
 
 
 # remainder bounds for the truncated power map (the linearization estimates)

@@ -629,8 +629,9 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
     assert factored == []
 
 
-def test_free_boundary_runs_twice_per_solve(eos15, profile15, monkeypatch):
-    # the admissibility check's r0 probe and boundary; the solve reuses the latter
+def test_free_boundary_runs_once_per_solve(eos15, profile15, monkeypatch):
+    # the admissibility check finds the boundary from the center and sets r0
+    # from it; the solve reuses that boundary
     from rotstar import equilibrium
 
     calls = []
@@ -644,8 +645,19 @@ def test_free_boundary_runs_twice_per_solve(eos15, profile15, monkeypatch):
     init = initial_field_from_profile(grid, profile15)
     sol = solve_equilibrium(rigid_rotation(grid, 1e-3), eos15, 1.0, init,
                             SolverOptions(certify=False))
-    assert len(calls) == 2
-    assert np.array_equal(sol.R_of_zeta, sol.admissibility.boundary)
+    assert len(calls) == 1
+    report = sol.admissibility
+    assert np.array_equal(sol.R_of_zeta, report.boundary)
+    # the boundary is the one a search beyond r0 finds
+    assert report.r0 == 0.05 * np.min(report.boundary)
+    assert np.array_equal(report.boundary, free_boundary(sol.u, report.r0))
+    # a field without a boundary: a2 fails, r0 falls back to 0.05 r_inf
+    calls.clear()
+    const = AxiField(grid, np.ones((grid.n_r, grid.n_zeta)))
+    rep = check_admissibility(const)
+    assert len(calls) == 1
+    assert not rep.a2 and rep.boundary is None
+    assert rep.r0 == 0.05 * grid.r_inf
 
 
 def test_free_boundary_matches_per_ray_splines(eos15, profile15):

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,14 +8,16 @@ from rotstar import (
     EquationOfState,
     MassCalculator,
     MassPoint,
+    ScaleSet,
     central_density_from_mass,
     dm_drho_at_constant_omega,
+    mass_unit,
     physical_mass,
     solve_lane_emden,
     total_mass_dimensionless,
     trace_constant_mass_curve,
 )
-from rotstar.errors import GammaFourThirds, NoBracket, NoSignChange
+from rotstar.errors import DomainError, GammaFourThirds, NoBracket, NoSignChange
 
 
 @pytest.fixture(scope="module")
@@ -90,17 +93,20 @@ def test_dm_drho_sign_matches_finite_differences(calc53):
 
 def test_central_density_inversion_closed_form(calc53):
     # at zero rotation the inversion has the closed form
-    # rho = (M / (pref * M1))^{2/(3 gamma - 4)}
+    # rho = (M / (unit(rho = 1) * M1))^{2/(3 gamma - 4)}
     eos = calc53.eos
     m1 = calc53.m1(0.0)
     target = 1.7
-    from rotstar.mass import mass_prefactor
-
-    rho_exact = (target / (mass_prefactor(eos, 1.0) * m1)) ** (2 / (3 * eos.gamma - 4))
+    unit = mass_unit(eos, ScaleSet.from_central_density(eos, 1.0))
+    rho_exact = (target / (unit * m1)) ** (2 / (3 * eos.gamma - 4))
+    before = calc53.mass_evaluations
     rho_num = central_density_from_mass(
         target, 0.0, eos, (0.3 * rho_exact, 3 * rho_exact), calculator=calc53, rtol=1e-10
     )
     assert rho_num == pytest.approx(rho_exact, rel=1e-8)
+    # the first step takes the exact zero-rotation slope, so it lands on the
+    # root: the mass is evaluated at the bracket's geometric mean and there
+    assert calc53.mass_evaluations - before == 2
 
 
 def test_central_density_rejects_gamma_four_thirds():
@@ -111,6 +117,20 @@ def test_central_density_rejects_gamma_four_thirds():
 def test_central_density_requires_bracket(calc53):
     with pytest.raises(NoBracket):
         central_density_from_mass(1e9, 0.0, calc53.eos, (0.5, 2.0), calculator=calc53)
+    with pytest.raises(DomainError):
+        central_density_from_mass(0.0, 0.0, calc53.eos, (0.5, 2.0), calculator=calc53)
+
+
+def test_central_density_refuses_a_flat_mass_curve():
+    # a mass that does not change with rho_c leaves the secant step undefined
+    class Flat:
+        def total_mass(self, rho_center, omega2):
+            return 1.001
+
+    with pytest.raises(NoBracket, match="does not change"):
+        central_density_from_mass(
+            1.0, 1e-3, EquationOfState.polytrope(5 / 3), (0.5, 2.0), calculator=Flat()
+        )
 
 
 def test_constant_mass_curve(calc53):
@@ -132,16 +152,15 @@ def test_white_dwarf_mass_slope_nonzero():
     eos = EquationOfState.white_dwarf(1.0, 1.0, 1.0)
     masses = []
     for u_c in [0.16, 0.18]:
-        from rotstar import ScaleSet, initial_field_from_profile
+        from rotstar import initial_field_from_profile
         from rotstar.grids import AxiGrid
 
         prof = solve_lane_emden(eos, u_c)
         scale = ScaleSet.from_central_enthalpy(eos, u_c, 1.0)
         grid = AxiGrid.build(prof.r_inf, n_r=128, n_zeta=16, l_max=4, focus=prof.xi1)
         u = initial_field_from_profile(grid, prof)
-        rho_scale = scale.rho_center / (1.0 + float(eos.lambda_rho(u_c)))
         m1 = total_mass_dimensionless(u, eos, u_c)
-        masses.append(rho_scale * scale.length_scale ** 3 * m1)
+        masses.append(mass_unit(eos, scale) * m1)
     assert masses[1] != pytest.approx(masses[0], rel=1e-3)
 
 
@@ -155,12 +174,12 @@ def test_mass_calculator_refuses_a_state_without_boundary():
 
 
 def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
-    # the family's 27 warm-started solves share one preconditioner (the
-    # block inverses of the Newton systems); the curve is the one that a
-    # fresh preconditioner per solve gives
+    # the family's warm-started solves share one preconditioner (the block
+    # inverses of the Newton systems); the curve is the one that a fresh
+    # preconditioner per solve gives
     from rotstar import equilibrium
 
-    builds = []
+    builds, solves = [], []
     factor_blocks = equilibrium._factor_blocks
     solve = equilibrium.solve_equilibrium
 
@@ -169,7 +188,10 @@ def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
         return factor_blocks(*args, **kwargs)
 
     def per_solve_lu(*args, preconditioner=None, **kwargs):
-        return solve(*args, **kwargs)
+        before = len(builds)
+        sol = solve(*args, **kwargs)
+        solves.append((len(builds) - before, len(sol.meta["newton"]["gmres_iterations"])))
+        return sol
 
     def curve():
         eos = EquationOfState.polytrope(5 / 3)
@@ -180,10 +202,66 @@ def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
     monkeypatch.setattr(equilibrium, "_factor_blocks", counting)
     carried = curve()
     assert len(builds) <= 2
+    carried_builds = len(builds)
     monkeypatch.setattr(equilibrium, "solve_equilibrium", per_solve_lu)
     fresh = curve()
-    assert len(builds) > 10
+    # one build per solve that takes a Newton step (a warm start already
+    # within tolerance takes none), plus the family's own at its first solve
+    assert [b for b, _ in solves] == [min(steps, 1) for _, steps in solves]
+    assert len(builds) - carried_builds == 1 + sum(b for b, _ in solves) >= 6
     assert carried["mass_reference"] == fresh["mass_reference"]
     for p, q in zip(carried["points"], fresh["points"], strict=True):
         for name in ("rho_center", "beta", "m1", "mass"):
             assert getattr(p, name) == pytest.approx(getattr(q, name), rel=1e-12, abs=0.0)
+
+
+def _count_solves(monkeypatch) -> list:
+    from rotstar import equilibrium
+
+    solves = []
+    solve = equilibrium.solve_equilibrium
+
+    def counting(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "solve_equilibrium", counting)
+    return solves
+
+
+def test_mass_curve_takes_seven_solves(monkeypatch, caplog):
+    # the benchmark's mass-curve/a input at 256x32xl8: one solve at Omega = 0
+    # and three per rotating point (regula falsi on a bracket took 27); the
+    # central densities are those of the bracketing inversion to 1e-7
+    solves = _count_solves(monkeypatch)
+    eos = EquationOfState.polytrope(5 / 3)
+    with caplog.at_level(logging.DEBUG, logger="rotstar.mass"):
+        out = trace_constant_mass_curve(
+            eos, 1.0, [0.0, 1e-4, 3e-4], calculator=MassCalculator(eos, 1.0)
+        )
+    assert len(solves) == 7
+    rhos = [p.rho_center for p in out["points"]]
+    assert rhos == pytest.approx([1.0, 0.999909614460106, 0.9997287793069916], rel=1e-7)
+    assert max(out["relative_errors"]) <= 1e-9
+    # one log line per point, with its mass evaluations
+    lines = [r.getMessage() for r in caplog.records if r.name == "rotstar.mass"]
+    assert len(lines) == 3
+    assert all("Omega^2" in m and "rho_c" in m and "relative mass error" in m for m in lines)
+    evaluations = [int(m.split(" mass evaluations")[0].rsplit(" ", 1)[1]) for m in lines]
+    assert evaluations[0] == 0 and all(1 <= n <= 3 for n in evaluations[1:])
+
+
+def test_mass_curve_near_gamma_four_thirds_converges(monkeypatch):
+    # gamma = 1.35: the zero-rotation slope d log M / d log rho_c is only
+    # 0.025, so rotation moves rho_c by up to 16%
+    solves = _count_solves(monkeypatch)
+    eos = EquationOfState.polytrope(1.35)
+    calc = MassCalculator(eos, 1.0, n_r=96, n_zeta=16, l_max=4)
+    out = trace_constant_mass_curve(eos, 1.0, [0.0, 1e-3, 2e-3, 3e-3, 4e-3], calculator=calc)
+    assert max(out["relative_errors"]) <= 1e-9
+    rhos = [p.rho_center for p in out["points"]]
+    assert rhos == pytest.approx(
+        [1.0, 0.9635009539669618, 0.9252621932411649, 0.8849293464533438, 0.8420062470217284],
+        rel=1e-7,
+    )
+    assert len(solves) <= 1 + 4 * 4
