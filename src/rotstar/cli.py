@@ -319,11 +319,11 @@ def cmd_mass_curve(config, writer):
         eos, config["mass"]["rho_center"], config["mass"]["omega2_schedule"],
         calculator=calc, rtol=config["mass"]["rtol"],
     )
-    rows = [(p.rho_center, p.omega2, p.beta, p.m1, p.mass) for p in out["points"]]
+    points = out["points"]
     writer.write_csv(
         "mass_curve.csv",
         ["Omega2", "beta", "rho_O", "M1", "M"],
-        [(om2, b, rho, m1, m) for (rho, om2, b, m1, m) in rows],
+        [(p.omega2, p.beta, p.rho_center, p.m1, p.mass) for p in points],
     )
     writer.write_json(
         "mass_curve.json",
@@ -333,8 +333,12 @@ def cmd_mass_curve(config, writer):
             "relative_errors": out["relative_errors"],
             "beta_monotone_max": out["beta_monotone_max"],
             "points": [
-                {"rho_center": rho, "omega2": om2, "beta": b, "m1": m1, "mass": m}
-                for (rho, om2, b, m1, m) in rows
+                {
+                    "rho_center": p.rho_center, "omega2": p.omega2, "beta": p.beta,
+                    "m1": p.m1, "mass": p.mass,
+                    "rho_center_rel_uncertainty": p.rho_center_rel_uncertainty,
+                }
+                for p in points
             ],
         },
     )

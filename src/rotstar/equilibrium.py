@@ -38,7 +38,6 @@ from .grids import (
     apply_stencil,
     cubic_spline,
     derivative_stencil,
-    kernel_interp,
     legendre_table,
 )
 from .radial import RadialProfile, solve_lane_emden
@@ -212,8 +211,9 @@ def gravity_jacobian_packed(
 ):
     """Packed matrix J of the linearized self-gravity map at u, Fortran-ordered.
 
-    Block (li, lj) is kernels[li] @ diag(coupling of mode lj into mode li at
-    the Gauss radii) @ the interpolation, by ``kernel_interp``.
+    Block (li, lj) is the degree-li radial kernel @ diag(coupling of mode lj
+    into mode li at the Gauss radii) @ the interpolation, by
+    ``RadialKernel.blocks``.
     With ``out``, a Fortran-ordered n x n matrix, J is added into it in
     place and ``out`` is returned.  With ``diagonal`` only the blocks J_kk
     are built, as the list ``degree_blocks`` returns, and nothing n x n is
@@ -234,12 +234,12 @@ def gravity_jacobian_packed(
         raise ValueError(f"out must be a Fortran-ordered {n} x {n} matrix")
     for li in range(grid.n_l):
         rows, r0 = _packed_block(grid, li)
-        blk = kernel_interp(grid, li, coup[:, li, :])
+        blk = grid.kernel.blocks(li, coup[:, li, :])
         if li == 0:
             blk -= blk[:, :, :1]
         for lj in range(grid.n_l):
             cols, c0 = _packed_block(grid, lj)
-            jac.T[cols, rows] += blk[c0:, lj, r0:]
+            jac.T[cols, rows] += blk[lj, c0:, r0:]
     return jac
 
 
@@ -269,7 +269,7 @@ def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> list[np.ndarray]:
     """
     out = []
     for k in range(coef.shape[1]):
-        blk = kernel_interp(grid, k, coef[:, k : k + 1])[:, 0, :].T
+        blk = grid.kernel.blocks(k, coef[:, k : k + 1])[0].T
         if k == 0:
             blk -= blk[0:1, :]
         else:

@@ -5,9 +5,11 @@ A field u(r, zeta) lives on radial nodes times Gauss-Legendre nodes in
 zeta = cos(polar angle).  Equatorial symmetry restricts the Legendre
 content to even degrees; the grid caches the even-degree transform
 tables, a composite 4-point Gauss rule on the radial panels (``panel_gauss``;
-``AxiGrid.cumulative`` integrates from the axis on it), the two-sided radial
-kernel of each degree (``radial_kernel``), and the cubic interpolation from
-nodes to the radial quadrature points as a 4-node stencil.
+``AxiGrid.cumulative`` integrates from the axis on it), the cubic
+interpolation from nodes to the radial quadrature points as a 4-node stencil,
+and the multipole potential's two-sided radial kernel of each degree in
+separable form (``RadialKernel``: prefix and suffix sums over the panels,
+with no n_r x n_gauss array).
 
 The 1-D routines are piecewise polynomials (the not-a-knot cubic spline,
 PCHIP, and the profile's dense output), the Legendre recurrence and the
@@ -314,28 +316,195 @@ def apply_stencil(cols: np.ndarray, weights: np.ndarray, values, axis: int = -1)
     return np.moveaxis(np.einsum("...ps,ps->...p", v[..., cols], weights), -1, axis)
 
 
-def radial_kernel(r: np.ndarray, x: np.ndarray, w: np.ndarray, l: int) -> np.ndarray:
-    """Two-sided radial Green's function of degree l with quadrature weights:
-    K[i, p] = w_p x_p / (2l + 1) times (x_p / r_i)^(l + 1) for x_p < r_i and
-    (r_i / x_p)^l otherwise, the ratios taken <= 1 so no power overflows.
+# Within one chunk of panels no node factor of ``RadialKernel`` exceeds 1e150,
+# so no scaled power overflows, and a term that underflows in its chunk's
+# scale is below 1e-158 of its weight.
+_CHUNK_LOG = 150.0 * np.log(10.0)
 
-    K couples a source value at the quadrature point x_p to the degree-l
-    potential at r_i; row r = 0 is x w for l = 0 (0^0 = 1) and 0 otherwise.
+# Interpolation to the Gauss points reads the 4 stencil nodes of a point's
+# panel, and the stencils shift inward at both ends, so node c is read only by
+# the Gauss points of panels c-3 .. c+2: a window of 24 points starting at
+# Gauss point 4c - 12.
+_PER_PANEL = 4
+_LEAD = 12
+_WINDOW = 24
+
+# ``RadialKernel.blocks`` fills its columns in tiles of _TILE; in a tile's
+# rows c0-2 .. c1+1 the entry (c, i) takes the outer part where i <= c
+_TILE = 64
+_TILE_UPPER = np.arange(_TILE + 4) - 2 <= np.arange(_TILE)[:, None]
+
+
+def _windows(a: np.ndarray, width: int) -> np.ndarray:
+    """Sliding windows along axis 0 of ``a``, one per node, the window axis
+    last: ``a`` holds ``_PER_PANEL`` rows per panel plus ``width - _PER_PANEL``
+    rows of padding."""
+    return np.lib.stride_tricks.sliding_window_view(a, width, axis=0)[::_PER_PANEL]
+
+
+class RadialKernel:
+    """The two-sided radial Green's function of each degree l, in separable form.
+
+    For nodes r_i and panel Gauss points x_p with weights w_p, 4 to a panel,
+    the degree-l kernel couples a source value at x_p to the potential at r_i:
+        K[i, p] = w_p x_p / (2l + 1) (x_p / r_i)^(l + 1)   for x_p < r_i,
+        K[i, p] = w_p x_p / (2l + 1) (r_i / x_p)^l         for x_p > r_i.
+    No Gauss point sits on a node, so row i splits at the node into an inner
+    part over the panels below i and an outer part over the panels from i up,
+    each a running sum over panels: the one-dimensional form of Greengard and
+    Rokhlin (J. Comput. Phys. 73, 325, 1987).  The powers are scaled per chunk
+    of panels, the inner ones by the chunk's largest Gauss point rho and the
+    outer ones by its smallest sigma, and a chunk ends before a node factor
+    (rho / r_i)^(l + 1) or (r_i / sigma)^l passes 1e150.  Sums move from chunk
+    to chunk by the ratios (rho_a / rho_b)^(l + 1) and (sigma_b / sigma_a)^l,
+    both <= 1.  Nothing n_r x n_gauss is held.
+
+    ``cols`` and ``weights`` are the local-cubic stencil from the nodes to the
+    Gauss points (``interp_stencil``), which ``blocks`` composes with K.
     """
-    r = np.asarray(r, dtype=float)[:, None]
-    x = np.asarray(x, dtype=float)[None, :]
-    above = x >= r
-    # built in place, so that at most two n_r x n_x arrays are held at once
-    with np.errstate(divide="ignore"):
-        ker = x / r
-    np.copyto(ker, 1.0, where=above)
-    ker **= l + 1
-    outer = r / x
-    np.copyto(outer, 1.0, where=~above)
-    outer **= l
-    np.copyto(ker, outer, where=above)
-    ker *= w * x / (2.0 * l + 1.0)
-    return ker
+
+    def __init__(self, r, x, w, lvals, cols: np.ndarray, weights: np.ndarray):
+        r = np.asarray(r, dtype=float)
+        x = np.asarray(x, dtype=float)
+        lv = np.asarray(lvals, dtype=float)[:, None]
+        self.n_r = n_r = len(r)
+        n_p = n_r - 1
+        bottom, top = x[::_PER_PANEL], x[_PER_PANEL - 1 :: _PER_PANEL]
+        l_max = float(lv.max())
+        # chunks of panels [j0, j1), greedily as long as the node factors allow
+        bounds = [0]
+        while bounds[-1] < n_p:
+            j0 = bounds[-1]
+            j1 = np.searchsorted(top, r[j0 + 1] * np.exp(_CHUNK_LOG / (l_max + 1)), "right")
+            if l_max > 0:
+                reach = bottom[j0] * np.exp(_CHUNK_LOG / l_max)
+                j1 = min(j1, np.searchsorted(r[:n_p], reach, "right"))
+            bounds.append(int(j1))
+        self.bounds = bounds
+        chunk = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # per panel
+        self.chunk = chunk
+        rho, sigma = top[np.array(bounds[1:]) - 1], bottom[bounds[:-1]]
+        e_in, e_out = lv + 1.0, lv
+        wx = w * x / (2.0 * lv + 1.0)
+        self.k_in = wx * (x / np.repeat(rho[chunk], _PER_PANEL)) ** e_in
+        self.k_out = wx * (np.repeat(sigma[chunk], _PER_PANEL) / x) ** e_out
+        # node factors: the inner part of node i lies in the chunk of panel
+        # i - 1, its outer part in the chunk of panel i
+        self.f_in = np.zeros((len(lv), n_r))
+        self.f_in[:, 1:] = (rho[chunk] / r[1:]) ** e_in
+        self.f_out = np.zeros((len(lv), n_r))
+        self.f_out[:, :-1] = (r[:-1] / sigma[chunk]) ** e_out
+        # from chunk a to chunk b: c_in[k, a, b] for a <= b, c_out[k, a, b]
+        # for a >= b (the other entries are finite and never used)
+        up = np.arange(len(rho))[:, None] <= np.arange(len(rho))
+        self.c_in = np.where(up, rho[:, None] / rho, 0.0) ** e_in[:, :, None]
+        self.c_out = np.where(up.T, sigma / sigma[:, None], 0.0) ** e_out[:, :, None]
+        self.lvals = lv[:, 0]
+        self.ratio = r[:-1] / r[1:]
+        # wn[c, t]: interpolation weight of node c at Gauss point 4c - 12 + t
+        t = np.arange(len(x))[:, None] + _LEAD - _PER_PANEL * cols
+        self.window = np.zeros((n_r, _WINDOW))
+        self.window[cols, t] = weights
+
+    def apply(self, samples: np.ndarray) -> np.ndarray:
+        """sum_p K_l[i, p] samples[l, p]: source mode samples at the Gauss
+        points -> potential mode values at the nodes, shape (n_l, n_r)."""
+        n_l, n_r = self.f_in.shape
+        s = np.asarray(samples, dtype=float)
+        inner = (self.k_in * s).reshape(n_l, n_r - 1, _PER_PANEL).sum(axis=2)
+        outer = (self.k_out * s).reshape(n_l, n_r - 1, _PER_PANEL).sum(axis=2)
+        out = np.zeros((n_l, n_r))
+        spans = list(zip(self.bounds[:-1], self.bounds[1:]))
+        carry = np.zeros(n_l)
+        for q, (j0, j1) in enumerate(spans):
+            part = np.cumsum(inner[:, j0:j1], axis=1)
+            part += carry[:, None]
+            out[:, j0 + 1 : j1 + 1] = self.f_in[:, j0 + 1 : j1 + 1] * part
+            if j1 < n_r - 1:
+                carry = part[:, -1] * self.c_in[:, q, q + 1]
+        carry = np.zeros(n_l)
+        for q in range(len(spans) - 1, -1, -1):
+            j0, j1 = spans[q]
+            part = np.cumsum(outer[:, j1 - 1 : (j0 - 1 if j0 else None) : -1], axis=1)
+            part += carry[:, None]
+            out[:, j0:j1] += self.f_out[:, j0:j1] * part[:, ::-1]
+            if q:
+                carry = part[:, -1] * self.c_out[:, q, q - 1]
+        return out
+
+    def blocks(self, k: int, coef: np.ndarray) -> np.ndarray:
+        """The blocks K_k @ diag(coef[:, j]) @ (the interpolation to the Gauss
+        points), one per column j of ``coef``, each transposed: out[j, c, i]
+        is the entry of row i and column c of block j.
+
+        Column c reads only the Gauss points of panels c-3 .. c+2.  So rows
+        i >= c+3 hold all of it in their inner part, the rank-1 product
+        f_in[i] beta[c] (times the ratio between their chunks), and rows
+        i <= c-3 all of it in their outer part, f_out[i] delta[c].  The 5
+        rows in between are exact partial sums over those panels: each panel
+        sum is taken at its nearest node and carried from node to node by
+        (r_(m-1) / r_m)^(l + 1) and (r_m / r_(m+1))^l.
+        """
+        n_r, n_j = self.n_r, coef.shape[1]
+        l = self.lvals[k]
+        # inner and outer sums of each column over its 6 panels, (c, e, 2 n_j)
+        g = np.zeros((len(coef) + 2 * _LEAD, 2, n_j))
+        np.multiply(self.k_in[k, :, None], coef, out=g[_LEAD:-_LEAD, 0])
+        np.multiply(self.k_out[k, :, None], coef, out=g[_LEAD:-_LEAD, 1])
+        g = _windows(g.reshape(len(g), 2 * n_j), _WINDOW).reshape(n_r, 2 * n_j, 6, _PER_PANEL)
+        sums = np.matmul(g.transpose(0, 2, 1, 3), self.window.reshape(n_r, 6, _PER_PANEL, 1))
+        sums = sums[..., 0]
+        # node tables padded by 3, so that [d : d + n_r] is node c - 3 + d
+        f_in, f_out, step_in, step_out = np.zeros((4, n_r + 6))
+        f_in[3:-3], f_out[3:-3] = self.f_in[k], self.f_out[k]
+        step_in[4:-3] = self.ratio ** (l + 1)
+        step_out[3:-4] = self.ratio ** l
+
+        def at(table, d):
+            return table[d : d + n_r, None]
+
+        # inner sums at nodes c-3+d (none at c-3), outer sums (none at c+3);
+        # panel c-3+e lies between nodes c-3+e and c-2+e
+        inner = np.zeros((7, n_r, n_j))
+        outer = np.zeros((7, n_r, n_j))
+        for d in range(1, 7):
+            inner[d] = at(step_in, d) * inner[d - 1] + at(f_in, d) * sums[:, d - 1, :n_j]
+        for d in range(5, -1, -1):
+            outer[d] = at(step_out, d) * outer[d + 1] + at(f_out, d) * sums[:, d, n_j:]
+        # the generators, in their chunk's scale; 0 past the ends
+        beta = (inner[6] / np.where(at(f_in, 6) > 0, at(f_in, 6), np.inf)).T[:, :, None]
+        delta = (outer[0] / np.where(at(f_out, 0) > 0, at(f_out, 0), np.inf)).T[:, :, None]
+        out = np.empty((n_j, n_r, n_r))
+        f_in, f_out = self.f_in[k], self.f_out[k]
+        for c0 in range(0, n_r, _TILE):
+            c1 = min(c0 + _TILE, n_r)
+            lo, hi = max(c0 - 2, 0), min(c1 + 2, n_r)
+            np.multiply(beta[:, c0:c1], f_in[lo:], out=out[:, c0:c1, lo:])
+            np.multiply(delta[:, c0:c1], f_out[:lo], out=out[:, c0:c1, :lo])
+            np.multiply(
+                delta[:, c0:c1], f_out[lo:hi], out=out[:, c0:c1, lo:hi],
+                where=_TILE_UPPER[: c1 - c0, lo - c0 + 2 : hi - c0 + 2],
+            )
+        # generators and rows in different chunks: the ratio between them
+        bounds = self.bounds
+        for a in range(len(bounds) - 1):
+            rows_in = slice(bounds[a] + 1, bounds[a + 1] + 1)
+            rows_out = slice(bounds[a], bounds[a + 1])
+            for b in range(a):
+                cols = slice(max(bounds[b] - 2, 0), max(bounds[b + 1] - 2, 0))
+                out[:, cols, rows_in] *= self.c_in[k, b, a]
+            for b in range(a + 1, len(bounds) - 1):
+                cols = slice(bounds[b] + 3, min(bounds[b + 1] + 3, n_r))
+                out[:, cols, rows_out] *= self.c_out[k, b, a]
+        # the band, along the diagonals of each slab out[j]
+        flat = out.reshape(n_j, n_r * n_r)
+        for d in range(1, 6):
+            c0, c1 = max(3 - d, 0), min(n_r + 3 - d, n_r)
+            start = c0 * (n_r + 1) + d - 3
+            flat[:, start : start + (c1 - c0) * (n_r + 1) : n_r + 1] = (
+                inner[d, c0:c1] + outer[d, c0:c1]
+            ).T
+        return out
 
 
 class AxiGrid:
@@ -378,11 +547,11 @@ class AxiGrid:
         # the Gauss points of a panel
         self.interp_cols, self.interp_weights = interp_stencil(self.r, self.gauss_x)
 
-        # radial kernels of the multipole potential: kernels[k][i, p] couples a
-        # source value at gauss point x_p to the potential of mode l_k at r_i
-        self.kernels = np.empty((self.n_l, self.n_r, self.n_gauss))
-        for k, l in enumerate(self.lvals):
-            self.kernels[k] = radial_kernel(self.r, self.gauss_x, self.gauss_w, l)
+        # the multipole potential's radial kernel of each degree
+        self.kernel = RadialKernel(
+            self.r, self.gauss_x, self.gauss_w, self.lvals,
+            self.interp_cols, self.interp_weights,
+        )
 
     @classmethod
     def build(
@@ -439,50 +608,13 @@ class AxiGrid:
     def potential_modes_from_gauss(self, source_modes_gauss: np.ndarray) -> np.ndarray:
         """Radial multipole integrals: source mode samples at Gauss points ->
         potential mode values at the nodes."""
-        return np.matmul(self.kernels, source_modes_gauss[:, :, None])[:, :, 0]
+        return self.kernel.apply(source_modes_gauss)
 
     def eval_modes_at(self, modes: np.ndarray, r_query: np.ndarray) -> np.ndarray:
         """Local-cubic evaluation of mode functions at arbitrary radii."""
         r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
         mat = interp_matrix(self.r, r_query)
         return modes @ mat.T
-
-
-# Interpolation to the Gauss points reads the 4 stencil nodes of a point's
-# panel, and the stencils shift inward at both ends, so node c is read only by
-# the Gauss points of panels c-3 .. c+2: a window of 24 points starting at
-# Gauss point 4c - 12.
-_PER_PANEL = 4
-_LEAD = 12
-_WINDOW = 24
-
-
-def _window_weights(grid: AxiGrid) -> np.ndarray:
-    """wn[c, t]: interpolation weight of node c at Gauss point 4c - 12 + t."""
-    cols = grid.interp_cols
-    t = np.arange(grid.n_gauss)[:, None] + _LEAD - _PER_PANEL * cols
-    wn = np.zeros((grid.n_r, _WINDOW))
-    wn[cols, t] = grid.interp_weights
-    return wn
-
-
-def kernel_interp(grid: AxiGrid, k: int, coef: np.ndarray) -> np.ndarray:
-    """kernels[k] @ diag(coef[:, j]) @ (the interpolation to the Gauss points)
-    for each column j of ``coef``, from the interpolation stencil.
-
-    Returned transposed as out[c, j, i] (node column c, coefficient set j,
-    node row i).  Each column c is one (n_j x 24) @ (24 x n_r) product over
-    the Gauss points that read node c, instead of a sum over all of them.
-    """
-    windows = np.lib.stride_tricks.sliding_window_view
-    ker = np.zeros((grid.n_r, grid.n_gauss + 2 * _LEAD))
-    ker[:, _LEAD:-_LEAD] = grid.kernels[k]
-    ker = windows(ker, _WINDOW, axis=1)[:, ::_PER_PANEL]  # (i, c, t)
-    cw = np.zeros((grid.n_gauss + 2 * _LEAD, coef.shape[1]))
-    cw[_LEAD:-_LEAD] = coef
-    wn = _window_weights(grid)
-    cw = windows(cw, _WINDOW, axis=0)[::_PER_PANEL] * wn[:, None, :]  # (c, j, t)
-    return np.matmul(cw, ker.transpose(1, 2, 0))
 
 
 @dataclass

@@ -34,6 +34,8 @@ class MassPoint:
     beta: float
     m1: float
     mass: float
+    # relative uncertainty of rho_center left by the mass tolerance
+    rho_center_rel_uncertainty: float = 0.0
 
 
 def total_mass_dimensionless(
@@ -119,7 +121,8 @@ def central_density_from_mass(
     grav_const: float = 1.0,
     rtol: float = 1e-9,
     calculator: MassCalculator | None = None,
-) -> float:
+    full_output: bool = False,
+):
     """Invert M(rho_c, Omega^2) = mass_target for the central density.
 
     Secant iteration on log M against log rho_c, whose slope is
@@ -127,6 +130,12 @@ def central_density_from_mass(
     step takes the zero-rotation slope e, each later one the secant through
     the last two iterates, until |M - mass_target| <= rtol * mass_target.
     Every evaluation is a full (warm-started) equilibrium solve.
+
+    The stop is on the mass, so rho_c is fixed only to a relative
+    rtol / |d log M / d log rho_c|, taken from the last secant slope (the
+    zero-rotation slope if the first evaluation stops).  With ``full_output``
+    the result is (rho_c, that uncertainty); it grows without bound toward
+    gamma = 4/3.
 
     ``bracket`` bounds the search: the iteration starts at its geometric
     mean, its ends are never evaluated, and an iterate outside it raises
@@ -150,11 +159,12 @@ def central_density_from_mass(
         if not lo <= rho <= hi:
             raise NoBracket(f"iterate rho_c = {rho:g} left the bracket [{lo:g}, {hi:g}]")
         mass = calc.total_mass(rho, omega2)
-        if abs(mass - mass_target) <= rtol * mass_target:
-            return rho
         f = math.log(mass / mass_target)
         if x_prev is not None:
             slope = (f - f_prev) / (x - x_prev)
+        if abs(mass - mass_target) <= rtol * mass_target:
+            uncertainty = rtol / abs(slope) if slope else math.inf
+            return (rho, uncertainty) if full_output else rho
         if slope == 0.0:
             raise NoBracket(f"the mass does not change with rho_c near {rho:g}")
         x_prev, f_prev = x, f
@@ -178,9 +188,11 @@ def trace_constant_mass_curve(
     """The curve Omega^2 -> rho_c holding the total mass at its Omega = 0 value.
 
     Each point's inversion searches (rho/2, 2 rho) around the previous
-    point's central density rho, starting at rho.  Returns the points, the
-    relative mass errors, and the largest beta reached (a diagnostic for how
-    far the inversion was exercised).  Logs one DEBUG line per point.
+    point's central density rho, starting at rho.  Returns the points (each
+    with the relative uncertainty of its rho_c that the mass tolerance
+    leaves, 0 at Omega = 0), the relative mass errors, and the largest beta
+    reached (a diagnostic for how far the inversion was exercised).  Logs one
+    DEBUG line per point.
     """
     calc = calculator or MassCalculator(eos, grav_const)
     mass_ref = calc.total_mass(rho_reference, 0.0)
@@ -189,19 +201,19 @@ def trace_constant_mass_curve(
     rho = rho_reference
     for om2 in omega2_schedule:
         evaluations = calc.mass_evaluations
-        rho = rho_reference if om2 == 0.0 else central_density_from_mass(
+        rho, uncertainty = (rho_reference, 0.0) if om2 == 0.0 else central_density_from_mass(
             mass_ref, om2, eos, (0.5 * rho, 2.0 * rho),
-            grav_const=grav_const, rtol=rtol, calculator=calc,
+            grav_const=grav_const, rtol=rtol, calculator=calc, full_output=True,
         )
         beta = om2 / (2.0 * math.pi * grav_const * rho)
         m1 = calc.m1(beta)
         mass = physical_mass(m1, eos, rho, grav_const)
-        points.append(MassPoint(rho, om2, beta, m1, mass))
+        points.append(MassPoint(rho, om2, beta, m1, mass, uncertainty))
         errors.append(abs(mass - mass_ref) / mass_ref)
         _log.debug(
-            "mass curve point: Omega^2 %.6g, rho_c %.15g, %d mass evaluations, "
-            "relative mass error %.2e",
-            om2, rho, calc.mass_evaluations - evaluations, errors[-1],
+            "mass curve point: Omega^2 %.6g, rho_c %.15g (relative uncertainty %.1e), "
+            "%d mass evaluations, relative mass error %.2e",
+            om2, rho, uncertainty, calc.mass_evaluations - evaluations, errors[-1],
         )
     return {
         "mass_reference": mass_ref,

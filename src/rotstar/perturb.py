@@ -3,10 +3,11 @@
 The correction field splits into even Legendre modes.  Each radial mode
 function solves a linear second-order problem that is equivalent to an
 integral representation with the two-sided kernel (min/max)^degree, the
-multipole potential's ``grids.radial_kernel``; the degree-2 mode carries the
-oblateness and the degree-0 mode is a Volterra equation.  Each mode operator
-is that kernel times the density response times the dense interpolation, and
-the mode is found by one direct linear solve.  A damped contraction iteration
+multipole potential's radial kernel (``grids.RadialKernel``); the degree-2
+mode carries the oblateness and the degree-0 mode is a Volterra equation.
+Each mode operator is that kernel times the density response times the
+local-cubic interpolation, assembled by ``RadialKernel.blocks``, and the mode
+is found by one direct linear solve.  A damped contraction iteration
 from a prescribed start checks that homogeneous modes of degree >= 4 decay
 to zero, and a shooting solver for the underlying ODE provides an
 independent validation path.
@@ -22,11 +23,12 @@ from .eos import EquationOfState, scaled_density_deriv
 from .errors import DomainError, NoConvergence
 from .grids import (
     AxiGrid,
+    RadialKernel,
     clustered_nodes,
     cubic_spline,
     interp_matrix,
+    interp_stencil,
     panel_gauss,
-    radial_kernel,
 )
 from .radial import RadialProfile
 from .equilibrium import gravity_jacobian_packed, newton_matrix
@@ -61,17 +63,20 @@ class ModeGrid:
 
 def _mode_operator(mg: ModeGrid, degree: int) -> np.ndarray:
     """Dense matrix of the linear mode map y -> kernel(q y) at the nodes, the
-    kernel being the multipole potential's ``radial_kernel`` of this degree.
+    kernel being the multipole potential's radial kernel of this degree,
+    assembled as ``RadialKernel.blocks`` on the mode grid's nodes.
 
-    Degree 0 subtracts the kernel's first row, x w (the first node lies below
-    every Gauss point): what is left is x (x/r - 1) w on x < r, the Volterra
-    form that pins the center value.
+    Degree 0 subtracts the matrix's first row (the first node lies below
+    every Gauss point, so the kernel's first row is x w): what is left is
+    x (x/r - 1) w on x < r, the Volterra form that pins the center value.
     """
-    ker = radial_kernel(mg.r, mg.gauss_x, mg.gauss_w, degree)
+    kernel = RadialKernel(
+        mg.r, mg.gauss_x, mg.gauss_w, [degree], *interp_stencil(mg.r, mg.gauss_x)
+    )
+    op = kernel.blocks(0, mg.q_gauss[:, None])[0].T
     if degree == 0:
-        ker -= ker[0]
-    ker *= mg.q_gauss
-    return ker @ mg.interp
+        op -= op[0]
+    return op
 
 
 # damped contraction from a prescribed start (the homogeneous decay check)

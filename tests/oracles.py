@@ -109,11 +109,12 @@ def gravity_jacobian_dense(grid, fp):
 
     coup = np.einsum("la,ap,ma->plm", grid.proj_f, fp, grid.leg_f)
     interp = interp_matrix(grid.r, grid.gauss_x)
+    kernels = axigrid_kernels_loop(grid)
     n = grid.n_r + (grid.n_l - 1) * (grid.n_r - 1)
     jac = np.zeros((n, n))
     for li in range(grid.n_l):
         for lj in range(grid.n_l):
-            blk = (grid.kernels[li] * coup[:, li, lj][None, :]) @ interp
+            blk = (kernels[li] * coup[:, li, lj][None, :]) @ interp
             if li == 0:
                 blk = blk - blk[0:1, :]
             jac[_packed_rows(grid, li), _packed_rows(grid, lj)] = blk[
@@ -122,9 +123,28 @@ def gravity_jacobian_dense(grid, fp):
     return jac
 
 
+def radial_kernel(r, x, w, l):
+    """Two-sided radial Green's function of degree l with quadrature weights,
+    as a dense matrix: K[i, p] = w_p x_p / (2l + 1) times (x_p / r_i)^(l + 1)
+    for x_p < r_i and (r_i / x_p)^l otherwise, the ratios taken <= 1 so no
+    power overflows.
+
+    K couples a source value at the quadrature point x_p to the degree-l
+    potential at r_i; row r = 0 is x w for l = 0 (0^0 = 1) and 0 otherwise.
+    """
+    r = np.asarray(r, dtype=float)[:, None]
+    x = np.asarray(x, dtype=float)[None, :]
+    above = x >= r
+    with np.errstate(divide="ignore"):
+        inner = np.where(above, 1.0, x / r) ** (l + 1)
+    outer = np.where(above, r / x, 1.0) ** l
+    return np.where(above, outer, inner) * (w * x / (2.0 * l + 1.0))
+
+
 def axigrid_kernels_loop(grid):
-    """``AxiGrid.kernels`` by a loop over degrees with the ratios guarded at
-    the center and the center row set by hand."""
+    """The dense kernel tensor K[k, i, p] of ``grids.RadialKernel`` on the
+    grid's nodes and Gauss points, by a loop over degrees with the ratios
+    guarded at the center and the center row set by hand."""
     x = grid.gauss_x[None, :]
     r = grid.r[:, None]
     below = x < r
@@ -132,7 +152,7 @@ def axigrid_kernels_loop(grid):
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, l in enumerate(grid.lvals):
             inner = np.where(below, np.where(r > 0, x / r, 0.0), 1.0) ** (l + 1)
-            outer = np.where(below, 1.0, (r / x) ** l)
+            outer = np.where(below, 1.0, r / x) ** l
             ker = np.where(below, inner, outer)
             ker[0, :] = 1.0 if l == 0 else 0.0  # (0/x)^l at the center
             kernels[k] = (grid.gauss_w * grid.gauss_x / (2.0 * l + 1.0)) * ker
@@ -161,8 +181,9 @@ def block_sigma_min_dense(grid, q):
 
     out = {}
     interp = interp_matrix(grid.r, grid.gauss_x)
+    kernels = axigrid_kernels_loop(grid)
     for k, l in enumerate(grid.lvals):
-        blk = (grid.kernels[k] * q[None, :]) @ interp
+        blk = (kernels[k] * q[None, :]) @ interp
         if l == 0:
             blk = blk - blk[0:1, :]
             mat = np.eye(grid.n_r) - blk

@@ -379,6 +379,10 @@ rtol = 1e-8
     assert len(rows) == 3
     doc = json.loads((out / "mass_curve.json").read_text())
     assert max(doc["relative_errors"]) <= 1e-6
+    # rho_c is fixed to rtol / |d log M / d log rho_c|, about rtol / 0.5 here
+    uncertainty = [p["rho_center_rel_uncertainty"] for p in doc["points"]]
+    assert uncertainty[0] == 0.0
+    assert 1e-8 < uncertainty[1] < 1e-7
 
 
 def test_mass_curve_reads_the_outer_radius(tmp_path):

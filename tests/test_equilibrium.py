@@ -44,6 +44,7 @@ from rotstar.equilibrium import (
 )
 from rotstar.rotation import LinearizedCentrifugal
 from oracles import (
+    axigrid_kernels_loop,
     block_sigma_min_dense,
     block_solve_lu,
     dense_newton_step,
@@ -231,7 +232,7 @@ def test_hl_weighted_degree4_block(profile15, eos15):
     interp = interp_matrix(grid.r, grid.gauss_x)
     q = scaled_density_deriv(interp @ u.modes()[0], eos15, 1.0)
     k = list(grid.lvals).index(4)
-    blk = (grid.kernels[k] * q[None, :]) @ interp
+    blk = (axigrid_kernels_loop(grid)[k] * q[None, :]) @ interp
     inside = (grid.r > 0) & (grid.r <= profile15.xi1)
     psi = profile15.psi_at(grid.r[inside])
     sub = blk[np.ix_(inside, inside)]
@@ -478,8 +479,8 @@ def test_rigid_rotation_matches_hand_built_field(eos15, profile15):
     assert sol.hl_sigma_min == pytest.approx(sol_hand.hl_sigma_min, rel=1e-12)
 
 
-def _oblate_state(profile):
-    grid = AxiGrid.build(profile.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile.xi1)
+def _oblate_state(profile, shape=(64, 12, 4)):
+    grid = AxiGrid.build(profile.r_inf, *shape, focus=profile.xi1)
     p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
     u0 = initial_field_from_profile(grid, profile)
     return AxiField(grid, u0.values - 0.03 * grid.r[:, None] ** 2 * p2)
@@ -494,6 +495,22 @@ def test_gravity_jacobian_matches_dense_products(eos15, profile15):
     dense = gravity_jacobian_dense(grid, fp)
     assert jac.flags.f_contiguous
     assert np.max(np.abs(jac - dense)) <= 1e-14 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("shape", [(256, 32, 8), (96, 18, 16), (48, 122, 120)])
+def test_gravity_jacobian_matches_dense_products_per_degree(eos15, profile15, shape):
+    # the last grid runs its radial kernel in several chunks
+    u = _oblate_state(profile15, shape)
+    grid = u.grid
+    jac = gravity_jacobian_packed(grid, eos15, 1.0, u.modes())
+    fp = scaled_density_deriv(grid.fine_field_at_gauss(u.modes()), eos15, 1.0)
+    dense = gravity_jacobian_dense(grid, fp)
+    for li in range(grid.n_l):
+        rows = slice(0, grid.n_r) if li == 0 else slice(
+            grid.n_r + (li - 1) * (grid.n_r - 1), grid.n_r + li * (grid.n_r - 1)
+        )
+        want = dense[rows]
+        assert np.max(np.abs(jac[rows] - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_gravity_jacobian_applies_the_derivative(eos15, profile15):

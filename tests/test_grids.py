@@ -12,12 +12,11 @@ from rotstar.grids import (
     legendre_table,
     panel_gauss,
     pchip,
-    radial_kernel,
 )
 from rotstar.errors import DomainError
 from rotstar.perturb import ModeGrid
 
-from oracles import axigrid_kernels_loop, cubic_spline_slopes_banded
+from oracles import axigrid_kernels_loop, cubic_spline_slopes_banded, radial_kernel
 
 
 def test_zeta_nodes_symmetric_with_paired_weights():
@@ -115,14 +114,75 @@ def test_interp_matrix_matches_per_point_loop(width):
     )
 
 
-@pytest.mark.parametrize("shape", [(256, 32, 8), (96, 18, 16)])
-def test_radial_kernel_fills_kernels_as_the_loop(shape):
-    grid = AxiGrid.build(12.0, *shape, focus=3.6)
-    assert np.array_equal(grid.kernels, axigrid_kernels_loop(grid))
+# the last shape lies past the range of powers scaled by r_inf alone,
+# (l + 1) log10(r_inf / x_min) > 308, so its kernel runs in several chunks;
+# an overflow would be a RuntimeWarning, which the suite makes an error
+_KERNEL_SHAPES = [(256, 32, 8), (96, 18, 16), (48, 122, 120)]
+
+
+def _worst_per_degree(got, want):
+    """Largest difference of each degree (axis 0) relative to that degree's
+    largest value, over all degrees."""
+    diff = np.abs(got - want).reshape(len(want), -1).max(axis=1)
+    return float(np.max(diff / np.abs(want).reshape(len(want), -1).max(axis=1)))
+
+
+def test_radial_kernel_oracle_matches_the_loop():
+    grid = AxiGrid.build(12.0, 96, 18, 16, focus=3.6)
+    loop = axigrid_kernels_loop(grid)
+    for k, l in enumerate(grid.lvals):
+        ker = radial_kernel(grid.r, grid.gauss_x, grid.gauss_w, l)
+        assert np.max(np.abs(ker - loop[k])) <= 1e-15 * np.max(np.abs(loop[k]))
     # the center row needs no special case: 0^0 = 1 and 0^l = 0
     ker = radial_kernel(grid.r, grid.gauss_x, grid.gauss_w, 0)
     assert np.array_equal(ker[0], grid.gauss_w * grid.gauss_x)
     assert not np.any(radial_kernel(grid.r, grid.gauss_x, grid.gauss_w, 2)[0])
+
+
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+def test_separable_kernel_applies_the_dense_tensor(shape):
+    grid = AxiGrid.build(12.0, *shape, focus=3.6)
+    assert not hasattr(grid, "kernels")
+    if shape[2] == 120:
+        assert len(grid.kernel.bounds) > 2  # more than one chunk
+    samples = np.random.default_rng(4).standard_normal((grid.n_l, grid.n_gauss))
+    want = np.einsum("kip,kp->ki", axigrid_kernels_loop(grid), samples)
+    assert _worst_per_degree(grid.potential_modes_from_gauss(samples), want) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+@pytest.mark.parametrize("n_cols", [1, "n_l"])
+def test_kernel_blocks_match_dense_products(shape, n_cols):
+    grid = AxiGrid.build(12.0, *shape, focus=3.6)
+    kernels = axigrid_kernels_loop(grid)
+    interp = interp_matrix(grid.r, grid.gauss_x)
+    rng = np.random.default_rng(6)
+    n_j = grid.n_l if n_cols == "n_l" else n_cols
+    got, want = [], []
+    for k in range(grid.n_l):
+        coef = rng.standard_normal((grid.n_gauss, n_j))
+        blk = grid.kernel.blocks(k, coef)
+        assert blk.shape == (n_j, grid.n_r, grid.n_r)
+        got.append(blk.transpose(0, 2, 1))
+        want.append(np.stack([(kernels[k] * coef[:, j]) @ interp for j in range(n_j)]))
+    assert _worst_per_degree(np.array(got), np.array(want)) <= 1e-13
+
+
+def _array_attributes(obj):
+    """The numpy arrays an object holds, through the rotstar objects it holds."""
+    for value in vars(obj).values():
+        if isinstance(value, np.ndarray):
+            yield value
+        elif type(value).__module__.startswith("rotstar."):
+            yield from _array_attributes(value)
+
+
+def test_axigrid_holds_no_kernel_tensor():
+    # the dense kernel tensor was 75 MB at this size
+    grid = AxiGrid.build(8.0, 512, 48, 16)
+    arrays = list(_array_attributes(grid))
+    assert sum(a.nbytes for a in arrays) < 1e6
+    assert max(a.size for a in arrays) < grid.n_r * grid.n_gauss
 
 
 def test_at_gauss_matches_interp_matrix():

@@ -265,3 +265,23 @@ def test_mass_curve_near_gamma_four_thirds_converges(monkeypatch):
         rel=1e-7,
     )
     assert len(solves) <= 1 + 4 * 4
+
+
+def test_mass_curve_reports_the_rho_center_uncertainty():
+    # the inversion stops on the mass, and near gamma = 4/3 the slope
+    # d log M / d log rho_c is only about 0.02, so rho_c is fixed to about
+    # 50 rtol: at Omega^2 = 4e-3 rtol = 1e-9 leaves rho_c 4e-8 off
+    eos = EquationOfState.polytrope(1.35)
+    schedule = [0.0, 1e-3, 2e-3, 3e-3, 4e-3]
+    loose, tight = (
+        trace_constant_mass_curve(
+            eos, 1.0, schedule, rtol=rtol,
+            calculator=MassCalculator(eos, 1.0, n_r=96, n_zeta=16, l_max=4),
+        )["points"]
+        for rtol in (1e-9, 1e-12)
+    )
+    assert loose[0].rho_center_rel_uncertainty == 0.0
+    for a, b in zip(loose[1:], tight[1:]):
+        assert 2e-8 < a.rho_center_rel_uncertainty < 1e-7
+        assert abs(a.rho_center - b.rho_center) / b.rho_center <= a.rho_center_rel_uncertainty
+    assert abs(loose[-1].rho_center - tight[-1].rho_center) / tight[-1].rho_center > 1e-8

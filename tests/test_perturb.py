@@ -14,10 +14,9 @@ from rotstar import (
 )
 from rotstar import perturb
 from rotstar.errors import DomainError, NoConvergence
-from rotstar.grids import radial_kernel
 from rotstar.perturb import ModeGrid, _mode_operator
 
-from oracles import mode_operator_dense
+from oracles import mode_operator_dense, radial_kernel
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +117,7 @@ def test_weighted_contraction_constant(profile15_mod, eos15_mod, degree):
     assert worst <= 3.0 / (2 * degree + 1) + 0.05
 
 
-@pytest.mark.parametrize("nu", [1.5, 3.0])
+@pytest.mark.parametrize("nu", [1.5, 3.0, 1.0])
 def test_mode_operator_matches_dense_formula(nu):
     # the multipole kernel of each degree (less its first row at degree 0)
     # is the mode problem's own kernel, ratios rewritten
