@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import logging
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -216,9 +217,9 @@ def gravity_jacobian_packed(
     ``RadialKernel.blocks``.
     With ``out``, a Fortran-ordered n x n matrix, J is added into it in
     place and ``out`` is returned.  With ``diagonal`` only the blocks J_kk
-    are built, as the list ``degree_blocks`` returns, and nothing n x n is
-    allocated: they are the part of J that preconditions the Newton systems,
-    and all of J at a spherical state.
+    are built, by the generator ``degree_blocks``, each as the caller asks
+    for it, and nothing n x n is allocated: they are the part of J that
+    preconditions the Newton systems, and all of J at a spherical state.
     """
     fp = _density_deriv_fine(grid, eos, u_center, modes)
     if diagonal:
@@ -256,9 +257,10 @@ def newton_matrix(jac: np.ndarray) -> np.ndarray:
     return jac
 
 
-def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> list[np.ndarray]:
+def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> Iterator[np.ndarray]:
     """Diagonal blocks J_kk of the linearized self-gravity map, one per
-    degree k (``newton_matrix`` turns each into I - J_kk).
+    degree k, each built when the caller asks for it (``newton_matrix``
+    turns each into I - J_kk).
 
     ``coef[:, k]`` is the coupling of mode k into itself at the Gauss radii
     (rho'(u) itself at a spherical state, where these blocks are the whole
@@ -267,15 +269,13 @@ def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> list[np.ndarray]:
     (n_r - 1) x (n_r - 1) without the center for the others, as in the
     packed vector.
     """
-    out = []
     for k in range(coef.shape[1]):
         blk = grid.kernel.blocks(k, coef[:, k : k + 1])[0].T
         if k == 0:
             blk -= blk[0:1, :]
         else:
             blk = np.asfortranarray(blk[1:, 1:])
-        out.append(blk)
-    return out
+        yield blk
 
 
 def lu_factor(a: np.ndarray, **kwargs):
@@ -382,7 +382,7 @@ def hl_certificate_blocks(
     """Per-mode smallest singular values of (I - linearized gravity map).
 
     Valid when the state is spherically symmetric, where the linearization
-    block-diagonalizes over Legendre degrees.
+    block-diagonalizes over Legendre degrees; one SVD per block as it is built.
     """
     grid = u.grid
     modes = u.modes()
@@ -605,14 +605,12 @@ def _factor_blocks(
     """The preconditioner at u given by mode coefficients: each per-degree
     block I - J_kk inverted on the star's support (``_invert_on_support``).
 
-    Each n_r x n_r block is dropped as soon as it is inverted.  A block that
-    is not finite or is exactly singular raises SingularLinearization with
-    sigma 0.0.
+    Each n_r x n_r block is inverted before the next one is built.  A block
+    that is not finite or is exactly singular raises SingularLinearization
+    with sigma 0.0.
     """
-    blocks = gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True)[::-1]
     out = []
-    while blocks:
-        blk = blocks.pop()  # so that the list lets go of each block in turn
+    for blk in gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True):
         if not np.isfinite(blk).all():
             raise SingularLinearization(0.0, hl_threshold)
         try:

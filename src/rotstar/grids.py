@@ -382,7 +382,6 @@ class RadialKernel:
             bounds.append(int(j1))
         self.bounds = bounds
         chunk = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # per panel
-        self.chunk = chunk
         rho, sigma = top[np.array(bounds[1:]) - 1], bottom[bounds[:-1]]
         e_in, e_out = lv + 1.0, lv
         wx = w * x / (2.0 * lv + 1.0)

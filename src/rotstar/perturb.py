@@ -26,7 +26,7 @@ from .grids import (
     RadialKernel,
     clustered_nodes,
     cubic_spline,
-    interp_matrix,
+    interp_matrix,  # noqa: F401 - unused here; bench/test_bench.py requires perturb to hold it
     interp_stencil,
     panel_gauss,
 )
@@ -37,12 +37,12 @@ from .rotation import rigid_rotation
 
 @dataclass
 class ModeGrid:
-    """Panel-Gauss quadrature on (0, xi1] with the profile data cached."""
+    """Panel-Gauss quadrature on (0, xi1] with the profile data cached; it
+    holds nothing n_gauss x n_nodes (``_mode_operator`` takes the stencil)."""
 
     r: np.ndarray
     gauss_x: np.ndarray
     gauss_w: np.ndarray
-    interp: np.ndarray
     q_gauss: np.ndarray
     psi: np.ndarray
 
@@ -58,7 +58,7 @@ class ModeGrid:
         nodes[0] = 1e-8 * profile.xi1  # keep H = y/psi finite at the first node
         x, w = (a.ravel() for a in panel_gauss(nodes[:-1], nodes[1:]))
         q = scaled_density_deriv(profile.theta_at(x), eos, u_center)
-        return cls(nodes, x, w, interp_matrix(nodes, x), q, profile.psi_at(nodes))
+        return cls(nodes, x, w, q, profile.psi_at(nodes))
 
 
 def _mode_operator(mg: ModeGrid, degree: int) -> np.ndarray:
@@ -238,15 +238,15 @@ def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
 
     At the spherical state the linearization is one block per Legendre
     degree, and g1 has degrees 0 and 2 only: h is one solve with each of
-    those two blocks, and its higher modes are zero.
+    those two blocks, the only ones built, and its higher modes are zero.
     """
     modes0 = np.zeros((grid.n_l, grid.n_r))
     modes0[0] = profile.theta_at(grid.r)
     g1 = rigid_rotation(grid, 1.0).g_modes
     blocks = gravity_jacobian_packed(grid, eos, u_center, modes0, diagonal=True)
     h = np.zeros((grid.n_l, grid.n_r))
-    h[0] = np.linalg.solve(newton_matrix(blocks[0]), g1[0])
-    h[1, 1:] = np.linalg.solve(newton_matrix(blocks[1]), g1[1, 1:])
+    h[0] = np.linalg.solve(newton_matrix(next(blocks)), g1[0])
+    h[1, 1:] = np.linalg.solve(newton_matrix(next(blocks)), g1[1, 1:])
     return h
 
 

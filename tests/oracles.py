@@ -163,6 +163,8 @@ def mode_operator_dense(mg, degree):
     """The first-order mode operator from the mode problem's own kernel,
     (1/r^2) int_0^r q y (s/r)^(j-1) s^3 ds + r int_r^R q y (r/s)^(j-1) ds over
     2 degree + 1, with the degree-0 kernel s (s/r - 1) on s < r written out."""
+    from rotstar.grids import interp_matrix
+
     r = mg.r[:, None]
     x = mg.gauss_x[None, :]
     below = x < r
@@ -171,7 +173,7 @@ def mode_operator_dense(mg, degree):
     else:
         ker = np.where(below, (x / r) ** (degree + 1) * x, (r / x) ** (degree - 1) * r)
     ker = ker * mg.gauss_w[None, :] * mg.q_gauss[None, :]
-    return ker @ mg.interp / (2.0 * degree + 1.0)
+    return ker @ interp_matrix(mg.r, mg.gauss_x) / (2.0 * degree + 1.0)
 
 
 def block_sigma_min_dense(grid, q):

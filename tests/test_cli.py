@@ -317,6 +317,7 @@ def test_cli_subprocess_entry(tmp_path):
         [sys.executable, "-m", "rotstar", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_source_env(),
     )
     assert proc.returncode == 0
     assert (out / "manifest.json").exists()
@@ -576,14 +577,19 @@ def test_hl_check_computes_the_blocks_once(tmp_path, monkeypatch):
     assert (out / "hl_check.json").read_text() == want
 
 
-def _fresh_python(code: str, *args: str) -> str:
-    """stdout of ``code`` run in a fresh interpreter on this package's source."""
+def _source_env() -> dict:
+    """The environment with this package's source first on PYTHONPATH, so
+    that a fresh interpreter imports the package under test."""
     import rotstar
 
     src = str(Path(rotstar.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def _fresh_python(code: str, *args: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on this package's source."""
     proc = subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=_source_env()
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -671,6 +677,7 @@ def test_lane_emden_refuses_an_outer_radius_too_large(tmp_path):
         [sys.executable, "-m", "rotstar", "--config", str(cfg), "--out", str(out)],
         capture_output=True,
         text=True,
+        env=_source_env(),
     )
     assert proc.returncode == 3
     assert "r_inf=1e+100" in proc.stderr

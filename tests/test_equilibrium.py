@@ -866,7 +866,7 @@ def test_block_inverses_on_the_support_match_a_full_lu(state, nu):
     else:
         u, eos, _, _ = _converged_state("rigid", nu, size)
     grid, modes = u.grid, u.modes()
-    blocks = gravity_jacobian_packed(grid, eos, 1.0, modes, diagonal=True)
+    blocks = list(gravity_jacobian_packed(grid, eos, 1.0, modes, diagonal=True))
     inverses = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
     assert len(inverses) == len(blocks) == grid.n_l
     rng = np.random.default_rng(13)
@@ -896,6 +896,33 @@ def test_block_inverse_with_full_or_empty_support():
         got = equilibrium._solve_block((inverse, lower), x)
         want = block_solve_lu(blk, x)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_each_block_is_consumed_before_the_next_is_built(eos15, profile15, monkeypatch):
+    # the preconditioner inverts, and the per-block certificate takes the SVD
+    # of, each block before the next one is built: one n_r x n_r block at a time
+    from rotstar import equilibrium
+    from rotstar.grids import RadialKernel
+
+    built, seen = [], []
+    blocks, newton_matrix_orig = RadialKernel.blocks, equilibrium.newton_matrix
+
+    def counting(self, k, coef):
+        built.append(k)
+        return blocks(self, k, coef)
+
+    def recording(jac):
+        seen.append(len(built))
+        return newton_matrix_orig(jac)
+
+    monkeypatch.setattr(RadialKernel, "blocks", counting)
+    monkeypatch.setattr(equilibrium, "newton_matrix", recording)
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    u = initial_field_from_profile(grid, profile15)
+    equilibrium._factor_blocks(grid, eos15, 1.0, u.modes(), 1e-3)
+    built.clear()
+    hl_certificate_blocks(u, eos15, 1.0)
+    assert seen == [1, 2, 3] * 2 and built == [0, 1, 2]
 
 
 def test_certificate_is_deterministic(eos15, profile15):
@@ -945,19 +972,19 @@ def test_singular_or_nonfinite_block_stops_the_newton_solve(eos15, profile15, mo
 
     def zero(grid, coef):
         # J_kk = I makes the block I - J_kk zero
-        blocks = blocks_orig(grid, coef)
+        blocks = list(blocks_orig(grid, coef))
         blocks[1][:] = np.eye(len(blocks[1]))
         return blocks
 
     def zero_on_the_support(grid, coef):
         # I - J_kk = [[0, 0], [-B, I]] with B the rows past the support
-        blocks = blocks_orig(grid, coef)
+        blocks = list(blocks_orig(grid, coef))
         n_in = np.flatnonzero(np.any(blocks[1], axis=0))[-1] + 1
         blocks[1][:n_in, :n_in] = np.eye(n_in)
         return blocks
 
     def with_nan(grid, coef):
-        blocks = blocks_orig(grid, coef)
+        blocks = list(blocks_orig(grid, coef))
         blocks[1][3, 5] = np.nan
         return blocks
 

@@ -14,6 +14,7 @@ from rotstar import (
 )
 from rotstar import perturb
 from rotstar.errors import DomainError, NoConvergence
+from rotstar.grids import RadialKernel, interp_matrix
 from rotstar.perturb import ModeGrid, _mode_operator
 
 from oracles import mode_operator_dense, radial_kernel
@@ -44,7 +45,7 @@ def test_vacuum_kernel_reduces_to_power(profile15_mod, eos15_mod):
     mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 300)
     y = np.zeros_like(mg.r)
     ker = radial_kernel(mg.r, mg.gauss_x, mg.gauss_w, 2)  # the 1/5 included
-    mapped = 1.0 * mg.r ** 2 / 5.0 + ker @ (0.0 * (mg.interp @ y))
+    mapped = 1.0 * mg.r ** 2 / 5.0 + ker @ (0.0 * (interp_matrix(mg.r, mg.gauss_x) @ y))
     assert np.allclose(mapped, mg.r ** 2 / 5.0, atol=1e-15)
 
 
@@ -130,6 +131,13 @@ def test_mode_operator_matches_dense_formula(nu):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_mode_grid_holds_no_dense_interpolation(profile15_mod, eos15_mod):
+    # the dense interpolation was 2,796 x 700 doubles (15.6 MB) at this size
+    mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 700)
+    arrays = [a for a in vars(mg).values() if isinstance(a, np.ndarray)]
+    assert max(a.size for a in arrays) < mg.gauss_x.size * mg.r.size
+
+
 def test_h2_negative_and_consistent(hfield15):
     assert np.all(hfield15.h2[hfield15.r > 0] < 0)
     assert hfield15.consistency_sup < 1e-4
@@ -183,7 +191,7 @@ def test_modes_beyond_two_vanish_in_resolvent(hfield15):
 
 
 @pytest.mark.parametrize("nu", [1.5, 3.0])
-def test_resolvent_blocks_match_the_dense_solve(nu):
+def test_resolvent_blocks_match_the_dense_solve(nu, monkeypatch):
     # at the spherical state the degree-0 and degree-2 block solves are the
     # dense solve with the full linearization
     from rotstar.equilibrium import (
@@ -200,9 +208,19 @@ def test_resolvent_blocks_match_the_dense_solve(nu):
     mat = newton_matrix(gravity_jacobian_packed(grid, eos, 1.0, modes0))
     g1 = pack_modes(grid, rigid_rotation(grid, 1.0).g_modes)
     want = unpack_modes(grid, np.linalg.solve(mat, g1))
+    built = []
+    blocks = RadialKernel.blocks
+
+    def counting(self, k, coef):
+        built.append(k)
+        return blocks(self, k, coef)
+
+    monkeypatch.setattr(RadialKernel, "blocks", counting)
     got = perturb._resolvent_h(prof, eos, 1.0, grid)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.all(got[2:] == 0.0)
+    # only the two blocks it solves with are built, not the degree-4 one
+    assert built == [0, 1]
 
 
 def test_oblateness_report(profile15_mod, hfield15):
