@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve, solve_banded, svdvals
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve, solve_banded, svdvals
 from scipy.optimize import brentq
 
 GOLDEN_PATH = Path(__file__).parent / "golden_lane_emden.json"
@@ -198,6 +199,46 @@ def block_sigma_min_dense(grid, q):
 def sigma_min_dense(mat):
     """Smallest singular value of ``mat`` from its full dense SVD."""
     return float(svdvals(mat)[-1])
+
+
+def sigma_min_lu(mat):
+    """Smallest singular value of the Newton matrix ``mat`` as the certificate
+    found it from one LU of the whole matrix: (sigma, steps, residual bound).
+
+    The same seeded block inverse iteration on (M^T M)^-1, stopping test and
+    residual bound as ``equilibrium._sigma_min_from_lu``, with each solve
+    taken from scipy's LU of ``mat``.  A matrix that is not finite or has an
+    exact zero pivot gives (0.0, 0, None), and solves that overflow give
+    sigma = 0.0 and no bound.
+    """
+    from rotstar.equilibrium import _CERT_BLOCK, _CERT_MAX_ITER, _CERT_RTOL
+
+    if not np.isfinite(mat).all():
+        return 0.0, 0, None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu = lu_factor(mat, check_finite=False)
+    if not np.all(np.diagonal(lu[0])):
+        return 0.0, 0, None
+    n = len(mat)
+    z = np.random.default_rng(0).standard_normal((n, min(_CERT_BLOCK, n)))
+    sigma = np.inf
+    for step in range(1, _CERT_MAX_ITER + 1):
+        x = np.linalg.qr(z)[0]
+        y = lu_solve(lu, x, trans=1, check_finite=False)
+        z = lu_solve(lu, y, check_finite=False)
+        if not (np.isfinite(y).all() and np.isfinite(z).all()):
+            return 0.0, step, None
+        lam, w = np.linalg.eigh(y.T @ y)
+        last, sigma = sigma, 1.0 / np.sqrt(lam[-1])
+        if abs(sigma - last) <= _CERT_RTOL * sigma:
+            break
+    w = w[:, -1]
+    xv, zv = x @ w, z @ w
+    znorm = np.linalg.norm(zv)
+    r_left = abs(1.0 / (sigma * znorm) - sigma)
+    r_right = sigma * np.linalg.norm(xv - zv / znorm)
+    return float(sigma), step, float(np.sqrt(0.5 * (r_left ** 2 + r_right ** 2)))
 
 
 def dense_newton_step(grid, eos, u_center, modes, rhs, b_matrix=None):

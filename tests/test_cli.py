@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -300,6 +301,11 @@ def test_verbose_solve_reports_on_stderr(tmp_path, capsys):
         assert len(lines) >= least
         assert all(("residual" if prefix == "iter" else "mass evaluations") in line
                    for line in lines)
+        if ini is SOLVE_INI:
+            # the certificate names the support it inverted the matrix on
+            cert = [line for line in captured.err.splitlines() if line.startswith("certificate")]
+            assert len(cert) == 1
+            assert re.search(r"\(support \d+ of 382 unknowns, \d+ inverse-iteration steps", cert[0])
         names = sorted(p.name for p in quiet.iterdir())
         assert names == sorted(p.name for p in loud.iterdir())
         assert "manifest.json" in names
@@ -644,15 +650,26 @@ measure = true
 """
 
 
-# only the certificate of a rotating state factors a matrix: the Newton
-# solves are preconditioned by block inverses, and the splines and the
-# GMRES least-squares problems are solved in numpy
+# j = 0.01 m^2 / M on [0, 1.3 M], M the cylinder mass of the nu = 1.5 sphere
+_MOMENTUM_M = [1.3 * 1.52219 * k / 13 for k in range(14)]
+MOMENTUM_SOLVE_INI = SOLVE_INI.replace(
+    "kind = constant\nbeta = 1e-3",
+    "kind = angular-momentum\nm = " + ", ".join(f"{m:.6g}" for m in _MOMENTUM_M)
+    + "\nj = " + ", ".join(f"{0.01 * m * m / 1.52219:.6g}" for m in _MOMENTUM_M),
+)
+
+
+# no command loads scipy.linalg: the Newton solves are preconditioned by
+# block inverses, the certificate inverts its matrix on the star's support,
+# and the splines and the GMRES least-squares problems are solved in numpy
+# (the test's name is kept so that its recorded ids stay comparable)
 @pytest.mark.parametrize(
     "ini",
     [LANE_EMDEN_INI, HL_CHECK_INI, KERNEL_CHECK_INI, OBLATENESS_MEASURED_INI, MASS_INI,
-     SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\ncertify = false")],
+     SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\ncertify = false"), SOLVE_INI,
+     MOMENTUM_SOLVE_INI],
     ids=["lane-emden", "hl-check", "kernel-check", "oblateness-measured", "mass-curve",
-         "solve-uncertified"],
+         "solve-uncertified", "solve-certified", "momentum-solve-certified"],
 )
 def test_commands_that_factor_nothing_leave_out_scipy_linalg(tmp_path, ini):
     cfg = _write(tmp_path, ini)
@@ -660,11 +677,12 @@ def test_commands_that_factor_nothing_leave_out_scipy_linalg(tmp_path, ini):
     assert out == "0 False"
 
 
-def test_solve_loads_scipy_linalg(tmp_path):
-    # the converse, so that the check above can fail: a certified solve at a
-    # rotating state factors the certificate's matrix
+def test_scipy_linalg_probe_sees_an_import(tmp_path):
+    # the converse, so that the check above can fail: a child that imports
+    # scipy.linalg itself before a certified solve reads True
     cfg = _write(tmp_path, SOLVE_INI)
-    out = _fresh_python(_RUN_AND_LIST_LINALG, str(cfg), str(tmp_path / "out"))
+    code = "import scipy.linalg\n" + _RUN_AND_LIST_LINALG
+    out = _fresh_python(code, str(cfg), str(tmp_path / "out"))
     assert out == "0 True"
 
 

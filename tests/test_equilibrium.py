@@ -51,6 +51,7 @@ from oracles import (
     free_boundary_per_ray,
     gravity_jacobian_dense,
     sigma_min_dense,
+    sigma_min_lu,
 )
 
 
@@ -558,35 +559,54 @@ def _momentum_law(u0, eos, scale):
     return AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
 
 
-def test_newton_matrix_is_factored_in_place(eos15, profile15, scale15, monkeypatch):
-    # the certificate's one n x n buffer: the Newton matrix arrives
-    # Fortran-ordered and lu_factor overwrites it
+def test_certificate_frees_its_one_n_by_n_buffer_before_the_inverse(monkeypatch):
+    # the certificate's one n x n buffer: J, or B with J added into it, is
+    # split on the star's support and freed before M_SS is inverted; the
+    # factorization holds X = M_SS^-1 (n_S x n_S) and C (n_O x n_S) only
+    import weakref
+
     from rotstar import equilibrium
 
-    calls, factored, b_buffers = [], [], []
-
-    def checked(a, *args, **kwargs):
-        lu = lu_factor_orig(a, *args, **kwargs)
-        factored.append(a)
-        calls.append((a.shape[0], a.flags.f_contiguous, kwargs.get("overwrite_a"),
-                      np.shares_memory(lu[0], a)))
-        return lu
+    u, eos, law, scale = _converged_state("momentum", 1.5, (64, 12, 4))
+    n = packed_size(u.grid)
+    buffers, b_buffers, inverted, factored = [], [], [], []
 
     def recorded_b(*args, **kwargs):
-        b_buffers.append(b_orig(*args, **kwargs))
-        return b_buffers[-1]
+        out = b_orig(*args, **kwargs)
+        b_buffers.append(weakref.ref(out))
+        return out
 
-    lu_factor_orig, b_orig = equilibrium.lu_factor, equilibrium.centrifugal_deriv_matrix
-    monkeypatch.setattr(equilibrium, "lu_factor", checked)
+    def recorded_jacobian(*args, out=None, **kwargs):
+        # with a momentum law J is added into B's buffer
+        assert out is None or out is b_buffers[-1]()
+        jac = jacobian_orig(*args, out=out, **kwargs)
+        assert out is None or jac is out
+        buffers.append(weakref.ref(jac))
+        return jac
+
+    def checked_inverse(m_ss):
+        assert all(ref() is None for ref in buffers + b_buffers), "an n x n buffer is alive"
+        inverted.append(m_ss.shape)
+        return inverse_orig(m_ss)
+
+    def recorded_factors(lu):
+        factored.append(tuple(a.shape for a in lu))
+        return sigma_orig(lu)
+
+    jacobian_orig, b_orig = equilibrium.gravity_jacobian_packed, equilibrium.centrifugal_deriv_matrix
+    inverse_orig, sigma_orig = equilibrium.lu_factor, equilibrium._sigma_min_from_lu
+    monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", recorded_jacobian)
     monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", recorded_b)
-    u = _oblate_state(profile15)
-    n = packed_size(u.grid)
-    law = _momentum_law(u, eos15, scale15)
-    hl_certificate(u, eos15, 1.0)
-    hl_certificate(u, eos15, 1.0, law=law, scale=scale15)
-    assert calls == [(n, True, True, True)] * 2
-    # with a momentum law J is added into B's buffer, which is then factored
-    assert len(b_buffers) == 1 and factored[1] is b_buffers[0]
+    monkeypatch.setattr(equilibrium, "lu_factor", checked_inverse)
+    monkeypatch.setattr(equilibrium, "_sigma_min_from_lu", recorded_factors)
+    hl_certificate(u, eos, 1.0)
+    hl_certificate(u, eos, 1.0, law=law, scale=scale)
+    # one n x n buffer per certificate
+    assert len(buffers) == 2 and len(b_buffers) == 1
+    assert len(inverted) == len(factored) == 2
+    for (n_s, n_s2), shapes in zip(inverted, factored):
+        assert n_s == n_s2 < n
+        assert shapes == ((n_s, n_s), (n - n_s, n_s), (n,))
 
 
 def test_jacobian_adds_into_out(eos15, profile15, scale15):
@@ -827,6 +847,52 @@ def test_certificate_matches_dense_svd(kind, nu, size):
     assert 0 < info["iterations"] < 100
     # some singular value lies within the residual bound; here it is sigma_min
     assert abs(sigma - want) <= info["residual_bound"] + 1e-14 * want < 1e-6
+
+
+@pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
+@pytest.mark.parametrize("nu", [1.5, 3.0])
+@pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
+def test_certificate_on_the_support_matches_a_full_lu(kind, nu, size):
+    # the inverse on the star's support runs the same inverse iteration as
+    # an LU of the whole Newton matrix: the same sigma, steps and bound
+    u, eos, law, scale = _converged_state(kind, nu, size)
+    mat = gravity_jacobian_packed(u.grid, eos, 1.0, u.modes())
+    if law is not None:
+        mat += centrifugal_deriv_matrix(law, u, eos, scale)
+    want, want_steps, want_bound = sigma_min_lu(newton_matrix(mat))
+    sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
+    assert abs(sigma - want) <= 1e-13 * want
+    assert info["iterations"] == want_steps
+    assert info["residual_bound"] == pytest.approx(want_bound, rel=1e-6)
+
+
+@pytest.mark.parametrize("support", ["full", "empty", "zero-column-inside"])
+def test_certificate_on_a_synthetic_support(support, eos15, profile15, monkeypatch):
+    # S is every column of J that is not all zero, wherever it lies: all of
+    # them, none (M = I, so sigma = 1), or all but some inside the support
+    from rotstar import equilibrium
+
+    u = _oblate_state(profile15)
+    n = packed_size(u.grid)
+    rng = np.random.default_rng(5)
+    jac = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    if support == "empty":
+        jac[:] = 0.0
+    elif support == "zero-column-inside":
+        jac[:, 200:] = 0.0
+        jac[:, [3, 70, 71, 150]] = 0.0
+    monkeypatch.setattr(
+        equilibrium, "gravity_jacobian_packed", lambda *args: np.asfortranarray(jac)
+    )
+    sigma, info = hl_certificate(u, eos15, 1.0, full_output=True)
+    want, want_steps, want_bound = sigma_min_lu(np.eye(n) - jac)
+    assert abs(sigma - want) <= 1e-13 * want
+    assert info["iterations"] == want_steps
+    assert abs(sigma - sigma_min_dense(np.eye(n) - jac)) <= 1e-12 * want
+    if support == "empty":
+        assert sigma == pytest.approx(1.0, rel=1e-15) and info["residual_bound"] < 1e-15
+    else:
+        assert info["residual_bound"] == pytest.approx(want_bound, rel=1e-6)
 
 
 @pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
@@ -1079,9 +1145,13 @@ def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
     assert not any("preconditioner built" in m for m in second)
     assert sol.meta["newton"]["preconditioner_builds"] == 0
     assert len(calls) - n_first == 1
+    # the columns of J that are not all zero
+    support = np.count_nonzero(np.any(gravity_jacobian_packed(grid, eos15, 1.0, sol.u.modes()), axis=0))
+    assert 0 < support < packed_size(grid)
     assert [m for m in second if m.startswith("certificate")] == [
         f"certificate: sigma_min {sol.hl_sigma_min:.6e} "
-        f"({sol.meta['certificate']['iterations']} inverse-iteration steps, "
+        f"(support {support} of {packed_size(grid)} unknowns, "
+        f"{sol.meta['certificate']['iterations']} inverse-iteration steps, "
         f"residual bound {sol.meta['certificate']['residual_bound']})"
     ]
     assert sum(m.startswith("iter") for m in second) == sol.iterations
