@@ -27,12 +27,11 @@ def _kernel_parts(r, zeta, rp, zetap):
 def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
     """Azimuthal integral of 1/distance between the rings (r, zeta), (rp, zetap).
 
-    ``method`` is "adaptive" (quadrature of the defining integral) or
-    "elliptic" (complete elliptic integral closed form, used as an internal
-    cross-check).
+    ``method`` is "adaptive" (scipy's quadrature of the defining integral) or
+    "elliptic" (the closed form 4 K(m)/sqrt(a + b) of ``_kernel_elliptic``,
+    on numpy alone as Gauss's 2 pi / AGM(sqrt(a + b), sqrt(a - b)); bitwise
+    the value the same a, b take inside any batch).
     """
-    from scipy.integrate import quad  # validation path only
-
     a, b = _kernel_parts(r, zeta, rp, zetap)
     scale = max(r, rp, 1e-300)
     if a - b <= (1e-14 * scale) ** 2:
@@ -41,6 +40,8 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
         )
     if method == "elliptic":
         return float(_kernel_elliptic(a, b))
+    from scipy.integrate import quad  # validation path only
+
     val, _ = quad(
         lambda phi: 1.0 / math.sqrt(a - b * math.cos(phi)),
         0.0,
@@ -52,13 +53,47 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
     return val
 
 
-def _kernel_elliptic(a, b):
-    """The integral of 1/sqrt(a - b cos phi) over one turn, 4 K(m)/sqrt(a + b)
-    with m = 2b/(a + b), from the parts a, b of ``_kernel_parts``."""
-    from scipy.special import ellipk  # validation path only
+# Gauss's AGM steps and the chunk of values each pass of them runs over.  From
+# sqrt(a + b) and sqrt(a - b), 8 steps reach rounding for every ratio
+# sqrt((a - b)/(a + b)) >= 1e-14, and two doubles a > b never give a ratio
+# below about 1e-8; a chunk of 16384 keeps the three buffers in cache.
+_AGM_STEPS = 8
+_AGM_CHUNK = 16384
 
-    m = 2.0 * b / (a + b)
-    return 4.0 * ellipk(m) / np.sqrt(a + b)
+
+def _kernel_elliptic(a, b):
+    """The integral of 1/sqrt(a - b cos phi) over one turn, from the parts a, b
+    of ``_kernel_parts``: 4 K(m)/sqrt(a + b) with m = 2b/(a + b), taken in
+    Gauss's form 2 pi / AGM(sqrt(a + b), sqrt(a - b)).
+
+    The AGM starts from the kernel's own square roots, so no 1 - m is formed
+    and the value keeps full accuracy as m -> 1.  Every step is elementwise
+    and their number is fixed, so a value does not depend on the batch it is
+    evaluated in.  Where a - b <= 0 the value is +inf.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    out = np.empty(a.shape)
+    a, b, flat = a.ravel(), b.ravel(), out.reshape(-1)
+    buffers = [np.empty(min(a.size, _AGM_CHUNK)) for _ in range(3)]
+    for lo in range(0, a.size, _AGM_CHUNK):
+        hi = min(lo + _AGM_CHUNK, a.size)
+        p, q, t = (buf[: hi - lo] for buf in buffers)
+        np.add(a[lo:hi], b[lo:hi], out=p)
+        np.subtract(a[lo:hi], b[lo:hi], out=q)
+        np.sqrt(p, out=p)
+        # a - b <= 0 starts q at 0, where the geometric means stay
+        np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+        for _ in range(_AGM_STEPS - 1):
+            np.add(p, q, out=t)
+            np.multiply(p, q, out=q)
+            np.sqrt(q, out=q)
+            np.multiply(t, 0.5, out=p)
+        # the last step's arithmetic mean, its halving folded into 4 pi
+        np.add(p, q, out=t)
+        with np.errstate(divide="ignore"):  # a = b = 0 leaves t = 0
+            np.divide(4.0 * math.pi, t, out=flat[lo:hi])
+        flat[lo:hi][q == 0.0] = np.inf
+    return out
 
 
 def potential_multipole(field: AxiField) -> AxiField:
@@ -130,6 +165,12 @@ def potential_direct(
     grid = field.grid
     modes = field.modes()
 
+    def radial_modes(x):
+        """The source's modes at the radii x, (n_l,) + x.shape."""
+        cols, weights = interp_stencil(grid.r, x.ravel())
+        fr = np.einsum("lps,ps->lp", modes[:, cols], weights)
+        return fr.reshape((grid.n_l,) + x.shape)
+
     def cell_rule(r_lo, r_hi, z_lo, z_hi):
         """Radii, zetas, weights r'^2 dr' dzeta' and source values of the
         4 x 4 Gauss rule on each cell; the last two axes are radius, zeta."""
@@ -137,10 +178,7 @@ def potential_direct(
         xz, wz = panel_gauss(z_lo, z_hi)
         w = (wr * xr ** 2)[:, :, None] * wz[:, None, :]
         if source_fn is None:
-            cols, weights = interp_stencil(grid.r, xr.ravel())
-            fr = np.einsum("lps,ps->lp", modes[:, cols], weights)
-            fr = fr.reshape((grid.n_l,) + xr.shape)
-            f = np.einsum("lmr,lmz->mrz", fr, legendre_table(grid.lvals, xz))
+            f = np.einsum("lmr,lmz->mrz", radial_modes(xr), legendre_table(grid.lvals, xz))
         else:
             f = source_fn(xr[:, :, None], xz[:, None, :]) * np.ones(w.shape)
         return xr[:, :, None], xz[:, None, :], w, f
@@ -162,28 +200,45 @@ def potential_direct(
     near_j = np.abs(np.arange(n_zc) - jt[:, None]) <= window
 
     # far field: the coarse rule on every cell, one kernel row per target
-    # radius (never targets x sources at once).  The kernel is even under
-    # (zeta, zeta') -> (-zeta, -zeta'), and the zeta nodes and cells are
-    # mirror images (to rounding), so the rows of zeta < 0 are those of
-    # zeta >= 0 with the cells mirrored.  _kernel_parts' a and b are
+    # radius (never targets x sources at once).  The cells are the tensor
+    # product of the radial and zeta cells (axes: radial cell, zeta cell,
+    # radius, zeta), so each radial Gauss point is interpolated once.  The
+    # kernel is even under (zeta, zeta') -> (-zeta, -zeta'), and the zeta
+    # nodes and cells are mirror images (to rounding), so the rows of zeta < 0
+    # are those of zeta >= 0 with the cells mirrored.  One product of the
+    # rows of zeta >= 0 with the columns [w, w f, mirrored w, mirrored w f]
+    # gives every target's sums over all cells; the near cells' terms, taken
+    # from the same rows, are then subtracted.  _kernel_parts' a and b are
     # r^2 + r'^2 - r zeta (2 r' zeta') and r sqrt(1 - zeta^2) (2 r' sqrt(1 - zeta'^2)),
     # with the source factors formed once.
-    kc, jc = np.divmod(np.arange(n_rc * n_zc), n_zc)
-    xr, xz, w, f = cell_rule(grid.r[kc], grid.r[kc + 1], z_edges[jc], z_edges[jc + 1])
-    cells = (n_rc, n_zc, 4, 4)
-    w, wf = w.reshape(cells), (w * f).reshape(cells)
+    xr, wr = (x[:, None, :, None] for x in panel_gauss(grid.r[:-1], grid.r[1:]))
+    xz, wz = (x[None, :, None, :] for x in panel_gauss(z_edges[:-1], z_edges[1:]))
+    w = wr * xr ** 2 * wz
+    if source_fn is None:
+        pz = legendre_table(grid.lvals, xz[0, :, 0])
+        f = np.einsum("lkr,lcz->kcrz", radial_modes(xr[:, 0, :, 0]), pz)
+    else:
+        f = source_fn(xr, xz) * np.ones(w.shape)
+    wf = w * f
+    cols = np.stack((w, wf, w[:, ::-1, :, ::-1], wf[:, ::-1, :, ::-1]), axis=-1)
     r2, cz, sz = xr ** 2, 2.0 * xr * xz, 2.0 * xr * np.sqrt(1.0 - xz ** 2)
+    # row j is the target zeta[half + j] and, mirrored, zeta[n_zeta - 1 - half - j];
+    # each column pair's near zeta cells are those of its own target
     half = grid.n_zeta // 2
-    tz = grid.zeta[half:, None, None, None]
+    n_t = grid.n_zeta - half
+    tz = grid.zeta[half:, None, None, None, None]
+    own, mirror = near_j[half:], near_j[:n_t][::-1, ::-1]
+    near_cols = np.stack((own, own, mirror, mirror), axis=-1).astype(float)
+    all_cols = cols.reshape(-1, 4)
     acc = np.empty((grid.n_r, grid.n_zeta))
     for i, r in enumerate(grid.r):
         ker = _kernel_elliptic(r * r + r2 - r * tz * cz, r * np.sqrt(1.0 - tz ** 2) * sz)
-        ker = ker.reshape((-1,) + cells)
-        ker = np.concatenate((ker[::-1, :, ::-1, :, ::-1][:half], ker))
-        kw = np.einsum("jkcrz,kcrz->jkc", ker, w)
-        kwf = np.einsum("jkcrz,kcrz->jkc", ker, wf)
-        near = near_k[i][:, None] & near_j[:, None, :]
-        acc[i] = np.where(near, 0.0, kwf - f_nodes[i][:, None, None] * kw).sum(axis=(1, 2))
+        sums = ker.reshape(n_t, -1) @ all_cols
+        near = np.einsum("jkcrz,kcrzq->jcq", ker[:, near_k[i]], cols[near_k[i]])
+        sums -= np.einsum("jcq,jcq->jq", near, near_cols)
+        acc[i, half:] = sums[:, 1] - f_nodes[i, half:] * sums[:, 0]
+        mirrored = sums[:, 3] - f_nodes[i, :n_t][::-1] * sums[:, 2]
+        acc[i, :half] = mirrored[::-1][:half]
 
     # near field, level by level over every (target, near cell) pair: a cell
     # that holds its target (closed test, so a target on an edge goes into

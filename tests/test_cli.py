@@ -659,11 +659,8 @@ MOMENTUM_SOLVE_INI = SOLVE_INI.replace(
 )
 
 
-# no command loads scipy.linalg: the Newton solves are preconditioned by
-# block inverses, the certificate inverts its matrix on the star's support,
-# and the splines and the GMRES least-squares problems are solved in numpy
-# (the test's name is kept so that its recorded ids stay comparable)
-@pytest.mark.parametrize(
+# every command, each run as its CLI case
+every_command = pytest.mark.parametrize(
     "ini",
     [LANE_EMDEN_INI, HL_CHECK_INI, KERNEL_CHECK_INI, OBLATENESS_MEASURED_INI, MASS_INI,
      SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\ncertify = false"), SOLVE_INI,
@@ -671,10 +668,34 @@ MOMENTUM_SOLVE_INI = SOLVE_INI.replace(
     ids=["lane-emden", "hl-check", "kernel-check", "oblateness-measured", "mass-curve",
          "solve-uncertified", "solve-certified", "momentum-solve-certified"],
 )
+
+
+# no command loads scipy.linalg: the Newton solves are preconditioned by
+# block inverses, the certificate inverts its matrix on the star's support,
+# and the splines and the GMRES least-squares problems are solved in numpy
+# (the test's name is kept so that its recorded ids stay comparable)
+@every_command
 def test_commands_that_factor_nothing_leave_out_scipy_linalg(tmp_path, ini):
     cfg = _write(tmp_path, ini)
     out = _fresh_python(_RUN_AND_LIST_LINALG, str(cfg), str(tmp_path / "out"))
     assert out == "0 False"
+
+
+_RUN_AND_LIST_SCIPY = (
+    "import sys\n"
+    "from rotstar.cli import main\n"
+    "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
+    "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+# every command runs on numpy alone: kernel-check's direct quadrature takes
+# the ring kernel by Gauss's AGM, with no scipy.special
+@every_command
+def test_every_command_loads_no_scipy(tmp_path, ini):
+    cfg = _write(tmp_path, ini)
+    out = _fresh_python(_RUN_AND_LIST_SCIPY, str(cfg), str(tmp_path / "out"))
+    assert out == "0 []"
 
 
 def test_scipy_linalg_probe_sees_an_import(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rotstar import (
 )
 from rotstar.errors import DomainError, SingularPoint
 from rotstar.grids import interp_matrix
+from rotstar.potential import _kernel_elliptic, _kernel_parts
 from oracles import potential_direct_recursive, trapezoid
 
 
@@ -47,6 +49,41 @@ def test_kernel_singular_point():
         kernel_eval(1.0, 0.5, 1.0, 0.5)
     with pytest.raises(SingularPoint):
         kernel_eval(0.0, 0.3, 0.0, -0.8)  # same spatial point (the center)
+
+
+def test_kernel_elliptic_keeps_full_accuracy_as_m_tends_to_one():
+    # Gauss's form against scipy's K(1 - m1) for m1 = (a - b)/(a + b) = 1 - m
+    # down to 1e-12; forming m = 2b/(a + b) first lost up to 3.4e-6 here
+    from scipy.special import ellipkm1
+
+    m1 = np.logspace(-12.0, 0.0, 241)
+    for s in (1e-6, 1.0, 3.7, 1e4):
+        a, b = 0.5 * s * (1.0 + m1), 0.5 * s * (1.0 - m1)
+        want = 4.0 * ellipkm1((a - b) / (a + b)) / np.sqrt(a + b)
+        assert np.max(np.abs(_kernel_elliptic(a, b) / want - 1.0)) < 1e-14
+
+
+def test_kernel_elliptic_value_does_not_depend_on_the_batch():
+    rng = np.random.default_rng(7)
+    r, rp = rng.uniform(0.0, 2.0, (2, 40000))
+    z, zp = rng.uniform(-1.0, 1.0, (2, 40000))
+    batch = _kernel_elliptic(*_kernel_parts(r, z, rp, zp))
+    for i in (0, 1, 16383, 16384, 39999):
+        alone = kernel_eval(float(r[i]), float(z[i]), float(rp[i]), float(zp[i]), "elliptic")
+        assert alone == batch[i]
+
+
+def test_kernel_elliptic_is_infinite_where_a_minus_b_vanishes():
+    # a = b (coincident rings), a - b < 0 by rounding, and a = b = 0: +inf
+    # as K(1), with no warning, while a finite neighbour stays finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernel_elliptic(
+            np.array([1.0, 2.0, 0.0, 1.0]), np.array([1.0, np.nextafter(2.0, 3.0), 0.0, 0.5])
+        )
+        alone = _kernel_elliptic(3.0, 3.0)
+    assert np.array_equal(got[:3], [np.inf] * 3) and alone == np.inf
+    assert np.isfinite(got[3])
 
 
 def test_legendre_coeffs_examples():
