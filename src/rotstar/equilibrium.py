@@ -6,14 +6,14 @@ The solver runs Newton-Kantorovich on even-Legendre mode coefficients,
 falling back to damped Picard iteration.  Each Newton system is solved by
 GMRES to a fixed tight tolerance, with products taken matrix-free at the
 current iterate and right-preconditioned by the per-degree diagonal blocks
-of the linearization (``gravity_jacobian_packed`` with ``diagonal``), each
-inverted on the star's support once per warm-started family at its
-spherical start, or at a lone solve's first Newton step, and again only
-after a GMRES solve stops at its cap.  Invertibility of the linearization is
-certified by its smallest singular value: per Legendre degree at a
-spherical state, and otherwise by block inverse iteration on the full
-matrix, the only place it is built, through the inverse of its part on the
-star's support.  The module uses numpy alone.
+of the linearization (``gravity_jacobian_packed``), each inverted on the
+star's support once per warm-started family at its spherical start, or at a
+lone solve's first Newton step, and again only after a GMRES solve stops at
+its cap.  Invertibility of the linearization is certified by its smallest
+singular value: per Legendre degree at a spherical state, and otherwise by
+block LOBPCG on M^T M with M and M^T applied matrix-free and the solve's
+last blocks as its preconditioner.  No n x n matrix is built.  The
+module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ class EquilibriumSolution:
     meta: dict = field(default_factory=dict)
 
     def boundary_at(self, zeta) -> np.ndarray:
-        """Evaluate the boundary curve at arbitrary zeta via its even-mode fit."""
+        """Evaluate the boundary curve at arbitrary zeta via its even-mode fit;
+        NoSignChange if the solution has no free boundary."""
         grid = self.u.grid
-        coeffs = grid.proj @ self.R_of_zeta
+        coeffs = grid.proj @ self.require_boundary().R_of_zeta
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         return coeffs @ legendre_table(grid.lvals, zeta)
 
@@ -183,6 +184,19 @@ def _gravity_deriv_modes(grid: AxiGrid, fp: np.ndarray, h_modes: np.ndarray) -> 
     return out
 
 
+def _gravity_deriv_transposed(grid: AxiGrid, fp: np.ndarray, y_modes: np.ndarray) -> np.ndarray:
+    """The transpose of ``_gravity_deriv_modes`` on mode arrays, factor by
+    factor in reverse order: the center subtraction of degree 0 and the
+    zeroed center of the others, ``RadialKernel.apply_transpose``, the
+    transposed fine-zeta projection, rho'(u) = ``fp``, the transposed
+    synthesis and ``AxiGrid.at_gauss_transpose``."""
+    w = y_modes.copy()
+    w[0, 0] -= w[0].sum()
+    w[1:, 0] = 0.0
+    t = grid.proj_f.T @ grid.kernel.apply_transpose(w)
+    return grid.at_gauss_transpose(grid.leg_f @ (fp * t))
+
+
 def gravity_map_deriv(
     u: AxiField, h: AxiField, eos: EquationOfState, u_center: float
 ) -> AxiField:
@@ -192,63 +206,33 @@ def gravity_map_deriv(
     return AxiField.from_modes(grid, _gravity_deriv_modes(grid, fp, h.modes()))
 
 
-def _packed_block(grid: AxiGrid, k: int) -> tuple[slice, int]:
-    """Rows of mode k in the packed vector and the first radial index kept."""
+def _packed_block(grid: AxiGrid, k: int) -> slice:
+    """Rows of mode k in the packed vector."""
     nr = grid.n_r
     if k == 0:
-        return slice(0, nr), 0
-    return slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1)), 1
+        return slice(0, nr)
+    return slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1))
 
 
 def gravity_jacobian_packed(
-    grid: AxiGrid,
-    eos: EquationOfState,
-    u_center: float,
-    modes: np.ndarray,
-    *,
-    diagonal: bool = False,
-    out: np.ndarray | None = None,
-):
-    """Packed matrix J of the linearized self-gravity map at u, Fortran-ordered.
-
-    Block (li, lj) is the degree-li radial kernel @ diag(coupling of mode lj
-    into mode li at the Gauss radii) @ the interpolation, by
-    ``RadialKernel.blocks``.
-    With ``out``, a Fortran-ordered n x n matrix, J is added into it in
-    place and ``out`` is returned.  With ``diagonal`` only the blocks J_kk
-    are built, by the generator ``degree_blocks``, each as the caller asks
-    for it, and nothing n x n is allocated: they are the part of J that
-    preconditions the Newton systems, and all of J at a spherical state.
+    grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray
+) -> Iterator[np.ndarray]:
+    """The diagonal blocks J_kk of the packed linearized self-gravity map at
+    u, built by the generator ``degree_blocks``, each as the caller asks for
+    it: they are the part of J that preconditions the Newton systems and the
+    certificate, and all of J at a spherical state.  Nothing n x n is
+    allocated; products with the whole J are taken matrix-free
+    (``_gravity_deriv_modes`` and ``_gravity_deriv_transposed``).
     """
     fp = _density_deriv_fine(grid, eos, u_center, modes)
-    if diagonal:
-        return degree_blocks(grid, np.einsum("la,ap,la->pl", grid.proj_f, fp, grid.leg_f))
-    # coupling of incoming mode lj to outgoing mode li at each gauss radius
-    coup = np.einsum("la,ap,ma->plm", grid.proj_f, fp, grid.leg_f)
-    n = packed_size(grid)
-    if out is None:
-        jac = np.zeros((n, n), order="F")
-    elif out.shape == (n, n) and out.flags.f_contiguous:
-        jac = out
-    else:
-        raise ValueError(f"out must be a Fortran-ordered {n} x {n} matrix")
-    for li in range(grid.n_l):
-        rows, r0 = _packed_block(grid, li)
-        blk = grid.kernel.blocks(li, coup[:, li, :])
-        if li == 0:
-            blk -= blk[:, :, :1]
-        for lj in range(grid.n_l):
-            cols, c0 = _packed_block(grid, lj)
-            jac.T[cols, rows] += blk[lj, c0:, r0:]
-    return jac
+    return degree_blocks(grid, np.einsum("la,ap,la->pl", grid.proj_f, fp, grid.leg_f))
 
 
 def newton_matrix(jac: np.ndarray) -> np.ndarray:
     """Overwrite ``jac`` with I - jac and return it.
 
-    Applied to a block J_kk of ``degree_blocks``, or to the certificate's
-    J_SS (``_split_on_support``), this gives that diagonal block of the
-    Newton matrix in the block's own buffer.
+    Applied to a block J_kk of ``degree_blocks``, this gives that diagonal
+    block of the Newton matrix in the block's own buffer.
     """
     np.negative(jac, out=jac)
     diag = np.arange(jac.shape[0])
@@ -365,102 +349,96 @@ def hl_certificate_blocks(
     modes = u.modes()
     if not _is_spherical(modes):
         raise DomainError("per-block certificate requires a spherical state")
-    blocks = gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True)
+    blocks = gravity_jacobian_packed(grid, eos, u_center, modes)
     return {
         int(l): float(np.linalg.svd(newton_matrix(blk), compute_uv=False)[-1])
         for l, blk in zip(grid.lvals, blocks)
     }
 
 
-def _split_on_support(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Newton matrix M = I - ``jac`` on the support of ``jac``, as
-    (M_SS, C, support).
-
-    ``support`` marks S, the columns of ``jac`` that are not all zero, and O
-    is the rest.  Each column of J, and of B, past the star's support is zero,
-    so with the unknowns ordered S then O, M = [[M_SS, 0], [C, I]] with
-    C = M_OS.  M_SS and C are copies, negated in place; ``jac`` is unchanged.
-    """
-    support = np.any(jac, axis=0)
-    inside, rest = np.flatnonzero(support), np.flatnonzero(~support)
-    m_ss = jac[np.ix_(inside, inside)]
-    newton_matrix(m_ss)
-    lower = jac[np.ix_(rest, inside)]
-    np.negative(lower, out=lower)
-    return m_ss, lower, support
-
-
-def lu_factor(m_ss: np.ndarray) -> np.ndarray | None:
-    """X = M_SS^-1 for the certificate, or None if M_SS is exactly singular.
-
-    ``np.linalg.inv`` is LAPACK's LU with partial pivoting followed by its
-    solves; the function keeps the name ``lu_factor`` that the benchmark's
-    span on the certificate's factorization wraps.
-    """
-    try:
-        return np.linalg.inv(m_ss)
-    except np.linalg.LinAlgError:
-        return None
-
-
-# block inverse iteration: block size, relative stopping change, step cap
-_CERT_BLOCK = 6
+# LOBPCG: block size, relative stopping change of sigma, step cap
+_CERT_BLOCK = 3
 _CERT_RTOL = 1e-14
 _CERT_MAX_ITER = 100
 
 
-def _sigma_min_from_lu(lu) -> tuple[float, int, float | None]:
-    """Smallest singular value of M = [[M_SS, 0], [C, I]] from
-    lu = (X, C, support), X = M_SS^-1 (``lu_factor``) and C, support as
-    ``_split_on_support`` gives them: (sigma, steps, residual bound).
+def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int, float | None]:
+    """Smallest singular value of an n x n matrix M from its products
+    ``apply`` (x -> M x) and ``apply_t`` (y -> M^T y): (sigma, steps,
+    residual bound).
 
-    With a = x on S and b = x on O, M^-1 x = [X a; b - C X a] and
-    M^-T x = [X^T (a - C^T b); b], each one product with X and one with C.
-    Block inverse iteration on (M^T M)^-1 from a seeded start.  Each step
-    solves Y = M^-T X and Z = M^-1 Y and orthonormalizes Z into the next X;
-    sigma is 1/sqrt of the largest eigenvalue of Y^T Y, a Ritz value of
-    (M^T M)^-1, so sigma >= sigma_min at every step.  For the Ritz vector x,
-    with y = M^-T x, z = M^-1 y, u = sigma y and v = z/|z|, both residuals
-    M v - sigma u and M^T u - sigma v are known without M, and some singular
-    value of M lies within sqrt((|Mv - sigma u|^2 + |M^T u - sigma v|^2)/2)
-    of sigma.  Solves that overflow give sigma = 0.0 and no bound.
+    Block LOBPCG (Knyazev 2001, SIAM J. Sci. Comput. 23, 517) for the
+    _CERT_BLOCK smallest eigenvalues of M^T M, preconditioned by
+    ``precondition``, an approximate (M^T M)^-1, and started from it applied
+    to seeded normal vectors.  Each step takes the Rayleigh-Ritz values on
+    the span of the iterates X, their preconditioned residuals W and the last
+    directions P: the smallest singular values of M Q, with Q an orthonormal
+    basis of the span whose first columns span X, at one product with M for
+    each other column.  The Ritz vectors are the next X, and their parts off
+    the old X the next P.  The block keeps the iteration converging where
+    the smallest singular values are clustered and the preconditioner is far
+    from (M^T M)^-1.  sigma = |M x| for the first Ritz vector x is a Ritz
+    value, so sigma >= sigma_min at every step; the iteration stops when
+    sigma moves by at most _CERT_RTOL relative, and raises NoConvergence if
+    it has not after _CERT_MAX_ITER steps: sigma is then no certificate.
+    With u = M x / sigma and v = x, M v - sigma u = 0, so some singular value
+    of M lies within |M^T u - sigma v| / sqrt(2) of sigma.  Products that
+    are not finite give sigma = 0.0 and no bound.
     """
-    inverse, lower, support = lu
-    rest = ~support
-
-    def solve(b):
-        out = np.empty_like(b)
-        xa = inverse @ b[support]
-        out[support] = xa
-        out[rest] = b[rest] - lower @ xa
-        return out
-
-    def solve_transposed(b):
-        out = b.copy()
-        out[support] = inverse.T @ (b[support] - lower.T @ b[rest])
-        return out
-
-    n = len(support)
-    z = np.random.default_rng(0).standard_normal((n, min(_CERT_BLOCK, n)))
+    k = min(_CERT_BLOCK, n)
+    start = np.random.default_rng(0).standard_normal((k, n))
     sigma = np.inf
-    for step in range(1, _CERT_MAX_ITER + 1):
-        x = np.linalg.qr(z)[0]
-        # an overflow is reported by the test below, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = solve_transposed(x)
-            z = solve(y)
-        if not (np.isfinite(y).all() and np.isfinite(z).all()):
-            return 0.0, step, None
-        lam, w = np.linalg.eigh(y.T @ y)
-        last, sigma = sigma, 1.0 / np.sqrt(lam[-1])
-        if abs(sigma - last) <= _CERT_RTOL * sigma:
-            break
-    w = w[:, -1]
-    xv, zv = x @ w, z @ w
-    znorm = np.linalg.norm(zv)
-    r_left = abs(1.0 / (sigma * znorm) - sigma)            # |M v - sigma u|
-    r_right = sigma * np.linalg.norm(xv - zv / znorm)     # |M^T u - sigma v|
-    return float(sigma), step, float(np.sqrt(0.5 * (r_left ** 2 + r_right ** 2)))
+    # a product that is not finite is reported by the tests below, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.linalg.qr(np.column_stack([precondition(s) for s in start]))[0]
+        mq = np.column_stack([apply(c) for c in q.T])
+        for step in range(1, _CERT_MAX_ITER + 1):
+            if not np.isfinite(mq).all():
+                return 0.0, step, None
+            # the k smallest Ritz pairs, smallest first
+            c = np.linalg.svd(mq, full_matrices=False)[2][::-1][:k].T
+            x, mx = q @ c, mq @ c
+            s = np.linalg.norm(mx, axis=0)
+            last, sigma = sigma, float(s[0])
+            # M^T u - sigma v for each pair
+            residual = np.column_stack(
+                [apply_t(mx[:, i]) / s[i] - s[i] * x[:, i] for i in range(k)]
+            )
+            if not np.isfinite(residual).all():
+                return 0.0, step, None
+            bound = float(np.linalg.norm(residual[:, 0]) / np.sqrt(2.0))
+            if abs(sigma - last) <= _CERT_RTOL * sigma:
+                return sigma, step, bound
+            w = np.column_stack([precondition(r) for r in residual.T])
+            # no directions P yet after the first step
+            basis = (x, w) if step == 1 else (x, w, q[:, k:] @ c[k:])
+            q, r = np.linalg.qr(np.column_stack(basis))
+            # the first k columns of q are x r_11^-1
+            mq = np.column_stack([mx @ np.linalg.inv(r[:k, :k])] + [apply(col) for col in q.T[k:]])
+    raise NoConvergence(
+        f"certificate: LOBPCG did not converge in {_CERT_MAX_ITER} steps (sigma_min <= "
+        f"{sigma:.6e}, some singular value within {bound:.1e} of it)"
+    )
+
+
+def _newton_products(grid: AxiGrid, fp: np.ndarray, factors):
+    """The products x -> M x and y -> M^T y on packed vectors, for the Newton
+    matrix M = I - J - B: J at the state with rho'(u) = ``fp``, and B =
+    left right^T from the ``factors`` (left, right) of
+    ``centrifugal_deriv_matrix``, or 0 with ``factors`` None."""
+    def apply(x):
+        out = x - pack_modes(grid, _gravity_deriv_modes(grid, fp, unpack_modes(grid, x)))
+        if factors is not None:
+            out -= factors[0] @ (factors[1].T @ x)
+        return out
+
+    def apply_t(y):
+        out = y - pack_modes(grid, _gravity_deriv_transposed(grid, fp, unpack_modes(grid, y)))
+        if factors is not None:
+            out -= factors[1] @ (factors[0].T @ y)
+        return out
+
+    return apply, apply_t
 
 
 def hl_certificate(
@@ -471,53 +449,63 @@ def hl_certificate(
     scale: ScaleSet | None = None,
     *,
     full_output: bool = False,
+    preconditioner: list | None = None,
 ):
     """Smallest singular value of the discretized (I - D[gravity map]),
     including the centrifugal linearization for angular-momentum laws.
 
     Uses the per-block decomposition when the state is spherical and no
-    momentum law couples the modes.  Otherwise the full Newton matrix M is
-    built in one n x n buffer and split on the star's support
-    (``_split_on_support``); the buffer is freed before M_SS is inverted
-    (``lu_factor``), and sigma_min is found by block inverse iteration on
-    the inverse (``_sigma_min_from_lu``).  A matrix that is not finite or
-    whose M_SS is exactly singular gives 0.0 with no bound.  With
-    ``full_output`` the result is (sigma, info), info = {"iterations",
-    "residual_bound"}: the inverse-iteration steps and the distance from
-    sigma within which some singular value lies (both None on the per-block
-    path, which takes a dense SVD of each block).
+    momentum law couples the modes.  Otherwise sigma_min of the Newton
+    matrix M = I - J - B comes from block LOBPCG on M^T M (``_sigma_min_lobpcg``)
+    with no n x n matrix: M and M^T are applied matrix-free, J by
+    ``_gravity_deriv_modes`` and ``_gravity_deriv_transposed`` and a
+    momentum law's B by its factors (``centrifugal_deriv_matrix``), and the
+    iteration is preconditioned by D^-1 D^-T, with D the per-degree blocks
+    I - J_kk inverted on the star's support (``_factor_blocks``): those of
+    ``preconditioner`` if given, such as the Newton solve's that converged
+    to u, and otherwise built at u.  A block that is not finite or is
+    exactly singular on the support, or products that are not finite, give
+    0.0 with no bound: 0.0 then means "not certified", which a solve raises
+    as SingularLinearization, as the Newton solve does for the same blocks.
+    An iteration that reaches its step cap raises NoConvergence: its sigma
+    is only an upper bound on sigma_min.  With ``full_output`` the result is
+    (sigma, info), info = {"iterations", "residual_bound"}: the LOBPCG steps
+    and the distance from sigma within which some singular value lies (both
+    None on the per-block path, which takes a dense SVD of each block).
     """
     modes = u.modes()
     if law is None and _is_spherical(modes):
         sigma = min(hl_certificate_blocks(u, eos, u_center).values())
         info = {"iterations": None, "residual_bound": None}
         _log.debug("certificate: sigma_min %.6e from the per-degree blocks", sigma)
+        return (sigma, info) if full_output else sigma
+    if law is not None and scale is None:
+        raise DomainError("angular-momentum certificate needs a ScaleSet")
+    grid = u.grid
+    # B's factors first, so that blocks built here are not held while they are built
+    factors = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale)
+    try:
+        blocks = preconditioner
+        if blocks is None:
+            blocks = _factor_blocks(grid, eos, u_center, modes, 0.0)
+    except SingularLinearization:
+        sigma, steps, bound = 0.0, 0, None
+        note = "a preconditioner block is singular or not finite"
     else:
-        if law is None:
-            jac = gravity_jacobian_packed(u.grid, eos, u_center, modes)
-        elif scale is None:
-            raise DomainError("angular-momentum certificate needs a ScaleSet")
-        else:
-            # B first, so that its factors are freed before J is added into
-            # its buffer, and under no name of its own: one n x n buffer in
-            # all, freed with jac
-            jac = gravity_jacobian_packed(
-                u.grid, eos, u_center, modes, out=centrifugal_deriv_matrix(law, u, eos, scale)
-            )
-        m_ss, lower, support = _split_on_support(jac)
-        del jac  # before the inverse is taken
-        finite = np.isfinite(m_ss).all() and np.isfinite(lower).all()
-        inverse = lu_factor(m_ss) if finite else None
-        if inverse is None:
-            sigma, steps, bound = 0.0, 0, None
-        else:
-            sigma, steps, bound = _sigma_min_from_lu((inverse, lower, support))
-        info = {"iterations": steps, "residual_bound": bound}
-        _log.debug(
-            "certificate: sigma_min %.6e (support %d of %d unknowns, "
-            "%d inverse-iteration steps, residual bound %s)",
-            sigma, np.count_nonzero(support), len(support), steps, bound,
+        apply, apply_t = _newton_products(
+            grid, _density_deriv_fine(grid, eos, u_center, modes), factors
         )
+
+        def precondition(r):
+            return _solve_blocks(grid, blocks, _solve_blocks(grid, blocks, r, transposed=True))
+
+        sigma, steps, bound = _sigma_min_lobpcg(apply, apply_t, precondition, packed_size(grid))
+        note = f"preconditioner {_support_note(grid, blocks)}"
+    info = {"iterations": steps, "residual_bound": bound}
+    _log.debug(
+        "certificate: sigma_min %.6e (%d LOBPCG steps, %s, residual bound %s)",
+        sigma, steps, note, bound,
+    )
     return (sigma, info) if full_output else sigma
 
 
@@ -526,19 +514,30 @@ def centrifugal_deriv_matrix(
     u: AxiField,
     eos: EquationOfState,
     scale: ScaleSet,
-) -> np.ndarray:
-    """Packed dense matrix of the centrifugal linearization, for the
-    certificate, Fortran-ordered.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The centrifugal linearization B of a momentum law on packed vectors,
+    for the certificate, as its exact factors (left, right), B = left
+    right^T, each n x n_r; their n x n product is never formed.
 
-    It is the product of the factors of ``LinearizedCentrifugal``: packed
-    h modes -> cylinder-mass response dm -> packed g modes, of rank <= n_r.
+    They come from the factors of ``LinearizedCentrifugal``: right^T maps
+    packed h modes to the cylinder-mass response dm at the n_r grid radii,
+    and left maps dm to packed g modes, so B has rank <= n_r.
     """
     grid = u.grid
+    n, nr, rest = packed_size(grid), grid.n_r, (grid.n_l - 1, grid.n_r - 1, -1)
     lin = LinearizedCentrifugal(law, u, eos, scale)
-    modes_of_dm = pack_modes(grid, lin.b_to_modes @ lin.cum)  # (n, n_q)
-    dm_of_modes = pack_modes(grid, lin.dm_response().transpose(0, 2, 1))  # (n, n_q)
-    del lin
-    return (dm_of_modes @ modes_of_dm.T).T
+    # each factor is written in place in the packed layout, and the response
+    # is freed before left is made: no more than two arrays of their size
+    # are held beside lin
+    dm = lin.dm_response()  # (n_l, n_q, n_r), n_q = n_r
+    right = np.empty((n, nr))
+    right[:nr] = dm[0].T
+    right[nr:].reshape(rest)[...] = dm[1:, :, 1:].transpose(0, 2, 1)
+    del dm
+    left = np.empty((n, nr))
+    np.matmul(lin.b_to_modes[0], lin.cum, out=left[:nr])
+    np.matmul(lin.b_to_modes[1:, 1:], lin.cum, out=left[nr:].reshape(rest))
+    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -615,25 +614,56 @@ def _support_size(blk: np.ndarray) -> int:
     return int(nonzero[-1]) + 1 if nonzero.size else 0
 
 
-def _invert_on_support(blk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def lu_factor(corner: np.ndarray) -> np.ndarray | None:
+    """The inverse of a block's support corner I - A (``_invert_on_support``),
+    or None if it is exactly singular.
+
+    ``np.linalg.inv`` is LAPACK's LU with partial pivoting followed by its
+    solves; the function keeps the name ``lu_factor`` that the benchmark's
+    span on the Newton matrix's factorizations wraps.
+    """
+    try:
+        return np.linalg.inv(corner)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _invert_on_support(blk: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """(I - J_kk)^-1 for the block J_kk = ``blk`` (overwritten), as the pair
-    (inverse, lower).
+    (inverse, lower), or None if it is singular on the star's support.
 
     With n_in = ``_support_size(blk)``, I - J_kk = [[I - A, 0], [-B, I]], so
     its inverse is [[(I - A)^-1, 0], [B (I - A)^-1, I]]: ``inverse`` is the
-    n_in x n_in (I - A)^-1 and ``lower`` is -B.  An exactly singular I - A
-    raises LinAlgError.
+    n_in x n_in (I - A)^-1 (``lu_factor``) and ``lower`` is -B.
     """
     n_in = _support_size(blk)
     mat = newton_matrix(blk)
-    return np.linalg.inv(mat[:n_in, :n_in]), mat[n_in:, :n_in].copy()
+    inverse = lu_factor(mat[:n_in, :n_in])
+    return None if inverse is None else (inverse, mat[n_in:, :n_in].copy())
 
 
-def _solve_block(block: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """(I - J_kk)^-1 x from the pair of ``_invert_on_support``."""
+def _solve_block(
+    block: tuple[np.ndarray, np.ndarray], x: np.ndarray, transposed: bool = False
+) -> np.ndarray:
+    """(I - J_kk)^-1 x, or (I - J_kk)^-T x with ``transposed``, from the pair
+    of ``_invert_on_support``: the transpose is [[(I - A)^-T, (I - A)^-T B^T],
+    [0, I]]."""
     inverse, lower = block
-    y_in = inverse @ x[: len(inverse)]
-    return np.concatenate([y_in, x[len(inverse) :] - lower @ y_in])
+    n_in = len(inverse)
+    if transposed:
+        return np.concatenate([inverse.T @ (x[:n_in] - lower.T @ x[n_in:]), x[n_in:]])
+    y_in = inverse @ x[:n_in]
+    return np.concatenate([y_in, x[n_in:] - lower @ y_in])
+
+
+def _solve_blocks(grid: AxiGrid, blocks: list, x: np.ndarray, transposed: bool = False):
+    """D^-1 x, or D^-T x with ``transposed``, on a packed vector: D is the
+    block diagonal of the I - J_kk, from the pairs of ``_factor_blocks``."""
+    out = np.empty_like(x)
+    for k, block in enumerate(blocks):
+        rows = _packed_block(grid, k)
+        out[rows] = _solve_block(block, x[rows], transposed)
+    return out
 
 
 def _factor_blocks(
@@ -648,13 +678,11 @@ def _factor_blocks(
     with sigma 0.0.
     """
     out = []
-    for blk in gravity_jacobian_packed(grid, eos, u_center, modes, diagonal=True):
-        if not np.isfinite(blk).all():
+    for blk in gravity_jacobian_packed(grid, eos, u_center, modes):
+        block = _invert_on_support(blk) if np.isfinite(blk).all() else None
+        if block is None:
             raise SingularLinearization(0.0, hl_threshold)
-        try:
-            out.append(_invert_on_support(blk))
-        except np.linalg.LinAlgError:
-            raise SingularLinearization(0.0, hl_threshold) from None
+        out.append(block)
     return out
 
 
@@ -687,14 +715,7 @@ def _newton_step(
             jh += lin.apply_values(grid.synthesize(modes))
         return x - pack_modes(grid, jh)
 
-    def precondition(x):
-        out = np.empty_like(x)
-        for k, block in enumerate(blocks):
-            rows, _ = _packed_block(grid, k)
-            out[rows] = _solve_block(block, x[rows])
-        return out
-
-    return _gmres(apply, precondition, rhs)
+    return _gmres(apply, lambda x: _solve_blocks(grid, blocks, x), rhs)
 
 
 def _not_finite(history: list, U: np.ndarray) -> NoConvergence:
@@ -722,11 +743,12 @@ def _solve_modes(
     blocks: list | None = None,
     stats: dict,
 ):
-    """Newton iteration in mode space; returns (U, history, g_modes).
+    """Newton iteration in mode space; returns (U, history, g_modes, blocks).
 
     ``blocks`` are the preconditioner's block inverses (``_factor_blocks``),
     built at the first Newton step if not given, and again at the step after
-    one whose GMRES solve stops at its cap.  ``stats`` collects the GMRES
+    one whose GMRES solve stops at its cap; those of the last Newton step are
+    returned (None if there was none).  ``stats`` collects the GMRES
     iterations of each Newton step and the number of preconditioner builds,
     also when the iteration fails.
     """
@@ -746,7 +768,7 @@ def _solve_modes(
         history.append(res)
         if res <= opts.tol:
             _log.debug("iter %2d  residual %.3e  converged", it, res)
-            return U, history, g_modes
+            return U, history, g_modes, blocks
         if it == opts.max_iter:
             break
         if not np.isfinite(res):
@@ -804,7 +826,8 @@ def solve_equilibrium(
     how the certificate was found, and ``meta["newton"]`` the GMRES
     iterations of each Newton step and the number of preconditioner builds.
     ``preconditioner`` holds the block inverses of a warm-started family
-    (``ConstantRotationFamily``); without it the solve builds its own.
+    (``ConstantRotationFamily``); without it the solve builds its own.  The
+    certificate is preconditioned by the blocks of the last Newton step.
     """
     opts = opts or SolverOptions()
     grid = init.grid
@@ -819,7 +842,7 @@ def solve_equilibrium(
     # non-finite residual (NoConvergence), not as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            U, history, g_modes = _solve_modes(
+            U, history, g_modes, blocks = _solve_modes(
                 grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
                 blocks=preconditioner, stats=newton,
             )
@@ -829,7 +852,7 @@ def solve_equilibrium(
             _log.debug("Newton failed (%s); damped Picard from the start", exc)
             fallback = replace(opts, newton=False, max_iter=max(opts.max_iter * 4, 200))
             try:
-                U, history, g_modes = _solve_modes(
+                U, history, g_modes, blocks = _solve_modes(
                     grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale, stats=newton
                 )
             except NoConvergence as picard:
@@ -850,7 +873,8 @@ def solve_equilibrium(
     sigma = None
     if opts.certify:
         sigma, meta["certificate"] = hl_certificate(
-            u_field, eos, u_center, law=law, scale=scale, full_output=True
+            u_field, eos, u_center, law=law, scale=scale, full_output=True,
+            preconditioner=blocks,
         )
         if sigma < opts.hl_threshold:
             raise SingularLinearization(sigma, opts.hl_threshold)

@@ -113,6 +113,7 @@ class PiecewisePoly:
         for row, w in zip(out, weights):
             binned = np.bincount(bins, (powers * np.tile(w, n_i)).ravel(), minlength=size)
             np.matmul(binned.reshape(n_i, (deg + 1) * npan), coef, out=row)
+            del binned
         return out.reshape((len(weights), n_i) + self.c.shape[2:])
 
     def derivative(self) -> "PiecewisePoly":
@@ -431,6 +432,39 @@ class RadialKernel:
                 carry = part[:, -1] * self.c_out[:, q, q - 1]
         return out
 
+    def apply_transpose(self, values: np.ndarray) -> np.ndarray:
+        """The transpose of ``apply``: out[l, p] = sum_i K_l[i, p] values[l, i],
+        node values (n_l, n_r) -> Gauss samples (n_l, n_gauss).
+
+        The running sums of ``apply`` run the other way with the same chunk
+        carries: the inner part of panel j sums the nodes above it, a suffix
+        sum from the last chunk down, and its outer part the nodes from its
+        chunk's first up to j, a prefix sum from the first chunk up.
+        """
+        n_l, n_r = self.f_in.shape
+        v = np.asarray(values, dtype=float)
+        a, b = self.f_in * v, self.f_out * v
+        inner, outer = np.empty((2, n_l, n_r - 1))
+        spans = list(zip(self.bounds[:-1], self.bounds[1:]))
+        carry = np.zeros(n_l)
+        for q in range(len(spans) - 1, -1, -1):
+            j0, j1 = spans[q]
+            part = np.cumsum(a[:, j1:j0:-1], axis=1)  # nodes j1 down to j0 + 1
+            part += carry[:, None]
+            inner[:, j0:j1] = part[:, ::-1]
+            if q:
+                carry = part[:, -1] * self.c_in[:, q - 1, q]
+        carry = np.zeros(n_l)
+        for q, (j0, j1) in enumerate(spans):
+            part = np.cumsum(b[:, j0:j1], axis=1)
+            part += carry[:, None]
+            outer[:, j0:j1] = part
+            if j1 < n_r - 1:
+                carry = part[:, -1] * self.c_out[:, q + 1, q]
+        out = self.k_in.reshape(n_l, n_r - 1, _PER_PANEL) * inner[:, :, None]
+        out += self.k_out.reshape(n_l, n_r - 1, _PER_PANEL) * outer[:, :, None]
+        return out.reshape(n_l, -1)
+
     def blocks(self, k: int, coef: np.ndarray) -> np.ndarray:
         """The blocks K_k @ diag(coef[:, j]) @ (the interpolation to the Gauss
         points), one per column j of ``coef``, each transposed: out[j, c, i]
@@ -595,6 +629,16 @@ class AxiGrid:
         """Interpolate onto the panel Gauss points along the radial ``axis``
         (-1 for modes, 0 for nodal fields), on the 4-node stencil."""
         return apply_stencil(self.interp_cols, self.interp_weights, values, axis)
+
+    def at_gauss_transpose(self, samples: np.ndarray) -> np.ndarray:
+        """The transpose of ``at_gauss`` on mode arrays: Gauss samples
+        (n_l, n_gauss) -> node values (n_l, n_r), each sample added onto the
+        4 nodes of its stencil."""
+        n_l = len(samples)
+        rows = np.arange(n_l)[:, None, None] * self.n_r
+        vals = np.asarray(samples, dtype=float)[:, :, None] * self.interp_weights
+        out = np.bincount((rows + self.interp_cols).ravel(), vals.ravel(), minlength=n_l * self.n_r)
+        return out.reshape(n_l, self.n_r)
 
     def fine_field_at_gauss(self, modes: np.ndarray) -> np.ndarray:
         """Field values on (fine zeta) x (gauss radius), shape (n_fine, n_gauss)."""

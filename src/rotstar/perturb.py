@@ -243,7 +243,7 @@ def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
     modes0 = np.zeros((grid.n_l, grid.n_r))
     modes0[0] = profile.theta_at(grid.r)
     g1 = rigid_rotation(grid, 1.0).g_modes
-    blocks = gravity_jacobian_packed(grid, eos, u_center, modes0, diagonal=True)
+    blocks = gravity_jacobian_packed(grid, eos, u_center, modes0)
     h = np.zeros((grid.n_l, grid.n_r))
     h[0] = np.linalg.solve(newton_matrix(next(blocks)), g1[0])
     h[1, 1:] = np.linalg.solve(newton_matrix(next(blocks)), g1[1, 1:])

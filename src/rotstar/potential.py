@@ -140,6 +140,18 @@ def grad_at_origin(field: AxiField) -> float:
 # direct quadrature path
 
 
+def _modes_at_radii(grid: AxiGrid, modes: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Local-cubic values of the mode functions at the radii x, shape
+    (n_l,) + x.shape.  Each distinct radius is interpolated once: a level of
+    the near field's refinement repeats each Gauss radius of its cells over
+    every target and zeta cell.  The stencil weights of a point do not depend
+    on the batch, so the values are those of a per-point interpolation."""
+    radii, inverse = np.unique(x.ravel(), return_inverse=True)
+    cols, weights = interp_stencil(grid.r, radii)
+    fr = np.einsum("lps,ps->lp", modes[:, cols], weights)
+    return fr[:, inverse.ravel()].reshape((grid.n_l,) + x.shape)
+
+
 def potential_direct(
     field: AxiField,
     refine_depth: int = 5,
@@ -165,12 +177,6 @@ def potential_direct(
     grid = field.grid
     modes = field.modes()
 
-    def radial_modes(x):
-        """The source's modes at the radii x, (n_l,) + x.shape."""
-        cols, weights = interp_stencil(grid.r, x.ravel())
-        fr = np.einsum("lps,ps->lp", modes[:, cols], weights)
-        return fr.reshape((grid.n_l,) + x.shape)
-
     def cell_rule(r_lo, r_hi, z_lo, z_hi):
         """Radii, zetas, weights r'^2 dr' dzeta' and source values of the
         4 x 4 Gauss rule on each cell; the last two axes are radius, zeta."""
@@ -178,7 +184,9 @@ def potential_direct(
         xz, wz = panel_gauss(z_lo, z_hi)
         w = (wr * xr ** 2)[:, :, None] * wz[:, None, :]
         if source_fn is None:
-            f = np.einsum("lmr,lmz->mrz", radial_modes(xr), legendre_table(grid.lvals, xz))
+            f = np.einsum(
+                "lmr,lmz->mrz", _modes_at_radii(grid, modes, xr), legendre_table(grid.lvals, xz)
+            )
         else:
             f = source_fn(xr[:, :, None], xz[:, None, :]) * np.ones(w.shape)
         return xr[:, :, None], xz[:, None, :], w, f
@@ -216,7 +224,7 @@ def potential_direct(
     w = wr * xr ** 2 * wz
     if source_fn is None:
         pz = legendre_table(grid.lvals, xz[0, :, 0])
-        f = np.einsum("lkr,lcz->kcrz", radial_modes(xr[:, 0, :, 0]), pz)
+        f = np.einsum("lkr,lcz->kcrz", _modes_at_radii(grid, modes, xr[:, 0, :, 0]), pz)
     else:
         f = source_fn(xr, xz) * np.ones(w.shape)
     wf = w * f

@@ -392,8 +392,10 @@ class LinearizedCentrifugal:
         basis = cubic_spline(v, np.eye(grid.n_r))
         m_at = cyl.at_scaled(x)
         pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
-        coef = pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3
-        self.cum = grid.cumulative(coef[:, None] * basis(x))  # (n_r, n_r basis)
+        integrand = basis(x)
+        integrand *= (pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3)[:, None]
+        self.cum = grid.cumulative(integrand)  # (n_r, n_r basis)
+        del integrand  # before the projection's temporaries of the same size
 
         # b samples -> g modes (n_l, n_r, n_r basis): the fine-zeta projection
         # of the basis at the cylinder radii of every node
@@ -430,8 +432,9 @@ class LinearizedCentrifugal:
                 "qg,qgs->qs", rule.part_w[:, j] * self.fp_part[:, j], rule.part_coef[:, j]
             )
             np.add.at(col, (rows, rule.part_stencil[:, j]), part)
-            weight = self.mass_pref * grid.zeta_w[j] * grid.leg[:, j]
-            out += weight[:, None, None] * col
+            # one degree at a time, so that no temporary is as large as out
+            for l, weight in enumerate(self.mass_pref * grid.zeta_w[j] * grid.leg[:, j]):
+                out[l] += weight * col
         return out
 
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:

@@ -201,17 +201,70 @@ def sigma_min_dense(mat):
     return float(svdvals(mat)[-1])
 
 
-def sigma_min_lu(mat):
-    """Smallest singular value of the Newton matrix ``mat`` as the certificate
-    found it from one LU of the whole matrix: (sigma, steps, residual bound).
+def gravity_jacobian_packed(grid, eos, u_center, modes, *, out=None):
+    """The packed matrix J of the linearized self-gravity map at u,
+    Fortran-ordered, from ``RadialKernel.blocks``: block (li, lj) is the
+    degree-li radial kernel @ diag(coupling of mode lj into mode li at the
+    Gauss radii) @ the interpolation.  With ``out``, a Fortran-ordered n x n
+    matrix, J is added into it in place and ``out`` is returned.
 
-    The same seeded block inverse iteration on (M^T M)^-1, stopping test and
-    residual bound as ``equilibrium._sigma_min_from_lu``, with each solve
-    taken from scipy's LU of ``mat``.  A matrix that is not finite or has an
-    exact zero pivot gives (0.0, 0, None), and solves that overflow give
-    sigma = 0.0 and no bound.
+    The full-matrix form of ``equilibrium.gravity_jacobian_packed``, which
+    builds only the diagonal blocks."""
+    from rotstar.equilibrium import _density_deriv_fine, packed_size
+
+    fp = _density_deriv_fine(grid, eos, u_center, modes)
+    # coupling of incoming mode lj to outgoing mode li at each gauss radius
+    coup = np.einsum("la,ap,ma->plm", grid.proj_f, fp, grid.leg_f)
+    n = packed_size(grid)
+    if out is None:
+        jac = np.zeros((n, n), order="F")
+    elif out.shape == (n, n) and out.flags.f_contiguous:
+        jac = out
+    else:
+        raise ValueError(f"out must be a Fortran-ordered {n} x {n} matrix")
+    for li in range(grid.n_l):
+        blk = grid.kernel.blocks(li, coup[:, li, :])
+        if li == 0:
+            blk -= blk[:, :, :1]
+        for lj in range(grid.n_l):
+            jac.T[_packed_rows(grid, lj), _packed_rows(grid, li)] += blk[lj, (lj > 0):, (li > 0):]
+    return jac
+
+
+def newton_matrix_dense(u, eos, u_center, law=None, scale=None):
+    """The dense Newton matrix I - J - B at u, Fortran-ordered, with B the
+    product of the factors of ``equilibrium.centrifugal_deriv_matrix`` for a
+    momentum law (0 otherwise)."""
+    from rotstar.equilibrium import centrifugal_deriv_matrix, newton_matrix
+
+    out = None
+    if law is not None:
+        left, right = centrifugal_deriv_matrix(law, u, eos, scale)
+        out = np.asfortranarray(left @ right.T)
+    return newton_matrix(gravity_jacobian_packed(u.grid, eos, u_center, u.modes(), out=out))
+
+
+# block inverse iteration of ``sigma_min_lu``: block size
+_LU_BLOCK = 6
+
+
+def sigma_min_lu(mat):
+    """Smallest singular value of the Newton matrix ``mat`` from one LU of
+    the whole matrix: (sigma, steps, residual bound).
+
+    Block inverse iteration on (M^T M)^-1 from a seeded start, with the
+    certificate's stopping test and step cap.  Each step solves
+    Y = M^-T X and Z = M^-1 Y, each from scipy's LU of ``mat``, and
+    orthonormalizes Z into the next X; sigma is 1/sqrt of the largest
+    eigenvalue of Y^T Y, a Ritz value of (M^T M)^-1, so sigma >= sigma_min
+    at every step.  For the Ritz vector x, with y = M^-T x, z = M^-1 y,
+    u = sigma y and v = z/|z|, both residuals M v - sigma u and
+    M^T u - sigma v are known without M, and some singular value of M lies
+    within sqrt((|Mv - sigma u|^2 + |M^T u - sigma v|^2)/2) of sigma.  A
+    matrix that is not finite or has an exact zero pivot gives
+    (0.0, 0, None), and solves that overflow give sigma = 0.0 and no bound.
     """
-    from rotstar.equilibrium import _CERT_BLOCK, _CERT_MAX_ITER, _CERT_RTOL
+    from rotstar.equilibrium import _CERT_MAX_ITER, _CERT_RTOL
 
     if not np.isfinite(mat).all():
         return 0.0, 0, None
@@ -221,7 +274,7 @@ def sigma_min_lu(mat):
     if not np.all(np.diagonal(lu[0])):
         return 0.0, 0, None
     n = len(mat)
-    z = np.random.default_rng(0).standard_normal((n, min(_CERT_BLOCK, n)))
+    z = np.random.default_rng(0).standard_normal((n, min(_LU_BLOCK, n)))
     sigma = np.inf
     for step in range(1, _CERT_MAX_ITER + 1):
         x = np.linalg.qr(z)[0]
@@ -245,7 +298,7 @@ def dense_newton_step(grid, eos, u_center, modes, rhs, b_matrix=None):
     """The packed Newton step (I - J - B)^-1 rhs from an LU of the dense
     Newton matrix, J the linearized gravity map at ``modes`` and B the dense
     centrifugal linearization of a momentum law (None otherwise)."""
-    from rotstar.equilibrium import gravity_jacobian_packed, newton_matrix
+    from rotstar.equilibrium import newton_matrix
 
     mat = gravity_jacobian_packed(grid, eos, u_center, modes)
     if b_matrix is not None:
@@ -307,6 +360,17 @@ def dm_response_dense(lin):
         weight = lin.mass_pref * grid.zeta_w[j] * grid.leg[:, j]
         out += weight[:, None, None] * col
     return out
+
+
+def modes_at_radii_per_point(grid, modes, x):
+    """``potential._modes_at_radii`` with every point interpolated on its
+    own, repeated radii included: the direct quadrature's form before it
+    took each distinct radius once."""
+    from rotstar.grids import interp_stencil
+
+    cols, weights = interp_stencil(grid.r, x.ravel())
+    fr = np.einsum("lps,ps->lp", modes[:, cols], weights)
+    return fr.reshape((grid.n_l,) + x.shape)
 
 
 def free_boundary_per_ray(grid, values, r0):

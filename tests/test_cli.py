@@ -302,10 +302,14 @@ def test_verbose_solve_reports_on_stderr(tmp_path, capsys):
         assert all(("residual" if prefix == "iter" else "mass evaluations") in line
                    for line in lines)
         if ini is SOLVE_INI:
-            # the certificate names the support it inverted the matrix on
+            # the certificate names its steps and the support its
+            # preconditioner's blocks were inverted on
             cert = [line for line in captured.err.splitlines() if line.startswith("certificate")]
             assert len(cert) == 1
-            assert re.search(r"\(support \d+ of 382 unknowns, \d+ inverse-iteration steps", cert[0])
+            assert re.search(
+                r"\(\d+ LOBPCG steps, preconditioner support \d+ of 128 nodes, residual bound",
+                cert[0],
+            )
         names = sorted(p.name for p in quiet.iterdir())
         assert names == sorted(p.name for p in loud.iterdir())
         assert "manifest.json" in names

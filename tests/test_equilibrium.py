@@ -28,15 +28,16 @@ from rotstar import (
 from rotstar.errors import (
     ContinuationFailure,
     DomainError,
+    NoConvergence,
     NoSignChange,
     SingularLinearization,
 )
 from rotstar.rotation import CentrifugalField, centrifugal_from_omega, ConstantRotation, rigid_rotation
 from rotstar.eos import scaled_density_deriv
 from rotstar.grids import apply_stencil, derivative_stencil, interp_matrix
+from rotstar import equilibrium
 from rotstar.equilibrium import (
     centrifugal_deriv_matrix,
-    gravity_jacobian_packed,
     newton_matrix,
     pack_modes,
     packed_size,
@@ -50,6 +51,8 @@ from oracles import (
     dense_newton_step,
     free_boundary_per_ray,
     gravity_jacobian_dense,
+    gravity_jacobian_packed,
+    newton_matrix_dense,
     sigma_min_dense,
     sigma_min_lu,
 )
@@ -149,7 +152,7 @@ def test_newton_lines_name_gmres_and_preconditioner(eos15, profile15, caplog):
     init = initial_field_from_profile(grid, profile15)
     # the nodes up to the last one whose column of a block is not zero: the
     # star's support at the spherical start, where both builds take place
-    blocks = gravity_jacobian_packed(grid, eos15, 1.0, init.modes(), diagonal=True)
+    blocks = equilibrium.gravity_jacobian_packed(grid, eos15, 1.0, init.modes())
     nodes = max(np.flatnonzero(np.any(b, axis=0))[-1] + 1 + (k > 0) for k, b in enumerate(blocks))
     assert grid.r[nodes - 1] > profile15.xi1 and nodes < grid.n_r
     support = f"support {nodes} of {grid.n_r} nodes"
@@ -357,7 +360,10 @@ def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale
     cyl = mass_within_cylinder(u, eos15, scale15)
     ms = np.linspace(0, 1.3 * cyl.total, 60)
     law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
-    mat = centrifugal_deriv_matrix(law, u, eos15, scale15)
+    left, right = centrifugal_deriv_matrix(law, u, eos15, scale15)
+    # B's exact factors, n x n_r each
+    assert left.shape == right.shape == (packed_size(grid), grid.n_r)
+    mat = left @ right.T
     # reference: apply the linearization to each packed unit mode
     lin = LinearizedCentrifugal(law, u, eos15, scale15)
     n = packed_size(grid)
@@ -545,7 +551,7 @@ def test_hl_certificate_blocks_match_scipy_svdvals(nu):
     prof = solve_lane_emden(eos, 1.0)
     grid = AxiGrid.build(prof.r_inf, n_r=160, n_zeta=16, l_max=8, focus=prof.xi1)
     u = initial_field_from_profile(grid, prof)
-    blocks = gravity_jacobian_packed(grid, eos, 1.0, u.modes(), diagonal=True)
+    blocks = equilibrium.gravity_jacobian_packed(grid, eos, 1.0, u.modes())
     want = {int(l): float(svdvals(newton_matrix(b))[-1]) for l, b in zip(grid.lvals, blocks)}
     got = hl_certificate_blocks(u, eos, 1.0)
     assert set(got) == set(want)
@@ -559,54 +565,47 @@ def _momentum_law(u0, eos, scale):
     return AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
 
 
-def test_certificate_frees_its_one_n_by_n_buffer_before_the_inverse(monkeypatch):
-    # the certificate's one n x n buffer: J, or B with J added into it, is
-    # split on the star's support and freed before M_SS is inverted; the
-    # factorization holds X = M_SS^-1 (n_S x n_S) and C (n_O x n_S) only
-    import weakref
-
-    from rotstar import equilibrium
-
+def test_certificate_builds_no_n_by_n_matrix(monkeypatch):
+    # the certificate at a rotating state holds nothing n x n: lu_factor
+    # inverts only the support corners of the n_l per-degree blocks, each at
+    # most n_r x n_r, and a momentum law's B comes as two n x n_r factors
     u, eos, law, scale = _converged_state("momentum", 1.5, (64, 12, 4))
-    n = packed_size(u.grid)
-    buffers, b_buffers, inverted, factored = [], [], [], []
+    grid = u.grid
+    inverted, factors = [], []
 
-    def recorded_b(*args, **kwargs):
-        out = b_orig(*args, **kwargs)
-        b_buffers.append(weakref.ref(out))
+    def recorded_inverse(corner):
+        inverted.append(corner.shape)
+        return inverse_orig(corner)
+
+    def recorded_factors(*args, **kwargs):
+        out = factors_orig(*args, **kwargs)
+        factors.append([a.shape for a in out])
         return out
 
-    def recorded_jacobian(*args, out=None, **kwargs):
-        # with a momentum law J is added into B's buffer
-        assert out is None or out is b_buffers[-1]()
-        jac = jacobian_orig(*args, out=out, **kwargs)
-        assert out is None or jac is out
-        buffers.append(weakref.ref(jac))
-        return jac
-
-    def checked_inverse(m_ss):
-        assert all(ref() is None for ref in buffers + b_buffers), "an n x n buffer is alive"
-        inverted.append(m_ss.shape)
-        return inverse_orig(m_ss)
-
-    def recorded_factors(lu):
-        factored.append(tuple(a.shape for a in lu))
-        return sigma_orig(lu)
-
-    jacobian_orig, b_orig = equilibrium.gravity_jacobian_packed, equilibrium.centrifugal_deriv_matrix
-    inverse_orig, sigma_orig = equilibrium.lu_factor, equilibrium._sigma_min_from_lu
-    monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", recorded_jacobian)
-    monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", recorded_b)
-    monkeypatch.setattr(equilibrium, "lu_factor", checked_inverse)
-    monkeypatch.setattr(equilibrium, "_sigma_min_from_lu", recorded_factors)
+    inverse_orig, factors_orig = equilibrium.lu_factor, equilibrium.centrifugal_deriv_matrix
+    monkeypatch.setattr(equilibrium, "lu_factor", recorded_inverse)
+    monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", recorded_factors)
     hl_certificate(u, eos, 1.0)
     hl_certificate(u, eos, 1.0, law=law, scale=scale)
-    # one n x n buffer per certificate
-    assert len(buffers) == 2 and len(b_buffers) == 1
-    assert len(inverted) == len(factored) == 2
-    for (n_s, n_s2), shapes in zip(inverted, factored):
-        assert n_s == n_s2 < n
-        assert shapes == ((n_s, n_s), (n - n_s, n_s), (n,))
+    assert len(inverted) == 2 * grid.n_l
+    assert all(rows == cols <= grid.n_r for rows, cols in inverted)
+    assert factors == [[(packed_size(grid), grid.n_r)] * 2]
+
+
+def test_certificate_memory_stays_below_one_n_by_n_matrix():
+    # with no n x n matrix the certificate's traced peak, the momentum law's
+    # factors and the block inverses included, is below n^2 doubles
+    import tracemalloc
+
+    u, eos, law, scale = _converged_state("momentum", 1.5, (256, 32, 8))
+    n = packed_size(u.grid)
+    tracemalloc.start()
+    try:
+        hl_certificate(u, eos, 1.0, law=law, scale=scale)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
 
 
 def test_jacobian_adds_into_out(eos15, profile15, scale15):
@@ -624,19 +623,11 @@ def test_jacobian_adds_into_out(eos15, profile15, scale15):
 def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale15, monkeypatch):
     # Newton products are matrix-free and only the per-degree diagonal blocks
     # of the Jacobian are formed, n_l of them per preconditioner build, each
-    # in its own buffer and inverted on the star's support: nothing is LU
-    # factored without the certificate
-    from rotstar import equilibrium
-
+    # in its own buffer and inverted on the star's support by one lu_factor
+    # call of at most n_r x n_r; nothing else is factored without the
+    # certificate, and no centrifugal factors are built
     def forbidden(*args, **kwargs):
-        raise AssertionError("dense Newton matrix built on the solve path")
-
-    jacobian_orig = equilibrium.gravity_jacobian_packed
-
-    def diagonal_only(*args, diagonal=False):
-        if not diagonal:
-            forbidden()
-        return jacobian_orig(*args, diagonal=True)
+        raise AssertionError("certificate work on the solve path")
 
     sizes, factored = [], []
     newton_matrix_orig, lu_factor_orig = equilibrium.newton_matrix, equilibrium.lu_factor
@@ -649,8 +640,8 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
         factored.append(a.shape)
         return lu_factor_orig(a, *args, **kwargs)
 
-    monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", diagonal_only)
     monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", forbidden)
+    monkeypatch.setattr(equilibrium, "hl_certificate", forbidden)
     monkeypatch.setattr(equilibrium, "newton_matrix", recording_newton_matrix)
     monkeypatch.setattr(equilibrium, "lu_factor", recording_lu_factor)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
@@ -661,9 +652,9 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
     momentum = solve_equilibrium(None, eos15, 1.0, u0, opts, law=law, scale=scale15)
     builds = sum(s.meta["newton"]["preconditioner_builds"] for s in (rigid, momentum))
     assert builds >= 2
-    assert len(sizes) == builds * grid.n_l
+    assert len(sizes) == len(factored) == builds * grid.n_l
     assert max(max(shape) for shape in sizes) == grid.n_r
-    assert factored == []
+    assert max(max(shape) for shape in factored) <= grid.n_r
 
 
 def test_free_boundary_runs_once_per_solve(eos15, profile15, monkeypatch):
@@ -837,11 +828,7 @@ def _converged_state(kind, nu, size):
 @pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
 def test_certificate_matches_dense_svd(kind, nu, size):
     u, eos, law, scale = _converged_state(kind, nu, size)
-    mat = gravity_jacobian_packed(u.grid, eos, 1.0, u.modes())
-    if law is not None:
-        mat += centrifugal_deriv_matrix(law, u, eos, scale)
-    mat = newton_matrix(mat)
-    want = sigma_min_dense(mat)
+    want = sigma_min_dense(newton_matrix_dense(u, eos, 1.0, law, scale))
     sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
     assert abs(sigma - want) <= 1e-12 * want
     assert 0 < info["iterations"] < 100
@@ -853,46 +840,120 @@ def test_certificate_matches_dense_svd(kind, nu, size):
 @pytest.mark.parametrize("nu", [1.5, 3.0])
 @pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
 def test_certificate_on_the_support_matches_a_full_lu(kind, nu, size):
-    # the inverse on the star's support runs the same inverse iteration as
-    # an LU of the whole Newton matrix: the same sigma, steps and bound
+    # the matrix-free certificate, preconditioned by the blocks inverted on
+    # the star's support, finds the sigma of inverse iteration with an LU of
+    # the whole Newton matrix, and it lies within the certificate's own
+    # residual bound
     u, eos, law, scale = _converged_state(kind, nu, size)
-    mat = gravity_jacobian_packed(u.grid, eos, 1.0, u.modes())
-    if law is not None:
-        mat += centrifugal_deriv_matrix(law, u, eos, scale)
-    want, want_steps, want_bound = sigma_min_lu(newton_matrix(mat))
+    want = sigma_min_lu(newton_matrix_dense(u, eos, 1.0, law, scale))[0]
     sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
     assert abs(sigma - want) <= 1e-13 * want
-    assert info["iterations"] == want_steps
-    assert info["residual_bound"] == pytest.approx(want_bound, rel=1e-6)
+    assert abs(sigma - want) <= info["residual_bound"] + 1e-14 * want
 
 
-@pytest.mark.parametrize("support", ["full", "empty", "zero-column-inside"])
+def _synthetic_jacobian(grid, support):
+    """A seeded J on the packed vectors of ``grid``.  S is every column of J
+    that is not all zero, wherever it lies: all of them, none (M = I, so
+    sigma = 1), or all but some inside the support.  "weak-coupling" is as
+    the linearization at a slowly rotating state: the blocks off the
+    diagonal couple the degrees weakly and the smallest singular value is
+    isolated (by a rank-1 part of the degree-0 block)."""
+    n = packed_size(grid)
+    rng = np.random.default_rng(5)
+    if support != "weak-coupling":
+        jac = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+        if support == "empty":
+            jac[:] = 0.0
+        elif support == "zero-column-inside":
+            jac[:, 200:] = 0.0
+            jac[:, [3, 70, 71, 150]] = 0.0
+        return jac
+    jac = 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
+    rows = [equilibrium._packed_block(grid, k) for k in range(grid.n_l)]
+    degree = np.repeat(np.arange(grid.n_l), [r.stop - r.start for r in rows])
+    jac[degree[:, None] != degree] *= 1e-3
+    v = np.where(degree == 0, rng.standard_normal(n), 0.0)
+    return jac + 0.7 * np.outer(v, v) / (v @ v)
+
+
+def _certify_synthetic(monkeypatch, grid, jac):
+    """Make the certificate see ``jac``: its per-degree diagonal blocks as
+    the blocks to invert on their support, and products with I - ``jac``."""
+    rows = [equilibrium._packed_block(grid, k) for k in range(grid.n_l)]
+    monkeypatch.setattr(
+        equilibrium, "gravity_jacobian_packed",
+        lambda *args: (np.asfortranarray(jac[r, r]) for r in rows),
+    )
+    monkeypatch.setattr(
+        equilibrium, "_newton_products",
+        lambda *args: (lambda x: x - jac @ x, lambda y: y - jac.T @ y),
+    )
+
+
+@pytest.mark.parametrize("support", ["full", "empty", "zero-column-inside", "weak-coupling"])
 def test_certificate_on_a_synthetic_support(support, eos15, profile15, monkeypatch):
-    # S is every column of J that is not all zero, wherever it lies: all of
-    # them, none (M = I, so sigma = 1), or all but some inside the support
-    from rotstar import equilibrium
-
+    # with blocks off the diagonal as large as those on it ("full",
+    # "zero-column-inside"), D^-1 M is far from I and the smallest singular
+    # values are clustered; the block iteration still converges to them
     u = _oblate_state(profile15)
     n = packed_size(u.grid)
-    rng = np.random.default_rng(5)
-    jac = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-    if support == "empty":
-        jac[:] = 0.0
-    elif support == "zero-column-inside":
-        jac[:, 200:] = 0.0
-        jac[:, [3, 70, 71, 150]] = 0.0
-    monkeypatch.setattr(
-        equilibrium, "gravity_jacobian_packed", lambda *args: np.asfortranarray(jac)
-    )
+    jac = _synthetic_jacobian(u.grid, support)
+    want = sigma_min_lu(np.eye(n) - jac)[0]
+    _certify_synthetic(monkeypatch, u.grid, jac)
     sigma, info = hl_certificate(u, eos15, 1.0, full_output=True)
-    want, want_steps, want_bound = sigma_min_lu(np.eye(n) - jac)
     assert abs(sigma - want) <= 1e-13 * want
-    assert info["iterations"] == want_steps
     assert abs(sigma - sigma_min_dense(np.eye(n) - jac)) <= 1e-12 * want
+    assert 0 < info["iterations"] < equilibrium._CERT_MAX_ITER
     if support == "empty":
         assert sigma == pytest.approx(1.0, rel=1e-15) and info["residual_bound"] < 1e-15
     else:
-        assert info["residual_bound"] == pytest.approx(want_bound, rel=1e-6)
+        assert abs(sigma - want) <= info["residual_bound"] + 1e-14 * want < 1e-6
+
+
+def test_certificate_at_its_step_cap_certifies_nothing(eos15, profile15, monkeypatch):
+    # an iteration that has not met its stopping test by the step cap gives
+    # only an upper bound on sigma_min, so it raises NoConvergence, which
+    # names that bound, and a certified solve raises it too instead of
+    # comparing that bound with the threshold
+    u = _oblate_state(profile15)
+    grid = u.grid
+    n = packed_size(grid)
+    jac = _synthetic_jacobian(grid, "full")
+    want = sigma_min_dense(np.eye(n) - jac)
+    init = initial_field_from_profile(grid, profile15)
+    cf = rigid_rotation(grid, 1e-3)
+    sol = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(certify=False))
+    monkeypatch.setattr(equilibrium, "_CERT_MAX_ITER", 5)
+    with pytest.raises(NoConvergence, match="did not converge in 5 steps") as err:
+        hl_certificate(sol.u, eos15, 1.0)
+    assert "sigma_min <= " in str(err.value)
+    with pytest.raises(NoConvergence, match="certificate"):
+        solve_equilibrium(cf, eos15, 1.0, init, SolverOptions())
+    _certify_synthetic(monkeypatch, grid, jac)
+    with pytest.raises(NoConvergence) as err:
+        hl_certificate(u, eos15, 1.0)
+    ritz = float(str(err.value).split("sigma_min <= ")[1].split(",")[0])
+    assert want < ritz
+
+
+@pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
+@pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
+def test_newton_products_are_adjoint(kind, size):
+    # <M x, y> = <x, M^T y> for the certificate's matrix-free products, each
+    # of which is the dense Newton matrix's product
+    u, eos, law, scale = _converged_state(kind, 1.5, size)
+    grid = u.grid
+    factors = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale)
+    fp = equilibrium._density_deriv_fine(grid, eos, 1.0, u.modes())
+    apply, apply_t = equilibrium._newton_products(grid, fp, factors)
+    mat = newton_matrix_dense(u, eos, 1.0, law, scale)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, packed_size(grid)))
+        mx, mty = apply(x), apply_t(y)
+        assert abs(mx @ y - x @ mty) <= 1e-13 * np.linalg.norm(mx) * np.linalg.norm(y)
+        assert np.linalg.norm(mx - mat @ x) <= 1e-13 * np.linalg.norm(mx)
+        assert np.linalg.norm(mty - mat.T @ y) <= 1e-13 * np.linalg.norm(mty)
 
 
 @pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
@@ -906,7 +967,8 @@ def test_gmres_newton_step_matches_dense_lu(kind, nu, size):
     lin, b_matrix = None, None
     if law is not None:
         lin = LinearizedCentrifugal(law, u, eos, scale)
-        b_matrix = centrifugal_deriv_matrix(law, u, eos, scale)
+        left, right = centrifugal_deriv_matrix(law, u, eos, scale)
+        b_matrix = left @ right.T
     rhs = np.random.default_rng(7).standard_normal(packed_size(grid))
     want = dense_newton_step(grid, eos, 1.0, modes, rhs, b_matrix)
     fp = equilibrium._density_deriv_fine(grid, eos, 1.0, modes)
@@ -932,7 +994,7 @@ def test_block_inverses_on_the_support_match_a_full_lu(state, nu):
     else:
         u, eos, _, _ = _converged_state("rigid", nu, size)
     grid, modes = u.grid, u.modes()
-    blocks = list(gravity_jacobian_packed(grid, eos, 1.0, modes, diagonal=True))
+    blocks = list(equilibrium.gravity_jacobian_packed(grid, eos, 1.0, modes))
     inverses = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
     assert len(inverses) == len(blocks) == grid.n_l
     rng = np.random.default_rng(13)
@@ -996,69 +1058,97 @@ def test_certificate_is_deterministic(eos15, profile15):
     assert hl_certificate(u, eos15, 1.0) == hl_certificate(u, eos15, 1.0)
 
 
-def test_singular_or_nonfinite_newton_matrix_certifies_zero(eos15, profile15, monkeypatch):
-    # J = I makes I - J exactly zero; a NaN entry makes it non-finite.  Both
-    # give sigma = 0.0 and SingularLinearization, with no warning escaping.
-    from rotstar import equilibrium
+def _zero_block(blocks):
+    # J_kk = I makes the block I - J_kk zero
+    blocks[1][:] = np.eye(len(blocks[1]))
 
-    jacobian_orig = equilibrium.gravity_jacobian_packed
 
-    def identity(grid, *args, diagonal=False):
-        if diagonal:  # the preconditioner's blocks of the same J
-            return [np.eye(len(b), order="F")
-                    for b in jacobian_orig(grid, *args, diagonal=True)]
-        return np.asfortranarray(np.eye(packed_size(grid)))
+def _zero_block_on_the_support(blocks):
+    # I - J_kk = [[0, 0], [-B, I]] with B the rows past the support
+    n_in = np.flatnonzero(np.any(blocks[1], axis=0))[-1] + 1
+    blocks[1][:n_in, :n_in] = np.eye(n_in)
 
-    def with_nan(grid, *args, diagonal=False):
-        jac = identity(grid, *args, diagonal=diagonal)
-        (jac[1] if diagonal else jac)[3, 5] = np.nan
-        return jac
 
+def _block_with_nan(blocks):
+    blocks[1][3, 5] = np.nan
+
+
+def _breaking(breaker):
+    """``degree_blocks`` with its second block broken by ``breaker``."""
+    blocks_orig = equilibrium.degree_blocks
+
+    def broken(grid, coef):
+        blocks = list(blocks_orig(grid, coef))
+        breaker(blocks)
+        return blocks
+
+    return broken
+
+
+_BREAKERS = (_zero_block, _zero_block_on_the_support, _block_with_nan)
+
+
+def test_singular_or_nonfinite_preconditioner_block_certifies_zero(eos15, profile15, monkeypatch):
+    # a preconditioner block that is singular, on the whole block or on the
+    # star's support only, or holds a NaN leaves LOBPCG without its
+    # preconditioner: sigma = 0.0, "not certified", with no bound and no
+    # warning escaping, and a solve that converges (here by Picard) raises
+    # SingularLinearization(0.0), as the Newton solve does for the same blocks
     u = _oblate_state(profile15)
     init = initial_field_from_profile(u.grid, profile15)
     cf = rigid_rotation(u.grid, 1e-3)
-    for jacobian in (identity, with_nan):
-        monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", jacobian)
+    for breaker in _BREAKERS:
+        monkeypatch.setattr(equilibrium, "degree_blocks", _breaking(breaker))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert hl_certificate(u, eos15, 1.0) == 0.0
-            for opts in (SolverOptions(), SolverOptions(newton=False, max_iter=400)):
-                with pytest.raises(SingularLinearization) as info:
-                    solve_equilibrium(cf, eos15, 1.0, init, opts)
-                assert info.value.sigma_min == 0.0
+            sigma, info = hl_certificate(u, eos15, 1.0, full_output=True)
+            assert sigma == 0.0 and info == {"iterations": 0, "residual_bound": None}
+            with pytest.raises(SingularLinearization) as err:
+                solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(newton=False, max_iter=400))
+            assert err.value.sigma_min == 0.0
+
+
+@pytest.mark.parametrize("product", ["J-nan", "J-transposed-overflow", "B-nan"])
+def test_nonfinite_products_certify_zero(product, monkeypatch):
+    # with finite preconditioner blocks, a product with M or M^T that is not
+    # finite, from J or from a factor of a momentum law's B, gives
+    # sigma = 0.0, "not certified", with no bound and no warning escaping
+    kind = "momentum" if product == "B-nan" else "rigid"
+    u, eos, law, scale = _converged_state(kind, 1.5, (64, 12, 4))
+    if product == "J-nan":
+        deriv = equilibrium._gravity_deriv_modes
+        monkeypatch.setattr(
+            equilibrium, "_gravity_deriv_modes", lambda *args: deriv(*args) * np.nan
+        )
+    elif product == "J-transposed-overflow":
+        deriv_t = equilibrium._gravity_deriv_transposed
+        monkeypatch.setattr(
+            equilibrium, "_gravity_deriv_transposed", lambda *args: deriv_t(*args) * 1e308 * 1e308
+        )
+    else:
+        factors = equilibrium.centrifugal_deriv_matrix
+
+        def with_nan(*args):
+            left, right = factors(*args)
+            left[5, 0] = np.nan
+            return left, right
+
+        monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", with_nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
+    assert sigma == 0.0 and info == {"iterations": 1, "residual_bound": None}
 
 
 def test_singular_or_nonfinite_block_stops_the_newton_solve(eos15, profile15, monkeypatch):
     # a preconditioner block that is singular, on the whole block or on the
     # star's support only, or holds a NaN raises SingularLinearization with
     # sigma 0.0, with no warning escaping
-    from rotstar import equilibrium
-
-    blocks_orig = equilibrium.degree_blocks
-
-    def zero(grid, coef):
-        # J_kk = I makes the block I - J_kk zero
-        blocks = list(blocks_orig(grid, coef))
-        blocks[1][:] = np.eye(len(blocks[1]))
-        return blocks
-
-    def zero_on_the_support(grid, coef):
-        # I - J_kk = [[0, 0], [-B, I]] with B the rows past the support
-        blocks = list(blocks_orig(grid, coef))
-        n_in = np.flatnonzero(np.any(blocks[1], axis=0))[-1] + 1
-        blocks[1][:n_in, :n_in] = np.eye(n_in)
-        return blocks
-
-    def with_nan(grid, coef):
-        blocks = list(blocks_orig(grid, coef))
-        blocks[1][3, 5] = np.nan
-        return blocks
-
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     init = initial_field_from_profile(grid, profile15)
     cf = rigid_rotation(grid, 1e-3)
-    for broken in (zero, zero_on_the_support, with_nan):
-        monkeypatch.setattr(equilibrium, "degree_blocks", broken)
+    for breaker in _BREAKERS:
+        monkeypatch.setattr(equilibrium, "degree_blocks", _breaking(breaker))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularLinearization) as info:
@@ -1073,7 +1163,11 @@ def test_certified_solve_records_the_certificate(eos15, profile15):
     cert = sol.meta["certificate"]
     assert set(cert) == {"iterations", "residual_bound"}
     assert cert["iterations"] > 0 and 0.0 <= cert["residual_bound"] < 1e-6
-    assert sol.hl_sigma_min == hl_certificate(sol.u, eos15, 1.0)
+    # preconditioned by the blocks of the one Newton build, at the start
+    blocks = equilibrium._factor_blocks(grid, eos15, 1.0, init.modes(), 1e-3)
+    assert sol.meta["newton"]["preconditioner_builds"] == 1
+    assert sol.hl_sigma_min == hl_certificate(sol.u, eos15, 1.0, preconditioner=blocks)
+    assert abs(sol.hl_sigma_min - hl_certificate(sol.u, eos15, 1.0)) <= 1e-13 * sol.hl_sigma_min
     spherical = solve_equilibrium(None, eos15, 1.0, init, SolverOptions())
     assert spherical.meta["certificate"] == {"iterations": None, "residual_bound": None}
     unchecked = solve_equilibrium(None, eos15, 1.0, init, SolverOptions(certify=False))
@@ -1084,6 +1178,18 @@ def _no_boundary_case(profile3):
     # past mass shedding at nu = 3 this grid converges to a field that crosses
     # zero on no ray
     return AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
+
+
+def test_boundary_at_without_a_free_boundary_raises(eos3, profile3):
+    # the solve converges to a field with no admissible free boundary; its
+    # boundary curve is not evaluated but refused, as require_boundary does
+    grid = _no_boundary_case(profile3)
+    init = initial_field_from_profile(grid, profile3)
+    sol = solve_equilibrium(rigid_rotation(grid, 1e-2), eos3, 1.0, init,
+                            SolverOptions(certify=False))
+    assert sol.R_of_zeta is None
+    with pytest.raises(NoSignChange, match="no admissible free boundary"):
+        sol.boundary_at([0.0, 0.5])
 
 
 def test_family_refuses_a_state_without_boundary(eos3, profile3):
@@ -1125,7 +1231,8 @@ def _counting_lu(monkeypatch):
 def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
     # the family builds the preconditioner of its Newton systems, the
     # per-degree blocks inverted on the star's support, in its first solve
-    # and carries it into the next; the certificate's is the only LU
+    # and carries it into the next, and each certificate is preconditioned
+    # by the same blocks: n_l lu_factor calls in all
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(), profile=profile15)
     calls = _counting_lu(monkeypatch)
@@ -1136,22 +1243,23 @@ def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
     caplog.clear()
     sol = fam.solve_at(1.1e-3)
     second = [r.getMessage() for r in caplog.records]
-    # the first solve builds the preconditioner; each solve factors only the
-    # certificate's matrix
     assert "preconditioner built" in first[0]
     assert first_sol.meta["newton"]["preconditioner_builds"] == 1
-    assert n_first == 1
+    assert n_first == grid.n_l
     assert "preconditioner carried from the family" in second[0]
     assert not any("preconditioner built" in m for m in second)
     assert sol.meta["newton"]["preconditioner_builds"] == 0
-    assert len(calls) - n_first == 1
-    # the columns of J that are not all zero
-    support = np.count_nonzero(np.any(gravity_jacobian_packed(grid, eos15, 1.0, sol.u.modes()), axis=0))
-    assert 0 < support < packed_size(grid)
+    assert len(calls) == n_first
+    # the nodes through the last one whose column of a block is not zero, at
+    # the spherical start
+    start = initial_field_from_profile(grid, profile15)
+    blocks = equilibrium.gravity_jacobian_packed(grid, eos15, 1.0, start.modes())
+    nodes = max(np.flatnonzero(np.any(b, axis=0))[-1] + 1 + (k > 0) for k, b in enumerate(blocks))
+    assert nodes < grid.n_r
     assert [m for m in second if m.startswith("certificate")] == [
         f"certificate: sigma_min {sol.hl_sigma_min:.6e} "
-        f"(support {support} of {packed_size(grid)} unknowns, "
-        f"{sol.meta['certificate']['iterations']} inverse-iteration steps, "
+        f"({sol.meta['certificate']['iterations']} LOBPCG steps, "
+        f"preconditioner support {nodes} of {grid.n_r} nodes, "
         f"residual bound {sol.meta['certificate']['residual_bound']})"
     ]
     assert sum(m.startswith("iter") for m in second) == sol.iterations

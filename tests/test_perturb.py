@@ -17,7 +17,7 @@ from rotstar.errors import DomainError, NoConvergence
 from rotstar.grids import RadialKernel, interp_matrix
 from rotstar.perturb import ModeGrid, _mode_operator
 
-from oracles import mode_operator_dense, radial_kernel
+from oracles import gravity_jacobian_packed, mode_operator_dense, radial_kernel
 
 
 @pytest.fixture(scope="module")
@@ -194,9 +194,7 @@ def test_modes_beyond_two_vanish_in_resolvent(hfield15):
 def test_resolvent_blocks_match_the_dense_solve(nu, monkeypatch):
     # at the spherical state the degree-0 and degree-2 block solves are the
     # dense solve with the full linearization
-    from rotstar.equilibrium import (
-        gravity_jacobian_packed, newton_matrix, pack_modes, unpack_modes,
-    )
+    from rotstar.equilibrium import newton_matrix, pack_modes, unpack_modes
     from rotstar.rotation import rigid_rotation
 
     eos = EquationOfState.from_index(nu)

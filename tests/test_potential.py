@@ -18,7 +18,7 @@ from rotstar import (
 from rotstar.errors import DomainError, SingularPoint
 from rotstar.grids import interp_matrix
 from rotstar.potential import _kernel_elliptic, _kernel_parts
-from oracles import potential_direct_recursive, trapezoid
+from oracles import modes_at_radii_per_point, potential_direct_recursive, trapezoid
 
 
 def test_kernel_center_value():
@@ -268,6 +268,33 @@ def test_direct_matches_recursive_oracle(case, refine_depth, window):
     got = potential_direct(f, **kw).values
     want = potential_direct_recursive(f, **kw).values
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+def test_direct_interpolates_each_distinct_radius_once(monkeypatch):
+    # a level of the near field repeats each Gauss radius of its cells over
+    # every target and zeta cell; interpolating each distinct radius once
+    # gives bitwise the values of the per-point form
+    from rotstar import potential
+
+    grid = AxiGrid.build(2.0, n_r=32, n_zeta=12, l_max=4)
+    f = AxiField.from_modes(grid, _smooth_modes(grid, np.random.default_rng(5)))
+    interpolated, stencil = [], potential.interp_stencil
+
+    def counting(nodes, points, *args):
+        interpolated.append(len(points))
+        return stencil(nodes, points, *args)
+
+    def per_point(grid, modes, x):
+        interpolated.append(x.size)
+        return modes_at_radii_per_point(grid, modes, x)
+
+    monkeypatch.setattr(potential, "interp_stencil", counting)
+    got = potential_direct(f, refine_depth=4, window=2).values
+    distinct, interpolated[:] = sum(interpolated), []
+    monkeypatch.setattr(potential, "_modes_at_radii", per_point)
+    want = potential_direct(f, refine_depth=4, window=2).values
+    assert np.array_equal(got, want)
+    assert 20 * distinct < sum(interpolated)
 
 
 @pytest.mark.parametrize(
