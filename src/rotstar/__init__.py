@@ -15,7 +15,6 @@ from .equilibrium import (
     EquilibriumSolution,
     SolverOptions,
     check_admissibility,
-    continuation_in_beta,
     free_boundary,
     gravity_map,
     gravity_map_deriv,
@@ -29,7 +28,6 @@ from .mass import (
     MassCalculator,
     MassPoint,
     central_density_from_mass,
-    dm_drho_at_constant_omega,
     physical_mass,
     total_mass_dimensionless,
     trace_constant_mass_curve,
@@ -45,13 +43,12 @@ from .perturb import (
 )
 from .potential import (
     grad_at_origin,
-    kernel_eval,
     potential_direct,
     potential_modes_from_samples,
     potential_multipole,
     uniform_ball_potential,
 )
-from .radial import RadialProfile, harmonic_extension, solve_lane_emden
+from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,

@@ -26,7 +26,6 @@ import numpy as np
 
 from .eos import EquationOfState, ScaleSet, scaled_density, scaled_density_deriv
 from .errors import (
-    ContinuationFailure,
     DomainError,
     NoConvergence,
     NoSignChange,
@@ -889,37 +888,6 @@ def solve_equilibrium(
         iterations=len(history),
         meta={"g_sup": 0.0 if g_modes is None else _sup_norm_modes(grid, g_modes), **meta},
     )
-
-
-def continuation_in_beta(
-    schedule,
-    eos: EquationOfState,
-    u_center: float = 1.0,
-    grid: AxiGrid | None = None,
-    opts: SolverOptions | None = None,
-    profile: RadialProfile | None = None,
-) -> list[EquilibriumSolution]:
-    """Solve the rigid-rotation family along an increasing beta schedule,
-    warm-starting each solve from the previous solution; the solves are
-    those of one ``ConstantRotationFamily``.
-
-    Raises ContinuationFailure with the partial results attached if a solve
-    fails, including one whose field has no free boundary (NoSignChange); an
-    empty schedule returns an empty list.
-    """
-    schedule = list(schedule)
-    if not schedule:
-        return []
-    if schedule[0] < 0 or any(b2 <= b1 for b1, b2 in zip(schedule, schedule[1:])):
-        raise DomainError("schedule must be nonnegative and strictly increasing")
-    family = ConstantRotationFamily(eos, u_center, grid, opts or SolverOptions(), profile)
-    out: list[EquilibriumSolution] = []
-    for beta in schedule:
-        try:
-            out.append(family.solve_at(beta))
-        except Exception as exc:  # noqa: BLE001 - annotate and re-raise
-            raise ContinuationFailure(beta, exc, out) from exc
-    return out
 
 
 class ConstantRotationFamily:

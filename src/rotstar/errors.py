@@ -25,10 +25,6 @@ class StepFailure(RotstarError):
     """The ODE integrator broke down."""
 
 
-class SingularPoint(RotstarError):
-    """Kernel evaluation requested at coincident spatial points."""
-
-
 class DivergentAxisIntegral(RotstarError):
     """The centrifugal integral for an angular-momentum law diverges near the axis."""
 
@@ -62,16 +58,6 @@ class NoSignChange(RotstarError):
     def __init__(self, zeta, message=None):
         self.zeta = zeta
         super().__init__(message or f"no single + to - sign change along zeta={zeta:g}")
-
-
-class ContinuationFailure(RotstarError):
-    """A parameter continuation stopped early; partial results are attached."""
-
-    def __init__(self, failed_beta, cause, partial):
-        self.failed_beta = failed_beta
-        self.cause = cause
-        self.partial = list(partial)
-        super().__init__(f"continuation failed at beta={failed_beta:g}: {cause}")
 
 
 class NoBracket(RotstarError):

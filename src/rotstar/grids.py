@@ -689,7 +689,7 @@ class AxiField:
         rr = grid.r[:, None]
         zz = grid.zeta[None, half:]
         vals[:, half:] = fn(rr, zz)
-        vals[:, :half] = vals[:, : half - 1 - grid.n_zeta : -1]
+        vals[:, :half] = vals[:, : -half - 1 : -1]
         vals[0, :] = vals[0, -1]
         return cls(grid, vals)
 
@@ -699,11 +699,6 @@ class AxiField:
         f = cls(grid, grid.synthesize(modes))
         f._modes = modes.copy()
         return f
-
-    @classmethod
-    def from_radial(cls, grid: AxiGrid, radial_fn) -> "AxiField":
-        prof = np.asarray(radial_fn(grid.r), dtype=float)
-        return cls(grid, np.repeat(prof[:, None], grid.n_zeta, axis=1))
 
     def modes(self) -> np.ndarray:
         if self._modes is None:

@@ -57,16 +57,6 @@ def physical_mass(
     return mass_unit(eos, ScaleSet.from_central_density(eos, rho_center, grav_const)) * m1
 
 
-def dm_drho_at_constant_omega(
-    point: MassPoint, eos: EquationOfState, dm1_dbeta: float, grav_const: float = 1.0
-) -> float:
-    """(dM/drho_c) at fixed Omega.  beta = Omega^2/(2 pi G rho_c) varies with
-    rho_c, which contributes the -beta dM1/dbeta term."""
-    e = (3.0 * eos.gamma - 4.0) / 2.0
-    dm1 = e * point.m1 - point.beta * dm1_dbeta
-    return physical_mass(dm1, eos, point.rho_center, grav_const) / point.rho_center
-
-
 class MassCalculator:
     """beta |-> M1 on a shared rigid-rotation continuation family.
 
@@ -100,11 +90,6 @@ class MassCalculator:
     def m1(self, beta: float) -> float:
         sol = self.family.solve_at(beta)
         return total_mass_dimensionless(sol, self.eos, 1.0)
-
-    def dm1_dbeta(self, beta: float, step: float = 1e-4) -> float:
-        lo = max(beta - step, 0.0)
-        hi = beta + step
-        return (self.m1(hi) - self.m1(lo)) / (hi - lo)
 
     def total_mass(self, rho_center: float, omega2: float) -> float:
         self.mass_evaluations += 1

@@ -9,8 +9,9 @@ Each mode operator is that kernel times the density response times the
 local-cubic interpolation, assembled by ``RadialKernel.blocks``, and the mode
 is found by one direct linear solve.  A damped contraction iteration
 from a prescribed start checks that homogeneous modes of degree >= 4 decay
-to zero, and a shooting solver for the underlying ODE provides an
-independent validation path.
+to zero.  ``mode_shooting`` integrates the underlying second-order ODE
+instead, by the Dormand-Prince steps of ``radial``, as an independent
+validation path.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .grids import (
     interp_stencil,
     panel_gauss,
 )
-from .radial import RadialProfile
+from .radial import RadialProfile, _dp_steps, _quintic_hermite
 from .equilibrium import gravity_jacobian_packed, newton_matrix
 from .rotation import rigid_rotation
 
@@ -165,38 +166,34 @@ def mode_shooting(
     r_out: np.ndarray,
     source=None,
 ) -> np.ndarray:
-    """Validation path: integrate the mode ODE from a regular series start and
-    match the outer condition r y' + (degree+1) y = far_coefficient * r^degree
-    at xi1 (where the density response vanishes), for homogeneous problems."""
-    from scipy.integrate import solve_ivp  # validation path only
+    """Validation path: integrate the mode ODE from its regular start by the
+    Dormand-Prince steps of ``solve_lane_emden`` and match the outer condition
+    r y' + (degree+1) y = far_coefficient * r^degree at xi1 (where the density
+    response vanishes), for homogeneous problems.
 
+    The start at r0 = 1e-6 xi1 is y = (r/r0)^degree, y' = degree/r0.  The ODE
+    is linear, so this scale drops out of the matching coefficient c, and it
+    starts y at 1, above the absolute floor of the step control (r0^degree
+    would start it below).  Radii below r0 take c (r/r0)^degree.
+    """
     if source is not None:
         raise DomainError("shooting path implemented for homogeneous sources only")
     j = degree
     xi1 = profile.xi1
 
-    def rhs(r, z):
-        y, v = z
+    def accel(r, y, v):
         q = scaled_density_deriv(profile.theta_at(r), eos, u_center)
-        return (v, -2.0 * v / r + (j * (j + 1) / r ** 2 - q) * y)
+        return -2.0 * v / r + (j * (j + 1) / r ** 2 - q) * y
 
     r0 = 1e-6 * xi1
-    sol = solve_ivp(
-        rhs,
-        (r0, xi1),
-        (r0 ** j, j * r0 ** (j - 1)),
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-300,
-        dense_output=True,
-    )
-    yh, vh = sol.sol(xi1)
+    trail = ([r0], [1.0], [j / r0], [accel(r0, 1.0, j / r0)])
+    _dp_steps(accel, trail, xi1, 1e-12)
+    yh, vh = trail[1][-1], trail[2][-1]
     c = far_coefficient * xi1 ** j / (xi1 * vh + (j + 1) * yh)
-    vals = c * sol.sol(np.clip(r_out, r0, xi1))[0]
-    small = r_out < r0
-    if np.any(small):
-        vals[small] = c * r_out[small] ** j
-    return vals
+    r_out = np.asarray(r_out, dtype=float)
+    return c * np.where(
+        r_out < r0, (r_out / r0) ** j, _quintic_hermite(trail)(np.clip(r_out, r0, xi1))
+    )
 
 
 @dataclass

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, SingularPoint
+from .errors import DomainError
 from .grids import AxiField, AxiGrid, interp_stencil, legendre_table, panel_gauss
 
 
@@ -22,35 +22,6 @@ def _kernel_parts(r, zeta, rp, zetap):
     a = r * r + rp * rp - 2.0 * r * rp * zeta * zetap
     b = 2.0 * r * rp * np.sqrt((1.0 - zeta ** 2) * (1.0 - zetap ** 2))
     return a, b
-
-
-def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
-    """Azimuthal integral of 1/distance between the rings (r, zeta), (rp, zetap).
-
-    ``method`` is "adaptive" (scipy's quadrature of the defining integral) or
-    "elliptic" (the closed form 4 K(m)/sqrt(a + b) of ``_kernel_elliptic``,
-    on numpy alone as Gauss's 2 pi / AGM(sqrt(a + b), sqrt(a - b)); bitwise
-    the value the same a, b take inside any batch).
-    """
-    a, b = _kernel_parts(r, zeta, rp, zetap)
-    scale = max(r, rp, 1e-300)
-    if a - b <= (1e-14 * scale) ** 2:
-        raise SingularPoint(
-            f"kernel evaluated at coincident points (r={r:g}, zeta={zeta:g})"
-        )
-    if method == "elliptic":
-        return float(_kernel_elliptic(a, b))
-    from scipy.integrate import quad  # validation path only
-
-    val, _ = quad(
-        lambda phi: 1.0 / math.sqrt(a - b * math.cos(phi)),
-        0.0,
-        2.0 * math.pi,
-        epsabs=1e-13,
-        epsrel=1e-13,
-        limit=200,
-    )
-    return val
 
 
 # Gauss's AGM steps and the chunk of values each pass of them runs over.  From

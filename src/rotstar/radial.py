@@ -1,17 +1,20 @@
-"""Spherically symmetric profiles: the hydrostatic ODE, its first zero, and
-the harmonic exterior extension used as the nonrotating base solution.
+"""Spherically symmetric profiles: the hydrostatic ODE and its first zero,
+the nonrotating base solution.
 
 The profile theta solves
 
     -(1/r^2) d/dr (r^2 dtheta/dr) = scaled_density(theta),  theta(0) = 1,
 
 with a regular center.  Past the first zero xi1 the density vanishes, so the
-same ODE continues theta as the harmonic tail -mu1 (1/xi1 - 1/r).
+same integration continues theta as the harmonic tail -mu1 (1/xi1 - 1/r).
+
+The adaptive Dormand-Prince steps (``_dp_steps``) and their quintic Hermite
+dense output (``_quintic_hermite``) are the package's one ODE integrator;
+``perturb.mode_shooting`` integrates the linear mode ODE with them too.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -42,9 +45,6 @@ class RadialProfile:
     def theta_at(self, r):
         return self._eval(r, 0)
 
-    def dtheta_at(self, r):
-        return self._eval(r, 1)
-
     def psi_at(self, r):
         """psi = -dtheta/dr, positive away from the center."""
         return -self._eval(r, 1)
@@ -65,14 +65,6 @@ class RadialProfile:
         if np.any(~small):
             out[~small] = self._dense[comp](np.minimum(r[~small], self.r_inf))
         return float(out[0]) if scalar else out
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["r", "theta", "dtheta", "psi"])
-            for row in zip(self.r_nodes, self.theta, self.dtheta, self.psi):
-                writer.writerow([format(v, ".17g") for v in row])
-
 
 # Dormand & Prince (1980, J. Comput. Appl. Math. 6, 19), RK5(4)7M: stage
 # nodes, stage rows (the last row is the 5th-order solution, so the last stage
@@ -256,11 +248,3 @@ def solve_lane_emden(
         _dense=(dense, dense_slope),
     )
 
-
-def harmonic_extension(profile: RadialProfile, r):
-    """Exterior tail -mu1 (1/xi1 - 1/r); only defined for r >= xi1."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r < profile.xi1 * (1 - 1e-12)):
-        raise DomainError("harmonic extension requested inside the surface")
-    out = -profile.mu1 * (1.0 / profile.xi1 - 1.0 / r)
-    return float(out) if out.ndim == 0 else out

@@ -122,11 +122,6 @@ class CentrifugalField:
     g: AxiField
     g_modes: np.ndarray
     beta: float | None = None  # set for constant laws
-    _interp: object = field(default=None, repr=False)
-
-    def b_at(self, varpi):
-        v = np.asarray(varpi, dtype=float)
-        return self._interp(np.clip(v, 0.0, self.varpi[-1]))
 
     def sup_norm(self) -> float:
         """sup |b| + sup |db/dvarpi| over the sampled range."""
@@ -159,7 +154,6 @@ def rigid_rotation(grid: AxiGrid, beta: float) -> CentrifugalField:
         AxiField.from_modes(grid, g_modes),
         g_modes,
         beta,
-        _interp=lambda v: 0.25 * beta * np.asarray(v) ** 2,
     )
 
 
@@ -181,9 +175,8 @@ def centrifugal_from_omega(
     v, x = grid.r, grid.gauss_x
     b = pref * grid.cumulative(np.asarray(law.omega_at(a * x)) ** 2 * x)
     db = pref * np.asarray(law.omega_at(a * v)) ** 2 * v
-    interp = cubic_spline(v, b)
-    g, g_modes = _field_from_b(grid, interp)
-    return CentrifugalField(v.copy(), b, db, g, g_modes, None, _interp=interp)
+    g, g_modes = _field_from_b(grid, cubic_spline(v, b))
+    return CentrifugalField(v.copy(), b, db, g, g_modes, None)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +338,7 @@ def centrifugal_from_momentum(
     db = np.zeros_like(grid.r)
     db[1:] = integrand(grid.r[1:])
     g, g_modes = _field_from_b(grid, lambda vv: interp(np.clip(vv, 0.0, grid.r_inf)))
-    return CentrifugalField(grid.r.copy(), b, db, g, g_modes, None, _interp=interp)
+    return CentrifugalField(grid.r.copy(), b, db, g, g_modes, None)
 
 
 class LinearizedCentrifugal:

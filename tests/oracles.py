@@ -500,6 +500,73 @@ def potential_direct_recursive(
     return AxiField(grid, out)
 
 
+def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
+    """Azimuthal integral of 1/distance between the rings (r, zeta), (rp, zetap).
+
+    ``method`` is "adaptive" (scipy's quadrature of the defining integral) or
+    "elliptic" (the library's closed form ``_kernel_elliptic``, 4 K(m)/sqrt(a + b)
+    as Gauss's 2 pi / AGM(sqrt(a + b), sqrt(a - b)); bitwise the value the same
+    a, b take inside any batch).  Coincident points raise ValueError.
+    """
+    from scipy.integrate import quad
+
+    from rotstar.potential import _kernel_elliptic, _kernel_parts
+
+    a, b = _kernel_parts(r, zeta, rp, zetap)
+    scale = max(r, rp, 1e-300)
+    if a - b <= (1e-14 * scale) ** 2:
+        raise ValueError(f"kernel evaluated at coincident points (r={r:g}, zeta={zeta:g})")
+    if method == "elliptic":
+        return float(_kernel_elliptic(a, b))
+    val, _ = quad(
+        lambda phi: 1.0 / math.sqrt(a - b * math.cos(phi)),
+        0.0,
+        2.0 * math.pi,
+        epsabs=1e-13,
+        epsrel=1e-13,
+        limit=200,
+    )
+    return val
+
+
+def mode_shooting_scipy(profile, eos, u_center, degree, far_coefficient, r_out, source=None):
+    """Integrate the mode ODE from a regular series start by scipy's DOP853 and
+    match the outer condition r y' + (degree+1) y = far_coefficient * r^degree
+    at xi1 (where the density response vanishes), for homogeneous problems."""
+    from scipy.integrate import solve_ivp
+
+    from rotstar.eos import scaled_density_deriv
+    from rotstar.errors import DomainError
+
+    if source is not None:
+        raise DomainError("shooting path implemented for homogeneous sources only")
+    j = degree
+    xi1 = profile.xi1
+
+    def rhs(r, z):
+        y, v = z
+        q = scaled_density_deriv(profile.theta_at(r), eos, u_center)
+        return (v, -2.0 * v / r + (j * (j + 1) / r ** 2 - q) * y)
+
+    r0 = 1e-6 * xi1
+    sol = solve_ivp(
+        rhs,
+        (r0, xi1),
+        (r0 ** j, j * r0 ** (j - 1)),
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-300,
+        dense_output=True,
+    )
+    yh, vh = sol.sol(xi1)
+    c = far_coefficient * xi1 ** j / (xi1 * vh + (j + 1) * yh)
+    vals = c * sol.sol(np.clip(r_out, r0, xi1))[0]
+    small = r_out < r0
+    if np.any(small):
+        vals[small] = c * r_out[small] ** j
+    return vals
+
+
 def regenerate() -> dict:
     data = {}
     for nu in (1.5, 2.0, 2.5, 3.0):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -625,6 +626,22 @@ def test_import_path_loads_no_scipy():
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     assert _fresh_python(code) == "[]"
+
+
+def test_package_imports_no_scipy():
+    # numpy is the package's only runtime dependency: no module imports
+    # scipy, at module level or inside a function
+    found = []
+    for path in sorted((Path(__file__).parents[1] / "src" / "rotstar").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []
 
 
 _RUN_AND_LIST_LINALG = (

@@ -12,7 +12,6 @@ from rotstar import (
     EquationOfState,
     SolverOptions,
     check_admissibility,
-    continuation_in_beta,
     free_boundary,
     gravity_map,
     gravity_map_deriv,
@@ -26,7 +25,6 @@ from rotstar import (
     total_mass_dimensionless,
 )
 from rotstar.errors import (
-    ContinuationFailure,
     DomainError,
     NoConvergence,
     NoSignChange,
@@ -249,35 +247,34 @@ def test_hl_weighted_degree4_block(profile15, eos15):
 
 
 def test_continuation_schedule(eos15, profile15):
+    # a family solved along an increasing schedule, each solve warm-started
+    # from the nearest cached state
     grid = AxiGrid.build(profile15.r_inf, n_r=160, n_zeta=16, l_max=8, focus=profile15.xi1)
-    sols = continuation_in_beta(
-        [0.0, 1e-4, 1e-3], eos15, 1.0, grid=grid,
-        opts=SolverOptions(tol=1e-11, certify=False), profile=profile15,
+    fam = ConstantRotationFamily(
+        eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-11, certify=False), profile=profile15,
     )
-    assert len(sols) == 3
+    sols = [fam.solve_at(beta) for beta in (0.0, 1e-4, 1e-3)]
     eq = [s.boundary_at([0.0])[0] for s in sols]
     pole = [s.boundary_at([1.0])[0] for s in sols]
     assert eq[0] < eq[1] < eq[2]
     assert pole[0] > pole[1] > pole[2]
-    # the zero-rotation entry is the extended spherical profile itself
+    # the zero-rotation state is the extended spherical profile itself
     sup0 = np.max(np.abs(sols[0].u.values - profile15.theta_at(grid.r)[:, None]))
     assert sup0 < 1e-5
-    assert continuation_in_beta([], eos15) == []
 
 
 def test_continuation_failure_carries_partial(eos15, profile15):
-    # far beyond break-up no equilibrium of this family exists; the solver
-    # reports the failing beta and hands back the converged prefix
+    # far beyond break-up no equilibrium of this family exists: the solve
+    # fails, and the family keeps only the states that converged
     grid = AxiGrid.build(profile15.r_inf, n_r=96, n_zeta=16, l_max=4, focus=profile15.xi1)
-    with pytest.raises(ContinuationFailure) as exc:
-        continuation_in_beta(
-            [0.0, 1.0], eos15, 1.0, grid=grid,
-            opts=SolverOptions(tol=1e-10, max_iter=12, certify=False),
-            profile=profile15,
-        )
-    assert exc.value.failed_beta == 1.0
-    assert len(exc.value.partial) == 1
-    assert exc.value.partial[0].beta == 0.0
+    fam = ConstantRotationFamily(
+        eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-10, max_iter=12, certify=False),
+        profile=profile15,
+    )
+    fam.solve_at(0.0)
+    with pytest.raises(NoConvergence):
+        fam.solve_at(1.0)
+    assert list(fam._cache) == [0.0]
 
 
 def test_solution_map_continuity(eos15, profile15):
@@ -431,17 +428,17 @@ def test_differential_law_solve(eos15, profile15, scale15):
 
 def test_large_rotation_reports_flags(eos15, profile15):
     # far beyond the slow-rotation regime the fixed point loses admissibility;
-    # the continuation stops there and its error reports the flags
+    # the family refuses that state, its error reports the flags, and it is
+    # not cached
     grid = AxiGrid.build(profile15.r_inf, n_r=96, n_zeta=16, l_max=4, focus=profile15.xi1)
-    with pytest.raises(ContinuationFailure) as exc:
-        continuation_in_beta(
-            [0.0, 0.1, 0.4], eos15, 1.0, grid=grid,
-            opts=SolverOptions(tol=1e-9, certify=False), profile=profile15,
-        )
-    assert exc.value.failed_beta == 0.1
-    assert isinstance(exc.value.cause, NoSignChange)
+    fam = ConstantRotationFamily(
+        eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-9, certify=False), profile=profile15,
+    )
+    fam.solve_at(0.0)
+    with pytest.raises(NoSignChange) as exc:
+        fam.solve_at(0.1)
     assert "a1=False" in str(exc.value) and "a2=False" in str(exc.value)
-    assert [s.beta for s in exc.value.partial] == [0.0]
+    assert list(fam._cache) == [0.0]
 
 
 def test_family_stays_on_its_grid(eos15, profile15):
@@ -474,7 +471,6 @@ def test_rigid_rotation_matches_hand_built_field(eos15, profile15):
     by_hand = CentrifugalField(
         grid.r.copy(), 0.25 * beta * grid.r ** 2, 0.5 * beta * grid.r,
         AxiField.from_modes(grid, gm), gm, beta,
-        _interp=lambda v: 0.25 * beta * np.asarray(v) ** 2,
     )
     init = initial_field_from_profile(grid, profile15)
     opts = SolverOptions(tol=1e-12)
@@ -1204,14 +1200,16 @@ def test_family_refuses_a_state_without_boundary(eos3, profile3):
 
 
 def test_continuation_refuses_a_state_without_boundary(eos3, profile3):
-    with pytest.raises(ContinuationFailure) as exc:
-        continuation_in_beta(
-            [0.0, 3e-2], eos3, 1.0, grid=_no_boundary_case(profile3),
-            opts=SolverOptions(certify=False), profile=profile3,
-        )
-    assert exc.value.failed_beta == 3e-2
-    assert isinstance(exc.value.cause, NoSignChange)
-    assert [s.beta for s in exc.value.partial] == [0.0]
+    # past the spherical state, a field with no free boundary is refused and
+    # not cached
+    fam = ConstantRotationFamily(
+        eos3, 1.0, grid=_no_boundary_case(profile3), opts=SolverOptions(certify=False),
+        profile=profile3,
+    )
+    fam.solve_at(0.0)
+    with pytest.raises(NoSignChange):
+        fam.solve_at(3e-2)
+    assert list(fam._cache) == [0.0]
 
 
 def _counting_lu(monkeypatch):
@@ -1283,23 +1281,6 @@ def test_family_factors_its_blocks_once(eos15, profile15, monkeypatch):
     sols = [fam.solve_at(beta) for beta in (0.0, 1e-3, 2e-3)]
     assert len(builds) == 1
     assert [s.meta["newton"]["preconditioner_builds"] for s in sols] == [1, 0, 0]
-
-
-def test_continuation_is_the_family_over_its_schedule(eos15, profile15):
-    # an increasing schedule warm-starts each solve from the previous one, as
-    # the family does from the nearest cached beta: the states are bitwise equal
-    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
-    opts = SolverOptions(tol=1e-11)
-    schedule = [0.0, 1e-3, 2.5e-3]
-    sols = continuation_in_beta(schedule, eos15, 1.0, grid=grid, opts=opts, profile=profile15)
-    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=opts, profile=profile15)
-    for sol, beta in zip(sols, schedule, strict=True):
-        ref = fam.solve_at(beta)
-        assert sol.beta == ref.beta == beta
-        assert np.array_equal(sol.u.values, ref.u.values)
-        assert np.array_equal(sol.R_of_zeta, ref.R_of_zeta)
-        assert sol.residual_history == ref.residual_history
-        assert sol.hl_sigma_min == ref.hl_sigma_min
 
 
 def test_family_refuses_negative_rotation(eos15, profile15):

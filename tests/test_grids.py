@@ -52,6 +52,20 @@ def test_field_symmetry_enforced():
         bad.validate()
 
 
+@pytest.mark.parametrize("n_zeta", [8, 9])
+def test_from_function_mirrors_odd_and_even_zeta_grids(n_zeta):
+    # an odd n_zeta has a node at zeta = 0, which the mirror must not copy
+    grid = AxiGrid.build(2.0, n_r=32, n_zeta=n_zeta, l_max=4)
+
+    def fn(r, z):
+        return np.cos(r) + r * z ** 2
+
+    f = AxiField.from_function(grid, fn)
+    assert np.array_equal(f.values, f.values[:, ::-1])
+    want = fn(grid.r[:, None], grid.zeta[None, :])
+    assert np.max(np.abs(f.values - want)) <= 1e-15
+
+
 def test_mode_roundtrip():
     grid = AxiGrid.build(1.5, n_r=40, n_zeta=16, l_max=8)
     rng = np.random.default_rng(5)

@@ -7,10 +7,8 @@ import pytest
 from rotstar import (
     EquationOfState,
     MassCalculator,
-    MassPoint,
     ScaleSet,
     central_density_from_mass,
-    dm_drho_at_constant_omega,
     mass_unit,
     physical_mass,
     solve_lane_emden,
@@ -60,35 +58,6 @@ def test_scaling_slope(calc53):
     masses = [physical_mass(m1, eos, r) for r in rhos]
     slope = np.polyfit(np.log(rhos), np.log(masses), 1)[0]
     assert slope == pytest.approx((3 * eos.gamma - 4) / 2, abs=1e-3)
-
-
-def test_dm_drho_reduces_at_zero_rotation(calc53):
-    eos = calc53.eos
-    m1 = calc53.m1(0.0)
-    pt = MassPoint(rho_center=2.0, omega2=0.0, beta=0.0, m1=m1,
-                   mass=physical_mass(m1, eos, 2.0))
-    d = dm_drho_at_constant_omega(pt, eos, dm1_dbeta=0.123)
-    assert d == pytest.approx((3 * eos.gamma - 4) / 2 * pt.mass / pt.rho_center, rel=1e-12)
-
-
-def test_dm_drho_gamma_four_thirds_vanishes():
-    eos = EquationOfState.polytrope(4 / 3)
-    pt = MassPoint(rho_center=1.0, omega2=0.0, beta=0.0, m1=10.0,
-                   mass=physical_mass(10.0, eos, 1.0))
-    assert dm_drho_at_constant_omega(pt, eos, dm1_dbeta=0.0) == 0.0
-
-
-def test_dm_drho_sign_matches_finite_differences(calc53):
-    eos = calc53.eos
-    omega2 = 1e-3
-    rho = 1.0
-    beta = omega2 / (2 * math.pi * rho)
-    m1 = calc53.m1(beta)
-    pt = MassPoint(rho, omega2, beta, m1, physical_mass(m1, eos, rho))
-    d = dm_drho_at_constant_omega(pt, eos, calc53.dm1_dbeta(beta))
-    fd = (calc53.total_mass(1.01 * rho, omega2) - calc53.total_mass(rho, omega2)) / (0.01 * rho)
-    assert np.sign(d) == np.sign(fd)
-    assert d == pytest.approx(fd, rel=2e-2)
 
 
 def test_central_density_inversion_closed_form(calc53):

@@ -17,7 +17,7 @@ from rotstar.errors import DomainError, NoConvergence
 from rotstar.grids import RadialKernel, interp_matrix
 from rotstar.perturb import ModeGrid, _mode_operator
 
-from oracles import gravity_jacobian_packed, mode_operator_dense, radial_kernel
+from oracles import gravity_jacobian_packed, mode_operator_dense, mode_shooting_scipy, radial_kernel
 
 
 @pytest.fixture(scope="module")
@@ -146,6 +146,18 @@ def test_h2_negative_and_consistent(hfield15):
 def test_h2_against_shooting(profile15_mod, eos15_mod, hfield15):
     y = mode_shooting(profile15_mod, eos15_mod, 1.0, 2, -5.0 / 6.0, hfield15.r)
     assert np.max(np.abs(y - hfield15.h2)) < 1e-5
+
+
+@pytest.mark.parametrize("nu, degree", [(1.0, 2), (3.0, 2), (1.5, 4), (1.5, 6)])
+def test_shooting_matches_scipy_dop853(nu, degree):
+    # the package's Dormand-Prince shooting against scipy's DOP853 path it
+    # replaced, at the mode grid's nodes and below the start radius
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    r = np.concatenate(([0.0, 1e-9], ModeGrid.build(prof, eos, 1.0, 700).r))
+    y = mode_shooting(prof, eos, 1.0, degree, -5.0 / 6.0, r)
+    ref = mode_shooting_scipy(prof, eos, 1.0, degree, -5.0 / 6.0, r)
+    assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("nu", [1.2, 1.9, 2.5, 3.0])

@@ -8,17 +8,16 @@ from rotstar import (
     AxiField,
     AxiGrid,
     grad_at_origin,
-    kernel_eval,
     potential_direct,
     potential_modes_from_samples,
     potential_multipole,
     scaled_density,
     uniform_ball_potential,
 )
-from rotstar.errors import DomainError, SingularPoint
+from rotstar.errors import DomainError
 from rotstar.grids import interp_matrix
 from rotstar.potential import _kernel_elliptic, _kernel_parts
-from oracles import modes_at_radii_per_point, potential_direct_recursive, trapezoid
+from oracles import kernel_eval, modes_at_radii_per_point, potential_direct_recursive, trapezoid
 
 
 def test_kernel_center_value():
@@ -42,13 +41,6 @@ def test_kernel_symmetry_and_elliptic_agreement():
         c = kernel_eval(r, z, rp, zp, method="elliptic")
         assert a == pytest.approx(b, rel=1e-12)
         assert a == pytest.approx(c, rel=1e-11)
-
-
-def test_kernel_singular_point():
-    with pytest.raises(SingularPoint):
-        kernel_eval(1.0, 0.5, 1.0, 0.5)
-    with pytest.raises(SingularPoint):
-        kernel_eval(0.0, 0.3, 0.0, -0.8)  # same spatial point (the center)
 
 
 def test_kernel_elliptic_keeps_full_accuracy_as_m_tends_to_one():
@@ -123,7 +115,7 @@ def test_uniform_ball_multipole_smooth_nodal_field():
     grid = AxiGrid.build(2.0, n_r=200, n_zeta=16, l_max=8)
     R, w = 1.2, 0.08
     prof = lambda r: 0.5 * (1 - np.tanh((r - R) / w))
-    f = AxiField.from_radial(grid, prof)
+    f = AxiField.from_function(grid, lambda r, z: prof(r) + 0 * z)
     out = potential_multipole(f).modes()
     s = np.linspace(0, grid.r_inf, 200001)[1:]
     exact = np.array(

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import GOLDEN
 from oracles import trapezoid
-from rotstar import EquationOfState, harmonic_extension, scaled_density, scaled_density_deriv, solve_lane_emden
+from rotstar import EquationOfState, scaled_density, scaled_density_deriv, solve_lane_emden
 from rotstar.errors import DomainError, NoZeroFound
 
 
@@ -35,7 +35,7 @@ def test_profile_invariants(profile15, eos15):
     beyond = p.r_nodes > p.xi1
     assert np.all(p.theta[beyond] < 0)
     # harmonic tail matches the stored profile
-    tail = harmonic_extension(p, p.r_nodes[beyond])
+    tail = _harmonic_tail(p, p.r_nodes[beyond])
     assert np.max(np.abs(tail - p.theta[beyond])) < 1e-9
     # mass integral identity mu1 = int f(theta) r^2 dr
     r = np.linspace(0, p.xi1, 20001)
@@ -44,19 +44,26 @@ def test_profile_invariants(profile15, eos15):
     assert mu == pytest.approx(p.mu1, rel=1e-7)
 
 
+def _harmonic_tail(p, r):
+    """The closed form of the profile past its zero, -mu1 (1/xi1 - 1/r)."""
+    return -p.mu1 * (1.0 / p.xi1 - 1.0 / np.asarray(r, dtype=float))
+
+
 def test_harmonic_extension_values(profile15):
+    # the profile continues past xi1 as the closed-form tail, up to r_inf
     p = profile15
-    assert harmonic_extension(p, p.xi1) == pytest.approx(0.0, abs=1e-12)
-    assert harmonic_extension(p, 1e12) == pytest.approx(-p.mu1 / p.xi1, rel=1e-9)
+    assert p.theta_at(p.xi1) == pytest.approx(0.0, abs=1e-12)
+    r = np.linspace(p.xi1, p.r_inf, 200)
+    assert np.max(np.abs(p.theta_at(r) - _harmonic_tail(p, r))) < 1e-9
     with pytest.raises(DomainError):
-        harmonic_extension(p, 0.5 * p.xi1)
+        p.theta_at(1.01 * p.r_inf)
 
 
 def test_harmonic_extension_c1_matching(profile15):
     p = profile15
     eps = 1e-6
-    outer_slope = (harmonic_extension(p, p.xi1 + eps) - harmonic_extension(p, p.xi1)) / eps
-    assert outer_slope == pytest.approx(p.dtheta_at(p.xi1), rel=1e-5)
+    outer_slope = (_harmonic_tail(p, p.xi1 + eps) - _harmonic_tail(p, p.xi1)) / eps
+    assert outer_slope == pytest.approx(-p.psi_at(p.xi1), rel=1e-5)
 
 
 def test_ode_residual_by_finite_differences(profile15, eos15):
@@ -66,8 +73,8 @@ def test_ode_residual_by_finite_differences(profile15, eos15):
     p = profile15
     r = np.linspace(0.05, p.r_inf * 0.98, 400)
     h = 1e-5
-    dv = (p.dtheta_at(r + h) - p.dtheta_at(r - h)) / (2 * h)
-    resid = dv + 2.0 * p.dtheta_at(r) / r + scaled_density(p.theta_at(r), eos15, 1.0)
+    dv = (p.psi_at(r - h) - p.psi_at(r + h)) / (2 * h)
+    resid = dv - 2.0 * p.psi_at(r) / r + scaled_density(p.theta_at(r), eos15, 1.0)
     assert np.max(np.abs(resid)) < 1e-7
 
 
@@ -104,16 +111,6 @@ def test_outer_radius_too_large_for_the_dense_output(eos15, r_inf):
 def test_large_outer_radius_gives_a_finite_profile(eos15, r_inf):
     prof = solve_lane_emden(eos15, 1.0, r_inf=r_inf)
     assert np.isfinite(prof.theta).all() and np.isfinite(prof.dtheta).all()
-
-
-def test_csv_export(tmp_path, profile15):
-    path = tmp_path / "profile.csv"
-    profile15.export_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "r,theta,dtheta,psi"
-    assert len(rows) == len(profile15.r_nodes) + 1
-    first = [float(x) for x in rows[1].split(",")]
-    assert first == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_white_dwarf_profiles_finite_radius():

@@ -42,8 +42,7 @@ def test_constant_rotation_closed_form(scale15, grid15, eos15):
     beta = beta_from_omega(omega, scale15, eos15)
     assert cf.beta == pytest.approx(beta, rel=1e-13)
     assert np.allclose(cf.b, 0.25 * beta * grid15.r ** 2, rtol=1e-13)
-    # b(1) = beta/4 at varpi = 1
-    assert cf.b_at(1.0) == pytest.approx(beta / 4, rel=1e-12)
+    assert np.allclose(cf.db, 0.5 * beta * grid15.r, rtol=1e-13)
     # field is b(r sqrt(1-zeta^2))
     expect = 0.25 * beta * grid15.r[:, None] ** 2 * (1 - grid15.zeta[None, :] ** 2)
     assert np.max(np.abs(cf.g.values - expect)) < 1e-13 * beta
