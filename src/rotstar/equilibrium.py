@@ -43,6 +43,7 @@ from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,
+    CylinderMass,
     LinearizedCentrifugal,
     centrifugal_from_momentum,
     mass_within_cylinder,
@@ -420,22 +421,23 @@ def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int,
     )
 
 
-def _newton_products(grid: AxiGrid, fp: np.ndarray, factors):
+def _newton_products(grid: AxiGrid, fp: np.ndarray, lin: LinearizedCentrifugal | None):
     """The products x -> M x and y -> M^T y on packed vectors, for the Newton
-    matrix M = I - J - B: J at the state with rho'(u) = ``fp``, and B =
-    left right^T from the ``factors`` (left, right) of
-    ``centrifugal_deriv_matrix``, or 0 with ``factors`` None."""
+    matrix M = I - J - B: J at the state with rho'(u) = ``fp``, and B the
+    centrifugal linearization ``lin`` of a momentum law (None otherwise)."""
     def apply(x):
-        out = x - pack_modes(grid, _gravity_deriv_modes(grid, fp, unpack_modes(grid, x)))
-        if factors is not None:
-            out -= factors[0] @ (factors[1].T @ x)
-        return out
+        modes = unpack_modes(grid, x)
+        jh = _gravity_deriv_modes(grid, fp, modes)
+        if lin is not None:
+            jh += lin.apply_values(grid.synthesize(modes))
+        return x - pack_modes(grid, jh)
 
     def apply_t(y):
-        out = y - pack_modes(grid, _gravity_deriv_transposed(grid, fp, unpack_modes(grid, y)))
-        if factors is not None:
-            out -= factors[1] @ (factors[0].T @ y)
-        return out
+        modes = unpack_modes(grid, y)
+        jt = _gravity_deriv_transposed(grid, fp, modes)
+        if lin is not None:
+            jt += lin.apply_transpose(modes)
+        return y - pack_modes(grid, jt)
 
     return apply, apply_t
 
@@ -449,6 +451,7 @@ def hl_certificate(
     *,
     full_output: bool = False,
     preconditioner: list | None = None,
+    cyl: CylinderMass | None = None, like: LinearizedCentrifugal | None = None,
 ):
     """Smallest singular value of the discretized (I - D[gravity map]),
     including the centrifugal linearization for angular-momentum laws.
@@ -456,11 +459,11 @@ def hl_certificate(
     Uses the per-block decomposition when the state is spherical and no
     momentum law couples the modes.  Otherwise sigma_min of the Newton
     matrix M = I - J - B comes from block LOBPCG on M^T M (``_sigma_min_lobpcg``)
-    with no n x n matrix: M and M^T are applied matrix-free, J by
-    ``_gravity_deriv_modes`` and ``_gravity_deriv_transposed`` and a
-    momentum law's B by its factors (``centrifugal_deriv_matrix``), and the
-    iteration is preconditioned by D^-1 D^-T, with D the per-degree blocks
-    I - J_kk inverted on the star's support (``_factor_blocks``): those of
+    on the Newton solve's matrix-free products (``_newton_products``), with
+    a momentum law's B from ``centrifugal_deriv_matrix`` (a solve passes
+    the cylinder mass of u, ``cyl``, and its Newton linearization ``like``),
+    preconditioned by D^-1 D^-T, with D the per-degree blocks I - J_kk
+    inverted on the star's support (``_factor_blocks``): those of
     ``preconditioner`` if given, such as the Newton solve's that converged
     to u, and otherwise built at u.  A block that is not finite or is
     exactly singular on the support, or products that are not finite, give
@@ -481,8 +484,8 @@ def hl_certificate(
     if law is not None and scale is None:
         raise DomainError("angular-momentum certificate needs a ScaleSet")
     grid = u.grid
-    # B's factors first, so that blocks built here are not held while they are built
-    factors = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale)
+    # B first, so that blocks built here are not held while it is built
+    lin = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale, cyl, like)
     try:
         blocks = preconditioner
         if blocks is None:
@@ -492,7 +495,7 @@ def hl_certificate(
         note = "a preconditioner block is singular or not finite"
     else:
         apply, apply_t = _newton_products(
-            grid, _density_deriv_fine(grid, eos, u_center, modes), factors
+            grid, _density_deriv_fine(grid, eos, u_center, modes), lin
         )
 
         def precondition(r):
@@ -509,34 +512,13 @@ def hl_certificate(
 
 
 def centrifugal_deriv_matrix(
-    law: AngularMomentumLaw,
-    u: AxiField,
-    eos: EquationOfState,
-    scale: ScaleSet,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The centrifugal linearization B of a momentum law on packed vectors,
-    for the certificate, as its exact factors (left, right), B = left
-    right^T, each n x n_r; their n x n product is never formed.
-
-    They come from the factors of ``LinearizedCentrifugal``: right^T maps
-    packed h modes to the cylinder-mass response dm at the n_r grid radii,
-    and left maps dm to packed g modes, so B has rank <= n_r.
-    """
-    grid = u.grid
-    n, nr, rest = packed_size(grid), grid.n_r, (grid.n_l - 1, grid.n_r - 1, -1)
-    lin = LinearizedCentrifugal(law, u, eos, scale)
-    # each factor is written in place in the packed layout, and the response
-    # is freed before left is made: no more than two arrays of their size
-    # are held beside lin
-    dm = lin.dm_response()  # (n_l, n_q, n_r), n_q = n_r
-    right = np.empty((n, nr))
-    right[:nr] = dm[0].T
-    right[nr:].reshape(rest)[...] = dm[1:, :, 1:].transpose(0, 2, 1)
-    del dm
-    left = np.empty((n, nr))
-    np.matmul(lin.b_to_modes[0], lin.cum, out=left[:nr])
-    np.matmul(lin.b_to_modes[1:, 1:], lin.cum, out=left[nr:].reshape(rest))
-    return left, right
+    law: AngularMomentumLaw, u: AxiField, eos: EquationOfState, scale: ScaleSet,
+    cyl: CylinderMass | None = None, like: LinearizedCentrifugal | None = None,
+) -> LinearizedCentrifugal:
+    """The certificate's B: the ``LinearizedCentrifugal`` of a momentum law
+    at u, from u's cylinder mass ``cyl`` and the grid tables of ``like`` if
+    given.  The name is the one the benchmark's span on it wraps."""
+    return LinearizedCentrifugal(law, u, eos, scale, cyl, like)
 
 
 # ---------------------------------------------------------------------------
@@ -692,31 +674,6 @@ def _support_note(grid: AxiGrid, blocks: list) -> str:
     return f"support {nodes} of {grid.n_r} nodes"
 
 
-def _newton_step(
-    grid: AxiGrid,
-    fp: np.ndarray,
-    lin: LinearizedCentrifugal | None,
-    blocks: list,
-    rhs: np.ndarray,
-) -> tuple[np.ndarray, int, float]:
-    """Packed Newton step (I - J - B)^-1 rhs by GMRES; returns (step,
-    iterations, relative residual).
-
-    J is applied matrix-free at the state with rho'(u) = ``fp``, B through
-    the centrifugal linearization ``lin`` of a momentum law (None
-    otherwise), and the system is right-preconditioned by the block
-    inverses ``blocks`` of ``_factor_blocks``.
-    """
-    def apply(x):
-        modes = unpack_modes(grid, x)
-        jh = _gravity_deriv_modes(grid, fp, modes)
-        if lin is not None:
-            jh += lin.apply_values(grid.synthesize(modes))
-        return x - pack_modes(grid, jh)
-
-    return _gmres(apply, lambda x: _solve_blocks(grid, blocks, x), rhs)
-
-
 def _not_finite(history: list, U: np.ndarray) -> NoConvergence:
     """The error for an iteration whose residual stopped being finite: it
     names that iteration, the cause and the last finite residual."""
@@ -742,7 +699,8 @@ def _solve_modes(
     blocks: list | None = None,
     stats: dict,
 ):
-    """Newton iteration in mode space; returns (U, history, g_modes, blocks).
+    """Newton iteration in mode space; returns (U, history, g_modes, blocks,
+    cyl, lin): a momentum law's cylinder mass of U and the B of its Newton steps.
 
     ``blocks`` are the preconditioner's block inverses (``_factor_blocks``),
     built at the first Newton step if not given, and again at the step after
@@ -753,7 +711,7 @@ def _solve_modes(
     """
     history = []
     blocks_from = "carried from the family"
-    lin = None
+    lin = cyl = None
 
     for it in range(opts.max_iter + 1):
         if law is not None:
@@ -767,7 +725,7 @@ def _solve_modes(
         history.append(res)
         if res <= opts.tol:
             _log.debug("iter %2d  residual %.3e  converged", it, res)
-            return U, history, g_modes, blocks
+            return U, history, g_modes, blocks, cyl, lin
         if it == opts.max_iter:
             break
         if not np.isfinite(res):
@@ -783,7 +741,10 @@ def _solve_modes(
                 stats["preconditioner_builds"] += 1
                 built = f"built ({_support_note(grid, blocks)})"
                 blocks_from = f"of iteration {it}"
-            delta, inner, lin_res = _newton_step(grid, fp, lin, blocks, pack_modes(grid, rhs))
+            apply, _ = _newton_products(grid, fp, lin)
+            delta, inner, lin_res = _gmres(
+                apply, lambda x: _solve_blocks(grid, blocks, x), pack_modes(grid, rhs)
+            )
             stats["gmres_iterations"].append(inner)
             capped = inner == _GMRES_MAX_ITER and lin_res > _GMRES_RTOL
             _log.debug(
@@ -841,7 +802,7 @@ def solve_equilibrium(
     # non-finite residual (NoConvergence), not as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            U, history, g_modes, blocks = _solve_modes(
+            U, history, g_modes, blocks, cyl, lin = _solve_modes(
                 grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
                 blocks=preconditioner, stats=newton,
             )
@@ -851,7 +812,7 @@ def solve_equilibrium(
             _log.debug("Newton failed (%s); damped Picard from the start", exc)
             fallback = replace(opts, newton=False, max_iter=max(opts.max_iter * 4, 200))
             try:
-                U, history, g_modes, blocks = _solve_modes(
+                U, history, g_modes, blocks, cyl, lin = _solve_modes(
                     grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale, stats=newton
                 )
             except NoConvergence as picard:
@@ -873,7 +834,7 @@ def solve_equilibrium(
     if opts.certify:
         sigma, meta["certificate"] = hl_certificate(
             u_field, eos, u_center, law=law, scale=scale, full_output=True,
-            preconditioner=blocks,
+            preconditioner=blocks, cyl=cyl, like=lin,
         )
         if sigma < opts.hl_threshold:
             raise SingularLinearization(sigma, opts.hl_threshold)

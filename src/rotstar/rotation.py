@@ -16,7 +16,7 @@ import numpy as np
 
 from .eos import EquationOfState, ScaleSet, mass_unit, scaled_density, scaled_density_deriv
 from .errors import DivergentAxisIntegral, DomainError
-from .grids import AxiField, AxiGrid, cubic_spline, interp_matrix, panel_gauss, pchip
+from .grids import AxiField, AxiGrid, PiecewisePoly, cubic_spline, interp_matrix, panel_gauss, pchip
 
 
 @dataclass(frozen=True)
@@ -341,94 +341,69 @@ def centrifugal_from_momentum(
     return CentrifugalField(grid.r.copy(), b, db, g, g_modes, None)
 
 
+# basis splines per block of ``LinearizedCentrifugal.cum``
+_BASIS_BLOCK = 128
+
+
 class LinearizedCentrifugal:
-    """Linearization of the momentum-law centrifugal map at u, in factored form.
+    """Linearization B of the momentum-law centrifugal map at u, as a chain
+    of linear maps whose u-dependent coefficients are frozen here:
 
-    The derivative along a field perturbation h is a chain of linear maps
-    whose u-dependent coefficients are frozen here:
-
-    - h -> dm, the cylinder-mass response at the grid radii
-      (``dm_response`` on the even-mode basis);
+    - h -> dm, the cylinder-mass response at the grid radii: the rule's
+      quadrature of rho'(u) h (``fp_gauss``, ``fp_part``);
     - dm -> b, the cumulative centrifugal integral on the cubic-spline basis
       of the nonlinear path (``cum``);
     - b -> g modes, the projection of b(r sqrt(1 - zeta^2)) (``b_to_modes``).
 
-    The dense matrix is the product of these factors, so its rank is at most
-    n_r; ``apply_values`` runs the chain on nodal values.
+    ``apply_values`` runs the chain on nodal values and ``apply_transpose``
+    its transpose, so B (rank <= n_r) is never formed.  ``cyl``, if given,
+    is u's cylinder mass.  The rule and ``b_to_modes`` depend on the grid
+    alone: ``like``, the law's linearization at another state of u's grid,
+    lends them (a ValueError if it is on another grid).
     """
 
     def __init__(
-        self,
-        law: AngularMomentumLaw,
-        u: AxiField,
-        eos: EquationOfState,
-        scale: ScaleSet,
-        cyl: CylinderMass | None = None,
+        self, law: AngularMomentumLaw, u: AxiField, eos: EquationOfState, scale: ScaleSet,
+        cyl: CylinderMass | None = None, like: LinearizedCentrifugal | None = None,
     ):
-        grid = u.grid
-        self.grid = grid
+        self.grid = grid = u.grid
+        if like is not None and like.grid is not grid:
+            raise ValueError("like is a linearization on another grid")
         if cyl is None:
             cyl = mass_within_cylinder(u, eos, scale)
-        self.rule = CylinderRule(grid, grid.r)
-        self.fp_gauss = scaled_density_deriv(
-            grid.at_gauss(u.values, axis=0), eos, scale.u_center
-        )
+        self.rule = CylinderRule(grid, grid.r) if like is None else like.rule
+        self.fp_gauss = scaled_density_deriv(grid.at_gauss(u.values, axis=0), eos, scale.u_center)
         self.fp_part = scaled_density_deriv(
             self.rule.field_at_partials(u.values), eos, scale.u_center
         )
         self.mass_pref = 2.0 * math.pi * mass_unit(eos, scale)
+        self._transposed = None
 
         # cumulative map: dm samples at grid.r -> b samples at grid.r,
         # assembled on the cubic-spline basis used by the nonlinear path; the
-        # cardinal basis (one spline per unit vector) serves both point sets
+        # cardinal basis (one spline per unit vector) serves both point sets.
+        # It is integrated _BASIS_BLOCK splines at a time, so that no
+        # integrand of all n_r columns is held
         v, x = grid.r, grid.gauss_x
         basis = cubic_spline(v, np.eye(grid.n_r))
         m_at = cyl.at_scaled(x)
         pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
-        integrand = basis(x)
-        integrand *= (pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3)[:, None]
-        self.cum = grid.cumulative(integrand)  # (n_r, n_r basis)
-        del integrand  # before the projection's temporaries of the same size
+        weight = (pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3)[:, None]
+        self.cum = np.empty((grid.n_r, grid.n_r))  # (n_r, n_r basis)
+        for k in range(0, grid.n_r, _BASIS_BLOCK):
+            integrand = PiecewisePoly(v, basis.c[..., k : k + _BASIS_BLOCK])(x)
+            integrand *= weight
+            self.cum[:, k : k + _BASIS_BLOCK] = grid.cumulative(integrand)
+            del integrand
+        if like is not None:
+            self.b_to_modes = like.b_to_modes
+            return
 
         # b samples -> g modes (n_l, n_r, n_r basis): the fine-zeta projection
         # of the basis at the cylinder radii of every node
         varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
         self.b_to_modes = basis.weighted_sums(np.clip(varpi_fine, 0, v[-1]), grid.proj_f)
         self.b_to_modes[1:, 0, :] = 0.0
-
-    def dm_response(self) -> np.ndarray:
-        """Cylinder-mass response to each mode coefficient of h, shape
-        (n_l, n_q, n_r): entry [l, q, i] is d dm(varpi_q) / d h_l(r_i).
-
-        Built one zeta column at a time: the cumulative integral over complete
-        panels and the rule's partial-panel stencils, weighted by leg * zeta_w.
-        The complete panels are summed on the interpolation stencil, whose 4
-        nodes every Gauss point of a panel shares.
-        """
-        grid, rule = self.grid, self.rule
-        nq = len(rule.varpi)
-        rows = np.arange(nq)[:, None]
-        npan = grid.n_r - 1
-        panel_rows = np.arange(npan)[:, None]
-        panel_cols = grid.interp_cols[::4]
-        x2 = grid.gauss_x ** 2
-        out = np.zeros((grid.n_l, nq, grid.n_r))
-        prefix = np.zeros((grid.n_r, grid.n_r))
-        for j in range(grid.n_zeta):
-            vals = (x2 * self.fp_gauss[:, j])[:, None] * grid.interp_weights
-            vals *= grid.gauss_w[:, None]
-            prefix[1:] = 0.0
-            prefix[1:][panel_rows, panel_cols] = vals.reshape(npan, 4, 4).sum(axis=1)
-            np.cumsum(prefix[1:], axis=0, out=prefix[1:])
-            col = prefix[rule.kcut[:, j]]
-            part = np.einsum(
-                "qg,qgs->qs", rule.part_w[:, j] * self.fp_part[:, j], rule.part_coef[:, j]
-            )
-            np.add.at(col, (rows, rule.part_stencil[:, j]), part)
-            # one degree at a time, so that no temporary is as large as out
-            for l, weight in enumerate(self.mass_pref * grid.zeta_w[j] * grid.leg[:, j]):
-                out[l] += weight * col
-        return out
 
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:
         """g-mode response (n_l, n_r) for a nodal field perturbation."""
@@ -437,6 +412,37 @@ class LinearizedCentrifugal:
         dm = self.mass_pref * self.rule.integrate(gvals, pvals)
         b = self.cum @ dm
         return np.einsum("lib,b->li", self.b_to_modes, b)
+
+    def apply_transpose(self, y_modes: np.ndarray) -> np.ndarray:
+        """The transpose of h modes -> ``apply_values`` of their synthesis on
+        mode arrays (n_l, n_r), its factors in reverse order: ``b_to_modes``,
+        ``cum``, the cylinder integral (a suffix sum over the panels of the
+        weights scattered at each ray's cut ``kcut``), the complete and
+        partial panels' stencils (one scatter-add) and the synthesis."""
+        grid, rule, nj = self.grid, self.rule, self.grid.n_zeta
+        if self._transposed is None:
+            # the weights of each complete panel on the 4 stencil nodes its
+            # Gauss points share and of each partial panel on its own, and the
+            # flat indices of the cuts and of the stencils in (n_r, n_zeta)
+            npan, ray, weight = grid.n_r - 1, np.arange(nj), self.mass_pref * grid.zeta_w
+            x2w = (grid.gauss_x ** 2 * grid.gauss_w)[:, None] * self.fp_gauss
+            stencil = grid.interp_weights.reshape(npan, 4, 4)
+            part_w = rule.part_w * self.fp_part
+            self._transposed = (
+                weight * np.einsum("pgs,pgj->psj", stencil, x2w.reshape(npan, 4, nj)),
+                weight[:, None] * np.einsum("qjg,qjgs->qjs", part_w, rule.part_coef),
+                (rule.kcut * nj + ray).ravel(),
+                np.concatenate([(grid.interp_cols[::4, :, None] * nj + ray).ravel(),
+                                (rule.part_stencil * nj + ray[:, None]).ravel()]),
+            )
+        panel, part, cut, index = self._transposed
+        dm = self.cum.T @ (y_modes.ravel() @ self.b_to_modes.reshape(-1, grid.n_r))
+        at_cut = np.bincount(cut, np.repeat(dm, nj), minlength=grid.n_r * nj).reshape(-1, nj)
+        below = np.cumsum(at_cut[:0:-1], axis=0)[::-1]  # panel p: the cuts beyond it
+        weights = np.concatenate([(panel * below[:, None]).ravel(),
+                                  (part * dm[:, None, None]).ravel()])
+        h = np.bincount(index, weights, minlength=grid.n_r * nj)
+        return grid.leg @ h.reshape(-1, nj).T
 
 
 def centrifugal_deriv_apply(

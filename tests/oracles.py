@@ -233,15 +233,26 @@ def gravity_jacobian_packed(grid, eos, u_center, modes, *, out=None):
 
 def newton_matrix_dense(u, eos, u_center, law=None, scale=None):
     """The dense Newton matrix I - J - B at u, Fortran-ordered, with B the
-    product of the factors of ``equilibrium.centrifugal_deriv_matrix`` for a
-    momentum law (0 otherwise)."""
-    from rotstar.equilibrium import centrifugal_deriv_matrix, newton_matrix
+    dense ``centrifugal_deriv_dense`` of a momentum law (0 otherwise)."""
+    from rotstar.equilibrium import newton_matrix
+    from rotstar.rotation import LinearizedCentrifugal
 
     out = None
     if law is not None:
-        left, right = centrifugal_deriv_matrix(law, u, eos, scale)
-        out = np.asfortranarray(left @ right.T)
+        out = np.asfortranarray(centrifugal_deriv_dense(LinearizedCentrifugal(law, u, eos, scale)))
     return newton_matrix(gravity_jacobian_packed(u.grid, eos, u_center, u.modes(), out=out))
+
+
+def centrifugal_deriv_dense(lin):
+    """The dense B of a momentum law's ``LinearizedCentrifugal`` on packed
+    vectors, n x n: the cylinder-mass response ``dm_response_dense`` to the
+    packed h, then ``lin.cum`` and ``lin.b_to_modes`` to packed g modes."""
+    from rotstar.equilibrium import pack_modes
+
+    grid = lin.grid
+    right = pack_modes(grid, dm_response_dense(lin).transpose(0, 2, 1))  # (n, n_q)
+    left = pack_modes(grid, lin.b_to_modes @ lin.cum)  # (n, n_q)
+    return left @ right.T
 
 
 # block inverse iteration of ``sigma_min_lu``: block size
@@ -339,9 +350,26 @@ def cubic_spline_slopes_banded(x, y):
     return solve_banded((1, 1), ab, b.reshape(n, -1)).reshape(y.shape)
 
 
+def cumulative_map_dense(grid, law, cyl, scale):
+    """``LinearizedCentrifugal.cum`` in one piece, n_r x n_r: the cumulative
+    integral of the not-a-knot cubic spline through each unit vector
+    (scipy's ``CubicSpline``), weighted by 2 j j'(m) / x^3 at the Gauss
+    points, summed panel by panel from the axis."""
+    x = grid.gauss_x
+    m_at = cyl.at_scaled(x)
+    weight = 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3
+    weight /= scale.u_center * scale.length_scale ** 2
+    vals = CubicSpline(grid.r, np.eye(grid.n_r))(x) * (grid.gauss_w * weight)[:, None]
+    panels = vals.reshape(grid.n_r - 1, 4, grid.n_r).sum(axis=1)
+    return np.vstack([np.zeros(grid.n_r), np.cumsum(panels, axis=0)])
+
+
 def dm_response_dense(lin):
-    """``LinearizedCentrifugal.dm_response`` from the dense (n_gauss x n_r)
-    interpolation matrix, one zeta column at a time."""
+    """The cylinder-mass response of a ``LinearizedCentrifugal`` to each
+    mode coefficient of h, shape (n_l, n_q, n_r): entry [l, q, i] is
+    d dm(varpi_q) / d h_l(r_i).  Built from the dense (n_gauss x n_r)
+    interpolation matrix and the rule's partial-panel stencils, one zeta
+    column at a time."""
     from rotstar.grids import interp_matrix
 
     grid, rule = lin.grid, lin.rule

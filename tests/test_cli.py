@@ -278,12 +278,23 @@ def test_json_config_equivalent(tmp_path):
     assert config_hash(ini_cfg) == config_hash(json_cfg)
 
 
-def test_deterministic_outputs(tmp_path):
-    cfg = _write(tmp_path, LANE_EMDEN_INI)
+@pytest.mark.parametrize("kind", ["lane-emden", "momentum-solve"])
+def test_deterministic_outputs(tmp_path, kind):
+    # the certified momentum-law solve at 64x12xl4 includes its certificate's
+    # LOBPCG, whose start is seeded, and B's transposed products
+    ini, names = {
+        "lane-emden": (LANE_EMDEN_INI, ("lane_emden.json", "profile.csv", "manifest.json")),
+        "momentum-solve": (
+            MOMENTUM_SOLVE_INI.replace("n_r = 128\nn_zeta = 16", "n_r = 64\nn_zeta = 12"),
+            ("solution.json", "boundary.csv", "manifest.json"),
+        ),
+    }[kind]
+    assert "n_r = 64" in ini and "certify = false" not in ini
+    cfg = _write(tmp_path, ini)
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["--config", str(cfg), "--out", str(out1)]) == 0
     assert main(["--config", str(cfg), "--out", str(out2)]) == 0
-    for name in ("lane_emden.json", "profile.csv", "manifest.json"):
+    for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 

@@ -46,6 +46,7 @@ from oracles import (
     axigrid_kernels_loop,
     block_sigma_min_dense,
     block_solve_lu,
+    centrifugal_deriv_dense,
     dense_newton_step,
     free_boundary_per_ray,
     gravity_jacobian_dense,
@@ -350,6 +351,10 @@ def test_momentum_law_solve(eos15, profile15, scale15):
 
 
 def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale15):
+    # the certificate's B, probed column by column through its products with
+    # packed unit vectors, is the dense oracle's B, and its transposed
+    # products are B^T; the same B comes from the grid tables of a
+    # linearization at another state (the Newton solve's)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
     u0 = initial_field_from_profile(grid, profile15)
@@ -357,20 +362,21 @@ def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale
     cyl = mass_within_cylinder(u, eos15, scale15)
     ms = np.linspace(0, 1.3 * cyl.total, 60)
     law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
-    left, right = centrifugal_deriv_matrix(law, u, eos15, scale15)
-    # B's exact factors, n x n_r each
-    assert left.shape == right.shape == (packed_size(grid), grid.n_r)
-    mat = left @ right.T
-    # reference: apply the linearization to each packed unit mode
-    lin = LinearizedCentrifugal(law, u, eos15, scale15)
+    lin = centrifugal_deriv_matrix(law, u, eos15, scale15)
+    newton = LinearizedCentrifugal(law, u0, eos15, scale15)
+    shared = centrifugal_deriv_matrix(law, u, eos15, scale15, cyl, like=newton)
+    want = centrifugal_deriv_dense(LinearizedCentrifugal(law, u, eos15, scale15))
     n = packed_size(grid)
-    probe = np.empty((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        probe[:, k] = pack_modes(grid, lin.apply_values(grid.synthesize(unpack_modes(grid, e))))
-    assert np.max(np.abs(mat - probe)) <= 1e-12 * np.max(np.abs(probe))
-    assert np.linalg.matrix_rank(mat) <= grid.n_r
+    for b in (lin, shared):
+        probe, probe_t = np.empty((n, n)), np.empty((n, n))
+        for k, e in enumerate(np.eye(n)):
+            modes = unpack_modes(grid, e)
+            probe[:, k] = pack_modes(grid, b.apply_values(grid.synthesize(modes)))
+            probe_t[:, k] = pack_modes(grid, b.apply_transpose(modes))
+        assert np.max(np.abs(probe - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(probe_t - want.T)) <= 1e-12 * np.max(np.abs(want))
+    assert shared.b_to_modes is newton.b_to_modes and shared.cum is not newton.cum
+    assert np.linalg.matrix_rank(probe) <= grid.n_r
 
 
 def test_newton_fallback_keeps_newton_history(eos15, profile15):
@@ -564,33 +570,34 @@ def _momentum_law(u0, eos, scale):
 def test_certificate_builds_no_n_by_n_matrix(monkeypatch):
     # the certificate at a rotating state holds nothing n x n: lu_factor
     # inverts only the support corners of the n_l per-degree blocks, each at
-    # most n_r x n_r, and a momentum law's B comes as two n x n_r factors
+    # most n_r x n_r, and a momentum law's B is built once, as the
+    # matrix-free LinearizedCentrifugal
     u, eos, law, scale = _converged_state("momentum", 1.5, (64, 12, 4))
     grid = u.grid
-    inverted, factors = [], []
+    inverted, builds = [], []
 
     def recorded_inverse(corner):
         inverted.append(corner.shape)
         return inverse_orig(corner)
 
-    def recorded_factors(*args, **kwargs):
-        out = factors_orig(*args, **kwargs)
-        factors.append([a.shape for a in out])
+    def recorded_build(*args, **kwargs):
+        out = build_orig(*args, **kwargs)
+        builds.append(type(out))
         return out
 
-    inverse_orig, factors_orig = equilibrium.lu_factor, equilibrium.centrifugal_deriv_matrix
+    inverse_orig, build_orig = equilibrium.lu_factor, equilibrium.centrifugal_deriv_matrix
     monkeypatch.setattr(equilibrium, "lu_factor", recorded_inverse)
-    monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", recorded_factors)
+    monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", recorded_build)
     hl_certificate(u, eos, 1.0)
     hl_certificate(u, eos, 1.0, law=law, scale=scale)
     assert len(inverted) == 2 * grid.n_l
     assert all(rows == cols <= grid.n_r for rows, cols in inverted)
-    assert factors == [[(packed_size(grid), grid.n_r)] * 2]
+    assert builds == [LinearizedCentrifugal]
 
 
 def test_certificate_memory_stays_below_one_n_by_n_matrix():
     # with no n x n matrix the certificate's traced peak, the momentum law's
-    # factors and the block inverses included, is below n^2 doubles
+    # B and the block inverses included, is below n^2 doubles
     import tracemalloc
 
     u, eos, law, scale = _converged_state("momentum", 1.5, (256, 32, 8))
@@ -621,7 +628,8 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
     # of the Jacobian are formed, n_l of them per preconditioner build, each
     # in its own buffer and inverted on the star's support by one lu_factor
     # call of at most n_r x n_r; nothing else is factored without the
-    # certificate, and no centrifugal factors are built
+    # certificate, and neither the certificate's B nor a transposed product
+    # of the Newton solve's B is built
     def forbidden(*args, **kwargs):
         raise AssertionError("certificate work on the solve path")
 
@@ -638,6 +646,7 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
 
     monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", forbidden)
     monkeypatch.setattr(equilibrium, "hl_certificate", forbidden)
+    monkeypatch.setattr(LinearizedCentrifugal, "apply_transpose", forbidden)
     monkeypatch.setattr(equilibrium, "newton_matrix", recording_newton_matrix)
     monkeypatch.setattr(equilibrium, "lu_factor", recording_lu_factor)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
@@ -785,6 +794,46 @@ def test_jacobian_build_reuses_the_iterate_cylinder_mass(eos15, profile15, scale
     )
     assert len(builds) == 1
     assert len(calls) == len(sol.residual_history)
+
+
+def test_certificate_reuses_the_converged_cylinder_mass(eos15, profile15, scale15, monkeypatch):
+    # a certified momentum solve evaluates the cylinder mass once per
+    # residual, and the certificate's B takes the last one, of the converged
+    # state, with the grid tables of the Newton solve's linearization
+    from rotstar import rotation
+
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    u0 = initial_field_from_profile(grid, profile15)
+    law = _momentum_law(u0, eos15, scale15)
+    calls, in_certificate, passed = [], [], {}
+    certificate = equilibrium.hl_certificate
+
+    def counting(*args, **kwargs):
+        calls.append(bool(in_certificate))
+        return mass_within_cylinder(*args, **kwargs)
+
+    def certifying(*args, **kwargs):
+        passed.update(kwargs)
+        in_certificate.append(1)
+        try:
+            return certificate(*args, **kwargs)
+        finally:
+            in_certificate.pop()
+
+    monkeypatch.setattr(rotation, "mass_within_cylinder", counting)
+    monkeypatch.setattr(equilibrium, "mass_within_cylinder", counting)
+    monkeypatch.setattr(equilibrium, "hl_certificate", certifying)
+    sol = solve_equilibrium(None, eos15, 1.0, u0, SolverOptions(), law=law, scale=scale15)
+    assert sol.hl_sigma_min > 1e-3
+    assert len(calls) == len(sol.residual_history)
+    assert not any(calls)
+    monkeypatch.undo()
+    # the state handed over is the converged one: the certificate of the
+    # solution alone gives the same sigma
+    assert passed["like"].grid is sol.u.grid
+    assert np.array_equal(passed["cyl"].mass, mass_within_cylinder(sol.u, eos15, scale15).mass)
+    alone = certificate(sol.u, eos15, 1.0, law=law, scale=scale15)
+    assert abs(alone - sol.hl_sigma_min) <= 1e-13 * sol.hl_sigma_min
 
 
 # ---------------------------------------------------------------------------
@@ -939,9 +988,9 @@ def test_newton_products_are_adjoint(kind, size):
     # of which is the dense Newton matrix's product
     u, eos, law, scale = _converged_state(kind, 1.5, size)
     grid = u.grid
-    factors = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale)
+    lin = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale)
     fp = equilibrium._density_deriv_fine(grid, eos, 1.0, u.modes())
-    apply, apply_t = equilibrium._newton_products(grid, fp, factors)
+    apply, apply_t = equilibrium._newton_products(grid, fp, lin)
     mat = newton_matrix_dense(u, eos, 1.0, law, scale)
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -950,6 +999,36 @@ def test_newton_products_are_adjoint(kind, size):
         assert abs(mx @ y - x @ mty) <= 1e-13 * np.linalg.norm(mx) * np.linalg.norm(y)
         assert np.linalg.norm(mx - mat @ x) <= 1e-13 * np.linalg.norm(mx)
         assert np.linalg.norm(mty - mat.T @ y) <= 1e-13 * np.linalg.norm(mty)
+
+
+@pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
+def test_centrifugal_products_are_adjoint(size):
+    # <B x, y> = <x, B^T y> for a momentum law's B alone, on packed vectors,
+    # and each product is the dense oracle's; the B built with the grid
+    # tables of a linearization at another state gives the same bits
+    u, eos, law, scale = _converged_state("momentum", 1.5, size)
+    grid = u.grid
+    lin = LinearizedCentrifugal(law, u, eos, scale)
+    other = LinearizedCentrifugal(law, AxiField(grid, 0.98 * u.values), eos, scale)
+    shared = LinearizedCentrifugal(law, u, eos, scale, like=other)
+    mat = centrifugal_deriv_dense(lin)
+    rng = np.random.default_rng(13)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, packed_size(grid)))
+        bx = pack_modes(grid, lin.apply_values(grid.synthesize(unpack_modes(grid, x))))
+        bty = pack_modes(grid, lin.apply_transpose(unpack_modes(grid, y)))
+        assert abs(bx @ y - x @ bty) <= 1e-13 * np.linalg.norm(bx) * np.linalg.norm(y)
+        assert np.linalg.norm(bx - mat @ x) <= 1e-13 * np.linalg.norm(bx)
+        assert np.linalg.norm(bty - mat.T @ y) <= 1e-13 * np.linalg.norm(bty)
+        assert np.array_equal(
+            pack_modes(grid, shared.apply_values(grid.synthesize(unpack_modes(grid, x)))), bx
+        )
+        assert np.array_equal(pack_modes(grid, shared.apply_transpose(unpack_modes(grid, y))), bty)
+    assert np.array_equal(shared.cum, lin.cum) and not np.array_equal(other.cum, lin.cum)
+    # a linearization on another grid lends no tables
+    twin = AxiGrid.build(grid.r_inf, n_r=size[0], n_zeta=size[1], l_max=size[2], focus=grid.r[1])
+    with pytest.raises(ValueError, match="another grid"):
+        LinearizedCentrifugal(law, AxiField(twin, u.values), eos, scale, like=lin)
 
 
 @pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
@@ -963,13 +1042,17 @@ def test_gmres_newton_step_matches_dense_lu(kind, nu, size):
     lin, b_matrix = None, None
     if law is not None:
         lin = LinearizedCentrifugal(law, u, eos, scale)
-        left, right = centrifugal_deriv_matrix(law, u, eos, scale)
-        b_matrix = left @ right.T
+        b_matrix = centrifugal_deriv_dense(lin)
     rhs = np.random.default_rng(7).standard_normal(packed_size(grid))
     want = dense_newton_step(grid, eos, 1.0, modes, rhs, b_matrix)
+    # the Newton step as the solve takes it: GMRES on the products with M,
+    # right-preconditioned by the block inverses
     fp = equilibrium._density_deriv_fine(grid, eos, 1.0, modes)
     blocks = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
-    got, inner, lin_res = equilibrium._newton_step(grid, fp, lin, blocks, rhs)
+    apply, _ = equilibrium._newton_products(grid, fp, lin)
+    got, inner, lin_res = equilibrium._gmres(
+        apply, lambda x: equilibrium._solve_blocks(grid, blocks, x), rhs
+    )
     assert inner < equilibrium._GMRES_MAX_ITER and lin_res <= equilibrium._GMRES_RTOL
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -1107,7 +1190,7 @@ def test_singular_or_nonfinite_preconditioner_block_certifies_zero(eos15, profil
 @pytest.mark.parametrize("product", ["J-nan", "J-transposed-overflow", "B-nan"])
 def test_nonfinite_products_certify_zero(product, monkeypatch):
     # with finite preconditioner blocks, a product with M or M^T that is not
-    # finite, from J or from a factor of a momentum law's B, gives
+    # finite, from J or from a momentum law's B, gives
     # sigma = 0.0, "not certified", with no bound and no warning escaping
     kind = "momentum" if product == "B-nan" else "rigid"
     u, eos, law, scale = _converged_state(kind, 1.5, (64, 12, 4))
@@ -1122,12 +1205,12 @@ def test_nonfinite_products_certify_zero(product, monkeypatch):
             equilibrium, "_gravity_deriv_transposed", lambda *args: deriv_t(*args) * 1e308 * 1e308
         )
     else:
-        factors = equilibrium.centrifugal_deriv_matrix
+        build = equilibrium.centrifugal_deriv_matrix
 
         def with_nan(*args):
-            left, right = factors(*args)
-            left[5, 0] = np.nan
-            return left, right
+            lin = build(*args)
+            lin.cum[5, 0] = np.nan
+            return lin
 
         monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", with_nan)
     with warnings.catch_warnings():

@@ -20,6 +20,7 @@ from rotstar import (
 from rotstar.errors import DivergentAxisIntegral, DomainError
 from rotstar import rotation
 from rotstar.grids import interp_matrix
+from oracles import cumulative_map_dense
 from rotstar.rotation import (
     CylinderRule,
     LinearizedCentrifugal,
@@ -27,7 +28,6 @@ from rotstar.rotation import (
     _field_from_b,
     rigid_rotation,
 )
-from oracles import dm_response_dense
 
 
 def test_zero_rotation(scale15, grid15):
@@ -217,6 +217,23 @@ def test_momentum_deriv_finite_difference_order(theta15, eos15, scale15):
     assert order >= 1.0 - 0.05
 
 
+@pytest.mark.parametrize("n_r", [64, 300])
+def test_linearization_cum_matches_the_whole_basis(n_r, profile15, eos15, scale15):
+    # cum is built a block of basis splines at a time (at n_r = 300 three
+    # blocks, the last one partial); it is the map of the whole basis at
+    # once, also when another linearization lends the grid tables
+    grid = AxiGrid.build(profile15.r_inf, n_r=n_r, n_zeta=8, l_max=2, focus=profile15.xi1)
+    u = initial_field_from_profile(grid, profile15)
+    cyl = mass_within_cylinder(u, eos15, scale15)
+    ms = np.linspace(0, 1.3 * cyl.total, 60)
+    law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
+    lin = LinearizedCentrifugal(law, u, eos15, scale15, cyl)
+    shared = LinearizedCentrifugal(law, u, eos15, scale15, cyl, like=lin)
+    want = cumulative_map_dense(grid, law, cyl, scale15)
+    assert np.max(np.abs(lin.cum - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(shared.cum, lin.cum)
+
+
 def _oblate_state(theta):
     grid = theta.grid
     p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
@@ -275,25 +292,6 @@ def test_cylinder_rule_batches_interpolation(theta15, monkeypatch):
     monkeypatch.setattr(rotation, "interp_matrix", counting)
     CylinderRule(grid, _default_varpi_samples(grid, _oblate_state(theta15)))
     assert 0 < len(calls) <= grid.n_zeta
-
-
-def test_dm_response_matches_dense_interpolation(eos15, scale15, profile15):
-    # the complete panels summed on the interpolation stencil give the dense
-    # interp product, on 64 nodes (clipped end stencils) and 160
-    for grid in (
-        AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1),
-        AxiGrid.build(profile15.r_inf, n_r=160, n_zeta=16, l_max=8, focus=profile15.xi1),
-    ):
-        p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
-        theta = initial_field_from_profile(grid, profile15)
-        u = AxiField(grid, theta.values - 0.03 * grid.r[:, None] ** 2 * p2)
-        cyl = mass_within_cylinder(u, eos15, scale15)
-        ms = np.linspace(0, 1.3 * cyl.total, 60)
-        lin = LinearizedCentrifugal(
-            AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total), u, eos15, scale15, cyl
-        )
-        want = dm_response_dense(lin)
-        assert np.max(np.abs(lin.dm_response() - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_law_validation():
