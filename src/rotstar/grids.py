@@ -18,6 +18,7 @@ cumulative trapezoid, in numpy alone.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,21 @@ class PiecewisePoly:
             if m:
                 power = power * s
         return out.reshape(t.shape + self.c.shape[2:])
+
+    def at(self, t: float) -> float:
+        """The value at one point t of a scalar-valued polynomial: the
+        arithmetic of ``__call__`` in the same order, on Python floats, so
+        that the result is bitwise the same."""
+        k = min(max(bisect_right(self.x, t) - 1, 0), len(self.x) - 2)
+        s = t - float(self.x[k])
+        c = self.c[:, k].tolist()
+        out = c[-1]
+        power = s
+        for m in range(len(c) - 2, -1, -1):
+            out = out + c[m] * power
+            if m:
+                power = power * s
+        return out
 
     def weighted_sums(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """out[l, i] = sum_a weights[l, a] f(t[i, a]) for 2-D t.

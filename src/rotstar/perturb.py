@@ -6,12 +6,12 @@ integral representation with the two-sided kernel (min/max)^degree, the
 multipole potential's radial kernel (``grids.RadialKernel``); the degree-2
 mode carries the oblateness and the degree-0 mode is a Volterra equation.
 Each mode operator is that kernel times the density response times the
-local-cubic interpolation, assembled by ``RadialKernel.blocks``, and the mode
-is found by one direct linear solve.  A damped contraction iteration
-from a prescribed start checks that homogeneous modes of degree >= 4 decay
-to zero.  ``mode_shooting`` integrates the underlying second-order ODE
-instead, by the Dormand-Prince steps of ``radial``, as an independent
-validation path.
+local-cubic interpolation, applied matrix-free by ``RadialKernel.apply``, and
+the mode is found by GMRES on that operator with one refinement pass.  A
+damped contraction iteration from a prescribed start checks that homogeneous
+modes of degree >= 4 decay to zero.  ``mode_shooting`` integrates the
+underlying second-order ODE instead, by the Dormand-Prince steps of
+``radial``, as an independent validation path.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .errors import DomainError, NoConvergence
 from .grids import (
     AxiGrid,
     RadialKernel,
+    apply_stencil,
     clustered_nodes,
     cubic_spline,
     interp_matrix,  # noqa: F401 - unused here; bench/test_bench.py requires perturb to hold it
@@ -32,14 +33,15 @@ from .grids import (
     panel_gauss,
 )
 from .radial import RadialProfile, _dp_steps, _quintic_hermite
-from .equilibrium import gravity_jacobian_packed, newton_matrix
+from .equilibrium import _gmres, gravity_jacobian_packed, newton_matrix
 from .rotation import rigid_rotation
 
 
 @dataclass
 class ModeGrid:
     """Panel-Gauss quadrature on (0, xi1] with the profile data cached; it
-    holds nothing n_gauss x n_nodes (``_mode_operator`` takes the stencil)."""
+    holds nothing n_gauss x n_nodes (``_mode_operator`` takes the stencil, and
+    no mode matrix is formed)."""
 
     r: np.ndarray
     gauss_x: np.ndarray
@@ -62,22 +64,33 @@ class ModeGrid:
         return cls(nodes, x, w, q, profile.psi_at(nodes))
 
 
-def _mode_operator(mg: ModeGrid, degree: int) -> np.ndarray:
-    """Dense matrix of the linear mode map y -> kernel(q y) at the nodes, the
-    kernel being the multipole potential's radial kernel of this degree,
-    assembled as ``RadialKernel.blocks`` on the mode grid's nodes.
+class _ModeOperator:
+    """The linear mode map y -> kernel(q y) at the nodes, matrix-free: the
+    local-cubic stencil takes y to the Gauss points, and ``RadialKernel.apply``
+    sums the multipole potential's radial kernel of the degree over them in
+    O(n).  ``op @ y`` is the product; no n x n matrix is formed.
 
-    Degree 0 subtracts the matrix's first row (the first node lies below
-    every Gauss point, so the kernel's first row is x w): what is left is
-    x (x/r - 1) w on x < r, the Volterra form that pins the center value.
+    Degree 0 subtracts the first entry of the product (the first node lies
+    below every Gauss point, so the kernel's first row is x w): what is left
+    is x (x/r - 1) w on x < r, the Volterra form that pins the center value.
     """
-    kernel = RadialKernel(
-        mg.r, mg.gauss_x, mg.gauss_w, [degree], *interp_stencil(mg.r, mg.gauss_x)
-    )
-    op = kernel.blocks(0, mg.q_gauss[:, None])[0].T
-    if degree == 0:
-        op -= op[0]
-    return op
+
+    def __init__(self, mg: ModeGrid, degree: int):
+        self.stencil = interp_stencil(mg.r, mg.gauss_x)
+        self.kernel = RadialKernel(mg.r, mg.gauss_x, mg.gauss_w, [degree], *self.stencil)
+        self.q = mg.q_gauss
+        self.volterra = degree == 0
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        out = self.kernel.apply(self.q * apply_stencil(*self.stencil, y))[0]
+        if self.volterra:
+            out -= out[0]
+        return out
+
+
+def _mode_operator(mg: ModeGrid, degree: int) -> _ModeOperator:
+    """The mode operator of this degree on the mode grid (``_ModeOperator``)."""
+    return _ModeOperator(mg, degree)
 
 
 # damped contraction from a prescribed start (the homogeneous decay check)
@@ -86,7 +99,7 @@ _TOL = 5e-14
 _MAX_ITER = 800
 
 
-def _contract(op: np.ndarray, inhom: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
+def _contract(op: _ModeOperator, inhom: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, int]:
     """Damped fixed-point iteration y <- inhom + op y; returns (y, number of steps)."""
     steps = []
     for it in range(1, _MAX_ITER + 1):
@@ -99,6 +112,10 @@ def _contract(op: np.ndarray, inhom: np.ndarray, y: np.ndarray) -> tuple[np.ndar
         f"mode iteration stalled after {_MAX_ITER} steps (step {steps[-1]:.2e})",
         residual_history=steps,
     )
+
+
+def _unpreconditioned(v: np.ndarray) -> np.ndarray:
+    return v
 
 
 @dataclass
@@ -132,12 +149,15 @@ def solve_mode(
         y = source + (far_coefficient r^degree + two-sided kernel of q y)/(2 degree + 1)
     (degree = 0: the Volterra form with the center value pinned to
     source(0), = 0 for polynomial sources).  ``source`` is a callable of r
-    or None.  The mode operator is assembled once as a dense matrix A and
-    the equation is solved directly, y = (I - A)^-1 inhom (``iterations``
-    is 1).  With an ``initial`` callable the damped contraction iteration
-    runs from that start instead; for degree >= 4 the map contracts like
-    3/(2 degree + 1) in the y/psi-weighted norm, and a stall raises
-    NoConvergence.  ``mode_shooting`` is the independent ODE oracle.
+    or None.  The mode operator A is applied matrix-free (``_mode_operator``)
+    and (I - A) y = inhom is solved by the package's GMRES with no
+    preconditioner, then refined by one more GMRES pass on its residual,
+    which takes the residual from about 1e-12 to round-off; ``iterations``
+    counts the Krylov iterations of both.  With an ``initial`` callable the
+    damped contraction iteration runs from that start instead; for
+    degree >= 4 the map contracts like 3/(2 degree + 1) in the y/psi-weighted
+    norm, and a stall raises NoConvergence.  ``mode_shooting`` is the
+    independent ODE oracle.
     """
     if degree % 2 != 0 or degree < 0:
         raise DomainError("mode degree must be a nonnegative even integer")
@@ -148,8 +168,12 @@ def solve_mode(
     )
     op = _mode_operator(mg, degree)
     if initial is None:
-        y = np.linalg.solve(np.eye(mg.r.size) - op, inhom)
-        it = 1
+        def apply(v):
+            return v - op @ v
+
+        y, it, _ = _gmres(apply, _unpreconditioned, inhom)
+        fix, more, _ = _gmres(apply, _unpreconditioned, inhom - apply(y))
+        y, it = y + fix, it + more
     else:
         y, it = _contract(op, inhom, np.asarray(initial(mg.r), dtype=float))
     resid = float(np.max(np.abs(inhom + op @ y - y)))

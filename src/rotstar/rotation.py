@@ -272,7 +272,10 @@ def _default_varpi_samples(grid: AxiGrid, u: AxiField) -> np.ndarray:
         lo = grid.r[max(k - 1, 0)]
         hi = grid.r[min(k + 2, grid.n_r - 1)]
         samples.extend(np.linspace(lo, hi, 41)[1:-1])
-    return np.unique(np.asarray(samples))
+    # sorted, each value once: np.unique's result, without the numpy.ma import
+    # it makes on float input
+    samples = np.sort(np.asarray(samples))
+    return samples[np.concatenate(([True], samples[1:] != samples[:-1]))]
 
 
 def mass_within_cylinder(

@@ -177,6 +177,20 @@ def mode_operator_dense(mg, degree):
     return ker @ interp_matrix(mg.r, mg.gauss_x) / (2.0 * degree + 1.0)
 
 
+def solve_mode_dense(profile, eos, u_center, degree, source=None, far_coefficient=0.0,
+                     n_nodes=700):
+    """``perturb.solve_mode``'s mode values by one dense direct solve,
+    y = (I - A)^-1 inhom, with A the n x n matrix of ``mode_operator_dense``."""
+    from rotstar.perturb import ModeGrid
+
+    mg = ModeGrid.build(profile, eos, u_center, n_nodes)
+    src = np.zeros_like(mg.r) if source is None else np.asarray(source(mg.r), float)
+    inhom = src + (
+        far_coefficient * mg.r ** degree / (2.0 * degree + 1.0) if degree > 0 else 0.0
+    )
+    return np.linalg.solve(np.eye(mg.r.size) - mode_operator_dense(mg, degree), inhom)
+
+
 def block_sigma_min_dense(grid, q):
     """Smallest singular value of I - (degree-l block) per even degree l, for
     a spherical state with rho'(u) = ``q`` at the Gauss radii."""

@@ -278,12 +278,15 @@ def test_json_config_equivalent(tmp_path):
     assert config_hash(ini_cfg) == config_hash(json_cfg)
 
 
-@pytest.mark.parametrize("kind", ["lane-emden", "momentum-solve"])
+@pytest.mark.parametrize("kind", ["lane-emden", "oblateness", "momentum-solve"])
 def test_deterministic_outputs(tmp_path, kind):
     # the certified momentum-law solve at 64x12xl4 includes its certificate's
     # LOBPCG, whose start is seeded, and B's transposed products
     ini, names = {
         "lane-emden": (LANE_EMDEN_INI, ("lane_emden.json", "profile.csv", "manifest.json")),
+        "oblateness": (
+            OBLATENESS_MEASURED_INI, ("oblateness.json", "xi1_curve.csv", "manifest.json"),
+        ),
         "momentum-solve": (
             MOMENTUM_SOLVE_INI.replace("n_r = 128\nn_zeta = 16", "n_r = 64\nn_zeta = 12"),
             ("solution.json", "boundary.csv", "manifest.json"),
@@ -737,6 +740,21 @@ def test_scipy_linalg_probe_sees_an_import(tmp_path):
     code = "import scipy.linalg\n" + _RUN_AND_LIST_LINALG
     out = _fresh_python(code, str(cfg), str(tmp_path / "out"))
     assert out == "0 True"
+
+
+def test_momentum_solve_leaves_out_numpy_ma(tmp_path):
+    # np.unique on a float array imports numpy.ma (about 5 ms and 1 MB in a
+    # fresh process); the cylinder mass's radii are deduplicated without it.
+    # numpy 1.x imports numpy.ma with numpy itself, so only the run is checked
+    cfg = _write(tmp_path, MOMENTUM_SOLVE_INI)
+    code = (
+        "import sys\n"
+        "from rotstar.cli import main\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, 'numpy.ma' in sys.modules and not before)\n"
+    )
+    assert _fresh_python(code, str(cfg), str(tmp_path / "out")) == "0 False"
 
 
 def test_lane_emden_refuses_an_outer_radius_too_large(tmp_path):

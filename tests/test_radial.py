@@ -183,3 +183,22 @@ def test_given_outer_radius_keeps_the_same_zero(profile15, eos15):
     assert prof.xi1 == profile15.xi1 and prof.mu1 == profile15.mu1
     r = np.linspace(0.0, profile15.xi1, 500)
     assert np.array_equal(prof.theta_at(r), profile15.theta_at(r))
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5, 3.0])
+def test_scalar_evaluation_is_bitwise_the_array_path(nu):
+    # one radius at a time, as the shooting path's ODE stages call it: the
+    # series below 1e-4, the dense output above, both ends of the range
+    eos = EquationOfState.from_index(nu)
+    prof = solve_lane_emden(eos, 1.0)
+    r = np.concatenate((
+        [0.0, 1e-12, np.nextafter(1e-4, 0.0), 1e-4], np.logspace(-9.0, -4.0, 100),
+        np.linspace(0.0, prof.r_inf, 1000), prof.r_nodes, [prof.xi1, prof.r_inf],
+    ))
+    for at in (prof.theta_at, prof.psi_at):
+        one = np.array([at(float(x)) for x in r])
+        assert np.array_equal(one.view(np.int64), at(r).view(np.int64))
+    with pytest.raises(DomainError):
+        prof.theta_at(-1e-9)
+    with pytest.raises(DomainError):
+        prof.theta_at(prof.r_inf * 1.01)
