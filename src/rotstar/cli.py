@@ -356,7 +356,6 @@ def cmd_kernel_check(config, writer):
     out = potential_modes_from_samples(grid, samples)
     ball_err = float(np.max(np.abs(out[0] - uniform_ball_potential(R, grid.r))))
     # multipole vs direct on a band-limited smooth field
-    rng = np.random.default_rng(2024)
     modes = np.zeros((grid.n_l, grid.n_r))
     modes[0] = np.exp(-grid.r ** 2)
     for k in range(1, grid.n_l):

@@ -150,10 +150,12 @@ def scaled_density(u, eos: EquationOfState, u_center: float):
     u = np.asarray(u, dtype=float)
     _check_white_dwarf_domain(u, eos, u_center)
     up = np.maximum(u, 0.0)
-    out = up ** eos.nu
-    if eos.kind == WHITE_DWARF:
-        out = out * (1.0 + eos.lambda_rho(u_center * up))
-    return out if out.ndim else float(out)
+    # in place: this runs on the fine field at every residual evaluation
+    lam = 1.0 + eos.lambda_rho(u_center * up) if eos.kind == WHITE_DWARF else None
+    up **= eos.nu
+    if lam is not None:
+        up *= lam
+    return up if up.ndim else float(up)
 
 
 def scaled_density_deriv(u, eos: EquationOfState, u_center: float):
@@ -164,12 +166,16 @@ def scaled_density_deriv(u, eos: EquationOfState, u_center: float):
     """
     u = np.asarray(u, dtype=float)
     _check_white_dwarf_domain(u, eos, u_center)
-    up = np.where(u > 0.0, u, 1.0)  # placeholder positive value under the mask
-    core = eos.nu * up ** (eos.nu - 1.0)
-    if eos.kind == WHITE_DWARF:
-        core = core * (1.0 + eos.lambda_rho_prime(u_center * up))
-    out = np.where(u > 0.0, core, 0.0)
-    return out if out.ndim else float(out)
+    inside = u > 0.0
+    up = np.where(inside, u, 1.0)  # placeholder positive value under the mask
+    # in place: this runs on the fine field, the largest array of a Newton step
+    lam = 1.0 + eos.lambda_rho_prime(u_center * up) if eos.kind == WHITE_DWARF else None
+    up **= eos.nu - 1.0
+    up *= eos.nu
+    if lam is not None:
+        up *= lam
+    up *= inside
+    return up if up.ndim else float(up)
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,15 @@ The solver runs Newton-Kantorovich on even-Legendre mode coefficients,
 falling back to damped Picard iteration.  Each Newton system is solved by
 GMRES to a fixed tight tolerance, with products taken matrix-free at the
 current iterate and right-preconditioned by the per-degree diagonal blocks
-of the linearization (``gravity_jacobian_packed``), each inverted on the
-star's support once per warm-started family at its spherical start, or at a
-lone solve's first Newton step, and again only after a GMRES solve stops at
-its cap.  Invertibility of the linearization is certified by its smallest
-singular value: per Legendre degree at a spherical state, and otherwise by
-block LOBPCG on M^T M with M and M^T applied matrix-free and the solve's
-last blocks as its preconditioner.  No n x n matrix is built.  The
-module uses numpy alone.
+of the linearization (``gravity_jacobian_packed``), held as the radial
+kernel's generators and each factored in chunks coupled by a Woodbury
+capacitance (``lu_factor``), once per warm-started family at its spherical
+start, or at a lone solve's first Newton step, and again only after a GMRES
+solve stops at its cap.  Invertibility of the linearization is certified
+by its smallest singular value: per Legendre degree at a spherical state,
+and otherwise by block LOBPCG on M^T M with M and M^T applied matrix-free
+and the solve's last blocks as its preconditioner.  No n x n matrix is
+built.  The module uses numpy alone.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .errors import (
 from .grids import (
     AxiField,
     AxiGrid,
+    RadialKernel,
     apply_stencil,
     cubic_spline,
     derivative_stencil,
@@ -177,7 +180,9 @@ def _density_deriv_fine(
 def _gravity_deriv_modes(grid: AxiGrid, fp: np.ndarray, h_modes: np.ndarray) -> np.ndarray:
     """Mode coefficients of D[G] h, with rho'(u) given as ``fp`` by
     ``_density_deriv_fine``."""
-    w = fp * grid.fine_field_at_gauss(h_modes)
+    # in place: the fine field is the largest array of a product
+    w = grid.fine_field_at_gauss(h_modes)
+    w *= fp
     out = grid.potential_modes_from_gauss(grid.project_fine(w))
     out[0] -= out[0, 0]
     out[1:, 0] = 0.0
@@ -194,7 +199,8 @@ def _gravity_deriv_transposed(grid: AxiGrid, fp: np.ndarray, y_modes: np.ndarray
     w[0, 0] -= w[0].sum()
     w[1:, 0] = 0.0
     t = grid.proj_f.T @ grid.kernel.apply_transpose(w)
-    return grid.at_gauss_transpose(grid.leg_f @ (fp * t))
+    t *= fp
+    return grid.at_gauss_transpose(grid.leg_f @ t)
 
 
 def gravity_map_deriv(
@@ -214,9 +220,47 @@ def _packed_block(grid: AxiGrid, k: int) -> slice:
     return slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1))
 
 
+@dataclass
+class DegreeBlock:
+    """The diagonal block J_kk of the linearized self-gravity map for degree
+    k, held as the generators (beta, delta, band) of
+    ``RadialKernel.generators`` over the radial nodes.  Degree k > 0 leaves
+    out the center node, as the packed vector does, so its column 0 is zero;
+    degree 0 subtracts its center row from every row (``dense``)."""
+
+    kernel: RadialKernel
+    k: int
+    beta: np.ndarray
+    delta: np.ndarray
+    band: np.ndarray
+
+    @property
+    def support(self) -> int:
+        """The number of nodes through the last one whose column is not zero.
+
+        A column of J_kk is zero where rho'(u) is zero at every Gauss point
+        that reads its node, so past the star's support."""
+        column = (self.beta != 0) | (self.delta != 0) | np.any(self.band != 0, axis=0)
+        nonzero = np.flatnonzero(column)
+        return int(nonzero[-1]) + 1 if nonzero.size else 0
+
+    def entries(self, rows, cols) -> np.ndarray:
+        """Entries of J_kk before degree 0's center subtraction, by node."""
+        return self.kernel.entries(self.k, self.beta, self.delta, self.band, rows, cols)
+
+    def dense(self) -> np.ndarray:
+        """J_kk as an array in the packed vector's layout: n_r x n_r for
+        degree 0 and (n_r - 1) x (n_r - 1) without the center for the others."""
+        nodes = np.arange(self.k > 0, len(self.beta))
+        blk = self.entries(nodes[:, None], nodes)
+        if self.k == 0:
+            blk -= blk[0]
+        return blk
+
+
 def gravity_jacobian_packed(
     grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray
-) -> Iterator[np.ndarray]:
+) -> Iterator[DegreeBlock]:
     """The diagonal blocks J_kk of the packed linearized self-gravity map at
     u, built by the generator ``degree_blocks``, each as the caller asks for
     it: they are the part of J that preconditions the Newton systems and the
@@ -231,8 +275,8 @@ def gravity_jacobian_packed(
 def newton_matrix(jac: np.ndarray) -> np.ndarray:
     """Overwrite ``jac`` with I - jac and return it.
 
-    Applied to a block J_kk of ``degree_blocks``, this gives that diagonal
-    block of the Newton matrix in the block's own buffer.
+    Applied to a dense block J_kk (``DegreeBlock.dense``), this gives that
+    diagonal block of the Newton matrix in the block's own buffer.
     """
     np.negative(jac, out=jac)
     diag = np.arange(jac.shape[0])
@@ -240,25 +284,21 @@ def newton_matrix(jac: np.ndarray) -> np.ndarray:
     return jac
 
 
-def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> Iterator[np.ndarray]:
+def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> Iterator[DegreeBlock]:
     """Diagonal blocks J_kk of the linearized self-gravity map, one per
-    degree k, each built when the caller asks for it (``newton_matrix``
-    turns each into I - J_kk).
+    degree k, each built when the caller asks for it.
 
     ``coef[:, k]`` is the coupling of mode k into itself at the Gauss radii
     (rho'(u) itself at a spherical state, where these blocks are the whole
     linearization); blocks are built for the first ``coef.shape[1]``
-    degrees.  Each is Fortran-ordered, n_r x n_r for degree 0 and
-    (n_r - 1) x (n_r - 1) without the center for the others, as in the
-    packed vector.
+    degrees.
     """
     for k in range(coef.shape[1]):
-        blk = grid.kernel.blocks(k, coef[:, k : k + 1])[0].T
-        if k == 0:
-            blk -= blk[0:1, :]
-        else:
-            blk = np.asfortranarray(blk[1:, 1:])
-        yield blk
+        beta, delta, band = (a[0] for a in grid.kernel.generators(k, coef[:, k : k + 1]))
+        if k:
+            beta[0] = delta[0] = 0.0
+            band[:, 0] = 0.0
+        yield DegreeBlock(grid.kernel, k, beta, delta, band)
 
 
 def _sup_norm_modes(grid: AxiGrid, modes: np.ndarray) -> float:
@@ -343,7 +383,8 @@ def hl_certificate_blocks(
     """Per-mode smallest singular values of (I - linearized gravity map).
 
     Valid when the state is spherically symmetric, where the linearization
-    block-diagonalizes over Legendre degrees; one SVD per block as it is built.
+    block-diagonalizes over Legendre degrees; one SVD per block, each made
+    dense from its generators as it is built.
     """
     grid = u.grid
     modes = u.modes()
@@ -351,7 +392,7 @@ def hl_certificate_blocks(
         raise DomainError("per-block certificate requires a spherical state")
     blocks = gravity_jacobian_packed(grid, eos, u_center, modes)
     return {
-        int(l): float(np.linalg.svd(newton_matrix(blk), compute_uv=False)[-1])
+        int(l): float(np.linalg.svd(newton_matrix(blk.dense()), compute_uv=False)[-1])
         for l, blk in zip(grid.lvals, blocks)
     }
 
@@ -463,10 +504,10 @@ def hl_certificate(
     a momentum law's B from ``centrifugal_deriv_matrix`` (a solve passes
     the cylinder mass of u, ``cyl``, and its Newton linearization ``like``),
     preconditioned by D^-1 D^-T, with D the per-degree blocks I - J_kk
-    inverted on the star's support (``_factor_blocks``): those of
+    factored from their generators (``_factor_blocks``): those of
     ``preconditioner`` if given, such as the Newton solve's that converged
     to u, and otherwise built at u.  A block that is not finite or is
-    exactly singular on the support, or products that are not finite, give
+    exactly singular, or products that are not finite, give
     0.0 with no bound: 0.0 then means "not certified", which a solve raises
     as SingularLinearization, as the Newton solve does for the same blocks.
     An iteration that reaches its step cap raises NoConvergence: its sigma
@@ -586,92 +627,254 @@ def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
     return size * precondition(y @ basis[:k]), k, abs(g[k]) / beta
 
 
-def _support_size(blk: np.ndarray) -> int:
-    """The number of leading columns of ``blk`` through its last nonzero one.
-
-    A column of J_kk is zero where rho'(u) is zero at every Gauss point that
-    reads its node, so past the star's support."""
-    nonzero = np.flatnonzero(np.any(blk != 0.0, axis=0))
-    return int(nonzero[-1]) + 1 if nonzero.size else 0
+# the per-degree solve splits the radial nodes into chunks of about _CHUNK
+_CHUNK = 32
 
 
-def lu_factor(corner: np.ndarray) -> np.ndarray | None:
-    """The inverse of a block's support corner I - A (``_invert_on_support``),
-    or None if it is exactly singular.
+class _Chunks:
+    """The nodes [0, n) of the per-degree solves, split into m chunks of s.
 
-    ``np.linalg.inv`` is LAPACK's LU with partial pivoting followed by its
-    solves; the function keeps the name ``lu_factor`` that the benchmark's
-    span on the Newton matrix's factorizations wraps.
+    n = m s covers the star's support and the 2 nodes past it that the band
+    reaches, or all n_r nodes (nodes past n_r pad the last chunk, with
+    I - J_kk = I there), so that a row past n meets the support through its
+    inner running sum alone.  I - J_kk couples chunk a to the
+    nodes outside it through 7 columns: the inner running sum through the
+    node 3 before the chunk, the band's 2 columns just before it, the outer
+    running sum from the node 3 after it, the band's 2 columns just after
+    it, and for degree 0 the center subtraction.  ``reads`` holds the nodes
+    where the first 6 read the solution, and ``live`` marks those a chunk
+    has: none below the first chunk or above the last.
     """
+
+    def __init__(self, kernel: RadialKernel, support: int):
+        n_r = kernel.n_r
+        n = max(min(support + 2, n_r), 1)
+        self.m = m = -(-n // _CHUNK)
+        self.s = s = -(-n // m)
+        self.n = n = m * s
+        # the kernel chunk of the generators beta and delta of each node,
+        # and the node where each run of one chunk starts
+        nodes = np.minimum(np.arange(n), n_r - 1)
+        self.q_beta, self.q_delta = kernel.q_beta[nodes], kernel.q_delta[nodes]
+        self.beta_starts = np.flatnonzero(np.diff(self.q_beta, prepend=-1))
+        self.delta_starts = np.flatnonzero(np.diff(self.q_delta, prepend=-1))
+        first = s * np.arange(m)[:, None]
+        self.reads = np.clip(first + [-3, -2, -1, s + 2, s, s + 1], 0, n - 1)
+        self.live = np.ones((m, 6), dtype=bool)
+        self.live[0, :3] = self.live[-1, 3:] = False
+        # ``reads`` in the concatenation (inner sums, solution, outer sums)
+        self.picks = self.reads + n * np.array([0, 1, 1, 2, 1, 1])
+
+
+def _running(v: np.ndarray, starts: np.ndarray, carry: np.ndarray, reverse: bool = False):
+    """Running sums of ``v`` along its last axis, from the first node up (from
+    the last down with ``reverse``), each in the scale of its kernel chunk:
+    the chunks start at ``starts``, and a sum passes into the next one times
+    ``carry[..., q]``, as in ``RadialKernel.apply``."""
+    if len(starts) == 1:
+        return v[..., ::-1].cumsum(axis=-1)[..., ::-1] if reverse else v.cumsum(axis=-1)
+    if reverse:
+        n = v.shape[-1]
+        flipped = n - np.append(starts[1:], n)[::-1]
+        return _running(v[..., ::-1], flipped, carry[..., ::-1])[..., ::-1]
+    out = np.empty(v.shape)
+    for q, (j0, j1) in enumerate(zip(starts, np.append(starts[1:], v.shape[-1]))):
+        np.cumsum(v[..., j0:j1], axis=-1, out=out[..., j0:j1])
+        if q:
+            out[..., j0:j1] += out[..., j0 - 1, None] * carry[..., q - 1, None]
+    return out
+
+
+class _Factors(NamedTuple):
+    """One degree's factors from ``lu_factor``, or those of several degrees
+    stacked along a leading axis."""
+
+    inverse: np.ndarray  # (m, s, s): D^-1, chunk by chunk
+    coupled: np.ndarray  # (m, s, 7): D^-1 U
+    capacitance: np.ndarray | None  # (7 m, 7 m): C^-1
+    beta: np.ndarray  # (n,): the generators over [0, n)
+    delta: np.ndarray
+    center: np.ndarray  # (n,): row 0 of J_00, 0 for the other degrees
+    scale: np.ndarray  # (m, 6): the running sums' scales, 0 where not live
+    beta_carry: np.ndarray  # the carries of ``_running``
+    delta_carry: np.ndarray
+    last: np.ndarray  # (n,): beta in the scale of node n - 1
+    below: np.ndarray  # (n_r - n,): f_in past n, in the scale of node n - 1
+
+
+def _couplings(chunks: _Chunks, f: _Factors, z: np.ndarray) -> np.ndarray:
+    """V^T z: the 7 coupling columns of each chunk at solutions z (..., n),
+    shape (..., m, 7)."""
+    n, m, s = chunks.n, chunks.m, chunks.s
+    inner = _running(f.beta * z, chunks.beta_starts, f.beta_carry)
+    outer = _running(f.delta * z, chunks.delta_starts, f.delta_carry, reverse=True)
+    picked = np.concatenate([inner, z, outer], axis=-1)[..., chunks.picks] * f.scale
+    part = (f.center * z).reshape(z.shape[:-1] + (m, s)).sum(axis=-1)
+    return np.concatenate([picked, (part.sum(axis=-1, keepdims=True) - part)[..., None]], axis=-1)
+
+
+def _couplings_transposed(chunks: _Chunks, f: _Factors, b: np.ndarray) -> np.ndarray:
+    """V b, the transpose of ``_couplings``: (..., m, 7) -> (..., n).
+
+    The live nodes of ``reads`` differ, and the others take 0."""
+    n, s = chunks.n, chunks.s
+    picked = np.zeros(b.shape[:-2] + (3 * n,))
+    picked[..., chunks.picks] = b[..., :6] * f.scale
+    out = picked[..., n : 2 * n]
+    out += f.beta * _running(picked[..., :n], chunks.beta_starts, f.beta_carry, reverse=True)
+    out += f.delta * _running(picked[..., 2 * n :], chunks.delta_starts, f.delta_carry)
+    part = b[..., 6]
+    out += f.center * np.repeat(part.sum(axis=-1, keepdims=True) - part, s, axis=-1)
+    return out
+
+
+def lu_factor(block: DegreeBlock, chunks: _Chunks) -> _Factors | None:
+    """One degree's factorization of I - J_kk for the block ``block`` on
+    ``chunks``, or None if it is not finite or is exactly singular.
+
+    On the nodes [0, n), I - J_kk = D - U V^T: D holds its diagonal chunks,
+    degree 0's center subtraction included, and U V^T the rest, 7 columns a
+    chunk (``_Chunks``), each of U nonzero on its chunk alone.  Each
+    running-sum column of U is the node factor f_in or f_out over its chunk,
+    scaled to a largest entry of 1, and its column of V the generators
+    through or from the node it reads; each band column of U is that column
+    of J_kk over the chunk, and its V reads one node.  By Woodbury,
+    (D - U V^T)^-1 = D^-1 + D^-1 U C^-1 V^T D^-1 with the capacitance
+    C = I - V^T D^-1 U of 7 m rows.  The chunks of D are inverted by one
+    batched ``np.linalg.inv``.  No array of n x n is formed.  The function
+    keeps the name ``lu_factor`` that the benchmark's span on the Newton
+    matrix's factorizations wraps.
+    """
+    kernel, k = block.kernel, block.k
+    if not all(np.isfinite(a).all() for a in (block.beta, block.delta, block.band)):
+        return None
+    n_r, n, m, s = kernel.n_r, chunks.n, chunks.m, chunks.s
+    nodes = np.arange(n).reshape(m, s)
+    on_grid = nodes < n_r
+    center = block.entries(0, np.arange(n)) if k == 0 else np.zeros(n)
+    diag = on_grid[:, :, None] * center.reshape(m, 1, s)
+    diag -= block.entries(nodes[:, :, None], nodes[:, None, :])
+    diag[:, np.arange(s), np.arange(s)] += 1.0
+    # the running sums' columns of U, over each chunk's rows
+    row = np.minimum(nodes, n_r - 1)
+    at = np.minimum(chunks.reads, n_r - 1)
+    c_in, c_out = kernel.c_in[k], kernel.c_out[k]
+    inner = on_grid * kernel.f_in[k, row] * c_in[kernel.q_beta[at[:, :1]], kernel.q_in[row]]
+    outer = on_grid * kernel.f_out[k, row] * c_out[kernel.q_delta[at[:, 3:4]], kernel.q_out[row]]
+    big_in, big_out = (np.max(np.abs(a), axis=1, initial=0.0) for a in (inner, outer))
+    big_in[big_in == 0.0] = 1.0
+    big_out[big_out == 0.0] = 1.0
+    band = block.entries(nodes[:, :, None], chunks.reads[:, None, [1, 2, 4, 5]])
+    columns = np.concatenate([
+        (inner / big_in[:, None])[..., None], band[..., :2],
+        (outer / big_out[:, None])[..., None], band[..., 2:],
+        -(k == 0) * on_grid[..., None],
+    ], axis=-1)
+    columns[..., :6] *= chunks.live[:, None, :]
+    ones = np.ones(m)
+    beta, delta = (np.append(a, np.zeros(max(n - n_r, 0)))[:n] for a in (block.beta, block.delta))
+    q, starts = chunks.q_beta, chunks.beta_starts
+    qd, starts_d = chunks.q_delta, chunks.delta_starts
+    f = _Factors(
+        inverse=None, coupled=None, capacitance=None,
+        beta=beta, delta=delta, center=center,
+        scale=chunks.live * np.stack([big_in, ones, ones, big_out, ones, ones], axis=-1),
+        beta_carry=c_in[q[starts[:-1]], q[starts[1:]]],
+        delta_carry=c_out[qd[starts_d[1:]], qd[starts_d[:-1]]],
+        last=beta * c_in[q, q[-1]],
+        below=kernel.f_in[k, n:] * c_in[q[-1], kernel.q_in[n:]],
+    )
     try:
-        return np.linalg.inv(corner)
+        inverse = np.linalg.inv(diag)
+        coupled = inverse @ columns
+        # C column by column: V^T of each column of D^-1 U over [0, n)
+        full = np.zeros((m, 7, m, s))
+        full[np.arange(m), :, np.arange(m)] = coupled.transpose(0, 2, 1)
+        cap = np.eye(7 * m) - _couplings(chunks, f, full.reshape(7 * m, n)).reshape(7 * m, -1).T
+        f = f._replace(inverse=inverse, coupled=coupled, capacitance=np.linalg.inv(cap))
     except np.linalg.LinAlgError:
         return None
+    if not all(np.isfinite(a).all() for a in f[:3]):
+        return None
+    return f
 
 
-def _invert_on_support(blk: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(I - J_kk)^-1 for the block J_kk = ``blk`` (overwritten), as the pair
-    (inverse, lower), or None if it is singular on the star's support.
+class BlockInverse:
+    """D^-1 and D^-T, with D the block diagonal of the per-degree blocks
+    I - J_kk of ``blocks`` (the leading degrees of a state, ``DegreeBlock``),
+    each factored by ``lu_factor`` on the nodes through the star's support
+    and the rows below it; a block that is not finite or is exactly singular
+    raises SingularLinearization with sigma 0.0 against ``hl_threshold``.
 
-    With n_in = ``_support_size(blk)``, I - J_kk = [[I - A, 0], [-B, I]], so
-    its inverse is [[(I - A)^-1, 0], [B (I - A)^-1, I]]: ``inverse`` is the
-    n_in x n_in (I - A)^-1 (``lu_factor``) and ``lower`` is -B.
+    ``support`` is the number of nodes through the last one whose column of
+    a block is not zero.
     """
-    n_in = _support_size(blk)
-    mat = newton_matrix(blk)
-    inverse = lu_factor(mat[:n_in, :n_in])
-    return None if inverse is None else (inverse, mat[n_in:, :n_in].copy())
+
+    def __init__(self, grid: AxiGrid, blocks: list, hl_threshold: float = 0.0):
+        self.n_r = grid.n_r
+        self.support = max(b.support for b in blocks)
+        self.chunks = _Chunks(grid.kernel, self.support)
+        factors = [lu_factor(b, self.chunks) for b in blocks]
+        if any(f is None for f in factors):
+            raise SingularLinearization(0.0, hl_threshold)
+        self.factors = _Factors(*(np.stack(a) for a in zip(*factors)))
+
+    def solve(self, modes: np.ndarray, transposed: bool = False) -> np.ndarray:
+        """D^-1 modes, or D^-T modes with ``transposed``, for mode values at
+        the nodes, one row per block; degrees k > 0 have no center value,
+        and return 0 there.
+
+        On [0, n) the Woodbury form of ``lu_factor``.  Past n, I - J_kk is
+        [[I - A, 0], [-B, I]] with B f_in times the inner running sum through
+        n (and for degree 0 the center row taken off every row), so
+        y = x + B y there, and D^-T takes x + B^T x from the rows past n.
+        """
+        ch, f = self.chunks, self.factors
+        k, n, m, s = len(modes), ch.n, ch.m, ch.s
+        x = np.zeros((k, max(n, self.n_r)))
+        x[:, : self.n_r] = modes
+        past = x[:, n : self.n_r]
+        if not transposed:
+            z = (f.inverse @ x[:, :n].reshape(k, m, s, 1)).reshape(k, n)
+            t = f.capacitance @ _couplings(ch, f, z).reshape(k, 7 * m, 1)
+            y = z + (f.coupled @ t.reshape(k, m, 7, 1)).reshape(k, n)
+            past += f.below * (f.last * y).sum(axis=1, keepdims=True)
+            past -= (f.center * y).sum(axis=1, keepdims=True)
+        else:
+            y = x[:, :n] + f.last * (f.below * past).sum(axis=1, keepdims=True)
+            y -= f.center * past.sum(axis=1, keepdims=True)
+            t = (y.reshape(k, m, 1, s) @ f.coupled).reshape(k, 7 * m, 1)
+            y += _couplings_transposed(ch, f, (np.swapaxes(f.capacitance, 1, 2) @ t).reshape(k, m, 7))
+            y = (np.swapaxes(f.inverse, 2, 3) @ y.reshape(k, m, s, 1)).reshape(k, n)
+        x[:, :n] = y
+        x[1:, 0] = 0.0
+        return x[:, : self.n_r]
 
 
-def _solve_block(
-    block: tuple[np.ndarray, np.ndarray], x: np.ndarray, transposed: bool = False
-) -> np.ndarray:
-    """(I - J_kk)^-1 x, or (I - J_kk)^-T x with ``transposed``, from the pair
-    of ``_invert_on_support``: the transpose is [[(I - A)^-T, (I - A)^-T B^T],
-    [0, I]]."""
-    inverse, lower = block
-    n_in = len(inverse)
-    if transposed:
-        return np.concatenate([inverse.T @ (x[:n_in] - lower.T @ x[n_in:]), x[n_in:]])
-    y_in = inverse @ x[:n_in]
-    return np.concatenate([y_in, x[n_in:] - lower @ y_in])
-
-
-def _solve_blocks(grid: AxiGrid, blocks: list, x: np.ndarray, transposed: bool = False):
+def _solve_blocks(grid: AxiGrid, blocks: BlockInverse, x: np.ndarray, transposed: bool = False):
     """D^-1 x, or D^-T x with ``transposed``, on a packed vector: D is the
-    block diagonal of the I - J_kk, from the pairs of ``_factor_blocks``."""
-    out = np.empty_like(x)
-    for k, block in enumerate(blocks):
-        rows = _packed_block(grid, k)
-        out[rows] = _solve_block(block, x[rows], transposed)
-    return out
+    block diagonal of the I - J_kk of ``_factor_blocks``."""
+    return pack_modes(grid, blocks.solve(unpack_modes(grid, x), transposed))
 
 
 def _factor_blocks(
     grid: AxiGrid, eos: EquationOfState, u_center: float, modes: np.ndarray,
     hl_threshold: float,
-) -> list:
+) -> BlockInverse:
     """The preconditioner at u given by mode coefficients: each per-degree
-    block I - J_kk inverted on the star's support (``_invert_on_support``).
+    block I - J_kk factored from its generators (``BlockInverse``).
 
-    Each n_r x n_r block is inverted before the next one is built.  A block
-    that is not finite or is exactly singular raises SingularLinearization
-    with sigma 0.0.
+    A block that is not finite or is exactly singular raises
+    SingularLinearization with sigma 0.0.
     """
-    out = []
-    for blk in gravity_jacobian_packed(grid, eos, u_center, modes):
-        block = _invert_on_support(blk) if np.isfinite(blk).all() else None
-        if block is None:
-            raise SingularLinearization(0.0, hl_threshold)
-        out.append(block)
-    return out
+    blocks = list(gravity_jacobian_packed(grid, eos, u_center, modes))
+    return BlockInverse(grid, blocks, hl_threshold)
 
 
-def _support_note(grid: AxiGrid, blocks: list) -> str:
+def _support_note(grid: AxiGrid, blocks: BlockInverse) -> str:
     """The preconditioner's support for the log, in radial nodes from the
-    center (the blocks of degree k > 0 leave out the center node)."""
-    nodes = max(len(inverse) + (k > 0) for k, (inverse, _) in enumerate(blocks))
-    return f"support {nodes} of {grid.n_r} nodes"
+    center."""
+    return f"support {blocks.support} of {grid.n_r} nodes"
 
 
 def _not_finite(history: list, U: np.ndarray) -> NoConvergence:
@@ -702,9 +905,10 @@ def _solve_modes(
     """Newton iteration in mode space; returns (U, history, g_modes, blocks,
     cyl, lin): a momentum law's cylinder mass of U and the B of its Newton steps.
 
-    ``blocks`` are the preconditioner's block inverses (``_factor_blocks``),
+    ``blocks`` are the preconditioner's factored blocks (``_factor_blocks``),
     built at the first Newton step if not given, and again at the step after
-    one whose GMRES solve stops at its cap; those of the last Newton step are
+    one whose GMRES solve stops at its cap (where a singular block is a
+    divergence, reported as a non-finite step); those of the last Newton step are
     returned (None if there was none).  ``stats`` collects the GMRES
     iterations of each Newton step and the number of preconditioner builds,
     also when the iteration fails.
@@ -712,6 +916,7 @@ def _solve_modes(
     history = []
     blocks_from = "carried from the family"
     lin = cyl = None
+    capped = False
 
     for it in range(opts.max_iter + 1):
         if law is not None:
@@ -737,7 +942,18 @@ def _solve_modes(
                 lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
             built = ""
             if blocks is None:
-                blocks = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
+                try:
+                    blocks = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
+                except SingularLinearization:
+                    if not capped:
+                        raise
+                    # a singular block at the rebuild after a capped step is
+                    # a diverging iterate: no step, and the next residual
+                    # reports the divergence, as for an overflowed product
+                    _log.debug("iter %2d  residual %.3e  Newton step, preconditioner "
+                               "singular at this iterate", it, res)
+                    U = U + np.nan
+                    continue
                 stats["preconditioner_builds"] += 1
                 built = f"built ({_support_note(grid, blocks)})"
                 blocks_from = f"of iteration {it}"
@@ -785,7 +1001,7 @@ def solve_equilibrium(
     invertibility certificate are produced; ``meta["certificate"]`` records
     how the certificate was found, and ``meta["newton"]`` the GMRES
     iterations of each Newton step and the number of preconditioner builds.
-    ``preconditioner`` holds the block inverses of a warm-started family
+    ``preconditioner`` holds the factored blocks of a warm-started family
     (``ConstantRotationFamily``); without it the solve builds its own.  The
     certificate is preconditioned by the blocks of the last Newton step.
     """
@@ -855,7 +1071,7 @@ class ConstantRotationFamily:
     """Random-access rigid-rotation solves with warm starts, keyed by beta.
 
     Each solve starts from the nearest cached state, and every Newton solve
-    of the family is preconditioned by the block inverses built once at its
+    of the family is preconditioned by the factored blocks built once at its
     spherical start.  A converged field without a free boundary raises
     NoSignChange and is not cached.  Used wherever many nearby solves are
     needed (mass curves, slope fits).

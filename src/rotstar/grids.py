@@ -346,12 +346,6 @@ _PER_PANEL = 4
 _LEAD = 12
 _WINDOW = 24
 
-# ``RadialKernel.blocks`` fills its columns in tiles of _TILE; in a tile's
-# rows c0-2 .. c1+1 the entry (c, i) takes the outer part where i <= c
-_TILE = 64
-_TILE_UPPER = np.arange(_TILE + 4) - 2 <= np.arange(_TILE)[:, None]
-
-
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
     """Sliding windows along axis 0 of ``a``, one per node, the window axis
     last: ``a`` holds ``_PER_PANEL`` rows per panel plus ``width - _PER_PANEL``
@@ -377,7 +371,7 @@ class RadialKernel:
     both <= 1.  Nothing n_r x n_gauss is held.
 
     ``cols`` and ``weights`` are the local-cubic stencil from the nodes to the
-    Gauss points (``interp_stencil``), which ``blocks`` composes with K.
+    Gauss points (``interp_stencil``), which ``generators`` composes with K.
     """
 
     def __init__(self, r, x, w, lvals, cols: np.ndarray, weights: np.ndarray):
@@ -415,6 +409,13 @@ class RadialKernel:
         up = np.arange(len(rho))[:, None] <= np.arange(len(rho))
         self.c_in = np.where(up, rho[:, None] / rho, 0.0) ** e_in[:, :, None]
         self.c_out = np.where(up.T, sigma / sigma[:, None], 0.0) ** e_out[:, :, None]
+        # the chunk of each node's inner and outer parts (panels i - 1 and i)
+        # and of each column's generators beta and delta (panels c + 2 and
+        # c - 3, see ``generators``)
+        node = np.arange(n_r)
+        self.q_in, self.q_out, self.q_beta, self.q_delta = (
+            chunk[np.clip(node + d, 0, n_p - 1)] for d in (-1, 0, 2, -3)
+        )
         self.lvals = lv[:, 0]
         self.ratio = r[:-1] / r[1:]
         # wn[c, t]: interpolation weight of node c at Gauss point 4c - 12 + t
@@ -481,18 +482,20 @@ class RadialKernel:
         out += self.k_out.reshape(n_l, n_r - 1, _PER_PANEL) * outer[:, :, None]
         return out.reshape(n_l, -1)
 
-    def blocks(self, k: int, coef: np.ndarray) -> np.ndarray:
-        """The blocks K_k @ diag(coef[:, j]) @ (the interpolation to the Gauss
-        points), one per column j of ``coef``, each transposed: out[j, c, i]
-        is the entry of row i and column c of block j.
+    def generators(self, k: int, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The generators of the blocks K_k @ diag(coef[:, j]) @ (the
+        interpolation to the Gauss points), one block per column j of
+        ``coef``: (beta, delta, band), shapes (n_j, n_r), (n_j, n_r) and
+        (n_j, 5, n_r).  ``entries`` reads the blocks from them.
 
         Column c reads only the Gauss points of panels c-3 .. c+2.  So rows
         i >= c+3 hold all of it in their inner part, the rank-1 product
         f_in[i] beta[c] (times the ratio between their chunks), and rows
         i <= c-3 all of it in their outer part, f_out[i] delta[c].  The 5
-        rows in between are exact partial sums over those panels: each panel
-        sum is taken at its nearest node and carried from node to node by
-        (r_(m-1) / r_m)^(l + 1) and (r_m / r_(m+1))^l.
+        rows in between are exact partial sums over those panels, band[d, c]
+        in row c + d - 2: each panel sum is taken at its nearest node and
+        carried from node to node by (r_(m-1) / r_m)^(l + 1) and
+        (r_m / r_(m+1))^l.
         """
         n_r, n_j = self.n_r, coef.shape[1]
         l = self.lvals[k]
@@ -521,38 +524,28 @@ class RadialKernel:
         for d in range(5, -1, -1):
             outer[d] = at(step_out, d) * outer[d + 1] + at(f_out, d) * sums[:, d, n_j:]
         # the generators, in their chunk's scale; 0 past the ends
-        beta = (inner[6] / np.where(at(f_in, 6) > 0, at(f_in, 6), np.inf)).T[:, :, None]
-        delta = (outer[0] / np.where(at(f_out, 0) > 0, at(f_out, 0), np.inf)).T[:, :, None]
-        out = np.empty((n_j, n_r, n_r))
-        f_in, f_out = self.f_in[k], self.f_out[k]
-        for c0 in range(0, n_r, _TILE):
-            c1 = min(c0 + _TILE, n_r)
-            lo, hi = max(c0 - 2, 0), min(c1 + 2, n_r)
-            np.multiply(beta[:, c0:c1], f_in[lo:], out=out[:, c0:c1, lo:])
-            np.multiply(delta[:, c0:c1], f_out[:lo], out=out[:, c0:c1, :lo])
-            np.multiply(
-                delta[:, c0:c1], f_out[lo:hi], out=out[:, c0:c1, lo:hi],
-                where=_TILE_UPPER[: c1 - c0, lo - c0 + 2 : hi - c0 + 2],
-            )
-        # generators and rows in different chunks: the ratio between them
-        bounds = self.bounds
-        for a in range(len(bounds) - 1):
-            rows_in = slice(bounds[a] + 1, bounds[a + 1] + 1)
-            rows_out = slice(bounds[a], bounds[a + 1])
-            for b in range(a):
-                cols = slice(max(bounds[b] - 2, 0), max(bounds[b + 1] - 2, 0))
-                out[:, cols, rows_in] *= self.c_in[k, b, a]
-            for b in range(a + 1, len(bounds) - 1):
-                cols = slice(bounds[b] + 3, min(bounds[b + 1] + 3, n_r))
-                out[:, cols, rows_out] *= self.c_out[k, b, a]
-        # the band, along the diagonals of each slab out[j]
-        flat = out.reshape(n_j, n_r * n_r)
-        for d in range(1, 6):
-            c0, c1 = max(3 - d, 0), min(n_r + 3 - d, n_r)
-            start = c0 * (n_r + 1) + d - 3
-            flat[:, start : start + (c1 - c0) * (n_r + 1) : n_r + 1] = (
-                inner[d, c0:c1] + outer[d, c0:c1]
-            ).T
+        beta = (inner[6] / np.where(at(f_in, 6) > 0, at(f_in, 6), np.inf)).T
+        delta = (outer[0] / np.where(at(f_out, 0) > 0, at(f_out, 0), np.inf)).T
+        return beta, delta, (inner[1:6] + outer[1:6]).transpose(2, 0, 1)
+
+    def entries(self, k: int, beta, delta, band, rows, cols) -> np.ndarray:
+        """Entries (rows, cols) of the degree-k block with generators
+        (beta, delta, band) of ``generators``; the index arrays broadcast,
+        leading axes of the generators are kept, and entries outside the
+        n_r nodes are 0."""
+        n_r = self.n_r
+        d = rows - cols
+        below = d >= 3
+        r, c = np.minimum(rows, n_r - 1), np.minimum(cols, n_r - 1)
+        out = np.where(below, self.f_in[k, r] * beta[..., c], self.f_out[k, r] * delta[..., c])
+        if len(self.bounds) > 2:
+            # generators and rows in different chunks: the ratio between them
+            out *= np.where(below, self.c_in[k][self.q_beta[c], self.q_in[r]],
+                            self.c_out[k][self.q_delta[c], self.q_out[r]])
+        near = np.abs(d) <= 2
+        out[..., near] = band[..., d[near] + 2, np.broadcast_to(c, d.shape)[near]]
+        if np.max(rows) >= n_r or np.max(cols) >= n_r:
+            out[..., (rows >= n_r) | (cols >= n_r)] = 0.0
         return out
 
 

@@ -33,7 +33,7 @@ from .grids import (
     panel_gauss,
 )
 from .radial import RadialProfile, _dp_steps, _quintic_hermite
-from .equilibrium import _gmres, gravity_jacobian_packed, newton_matrix
+from .equilibrium import BlockInverse, _gmres, gravity_jacobian_packed
 from .rotation import rigid_rotation
 
 
@@ -266,8 +266,7 @@ def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
     g1 = rigid_rotation(grid, 1.0).g_modes
     blocks = gravity_jacobian_packed(grid, eos, u_center, modes0)
     h = np.zeros((grid.n_l, grid.n_r))
-    h[0] = np.linalg.solve(newton_matrix(next(blocks)), g1[0])
-    h[1, 1:] = np.linalg.solve(newton_matrix(next(blocks)), g1[1, 1:])
+    h[:2] = BlockInverse(grid, [next(blocks), next(blocks)]).solve(g1[:2])
     return h
 
 

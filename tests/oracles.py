@@ -215,9 +215,17 @@ def sigma_min_dense(mat):
     return float(svdvals(mat)[-1])
 
 
+def kernel_blocks(kernel, k, coef):
+    """The blocks K_k @ diag(coef[:, j]) @ (the interpolation to the Gauss
+    points) of ``RadialKernel``, dense from its generators and each
+    transposed: out[j, c, i] is the entry of row i and column c of block j."""
+    nodes = np.arange(kernel.n_r)
+    return kernel.entries(k, *kernel.generators(k, coef), nodes, nodes[:, None])
+
+
 def gravity_jacobian_packed(grid, eos, u_center, modes, *, out=None):
     """The packed matrix J of the linearized self-gravity map at u,
-    Fortran-ordered, from ``RadialKernel.blocks``: block (li, lj) is the
+    Fortran-ordered, from ``kernel_blocks``: block (li, lj) is the
     degree-li radial kernel @ diag(coupling of mode lj into mode li at the
     Gauss radii) @ the interpolation.  With ``out``, a Fortran-ordered n x n
     matrix, J is added into it in place and ``out`` is returned.
@@ -237,7 +245,7 @@ def gravity_jacobian_packed(grid, eos, u_center, modes, *, out=None):
     else:
         raise ValueError(f"out must be a Fortran-ordered {n} x {n} matrix")
     for li in range(grid.n_l):
-        blk = grid.kernel.blocks(li, coup[:, li, :])
+        blk = kernel_blocks(grid.kernel, li, coup[:, li, :])
         if li == 0:
             blk -= blk[:, :, :1]
         for lj in range(grid.n_l):

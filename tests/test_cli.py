@@ -757,6 +757,68 @@ def test_momentum_solve_leaves_out_numpy_ma(tmp_path):
     assert _fresh_python(code, str(cfg), str(tmp_path / "out")) == "0 False"
 
 
+# GMRES iterations of each Newton step, and LOBPCG steps of the certificate
+# (None uncertified), of the benchmark pool's solve inputs, as recorded when
+# the preconditioner inverted each block's support corner densely: exact
+# per-degree solves give the same counts however they are taken
+_POOL_SOLVE_COUNTS = {
+    "solve": ([[1, 4], [1, 4], [1, 4], [1, 4, 5], [1, 4, 5]], [8, 9, 8, 7, 7]),
+    "differential-solve": ([[1, 4], [1, 4], [1, 5], [1, 5, 5], [1, 5, 5]], [8, 9, 8, 7, 7]),
+    "momentum-solve": ([[3], [3, 3], [3, 3], [3, 3], [3, 3]], [8, 9, 8, 7, 7]),
+    "scale-solve": ([[1, 4], [1, 4], [1, 4], [1, 4, 5], [1, 4, 5]], [None] * 5),
+}
+
+
+def _bench_pool():
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "pool.py"
+    spec = importlib.util.spec_from_file_location("bench_pool", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("kind", sorted(_POOL_SOLVE_COUNTS))
+def test_pool_solves_keep_their_iteration_counts(kind, tmp_path, monkeypatch):
+    import rotstar.cli
+
+    pool = _bench_pool()
+    solve = rotstar.cli.solve_equilibrium
+    seen = []
+
+    def recording(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        seen.append(sol)
+        return sol
+
+    monkeypatch.setattr(rotstar.cli, "solve_equilibrium", recording)
+    gmres, lobpcg = [], []
+    for nu in pool.NUS:
+        cfg = _write(tmp_path, json.dumps(pool.POOL[f"{kind}/nu{nu}"]), "run.json")
+        assert main(["--config", str(cfg), "--out", str(tmp_path / f"out{nu}")]) == 0
+        sol = seen.pop()
+        gmres.append(sol.meta["newton"]["gmres_iterations"])
+        lobpcg.append(sol.meta["certificate"]["iterations"] if "certificate" in sol.meta else None)
+    assert (gmres, lobpcg) == _POOL_SOLVE_COUNTS[kind]
+
+
+def test_kernel_check_leaves_out_numpy_random(tmp_path):
+    # numpy 2 imports numpy.random on first use (about 2 MB in a fresh
+    # process, which set kernel-check's peak); kernel-check draws nothing.
+    # numpy 1.x imports numpy.random with numpy itself, so only the run is
+    # checked
+    cfg = _write(tmp_path, KERNEL_CHECK_INI)
+    code = (
+        "import sys\n"
+        "from rotstar.cli import main\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, 'numpy.random' in sys.modules and not before)\n"
+    )
+    assert _fresh_python(code, str(cfg), str(tmp_path / "out")) == "0 False"
+
+
 def test_lane_emden_refuses_an_outer_radius_too_large(tmp_path):
     # h^5 of the exterior steps overflows past r_inf ~ 1e61: a fresh process
     # (warnings not turned into errors) exits 3 without NaN rows or warnings

@@ -152,7 +152,9 @@ def test_newton_lines_name_gmres_and_preconditioner(eos15, profile15, caplog):
     # the nodes up to the last one whose column of a block is not zero: the
     # star's support at the spherical start, where both builds take place
     blocks = equilibrium.gravity_jacobian_packed(grid, eos15, 1.0, init.modes())
-    nodes = max(np.flatnonzero(np.any(b, axis=0))[-1] + 1 + (k > 0) for k, b in enumerate(blocks))
+    nodes = max(
+        np.flatnonzero(np.any(b.dense(), axis=0))[-1] + 1 + (k > 0) for k, b in enumerate(blocks)
+    )
     assert grid.r[nodes - 1] > profile15.xi1 and nodes < grid.n_r
     support = f"support {nodes} of {grid.n_r} nodes"
     caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
@@ -554,7 +556,9 @@ def test_hl_certificate_blocks_match_scipy_svdvals(nu):
     grid = AxiGrid.build(prof.r_inf, n_r=160, n_zeta=16, l_max=8, focus=prof.xi1)
     u = initial_field_from_profile(grid, prof)
     blocks = equilibrium.gravity_jacobian_packed(grid, eos, 1.0, u.modes())
-    want = {int(l): float(svdvals(newton_matrix(b))[-1]) for l, b in zip(grid.lvals, blocks)}
+    want = {
+        int(l): float(svdvals(newton_matrix(b.dense()))[-1]) for l, b in zip(grid.lvals, blocks)
+    }
     got = hl_certificate_blocks(u, eos, 1.0)
     assert set(got) == set(want)
     for l, sigma in want.items():
@@ -567,31 +571,40 @@ def _momentum_law(u0, eos, scale):
     return AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
 
 
+def _widest_square(factors):
+    """The second longest axis of any array in ``factors``: n for an n x n
+    array, the chunk size for a stack of chunks."""
+    return max(sorted(a.shape)[-2] if a.ndim > 1 else 0 for a in factors)
+
+
 def test_certificate_builds_no_n_by_n_matrix(monkeypatch):
     # the certificate at a rotating state holds nothing n x n: lu_factor
-    # inverts only the support corners of the n_l per-degree blocks, each at
-    # most n_r x n_r, and a momentum law's B is built once, as the
-    # matrix-free LinearizedCentrifugal
+    # factors each of the n_l per-degree blocks from its generators, and no
+    # array it returns is as wide as the star's support in two axes; a
+    # momentum law's B is built once, as the matrix-free LinearizedCentrifugal
     u, eos, law, scale = _converged_state("momentum", 1.5, (64, 12, 4))
     grid = u.grid
-    inverted, builds = [], []
+    factored, builds = [], []
 
-    def recorded_inverse(corner):
-        inverted.append(corner.shape)
-        return inverse_orig(corner)
+    def recorded_factor(block, chunks):
+        out = factor_orig(block, chunks)
+        factored.append((block, out))
+        return out
 
     def recorded_build(*args, **kwargs):
         out = build_orig(*args, **kwargs)
         builds.append(type(out))
         return out
 
-    inverse_orig, build_orig = equilibrium.lu_factor, equilibrium.centrifugal_deriv_matrix
-    monkeypatch.setattr(equilibrium, "lu_factor", recorded_inverse)
+    factor_orig, build_orig = equilibrium.lu_factor, equilibrium.centrifugal_deriv_matrix
+    monkeypatch.setattr(equilibrium, "lu_factor", recorded_factor)
     monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", recorded_build)
     hl_certificate(u, eos, 1.0)
     hl_certificate(u, eos, 1.0, law=law, scale=scale)
-    assert len(inverted) == 2 * grid.n_l
-    assert all(rows == cols <= grid.n_r for rows, cols in inverted)
+    assert len(factored) == 2 * grid.n_l
+    for block, out in factored:
+        assert isinstance(block, equilibrium.DegreeBlock) and block.band.shape == (5, grid.n_r)
+        assert _widest_square(out) < block.support < grid.n_r
     assert builds == [LinearizedCentrifugal]
 
 
@@ -625,29 +638,28 @@ def test_jacobian_adds_into_out(eos15, profile15, scale15):
 
 def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale15, monkeypatch):
     # Newton products are matrix-free and only the per-degree diagonal blocks
-    # of the Jacobian are formed, n_l of them per preconditioner build, each
-    # in its own buffer and inverted on the star's support by one lu_factor
-    # call of at most n_r x n_r; nothing else is factored without the
-    # certificate, and neither the certificate's B nor a transposed product
-    # of the Newton solve's B is built
+    # of the Jacobian are formed, as generators, n_l of them per
+    # preconditioner build, each factored by one lu_factor call with no
+    # array as wide as the star's support in two axes; no block is made
+    # dense, nothing else is factored without the certificate, and neither
+    # the certificate's B nor a transposed product of the Newton solve's B
+    # is built
     def forbidden(*args, **kwargs):
         raise AssertionError("certificate work on the solve path")
 
-    sizes, factored = [], []
-    newton_matrix_orig, lu_factor_orig = equilibrium.newton_matrix, equilibrium.lu_factor
+    factored = []
+    lu_factor_orig = equilibrium.lu_factor
 
-    def recording_newton_matrix(jac, *args):
-        sizes.append(jac.shape)
-        return newton_matrix_orig(jac, *args)
-
-    def recording_lu_factor(a, *args, **kwargs):
-        factored.append(a.shape)
-        return lu_factor_orig(a, *args, **kwargs)
+    def recording_lu_factor(block, chunks):
+        out = lu_factor_orig(block, chunks)
+        factored.append((block, out))
+        return out
 
     monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", forbidden)
     monkeypatch.setattr(equilibrium, "hl_certificate", forbidden)
     monkeypatch.setattr(LinearizedCentrifugal, "apply_transpose", forbidden)
-    monkeypatch.setattr(equilibrium, "newton_matrix", recording_newton_matrix)
+    monkeypatch.setattr(equilibrium, "newton_matrix", forbidden)
+    monkeypatch.setattr(equilibrium.DegreeBlock, "dense", forbidden)
     monkeypatch.setattr(equilibrium, "lu_factor", recording_lu_factor)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     u0 = initial_field_from_profile(grid, profile15)
@@ -657,9 +669,8 @@ def test_uncertified_solve_builds_no_dense_newton_matrix(eos15, profile15, scale
     momentum = solve_equilibrium(None, eos15, 1.0, u0, opts, law=law, scale=scale15)
     builds = sum(s.meta["newton"]["preconditioner_builds"] for s in (rigid, momentum))
     assert builds >= 2
-    assert len(sizes) == len(factored) == builds * grid.n_l
-    assert max(max(shape) for shape in sizes) == grid.n_r
-    assert max(max(shape) for shape in factored) <= grid.n_r
+    assert len(factored) == builds * grid.n_l
+    assert all(_widest_square(out) < block.support for block, out in factored)
 
 
 def test_free_boundary_runs_once_per_solve(eos15, profile15, monkeypatch):
@@ -730,8 +741,37 @@ def test_failed_fallback_reports_newton_and_picard(eos3, profile3):
     assert all(np.isfinite(history[: n_newton - 1]))
 
 
+def test_singular_rebuild_after_a_capped_step_is_a_divergence(eos3, profile3, monkeypatch, caplog):
+    # past mass shedding GMRES stops at its cap, and a block that is singular
+    # at the rebuild after it is a diverging iterate, not a singular
+    # linearization: the step is not finite, Newton fails on the residual,
+    # and the Picard fallback runs
+    grid = AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
+    init = initial_field_from_profile(grid, profile3)
+    factor, builds = equilibrium._factor_blocks, []
+
+    def singular_rebuild(*args):
+        builds.append(1)
+        if len(builds) > 1:
+            raise SingularLinearization(0.0, args[-1])
+        return factor(*args)
+
+    monkeypatch.setattr(equilibrium, "_factor_blocks", singular_rebuild)
+    caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
+    with pytest.raises(NoConvergence) as info:
+        solve_equilibrium(rigid_rotation(grid, 6e-2), eos3, 1.0, init,
+                          SolverOptions(certify=False))
+    assert str(info.value).startswith("Newton failed (residual is not finite at iteration")
+    assert "the iterate is not finite" in str(info.value)
+    assert "Picard fallback failed" in str(info.value)
+    lines = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+    assert "(iteration cap)" in lines[-2] and lines[-1].endswith("singular at this iterate")
+    assert len(builds) == 2
+
+
 def test_divergence_error_names_the_overflow(eos3, profile3, caplog):
-    # past mass shedding both Newton and the Picard fallback overflow the
+    # past mass shedding Newton's last step overflows (its preconditioned
+    # GMRES product is not finite) and the Picard fallback overflows the
     # density; the error names where, and the last finite residual before it.
     # On the way GMRES stops at its cap, and the iteration line says so.
     from rotstar import equilibrium
@@ -750,13 +790,14 @@ def test_divergence_error_names_the_overflow(eos3, profile3, caplog):
     newton, picard = history[:n_newton], history[n_newton:]
     assert len(picard) == bad[1] - n_newton + 1
 
-    def overflow(run):
+    def overflow(run, cause):
         it = len(run) - 1
-        return (f"residual is not finite at iteration {it}: the density overflowed "
+        return (f"residual is not finite at iteration {it}: {cause} "
                 f"after a last finite residual of {run[-2]:.3e} at iteration {it - 1}")
 
     assert str(info.value) == (
-        f"Newton failed ({overflow(newton)}); Picard fallback failed ({overflow(picard)})"
+        f"Newton failed ({overflow(newton, 'the iterate is not finite')}); "
+        f"Picard fallback failed ({overflow(picard, 'the density overflowed')})"
     )
     capped = [r.getMessage() for r in caplog.records if "(iteration cap)" in r.getMessage()]
     assert capped
@@ -897,38 +938,44 @@ def test_certificate_on_the_support_matches_a_full_lu(kind, nu, size):
 
 
 def _synthetic_jacobian(grid, support):
-    """A seeded J on the packed vectors of ``grid``.  S is every column of J
-    that is not all zero, wherever it lies: all of them, none (M = I, so
-    sigma = 1), or all but some inside the support.  "weak-coupling" is as
-    the linearization at a slowly rotating state: the blocks off the
-    diagonal couple the degrees weakly and the smallest singular value is
-    isolated (by a rank-1 part of the degree-0 block)."""
+    """A seeded J on the packed vectors of ``grid``, and its per-degree
+    diagonal blocks as ``DegreeBlock``: the radial kernel's blocks with a
+    seeded coupling in place of rho'(u), and seeded blocks off the diagonal.
+    A column of J is zero where the coupling is zero at every Gauss point
+    that reads its node: "full" has no such column, "empty" only such
+    (M = I, so sigma = 1), and "zero-column-inside" some inside the support
+    as well as those past it.  "weak-coupling" is as the linearization at a
+    slowly rotating state: the blocks off the diagonal couple the degrees
+    weakly and the smallest singular value is isolated (by a rank-1 part of
+    the degree-0 block, which the preconditioner's blocks leave out)."""
     n = packed_size(grid)
     rng = np.random.default_rng(5)
-    if support != "weak-coupling":
-        jac = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
-        if support == "empty":
-            jac[:] = 0.0
-        elif support == "zero-column-inside":
-            jac[:, 200:] = 0.0
-            jac[:, [3, 70, 71, 150]] = 0.0
-        return jac
-    jac = 0.1 * rng.standard_normal((n, n)) / np.sqrt(n)
+    coef = 0.3 * rng.standard_normal((grid.n_gauss, grid.n_l))
+    jac = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    if support == "empty":
+        coef[:] = jac[:] = 0.0
+    elif support == "zero-column-inside":
+        coef[grid.n_gauss * 3 // 4 :] = 0.0
+        coef[60:100] = 0.0
     rows = [equilibrium._packed_block(grid, k) for k in range(grid.n_l)]
     degree = np.repeat(np.arange(grid.n_l), [r.stop - r.start for r in rows])
-    jac[degree[:, None] != degree] *= 1e-3
-    v = np.where(degree == 0, rng.standard_normal(n), 0.0)
-    return jac + 0.7 * np.outer(v, v) / (v @ v)
+    blocks = list(equilibrium.degree_blocks(grid, coef))
+    for r, blk in zip(rows, blocks):
+        dense = blk.dense()
+        jac[r, r] = dense
+        jac[:, r.start + np.flatnonzero(~np.any(dense, axis=0))] = 0.0
+    if support == "weak-coupling":
+        jac *= np.where(degree[:, None] != degree, 2e-4, 1.0)
+        v = np.where(degree == 0, rng.standard_normal(n), 0.0)
+        jac += 0.7 * np.outer(v, v) / (v @ v)
+    return jac, blocks
 
 
-def _certify_synthetic(monkeypatch, grid, jac):
-    """Make the certificate see ``jac``: its per-degree diagonal blocks as
-    the blocks to invert on their support, and products with I - ``jac``."""
-    rows = [equilibrium._packed_block(grid, k) for k in range(grid.n_l)]
-    monkeypatch.setattr(
-        equilibrium, "gravity_jacobian_packed",
-        lambda *args: (np.asfortranarray(jac[r, r]) for r in rows),
-    )
+def _certify_synthetic(monkeypatch, grid, synthetic):
+    """Make the certificate see the synthetic J of ``_synthetic_jacobian``:
+    its blocks as the blocks to factor, and products with I - J."""
+    jac, blocks = synthetic
+    monkeypatch.setattr(equilibrium, "gravity_jacobian_packed", lambda *args: iter(blocks))
     monkeypatch.setattr(
         equilibrium, "_newton_products",
         lambda *args: (lambda x: x - jac @ x, lambda y: y - jac.T @ y),
@@ -942,9 +989,10 @@ def test_certificate_on_a_synthetic_support(support, eos15, profile15, monkeypat
     # values are clustered; the block iteration still converges to them
     u = _oblate_state(profile15)
     n = packed_size(u.grid)
-    jac = _synthetic_jacobian(u.grid, support)
+    synthetic = _synthetic_jacobian(u.grid, support)
+    jac = synthetic[0]
     want = sigma_min_lu(np.eye(n) - jac)[0]
-    _certify_synthetic(monkeypatch, u.grid, jac)
+    _certify_synthetic(monkeypatch, u.grid, synthetic)
     sigma, info = hl_certificate(u, eos15, 1.0, full_output=True)
     assert abs(sigma - want) <= 1e-13 * want
     assert abs(sigma - sigma_min_dense(np.eye(n) - jac)) <= 1e-12 * want
@@ -963,8 +1011,8 @@ def test_certificate_at_its_step_cap_certifies_nothing(eos15, profile15, monkeyp
     u = _oblate_state(profile15)
     grid = u.grid
     n = packed_size(grid)
-    jac = _synthetic_jacobian(grid, "full")
-    want = sigma_min_dense(np.eye(n) - jac)
+    synthetic = _synthetic_jacobian(grid, "full")
+    want = sigma_min_dense(np.eye(n) - synthetic[0])
     init = initial_field_from_profile(grid, profile15)
     cf = rigid_rotation(grid, 1e-3)
     sol = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(certify=False))
@@ -974,7 +1022,7 @@ def test_certificate_at_its_step_cap_certifies_nothing(eos15, profile15, monkeyp
     assert "sigma_min <= " in str(err.value)
     with pytest.raises(NoConvergence, match="certificate"):
         solve_equilibrium(cf, eos15, 1.0, init, SolverOptions())
-    _certify_synthetic(monkeypatch, grid, jac)
+    _certify_synthetic(monkeypatch, grid, synthetic)
     with pytest.raises(NoConvergence) as err:
         hl_certificate(u, eos15, 1.0)
     ritz = float(str(err.value).split("sigma_min <= ")[1].split(",")[0])
@@ -1057,79 +1105,121 @@ def test_gmres_newton_step_matches_dense_lu(kind, nu, size):
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("nu", [1.0, 3.0])
+def _block_solve_errors(grid, blocks, seed):
+    """The largest error, relative to the solution, of the structured solves
+    with ``blocks`` (DegreeBlock), forward and transposed, against an LU of
+    each whole dense block I - J_kk (``oracles.block_solve_lu``)."""
+    inverse = equilibrium.BlockInverse(grid, blocks)
+    x = np.random.default_rng(seed).standard_normal((len(blocks), grid.n_r))
+    x[1:, 0] = 0.0
+    worst = 0.0
+    for transposed in (False, True):
+        got = inverse.solve(x, transposed)
+        for k, blk in enumerate(blocks):
+            dense = blk.dense()
+            want = block_solve_lu(dense.T if transposed else dense, x[k, (k > 0):])
+            err = np.linalg.norm(got[k, (k > 0):] - want) / np.linalg.norm(want)
+            worst = max(worst, err)
+    return worst, inverse
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5, 2.0, 2.5, 3.0])
 @pytest.mark.parametrize("state", ["spherical", "rotating"])
 def test_block_inverses_on_the_support_match_a_full_lu(state, nu):
-    # the columns of J_kk past the star's support are zero, so the inverse
-    # kept on the support and the rows below it solve I - J_kk as an LU of
-    # the whole block does; at nu = 1 rho'(u) jumps at the surface
-    from rotstar import equilibrium
-
-    size = (128, 16, 6)
-    if state == "spherical":
-        eos = EquationOfState.from_index(nu)
-        prof = solve_lane_emden(eos, 1.0)
-        u = initial_field_from_profile(AxiGrid.build(prof.r_inf, *size, focus=prof.xi1), prof)
-    else:
-        u, eos, _, _ = _converged_state("rigid", nu, size)
-    grid, modes = u.grid, u.modes()
-    blocks = list(equilibrium.gravity_jacobian_packed(grid, eos, 1.0, modes))
-    inverses = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
-    assert len(inverses) == len(blocks) == grid.n_l
-    rng = np.random.default_rng(13)
-    for blk, block in zip(blocks, inverses, strict=True):
-        n_in = equilibrium._support_size(blk)
-        # the last nonzero column + 1, short of the whole block
-        assert np.any(blk[:, n_in - 1]) and not np.any(blk[:, n_in:])
-        assert len(block[0]) == n_in < len(blk)
-        x = rng.standard_normal(len(blk))
-        want = block_solve_lu(blk, x)
-        got = equilibrium._solve_block(block, x)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    # the columns of J_kk past the star's support are zero, so the solves
+    # factored on the support and the rows below it, forward and transposed,
+    # solve I - J_kk as an LU of the whole block does, degree 0 with its
+    # center subtraction and the others without their center; the support
+    # ends well inside the grid, and at nu = 1 rho'(u) jumps there
+    for size in [(64, 12, 4), (128, 16, 6), (256, 32, 8), (512, 48, 16)]:
+        if state == "spherical":
+            eos = EquationOfState.from_index(nu)
+            prof = solve_lane_emden(eos, 1.0)
+            grid = AxiGrid.build(prof.r_inf, *size, focus=prof.xi1)
+            u = initial_field_from_profile(grid, prof)
+        else:
+            u, eos, _, _ = _converged_state("rigid", nu, size)
+        grid = u.grid
+        blocks = list(equilibrium.gravity_jacobian_packed(grid, eos, 1.0, u.modes()))
+        assert len(blocks) == grid.n_l
+        for blk in blocks:
+            # the last nonzero column + 1, short of the whole block
+            dense = blk.dense()
+            n_in = blk.support - (blk.k > 0)
+            assert np.any(dense[:, n_in - 1]) and not np.any(dense[:, n_in:])
+        worst, inverse = _block_solve_errors(grid, blocks, 13)
+        assert worst <= 1e-13, size
+        assert 1 < inverse.chunks.m and inverse.support + 2 <= inverse.chunks.n < grid.n_r
 
 
 def test_block_inverse_with_full_or_empty_support():
-    from rotstar import equilibrium
+    # the kernel's blocks with a seeded coupling: over the whole grid (n at
+    # n_r, or n_r rounded up to whole chunks), short of it, on the first
+    # panels only, or none (I - J_kk = I); the grids of degree 120 have
+    # several kernel chunks, so the running sums carry from chunk to chunk
+    for shape in [(48, 122, 120), (128, 122, 120), (64, 12, 4)]:
+        grid = AxiGrid.build(12.0, *shape, focus=3.6)
+        assert (len(grid.kernel.bounds) > 2) == (shape[2] == 120)
+        ends = {"full": grid.n_gauss, "partial": grid.n_gauss * 3 // 5, "center": 8, "empty": 0}
+        for support, end in ends.items():
+            coef = 0.3 * np.random.default_rng(5).standard_normal((grid.n_gauss, grid.n_l))
+            coef[end:] = 0.0
+            blocks = list(equilibrium.degree_blocks(grid, coef))
+            worst, inverse = _block_solve_errors(grid, blocks, 3)
+            assert worst <= 1e-13, (shape, support)
+            if support == "full":
+                assert inverse.support == grid.n_r <= inverse.chunks.n
+            if support == "empty":
+                x = np.ones((grid.n_l, grid.n_r))
+                x[1:, 0] = 0.0
+                assert inverse.support == 0
+                assert np.array_equal(inverse.solve(x), x)
+                assert np.array_equal(inverse.solve(x, True), x)
 
-    rng = np.random.default_rng(2)
-    blk = np.asfortranarray(0.1 * rng.standard_normal((9, 9)))
-    x = rng.standard_normal(9)
-    blk[:, 4] = 0.0  # a zero column inside the support changes nothing
-    for n_in in (9, 6, 0):
-        blk[:, n_in:] = 0.0
-        assert equilibrium._support_size(blk) == n_in
-        inverse, lower = equilibrium._invert_on_support(blk.copy(order="F"))
-        assert inverse.shape == (n_in, n_in) and lower.shape == (9 - n_in, n_in)
-        got = equilibrium._solve_block((inverse, lower), x)
-        want = block_solve_lu(blk, x)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+def test_factor_blocks_holds_no_dense_block():
+    # at 512x48xl16 the factors of the 9 blocks hold no n_r x n_r array and
+    # about 1.5 MB in all (12.3 MB while each block's support corner was
+    # inverted densely, with a 17.4 MB peak)
+    import tracemalloc
+
+    eos = EquationOfState.from_index(1.5)
+    prof = solve_lane_emden(eos, 1.0)
+    grid = AxiGrid.build(prof.r_inf, 512, 48, 16, focus=prof.xi1)
+    modes = initial_field_from_profile(grid, prof).modes()
+    tracemalloc.start()
+    try:
+        blocks = equilibrium._factor_blocks(grid, eos, 1.0, modes, 1e-3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2e6 and peak < 5e6
+    assert _widest_square(blocks.factors) < blocks.support
 
 
 def test_each_block_is_consumed_before_the_next_is_built(eos15, profile15, monkeypatch):
-    # the preconditioner inverts, and the per-block certificate takes the SVD
-    # of, each block before the next one is built: one n_r x n_r block at a time
-    from rotstar import equilibrium
+    # the per-block certificate takes the SVD of each block, made dense from
+    # its generators, before the next one is built: one n_r x n_r block at a
+    # time
     from rotstar.grids import RadialKernel
 
     built, seen = [], []
-    blocks, newton_matrix_orig = RadialKernel.blocks, equilibrium.newton_matrix
+    generators, newton_matrix_orig = RadialKernel.generators, equilibrium.newton_matrix
 
     def counting(self, k, coef):
         built.append(k)
-        return blocks(self, k, coef)
+        return generators(self, k, coef)
 
     def recording(jac):
         seen.append(len(built))
         return newton_matrix_orig(jac)
 
-    monkeypatch.setattr(RadialKernel, "blocks", counting)
+    monkeypatch.setattr(RadialKernel, "generators", counting)
     monkeypatch.setattr(equilibrium, "newton_matrix", recording)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     u = initial_field_from_profile(grid, profile15)
-    equilibrium._factor_blocks(grid, eos15, 1.0, u.modes(), 1e-3)
-    built.clear()
     hl_certificate_blocks(u, eos15, 1.0)
-    assert seen == [1, 2, 3] * 2 and built == [0, 1, 2]
+    assert seen == [1, 2, 3] and built == [0, 1, 2]
 
 
 def test_certificate_is_deterministic(eos15, profile15):
@@ -1139,17 +1229,21 @@ def test_certificate_is_deterministic(eos15, profile15):
 
 def _zero_block(blocks):
     # J_kk = I makes the block I - J_kk zero
-    blocks[1][:] = np.eye(len(blocks[1]))
+    blk = blocks[1]
+    blk.beta[:] = blk.delta[:] = blk.band[:] = 0.0
+    blk.band[2, 1:] = 1.0
 
 
 def _zero_block_on_the_support(blocks):
-    # I - J_kk = [[0, 0], [-B, I]] with B the rows past the support
-    n_in = np.flatnonzero(np.any(blocks[1], axis=0))[-1] + 1
-    blocks[1][:n_in, :n_in] = np.eye(n_in)
+    # J_kk = I on the star's support makes I - J_kk [[0, 0], [0, I]]
+    blk = blocks[1]
+    n_in = blk.support
+    blk.beta[:n_in] = blk.delta[:n_in] = blk.band[:, :n_in] = 0.0
+    blk.band[2, 1:n_in] = 1.0
 
 
 def _block_with_nan(blocks):
-    blocks[1][3, 5] = np.nan
+    blocks[1].band[1, 5] = np.nan
 
 
 def _breaking(breaker):
@@ -1335,7 +1429,9 @@ def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
     # the spherical start
     start = initial_field_from_profile(grid, profile15)
     blocks = equilibrium.gravity_jacobian_packed(grid, eos15, 1.0, start.modes())
-    nodes = max(np.flatnonzero(np.any(b, axis=0))[-1] + 1 + (k > 0) for k, b in enumerate(blocks))
+    nodes = max(
+        np.flatnonzero(np.any(b.dense(), axis=0))[-1] + 1 + (k > 0) for k, b in enumerate(blocks)
+    )
     assert nodes < grid.n_r
     assert [m for m in second if m.startswith("certificate")] == [
         f"certificate: sigma_min {sol.hl_sigma_min:.6e} "

@@ -16,7 +16,9 @@ from rotstar.grids import (
 from rotstar.errors import DomainError
 from rotstar.perturb import ModeGrid
 
-from oracles import axigrid_kernels_loop, cubic_spline_slopes_banded, radial_kernel
+from oracles import (
+    axigrid_kernels_loop, cubic_spline_slopes_banded, kernel_blocks, radial_kernel,
+)
 
 
 def test_zeta_nodes_symmetric_with_paired_weights():
@@ -175,7 +177,7 @@ def test_kernel_blocks_match_dense_products(shape, n_cols):
     got, want = [], []
     for k in range(grid.n_l):
         coef = rng.standard_normal((grid.n_gauss, n_j))
-        blk = grid.kernel.blocks(k, coef)
+        blk = kernel_blocks(grid.kernel, k, coef)
         assert blk.shape == (n_j, grid.n_r, grid.n_r)
         got.append(blk.transpose(0, 2, 1))
         want.append(np.stack([(kernels[k] * coef[:, j]) @ interp for j in range(n_j)]))

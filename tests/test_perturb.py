@@ -256,13 +256,13 @@ def test_resolvent_blocks_match_the_dense_solve(nu, monkeypatch):
     g1 = pack_modes(grid, rigid_rotation(grid, 1.0).g_modes)
     want = unpack_modes(grid, np.linalg.solve(mat, g1))
     built = []
-    blocks = RadialKernel.blocks
+    generators = RadialKernel.generators
 
     def counting(self, k, coef):
         built.append(k)
-        return blocks(self, k, coef)
+        return generators(self, k, coef)
 
-    monkeypatch.setattr(RadialKernel, "blocks", counting)
+    monkeypatch.setattr(RadialKernel, "generators", counting)
     got = perturb._resolvent_h(prof, eos, 1.0, grid)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.all(got[2:] == 0.0)
