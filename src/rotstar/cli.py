@@ -59,15 +59,38 @@ _log = logging.getLogger(__name__)
 # the run's objects from a validated configuration
 
 
+# the keys of [eos] and [rotation] that each kind reads
+_EOS_KEYS = {
+    "polytrope": ("gamma", "nu", "pressure_const"),
+    "white_dwarf": ("wd_a", "wd_b", "wd_c"),
+}
+_ROTATION_KEYS = {
+    "none": (),
+    "constant": ("omega", "beta"),
+    "differential": ("varpi", "omega_profile"),
+    "angular-momentum": ("m", "j"),
+}
+
+
+def _kind_section(config: dict, section: str, keys: dict) -> dict:
+    """``config[section]``; a key given that its kind does not read (``keys``)
+    is a ConfigError."""
+    sec = config[section]
+    kind = sec["kind"]
+    for key, val in sec.items():
+        if key != "kind" and val is not None and key not in keys[kind]:
+            raise ConfigError(f"{kind} {section} takes no {key}", parameter=f"{section}.{key}")
+    return sec
+
+
 def build_eos(config: dict) -> EquationOfState:
-    sec = config["eos"]
+    sec = _kind_section(config, "eos", _EOS_KEYS)
     if sec["kind"] == "white_dwarf":
-        for k in ("gamma", "nu", "pressure_const"):
-            if sec[k] is not None:
-                raise ConfigError(f"white dwarf EOS takes no {k}", parameter=f"eos.{k}")
-        for k in ("wd_a", "wd_b", "wd_c"):
-            if sec[k] is None:
-                raise ConfigError("white dwarf EOS needs wd_a, wd_b, wd_c", parameter=f"eos.{k}")
+        missing = [k for k in _EOS_KEYS["white_dwarf"] if sec[k] is None]
+        if missing:
+            raise ConfigError(
+                "white dwarf EOS needs wd_a, wd_b, wd_c", parameter=f"eos.{missing[0]}"
+            )
         return EquationOfState.white_dwarf(sec["wd_a"], sec["wd_b"], sec["wd_c"])
     if sec["nu"] is not None and sec["gamma"] is not None:
         raise ConfigError("give either gamma or nu, not both", parameter="eos.nu")
@@ -92,15 +115,6 @@ def _tabulated_law(sec: dict, law, x: str, y: str):
         raise ConfigError(f"[rotation] {x}, {y}: {exc}", parameter=f"rotation.{x}") from None
 
 
-# the [rotation] keys that each kind reads
-_ROTATION_KEYS = {
-    "none": (),
-    "constant": ("omega", "beta"),
-    "differential": ("varpi", "omega_profile"),
-    "angular-momentum": ("m", "j"),
-}
-
-
 def build_rotation(config: dict, scale: ScaleSet, grid: AxiGrid):
     """``[rotation]`` as (centrifugal field, angular-momentum law) on ``grid``.
 
@@ -108,11 +122,8 @@ def build_rotation(config: dict, scale: ScaleSet, grid: AxiGrid):
     ``kind = none`` neither.  A key that the kind does not read is a
     ConfigError.
     """
-    sec = config["rotation"]
+    sec = _kind_section(config, "rotation", _ROTATION_KEYS)
     kind = sec["kind"]
-    for key, val in sec.items():
-        if key != "kind" and val is not None and key not in _ROTATION_KEYS[kind]:
-            raise ConfigError(f"{kind} rotation takes no {key}", parameter=f"rotation.{key}")
     if kind == "none":
         return None, None
     if kind == "constant":
@@ -422,7 +433,7 @@ def _nonneg(x: float) -> bool:
 CONFIG = {
     "run": {"command": ("choice", tuple(COMMANDS), None)},
     "eos": {
-        "kind": ("choice", ("polytrope", "white_dwarf"), "polytrope"),
+        "kind": ("choice", tuple(_EOS_KEYS), "polytrope"),
         "gamma": ("float", _positive, None),
         "nu": ("float", _positive, None),
         "pressure_const": ("float", _positive, None),

@@ -41,6 +41,7 @@ from .grids import (
     cubic_spline,
     derivative_stencil,
     legendre_table,
+    running_sums,
 )
 from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
@@ -666,25 +667,6 @@ class _Chunks:
         self.picks = self.reads + n * np.array([0, 1, 1, 2, 1, 1])
 
 
-def _running(v: np.ndarray, starts: np.ndarray, carry: np.ndarray, reverse: bool = False):
-    """Running sums of ``v`` along its last axis, from the first node up (from
-    the last down with ``reverse``), each in the scale of its kernel chunk:
-    the chunks start at ``starts``, and a sum passes into the next one times
-    ``carry[..., q]``, as in ``RadialKernel.apply``."""
-    if len(starts) == 1:
-        return v[..., ::-1].cumsum(axis=-1)[..., ::-1] if reverse else v.cumsum(axis=-1)
-    if reverse:
-        n = v.shape[-1]
-        flipped = n - np.append(starts[1:], n)[::-1]
-        return _running(v[..., ::-1], flipped, carry[..., ::-1])[..., ::-1]
-    out = np.empty(v.shape)
-    for q, (j0, j1) in enumerate(zip(starts, np.append(starts[1:], v.shape[-1]))):
-        np.cumsum(v[..., j0:j1], axis=-1, out=out[..., j0:j1])
-        if q:
-            out[..., j0:j1] += out[..., j0 - 1, None] * carry[..., q - 1, None]
-    return out
-
-
 class _Factors(NamedTuple):
     """One degree's factors from ``lu_factor``, or those of several degrees
     stacked along a leading axis."""
@@ -696,7 +678,7 @@ class _Factors(NamedTuple):
     delta: np.ndarray
     center: np.ndarray  # (n,): row 0 of J_00, 0 for the other degrees
     scale: np.ndarray  # (m, 6): the running sums' scales, 0 where not live
-    beta_carry: np.ndarray  # the carries of ``_running``
+    beta_carry: np.ndarray  # the carries of ``running_sums``
     delta_carry: np.ndarray
     last: np.ndarray  # (n,): beta in the scale of node n - 1
     below: np.ndarray  # (n_r - n,): f_in past n, in the scale of node n - 1
@@ -706,8 +688,8 @@ def _couplings(chunks: _Chunks, f: _Factors, z: np.ndarray) -> np.ndarray:
     """V^T z: the 7 coupling columns of each chunk at solutions z (..., n),
     shape (..., m, 7)."""
     n, m, s = chunks.n, chunks.m, chunks.s
-    inner = _running(f.beta * z, chunks.beta_starts, f.beta_carry)
-    outer = _running(f.delta * z, chunks.delta_starts, f.delta_carry, reverse=True)
+    inner = running_sums(f.beta * z, chunks.beta_starts, f.beta_carry)
+    outer = running_sums(f.delta * z, chunks.delta_starts, f.delta_carry, reverse=True)
     picked = np.concatenate([inner, z, outer], axis=-1)[..., chunks.picks] * f.scale
     part = (f.center * z).reshape(z.shape[:-1] + (m, s)).sum(axis=-1)
     return np.concatenate([picked, (part.sum(axis=-1, keepdims=True) - part)[..., None]], axis=-1)
@@ -721,8 +703,8 @@ def _couplings_transposed(chunks: _Chunks, f: _Factors, b: np.ndarray) -> np.nda
     picked = np.zeros(b.shape[:-2] + (3 * n,))
     picked[..., chunks.picks] = b[..., :6] * f.scale
     out = picked[..., n : 2 * n]
-    out += f.beta * _running(picked[..., :n], chunks.beta_starts, f.beta_carry, reverse=True)
-    out += f.delta * _running(picked[..., 2 * n :], chunks.delta_starts, f.delta_carry)
+    out += f.beta * running_sums(picked[..., :n], chunks.beta_starts, f.beta_carry, reverse=True)
+    out += f.delta * running_sums(picked[..., 2 * n :], chunks.delta_starts, f.delta_carry)
     part = b[..., 6]
     out += f.center * np.repeat(part.sum(axis=-1, keepdims=True) - part, s, axis=-1)
     return out
@@ -937,7 +919,6 @@ def _solve_modes(
             _log.debug("iter %2d  residual %.3e", it, res)
             raise _not_finite(history, U)
         if opts.newton:
-            fp = _density_deriv_fine(grid, eos, u_center, U)
             if law is not None and lin is None:
                 lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
             built = ""
@@ -957,10 +938,11 @@ def _solve_modes(
                 stats["preconditioner_builds"] += 1
                 built = f"built ({_support_note(grid, blocks)})"
                 blocks_from = f"of iteration {it}"
-            apply, _ = _newton_products(grid, fp, lin)
+            apply = _newton_products(grid, _density_deriv_fine(grid, eos, u_center, U), lin)[0]
             delta, inner, lin_res = _gmres(
                 apply, lambda x: _solve_blocks(grid, blocks, x), pack_modes(grid, rhs)
             )
+            del apply  # and rho'(u) with it, before the next residual
             stats["gmres_iterations"].append(inner)
             capped = inner == _GMRES_MAX_ITER and lin_res > _GMRES_RTOL
             _log.debug(

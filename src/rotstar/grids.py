@@ -9,7 +9,8 @@ tables, a composite 4-point Gauss rule on the radial panels (``panel_gauss``;
 interpolation from nodes to the radial quadrature points as a 4-node stencil,
 and the multipole potential's two-sided radial kernel of each degree in
 separable form (``RadialKernel``: prefix and suffix sums over the panels,
-with no n_r x n_gauss array).
+carried from chunk to chunk by ``running_sums``, with no n_r x n_gauss
+array).
 
 The 1-D routines are piecewise polynomials (the not-a-knot cubic spline,
 PCHIP, and the profile's dense output), the Legendre recurrence and the
@@ -346,6 +347,27 @@ _PER_PANEL = 4
 _LEAD = 12
 _WINDOW = 24
 
+
+def running_sums(v: np.ndarray, starts: np.ndarray, carry: np.ndarray, reverse: bool = False):
+    """Running sums of ``v`` along its last axis, from the first entry up
+    (from the last down with ``reverse``), each in the scale of its chunk: the
+    chunks start at ``starts``, and a sum passes between chunks q and q + 1,
+    either way, times ``carry[..., q]``."""
+    if len(starts) == 1:
+        return v[..., ::-1].cumsum(axis=-1)[..., ::-1] if reverse else v.cumsum(axis=-1)
+    n = v.shape[-1]
+    if reverse:
+        flipped = n - np.append(starts[1:], n)[::-1]
+        return running_sums(v[..., ::-1], flipped, carry[..., ::-1])[..., ::-1]
+    bounds = starts.tolist() + [n]
+    out = np.empty(v.shape)
+    for q, (j0, j1) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.cumsum(v[..., j0:j1], axis=-1, out=out[..., j0:j1])
+        if q:
+            out[..., j0:j1] += out[..., j0 - 1, None] * carry[..., q - 1, None]
+    return out
+
+
 def _windows(a: np.ndarray, width: int) -> np.ndarray:
     """Sliding windows along axis 0 of ``a``, one per node, the window axis
     last: ``a`` holds ``_PER_PANEL`` rows per panel plus ``width - _PER_PANEL``
@@ -391,7 +413,6 @@ class RadialKernel:
                 reach = bottom[j0] * np.exp(_CHUNK_LOG / l_max)
                 j1 = min(j1, np.searchsorted(r[:n_p], reach, "right"))
             bounds.append(int(j1))
-        self.bounds = bounds
         chunk = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))  # per panel
         rho, sigma = top[np.array(bounds[1:]) - 1], bottom[bounds[:-1]]
         e_in, e_out = lv + 1.0, lv
@@ -409,6 +430,11 @@ class RadialKernel:
         up = np.arange(len(rho))[:, None] <= np.arange(len(rho))
         self.c_in = np.where(up, rho[:, None] / rho, 0.0) ** e_in[:, :, None]
         self.c_out = np.where(up.T, sigma / sigma[:, None], 0.0) ** e_out[:, :, None]
+        # the running sums over the panels (``running_sums``): the first
+        # panel of each chunk, and the carries between chunks q and q + 1
+        self.starts = np.array(bounds[:-1])
+        q = np.arange(len(rho) - 1)
+        self.carry_in, self.carry_out = self.c_in[:, q, q + 1], self.c_out[:, q + 1, q]
         # the chunk of each node's inner and outer parts (panels i - 1 and i)
         # and of each column's generators beta and delta (panels c + 2 and
         # c - 3, see ``generators``)
@@ -431,53 +457,25 @@ class RadialKernel:
         inner = (self.k_in * s).reshape(n_l, n_r - 1, _PER_PANEL).sum(axis=2)
         outer = (self.k_out * s).reshape(n_l, n_r - 1, _PER_PANEL).sum(axis=2)
         out = np.zeros((n_l, n_r))
-        spans = list(zip(self.bounds[:-1], self.bounds[1:]))
-        carry = np.zeros(n_l)
-        for q, (j0, j1) in enumerate(spans):
-            part = np.cumsum(inner[:, j0:j1], axis=1)
-            part += carry[:, None]
-            out[:, j0 + 1 : j1 + 1] = self.f_in[:, j0 + 1 : j1 + 1] * part
-            if j1 < n_r - 1:
-                carry = part[:, -1] * self.c_in[:, q, q + 1]
-        carry = np.zeros(n_l)
-        for q in range(len(spans) - 1, -1, -1):
-            j0, j1 = spans[q]
-            part = np.cumsum(outer[:, j1 - 1 : (j0 - 1 if j0 else None) : -1], axis=1)
-            part += carry[:, None]
-            out[:, j0:j1] += self.f_out[:, j0:j1] * part[:, ::-1]
-            if q:
-                carry = part[:, -1] * self.c_out[:, q, q - 1]
+        out[:, 1:] = self.f_in[:, 1:] * running_sums(inner, self.starts, self.carry_in)
+        out[:, :-1] += self.f_out[:, :-1] * running_sums(
+            outer, self.starts, self.carry_out, reverse=True
+        )
         return out
 
     def apply_transpose(self, values: np.ndarray) -> np.ndarray:
         """The transpose of ``apply``: out[l, p] = sum_i K_l[i, p] values[l, i],
         node values (n_l, n_r) -> Gauss samples (n_l, n_gauss).
 
-        The running sums of ``apply`` run the other way with the same chunk
-        carries: the inner part of panel j sums the nodes above it, a suffix
-        sum from the last chunk down, and its outer part the nodes from its
-        chunk's first up to j, a prefix sum from the first chunk up.
+        The running sums of ``apply`` run the other way with the same
+        carries: the inner part of panel j sums the nodes above it, from the
+        last node down, and its outer part the nodes up to j, from the first
+        node up.
         """
         n_l, n_r = self.f_in.shape
         v = np.asarray(values, dtype=float)
-        a, b = self.f_in * v, self.f_out * v
-        inner, outer = np.empty((2, n_l, n_r - 1))
-        spans = list(zip(self.bounds[:-1], self.bounds[1:]))
-        carry = np.zeros(n_l)
-        for q in range(len(spans) - 1, -1, -1):
-            j0, j1 = spans[q]
-            part = np.cumsum(a[:, j1:j0:-1], axis=1)  # nodes j1 down to j0 + 1
-            part += carry[:, None]
-            inner[:, j0:j1] = part[:, ::-1]
-            if q:
-                carry = part[:, -1] * self.c_in[:, q - 1, q]
-        carry = np.zeros(n_l)
-        for q, (j0, j1) in enumerate(spans):
-            part = np.cumsum(b[:, j0:j1], axis=1)
-            part += carry[:, None]
-            outer[:, j0:j1] = part
-            if j1 < n_r - 1:
-                carry = part[:, -1] * self.c_out[:, q + 1, q]
+        inner = running_sums((self.f_in * v)[:, 1:], self.starts, self.carry_in, reverse=True)
+        outer = running_sums((self.f_out * v)[:, :-1], self.starts, self.carry_out)
         out = self.k_in.reshape(n_l, n_r - 1, _PER_PANEL) * inner[:, :, None]
         out += self.k_out.reshape(n_l, n_r - 1, _PER_PANEL) * outer[:, :, None]
         return out.reshape(n_l, -1)
@@ -538,7 +536,7 @@ class RadialKernel:
         below = d >= 3
         r, c = np.minimum(rows, n_r - 1), np.minimum(cols, n_r - 1)
         out = np.where(below, self.f_in[k, r] * beta[..., c], self.f_out[k, r] * delta[..., c])
-        if len(self.bounds) > 2:
+        if len(self.starts) > 1:
             # generators and rows in different chunks: the ratio between them
             out *= np.where(below, self.c_in[k][self.q_beta[c], self.q_in[r]],
                             self.c_out[k][self.q_delta[c], self.q_out[r]])
@@ -663,10 +661,16 @@ class AxiGrid:
         return self.kernel.apply(source_modes_gauss)
 
     def eval_modes_at(self, modes: np.ndarray, r_query: np.ndarray) -> np.ndarray:
-        """Local-cubic evaluation of mode functions at arbitrary radii."""
+        """Local-cubic values of the mode functions (..., n_r) at the radii
+        ``r_query``, shape (...,) + r_query.shape (at least 1-D).  Each
+        distinct radius is interpolated once: a refinement level of
+        ``potential_direct`` repeats each Gauss radius over every target and
+        zeta cell.  The stencil weights of a radius do not depend on the
+        batch, so the values are those of a per-point interpolation."""
         r_query = np.atleast_1d(np.asarray(r_query, dtype=float))
-        mat = interp_matrix(self.r, r_query)
-        return modes @ mat.T
+        radii, inverse = np.unique(r_query.ravel(), return_inverse=True)
+        values = apply_stencil(*interp_stencil(self.r, radii), modes)
+        return values[..., inverse.ravel()].reshape(values.shape[:-1] + r_query.shape)
 
 
 @dataclass

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .grids import AxiField, AxiGrid, interp_stencil, legendre_table, panel_gauss
+from .grids import AxiField, AxiGrid, legendre_table, panel_gauss
 
 
 def _kernel_parts(r, zeta, rp, zetap):
@@ -111,18 +111,6 @@ def grad_at_origin(field: AxiField) -> float:
 # direct quadrature path
 
 
-def _modes_at_radii(grid: AxiGrid, modes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Local-cubic values of the mode functions at the radii x, shape
-    (n_l,) + x.shape.  Each distinct radius is interpolated once: a level of
-    the near field's refinement repeats each Gauss radius of its cells over
-    every target and zeta cell.  The stencil weights of a point do not depend
-    on the batch, so the values are those of a per-point interpolation."""
-    radii, inverse = np.unique(x.ravel(), return_inverse=True)
-    cols, weights = interp_stencil(grid.r, radii)
-    fr = np.einsum("lps,ps->lp", modes[:, cols], weights)
-    return fr[:, inverse.ravel()].reshape((grid.n_l,) + x.shape)
-
-
 def potential_direct(
     field: AxiField,
     refine_depth: int = 5,
@@ -156,7 +144,7 @@ def potential_direct(
         w = (wr * xr ** 2)[:, :, None] * wz[:, None, :]
         if source_fn is None:
             f = np.einsum(
-                "lmr,lmz->mrz", _modes_at_radii(grid, modes, xr), legendre_table(grid.lvals, xz)
+                "lmr,lmz->mrz", grid.eval_modes_at(modes, xr), legendre_table(grid.lvals, xz)
             )
         else:
             f = source_fn(xr[:, :, None], xz[:, None, :]) * np.ones(w.shape)
@@ -195,7 +183,7 @@ def potential_direct(
     w = wr * xr ** 2 * wz
     if source_fn is None:
         pz = legendre_table(grid.lvals, xz[0, :, 0])
-        f = np.einsum("lkr,lcz->kcrz", _modes_at_radii(grid, modes, xr[:, 0, :, 0]), pz)
+        f = np.einsum("lkr,lcz->kcrz", grid.eval_modes_at(modes, xr[:, 0, :, 0]), pz)
     else:
         f = source_fn(xr, xz) * np.ones(w.shape)
     wf = w * f

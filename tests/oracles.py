@@ -413,9 +413,9 @@ def dm_response_dense(lin):
 
 
 def modes_at_radii_per_point(grid, modes, x):
-    """``potential._modes_at_radii`` with every point interpolated on its
-    own, repeated radii included: the direct quadrature's form before it
-    took each distinct radius once."""
+    """``AxiGrid.eval_modes_at`` with every point interpolated on its own,
+    repeated radii included: the direct quadrature's form before it took
+    each distinct radius once."""
     from rotstar.grids import interp_stencil
 
     cols, weights = interp_stencil(grid.r, x.ravel())

@@ -224,6 +224,9 @@ wd_c = 1.0
         (WHITE_DWARF_INI + "nu = 1.0\n", "eos.nu"),
         # the white dwarf's constant is 8 wd_a / (5 wd_b^(5/3))
         (WHITE_DWARF_INI + "pressure_const = 7\n", "eos.pressure_const"),
+        # white-dwarf keys under a polytrope
+        (LANE_EMDEN_INI.replace("gamma = 2.0", "nu = 1.5\nwd_a = 3\nwd_b = 2\nwd_c = 1"),
+         "eos.wd_a"),
         # a rotation key that the chosen kind does not read
         (SOLVE_INI.replace("kind = constant\nbeta = 1e-3", "kind = none\nbeta = 1e-2"),
          "rotation.beta"),
@@ -233,7 +236,7 @@ wd_c = 1.0
          + "omega = 0.05\n\n[grid]" + SOLVE_INI.split("[grid]")[1], "rotation.omega"),
     ],
     ids=["omega-and-beta", "white-dwarf-gamma", "white-dwarf-nu",
-         "white-dwarf-pressure-const", "none-with-beta",
+         "white-dwarf-pressure-const", "polytrope-with-white-dwarf-keys", "none-with-beta",
          "constant-with-tables", "differential-with-omega"],
 )
 def test_conflicting_keys_are_a_config_error(tmp_path, capsys, ini, parameter):

@@ -12,6 +12,7 @@ from rotstar.grids import (
     legendre_table,
     panel_gauss,
     pchip,
+    running_sums,
 )
 from rotstar.errors import DomainError
 from rotstar.perturb import ModeGrid
@@ -160,10 +161,42 @@ def test_separable_kernel_applies_the_dense_tensor(shape):
     grid = AxiGrid.build(12.0, *shape, focus=3.6)
     assert not hasattr(grid, "kernels")
     if shape[2] == 120:
-        assert len(grid.kernel.bounds) > 2  # more than one chunk
+        assert len(grid.kernel.starts) > 1  # more than one chunk
     samples = np.random.default_rng(4).standard_normal((grid.n_l, grid.n_gauss))
     want = np.einsum("kip,kp->ki", axigrid_kernels_loop(grid), samples)
     assert _worst_per_degree(grid.potential_modes_from_gauss(samples), want) <= 1e-13
+
+
+@pytest.mark.parametrize("shape", _KERNEL_SHAPES)
+def test_separable_kernel_applies_the_dense_transpose(shape):
+    grid = AxiGrid.build(12.0, *shape, focus=3.6)
+    values = np.random.default_rng(5).standard_normal((grid.n_l, grid.n_r))
+    want = np.einsum("kip,ki->kp", axigrid_kernels_loop(grid), values)
+    assert _worst_per_degree(grid.kernel.apply_transpose(values), want) <= 1e-13
+
+
+def _running_sums_loop(v, starts, carry, reverse):
+    """running_sums by a double loop: entry j enters the sum at i (j <= i,
+    or j >= i with ``reverse``) times the carries of the chunk boundaries
+    between them."""
+    chunk = np.searchsorted(starts, np.arange(v.shape[-1]), side="right") - 1
+    out = np.zeros(v.shape)
+    for i in range(v.shape[-1]):
+        for j in (range(i, v.shape[-1]) if reverse else range(i + 1)):
+            lo, hi = sorted((chunk[i], chunk[j]))
+            out[..., i] += v[..., j] * np.prod(carry[..., lo:hi], axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("starts", [[0], [0, 3], [0, 1, 5, 6]])
+@pytest.mark.parametrize("reverse", [False, True])
+def test_running_sums_match_a_direct_loop(starts, reverse):
+    rng = np.random.default_rng(len(starts))
+    starts = np.array(starts)
+    v = rng.standard_normal((3, 9))
+    carry = rng.uniform(0.1, 1.0, (3, len(starts) - 1))
+    got = running_sums(v, starts, carry, reverse)
+    assert np.allclose(got, _running_sums_loop(v, starts, carry, reverse), rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("shape", _KERNEL_SHAPES)

@@ -266,24 +266,21 @@ def test_direct_interpolates_each_distinct_radius_once(monkeypatch):
     # a level of the near field repeats each Gauss radius of its cells over
     # every target and zeta cell; interpolating each distinct radius once
     # gives bitwise the values of the per-point form
-    from rotstar import potential
+    from rotstar import grids
 
     grid = AxiGrid.build(2.0, n_r=32, n_zeta=12, l_max=4)
     f = AxiField.from_modes(grid, _smooth_modes(grid, np.random.default_rng(5)))
-    interpolated, stencil = [], potential.interp_stencil
+    interpolated, stencil = [], grids.interp_stencil
 
     def counting(nodes, points, *args):
         interpolated.append(len(points))
         return stencil(nodes, points, *args)
 
-    def per_point(grid, modes, x):
-        interpolated.append(x.size)
-        return modes_at_radii_per_point(grid, modes, x)
-
-    monkeypatch.setattr(potential, "interp_stencil", counting)
+    # the per-point form takes its stencils from the counted grids.interp_stencil
+    monkeypatch.setattr(grids, "interp_stencil", counting)
     got = potential_direct(f, refine_depth=4, window=2).values
     distinct, interpolated[:] = sum(interpolated), []
-    monkeypatch.setattr(potential, "_modes_at_radii", per_point)
+    monkeypatch.setattr(AxiGrid, "eval_modes_at", modes_at_radii_per_point)
     want = potential_direct(f, refine_depth=4, window=2).values
     assert np.array_equal(got, want)
     assert 20 * distinct < sum(interpolated)
