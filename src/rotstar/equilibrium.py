@@ -47,7 +47,6 @@ from .radial import RadialProfile, solve_lane_emden
 from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,
-    CylinderMass,
     LinearizedCentrifugal,
     centrifugal_from_momentum,
     mass_within_cylinder,
@@ -493,7 +492,6 @@ def hl_certificate(
     *,
     full_output: bool = False,
     preconditioner: list | None = None,
-    cyl: CylinderMass | None = None, like: LinearizedCentrifugal | None = None,
 ):
     """Smallest singular value of the discretized (I - D[gravity map]),
     including the centrifugal linearization for angular-momentum laws.
@@ -502,8 +500,8 @@ def hl_certificate(
     momentum law couples the modes.  Otherwise sigma_min of the Newton
     matrix M = I - J - B comes from block LOBPCG on M^T M (``_sigma_min_lobpcg``)
     on the Newton solve's matrix-free products (``_newton_products``), with
-    a momentum law's B from ``centrifugal_deriv_matrix`` (a solve passes
-    the cylinder mass of u, ``cyl``, and its Newton linearization ``like``),
+    a momentum law's B from ``centrifugal_deriv_matrix`` (on the grid's one
+    cylinder rule and spline tables, those of the Newton solve),
     preconditioned by D^-1 D^-T, with D the per-degree blocks I - J_kk
     factored from their generators (``_factor_blocks``): those of
     ``preconditioner`` if given, such as the Newton solve's that converged
@@ -527,7 +525,7 @@ def hl_certificate(
         raise DomainError("angular-momentum certificate needs a ScaleSet")
     grid = u.grid
     # B first, so that blocks built here are not held while it is built
-    lin = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale, cyl, like)
+    lin = None if law is None else centrifugal_deriv_matrix(law, u, eos, scale)
     try:
         blocks = preconditioner
         if blocks is None:
@@ -554,13 +552,12 @@ def hl_certificate(
 
 
 def centrifugal_deriv_matrix(
-    law: AngularMomentumLaw, u: AxiField, eos: EquationOfState, scale: ScaleSet,
-    cyl: CylinderMass | None = None, like: LinearizedCentrifugal | None = None,
+    law: AngularMomentumLaw, u: AxiField, eos: EquationOfState, scale: ScaleSet
 ) -> LinearizedCentrifugal:
     """The certificate's B: the ``LinearizedCentrifugal`` of a momentum law
-    at u, from u's cylinder mass ``cyl`` and the grid tables of ``like`` if
-    given.  The name is the one the benchmark's span on it wraps."""
-    return LinearizedCentrifugal(law, u, eos, scale, cyl, like)
+    at u, on the grid's memoized cylinder rule and spline tables.  The name
+    is the one the benchmark's span on it wraps."""
+    return LinearizedCentrifugal(law, u, eos, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -884,8 +881,7 @@ def _solve_modes(
     blocks: list | None = None,
     stats: dict,
 ):
-    """Newton iteration in mode space; returns (U, history, g_modes, blocks,
-    cyl, lin): a momentum law's cylinder mass of U and the B of its Newton steps.
+    """Newton iteration in mode space; returns (U, history, g_modes, blocks).
 
     ``blocks`` are the preconditioner's factored blocks (``_factor_blocks``),
     built at the first Newton step if not given, and again at the step after
@@ -897,7 +893,7 @@ def _solve_modes(
     """
     history = []
     blocks_from = "carried from the family"
-    lin = cyl = None
+    lin = None
     capped = False
 
     for it in range(opts.max_iter + 1):
@@ -912,7 +908,7 @@ def _solve_modes(
         history.append(res)
         if res <= opts.tol:
             _log.debug("iter %2d  residual %.3e  converged", it, res)
-            return U, history, g_modes, blocks, cyl, lin
+            return U, history, g_modes, blocks
         if it == opts.max_iter:
             break
         if not np.isfinite(res):
@@ -1000,7 +996,7 @@ def solve_equilibrium(
     # non-finite residual (NoConvergence), not as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            U, history, g_modes, blocks, cyl, lin = _solve_modes(
+            U, history, g_modes, blocks = _solve_modes(
                 grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
                 blocks=preconditioner, stats=newton,
             )
@@ -1010,7 +1006,7 @@ def solve_equilibrium(
             _log.debug("Newton failed (%s); damped Picard from the start", exc)
             fallback = replace(opts, newton=False, max_iter=max(opts.max_iter * 4, 200))
             try:
-                U, history, g_modes, blocks, cyl, lin = _solve_modes(
+                U, history, g_modes, blocks = _solve_modes(
                     grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale, stats=newton
                 )
             except NoConvergence as picard:
@@ -1032,7 +1028,7 @@ def solve_equilibrium(
     if opts.certify:
         sigma, meta["certificate"] = hl_certificate(
             u_field, eos, u_center, law=law, scale=scale, full_output=True,
-            preconditioner=blocks, cyl=cyl, like=lin,
+            preconditioner=blocks,
         )
         if sigma < opts.hl_threshold:
             raise SingularLinearization(sigma, opts.hl_threshold)

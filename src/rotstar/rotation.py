@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -184,16 +185,17 @@ def centrifugal_from_omega(
 
 
 class CylinderRule:
-    """Quadrature of integrals over {r sqrt(1-zeta^2) <= varpi_q} for a fixed
-    set of scaled cylinder radii.  Splits each radial ray into complete Gauss
-    panels plus one partial panel ending at the cylinder cut."""
+    """Quadrature of integrals over {r sqrt(1-zeta^2) <= varpi_q} for the
+    cylinder radii varpi_q = r_q of the grid's nodes.  Splits each radial ray
+    into complete Gauss panels plus one partial panel ending at the cylinder
+    cut.  It depends on the grid alone: ``_grid_tables`` builds it once per
+    grid."""
 
-    def __init__(self, grid: AxiGrid, varpi: np.ndarray):
+    def __init__(self, grid: AxiGrid):
         self.grid = grid
-        self.varpi = np.asarray(varpi, dtype=float)
-        nq, nj = len(self.varpi), grid.n_zeta
+        nq, nj = grid.n_r, grid.n_zeta
         sin = np.sqrt(1.0 - grid.zeta ** 2)
-        rcut = np.minimum(self.varpi[:, None] / sin[None, :], grid.r_inf)
+        rcut = np.minimum(grid.r[:, None] / sin[None, :], grid.r_inf)
         self.kcut = np.clip(
             np.searchsorted(grid.r, rcut, side="right") - 1, 0, grid.n_r - 2
         )
@@ -209,7 +211,9 @@ class CylinderRule:
         self.part_x = np.where(cut[..., None], x, 0.0)
         self.part_w = np.where(cut[..., None], w * x ** 2, 0.0)
         s0 = np.minimum(np.maximum(k - 1, 0), grid.n_r - 4)
-        self.part_stencil = np.where(cut[..., None], s0[..., None] + np.arange(4), 0)
+        stencil = np.where(cut[..., None], s0[..., None] + np.arange(4), 0)
+        # the stencil nodes' flat indices in nodal values (n_r, n_zeta)
+        self.part_index = stencil * nj + np.arange(nj)[:, None]
         # local-cubic weights of the partial points, one batch per zeta column:
         # points inside (r_k, r_k+1) get the same 4-node stencil from interp_matrix
         self.part_coef = np.zeros((nq, nj, 4, 4))
@@ -217,13 +221,12 @@ class CylinderRule:
             sel = np.nonzero(cut[:, j])[0]
             mat = interp_matrix(grid.r, self.part_x[sel, j].ravel())
             self.part_coef[sel, j] = np.take_along_axis(
-                mat.reshape(len(sel), 4, grid.n_r), self.part_stencil[sel, j, None, :], axis=2
+                mat.reshape(len(sel), 4, grid.n_r), stencil[sel, j, None, :], axis=2
             )
 
     def field_at_partials(self, values: np.ndarray) -> np.ndarray:
         """Interpolate nodal field values (n_r, n_zeta) to the partial points."""
-        j_idx = np.arange(self.grid.n_zeta)[None, :, None]
-        gathered = values[self.part_stencil, j_idx]  # (nq, nj, 4 stencil)
+        gathered = np.take(values, self.part_index)  # (nq, nj, 4 stencil)
         return np.einsum("qjgs,qjs->qjg", self.part_coef, gathered)
 
     def integrate(self, gauss_vals: np.ndarray, part_vals: np.ndarray) -> np.ndarray:
@@ -262,42 +265,37 @@ class CylinderMass:
         return float(self.mass[-1])
 
 
-def _default_varpi_samples(grid: AxiGrid, u: AxiField) -> np.ndarray:
-    """Grid radii densified around the vacuum boundary of the l = 0 mode."""
-    samples = list(grid.r)
-    prof = u.modes()[0]
-    sign_change = np.nonzero((prof[:-1] > 0) & (prof[1:] <= 0))[0]
-    if len(sign_change):
-        k = sign_change[0]
-        lo = grid.r[max(k - 1, 0)]
-        hi = grid.r[min(k + 2, grid.n_r - 1)]
-        samples.extend(np.linspace(lo, hi, 41)[1:-1])
-    # sorted, each value once: np.unique's result, without the numpy.ma import
-    # it makes on float input
-    samples = np.sort(np.asarray(samples))
-    return samples[np.concatenate(([True], samples[1:] != samples[:-1]))]
+@lru_cache(maxsize=1)
+def _grid_tables(grid: AxiGrid) -> tuple[CylinderRule, PiecewisePoly, np.ndarray]:
+    """The momentum-law tables that depend on the grid alone: the cylinder
+    rule at the grid radii, the cardinal cubic-spline basis on them (one
+    spline per unit vector) and ``b_to_modes`` (n_l, n_r, n_r basis), the
+    fine-zeta projection of each basis spline at the cylinder radii of every
+    node.  The cylinder mass, the centrifugal map and every linearization of
+    a grid read them; they are held for the last grid asked for only."""
+    rule = CylinderRule(grid)
+    basis = cubic_spline(grid.r, np.eye(grid.n_r))
+    varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
+    b_to_modes = basis.weighted_sums(np.clip(varpi_fine, 0, grid.r_inf), grid.proj_f)
+    b_to_modes[1:, 0, :] = 0.0
+    return rule, basis, b_to_modes
 
 
-def mass_within_cylinder(
-    u: AxiField,
-    eos: EquationOfState,
-    scale: ScaleSet,
-    varpi: np.ndarray | None = None,
-) -> CylinderMass:
-    """Physical mass inside the cylinder of scaled radius varpi.
+def mass_within_cylinder(u: AxiField, eos: EquationOfState, scale: ScaleSet) -> CylinderMass:
+    """Physical mass inside the cylinder of scaled radius varpi, at the grid
+    radii.
 
     The integrand is the scaled density of u over the region
     r sqrt(1 - zeta^2) <= varpi, times the unit prefactor of the scaling.
     """
     grid = u.grid
-    v = _default_varpi_samples(grid, u) if varpi is None else np.asarray(varpi, float)
-    rule = CylinderRule(grid, v)
+    rule = _grid_tables(grid)[0]
     gauss_field = grid.at_gauss(u.values, axis=0)
     gvals = scaled_density(gauss_field, eos, scale.u_center)
     pvals = scaled_density(rule.field_at_partials(u.values), eos, scale.u_center)
     m = 2.0 * math.pi * mass_unit(eos, scale) * rule.integrate(gvals, pvals)
     m = np.maximum.accumulate(m)  # guard monotonicity against roundoff
-    return CylinderMass(v, m, scale.length_scale)
+    return CylinderMass(grid.r, m, scale.length_scale)
 
 
 def _axis_integrability_check(integrand, v1: float) -> None:
@@ -360,21 +358,19 @@ class LinearizedCentrifugal:
 
     ``apply_values`` runs the chain on nodal values and ``apply_transpose``
     its transpose, so B (rank <= n_r) is never formed.  ``cyl``, if given,
-    is u's cylinder mass.  The rule and ``b_to_modes`` depend on the grid
-    alone: ``like``, the law's linearization at another state of u's grid,
-    lends them (a ValueError if it is on another grid).
+    is u's cylinder mass.  The rule, the spline basis and ``b_to_modes``
+    depend on the grid alone and come from ``_grid_tables``, shared with the
+    nonlinear map and every other linearization on the grid.
     """
 
     def __init__(
         self, law: AngularMomentumLaw, u: AxiField, eos: EquationOfState, scale: ScaleSet,
-        cyl: CylinderMass | None = None, like: LinearizedCentrifugal | None = None,
+        cyl: CylinderMass | None = None,
     ):
         self.grid = grid = u.grid
-        if like is not None and like.grid is not grid:
-            raise ValueError("like is a linearization on another grid")
         if cyl is None:
             cyl = mass_within_cylinder(u, eos, scale)
-        self.rule = CylinderRule(grid, grid.r) if like is None else like.rule
+        self.rule, basis, self.b_to_modes = _grid_tables(grid)
         self.fp_gauss = scaled_density_deriv(grid.at_gauss(u.values, axis=0), eos, scale.u_center)
         self.fp_part = scaled_density_deriv(
             self.rule.field_at_partials(u.values), eos, scale.u_center
@@ -383,12 +379,10 @@ class LinearizedCentrifugal:
         self._transposed = None
 
         # cumulative map: dm samples at grid.r -> b samples at grid.r,
-        # assembled on the cubic-spline basis used by the nonlinear path; the
-        # cardinal basis (one spline per unit vector) serves both point sets.
+        # assembled on the cubic-spline basis used by the nonlinear path.
         # It is integrated _BASIS_BLOCK splines at a time, so that no
         # integrand of all n_r columns is held
         v, x = grid.r, grid.gauss_x
-        basis = cubic_spline(v, np.eye(grid.n_r))
         m_at = cyl.at_scaled(x)
         pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
         weight = (pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3)[:, None]
@@ -398,15 +392,6 @@ class LinearizedCentrifugal:
             integrand *= weight
             self.cum[:, k : k + _BASIS_BLOCK] = grid.cumulative(integrand)
             del integrand
-        if like is not None:
-            self.b_to_modes = like.b_to_modes
-            return
-
-        # b samples -> g modes (n_l, n_r, n_r basis): the fine-zeta projection
-        # of the basis at the cylinder radii of every node
-        varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
-        self.b_to_modes = basis.weighted_sums(np.clip(varpi_fine, 0, v[-1]), grid.proj_f)
-        self.b_to_modes[1:, 0, :] = 0.0
 
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:
         """g-mode response (n_l, n_r) for a nodal field perturbation."""
@@ -436,7 +421,7 @@ class LinearizedCentrifugal:
                 weight[:, None] * np.einsum("qjg,qjgs->qjs", part_w, rule.part_coef),
                 (rule.kcut * nj + ray).ravel(),
                 np.concatenate([(grid.interp_cols[::4, :, None] * nj + ray).ravel(),
-                                (rule.part_stencil * nj + ray[:, None]).ravel()]),
+                                rule.part_index.ravel()]),
             )
         panel, part, cut, index = self._transposed
         dm = self.cum.T @ (y_modes.ravel() @ self.b_to_modes.reshape(-1, grid.n_r))

@@ -395,7 +395,7 @@ def dm_response_dense(lin):
     from rotstar.grids import interp_matrix
 
     grid, rule = lin.grid, lin.rule
-    nq = len(rule.varpi)
+    nq = grid.n_r
     rows = np.arange(nq)[:, None]
     x2 = grid.gauss_x ** 2
     interp = interp_matrix(grid.r, grid.gauss_x)
@@ -406,7 +406,7 @@ def dm_response_dense(lin):
         part = np.einsum(
             "qg,qgs->qs", rule.part_w[:, j] * lin.fp_part[:, j], rule.part_coef[:, j]
         )
-        np.add.at(col, (rows, rule.part_stencil[:, j]), part)
+        np.add.at(col, (rows, rule.part_index[:, j] // grid.n_zeta), part)
         weight = lin.mass_pref * grid.zeta_w[j] * grid.leg[:, j]
         out += weight[:, None, None] * col
     return out

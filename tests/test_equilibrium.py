@@ -355,29 +355,22 @@ def test_momentum_law_solve(eos15, profile15, scale15):
 def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale15):
     # the certificate's B, probed column by column through its products with
     # packed unit vectors, is the dense oracle's B, and its transposed
-    # products are B^T; the same B comes from the grid tables of a
-    # linearization at another state (the Newton solve's)
+    # products are B^T
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
     u0 = initial_field_from_profile(grid, profile15)
     u = AxiField(grid, u0.values - 0.03 * grid.r[:, None] ** 2 * p2)
-    cyl = mass_within_cylinder(u, eos15, scale15)
-    ms = np.linspace(0, 1.3 * cyl.total, 60)
-    law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
+    law = _momentum_law(u, eos15, scale15)
     lin = centrifugal_deriv_matrix(law, u, eos15, scale15)
-    newton = LinearizedCentrifugal(law, u0, eos15, scale15)
-    shared = centrifugal_deriv_matrix(law, u, eos15, scale15, cyl, like=newton)
     want = centrifugal_deriv_dense(LinearizedCentrifugal(law, u, eos15, scale15))
     n = packed_size(grid)
-    for b in (lin, shared):
-        probe, probe_t = np.empty((n, n)), np.empty((n, n))
-        for k, e in enumerate(np.eye(n)):
-            modes = unpack_modes(grid, e)
-            probe[:, k] = pack_modes(grid, b.apply_values(grid.synthesize(modes)))
-            probe_t[:, k] = pack_modes(grid, b.apply_transpose(modes))
-        assert np.max(np.abs(probe - want)) <= 1e-12 * np.max(np.abs(want))
-        assert np.max(np.abs(probe_t - want.T)) <= 1e-12 * np.max(np.abs(want))
-    assert shared.b_to_modes is newton.b_to_modes and shared.cum is not newton.cum
+    probe, probe_t = np.empty((n, n)), np.empty((n, n))
+    for k, e in enumerate(np.eye(n)):
+        modes = unpack_modes(grid, e)
+        probe[:, k] = pack_modes(grid, lin.apply_values(grid.synthesize(modes)))
+        probe_t[:, k] = pack_modes(grid, lin.apply_transpose(modes))
+    assert np.max(np.abs(probe - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.max(np.abs(probe_t - want.T)) <= 1e-12 * np.max(np.abs(want))
     assert np.linalg.matrix_rank(probe) <= grid.n_r
 
 
@@ -865,24 +858,52 @@ def test_jacobian_build_reuses_the_iterate_cylinder_mass(eos15, profile15, scale
     assert len(calls) == len(sol.residual_history)
 
 
+def test_certified_momentum_solve_builds_one_cylinder_rule(eos15, profile15, scale15, monkeypatch):
+    # the law's cylinder mass, that of every residual, the Newton step's B
+    # and the certificate's B all read one cylinder rule and one cardinal
+    # spline basis, built once for the grid
+    from rotstar import rotation
+
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    rules, bases = [], []
+    rule_init, spline = rotation.CylinderRule.__init__, rotation.cubic_spline
+
+    def counting_rule(self, *args, **kwargs):
+        rules.append(1)
+        rule_init(self, *args, **kwargs)
+
+    def counting_spline(x, y):
+        if np.shape(y) == (grid.n_r, grid.n_r):
+            bases.append(1)
+        return spline(x, y)
+
+    monkeypatch.setattr(rotation.CylinderRule, "__init__", counting_rule)
+    monkeypatch.setattr(rotation, "cubic_spline", counting_spline)
+    u0 = initial_field_from_profile(grid, profile15)
+    law = _momentum_law(u0, eos15, scale15)
+    sol = solve_equilibrium(None, eos15, 1.0, u0, SolverOptions(), law=law, scale=scale15)
+    assert sol.hl_sigma_min > 1e-3 and len(sol.residual_history) > 2
+    assert len(rules) == 1 and len(bases) == 1
+
+
 def test_certificate_reuses_the_converged_cylinder_mass(eos15, profile15, scale15, monkeypatch):
     # a certified momentum solve evaluates the cylinder mass once per
-    # residual, and the certificate's B takes the last one, of the converged
-    # state, with the grid tables of the Newton solve's linearization
+    # residual, and the certificate's B once more, at the converged state:
+    # the same bits as the solve's last one
     from rotstar import rotation
 
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     u0 = initial_field_from_profile(grid, profile15)
     law = _momentum_law(u0, eos15, scale15)
-    calls, in_certificate, passed = [], [], {}
+    masses, in_certificate = [], []
     certificate = equilibrium.hl_certificate
 
     def counting(*args, **kwargs):
-        calls.append(bool(in_certificate))
-        return mass_within_cylinder(*args, **kwargs)
+        out = mass_within_cylinder(*args, **kwargs)
+        masses.append((bool(in_certificate), out.mass))
+        return out
 
     def certifying(*args, **kwargs):
-        passed.update(kwargs)
         in_certificate.append(1)
         try:
             return certificate(*args, **kwargs)
@@ -894,13 +915,10 @@ def test_certificate_reuses_the_converged_cylinder_mass(eos15, profile15, scale1
     monkeypatch.setattr(equilibrium, "hl_certificate", certifying)
     sol = solve_equilibrium(None, eos15, 1.0, u0, SolverOptions(), law=law, scale=scale15)
     assert sol.hl_sigma_min > 1e-3
-    assert len(calls) == len(sol.residual_history)
-    assert not any(calls)
+    assert [c for c, _ in masses] == [False] * len(sol.residual_history) + [True]
+    assert np.array_equal(masses[-1][1], masses[-2][1])
     monkeypatch.undo()
-    # the state handed over is the converged one: the certificate of the
-    # solution alone gives the same sigma
-    assert passed["like"].grid is sol.u.grid
-    assert np.array_equal(passed["cyl"].mass, mass_within_cylinder(sol.u, eos15, scale15).mass)
+    # the certificate of the solution alone gives the same sigma
     alone = certificate(sol.u, eos15, 1.0, law=law, scale=scale15)
     assert abs(alone - sol.hl_sigma_min) <= 1e-13 * sol.hl_sigma_min
 
@@ -1080,13 +1098,10 @@ def test_newton_products_are_adjoint(kind, size):
 @pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
 def test_centrifugal_products_are_adjoint(size):
     # <B x, y> = <x, B^T y> for a momentum law's B alone, on packed vectors,
-    # and each product is the dense oracle's; the B built with the grid
-    # tables of a linearization at another state gives the same bits
+    # and each product is the dense oracle's
     u, eos, law, scale = _converged_state("momentum", 1.5, size)
     grid = u.grid
     lin = LinearizedCentrifugal(law, u, eos, scale)
-    other = LinearizedCentrifugal(law, AxiField(grid, 0.98 * u.values), eos, scale)
-    shared = LinearizedCentrifugal(law, u, eos, scale, like=other)
     mat = centrifugal_deriv_dense(lin)
     rng = np.random.default_rng(13)
     for _ in range(3):
@@ -1096,15 +1111,6 @@ def test_centrifugal_products_are_adjoint(size):
         assert abs(bx @ y - x @ bty) <= 1e-13 * np.linalg.norm(bx) * np.linalg.norm(y)
         assert np.linalg.norm(bx - mat @ x) <= 1e-13 * np.linalg.norm(bx)
         assert np.linalg.norm(bty - mat.T @ y) <= 1e-13 * np.linalg.norm(bty)
-        assert np.array_equal(
-            pack_modes(grid, shared.apply_values(grid.synthesize(unpack_modes(grid, x)))), bx
-        )
-        assert np.array_equal(pack_modes(grid, shared.apply_transpose(unpack_modes(grid, y))), bty)
-    assert np.array_equal(shared.cum, lin.cum) and not np.array_equal(other.cum, lin.cum)
-    # a linearization on another grid lends no tables
-    twin = AxiGrid.build(grid.r_inf, n_r=size[0], n_zeta=size[1], l_max=size[2], focus=grid.r[1])
-    with pytest.raises(ValueError, match="another grid"):
-        LinearizedCentrifugal(law, AxiField(twin, u.values), eos, scale, like=lin)
 
 
 @pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])

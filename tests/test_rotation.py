@@ -24,7 +24,6 @@ from oracles import cumulative_map_dense
 from rotstar.rotation import (
     CylinderRule,
     LinearizedCentrifugal,
-    _default_varpi_samples,
     _field_from_b,
     rigid_rotation,
 )
@@ -220,35 +219,27 @@ def test_momentum_deriv_finite_difference_order(theta15, eos15, scale15):
 @pytest.mark.parametrize("n_r", [64, 300])
 def test_linearization_cum_matches_the_whole_basis(n_r, profile15, eos15, scale15):
     # cum is built a block of basis splines at a time (at n_r = 300 three
-    # blocks, the last one partial); it is the map of the whole basis at
-    # once, also when another linearization lends the grid tables
+    # blocks, the last one partial); it is the map of the whole basis at once
     grid = AxiGrid.build(profile15.r_inf, n_r=n_r, n_zeta=8, l_max=2, focus=profile15.xi1)
     u = initial_field_from_profile(grid, profile15)
     cyl = mass_within_cylinder(u, eos15, scale15)
     ms = np.linspace(0, 1.3 * cyl.total, 60)
     law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
     lin = LinearizedCentrifugal(law, u, eos15, scale15, cyl)
-    shared = LinearizedCentrifugal(law, u, eos15, scale15, cyl, like=lin)
     want = cumulative_map_dense(grid, law, cyl, scale15)
     assert np.max(np.abs(lin.cum - want)) <= 1e-13 * np.max(np.abs(want))
-    assert np.array_equal(shared.cum, lin.cum)
 
 
-def _oblate_state(theta):
-    grid = theta.grid
-    p2 = (3 * grid.zeta[None, :] ** 2 - 1) / 2
-    return AxiField(grid, theta.values - 0.03 * grid.r[:, None] ** 2 * p2)
-
-
-def _partial_panels_loop(grid, varpi, kcut):
-    """Per-point reference for the rule's partial panels."""
+def _partial_panels_loop(grid, kcut):
+    """Per-point reference for the rule's partial panels at the grid radii;
+    the stencils as flat indices in (n_r, n_zeta), node 0 on uncut rays."""
     g4x, g4w = np.polynomial.legendre.leggauss(4)
-    nq, nj = len(varpi), grid.n_zeta
+    nq, nj = grid.n_r, grid.n_zeta
     sin = np.sqrt(1.0 - grid.zeta ** 2)
-    rcut = np.minimum(varpi[:, None] / sin[None, :], grid.r_inf)
+    rcut = np.minimum(grid.r[:, None] / sin[None, :], grid.r_inf)
     part_x = np.zeros((nq, nj, 4))
     part_w = np.zeros((nq, nj, 4))
-    part_stencil = np.zeros((nq, nj, 4), dtype=int)
+    part_index = np.zeros((nq, nj, 4), dtype=int) + np.arange(nj)[:, None]
     part_coef = np.zeros((nq, nj, 4, 4))
     r = grid.r
     for q in range(nq):
@@ -264,19 +255,17 @@ def _partial_panels_loop(grid, varpi, kcut):
             part_x[q, j] = x
             part_w[q, j] = half * g4w * x ** 2
             s0 = min(max(k - 1, 0), grid.n_r - 4)
-            part_stencil[q, j] = np.arange(s0, s0 + 4)
+            part_index[q, j] = np.arange(s0, s0 + 4) * nj + j
             part_coef[q, j] = interp_matrix(r[s0 : s0 + 4], x)
-    return part_x, part_w, part_stencil, part_coef
+    return part_x, part_w, part_index, part_coef
 
 
 def test_cylinder_rule_matches_per_point_loop(theta15):
     grid = theta15.grid
-    varpi = _default_varpi_samples(grid, _oblate_state(theta15))
-    assert varpi[0] == 0.0 and varpi[-1] == grid.r_inf  # includes cuts that leave the domain
-    rule = CylinderRule(grid, varpi)
-    assert np.any(rule.kcut == grid.n_r - 1)
-    ref = _partial_panels_loop(grid, varpi, rule.kcut)
-    for name, want in zip(("part_x", "part_w", "part_stencil", "part_coef"), ref):
+    rule = CylinderRule(grid)
+    assert np.any(rule.kcut == grid.n_r - 1)  # includes cuts that leave the domain
+    ref = _partial_panels_loop(grid, rule.kcut)
+    for name, want in zip(("part_x", "part_w", "part_index", "part_coef"), ref):
         got = getattr(rule, name)
         assert got.dtype == want.dtype and np.array_equal(got, want), name
 
@@ -290,7 +279,7 @@ def test_cylinder_rule_batches_interpolation(theta15, monkeypatch):
         return interp_matrix(*args, **kwargs)
 
     monkeypatch.setattr(rotation, "interp_matrix", counting)
-    CylinderRule(grid, _default_varpi_samples(grid, _oblate_state(theta15)))
+    CylinderRule(grid)
     assert 0 < len(calls) <= grid.n_zeta
 
 
