@@ -275,8 +275,6 @@ def cmd_solve(config, writer):
         "xi1_spherical": prof.xi1,
         "m1": total_mass_dimensionless(sol, eos, scale.u_center),
     }
-    if "fallback" in sol.meta:
-        doc["meta"]["fallback"] = sol.meta["fallback"]
     writer.write_json("solution.json", doc)
     writer.write_csv(
         "boundary.csv", ["zeta", "R"], zip(grid.zeta, sol.R_of_zeta)
@@ -464,8 +462,6 @@ CONFIG = {
     "solver": {
         "tol": ("float", _positive, 1e-10),
         "max_iter": ("int", _positive, 60),
-        "newton": ("bool", None, True),
-        "damping": ("float", lambda x: 0 < x <= 1, 0.5),
         "hl_threshold": ("float", _positive, 1e-3),
         "certify": ("bool", None, True),
     },
@@ -540,6 +536,12 @@ def load_config(path: str | Path) -> dict:
             raise ConfigError(f"invalid JSON config: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError("JSON config must be an object of sections")
+        for name, sec in raw.items():
+            if not isinstance(sec, dict):
+                raise ConfigError(
+                    f"[{name}] must be an object of keys, not {type(sec).__name__}",
+                    parameter=str(name),
+                )
         sections = {str(k): dict(v) for k, v in raw.items()}
     else:
         parser = configparser.ConfigParser()

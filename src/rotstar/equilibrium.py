@@ -2,26 +2,26 @@
 
 G(u) = 1 + potential(density(u)) - potential(density(u))(center) is the
 self-gravity update of the enthalpy field, normalized to 1 at the center.
-The solver runs Newton-Kantorovich on even-Legendre mode coefficients,
-falling back to damped Picard iteration.  Each Newton system is solved by
-GMRES to a fixed tight tolerance, with products taken matrix-free at the
-current iterate and right-preconditioned by the per-degree diagonal blocks
-of the linearization (``gravity_jacobian_packed``), held as the radial
-kernel's generators and each factored in chunks coupled by a Woodbury
-capacitance (``lu_factor``), once per warm-started family at its spherical
-start, or at a lone solve's first Newton step, and again only after a GMRES
-solve stops at its cap.  Invertibility of the linearization is certified
-by its smallest singular value: per Legendre degree at a spherical state,
-and otherwise by block LOBPCG on M^T M with M and M^T applied matrix-free
-and the solve's last blocks as its preconditioner.  No n x n matrix is
-built.  The module uses numpy alone.
+The solver runs Newton-Kantorovich on even-Legendre mode coefficients.
+Each Newton system is solved by GMRES to a fixed tight tolerance, with
+products taken matrix-free at the current iterate and right-preconditioned
+by the per-degree diagonal blocks of the linearization
+(``gravity_jacobian_packed``), held as the radial kernel's generators and
+each factored in chunks coupled by a Woodbury capacitance (``lu_factor``),
+once per warm-started family at its spherical start, or at a lone solve's
+first Newton step, and again only after a GMRES solve stops at its cap.
+Invertibility of the linearization is certified by its smallest singular
+value: per Legendre degree at a spherical state, and otherwise by block
+LOBPCG on M^T M with M and M^T applied matrix-free and the solve's last
+blocks as its preconditioner.  No n x n matrix is built.  The module uses
+numpy alone.
 """
 
 from __future__ import annotations
 
 import logging
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -60,8 +60,6 @@ _log = logging.getLogger(__name__)
 class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 60
-    newton: bool = True
-    damping: float = 0.5
     hl_threshold: float = 1e-3
     certify: bool = True
 
@@ -887,9 +885,11 @@ def _solve_modes(
     built at the first Newton step if not given, and again at the step after
     one whose GMRES solve stops at its cap (where a singular block is a
     divergence, reported as a non-finite step); those of the last Newton step are
-    returned (None if there was none).  ``stats`` collects the GMRES
-    iterations of each Newton step and the number of preconditioner builds,
-    also when the iteration fails.
+    returned (None if there was none).  A residual that is not finite, or
+    none within ``opts.tol`` after ``opts.max_iter`` steps, raises
+    NoConvergence.  ``stats`` collects the GMRES iterations of each Newton
+    step and the number of preconditioner builds, also when the iteration
+    fails.
     """
     history = []
     blocks_from = "carried from the family"
@@ -914,44 +914,41 @@ def _solve_modes(
         if not np.isfinite(res):
             _log.debug("iter %2d  residual %.3e", it, res)
             raise _not_finite(history, U)
-        if opts.newton:
-            if law is not None and lin is None:
-                lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
-            built = ""
-            if blocks is None:
-                try:
-                    blocks = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
-                except SingularLinearization:
-                    if not capped:
-                        raise
-                    # a singular block at the rebuild after a capped step is
-                    # a diverging iterate: no step, and the next residual
-                    # reports the divergence, as for an overflowed product
-                    _log.debug("iter %2d  residual %.3e  Newton step, preconditioner "
-                               "singular at this iterate", it, res)
-                    U = U + np.nan
-                    continue
-                stats["preconditioner_builds"] += 1
-                built = f"built ({_support_note(grid, blocks)})"
-                blocks_from = f"of iteration {it}"
-            apply = _newton_products(grid, _density_deriv_fine(grid, eos, u_center, U), lin)[0]
-            delta, inner, lin_res = _gmres(
-                apply, lambda x: _solve_blocks(grid, blocks, x), pack_modes(grid, rhs)
-            )
-            del apply  # and rho'(u) with it, before the next residual
-            stats["gmres_iterations"].append(inner)
-            capped = inner == _GMRES_MAX_ITER and lin_res > _GMRES_RTOL
-            _log.debug(
-                "iter %2d  residual %.3e  Newton step, preconditioner %s, "
-                "GMRES %d iterations to %.1e%s",
-                it, res, built or blocks_from, inner, lin_res, " (iteration cap)" if capped else "",
-            )
-            if capped:
-                blocks = None  # too far from the operator: rebuild at the next iterate
-            U = U + unpack_modes(grid, delta)
-        else:
-            _log.debug("iter %2d  residual %.3e  Picard step", it, res)
-            U = U + opts.damping * rhs
+        if law is not None and lin is None:
+            lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
+        built = ""
+        if blocks is None:
+            try:
+                blocks = _factor_blocks(grid, eos, u_center, U, opts.hl_threshold)
+            except SingularLinearization:
+                if not capped:
+                    raise
+                # a singular block at the rebuild after a capped step is a
+                # diverging iterate, not a singular linearization: no step,
+                # and the next residual ends the solve in NoConvergence, as
+                # for an overflowed product
+                _log.debug("iter %2d  residual %.3e  Newton step, preconditioner "
+                           "singular at this iterate", it, res)
+                U = U + np.nan
+                continue
+            stats["preconditioner_builds"] += 1
+            built = f"built ({_support_note(grid, blocks)})"
+            blocks_from = f"of iteration {it}"
+        apply = _newton_products(grid, _density_deriv_fine(grid, eos, u_center, U), lin)[0]
+        delta, inner, lin_res = _gmres(
+            apply, lambda x: _solve_blocks(grid, blocks, x), pack_modes(grid, rhs)
+        )
+        del apply  # and rho'(u) with it, before the next residual
+        stats["gmres_iterations"].append(inner)
+        capped = inner == _GMRES_MAX_ITER and lin_res > _GMRES_RTOL
+        _log.debug(
+            "iter %2d  residual %.3e  Newton step, preconditioner %s, "
+            "GMRES %d iterations to %.1e%s",
+            it, res, built or blocks_from, inner, lin_res, " (iteration cap)" if capped else "",
+        )
+        if capped:
+            blocks = None  # too far from the operator: rebuild at the next iterate
+        U = U + unpack_modes(grid, delta)
     raise NoConvergence(
         f"no convergence after {opts.max_iter} iterations (residual {history[-1]:.3e})",
         history,
@@ -990,36 +987,14 @@ def solve_equilibrium(
     g_modes = None if g is None else g.g_modes
     U0 = init.modes().copy()
     U0[1:, 0] = 0.0
-    meta = {}
-    newton = {"gmres_iterations": [], "preconditioner_builds": 0}
+    meta = {"newton": {"gmres_iterations": [], "preconditioner_builds": 0}}
     # a diverging iterate overflows the density; that surfaces as a
     # non-finite residual (NoConvergence), not as floating-point warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            U, history, g_modes, blocks = _solve_modes(
-                grid, eos, u_center, U0.copy(), g_modes, opts, law, scale,
-                blocks=preconditioner, stats=newton,
-            )
-        except NoConvergence as exc:
-            if not opts.newton:
-                raise
-            _log.debug("Newton failed (%s); damped Picard from the start", exc)
-            fallback = replace(opts, newton=False, max_iter=max(opts.max_iter * 4, 200))
-            try:
-                U, history, g_modes, blocks = _solve_modes(
-                    grid, eos, u_center, U0.copy(), g_modes, fallback, law, scale, stats=newton
-                )
-            except NoConvergence as picard:
-                raise NoConvergence(
-                    f"Newton failed ({exc}); Picard fallback failed ({picard})",
-                    exc.residual_history + picard.residual_history,
-                ) from picard
-            # the Newton attempt's residuals come first, so the history and the
-            # iteration count cover both runs
-            history = exc.residual_history + history
-            meta["fallback"] = f"Newton failed: {exc}"
-    if opts.newton:
-        meta["newton"] = newton
+        U, history, g_modes, blocks = _solve_modes(
+            grid, eos, u_center, U0, g_modes, opts, law, scale,
+            blocks=preconditioner, stats=meta["newton"],
+        )
 
     u_field = AxiField.from_modes(grid, U)
     report = check_admissibility(u_field, None)
@@ -1081,7 +1056,7 @@ class ConstantRotationFamily:
             init = self._cache[nearest].u
         else:
             init = initial_field_from_profile(self.grid, self.profile)
-        built = self._preconditioner is None and self.opts.newton
+        built = self._preconditioner is None
         if built:  # only at the first solve, whose start is spherical
             self._preconditioner = _factor_blocks(
                 self.grid, self.eos, self.u_center, init.modes(), self.opts.hl_threshold

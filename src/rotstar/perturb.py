@@ -40,7 +40,7 @@ from .rotation import rigid_rotation
 @dataclass
 class ModeGrid:
     """Panel-Gauss quadrature on (0, xi1] with the profile data cached; it
-    holds nothing n_gauss x n_nodes (``_mode_operator`` takes the stencil, and
+    holds nothing n_gauss x n_nodes (``_ModeOperator`` takes the stencil, and
     no mode matrix is formed)."""
 
     r: np.ndarray
@@ -86,11 +86,6 @@ class _ModeOperator:
         if self.volterra:
             out -= out[0]
         return out
-
-
-def _mode_operator(mg: ModeGrid, degree: int) -> _ModeOperator:
-    """The mode operator of this degree on the mode grid (``_ModeOperator``)."""
-    return _ModeOperator(mg, degree)
 
 
 # damped contraction from a prescribed start (the homogeneous decay check)
@@ -149,7 +144,7 @@ def solve_mode(
         y = source + (far_coefficient r^degree + two-sided kernel of q y)/(2 degree + 1)
     (degree = 0: the Volterra form with the center value pinned to
     source(0), = 0 for polynomial sources).  ``source`` is a callable of r
-    or None.  The mode operator A is applied matrix-free (``_mode_operator``)
+    or None.  The mode operator A is applied matrix-free (``_ModeOperator``)
     and (I - A) y = inhom is solved by the package's GMRES with no
     preconditioner, then refined by one more GMRES pass on its residual,
     which takes the residual from about 1e-12 to round-off; ``iterations``
@@ -166,7 +161,7 @@ def solve_mode(
     inhom = src + (
         far_coefficient * mg.r ** degree / (2.0 * degree + 1.0) if degree > 0 else 0.0
     )
-    op = _mode_operator(mg, degree)
+    op = _ModeOperator(mg, degree)
     if initial is None:
         def apply(v):
             return v - op @ v

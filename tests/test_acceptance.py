@@ -215,14 +215,14 @@ def test_criterion_08_mode_decay(ref15, degree):
         initial=lambda r: prof.psi_at(r) * np.sin(2.0 * r),
     )
     decay = float(np.max(np.abs(sol.values)))
-    from rotstar.perturb import ModeGrid, _mode_operator
+    from rotstar.perturb import ModeGrid, _ModeOperator
 
     mg = ModeGrid.build(prof, eos, 1.0, 500)
     psi = prof.psi_at(mg.r)
     rng = np.random.default_rng(degree)
     probes = [np.ones(mg.r.size)]  # the extremal direction of the bound
     probes += [rng.standard_normal(mg.r.size) for _ in range(12)]
-    op = _mode_operator(mg, degree)
+    op = _ModeOperator(mg, degree)
     lip = 0.0
     for H in probes:
         y = H * psi

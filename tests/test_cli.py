@@ -114,13 +114,27 @@ def test_solution_json_meta_keeps_its_keys(tmp_path):
                                 "grid", "xi1_spherical", "m1"}
 
 
-def test_solve_command_reports_newton_fallback(tmp_path):
+def test_solve_stops_at_max_iter(tmp_path, capsys):
+    # one Newton step cannot reach the tolerance: max_iter = 1 is a
+    # NoConvergence, and no solution is written
     cfg = _write(tmp_path, SOLVE_INI.replace("tol = 1e-10", "tol = 1e-10\nmax_iter = 1"))
     out = tmp_path / "out"
-    assert main(["--config", str(cfg), "--out", str(out)]) == 0
-    doc = json.loads((out / "solution.json").read_text())
-    assert "no convergence after 1 iterations" in doc["meta"]["fallback"]
-    assert doc["iterations"] == len(doc["residual_history"]) > 2
+    assert main(["--config", str(cfg), "--out", str(out)]) == 3
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "NoConvergence"
+    assert err["message"].startswith("no convergence after 1 iterations")
+    assert not (out / "solution.json").exists()
+
+
+@pytest.mark.parametrize("line", ["newton = false", "damping = 0.5"])
+def test_removed_solver_keys_are_config_errors(tmp_path, capsys, line):
+    # Newton-Krylov is the only nonlinear solver, so [solver] has no newton
+    # switch and no Picard damping
+    cfg = _write(tmp_path, SOLVE_INI.replace("tol = 1e-10", f"tol = 1e-10\n{line}"))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["parameter"] == "solver." + line.split()[0]
 
 
 def test_malformed_config_negative_tol(tmp_path, capsys):
@@ -279,6 +293,15 @@ def test_json_config_equivalent(tmp_path):
         )
     )
     assert config_hash(ini_cfg) == config_hash(json_cfg)
+
+
+@pytest.mark.parametrize("eos", [5, [1, 2]], ids=["number", "list"])
+def test_json_section_that_is_not_an_object_is_a_config_error(tmp_path, capsys, eos):
+    cfg = _write(tmp_path, json.dumps({"run": {"command": "lane-emden"}, "eos": eos}), "run.json")
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["parameter"] == "eos"
 
 
 @pytest.mark.parametrize("kind", ["lane-emden", "oblateness", "momentum-solve"])
@@ -462,8 +485,6 @@ def test_every_solver_option_is_a_config_key(tmp_path):
 
     ini = SOLVE_INI.replace("tol = 1e-10", """tol = 1e-9
 max_iter = 7
-newton = false
-damping = 0.25
 hl_threshold = 1e-4
 certify = false""")
     opts = solver_options(load_config(_write(tmp_path, ini)))

@@ -374,21 +374,18 @@ def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale
     assert np.linalg.matrix_rank(probe) <= grid.n_r
 
 
-def test_newton_fallback_keeps_newton_history(eos15, profile15):
-    # one Newton step cannot reach the tolerance, so the solve falls back to
-    # damped Picard; the result must still account for the Newton attempt
+def test_max_iter_caps_the_solve(eos15, profile15):
+    # one Newton step cannot reach the tolerance: max_iter = 1 ends in
+    # NoConvergence after the starting residual and the one step's, which
+    # are those of the uncapped solve
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     init = initial_field_from_profile(grid, profile15)
     cf = rigid_rotation(grid, 1e-3)
-    newton = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(certify=False))
-    picard = solve_equilibrium(
-        cf, eos15, 1.0, init, SolverOptions(newton=False, max_iter=200, certify=False)
-    )
-    sol = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(max_iter=1, certify=False))
-    assert sol.residual_history == newton.residual_history[:2] + picard.residual_history
-    assert sol.iterations == 2 + picard.iterations
-    assert "no convergence after 1 iterations" in sol.meta["fallback"]
-    assert "fallback" not in newton.meta
+    full = solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(certify=False))
+    with pytest.raises(NoConvergence) as info:
+        solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(max_iter=1, certify=False))
+    assert str(info.value).startswith("no convergence after 1 iterations")
+    assert info.value.residual_history == full.residual_history[:2]
 
 
 def test_law_requires_scale(eos15, theta15):
@@ -736,37 +733,30 @@ def test_free_boundary_matches_per_ray_splines(eos15, profile15):
         assert np.max(np.abs(R - want)) <= 1e-12
 
 
-def test_failed_fallback_reports_newton_and_picard(eos3, profile3):
-    # past mass shedding Newton diverges (the density overflows) and the
-    # Picard fallback stalls; one error names both and keeps both histories
-    from rotstar.errors import NoConvergence
-
+def test_divergence_past_mass_shedding_is_one_newton_error(eos3, profile3):
+    # past mass shedding Newton diverges (the iterate overflows): one
+    # NoConvergence names the non-finite iteration, and its history is
+    # Newton's alone, finite up to that last residual
     grid = AxiGrid.build(profile3.r_inf, n_r=96, n_zeta=16, l_max=6, focus=profile3.xi1)
     init = initial_field_from_profile(grid, profile3)
     cf = rigid_rotation(grid, 3e-2)
-    with pytest.raises(NoConvergence) as picard_only:
-        solve_equilibrium(cf, eos3, 1.0, init,
-                          SolverOptions(newton=False, max_iter=240, certify=False))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NoConvergence) as info:
             solve_equilibrium(cf, eos3, 1.0, init, SolverOptions(certify=False))
-    msg = str(info.value)
-    assert "Newton failed (residual is not finite at iteration" in msg
-    assert "Picard fallback failed (no convergence after 240 iterations" in msg
-    picard = picard_only.value.residual_history
     history = info.value.residual_history
-    n_newton = len(history) - len(picard)
-    assert n_newton >= 2 and history[n_newton:] == picard
-    assert not np.isfinite(history[n_newton - 1])
-    assert all(np.isfinite(history[: n_newton - 1]))
+    assert str(info.value).startswith(
+        f"residual is not finite at iteration {len(history) - 1}: the iterate is not finite"
+    )
+    assert 2 <= len(history) <= SolverOptions().max_iter + 1
+    assert not np.isfinite(history[-1])
+    assert all(np.isfinite(history[:-1]))
 
 
 def test_singular_rebuild_after_a_capped_step_is_a_divergence(eos3, profile3, monkeypatch, caplog):
     # past mass shedding GMRES stops at its cap, and a block that is singular
     # at the rebuild after it is a diverging iterate, not a singular
-    # linearization: the step is not finite, Newton fails on the residual,
-    # and the Picard fallback runs
+    # linearization: the step is not finite, and Newton fails on the residual
     grid = AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
     init = initial_field_from_profile(grid, profile3)
     factor, builds = equilibrium._factor_blocks, []
@@ -782,9 +772,8 @@ def test_singular_rebuild_after_a_capped_step_is_a_divergence(eos3, profile3, mo
     with pytest.raises(NoConvergence) as info:
         solve_equilibrium(rigid_rotation(grid, 6e-2), eos3, 1.0, init,
                           SolverOptions(certify=False))
-    assert str(info.value).startswith("Newton failed (residual is not finite at iteration")
+    assert str(info.value).startswith("residual is not finite at iteration")
     assert "the iterate is not finite" in str(info.value)
-    assert "Picard fallback failed" in str(info.value)
     lines = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
     assert "(iteration cap)" in lines[-2] and lines[-1].endswith("singular at this iterate")
     assert len(builds) == 2
@@ -792,8 +781,8 @@ def test_singular_rebuild_after_a_capped_step_is_a_divergence(eos3, profile3, mo
 
 def test_divergence_error_names_the_overflow(eos3, profile3, caplog):
     # past mass shedding Newton's last step overflows (its preconditioned
-    # GMRES product is not finite) and the Picard fallback overflows the
-    # density; the error names where, and the last finite residual before it.
+    # GMRES product is not finite); the error names where, and the last
+    # finite residual before it.
     # On the way GMRES stops at its cap, and the iteration line says so.
     from rotstar import equilibrium
     from rotstar.errors import NoConvergence
@@ -806,19 +795,11 @@ def test_divergence_error_names_the_overflow(eos3, profile3, caplog):
                           SolverOptions(certify=False))
     history = info.value.residual_history
     bad = [i for i, r in enumerate(history) if not np.isfinite(r)]
-    assert len(bad) == 2
-    n_newton = bad[0] + 1
-    newton, picard = history[:n_newton], history[n_newton:]
-    assert len(picard) == bad[1] - n_newton + 1
-
-    def overflow(run, cause):
-        it = len(run) - 1
-        return (f"residual is not finite at iteration {it}: {cause} "
-                f"after a last finite residual of {run[-2]:.3e} at iteration {it - 1}")
-
+    assert bad == [len(history) - 1]
+    it = len(history) - 1
     assert str(info.value) == (
-        f"Newton failed ({overflow(newton, 'the iterate is not finite')}); "
-        f"Picard fallback failed ({overflow(picard, 'the density overflowed')})"
+        f"residual is not finite at iteration {it}: the iterate is not finite "
+        f"after a last finite residual of {history[-2]:.3e} at iteration {it - 1}"
     )
     capped = [r.getMessage() for r in caplog.records if "(iteration cap)" in r.getMessage()]
     assert capped
@@ -1299,20 +1280,15 @@ def test_singular_or_nonfinite_preconditioner_block_certifies_zero(eos15, profil
     # a preconditioner block that is singular, on the whole block or on the
     # star's support only, or holds a NaN leaves LOBPCG without its
     # preconditioner: sigma = 0.0, "not certified", with no bound and no
-    # warning escaping, and a solve that converges (here by Picard) raises
-    # SingularLinearization(0.0), as the Newton solve does for the same blocks
+    # warning escaping (a solve stops on the same blocks at its first Newton
+    # step: test_singular_or_nonfinite_block_stops_the_newton_solve)
     u = _oblate_state(profile15)
-    init = initial_field_from_profile(u.grid, profile15)
-    cf = rigid_rotation(u.grid, 1e-3)
     for breaker in _BREAKERS:
         monkeypatch.setattr(equilibrium, "degree_blocks", _breaking(breaker))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sigma, info = hl_certificate(u, eos15, 1.0, full_output=True)
             assert sigma == 0.0 and info == {"iterations": 0, "residual_bound": None}
-            with pytest.raises(SingularLinearization) as err:
-                solve_equilibrium(cf, eos15, 1.0, init, SolverOptions(newton=False, max_iter=400))
-            assert err.value.sigma_min == 0.0
 
 
 @pytest.mark.parametrize("product", ["J-nan", "J-transposed-overflow", "B-nan"])

@@ -17,7 +17,7 @@ from rotstar import (
 from rotstar import perturb
 from rotstar.errors import DomainError, NoConvergence
 from rotstar.grids import RadialKernel, interp_matrix
-from rotstar.perturb import ModeGrid, _mode_operator
+from rotstar.perturb import ModeGrid, _ModeOperator
 
 from oracles import (
     gravity_jacobian_packed,
@@ -116,7 +116,7 @@ def test_weighted_contraction_constant(profile15_mod, eos15_mod, degree):
     mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 500)
     psi = profile15_mod.psi_at(mg.r)
     rng = np.random.default_rng(degree)
-    op = _mode_operator(mg, degree)
+    op = _ModeOperator(mg, degree)
     worst = 0.0
     for k in range(13):
         H = np.ones(mg.r.size) if k == 0 else rng.standard_normal(mg.r.size)
@@ -135,7 +135,7 @@ def test_mode_operator_matches_dense_formula(nu):
     mg = ModeGrid.build(prof, eos, 1.0, 700)
     for degree in (0, 2, 4, 8):
         want = mode_operator_dense(mg, degree)
-        op = _mode_operator(mg, degree)
+        op = _ModeOperator(mg, degree)
         # the matrix-free products on every identity column
         got = np.column_stack([op @ e for e in np.eye(mg.r.size)])
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
