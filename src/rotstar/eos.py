@@ -147,6 +147,10 @@ def scaled_density(u, eos: EquationOfState, u_center: float):
     ``u_center`` is the central enthalpy used to undo the scaling inside the
     white dwarf correction factor.  Negative enthalpy maps to zero density.
     """
+    if isinstance(u, float) and eos.kind == POLYTROPE:
+        # one point of a polytrope, as at every stage of a Lane-Emden step:
+        # the array path's arithmetic on a Python float
+        return (u if u > 0.0 else 0.0) ** eos.nu
     u = np.asarray(u, dtype=float)
     _check_white_dwarf_domain(u, eos, u_center)
     up = np.maximum(u, 0.0)

@@ -64,6 +64,14 @@ def legendre_table(degrees, x) -> np.ndarray:
     return np.array([table[l] for l in degrees])
 
 
+def locate(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The panel k of each point of the 1-D t among the increasing
+    breakpoints x, the end panels taking the points outside [x_0, x_-1], and
+    its offset t - x_k."""
+    k = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+    return k, t - x[k]
+
+
 class PiecewisePoly:
     """Piecewise polynomial on increasing breakpoints x.
 
@@ -78,9 +86,12 @@ class PiecewisePoly:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        flat = t.ravel()
-        k = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, len(self.x) - 2)
-        s = (flat - self.x[k]).reshape((-1,) + (1,) * (self.c.ndim - 2))
+        return self.on_panels(*locate(self.x, t.ravel())).reshape(t.shape + self.c.shape[2:])
+
+    def on_panels(self, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The values at points given by their panels k and offsets s
+        (``locate``), one row per point."""
+        s = s.reshape((-1,) + (1,) * (self.c.ndim - 2))
         # constant term first, then c[m] s^p with the powers built by products
         out = self.c[-1, k]
         power = s
@@ -88,7 +99,7 @@ class PiecewisePoly:
             out = out + self.c[m, k] * power
             if m:
                 power = power * s
-        return out.reshape(t.shape + self.c.shape[2:])
+        return out
 
     def at(self, t: float) -> float:
         """The value at one point t of a scalar-valued polynomial: the
@@ -104,34 +115,6 @@ class PiecewisePoly:
             if m:
                 power = power * s
         return out
-
-    def weighted_sums(self, t: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """out[l, i] = sum_a weights[l, a] f(t[i, a]) for 2-D t.
-
-        Each row of weights is binned per panel and power of (t - x_k) and
-        then contracted with the coefficients in one product, so f is never
-        formed at the individual points.
-        """
-        n_i, n_a = t.shape
-        deg, npan = self.c.shape[0] - 1, len(self.x) - 1
-        flat = t.ravel()
-        k = np.clip(np.searchsorted(self.x, flat, side="right") - 1, 0, npan - 1)
-        s = flat - self.x[k]
-        powers = np.empty((deg + 1, flat.size))  # powers[m] = s^(deg - m)
-        powers[deg] = 1.0
-        for m in range(deg - 1, -1, -1):
-            powers[m] = powers[m + 1] * s
-        rows = np.repeat(np.arange(n_i) * (deg + 1), n_a)
-        bins = ((rows + np.arange(deg + 1)[:, None]) * npan + k).ravel()
-        size = n_i * (deg + 1) * npan
-        coef = self.c.reshape((deg + 1) * npan, -1)
-        out = np.empty((len(weights), n_i, coef.shape[1]))
-        # one row at a time, so that only one row's bins are held
-        for row, w in zip(out, weights):
-            binned = np.bincount(bins, (powers * np.tile(w, n_i)).ravel(), minlength=size)
-            np.matmul(binned.reshape(n_i, (deg + 1) * npan), coef, out=row)
-            del binned
-        return out.reshape((len(weights), n_i) + self.c.shape[2:])
 
     def derivative(self) -> "PiecewisePoly":
         deg = self.c.shape[0] - 1
@@ -149,14 +132,17 @@ def _hermite_cubic(x, y, dydx) -> PiecewisePoly:
 
 
 def cubic_spline(x, y) -> PiecewisePoly:
-    """Not-a-knot cubic spline through (x, y) along axis 0 of y.
-
-    The slopes solve the usual tridiagonal system, by elimination without
-    pivoting: past the first row every pivot is positive.  The third
-    derivative is continuous across x_1 and x_-2.  Needs at least 4 nodes.
-    """
+    """Not-a-knot cubic spline through (x, y) along axis 0 of y: the third
+    derivative is continuous across x_1 and x_-2.  Needs at least 4 nodes."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    return _hermite_cubic(x, y, spline_slopes(x, y))
+
+
+def spline_slopes(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node slopes of the not-a-knot cubic spline through (x, y) along axis 0
+    of y.  They solve the usual tridiagonal system, by elimination without
+    pivoting: past the first row every pivot is positive."""
     n = len(x)
     if n < 4:
         raise DomainError("a not-a-knot spline needs at least 4 nodes")
@@ -192,7 +178,47 @@ def cubic_spline(x, y) -> PiecewisePoly:
     for i in range(n - 2, -1, -1):
         rows[i] -= up[i] * rows[i + 1]
         rows[i] /= piv[i]
-    return _hermite_cubic(x, y, np.array(rows))
+    return np.array(rows)
+
+
+class SplineSampler:
+    """The not-a-knot cubic spline through node values y on x, sampled at
+    points given by their panels and offsets (``locate``), as a linear map
+    of y, and its exact transpose.  All it holds is ``slopes``, the n x n
+    map from y to the spline's node slopes: no table of n times the points.
+    The samples are those of ``cubic_spline`` to rounding."""
+
+    def __init__(self, x: np.ndarray):
+        self.x = np.asarray(x, dtype=float)
+        self.slopes = spline_slopes(self.x, np.eye(len(self.x)))
+
+    def sample(self, y: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The spline through the 1-D y at the points (k, s)."""
+        return _hermite_cubic(self.x, y, self.slopes @ y).on_panels(k, s)
+
+    def sample_transpose(self, v: np.ndarray, k: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """The transpose of ``sample``: values v at the points (k, s) -> node
+        values, its factors in reverse order.  The evaluation scatters v
+        times each power of s onto its panel's coefficient, the Hermite
+        coefficients of ``_hermite_cubic`` go back onto the node values and
+        slopes of their panel's two ends, and the slopes onto y through
+        ``slopes``' transpose."""
+        npan = len(self.x) - 1
+        c = np.empty((4, npan))
+        power = v
+        c[3] = np.bincount(k, power, minlength=npan)
+        for m in (2, 1, 0):
+            power = power * s
+            c[m] = np.bincount(k, power, minlength=npan)
+        dx = np.diff(self.x)
+        t = c[0] / dx - c[1]
+        secant = (c[1] - 2.0 * t) / dx
+        y, d = np.zeros((2, npan + 1))
+        y[:-1] = c[3] - secant / dx
+        y[1:] += secant / dx
+        d[:-1] = c[2] + (t - c[1]) / dx
+        d[1:] += t / dx
+        return y + self.slopes.T @ d
 
 
 def _pchip_end_slope(h0, h1, m0, m1) -> float:

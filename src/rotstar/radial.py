@@ -96,16 +96,39 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 def _dp_step(accel, r, u, v, a, h):
     """One Dormand-Prince step of u'' = accel(r, u, u') from (r, u, u', u'');
-    returns the 5th-order (u, u', u'') at r + h and the two error estimates."""
-    ku, kv = [v], [a]
-    for c, row in zip(_DP_C, _DP_A):
-        uu = u + h * sum(w * k for w, k in zip(row, ku))
-        vv = v + h * sum(w * k for w, k in zip(row, kv))
-        ku.append(vv)
-        kv.append(accel(r + c * h, uu, vv))
-    eu = h * sum(e * k for e, k in zip(_DP_E, ku))
-    ev = h * sum(e * k for e, k in zip(_DP_E, kv))
-    return uu, vv, kv[-1], eu, ev
+    returns the 5th-order (u, u', u'') at r + h and the two error estimates.
+
+    The stage sums are written out term by term, in the tables' order and
+    with their zero weights, on the Python floats of the trail: stage i has
+    the values u_i, v_i and the acceleration a_i.
+    """
+    c2, c3, c4, c5, c6, c7 = _DP_C
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), row6, row7 = _DP_A
+    a61, a62, a63, a64, a65 = row6
+    a71, a72, a73, a74, a75, a76 = row7
+    e1, e2, e3, e4, e5, e6, e7 = _DP_E
+    v1, a1 = v, a
+    u2 = u + h * (a21 * v1)
+    v2 = v + h * (a21 * a1)
+    a2 = accel(r + c2 * h, u2, v2)
+    u3 = u + h * (a31 * v1 + a32 * v2)
+    v3 = v + h * (a31 * a1 + a32 * a2)
+    a3 = accel(r + c3 * h, u3, v3)
+    u4 = u + h * (a41 * v1 + a42 * v2 + a43 * v3)
+    v4 = v + h * (a41 * a1 + a42 * a2 + a43 * a3)
+    a4 = accel(r + c4 * h, u4, v4)
+    u5 = u + h * (a51 * v1 + a52 * v2 + a53 * v3 + a54 * v4)
+    v5 = v + h * (a51 * a1 + a52 * a2 + a53 * a3 + a54 * a4)
+    a5 = accel(r + c5 * h, u5, v5)
+    u6 = u + h * (a61 * v1 + a62 * v2 + a63 * v3 + a64 * v4 + a65 * v5)
+    v6 = v + h * (a61 * a1 + a62 * a2 + a63 * a3 + a64 * a4 + a65 * a5)
+    a6 = accel(r + c6 * h, u6, v6)
+    u7 = u + h * (a71 * v1 + a72 * v2 + a73 * v3 + a74 * v4 + a75 * v5 + a76 * v6)
+    v7 = v + h * (a71 * a1 + a72 * a2 + a73 * a3 + a74 * a4 + a75 * a5 + a76 * a6)
+    a7 = accel(r + c7 * h, u7, v7)
+    eu = h * (e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5 + e6 * v6 + e7 * v7)
+    ev = h * (e1 * a1 + e2 * a2 + e3 * a3 + e4 * a4 + e5 * a5 + e6 * a6 + e7 * a7)
+    return u7, v7, a7, eu, ev
 
 
 def _dp_steps(accel, trail, r_end, tol, stop_at_zero=False):

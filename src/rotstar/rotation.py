@@ -17,7 +17,9 @@ import numpy as np
 
 from .eos import EquationOfState, ScaleSet, mass_unit, scaled_density, scaled_density_deriv
 from .errors import DivergentAxisIntegral, DomainError
-from .grids import AxiField, AxiGrid, PiecewisePoly, cubic_spline, interp_matrix, panel_gauss, pchip
+from .grids import (
+    AxiField, AxiGrid, SplineSampler, cubic_spline, interp_matrix, locate, panel_gauss, pchip,
+)
 
 
 @dataclass(frozen=True)
@@ -223,6 +225,7 @@ class CylinderRule:
             self.part_coef[sel, j] = np.take_along_axis(
                 mat.reshape(len(sel), 4, grid.n_r), stencil[sel, j, None, :], axis=2
             )
+            del mat  # one column's dense matrix at a time
 
     def field_at_partials(self, values: np.ndarray) -> np.ndarray:
         """Interpolate nodal field values (n_r, n_zeta) to the partial points."""
@@ -266,19 +269,21 @@ class CylinderMass:
 
 
 @lru_cache(maxsize=1)
-def _grid_tables(grid: AxiGrid) -> tuple[CylinderRule, PiecewisePoly, np.ndarray]:
+def _grid_tables(grid: AxiGrid) -> tuple[CylinderRule, SplineSampler, tuple, tuple]:
     """The momentum-law tables that depend on the grid alone: the cylinder
-    rule at the grid radii, the cardinal cubic-spline basis on them (one
-    spline per unit vector) and ``b_to_modes`` (n_l, n_r, n_r basis), the
-    fine-zeta projection of each basis spline at the cylinder radii of every
-    node.  The cylinder mass, the centrifugal map and every linearization of
-    a grid read them; they are held for the last grid asked for only."""
-    rule = CylinderRule(grid)
-    basis = cubic_spline(grid.r, np.eye(grid.n_r))
+    rule at the grid radii, the not-a-knot spline on them (its n_r x n_r
+    slope map) and, as panels and offsets (``locate``), the two point sets
+    where ``LinearizedCentrifugal`` samples splines: the Gauss points and
+    the cylinder radii r_i sqrt(1 - zeta^2) of every node at the fine zeta
+    nodes.  The cylinder mass, the centrifugal map and every linearization
+    of a grid read them; they are held for the last grid asked for only."""
     varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
-    b_to_modes = basis.weighted_sums(np.clip(varpi_fine, 0, grid.r_inf), grid.proj_f)
-    b_to_modes[1:, 0, :] = 0.0
-    return rule, basis, b_to_modes
+    return (
+        CylinderRule(grid),
+        SplineSampler(grid.r),
+        locate(grid.r, grid.gauss_x),
+        locate(grid.r, np.clip(varpi_fine, 0, grid.r_inf).ravel()),
+    )
 
 
 def mass_within_cylinder(u: AxiField, eos: EquationOfState, scale: ScaleSet) -> CylinderMass:
@@ -342,25 +347,25 @@ def centrifugal_from_momentum(
     return CentrifugalField(grid.r.copy(), b, db, g, g_modes, None)
 
 
-# basis splines per block of ``LinearizedCentrifugal.cum``
-_BASIS_BLOCK = 128
-
-
 class LinearizedCentrifugal:
     """Linearization B of the momentum-law centrifugal map at u, as a chain
     of linear maps whose u-dependent coefficients are frozen here:
 
     - h -> dm, the cylinder-mass response at the grid radii: the rule's
       quadrature of rho'(u) h (``fp_gauss``, ``fp_part``);
-    - dm -> b, the cumulative centrifugal integral on the cubic-spline basis
-      of the nonlinear path (``cum``);
-    - b -> g modes, the projection of b(r sqrt(1 - zeta^2)) (``b_to_modes``).
+    - dm -> b, the cumulative centrifugal integral of dm's cubic spline,
+      the one the nonlinear path takes through b, times 2 j j'(m) / x^3 at
+      the Gauss points (``weight``; ``b_from_dm``);
+    - b -> g modes, the fine-zeta projection of b's cubic spline at the
+      cylinder radii r sqrt(1 - zeta^2) of every node.
 
     ``apply_values`` runs the chain on nodal values and ``apply_transpose``
-    its transpose, so B (rank <= n_r) is never formed.  ``cyl``, if given,
-    is u's cylinder mass.  The rule, the spline basis and ``b_to_modes``
-    depend on the grid alone and come from ``_grid_tables``, shared with the
-    nonlinear map and every other linearization on the grid.
+    its transpose, so B (rank <= n_r) is never formed, and neither is any
+    table of n_r^2 per degree: the splines are sampled through their slope
+    map.  ``cyl``, if given, is u's cylinder mass.  The rule, the slope map
+    and the sample points depend on the grid alone and come from
+    ``_grid_tables``, shared with the nonlinear map and every other
+    linearization on the grid.
     """
 
     def __init__(
@@ -370,42 +375,40 @@ class LinearizedCentrifugal:
         self.grid = grid = u.grid
         if cyl is None:
             cyl = mass_within_cylinder(u, eos, scale)
-        self.rule, basis, self.b_to_modes = _grid_tables(grid)
+        self.rule, self.spline, self.gauss_panels, self.fine_panels = _grid_tables(grid)
         self.fp_gauss = scaled_density_deriv(grid.at_gauss(u.values, axis=0), eos, scale.u_center)
         self.fp_part = scaled_density_deriv(
             self.rule.field_at_partials(u.values), eos, scale.u_center
         )
         self.mass_pref = 2.0 * math.pi * mass_unit(eos, scale)
         self._transposed = None
-
-        # cumulative map: dm samples at grid.r -> b samples at grid.r,
-        # assembled on the cubic-spline basis used by the nonlinear path.
-        # It is integrated _BASIS_BLOCK splines at a time, so that no
-        # integrand of all n_r columns is held
-        v, x = grid.r, grid.gauss_x
+        x = grid.gauss_x
         m_at = cyl.at_scaled(x)
         pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
-        weight = (pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3)[:, None]
-        self.cum = np.empty((grid.n_r, grid.n_r))  # (n_r, n_r basis)
-        for k in range(0, grid.n_r, _BASIS_BLOCK):
-            integrand = PiecewisePoly(v, basis.c[..., k : k + _BASIS_BLOCK])(x)
-            integrand *= weight
-            self.cum[:, k : k + _BASIS_BLOCK] = grid.cumulative(integrand)
-            del integrand
+        self.weight = pref * 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3
+
+    def b_from_dm(self, dm: np.ndarray) -> np.ndarray:
+        """b at the grid radii for the cylinder-mass response dm there."""
+        return self.grid.cumulative(self.weight * self.spline.sample(dm, *self.gauss_panels))
 
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:
         """g-mode response (n_l, n_r) for a nodal field perturbation."""
-        gvals = self.fp_gauss * self.grid.at_gauss(h_values, axis=0)
+        grid = self.grid
+        gvals = self.fp_gauss * grid.at_gauss(h_values, axis=0)
         pvals = self.fp_part * self.rule.field_at_partials(h_values)
         dm = self.mass_pref * self.rule.integrate(gvals, pvals)
-        b = self.cum @ dm
-        return np.einsum("lib,b->li", self.b_to_modes, b)
+        vals = self.spline.sample(self.b_from_dm(dm), *self.fine_panels).reshape(grid.n_r, -1)
+        g_modes = grid.project_fine(vals.T)
+        g_modes[1:, 0] = 0.0
+        return g_modes
 
     def apply_transpose(self, y_modes: np.ndarray) -> np.ndarray:
         """The transpose of h modes -> ``apply_values`` of their synthesis on
-        mode arrays (n_l, n_r), its factors in reverse order: ``b_to_modes``,
-        ``cum``, the cylinder integral (a suffix sum over the panels of the
-        weights scattered at each ray's cut ``kcut``), the complete and
+        mode arrays (n_l, n_r), its factors in reverse order: the fine-zeta
+        projection, the spline of b (``SplineSampler.sample_transpose``),
+        the cumulative integral (a suffix sum over the panels), the weighted
+        spline of dm, the cylinder integral (a suffix sum over the panels of
+        the weights scattered at each ray's cut ``kcut``), the complete and
         partial panels' stencils (one scatter-add) and the synthesis."""
         grid, rule, nj = self.grid, self.rule, self.grid.n_zeta
         if self._transposed is None:
@@ -424,7 +427,12 @@ class LinearizedCentrifugal:
                                 rule.part_index.ravel()]),
             )
         panel, part, cut, index = self._transposed
-        dm = self.cum.T @ (y_modes.ravel() @ self.b_to_modes.reshape(-1, grid.n_r))
+        y = y_modes.copy()
+        y[1:, 0] = 0.0
+        b = self.spline.sample_transpose((y.T @ grid.proj_f).ravel(), *self.fine_panels)
+        beyond = np.cumsum(b[:0:-1])[::-1]  # panel p: the nodes above it
+        samples = self.weight * grid.gauss_w * np.repeat(beyond, 4)
+        dm = self.spline.sample_transpose(samples, *self.gauss_panels)
         at_cut = np.bincount(cut, np.repeat(dm, nj), minlength=grid.n_r * nj).reshape(-1, nj)
         below = np.cumsum(at_cut[:0:-1], axis=0)[::-1]  # panel p: the cuts beyond it
         weights = np.concatenate([(panel * below[:, None]).ravel(),

@@ -268,13 +268,56 @@ def newton_matrix_dense(u, eos, u_center, law=None, scale=None):
 def centrifugal_deriv_dense(lin):
     """The dense B of a momentum law's ``LinearizedCentrifugal`` on packed
     vectors, n x n: the cylinder-mass response ``dm_response_dense`` to the
-    packed h, then ``lin.cum`` and ``lin.b_to_modes`` to packed g modes."""
+    packed h, then the cumulative map ``weighted_cumulative_dense`` of the
+    chain's weight and ``b_to_modes_dense`` to packed g modes."""
     from rotstar.equilibrium import pack_modes
 
     grid = lin.grid
     right = pack_modes(grid, dm_response_dense(lin).transpose(0, 2, 1))  # (n, n_q)
-    left = pack_modes(grid, lin.b_to_modes @ lin.cum)  # (n, n_q)
+    left = pack_modes(grid, b_to_modes_dense(grid) @ weighted_cumulative_dense(grid, lin.weight))
     return left @ right.T
+
+
+def weighted_sums(poly, t, weights):
+    """out[l, i] = sum_a weights[l, a] f(t[i, a]) for 2-D t, f the piecewise
+    polynomial ``poly`` (coefficients ``poly.c`` of (t - x_k)^(deg - m) on
+    the panels of ``poly.x``, as in scipy's ``PPoly``).
+
+    Each row of weights is binned per panel and power of (t - x_k) and then
+    contracted with the coefficients in one product, so f is never formed at
+    the individual points.
+    """
+    n_i, n_a = t.shape
+    deg, npan = poly.c.shape[0] - 1, len(poly.x) - 1
+    flat = t.ravel()
+    k = np.clip(np.searchsorted(poly.x, flat, side="right") - 1, 0, npan - 1)
+    s = flat - poly.x[k]
+    powers = np.empty((deg + 1, flat.size))  # powers[m] = s^(deg - m)
+    powers[deg] = 1.0
+    for m in range(deg - 1, -1, -1):
+        powers[m] = powers[m + 1] * s
+    rows = np.repeat(np.arange(n_i) * (deg + 1), n_a)
+    bins = ((rows + np.arange(deg + 1)[:, None]) * npan + k).ravel()
+    size = n_i * (deg + 1) * npan
+    coef = poly.c.reshape((deg + 1) * npan, -1)
+    out = np.empty((len(weights), n_i, coef.shape[1]))
+    # one row at a time, so that only one row's bins are held
+    for row, w in zip(out, weights):
+        binned = np.bincount(bins, (powers * np.tile(w, n_i)).ravel(), minlength=size)
+        np.matmul(binned.reshape(n_i, (deg + 1) * npan), coef, out=row)
+    return out.reshape((len(weights), n_i) + poly.c.shape[2:])
+
+
+def b_to_modes_dense(grid):
+    """The map b samples at grid.r -> g modes, (n_l, n_r, n_r): the
+    fine-zeta projection of the not-a-knot cubic spline through each unit
+    vector (scipy's ``CubicSpline``) at the clipped cylinder radii
+    r_i sqrt(1 - zeta^2) of every node, with g_l(0) = 0 for l > 0."""
+    basis = CubicSpline(grid.r, np.eye(grid.n_r))
+    varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
+    out = weighted_sums(basis, np.clip(varpi_fine, 0, grid.r_inf), grid.proj_f)
+    out[1:, 0, :] = 0.0
+    return out
 
 
 # block inverse iteration of ``sigma_min_lu``: block size
@@ -373,15 +416,20 @@ def cubic_spline_slopes_banded(x, y):
 
 
 def cumulative_map_dense(grid, law, cyl, scale):
-    """``LinearizedCentrifugal.cum`` in one piece, n_r x n_r: the cumulative
-    integral of the not-a-knot cubic spline through each unit vector
-    (scipy's ``CubicSpline``), weighted by 2 j j'(m) / x^3 at the Gauss
-    points, summed panel by panel from the axis."""
+    """The dm -> b map of a momentum law's linearization in one piece,
+    n_r x n_r: ``weighted_cumulative_dense`` with the weight 2 j j'(m) / x^3
+    at the Gauss points."""
     x = grid.gauss_x
     m_at = cyl.at_scaled(x)
     weight = 2.0 * law.j_at(m_at) * law.dj_at(m_at) / x ** 3
-    weight /= scale.u_center * scale.length_scale ** 2
-    vals = CubicSpline(grid.r, np.eye(grid.n_r))(x) * (grid.gauss_w * weight)[:, None]
+    return weighted_cumulative_dense(grid, weight / (scale.u_center * scale.length_scale ** 2))
+
+
+def weighted_cumulative_dense(grid, weight):
+    """The cumulative integral of the not-a-knot cubic spline through each
+    unit vector (scipy's ``CubicSpline``), times ``weight`` at the Gauss
+    points, summed panel by panel from the axis: n_r x n_r."""
+    vals = CubicSpline(grid.r, np.eye(grid.n_r))(grid.gauss_x) * (grid.gauss_w * weight)[:, None]
     panels = vals.reshape(grid.n_r - 1, 4, grid.n_r).sum(axis=1)
     return np.vstack([np.zeros(grid.n_r), np.cumsum(panels, axis=0)])
 

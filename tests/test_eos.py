@@ -222,3 +222,16 @@ def test_density_monotone_in_enthalpy():
         u = np.linspace(0.0, 2.0, 4001)
         f = scaled_density(u, eos, u_c)
         assert np.all(np.diff(f) >= 0)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 4.5])
+def test_density_on_a_python_float_is_bitwise_the_array_path(nu):
+    # the polytrope's branch for one Python float, taken at every stage of a
+    # Lane-Emden step, against the 0-d array path: u <= 0 (-0.0 included),
+    # tiny, around 1 and large
+    eos = EquationOfState.from_index(nu)
+    rng = np.random.default_rng(5)
+    us = [-1.0, -0.0, 0.0, 5e-324, 1e-300, 1e-10, 1.0, 7.0, 1e10, math.inf]
+    for u in us + rng.uniform(-0.5, 1.5, 2000).tolist():
+        got, want = scaled_density(u, eos, 1.0), scaled_density(np.asarray(u), eos, 1.0)
+        assert type(got) is float and got.hex() == want.hex()

@@ -841,25 +841,24 @@ def test_jacobian_build_reuses_the_iterate_cylinder_mass(eos15, profile15, scale
 
 def test_certified_momentum_solve_builds_one_cylinder_rule(eos15, profile15, scale15, monkeypatch):
     # the law's cylinder mass, that of every residual, the Newton step's B
-    # and the certificate's B all read one cylinder rule and one cardinal
-    # spline basis, built once for the grid
+    # and the certificate's B all read one cylinder rule and one spline slope
+    # map, built once for the grid
     from rotstar import rotation
 
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     rules, bases = [], []
-    rule_init, spline = rotation.CylinderRule.__init__, rotation.cubic_spline
+    rule_init, spline_init = rotation.CylinderRule.__init__, rotation.SplineSampler.__init__
 
     def counting_rule(self, *args, **kwargs):
         rules.append(1)
         rule_init(self, *args, **kwargs)
 
-    def counting_spline(x, y):
-        if np.shape(y) == (grid.n_r, grid.n_r):
-            bases.append(1)
-        return spline(x, y)
+    def counting_spline(self, *args, **kwargs):
+        bases.append(1)
+        spline_init(self, *args, **kwargs)
 
     monkeypatch.setattr(rotation.CylinderRule, "__init__", counting_rule)
-    monkeypatch.setattr(rotation, "cubic_spline", counting_spline)
+    monkeypatch.setattr(rotation.SplineSampler, "__init__", counting_spline)
     u0 = initial_field_from_profile(grid, profile15)
     law = _momentum_law(u0, eos15, scale15)
     sol = solve_equilibrium(None, eos15, 1.0, u0, SolverOptions(), law=law, scale=scale15)
@@ -1313,7 +1312,7 @@ def test_nonfinite_products_certify_zero(product, monkeypatch):
 
         def with_nan(*args):
             lin = build(*args)
-            lin.cum[5, 0] = np.nan
+            lin.weight[5] = np.nan
             return lin
 
         monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", with_nan)

@@ -6,10 +6,12 @@ from rotstar.grids import (
     _hermite_cubic,
     apply_stencil,
     cubic_spline,
+    SplineSampler,
     cumulative_trapezoid,
     derivative_stencil,
     interp_matrix,
     legendre_table,
+    locate,
     panel_gauss,
     pchip,
     running_sums,
@@ -18,7 +20,7 @@ from rotstar.errors import DomainError
 from rotstar.perturb import ModeGrid
 
 from oracles import (
-    axigrid_kernels_loop, cubic_spline_slopes_banded, kernel_blocks, radial_kernel,
+    axigrid_kernels_loop, cubic_spline_slopes_banded, kernel_blocks, radial_kernel, weighted_sums,
 )
 
 
@@ -317,6 +319,21 @@ def test_cubic_spline_matches_the_banded_solve(profile15, eos15):
         assert np.max(np.abs(got(t) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_spline_sampler_is_the_spline_and_its_transpose_the_adjoint():
+    # samples through the slope map are the spline's, at points inside,
+    # on and beyond the nodes, and <S y, v> = <y, S^T v>
+    rng = np.random.default_rng(31)
+    x = clustered_nodes(5.5, 96, focus=3.65)
+    t = np.concatenate([x, rng.uniform(-0.3, 5.8, 500)])
+    sampler, panels = SplineSampler(x), locate(x, t)
+    for _ in range(3):
+        y, v = rng.standard_normal(len(x)), rng.standard_normal(len(t))
+        got, want = sampler.sample(y, *panels), cubic_spline(x, y)(t)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        back = sampler.sample_transpose(v, *panels)
+        assert abs(got @ v - y @ back) <= 1e-14 * np.linalg.norm(got) * np.linalg.norm(v)
+
+
 def test_pchip_matches_scipy():
     si = _scipy_interpolate()
     rng = np.random.default_rng(12)
@@ -358,11 +375,12 @@ def test_cumulative_trapezoid_matches_scipy():
 
 
 def test_weighted_sums_match_pointwise_evaluation():
+    # the dense B oracle's binned weighted sums of a spline basis
     grid = AxiGrid.build(5.5, n_r=64, n_zeta=12, l_max=4, focus=3.65)
     basis = cubic_spline(grid.r, np.eye(grid.n_r))
     t = np.clip(grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2), 0, grid.r_inf)
     want = np.einsum("la,iab->lib", grid.proj_f, basis(t))
-    got = basis.weighted_sums(t, grid.proj_f)
+    got = weighted_sums(basis, t, grid.proj_f)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 

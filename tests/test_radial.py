@@ -202,3 +202,19 @@ def test_scalar_evaluation_is_bitwise_the_array_path(nu):
         prof.theta_at(-1e-9)
     with pytest.raises(DomainError):
         prof.theta_at(prof.r_inf * 1.01)
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.2, 1.5, 2.0, 2.5, 3.0, 4.5])
+def test_profile_on_python_floats_is_bitwise_the_array_path(nu, monkeypatch):
+    # the Dormand-Prince stages run scaled_density on Python floats; with
+    # every stage sent through the 0-d array path instead, theta, theta',
+    # xi1 and mu1 keep every bit
+    from rotstar import radial
+
+    eos = EquationOfState.from_index(nu)
+    fast = solve_lane_emden(eos, 1.0)
+    monkeypatch.setattr(radial, "scaled_density", lambda u, *a: scaled_density(np.asarray(u), *a))
+    slow = solve_lane_emden(eos, 1.0)
+    for got, want in ((fast.theta, slow.theta), (fast.dtheta, slow.dtheta)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert fast.xi1.hex() == slow.xi1.hex() and fast.mu1.hex() == slow.mu1.hex()

@@ -218,8 +218,9 @@ def test_momentum_deriv_finite_difference_order(theta15, eos15, scale15):
 
 @pytest.mark.parametrize("n_r", [64, 300])
 def test_linearization_cum_matches_the_whole_basis(n_r, profile15, eos15, scale15):
-    # cum is built a block of basis splines at a time (at n_r = 300 three
-    # blocks, the last one partial); it is the map of the whole basis at once
+    # the linearization's dm -> b product, a spline sampled through its
+    # slope map, weighted and integrated from the axis, is column by column
+    # the dense cumulative map of scipy's spline basis
     grid = AxiGrid.build(profile15.r_inf, n_r=n_r, n_zeta=8, l_max=2, focus=profile15.xi1)
     u = initial_field_from_profile(grid, profile15)
     cyl = mass_within_cylinder(u, eos15, scale15)
@@ -227,7 +228,42 @@ def test_linearization_cum_matches_the_whole_basis(n_r, profile15, eos15, scale1
     law = AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total)
     lin = LinearizedCentrifugal(law, u, eos15, scale15, cyl)
     want = cumulative_map_dense(grid, law, cyl, scale15)
-    assert np.max(np.abs(lin.cum - want)) <= 1e-13 * np.max(np.abs(want))
+    got = np.column_stack([lin.b_from_dm(e) for e in np.eye(n_r)])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _arrays_reachable(obj, seen=None):
+    """Every numpy array reachable from obj through attributes and
+    containers, the grid's own tables left out."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen or isinstance(obj, AxiGrid):
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays_reachable(item, seen)
+    elif isinstance(obj, dict):
+        for item in obj.values():
+            yield from _arrays_reachable(item, seen)
+    elif hasattr(obj, "__dict__"):
+        yield from _arrays_reachable(vars(obj), seen)
+
+
+def test_linearization_holds_no_table_beyond_n_r_squared(profile15, eos15, scale15):
+    # the grid tables and a linearization, its transposed factors built,
+    # hold nothing of n_l n_r^2 or 4 n_r^2: on a grid where the cylinder
+    # rule's n_r x n_zeta tables stay below n_r^2, no array holds more
+    grid = AxiGrid.build(profile15.r_inf, n_r=128, n_zeta=6, l_max=4, focus=profile15.xi1)
+    u = initial_field_from_profile(grid, profile15)
+    cyl = mass_within_cylinder(u, eos15, scale15)
+    ms = np.linspace(0, 1.3 * cyl.total, 60)
+    lin = LinearizedCentrifugal(AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total), u, eos15,
+                                scale15, cyl)
+    lin.apply_transpose(np.ones((grid.n_l, grid.n_r)))
+    sizes = [a.size for a in _arrays_reachable((rotation._grid_tables(grid), lin))]
+    assert max(sizes) <= grid.n_r ** 2
 
 
 def _partial_panels_loop(grid, kcut):
