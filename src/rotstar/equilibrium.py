@@ -399,6 +399,8 @@ def hl_certificate_blocks(
 _CERT_BLOCK = 3
 _CERT_RTOL = 1e-14
 _CERT_MAX_ITER = 100
+# the start block's step, the golden ratio's fractional part (sqrt(5) - 1)/2
+_GOLDEN = 0.6180339887498949
 
 
 def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int, float | None]:
@@ -409,7 +411,8 @@ def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int,
     Block LOBPCG (Knyazev 2001, SIAM J. Sci. Comput. 23, 517) for the
     _CERT_BLOCK smallest eigenvalues of M^T M, preconditioned by
     ``precondition``, an approximate (M^T M)^-1, and started from it applied
-    to seeded normal vectors.  Each step takes the Rayleigh-Ritz values on
+    to a fixed block: a golden-ratio Weyl sequence, centred, which needs no
+    random generator.  Each step takes the Rayleigh-Ritz values on
     the span of the iterates X, their preconditioned residuals W and the last
     directions P: the smallest singular values of M Q, with Q an orthonormal
     basis of the span whose first columns span X, at one product with M for
@@ -425,7 +428,7 @@ def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int,
     are not finite give sigma = 0.0 and no bound.
     """
     k = min(_CERT_BLOCK, n)
-    start = np.random.default_rng(0).standard_normal((k, n))
+    start = ((np.arange(1, k * n + 1) * _GOLDEN) % 1.0 - 0.5).reshape(k, n)
     sigma = np.inf
     # a product that is not finite is reported by the tests below, not as a warning
     with np.errstate(over="ignore", invalid="ignore"):

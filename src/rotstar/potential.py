@@ -30,9 +30,15 @@ def _kernel_parts(r, zeta, rp, zetap):
 # below about 1e-8; a chunk of 16384 keeps the three buffers in cache.
 _AGM_STEPS = 8
 _AGM_CHUNK = 16384
+# potential_direct's blocks: the target zeta rows of a far-field kernel row
+# per _kernel_elliptic call (its argument buffers hold this many rows), and
+# the near-field leaves evaluated at once.  Every step is elementwise or a
+# per-pair sum, so no value depends on either.
+_DIRECT_ROWS = 3
+_DIRECT_LEAVES = 1024
 
 
-def _kernel_elliptic(a, b):
+def _kernel_elliptic(a, b, out=None):
     """The integral of 1/sqrt(a - b cos phi) over one turn, from the parts a, b
     of ``_kernel_parts``: 4 K(m)/sqrt(a + b) with m = 2b/(a + b), taken in
     Gauss's form 2 pi / AGM(sqrt(a + b), sqrt(a - b)).
@@ -40,10 +46,11 @@ def _kernel_elliptic(a, b):
     The AGM starts from the kernel's own square roots, so no 1 - m is formed
     and the value keeps full accuracy as m -> 1.  Every step is elementwise
     and their number is fixed, so a value does not depend on the batch it is
-    evaluated in.  Where a - b <= 0 the value is +inf.
+    evaluated in.  Where a - b <= 0 the value is +inf.  ``out``, when given,
+    is a C-contiguous array of the broadcast shape that receives the values.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    out = np.empty(a.shape)
+    out = np.empty(a.shape) if out is None else out
     a, b, flat = a.ravel(), b.ravel(), out.reshape(-1)
     buffers = [np.empty(min(a.size, _AGM_CHUNK)) for _ in range(3)]
     for lo in range(0, a.size, _AGM_CHUNK):
@@ -167,7 +174,8 @@ def potential_direct(
     near_j = np.abs(np.arange(n_zc) - jt[:, None]) <= window
 
     # far field: the coarse rule on every cell, one kernel row per target
-    # radius (never targets x sources at once).  The cells are the tensor
+    # radius (never targets x sources at once), refilled in place and
+    # evaluated _DIRECT_ROWS target zetas at a time.  The cells are the tensor
     # product of the radial and zeta cells (axes: radial cell, zeta cell,
     # radius, zeta), so each radial Gauss point is interpolated once.  The
     # kernel is even under (zeta, zeta') -> (-zeta, -zeta'), and the zeta
@@ -194,12 +202,21 @@ def potential_direct(
     half = grid.n_zeta // 2
     n_t = grid.n_zeta - half
     tz = grid.zeta[half:, None, None, None, None]
+    st = np.sqrt(1.0 - tz ** 2)
     own, mirror = near_j[half:], near_j[:n_t][::-1, ::-1]
     near_cols = np.stack((own, own, mirror, mirror), axis=-1).astype(float)
     all_cols = cols.reshape(-1, 4)
     acc = np.empty((grid.n_r, grid.n_zeta))
+    ker = np.empty((n_t,) + cz.shape)
+    a_buf, b_buf = np.empty((2, min(_DIRECT_ROWS, n_t)) + cz.shape)
     for i, r in enumerate(grid.r):
-        ker = _kernel_elliptic(r * r + r2 - r * tz * cz, r * np.sqrt(1.0 - tz ** 2) * sz)
+        rr2 = r * r + r2
+        for lo in range(0, n_t, _DIRECT_ROWS):
+            hi = min(lo + _DIRECT_ROWS, n_t)
+            a, b = a_buf[: hi - lo], b_buf[: hi - lo]
+            np.subtract(rr2, np.multiply(r * tz[lo:hi], cz, out=a), out=a)
+            np.multiply(r * st[lo:hi], sz, out=b)
+            _kernel_elliptic(a, b, out=ker[lo:hi])
         sums = ker.reshape(n_t, -1) @ all_cols
         near = np.einsum("jkcrz,kcrzq->jcq", ker[:, near_k[i]], cols[near_k[i]])
         sums -= np.einsum("jcq,jcq->jq", near, near_cols)
@@ -209,7 +226,8 @@ def potential_direct(
 
     # near field, level by level over every (target, near cell) pair: a cell
     # that holds its target (closed test, so a target on an edge goes into
-    # every cell touching it) splits in four above depth 0; the others are leaves
+    # every cell touching it) splits in four above depth 0; the others are
+    # leaves, evaluated _DIRECT_LEAVES at a time
     pi, pk = np.nonzero(near_k)
     pj, pc = np.nonzero(near_j)
     a, b = np.repeat(np.arange(len(pi)), len(pj)), np.tile(np.arange(len(pj)), len(pi))
@@ -221,10 +239,17 @@ def potential_direct(
     for depth in range(refine_depth, -1, -1):
         tr, tz = t_r[tgt], t_z[tgt]
         split = (r_lo <= tr) & (tr <= r_hi) & (z_lo <= tz) & (tz <= z_hi) & (depth > 0)
-        leaf = ~split
-        xr, xz, w, f = cell_rule(r_lo[leaf], r_hi[leaf], z_lo[leaf], z_hi[leaf])
-        ker = _kernel_elliptic(*_kernel_parts(tr[leaf, None, None], tz[leaf, None, None], xr, xz))
-        vals = np.sum(ker * w * (f - t_f[tgt[leaf], None, None]), axis=(1, 2))
+        leaf = np.flatnonzero(~split)
+        vals = np.empty(len(leaf))
+        for lo in range(0, len(leaf), _DIRECT_LEAVES):
+            part = leaf[lo : lo + _DIRECT_LEAVES]
+            xr, xz, w, f = cell_rule(r_lo[part], r_hi[part], z_lo[part], z_hi[part])
+            ker = _kernel_elliptic(
+                *_kernel_parts(tr[part, None, None], tz[part, None, None], xr, xz)
+            )
+            vals[lo : lo + len(part)] = np.sum(
+                ker * w * (f - t_f[tgt[part], None, None]), axis=(1, 2)
+            )
         # bincount adds in a fixed order, so the result is deterministic
         acc += np.bincount(tgt[leaf], weights=vals, minlength=acc.size).reshape(acc.shape)
         r_lo, r_hi, z_lo, z_hi = r_lo[split], r_hi[split], z_lo[split], z_hi[split]

@@ -827,12 +827,11 @@ def test_pool_solves_keep_their_iteration_counts(kind, tmp_path, monkeypatch):
     assert (gmres, lobpcg) == _POOL_SOLVE_COUNTS[kind]
 
 
-def test_kernel_check_leaves_out_numpy_random(tmp_path):
-    # numpy 2 imports numpy.random on first use (about 2 MB in a fresh
-    # process, which set kernel-check's peak); kernel-check draws nothing.
-    # numpy 1.x imports numpy.random with numpy itself, so only the run is
-    # checked
-    cfg = _write(tmp_path, KERNEL_CHECK_INI)
+def _run_loads_numpy_random(tmp_path, ini: str) -> str:
+    """Exit status of the CLI on ``ini`` in a fresh interpreter, and whether
+    the run (not the imports) loaded numpy.random.  numpy 2 imports
+    numpy.random on first use (about 2 MB and 5 ms in a fresh process);
+    numpy 1.x imports it with numpy itself, so only the run is checked."""
     code = (
         "import sys\n"
         "from rotstar.cli import main\n"
@@ -840,7 +839,21 @@ def test_kernel_check_leaves_out_numpy_random(tmp_path):
         "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
         "print(status, 'numpy.random' in sys.modules and not before)\n"
     )
-    assert _fresh_python(code, str(cfg), str(tmp_path / "out")) == "0 False"
+    return _fresh_python(code, str(_write(tmp_path, ini)), str(tmp_path / "out"))
+
+
+def test_kernel_check_leaves_out_numpy_random(tmp_path):
+    # kernel-check draws nothing; numpy.random once set its peak
+    assert _run_loads_numpy_random(tmp_path, KERNEL_CHECK_INI) == "0 False"
+
+
+@pytest.mark.parametrize("ini", [SOLVE_INI, MOMENTUM_SOLVE_INI], ids=["solve", "momentum-solve"])
+def test_certified_solves_leave_out_numpy_random(tmp_path, ini):
+    # the certificate's LOBPCG starts from a fixed Weyl-sequence block, not
+    # from seeded normal draws, so a certified solve loads no numpy.random
+    assert _run_loads_numpy_random(tmp_path, ini) == "0 False"
+    doc = json.loads((tmp_path / "out" / "solution.json").read_text())
+    assert doc["hl_sigma_min"] > 0.0
 
 
 def test_lane_emden_refuses_an_outer_radius_too_large(tmp_path):

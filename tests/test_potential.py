@@ -63,6 +63,12 @@ def test_kernel_elliptic_value_does_not_depend_on_the_batch():
     for i in (0, 1, 16383, 16384, 39999):
         alone = kernel_eval(float(r[i]), float(z[i]), float(rp[i]), float(zp[i]), "elliptic")
         assert alone == batch[i]
+    # into a row of a larger buffer, as a far-field kernel row is filled
+    buf = np.full((3, 40000), np.nan)
+    row = buf[1]
+    assert _kernel_elliptic(*_kernel_parts(r, z, rp, zp), out=row) is row
+    assert np.array_equal(row, batch)
+    assert np.isnan(buf[[0, 2]]).all()
 
 
 def test_kernel_elliptic_is_infinite_where_a_minus_b_vanishes():
@@ -236,30 +242,75 @@ def _ball_case():
     return AxiField.from_function(grid, ball), ball
 
 
-@pytest.mark.parametrize(
+def _direct_case(case):
+    """The field and exact source (or None) of a named direct-quadrature case."""
+    if case == "ball":
+        return _ball_case()
+    if case == "tilted":
+        grid = AxiGrid.build(2.0, n_r=14, n_zeta=8, l_max=6)
+        source_fn = lambda r, z: np.exp(-(r ** 2)) * (1.0 + 0.5 * z)
+        return AxiField(grid, source_fn(grid.r[:, None], grid.zeta[None, :])), source_fn
+    n_zeta = 8 if case == "smooth" else 7
+    grid = AxiGrid.build(2.0, n_r=14, n_zeta=n_zeta, l_max=6)
+    return AxiField.from_modes(grid, _smooth_modes(grid, np.random.default_rng(5))), None
+
+
+DIRECT_CASES = pytest.mark.parametrize(
     "case, refine_depth, window",
     [("smooth", 4, 2), ("ball", 3, 1), ("odd", 0, 2), ("odd", 3, 2), ("tilted", 2, 1)],
 )
+
+
+@DIRECT_CASES
 def test_direct_matches_recursive_oracle(case, refine_depth, window):
     # the level-by-level quadrature against the per-leaf recursion; with odd
     # n_zeta the target zeta = 0 sits on a zeta edge as well as an r edge, so
     # it goes into several cells at every level; the tilted source is not
     # equatorially symmetric, though the far field mirrors kernel rows
-    source_fn = None
-    if case == "ball":
-        f, source_fn = _ball_case()
-    elif case == "tilted":
-        grid = AxiGrid.build(2.0, n_r=14, n_zeta=8, l_max=6)
-        source_fn = lambda r, z: np.exp(-(r ** 2)) * (1.0 + 0.5 * z)
-        f = AxiField(grid, source_fn(grid.r[:, None], grid.zeta[None, :]))
-    else:
-        n_zeta = 8 if case == "smooth" else 7
-        grid = AxiGrid.build(2.0, n_r=14, n_zeta=n_zeta, l_max=6)
-        f = AxiField.from_modes(grid, _smooth_modes(grid, np.random.default_rng(5)))
+    f, source_fn = _direct_case(case)
     kw = dict(refine_depth=refine_depth, window=window, source_fn=source_fn)
     got = potential_direct(f, **kw).values
     want = potential_direct_recursive(f, **kw).values
     assert np.max(np.abs(got - want)) < 1e-13
+
+
+@DIRECT_CASES
+def test_direct_values_do_not_depend_on_the_blocks(case, refine_depth, window, monkeypatch):
+    # far-field zeta rows per kernel call and near-field leaves per block: one
+    # at a time, a size that divides neither the rows nor any level, and one
+    # that takes every row and every level's leaves at once
+    from rotstar import potential
+
+    f, source_fn = _direct_case(case)
+    kw = dict(refine_depth=refine_depth, window=window, source_fn=source_fn)
+    want = potential_direct(f, **kw).values
+    for rows, leaves in ((1, 1), (3, 7), (10 ** 6, 10 ** 6)):
+        monkeypatch.setattr(potential, "_DIRECT_ROWS", rows)
+        monkeypatch.setattr(potential, "_DIRECT_LEAVES", leaves)
+        assert np.array_equal(potential_direct(f, **kw).values, want), (rows, leaves)
+
+
+def test_direct_working_set_is_bounded():
+    # the kernel-check field: the far field's kernel row and its argument
+    # buffers are allocated once, and the near field runs in blocks (a full
+    # kernel row with fresh argument temporaries, and every leaf of a level
+    # at once, took 8.6 MB here)
+    import tracemalloc
+
+    grid = AxiGrid.build(2.0, n_r=32, n_zeta=12, l_max=4)
+    modes = np.zeros((grid.n_l, grid.n_r))
+    modes[0] = np.exp(-grid.r ** 2)
+    for k in range(1, grid.n_l):
+        modes[k] = 0.4 ** k * grid.r ** 2 * np.exp(-grid.r ** 2)
+    f = AxiField.from_modes(grid, modes)
+    f.modes()
+    tracemalloc.start()
+    try:
+        potential_direct(f, refine_depth=4, window=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6
 
 
 def test_direct_interpolates_each_distinct_radius_once(monkeypatch):
