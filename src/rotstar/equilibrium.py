@@ -90,7 +90,7 @@ class EquilibriumSolution:
         """Evaluate the boundary curve at arbitrary zeta via its even-mode fit;
         NoSignChange if the solution has no free boundary."""
         grid = self.u.grid
-        coeffs = grid.proj @ self.require_boundary().R_of_zeta
+        coeffs = grid.proj @ grid.half_range(self.require_boundary().R_of_zeta)
         zeta = np.atleast_1d(np.asarray(zeta, dtype=float))
         return coeffs @ legendre_table(grid.lvals, zeta)
 
@@ -210,14 +210,6 @@ def gravity_map_deriv(
     return AxiField.from_modes(grid, _gravity_deriv_modes(grid, fp, h.modes()))
 
 
-def _packed_block(grid: AxiGrid, k: int) -> slice:
-    """Rows of mode k in the packed vector."""
-    nr = grid.n_r
-    if k == 0:
-        return slice(0, nr)
-    return slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1))
-
-
 @dataclass
 class DegreeBlock:
     """The diagonal block J_kk of the linearized self-gravity map for degree
@@ -318,23 +310,25 @@ def free_boundary(u: AxiField, r0: float = 0.0) -> np.ndarray:
 
     Requires a single + to - sign change beyond r0 along each ray; raises
     NoSignChange otherwise.  Each root is refined on the cubic of its panel
-    in one spline through all rays.
+    in one spline through all rays.  The rays are those of the nodes
+    zeta >= 0, and the roots are mirrored to the whole rule.
     """
     grid = u.grid
-    vals = u.values
+    vals = grid.half_range(u.values)
+    zeta = grid.zeta_h
     cross = (vals[:-1] > 0) & (vals[1:] <= 0) & (grid.r[1:, None] > r0)
     k = np.argmax(cross, axis=0)
     single = (cross.sum(axis=0) == 1) & ~np.any(vals[grid.r <= r0] <= 0, axis=0)
     # reject profiles that come back up after the crossing
     back = np.any((vals > 0) & (np.arange(grid.n_r)[:, None] > k), axis=0)
-    for j in range(grid.n_zeta):
+    for j in range(len(zeta)):
         if not single[j]:
-            raise NoSignChange(float(grid.zeta[j]))
+            raise NoSignChange(float(zeta[j]))
         if back[j]:
-            raise NoSignChange(float(grid.zeta[j]), "multiple sign changes")
+            raise NoSignChange(float(zeta[j]), "multiple sign changes")
     # coefficients of powers of r - r_k on each ray's crossing panel
-    c = cubic_spline(grid.r, vals).c[:, k, np.arange(grid.n_zeta)]
-    lo = np.zeros(grid.n_zeta)
+    c = cubic_spline(grid.r, vals).c[:, k, np.arange(len(zeta))]
+    lo = np.zeros(len(zeta))
     hi = grid.r[k + 1] - grid.r[k]
     # bisection: the cubic is positive at lo and not positive at hi
     while np.any(hi - lo > 1e-14 * grid.r_inf):
@@ -342,7 +336,7 @@ def free_boundary(u: AxiField, r0: float = 0.0) -> np.ndarray:
         pos = ((c[0] * mid + c[1]) * mid + c[2]) * mid + c[3] > 0
         lo = np.where(pos, mid, lo)
         hi = np.where(pos, hi, mid)
-    return grid.r[k] + 0.5 * (lo + hi)
+    return grid.full_range(grid.r[k] + 0.5 * (lo + hi))
 
 
 def check_admissibility(u: AxiField, r0: float | None = None) -> AdmissibilityReport:
@@ -414,13 +408,15 @@ def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int,
     to a fixed block: a golden-ratio Weyl sequence, centred, which needs no
     random generator.  Each step takes the Rayleigh-Ritz values on
     the span of the iterates X, their preconditioned residuals W and the last
-    directions P: the smallest singular values of M Q, with Q an orthonormal
-    basis of the span whose first columns span X, at one product with M for
-    each other column.  The Ritz vectors are the next X, and their parts off
-    the old X the next P.  The block keeps the iteration converging where
-    the smallest singular values are clustered and the preconditioner is far
-    from (M^T M)^-1.  sigma = |M x| for the first Ritz vector x is a Ritz
-    value, so sigma >= sigma_min at every step; the iteration stops when
+    directions P: the smallest singular values of M Q, with Q R = [X, W, P]
+    and M Q = [M X, M W, M P] R^-1, at one product with M for each column
+    of W; M X and M P are combinations of the last M Q.  The Ritz vectors
+    are the next X, and their parts off the old X the next P.  The block
+    keeps the iteration converging where the smallest singular values are
+    clustered and the preconditioner is far from (M^T M)^-1.  sigma = |M x|
+    for the first Ritz vector x, from one more product with M, so that it is
+    a Ritz value of M itself and not of the combined products: sigma >=
+    sigma_min at every step.  The iteration stops when
     sigma moves by at most _CERT_RTOL relative, and raises NoConvergence if
     it has not after _CERT_MAX_ITER steps: sigma is then no certificate.
     With u = M x / sigma and v = x, M v - sigma u = 0, so some singular value
@@ -440,6 +436,7 @@ def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int,
             # the k smallest Ritz pairs, smallest first
             c = np.linalg.svd(mq, full_matrices=False)[2][::-1][:k].T
             x, mx = q @ c, mq @ c
+            mx[:, 0] = apply(x[:, 0])
             s = np.linalg.norm(mx, axis=0)
             last, sigma = sigma, float(s[0])
             # M^T u - sigma v for each pair
@@ -452,11 +449,12 @@ def _sigma_min_lobpcg(apply, apply_t, precondition, n: int) -> tuple[float, int,
             if abs(sigma - last) <= _CERT_RTOL * sigma:
                 return sigma, step, bound
             w = np.column_stack([precondition(r) for r in residual.T])
-            # no directions P yet after the first step
-            basis = (x, w) if step == 1 else (x, w, q[:, k:] @ c[k:])
+            basis, products = [x, w], [mx, np.column_stack([apply(col) for col in w.T])]
+            if step > 1:  # no directions P yet after the first step
+                basis.append(q[:, k:] @ c[k:])
+                products.append(mq[:, k:] @ c[k:])
             q, r = np.linalg.qr(np.column_stack(basis))
-            # the first k columns of q are x r_11^-1
-            mq = np.column_stack([mx @ np.linalg.inv(r[:k, :k])] + [apply(col) for col in q.T[k:]])
+            mq = np.column_stack(products) @ np.linalg.inv(r)
     raise NoConvergence(
         f"certificate: LOBPCG did not converge in {_CERT_MAX_ITER} steps (sigma_min <= "
         f"{sigma:.6e}, some singular value within {bound:.1e} of it)"

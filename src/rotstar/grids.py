@@ -64,6 +64,17 @@ def legendre_table(degrees, x) -> np.ndarray:
     return np.array([table[l] for l in degrees])
 
 
+def fold_rule(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes >= 0 of a rule symmetric about 0, nodes increasing, and their
+    weights doubled, but for a node at 0: the rule's sums of an even function.
+    ``leggauss`` returns its nodes and weights as exact mirror pairs."""
+    half = len(nodes) // 2
+    folded = 2.0 * weights[half:]
+    if len(nodes) % 2:
+        folded[0] = weights[half]
+    return nodes[half:], folded
+
+
 def locate(x: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The panel k of each point of the 1-D t among the increasing
     breakpoints x, the end panels taking the points outside [x_0, x_-1], and
@@ -378,19 +389,22 @@ def running_sums(v: np.ndarray, starts: np.ndarray, carry: np.ndarray, reverse: 
     """Running sums of ``v`` along its last axis, from the first entry up
     (from the last down with ``reverse``), each in the scale of its chunk: the
     chunks start at ``starts``, and a sum passes between chunks q and q + 1,
-    either way, times ``carry[..., q]``."""
-    if len(starts) == 1:
-        return v[..., ::-1].cumsum(axis=-1)[..., ::-1] if reverse else v.cumsum(axis=-1)
+    either way, times ``carry[..., q]``.  The result is a new C-contiguous
+    array; ``reverse`` sums each chunk through reversed views of it."""
     n = v.shape[-1]
-    if reverse:
-        flipped = n - np.append(starts[1:], n)[::-1]
-        return running_sums(v[..., ::-1], flipped, carry[..., ::-1])[..., ::-1]
     bounds = starts.tolist() + [n]
+    chunks = list(enumerate(zip(bounds[:-1], bounds[1:])))
     out = np.empty(v.shape)
-    for q, (j0, j1) in enumerate(zip(bounds[:-1], bounds[1:])):
-        np.cumsum(v[..., j0:j1], axis=-1, out=out[..., j0:j1])
-        if q:
-            out[..., j0:j1] += out[..., j0 - 1, None] * carry[..., q - 1, None]
+    for q, (j0, j1) in reversed(chunks) if reverse else chunks:
+        src, dst = v[..., j0:j1], out[..., j0:j1]
+        if reverse:
+            np.cumsum(src[..., ::-1], axis=-1, out=dst[..., ::-1])
+            if j1 < n:
+                dst += out[..., j1, None] * carry[..., q, None]
+        else:
+            np.cumsum(src, axis=-1, out=dst)
+            if q:
+                dst += out[..., j0 - 1, None] * carry[..., q - 1, None]
     return out
 
 
@@ -574,7 +588,12 @@ class RadialKernel:
 
 
 class AxiGrid:
-    """Discretization of [0, r_inf] x [-1, 1] with even-Legendre mode tables."""
+    """Discretization of [0, r_inf] x [-1, 1] with even-Legendre mode tables.
+
+    Field values live on the whole zeta rule.  Every field is even in zeta,
+    so the tables and the quadratures built on them cover the nodes
+    zeta >= 0 alone, and ``half_range`` and ``full_range`` pass values
+    between the two."""
 
     def __init__(self, r_nodes: np.ndarray, n_zeta: int, l_max: int):
         r_nodes = np.asarray(r_nodes, dtype=float)
@@ -591,15 +610,18 @@ class AxiGrid:
         self.lvals = np.arange(0, l_max + 1, 2)
         self.n_l = len(self.lvals)
 
+        # the field values' rule, and the transforms' rule and fine rule of
+        # 2 n_zeta points on their nodes zeta >= 0 (``fold_rule``)
         self.zeta, self.zeta_w = np.polynomial.legendre.leggauss(n_zeta)
         self.n_zeta = n_zeta
-        # table P[k, j] = P_{l_k}(zeta_j)
-        self.leg = legendre_table(self.lvals, self.zeta)
+        self.zeta_h, self.zeta_hw = fold_rule(self.zeta, self.zeta_w)
+        # table P[k, j] = P_{l_k}(zeta_h[j])
+        self.leg = legendre_table(self.lvals, self.zeta_h)
 
-        self.zeta_f, self.zeta_fw = np.polynomial.legendre.leggauss(2 * n_zeta)
+        self.zeta_f, self.zeta_fw = fold_rule(*np.polynomial.legendre.leggauss(2 * n_zeta))
         self.leg_f = legendre_table(self.lvals, self.zeta_f)
         # projection onto even modes, on the grid's rule and on the fine rule
-        self.proj = (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_w[None, :] * self.leg
+        self.proj = (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_hw[None, :] * self.leg
         self.proj_f = (
             (2.0 * self.lvals[:, None] + 1.0) / 2.0 * self.zeta_fw[None, :] * self.leg_f
         )
@@ -650,13 +672,23 @@ class AxiGrid:
 
     # -- mode transforms -------------------------------------------------
 
+    def half_range(self, values: np.ndarray) -> np.ndarray:
+        """The values at the nodes zeta >= 0 of values (..., n_zeta) on the
+        grid's rule, as a view: those the transforms and the solver read."""
+        return values[..., self.n_zeta // 2 :]
+
+    def full_range(self, values: np.ndarray) -> np.ndarray:
+        """Values (..., n_zeta) on the grid's rule from those at its nodes
+        zeta >= 0 (``half_range``), mirrored across the equator."""
+        return np.concatenate((values[..., ::-1][..., : self.n_zeta // 2], values), axis=-1)
+
     def project(self, values: np.ndarray) -> np.ndarray:
         """Even-Legendre coefficients f_l(r_i) from grid values (n_r, n_zeta)."""
-        return np.einsum("kj,ij->ki", self.proj, values)
+        return np.einsum("kj,ij->ki", self.proj, self.half_range(values))
 
     def synthesize(self, modes: np.ndarray) -> np.ndarray:
         """Grid values (n_r, n_zeta) from mode coefficients (n_l, n_r)."""
-        return np.einsum("ki,kj->ij", modes, self.leg)
+        return self.full_range(np.einsum("ki,kj->ij", modes, self.leg))
 
     def at_gauss(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
         """Interpolate onto the panel Gauss points along the radial ``axis``
@@ -674,7 +706,8 @@ class AxiGrid:
         return out.reshape(n_l, self.n_r)
 
     def fine_field_at_gauss(self, modes: np.ndarray) -> np.ndarray:
-        """Field values on (fine zeta) x (gauss radius), shape (n_fine, n_gauss)."""
+        """Field values on (fine zeta) x (gauss radius), shape (n_zeta, n_gauss):
+        the fine rule's nodes zeta > 0."""
         return self.leg_f.T @ self.at_gauss(modes)
 
     def project_fine(self, values_fine: np.ndarray) -> np.ndarray:
@@ -721,16 +754,12 @@ class AxiField:
 
     @classmethod
     def from_function(cls, grid: AxiGrid, fn) -> "AxiField":
-        """Sample fn(r, zeta) on the positive-zeta half and mirror it, so the
+        """Sample fn(r, zeta) on the nodes zeta >= 0 and mirror it, so the
         stored values are exactly equatorially symmetric."""
-        vals = np.empty((grid.n_r, grid.n_zeta))
-        half = grid.n_zeta // 2
-        rr = grid.r[:, None]
-        zz = grid.zeta[None, half:]
-        vals[:, half:] = fn(rr, zz)
-        vals[:, :half] = vals[:, : -half - 1 : -1]
+        vals = np.empty((grid.n_r, len(grid.zeta_h)))
+        vals[:] = fn(grid.r[:, None], grid.zeta_h[None, :])
         vals[0, :] = vals[0, -1]
-        return cls(grid, vals)
+        return cls(grid, grid.full_range(vals))
 
     @classmethod
     def from_modes(cls, grid: AxiGrid, modes: np.ndarray) -> "AxiField":

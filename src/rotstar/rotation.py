@@ -190,13 +190,14 @@ class CylinderRule:
     """Quadrature of integrals over {r sqrt(1-zeta^2) <= varpi_q} for the
     cylinder radii varpi_q = r_q of the grid's nodes.  Splits each radial ray
     into complete Gauss panels plus one partial panel ending at the cylinder
-    cut.  It depends on the grid alone: ``_grid_tables`` builds it once per
-    grid."""
+    cut.  The rays are those of the grid's nodes zeta >= 0 (``zeta_h``), as
+    the integrands are even in zeta.  It depends on the grid alone:
+    ``_grid_tables`` builds it once per grid."""
 
     def __init__(self, grid: AxiGrid):
         self.grid = grid
-        nq, nj = grid.n_r, grid.n_zeta
-        sin = np.sqrt(1.0 - grid.zeta ** 2)
+        nq, nj = grid.n_r, len(grid.zeta_h)
+        sin = np.sqrt(1.0 - grid.zeta_h ** 2)
         rcut = np.minimum(grid.r[:, None] / sin[None, :], grid.r_inf)
         self.kcut = np.clip(
             np.searchsorted(grid.r, rcut, side="right") - 1, 0, grid.n_r - 2
@@ -214,7 +215,7 @@ class CylinderRule:
         self.part_w = np.where(cut[..., None], w * x ** 2, 0.0)
         s0 = np.minimum(np.maximum(k - 1, 0), grid.n_r - 4)
         stencil = np.where(cut[..., None], s0[..., None] + np.arange(4), 0)
-        # the stencil nodes' flat indices in nodal values (n_r, n_zeta)
+        # the stencil nodes' flat indices in nodal values on the rays (n_r, nj)
         self.part_index = stencil * nj + np.arange(nj)[:, None]
         # local-cubic weights of the partial points, one batch per zeta column:
         # points inside (r_k, r_k+1) get the same 4-node stencil from interp_matrix
@@ -228,21 +229,22 @@ class CylinderRule:
             del mat  # one column's dense matrix at a time
 
     def field_at_partials(self, values: np.ndarray) -> np.ndarray:
-        """Interpolate nodal field values (n_r, n_zeta) to the partial points."""
+        """Interpolate nodal field values on the rays (n_r, nj), a
+        ``half_range``, to the partial points."""
         gathered = np.take(values, self.part_index)  # (nq, nj, 4 stencil)
         return np.einsum("qjgs,qjs->qjg", self.part_coef, gathered)
 
     def integrate(self, gauss_vals: np.ndarray, part_vals: np.ndarray) -> np.ndarray:
         """Accumulate integrand r^2 dr dzeta inside each cylinder.
 
-        gauss_vals: integrand at (n_gauss, n_zeta); part_vals at the partial
-        points (n_q, n_zeta, 4).  Returns the n_q cylinder integrals.
+        gauss_vals: integrand at (n_gauss, nj); part_vals at the partial
+        points (n_q, nj, 4).  Returns the n_q cylinder integrals.
         """
         g = self.grid
         prefix = g.cumulative(g.gauss_x[:, None] ** 2 * gauss_vals)
-        full = prefix[self.kcut, np.arange(g.n_zeta)[None, :]]
+        full = prefix[self.kcut, np.arange(self.kcut.shape[1])[None, :]]
         partial = np.einsum("qjg,qjg->qj", self.part_w, part_vals)
-        return (full + partial) @ g.zeta_w
+        return (full + partial) @ g.zeta_hw
 
 
 @dataclass
@@ -295,9 +297,9 @@ def mass_within_cylinder(u: AxiField, eos: EquationOfState, scale: ScaleSet) -> 
     """
     grid = u.grid
     rule = _grid_tables(grid)[0]
-    gauss_field = grid.at_gauss(u.values, axis=0)
-    gvals = scaled_density(gauss_field, eos, scale.u_center)
-    pvals = scaled_density(rule.field_at_partials(u.values), eos, scale.u_center)
+    values = grid.half_range(u.values)
+    gvals = scaled_density(grid.at_gauss(values, axis=0), eos, scale.u_center)
+    pvals = scaled_density(rule.field_at_partials(values), eos, scale.u_center)
     m = 2.0 * math.pi * mass_unit(eos, scale) * rule.integrate(gvals, pvals)
     m = np.maximum.accumulate(m)  # guard monotonicity against roundoff
     return CylinderMass(grid.r, m, scale.length_scale)
@@ -362,7 +364,8 @@ class LinearizedCentrifugal:
     ``apply_values`` runs the chain on nodal values and ``apply_transpose``
     its transpose, so B (rank <= n_r) is never formed, and neither is any
     table of n_r^2 per degree: the splines are sampled through their slope
-    map.  ``cyl``, if given, is u's cylinder mass.  The rule, the slope map
+    map.  Its sums over zeta run on the nodes zeta >= 0 (``half_range``).
+    ``cyl``, if given, is u's cylinder mass.  The rule, the slope map
     and the sample points depend on the grid alone and come from
     ``_grid_tables``, shared with the nonlinear map and every other
     linearization on the grid.
@@ -376,9 +379,10 @@ class LinearizedCentrifugal:
         if cyl is None:
             cyl = mass_within_cylinder(u, eos, scale)
         self.rule, self.spline, self.gauss_panels, self.fine_panels = _grid_tables(grid)
-        self.fp_gauss = scaled_density_deriv(grid.at_gauss(u.values, axis=0), eos, scale.u_center)
+        values = grid.half_range(u.values)
+        self.fp_gauss = scaled_density_deriv(grid.at_gauss(values, axis=0), eos, scale.u_center)
         self.fp_part = scaled_density_deriv(
-            self.rule.field_at_partials(u.values), eos, scale.u_center
+            self.rule.field_at_partials(values), eos, scale.u_center
         )
         self.mass_pref = 2.0 * math.pi * mass_unit(eos, scale)
         self._transposed = None
@@ -392,8 +396,10 @@ class LinearizedCentrifugal:
         return self.grid.cumulative(self.weight * self.spline.sample(dm, *self.gauss_panels))
 
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:
-        """g-mode response (n_l, n_r) for a nodal field perturbation."""
+        """g-mode response (n_l, n_r) for a nodal field perturbation
+        (n_r, n_zeta)."""
         grid = self.grid
+        h_values = grid.half_range(h_values)
         gvals = self.fp_gauss * grid.at_gauss(h_values, axis=0)
         pvals = self.fp_part * self.rule.field_at_partials(h_values)
         dm = self.mass_pref * self.rule.integrate(gvals, pvals)
@@ -410,12 +416,12 @@ class LinearizedCentrifugal:
         spline of dm, the cylinder integral (a suffix sum over the panels of
         the weights scattered at each ray's cut ``kcut``), the complete and
         partial panels' stencils (one scatter-add) and the synthesis."""
-        grid, rule, nj = self.grid, self.rule, self.grid.n_zeta
+        grid, rule, nj = self.grid, self.rule, len(self.grid.zeta_h)
         if self._transposed is None:
             # the weights of each complete panel on the 4 stencil nodes its
             # Gauss points share and of each partial panel on its own, and the
-            # flat indices of the cuts and of the stencils in (n_r, n_zeta)
-            npan, ray, weight = grid.n_r - 1, np.arange(nj), self.mass_pref * grid.zeta_w
+            # flat indices of the cuts and of the stencils in (n_r, nj)
+            npan, ray, weight = grid.n_r - 1, np.arange(nj), self.mass_pref * grid.zeta_hw
             x2w = (grid.gauss_x ** 2 * grid.gauss_w)[:, None] * self.fp_gauss
             stencil = grid.interp_weights.reshape(npan, 4, 4)
             part_w = rule.part_w * self.fp_part

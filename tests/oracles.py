@@ -98,7 +98,8 @@ def trapezoid(y, x):
     return float(np.sum(np.diff(x) * (y[1:] + y[:-1])) / 2.0)
 
 
-def _packed_rows(grid, k):
+def packed_block(grid, k):
+    """Rows of mode k in the packed vector (``equilibrium.pack_modes``)."""
     nr = grid.n_r
     return slice(0, nr) if k == 0 else slice(nr + (k - 1) * (nr - 1), nr + k * (nr - 1))
 
@@ -118,7 +119,7 @@ def gravity_jacobian_dense(grid, fp):
             blk = (kernels[li] * coup[:, li, lj][None, :]) @ interp
             if li == 0:
                 blk = blk - blk[0:1, :]
-            jac[_packed_rows(grid, li), _packed_rows(grid, lj)] = blk[
+            jac[packed_block(grid, li), packed_block(grid, lj)] = blk[
                 (li > 0):, (lj > 0):
             ]
     return jac
@@ -249,7 +250,7 @@ def gravity_jacobian_packed(grid, eos, u_center, modes, *, out=None):
         if li == 0:
             blk -= blk[:, :, :1]
         for lj in range(grid.n_l):
-            jac.T[_packed_rows(grid, lj), _packed_rows(grid, li)] += blk[lj, (lj > 0):, (li > 0):]
+            jac.T[packed_block(grid, lj), packed_block(grid, li)] += blk[lj, (lj > 0):, (li > 0):]
     return jac
 
 
@@ -438,24 +439,24 @@ def dm_response_dense(lin):
     """The cylinder-mass response of a ``LinearizedCentrifugal`` to each
     mode coefficient of h, shape (n_l, n_q, n_r): entry [l, q, i] is
     d dm(varpi_q) / d h_l(r_i).  Built from the dense (n_gauss x n_r)
-    interpolation matrix and the rule's partial-panel stencils, one zeta
-    column at a time."""
+    interpolation matrix and the rule's partial-panel stencils, one ray (a
+    node zeta >= 0, ``zeta_h``) at a time."""
     from rotstar.grids import interp_matrix
 
     grid, rule = lin.grid, lin.rule
-    nq = grid.n_r
+    nq, nj = grid.n_r, len(grid.zeta_h)
     rows = np.arange(nq)[:, None]
     x2 = grid.gauss_x ** 2
     interp = interp_matrix(grid.r, grid.gauss_x)
     out = np.zeros((grid.n_l, nq, grid.n_r))
-    for j in range(grid.n_zeta):
+    for j in range(nj):
         prefix = grid.cumulative((x2 * lin.fp_gauss[:, j])[:, None] * interp)
         col = prefix[rule.kcut[:, j]]
         part = np.einsum(
             "qg,qgs->qs", rule.part_w[:, j] * lin.fp_part[:, j], rule.part_coef[:, j]
         )
-        np.add.at(col, (rows, rule.part_index[:, j] // grid.n_zeta), part)
-        weight = lin.mass_pref * grid.zeta_w[j] * grid.leg[:, j]
+        np.add.at(col, (rows, rule.part_index[:, j] // nj), part)
+        weight = lin.mass_pref * grid.zeta_hw[j] * grid.leg[:, j]
         out += weight[:, None, None] * col
     return out
 

@@ -52,6 +52,7 @@ from oracles import (
     gravity_jacobian_dense,
     gravity_jacobian_packed,
     newton_matrix_dense,
+    packed_block,
     sigma_min_dense,
     sigma_min_lu,
 )
@@ -983,7 +984,7 @@ def _synthetic_jacobian(grid, support):
     elif support == "zero-column-inside":
         coef[grid.n_gauss * 3 // 4 :] = 0.0
         coef[60:100] = 0.0
-    rows = [equilibrium._packed_block(grid, k) for k in range(grid.n_l)]
+    rows = [packed_block(grid, k) for k in range(grid.n_l)]
     degree = np.repeat(np.arange(grid.n_l), [r.stop - r.start for r in rows])
     blocks = list(equilibrium.degree_blocks(grid, coef))
     for r, blk in zip(rows, blocks):
@@ -1055,7 +1056,9 @@ def test_certificate_at_its_step_cap_certifies_nothing(eos15, profile15, monkeyp
     assert want < ritz
 
 
-@pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
+# an odd rule keeps its node zeta = 0 once
+@pytest.mark.parametrize("size", [(64, 12, 4), (64, 13, 4), (256, 32, 8)],
+                         ids=["64x12xl4", "64x13xl4", "256x32xl8"])
 @pytest.mark.parametrize("kind", ["rigid", "differential", "momentum"])
 def test_newton_products_are_adjoint(kind, size):
     # <M x, y> = <x, M^T y> for the certificate's matrix-free products, each
@@ -1075,7 +1078,9 @@ def test_newton_products_are_adjoint(kind, size):
         assert np.linalg.norm(mty - mat.T @ y) <= 1e-13 * np.linalg.norm(mty)
 
 
-@pytest.mark.parametrize("size", [(64, 12, 4), (256, 32, 8)], ids=["64x12xl4", "256x32xl8"])
+# an odd rule keeps its node zeta = 0 once
+@pytest.mark.parametrize("size", [(64, 12, 4), (64, 13, 4), (256, 32, 8)],
+                         ids=["64x12xl4", "64x13xl4", "256x32xl8"])
 def test_centrifugal_products_are_adjoint(size):
     # <B x, y> = <x, B^T y> for a momentum law's B alone, on packed vectors,
     # and each product is the dense oracle's
@@ -1481,7 +1486,8 @@ def test_family_refuses_negative_rotation(eos15, profile15):
 
 def test_capped_gmres_step_rebuilds_the_preconditioner(eos3, profile3, caplog):
     # past mass shedding the blocks stop resembling the operator and GMRES
-    # stops at its cap; the next Newton step rebuilds them at its iterate
+    # stops at its cap; the next Newton step rebuilds them at its iterate, or
+    # finds a block singular there, and then the run ends in NoConvergence
     from rotstar.errors import NoConvergence
 
     grid = AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
@@ -1494,8 +1500,7 @@ def test_capped_gmres_step_rebuilds_the_preconditioner(eos3, profile3, caplog):
     capped = [i for i, m in enumerate(steps) if "(iteration cap)" in m]
     assert capped and capped[0] > 0
     assert "preconditioner built" in steps[0]
-    for i in capped:
-        if i + 1 < len(steps):
-            assert "preconditioner built" in steps[i + 1]
+    singular = [i for i, m in enumerate(steps) if "preconditioner singular" in m]
+    assert singular in ([], [len(steps) - 1])
     rebuilt = [i for i, m in enumerate(steps) if "preconditioner built" in m]
-    assert rebuilt == [0] + [i + 1 for i in capped if i + 1 < len(steps)]
+    assert rebuilt + singular == [0] + [i + 1 for i in capped if i + 1 < len(steps)]

@@ -30,6 +30,35 @@ def test_zeta_nodes_symmetric_with_paired_weights():
     assert np.allclose(grid.zeta_w, grid.zeta_w[::-1], rtol=1e-15)
 
 
+@pytest.mark.parametrize("n_zeta", [12, 13, 32])
+def test_half_range_rules(n_zeta):
+    # both zeta rules keep their nodes zeta >= 0 with the weights of the
+    # others folded onto them: the fine rule's 2 n_zeta nodes leave n_zeta
+    # positive ones, and an odd rule keeps zeta = 0 once, with its own weight
+    grid = AxiGrid.build(2.0, n_r=16, n_zeta=n_zeta, l_max=8)
+    fine, fine_w = np.polynomial.legendre.leggauss(2 * n_zeta)
+    assert len(grid.zeta_f) == n_zeta and np.all(grid.zeta_f > 0)
+    assert np.array_equal(grid.zeta_h, grid.zeta[n_zeta // 2 :])
+    assert (grid.zeta_h[0] == 0.0) == (n_zeta % 2 == 1)
+    assert grid.zeta_hw[0] == (1 + (n_zeta % 2 == 0)) * grid.zeta_w[n_zeta // 2]
+    even = lambda z: np.cos(3.0 * z) + z ** 6
+    for nodes, weights, full, full_w in (
+        (grid.zeta_h, grid.zeta_hw, grid.zeta, grid.zeta_w),
+        (grid.zeta_f, grid.zeta_fw, fine, fine_w),
+    ):
+        assert abs(weights.sum() - 2.0) <= 1e-15
+        assert abs(weights @ even(nodes) - full_w @ even(full)) <= 1e-14
+    # the recurrence's rounding: the whole rules miss the identity by as much
+    for proj, leg in ((grid.proj, grid.leg), (grid.proj_f, grid.leg_f)):
+        assert np.max(np.abs(proj @ leg.T - np.eye(grid.n_l))) <= 5e-14
+    # values on the whole rule are the mirror of those at zeta >= 0
+    modes = np.random.default_rng(3).standard_normal((grid.n_l, grid.n_r))
+    values = grid.synthesize(modes)
+    assert values.shape == (grid.n_r, n_zeta) and np.array_equal(values, values[:, ::-1])
+    assert np.array_equal(grid.full_range(grid.half_range(values)), values)
+    assert np.max(np.abs(grid.project(values) - modes)) <= 1e-13
+
+
 def test_quadrature_exactness_requirement():
     with pytest.raises(DomainError):
         AxiGrid.build(2.0, n_r=32, n_zeta=8, l_max=8)
@@ -199,6 +228,21 @@ def test_running_sums_match_a_direct_loop(starts, reverse):
     carry = rng.uniform(0.1, 1.0, (3, len(starts) - 1))
     got = running_sums(v, starts, carry, reverse)
     assert np.allclose(got, _running_sums_loop(v, starts, carry, reverse), rtol=1e-14, atol=1e-14)
+
+
+def test_reverse_running_sums_are_contiguous():
+    # on the grid whose kernel runs in 3 chunks, a sum from the last entry
+    # down is a C-contiguous array with the bits of the sum from the first
+    # entry up of the reversed entries, reversed
+    kernel = AxiGrid.build(12.0, 48, 122, 120, focus=3.6).kernel
+    assert len(kernel.starts) == 3
+    v = np.random.default_rng(7).standard_normal((len(kernel.lvals), kernel.n_r - 1))
+    n = v.shape[-1]
+    flipped = n - np.append(kernel.starts[1:], n)[::-1]
+    for carry in (kernel.carry_in, kernel.carry_out):
+        got = running_sums(v, kernel.starts, carry, reverse=True)
+        want = running_sums(v[:, ::-1], flipped, carry[:, ::-1])[:, ::-1]
+        assert got.flags.c_contiguous and np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("shape", _KERNEL_SHAPES)

@@ -139,6 +139,46 @@ def test_cylinder_mass_matches_total(theta15, eos15, scale15, profile15):
     assert cyl.at_scaled(profile15.xi1 * 1.2) == pytest.approx(cyl.total, rel=1e-10)
 
 
+def test_cylinder_mass_on_an_odd_zeta_rule(eos15, scale15, profile15):
+    # the cylinder rule's rays are the nodes zeta >= 0; on an odd rule the
+    # ray zeta = 0 counts once, and the largest cylinder holds the mass of
+    # the fine rule, whose nodes are all off the equator
+    grid = AxiGrid.build(profile15.r_inf, n_r=128, n_zeta=13, l_max=4, focus=profile15.xi1)
+    u = initial_field_from_profile(grid, profile15)
+    cyl = mass_within_cylinder(u, eos15, scale15)
+    m1 = total_mass_dimensionless(u, eos15, 1.0)
+    assert cyl.total == pytest.approx(scale15.rho_center * scale15.length_scale ** 3 * m1, rel=1e-8)
+
+
+def test_centrifugal_product_samples_the_fine_rule_once(theta15, eos15, scale15, monkeypatch):
+    # one B product samples b's spline at the cylinder radii of every node
+    # on the n_zeta fine nodes zeta > 0, not on all 2 n_zeta, and its
+    # transpose scatters from as many
+    grid = theta15.grid
+    cyl = mass_within_cylinder(theta15, eos15, scale15)
+    ms = np.linspace(0, 1.3 * cyl.total, 60)
+    lin = LinearizedCentrifugal(AngularMomentumLaw(ms, 0.01 * ms ** 2 / cyl.total), theta15,
+                                eos15, scale15, cyl)
+    points = []
+    sample, sample_t = rotation.SplineSampler.sample, rotation.SplineSampler.sample_transpose
+
+    def counting(self, y, k, s):
+        points.append(len(k))
+        return sample(self, y, k, s)
+
+    def counting_t(self, v, k, s):
+        points.append(len(k))
+        return sample_t(self, v, k, s)
+
+    monkeypatch.setattr(rotation.SplineSampler, "sample", counting)
+    monkeypatch.setattr(rotation.SplineSampler, "sample_transpose", counting_t)
+    lin.apply_values(theta15.values)
+    assert sorted(points) == [grid.n_gauss, grid.n_r * grid.n_zeta]
+    points.clear()
+    lin.apply_transpose(theta15.modes())
+    assert sorted(points) == [grid.n_gauss, grid.n_r * grid.n_zeta]
+
+
 def _rigid_law_from_state(u, eos, scale, omega, r_cap):
     cyl = mass_within_cylinder(u, eos, scale)
     mask = cyl.varpi <= r_cap
@@ -267,11 +307,12 @@ def test_linearization_holds_no_table_beyond_n_r_squared(profile15, eos15, scale
 
 
 def _partial_panels_loop(grid, kcut):
-    """Per-point reference for the rule's partial panels at the grid radii;
-    the stencils as flat indices in (n_r, n_zeta), node 0 on uncut rays."""
+    """Per-point reference for the rule's partial panels at the grid radii,
+    on the rays of the nodes zeta >= 0; the stencils as flat indices in
+    (n_r, rays), node 0 on uncut rays."""
     g4x, g4w = np.polynomial.legendre.leggauss(4)
-    nq, nj = grid.n_r, grid.n_zeta
-    sin = np.sqrt(1.0 - grid.zeta ** 2)
+    nq, nj = grid.n_r, len(grid.zeta_h)
+    sin = np.sqrt(1.0 - grid.zeta_h ** 2)
     rcut = np.minimum(grid.r[:, None] / sin[None, :], grid.r_inf)
     part_x = np.zeros((nq, nj, 4))
     part_w = np.zeros((nq, nj, 4))
