@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import hashlib
 import io
 import json
 import logging
@@ -167,6 +166,15 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _sha256_hex(data: bytes) -> str:
+    """The hex sha256 of data.  hashlib maps OpenSSL (about 3.6 MB resident),
+    so it is imported here, at the first artifact a command writes, and not
+    with the module: no solve runs with it mapped."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def _write_atomic(path: Path, data: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
@@ -205,7 +213,7 @@ class OutputWriter:
             {
                 "name": name,
                 "bytes": len(data.encode()),
-                "sha256": hashlib.sha256(data.encode()).hexdigest(),
+                "sha256": _sha256_hex(data.encode()),
             }
         )
 
@@ -573,9 +581,7 @@ def load_config(path: str | Path) -> dict:
 
 
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
+    return _sha256_hex(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
 
 
 def run(config: dict, out_dir: Path) -> int:

@@ -292,7 +292,8 @@ def degree_blocks(grid: AxiGrid, coef: np.ndarray) -> Iterator[DegreeBlock]:
 
 
 def _sup_norm_modes(grid: AxiGrid, modes: np.ndarray) -> float:
-    return float(np.max(np.abs(grid.synthesize(modes))))
+    # the sup over the nodes zeta >= 0 is that over their mirror image
+    return float(np.max(np.abs(grid.synthesize_half(modes))))
 
 
 def initial_field_from_profile(grid: AxiGrid, profile: RadialProfile) -> AxiField:
@@ -469,7 +470,7 @@ def _newton_products(grid: AxiGrid, fp: np.ndarray, lin: LinearizedCentrifugal |
         modes = unpack_modes(grid, x)
         jh = _gravity_deriv_modes(grid, fp, modes)
         if lin is not None:
-            jh += lin.apply_values(grid.synthesize(modes))
+            jh += lin.apply_half(grid.synthesize_half(modes))
         return x - pack_modes(grid, jh)
 
     def apply_t(y):
@@ -566,6 +567,8 @@ def centrifugal_deriv_matrix(
 # GMRES for each Newton system: relative residual reached, iteration cap
 _GMRES_RTOL = 1e-12
 _GMRES_MAX_ITER = 50
+# Newton stops after this many residuals in a row grown by capped steps
+_DIVERGING_GROWTHS = 3
 
 
 def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
@@ -586,7 +589,9 @@ def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
     b = b / size
     beta = float(np.linalg.norm(b))
     m = _GMRES_MAX_ITER
-    basis = np.empty((m + 1, b.size))
+    # most solves stop after a few iterations: the basis starts at 8 rows
+    # and doubles as needed, up to m + 1
+    basis = np.empty((min(8, m + 1), b.size))
     hess = np.zeros((m + 1, m))
     cs, sn = np.zeros(m), np.zeros(m)
     g = np.zeros(m + 1)
@@ -619,6 +624,10 @@ def _gmres(apply, precondition, b: np.ndarray) -> tuple[np.ndarray, int, float]:
         k += 1
         if abs(g[k]) <= _GMRES_RTOL * beta or w_norm == 0.0:
             break
+        if k == len(basis):
+            grown = np.empty((min(2 * k, m + 1), b.size))
+            grown[:k] = basis
+            basis = grown
         basis[k] = w / w_norm
     y = np.linalg.solve(hess[:k, :k], g[:k])  # upper triangular
     return size * precondition(y @ basis[:k]), k, abs(g[k]) / beta
@@ -886,18 +895,26 @@ def _solve_modes(
     built at the first Newton step if not given, and again at the step after
     one whose GMRES solve stops at its cap (where a singular block is a
     divergence, reported as a non-finite step); those of the last Newton step are
-    returned (None if there was none).  A residual that is not finite, or
-    none within ``opts.tol`` after ``opts.max_iter`` steps, raises
-    NoConvergence.  ``stats`` collects the GMRES iterations of each Newton
-    step and the number of preconditioner builds, also when the iteration
-    fails.
+    returned (None if there was none).  A residual made larger by
+    ``_DIVERGING_GROWTHS`` capped steps in a row is a divergence too.  A
+    residual that is not finite, or none within ``opts.tol`` after
+    ``opts.max_iter`` steps, raises NoConvergence.  ``stats`` collects the
+    GMRES iterations of each Newton step and the number of preconditioner
+    builds, also when the iteration fails.
     """
     history = []
     blocks_from = "carried from the family"
     lin = None
     capped = False
+    grown = 0  # consecutive residuals that capped steps made larger
 
     for it in range(opts.max_iter + 1):
+        if not np.isfinite(U).all():
+            # a non-finite step: the residual is not finite either, and the
+            # momentum law's map is not evaluated on such an iterate
+            history.append(np.nan)
+            _log.debug("iter %2d  residual nan", it)
+            raise _not_finite(history, U)
         if law is not None:
             u_field = AxiField.from_modes(grid, U)
             cyl = mass_within_cylinder(u_field, eos, scale)
@@ -915,6 +932,15 @@ def _solve_modes(
         if not np.isfinite(res):
             _log.debug("iter %2d  residual %.3e", it, res)
             raise _not_finite(history, U)
+        grown = grown + 1 if capped and res > history[-2] else 0
+        if grown == _DIVERGING_GROWTHS:
+            # a diverging iterate: a non-finite step, which ends the solve
+            # in NoConvergence at the next iteration, as for an overflowed
+            # product
+            _log.debug("iter %2d  residual %.3e  diverging: %d capped steps in a row made "
+                       "it larger, no step", it, res, grown)
+            U = U + np.nan
+            continue
         if law is not None and lin is None:
             lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
         built = ""

@@ -686,9 +686,14 @@ class AxiGrid:
         """Even-Legendre coefficients f_l(r_i) from grid values (n_r, n_zeta)."""
         return np.einsum("kj,ij->ki", self.proj, self.half_range(values))
 
+    def synthesize_half(self, modes: np.ndarray) -> np.ndarray:
+        """Grid values at the nodes zeta >= 0 (``half_range``) from mode
+        coefficients (n_l, n_r)."""
+        return np.einsum("ki,kj->ij", modes, self.leg)
+
     def synthesize(self, modes: np.ndarray) -> np.ndarray:
         """Grid values (n_r, n_zeta) from mode coefficients (n_l, n_r)."""
-        return self.full_range(np.einsum("ki,kj->ij", modes, self.leg))
+        return self.full_range(self.synthesize_half(modes))
 
     def at_gauss(self, values: np.ndarray, axis: int = -1) -> np.ndarray:
         """Interpolate onto the panel Gauss points along the radial ``axis``

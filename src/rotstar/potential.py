@@ -197,16 +197,18 @@ def potential_direct(
     wf = w * f
     cols = np.stack((w, wf, w[:, ::-1, :, ::-1], wf[:, ::-1, :, ::-1]), axis=-1)
     r2, cz, sz = xr ** 2, 2.0 * xr * xz, 2.0 * xr * np.sqrt(1.0 - xz ** 2)
-    # row j is the target zeta[half + j] and, mirrored, zeta[n_zeta - 1 - half - j];
-    # each column pair's near zeta cells are those of its own target
-    half = grid.n_zeta // 2
-    n_t = grid.n_zeta - half
-    tz = grid.zeta[half:, None, None, None, None]
+    # row j is the target zeta_h[j] and, mirrored, -zeta_h[j]: the targets of
+    # ``half_range`` on the rule and on the rule reversed.  Each column pair's
+    # near zeta cells are those of its own target
+    n_t = len(grid.zeta_h)
+    tz = grid.zeta_h[:, None, None, None, None]
     st = np.sqrt(1.0 - tz ** 2)
-    own, mirror = near_j[half:], near_j[:n_t][::-1, ::-1]
+    own, mirror = grid.half_range(near_j.T).T, grid.half_range(near_j[::-1, ::-1].T).T
     near_cols = np.stack((own, own, mirror, mirror), axis=-1).astype(float)
     all_cols = cols.reshape(-1, 4)
     acc = np.empty((grid.n_r, grid.n_zeta))
+    acc_own, acc_mirror = grid.half_range(acc), grid.half_range(acc[:, ::-1])
+    f_own, f_mirror = grid.half_range(f_nodes), grid.half_range(f_nodes[:, ::-1])
     ker = np.empty((n_t,) + cz.shape)
     a_buf, b_buf = np.empty((2, min(_DIRECT_ROWS, n_t)) + cz.shape)
     for i, r in enumerate(grid.r):
@@ -220,9 +222,9 @@ def potential_direct(
         sums = ker.reshape(n_t, -1) @ all_cols
         near = np.einsum("jkcrz,kcrzq->jcq", ker[:, near_k[i]], cols[near_k[i]])
         sums -= np.einsum("jcq,jcq->jq", near, near_cols)
-        acc[i, half:] = sums[:, 1] - f_nodes[i, half:] * sums[:, 0]
-        mirrored = sums[:, 3] - f_nodes[i, :n_t][::-1] * sums[:, 2]
-        acc[i, :half] = mirrored[::-1][:half]
+        # the mirrored targets first: for odd n_zeta both hold zeta = 0
+        acc_mirror[i] = sums[:, 3] - f_mirror[i] * sums[:, 2]
+        acc_own[i] = sums[:, 1] - f_own[i] * sums[:, 0]
 
     # near field, level by level over every (target, near cell) pair: a cell
     # that holds its target (closed test, so a target on an edge goes into

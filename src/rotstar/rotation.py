@@ -398,8 +398,12 @@ class LinearizedCentrifugal:
     def apply_values(self, h_values: np.ndarray) -> np.ndarray:
         """g-mode response (n_l, n_r) for a nodal field perturbation
         (n_r, n_zeta)."""
+        return self.apply_half(self.grid.half_range(h_values))
+
+    def apply_half(self, h_values: np.ndarray) -> np.ndarray:
+        """``apply_values`` from the perturbation's values at the nodes
+        zeta >= 0 alone (``AxiGrid.synthesize_half``)."""
         grid = self.grid
-        h_values = grid.half_range(h_values)
         gvals = self.fp_gauss * grid.at_gauss(h_values, axis=0)
         pvals = self.fp_part * self.rule.field_at_partials(h_values)
         dm = self.mass_pref * self.rule.integrate(gvals, pvals)

@@ -781,6 +781,39 @@ def test_momentum_solve_leaves_out_numpy_ma(tmp_path):
     assert _fresh_python(code, str(cfg), str(tmp_path / "out")) == "0 False"
 
 
+def test_cli_import_leaves_out_hashlib():
+    # hashlib maps OpenSSL's libcrypto (about 3.6 MB resident); the manifest
+    # imports it at its first hash, so no command computes with it mapped
+    code = (
+        "import sys\n"
+        "import rotstar.cli\n"
+        "print(sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
+    )
+    assert _fresh_python(code) == "[]"
+
+
+def test_run_loads_hashlib_and_manifest_checksums_match(tmp_path):
+    # the converse of the import probe, and the checksums the late import
+    # gives: every file's and the configuration's sha256 as hashlib computes it
+    import hashlib
+
+    cfg, out = _write(tmp_path, LANE_EMDEN_INI), tmp_path / "out"
+    code = (
+        "import sys\n"
+        "from rotstar.cli import main\n"
+        "before = 'hashlib' in sys.modules\n"
+        "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(status, before, 'hashlib' in sys.modules)\n"
+    )
+    assert _fresh_python(code, str(cfg), str(out)) == "0 False True"
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [f["name"] for f in manifest["files"]] == ["lane_emden.json", "profile.csv"]
+    for f in manifest["files"]:
+        assert f["sha256"] == hashlib.sha256((out / f["name"]).read_bytes()).hexdigest()
+    canonical = json.dumps(load_config(cfg), sort_keys=True, separators=(",", ":"))
+    assert manifest["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+
 # GMRES iterations of each Newton step, and LOBPCG steps of the certificate
 # (None uncertified), of the benchmark pool's solve inputs, as recorded when
 # the preconditioner inverted each block's support corner densely: exact

@@ -1504,3 +1504,53 @@ def test_capped_gmres_step_rebuilds_the_preconditioner(eos3, profile3, caplog):
     assert singular in ([], [len(steps) - 1])
     rebuilt = [i for i, m in enumerate(steps) if "preconditioner built" in m]
     assert rebuilt + singular == [0] + [i + 1 for i in capped if i + 1 < len(steps)]
+
+
+def test_residual_grown_by_three_capped_steps_ends_newton(eos3, profile3, caplog):
+    # past mass shedding every GMRES solve stops at its cap and the residual
+    # grows; after the third such growth in a row Newton takes no step (no
+    # rebuild and no capped solve more), and the next residual ends the solve
+    # in NoConvergence, as for an overflowed product
+    from rotstar.errors import NoConvergence
+
+    grid = AxiGrid.build(profile3.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile3.xi1)
+    init = initial_field_from_profile(grid, profile3)
+    caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
+    with pytest.raises(NoConvergence) as info:
+        solve_equilibrium(rigid_rotation(grid, 6e-2), eos3, 1.0, init,
+                          SolverOptions(certify=False))
+    history = info.value.residual_history
+    assert np.isfinite(history[:-1]).all() and np.isnan(history[-1])
+    steps = [r.getMessage() for r in caplog.records if "Newton step" in r.getMessage()]
+    assert len(steps) == len(history) - 2
+    assert all("(iteration cap)" in m for m in steps[-3:])
+    assert history[-5] < history[-4] < history[-3] < history[-2]
+    diverging = [r.getMessage() for r in caplog.records if "diverging" in r.getMessage()]
+    assert len(diverging) == 1
+    assert diverging[0].startswith(f"iter {len(history) - 2:2d}")
+
+
+def test_non_finite_step_of_a_momentum_solve_is_no_convergence(
+    eos15, profile15, scale15, monkeypatch
+):
+    # a step that is not finite ends the solve in NoConvergence on the next
+    # iteration, without the momentum law's map being evaluated on the
+    # iterate (it rejects one that is not finite)
+    from rotstar.errors import NoConvergence
+
+    grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
+    u0 = initial_field_from_profile(grid, profile15)
+    law = _momentum_law(u0, eos15, scale15)
+    gmres = equilibrium._gmres
+
+    def overflowing(*args):
+        x, k, _ = gmres(*args)
+        return np.full_like(x, np.nan), k, np.nan
+
+    monkeypatch.setattr(equilibrium, "_gmres", overflowing)
+    with pytest.raises(NoConvergence) as info:
+        solve_equilibrium(None, eos15, 1.0, u0, SolverOptions(certify=False), law=law,
+                          scale=scale15)
+    history = info.value.residual_history
+    assert len(history) == 2 and np.isfinite(history[0]) and np.isnan(history[1])
+    assert str(info.value).startswith("residual is not finite at iteration 1: the iterate")
