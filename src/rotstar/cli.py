@@ -167,24 +167,36 @@ def _fmt(x: float) -> str:
 
 
 def _sha256_hex(data: bytes) -> str:
-    """The hex sha256 of data.  hashlib maps OpenSSL (about 3.6 MB resident),
-    so it is imported here, at the first artifact a command writes, and not
-    with the module: no solve runs with it mapped."""
-    import hashlib
+    """The hex sha256 of data, from CPython's own SHA-256 module (``_sha2`` on
+    3.12+, ``_sha256`` before), as ``random`` takes its ``_sha512``: hashlib
+    maps OpenSSL's libcrypto (about 3.4 MB resident), so it is only the
+    fallback where neither is built.  Imported at the first artifact a
+    command writes, not with the module."""
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()
 
-    return hashlib.sha256(data).hexdigest()
 
-
-def _write_atomic(path: Path, data: str) -> None:
+def _write_atomic(path: Path, text: str) -> bytes:
+    """Write text to path as UTF-8, whatever the locale and without newline
+    translation, through a temporary file renamed into place; returns the
+    bytes written."""
+    data = text.encode()
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return data
 
 
 class OutputWriter:
@@ -206,16 +218,9 @@ class OutputWriter:
             writer.writerow([_fmt(v) for v in row])
         self._record(name, buf.getvalue())
 
-    def _record(self, name: str, data: str) -> None:
-        path = self.dir / name
-        _write_atomic(path, data)
-        self.files.append(
-            {
-                "name": name,
-                "bytes": len(data.encode()),
-                "sha256": _sha256_hex(data.encode()),
-            }
-        )
+    def _record(self, name: str, text: str) -> None:
+        data = _write_atomic(self.dir / name, text)
+        self.files.append({"name": name, "bytes": len(data), "sha256": _sha256_hex(data)})
 
     def finish(self, command: str) -> None:
         manifest = {

@@ -895,12 +895,11 @@ def _solve_modes(
     built at the first Newton step if not given, and again at the step after
     one whose GMRES solve stops at its cap (where a singular block is a
     divergence, reported as a non-finite step); those of the last Newton step are
-    returned (None if there was none).  A residual made larger by
-    ``_DIVERGING_GROWTHS`` capped steps in a row is a divergence too.  A
-    residual that is not finite, or none within ``opts.tol`` after
-    ``opts.max_iter`` steps, raises NoConvergence.  ``stats`` collects the
-    GMRES iterations of each Newton step and the number of preconditioner
-    builds, also when the iteration fails.
+    returned (None if there was none).  A residual that is not finite, one
+    made larger by ``_DIVERGING_GROWTHS`` capped steps in a row, or none
+    within ``opts.tol`` after ``opts.max_iter`` steps, raises NoConvergence.
+    ``stats`` collects the GMRES iterations of each Newton step and the
+    number of preconditioner builds, also when the iteration fails.
     """
     history = []
     blocks_from = "carried from the family"
@@ -934,13 +933,14 @@ def _solve_modes(
             raise _not_finite(history, U)
         grown = grown + 1 if capped and res > history[-2] else 0
         if grown == _DIVERGING_GROWTHS:
-            # a diverging iterate: a non-finite step, which ends the solve
-            # in NoConvergence at the next iteration, as for an overflowed
-            # product
             _log.debug("iter %2d  residual %.3e  diverging: %d capped steps in a row made "
                        "it larger, no step", it, res, grown)
-            U = U + np.nan
-            continue
+            grew = ", ".join(f"{r:.3e}" for r in history[-grown - 1:])
+            raise NoConvergence(
+                f"diverging at iteration {it}: {grown} capped Newton steps in a row "
+                f"grew the residual ({grew})",
+                history,
+            )
         if law is not None and lin is None:
             lin = LinearizedCentrifugal(law, u_field, eos, scale, cyl)
         built = ""

@@ -740,11 +740,13 @@ def test_commands_that_factor_nothing_leave_out_scipy_linalg(tmp_path, ini):
     assert out == "0 False"
 
 
+# the scipy modules a run loaded, and hashlib's: no command maps OpenSSL
 _RUN_AND_LIST_SCIPY = (
     "import sys\n"
     "from rotstar.cli import main\n"
     "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
-    "print(status, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    "print(status, sorted(m for m in sys.modules\n"
+    "                     if m.split('.')[0] in ('scipy', 'hashlib', '_hashlib')))\n"
 )
 
 
@@ -782,8 +784,8 @@ def test_momentum_solve_leaves_out_numpy_ma(tmp_path):
 
 
 def test_cli_import_leaves_out_hashlib():
-    # hashlib maps OpenSSL's libcrypto (about 3.6 MB resident); the manifest
-    # imports it at its first hash, so no command computes with it mapped
+    # hashlib maps OpenSSL's libcrypto (about 3.6 MB resident); the manifest's
+    # checksums come from the interpreter's own SHA-256 module
     code = (
         "import sys\n"
         "import rotstar.cli\n"
@@ -792,26 +794,64 @@ def test_cli_import_leaves_out_hashlib():
     assert _fresh_python(code) == "[]"
 
 
-def test_run_loads_hashlib_and_manifest_checksums_match(tmp_path):
-    # the converse of the import probe, and the checksums the late import
-    # gives: every file's and the configuration's sha256 as hashlib computes it
+@pytest.mark.parametrize(
+    "ini, names",
+    [(LANE_EMDEN_INI, ["lane_emden.json", "profile.csv"]),
+     (MOMENTUM_SOLVE_INI.replace("n_r = 128\nn_zeta = 16", "n_r = 64\nn_zeta = 12"),
+      ["boundary.csv", "solution.json"])],
+    ids=["lane-emden", "momentum-solve-certified"],
+)
+def test_run_leaves_out_hashlib_and_manifest_checksums_match(tmp_path, ini, names):
+    # a whole run, its writes included, loads neither hashlib nor OpenSSL,
+    # and its checksums are every file's and the configuration's sha256 as
+    # hashlib computes it
     import hashlib
 
-    cfg, out = _write(tmp_path, LANE_EMDEN_INI), tmp_path / "out"
+    cfg, out = _write(tmp_path, ini), tmp_path / "out"
     code = (
         "import sys\n"
         "from rotstar.cli import main\n"
-        "before = 'hashlib' in sys.modules\n"
         "status = main(['--config', sys.argv[1], '--out', sys.argv[2]])\n"
-        "print(status, before, 'hashlib' in sys.modules)\n"
+        "print(status, sorted(m for m in ('hashlib', '_hashlib') if m in sys.modules))\n"
     )
-    assert _fresh_python(code, str(cfg), str(out)) == "0 False True"
+    assert _fresh_python(code, str(cfg), str(out)) == "0 []"
     manifest = json.loads((out / "manifest.json").read_text())
-    assert [f["name"] for f in manifest["files"]] == ["lane_emden.json", "profile.csv"]
+    assert [f["name"] for f in manifest["files"]] == names
     for f in manifest["files"]:
         assert f["sha256"] == hashlib.sha256((out / f["name"]).read_bytes()).hexdigest()
     canonical = json.dumps(load_config(cfg), sort_keys=True, separators=(",", ":"))
     assert manifest["config_hash"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "data", [b"", b"abc", bytes(range(256)) * (3 << 12)], ids=["empty", "abc", "3MB"]
+)
+def test_sha256_hex_equals_hashlib(data):
+    import hashlib
+
+    from rotstar.cli import _sha256_hex
+
+    assert _sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_write_atomic_writes_its_bytes_verbatim(tmp_path):
+    # UTF-8 and no newline translation, also where the locale's encoding is
+    # ASCII (a text-mode write fails there on the non-ASCII character)
+    path = tmp_path / "a.txt"
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from rotstar.cli import _write_atomic\n"
+        "data = _write_atomic(Path(sys.argv[1]), 'x\\ny\\r\\n\\u03bd = 1.5\\n')\n"
+        "print(data == Path(sys.argv[1]).read_bytes())\n"
+    )
+    env = {**_source_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+    assert path.read_bytes() == "x\ny\r\n\u03bd = 1.5\n".encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
 # GMRES iterations of each Newton step, and LOBPCG steps of the certificate
