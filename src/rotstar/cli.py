@@ -304,18 +304,16 @@ def cmd_solve(config, writer):
 def cmd_oblateness(config, writer):
     eos = build_eos(config)
     prof = _profile(config, eos)
-    u_c = prof.u_center
-    hf = compute_h_field(prof, eos, u_c)
+    hf = compute_h_field(prof)
     beta = config["perturb"]["beta"]
     solution = None
     if config["perturb"]["measure"]:
         # fixed options, not [solver]: this solve only measures the oblateness
         fam = ConstantRotationFamily(
-            eos, u_c, grid=_grid(config, prof), opts=SolverOptions(tol=1e-12, certify=False),
-            profile=prof,
+            prof, grid=_grid(config, prof), opts=SolverOptions(tol=1e-12, certify=False)
         )
         solution = fam.solve_at(beta)
-    rep = oblateness(prof, hf, beta, solution=solution)
+    rep = oblateness(hf, beta, solution=solution)
     doc = rep.to_dict()
     doc["xi1"] = prof.xi1
     doc["mu1"] = prof.mu1
@@ -334,12 +332,12 @@ def cmd_mass_curve(config, writer):
     # the calculator's default options, not [solver]: certify off keeps the
     # curve's many warm-started solves fast
     calc = MassCalculator(
-        eos, config["scale"]["grav_const"], n_r=g["n_r"], n_zeta=g["n_zeta"],
-        l_max=g["l_max"], profile=_profile(config, eos),
+        _profile(config, eos), config["scale"]["grav_const"], n_r=g["n_r"],
+        n_zeta=g["n_zeta"], l_max=g["l_max"],
     )
     out = trace_constant_mass_curve(
-        eos, config["mass"]["rho_center"], config["mass"]["omega2_schedule"],
-        calculator=calc, rtol=config["mass"]["rtol"],
+        calc, config["mass"]["rho_center"], config["mass"]["omega2_schedule"],
+        rtol=config["mass"]["rtol"],
     )
     points = out["points"]
     writer.write_csv(

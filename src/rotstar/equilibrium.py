@@ -43,7 +43,7 @@ from .grids import (
     legendre_table,
     running_sums,
 )
-from .radial import RadialProfile, solve_lane_emden
+from .radial import RadialProfile
 from .rotation import (
     AngularMomentumLaw,
     CentrifugalField,
@@ -490,9 +490,8 @@ def hl_certificate(
     law: AngularMomentumLaw | None = None,
     scale: ScaleSet | None = None,
     *,
-    full_output: bool = False,
     preconditioner: list | None = None,
-):
+) -> tuple[float, dict]:
     """Smallest singular value of the discretized (I - D[gravity map]),
     including the centrifugal linearization for angular-momentum laws.
 
@@ -510,8 +509,8 @@ def hl_certificate(
     0.0 with no bound: 0.0 then means "not certified", which a solve raises
     as SingularLinearization, as the Newton solve does for the same blocks.
     An iteration that reaches its step cap raises NoConvergence: its sigma
-    is only an upper bound on sigma_min.  With ``full_output`` the result is
-    (sigma, info), info = {"iterations", "residual_bound"}: the LOBPCG steps
+    is only an upper bound on sigma_min.  The result is (sigma, info),
+    info = {"iterations", "residual_bound"}: the LOBPCG steps
     and the distance from sigma within which some singular value lies (both
     None on the per-block path, which takes a dense SVD of each block).
     """
@@ -520,7 +519,7 @@ def hl_certificate(
         sigma = min(hl_certificate_blocks(u, eos, u_center).values())
         info = {"iterations": None, "residual_bound": None}
         _log.debug("certificate: sigma_min %.6e from the per-degree blocks", sigma)
-        return (sigma, info) if full_output else sigma
+        return sigma, info
     if law is not None and scale is None:
         raise DomainError("angular-momentum certificate needs a ScaleSet")
     grid = u.grid
@@ -548,7 +547,7 @@ def hl_certificate(
         "certificate: sigma_min %.6e (%d LOBPCG steps, %s, residual bound %s)",
         sigma, steps, note, bound,
     )
-    return (sigma, info) if full_output else sigma
+    return sigma, info
 
 
 def centrifugal_deriv_matrix(
@@ -917,7 +916,7 @@ def _solve_modes(
         if law is not None:
             u_field = AxiField.from_modes(grid, U)
             cyl = mass_within_cylinder(u_field, eos, scale)
-            g_modes = centrifugal_from_momentum(law, u_field, eos, scale, grid, cyl).g_modes
+            g_modes = centrifugal_from_momentum(law, u_field, eos, scale, cyl).g.modes()
         rhs = (g_modes if g_modes is not None else 0.0) + gravity_modes(
             grid, eos, u_center, U
         ) - U
@@ -998,7 +997,8 @@ def solve_equilibrium(
     For angular-momentum laws pass ``law`` (and ``scale``); the centrifugal
     term is then rebuilt from the current iterate each step and its
     linearization, taken at the starting iterate, joins the Newton systems.
-    The solution lives on ``init.grid``, the grid ``g`` was built on.  After
+    The solution lives on ``init.grid``, the grid ``g`` was built on; a ``g``
+    built on any other grid object raises DomainError.  After
     convergence the free boundary, admissibility flags and (optionally) the
     invertibility certificate are produced; ``meta["certificate"]`` records
     how the certificate was found, and ``meta["newton"]`` the GMRES
@@ -1011,7 +1011,9 @@ def solve_equilibrium(
     grid = init.grid
     if law is not None and scale is None:
         raise DomainError("angular-momentum solves need a ScaleSet")
-    g_modes = None if g is None else g.g_modes
+    if g is not None and g.g.grid is not grid:
+        raise DomainError("the centrifugal field was built on another grid than init")
+    g_modes = None if g is None else g.g.modes()
     U0 = init.modes().copy()
     U0[1:, 0] = 0.0
     meta = {"newton": {"gmres_iterations": [], "preconditioner_builds": 0}}
@@ -1029,8 +1031,7 @@ def solve_equilibrium(
     sigma = None
     if opts.certify:
         sigma, meta["certificate"] = hl_certificate(
-            u_field, eos, u_center, law=law, scale=scale, full_output=True,
-            preconditioner=blocks,
+            u_field, eos, u_center, law=law, scale=scale, preconditioner=blocks,
         )
         if sigma < opts.hl_threshold:
             raise SingularLinearization(sigma, opts.hl_threshold)
@@ -1050,8 +1051,11 @@ def solve_equilibrium(
 class ConstantRotationFamily:
     """Random-access rigid-rotation solves with warm starts, keyed by beta.
 
-    Each solve starts from the nearest cached state, and every Newton solve
-    of the family is preconditioned by the factored blocks built once at its
+    The profile is the family's spherical start: its EOS and central
+    enthalpy are those of every solve, and the grid, when not given, is the
+    default one on [0, profile.r_inf] focused at its surface.  Each solve
+    starts from the nearest cached state, and every Newton solve of the
+    family is preconditioned by the factored blocks built once at its
     spherical start.  A converged field without a free boundary raises
     NoSignChange and is not cached.  Used wherever many nearby solves are
     needed (mass curves, slope fits).
@@ -1059,15 +1063,13 @@ class ConstantRotationFamily:
 
     def __init__(
         self,
-        eos: EquationOfState,
-        u_center: float = 1.0,
+        profile: RadialProfile,
         grid: AxiGrid | None = None,
         opts: SolverOptions | None = None,
-        profile: RadialProfile | None = None,
     ):
-        self.eos = eos
-        self.u_center = u_center
-        self.profile = profile or solve_lane_emden(eos, u_center)
+        self.eos = profile.eos
+        self.u_center = profile.u_center
+        self.profile = profile
         self.grid = grid or AxiGrid.build(self.profile.r_inf, focus=self.profile.xi1)
         self.opts = opts or SolverOptions(certify=False)
         self._cache: dict[float, EquilibriumSolution] = {}

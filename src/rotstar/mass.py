@@ -19,7 +19,7 @@ from .eos import EquationOfState, POLYTROPE, ScaleSet, mass_unit, scaled_density
 from .equilibrium import ConstantRotationFamily, EquilibriumSolution, SolverOptions
 from .errors import DomainError, GammaFourThirds, NoBracket
 from .grids import AxiField, AxiGrid
-from .radial import RadialProfile, solve_lane_emden
+from .radial import RadialProfile
 
 _log = logging.getLogger(__name__)
 
@@ -58,38 +58,35 @@ def physical_mass(
 
 
 class MassCalculator:
-    """beta |-> M1 on a shared rigid-rotation continuation family.
+    """beta |-> M1 on a shared rigid-rotation continuation family, and
+    (rho_c, Omega^2) |-> M at the gravitational constant ``grav_const``.
 
-    ``profile`` is the family's spherical start, solved at u_center = 1 when
-    not given; the grid spans [0, profile.r_inf].  ``mass_evaluations``
+    ``profile`` is the family's spherical start, and its EOS is the one of
+    every mass; the grid spans [0, profile.r_inf].  ``mass_evaluations``
     counts the calls of :meth:`total_mass`.
     """
 
     def __init__(
         self,
-        eos: EquationOfState,
+        profile: RadialProfile,
         grav_const: float = 1.0,
         opts: SolverOptions | None = None,
         n_r: int = 256,
         n_zeta: int = 32,
         l_max: int = 8,
-        profile: RadialProfile | None = None,
     ):
-        self.eos = eos
+        self.eos = profile.eos
         self.grav_const = grav_const
         self.mass_evaluations = 0
-        prof = profile or solve_lane_emden(eos, 1.0)
         self.family = ConstantRotationFamily(
-            eos,
-            1.0,
-            grid=AxiGrid.build(prof.r_inf, n_r, n_zeta, l_max, focus=prof.xi1),
+            profile,
+            grid=AxiGrid.build(profile.r_inf, n_r, n_zeta, l_max, focus=profile.xi1),
             opts=opts or SolverOptions(certify=False),
-            profile=prof,
         )
 
     def m1(self, beta: float) -> float:
         sol = self.family.solve_at(beta)
-        return total_mass_dimensionless(sol, self.eos, 1.0)
+        return total_mass_dimensionless(sol, self.eos, self.family.u_center)
 
     def total_mass(self, rho_center: float, omega2: float) -> float:
         self.mass_evaluations += 1
@@ -98,17 +95,15 @@ class MassCalculator:
 
 
 def central_density_from_mass(
+    calc: MassCalculator,
     mass_target: float,
     omega2: float,
-    eos: EquationOfState,
     bracket: tuple[float, float],
     *,
-    grav_const: float = 1.0,
     rtol: float = 1e-9,
-    calculator: MassCalculator | None = None,
-    full_output: bool = False,
-):
-    """Invert M(rho_c, Omega^2) = mass_target for the central density.
+) -> tuple[float, float]:
+    """Invert the calculator's M(rho_c, Omega^2) = mass_target for the
+    central density, at its EOS and G.
 
     Secant iteration on log M against log rho_c, whose slope is
     e - beta M1'(beta)/M1 by the scaling law, e = (3 gamma - 4)/2: the first
@@ -118,8 +113,8 @@ def central_density_from_mass(
 
     The stop is on the mass, so rho_c is fixed only to a relative
     rtol / |d log M / d log rho_c|, taken from the last secant slope (the
-    zero-rotation slope if the first evaluation stops).  With ``full_output``
-    the result is (rho_c, that uncertainty); it grows without bound toward
+    zero-rotation slope if the first evaluation stops).  The result is
+    (rho_c, that uncertainty); the uncertainty grows without bound toward
     gamma = 4/3.
 
     ``bracket`` bounds the search: the iteration starts at its geometric
@@ -127,11 +122,11 @@ def central_density_from_mass(
     NoBracket, as does running out of evaluations.  Refuses gamma = 4/3,
     where the zero-rotation mass is independent of the central density.
     """
+    eos = calc.eos
     if eos.kind != POLYTROPE:
         raise DomainError("central_density_from_mass requires the exact gamma-law")
     if abs(eos.gamma - 4.0 / 3.0) < 1e-12:
         raise GammaFourThirds("mass does not determine the central density at gamma = 4/3")
-    calc = calculator or MassCalculator(eos, grav_const)
     lo, hi = bracket
     if not (0 < lo < hi):
         raise DomainError("bracket must be positive and increasing")
@@ -149,7 +144,7 @@ def central_density_from_mass(
             slope = (f - f_prev) / (x - x_prev)
         if abs(mass - mass_target) <= rtol * mass_target:
             uncertainty = rtol / abs(slope) if slope else math.inf
-            return (rho, uncertainty) if full_output else rho
+            return rho, uncertainty
         if slope == 0.0:
             raise NoBracket(f"the mass does not change with rho_c near {rho:g}")
         x_prev, f_prev = x, f
@@ -162,15 +157,14 @@ def central_density_from_mass(
 
 
 def trace_constant_mass_curve(
-    eos: EquationOfState,
+    calc: MassCalculator,
     rho_reference: float,
     omega2_schedule,
     *,
-    grav_const: float = 1.0,
-    calculator: MassCalculator | None = None,
     rtol: float = 1e-9,
 ) -> dict:
-    """The curve Omega^2 -> rho_c holding the total mass at its Omega = 0 value.
+    """The curve Omega^2 -> rho_c holding the total mass at its Omega = 0
+    value, at the calculator's EOS and G.
 
     Each point's inversion searches (rho/2, 2 rho) around the previous
     point's central density rho, starting at rho.  Returns the points (each
@@ -179,7 +173,6 @@ def trace_constant_mass_curve(
     reached (a diagnostic for how far the inversion was exercised).  Logs one
     DEBUG line per point.
     """
-    calc = calculator or MassCalculator(eos, grav_const)
     mass_ref = calc.total_mass(rho_reference, 0.0)
     points: list[MassPoint] = []
     errors = []
@@ -187,12 +180,11 @@ def trace_constant_mass_curve(
     for om2 in omega2_schedule:
         evaluations = calc.mass_evaluations
         rho, uncertainty = (rho_reference, 0.0) if om2 == 0.0 else central_density_from_mass(
-            mass_ref, om2, eos, (0.5 * rho, 2.0 * rho),
-            grav_const=grav_const, rtol=rtol, calculator=calc, full_output=True,
+            calc, mass_ref, om2, (0.5 * rho, 2.0 * rho), rtol=rtol
         )
-        beta = om2 / (2.0 * math.pi * grav_const * rho)
+        beta = om2 / (2.0 * math.pi * calc.grav_const * rho)
         m1 = calc.m1(beta)
-        mass = physical_mass(m1, eos, rho, grav_const)
+        mass = physical_mass(m1, calc.eos, rho, calc.grav_const)
         points.append(MassPoint(rho, om2, beta, m1, mass, uncertainty))
         errors.append(abs(mass - mass_ref) / mass_ref)
         _log.debug(

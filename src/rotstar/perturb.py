@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eos import EquationOfState, scaled_density_deriv
+from .eos import scaled_density_deriv
 from .errors import DomainError, NoConvergence
 from .grids import (
     AxiGrid,
@@ -50,7 +50,7 @@ class ModeGrid:
     psi: np.ndarray
 
     @classmethod
-    def build(cls, profile: RadialProfile, eos: EquationOfState, u_center: float, n: int):
+    def build(cls, profile: RadialProfile, n: int):
         # cluster at both ends: the center for the r^degree behavior, the
         # surface for the Hoelder kink of the density derivative
         nodes = clustered_nodes(
@@ -60,7 +60,7 @@ class ModeGrid:
         nodes[-1] = profile.xi1
         nodes[0] = 1e-8 * profile.xi1  # keep H = y/psi finite at the first node
         x, w = (a.ravel() for a in panel_gauss(nodes[:-1], nodes[1:]))
-        q = scaled_density_deriv(profile.theta_at(x), eos, u_center)
+        q = scaled_density_deriv(profile.theta_at(x), profile.eos, profile.u_center)
         return cls(nodes, x, w, q, profile.psi_at(nodes))
 
 
@@ -129,8 +129,6 @@ class ModeSolution:
 
 def solve_mode(
     profile: RadialProfile,
-    eos: EquationOfState,
-    u_center: float,
     degree: int,
     source=None,
     far_coefficient: float = 0.0,
@@ -138,7 +136,8 @@ def solve_mode(
     n_nodes: int = 700,
     initial=None,
 ) -> ModeSolution:
-    """Solve one radial mode problem on (0, xi1].
+    """Solve one radial mode problem on (0, xi1] of the profile (its EOS and
+    central enthalpy set the density response).
 
     The mode function is the solution of the linear equation
         y = source + (far_coefficient r^degree + two-sided kernel of q y)/(2 degree + 1)
@@ -156,7 +155,7 @@ def solve_mode(
     """
     if degree % 2 != 0 or degree < 0:
         raise DomainError("mode degree must be a nonnegative even integer")
-    mg = ModeGrid.build(profile, eos, u_center, n_nodes)
+    mg = ModeGrid.build(profile, n_nodes)
     src = np.zeros_like(mg.r) if source is None else np.asarray(source(mg.r), float)
     inhom = src + (
         far_coefficient * mg.r ** degree / (2.0 * degree + 1.0) if degree > 0 else 0.0
@@ -178,8 +177,6 @@ def solve_mode(
 
 def mode_shooting(
     profile: RadialProfile,
-    eos: EquationOfState,
-    u_center: float,
     degree: int,
     far_coefficient: float,
     r_out: np.ndarray,
@@ -198,7 +195,7 @@ def mode_shooting(
     if source is not None:
         raise DomainError("shooting path implemented for homogeneous sources only")
     j = degree
-    xi1 = profile.xi1
+    eos, u_center, xi1 = profile.eos, profile.u_center, profile.xi1
 
     def accel(r, y, v):
         q = scaled_density_deriv(profile.theta_at(r), eos, u_center)
@@ -249,7 +246,7 @@ class PerturbationField:
         return self.h0_at(r) + self.h2_at(r) * p2
 
 
-def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
+def _resolvent_h(profile: RadialProfile, grid: AxiGrid) -> np.ndarray:
     """Solve (I - D[gravity map]) h = g1 on the 2-D grid, g1 = r^2 (1-zeta^2)/4.
 
     At the spherical state the linearization is one block per Legendre
@@ -258,8 +255,8 @@ def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
     """
     modes0 = np.zeros((grid.n_l, grid.n_r))
     modes0[0] = profile.theta_at(grid.r)
-    g1 = rigid_rotation(grid, 1.0).g_modes
-    blocks = gravity_jacobian_packed(grid, eos, u_center, modes0)
+    g1 = rigid_rotation(grid, 1.0).g.modes()
+    blocks = gravity_jacobian_packed(grid, profile.eos, profile.u_center, modes0)
     h = np.zeros((grid.n_l, grid.n_r))
     h[:2] = BlockInverse(grid, [next(blocks), next(blocks)]).solve(g1[:2])
     return h
@@ -267,8 +264,6 @@ def _resolvent_h(profile, eos, u_center, grid) -> np.ndarray:
 
 def compute_h_field(
     profile: RadialProfile,
-    eos: EquationOfState,
-    u_center: float = 1.0,
     grid: AxiGrid | None = None,
     n_nodes: int = 700,
 ) -> PerturbationField:
@@ -280,19 +275,14 @@ def compute_h_field(
     cross-checked against the resolvent solve on a 2-D grid; the sup
     difference is recorded as ``consistency_sup``.
     """
-    h2 = solve_mode(
-        profile, eos, u_center, 2, source=None, far_coefficient=-5.0 / 6.0,
-        n_nodes=n_nodes,
-    )
-    h0 = solve_mode(
-        profile, eos, u_center, 0, source=lambda r: r ** 2 / 6.0, n_nodes=n_nodes,
-    )
+    h2 = solve_mode(profile, 2, source=None, far_coefficient=-5.0 / 6.0, n_nodes=n_nodes)
+    h0 = solve_mode(profile, 0, source=lambda r: r ** 2 / 6.0, n_nodes=n_nodes)
     if grid is None:
         grid = AxiGrid.build(
             profile.r_inf, n_r=256, n_zeta=16, l_max=4, focus=profile.xi1,
             focus_weight=12.0, focus_width=0.015,
         )
-    res_modes = _resolvent_h(profile, eos, u_center, grid)
+    res_modes = _resolvent_h(profile, grid)
     inside = grid.r <= profile.xi1
     r_cmp = grid.r[inside]
     dev0 = np.abs(h0.at(r_cmp[1:]) - res_modes[0][inside][1:])
@@ -336,13 +326,13 @@ class OblatenessReport:
 
 
 def oblateness(
-    profile: RadialProfile,
     h_field: PerturbationField,
     beta: float,
     solution=None,
     zeta: np.ndarray | None = None,
 ) -> OblatenessReport:
-    """First-order boundary curve and oblateness slope.
+    """First-order boundary curve and oblateness slope of the profile the
+    field was computed on.
 
     Xi1(zeta) = xi1 + (xi1^2/mu1) h(xi1, zeta) beta and the oblateness is
     sigma = -(3/2)(xi1/mu1) h2(xi1) beta, positive for the distorted state.
@@ -355,7 +345,7 @@ def oblateness(
         import warnings
 
         warnings.warn("first-order boundary expansion used at beta > 0.05")
-    xi1, mu1 = profile.xi1, profile.mu1
+    xi1, mu1 = h_field.profile.xi1, h_field.profile.mu1
     if zeta is None:
         zeta = np.linspace(-1.0, 1.0, 41)
     zeta = np.asarray(zeta, dtype=float)

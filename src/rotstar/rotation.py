@@ -117,13 +117,12 @@ RotationLaw = ConstantRotation | DifferentialRotation | AngularMomentumLaw
 
 @dataclass
 class CentrifugalField:
-    """Sampled centrifugal function and the induced field on a grid."""
+    """Centrifugal function b and its derivative sampled at the grid radii,
+    and the induced field g on the grid (``g.grid``, its modes ``g.modes()``)."""
 
-    varpi: np.ndarray          # scaled cylinder radii (grid units)
     b: np.ndarray
     db: np.ndarray
     g: AxiField
-    g_modes: np.ndarray
     beta: float | None = None  # set for constant laws
 
     def sup_norm(self) -> float:
@@ -131,13 +130,12 @@ class CentrifugalField:
         return float(np.max(np.abs(self.b)) + np.max(np.abs(self.db)))
 
 
-def _field_from_b(grid: AxiGrid, b_interp) -> tuple[AxiField, np.ndarray]:
+def _field_from_b(grid: AxiGrid, b_interp) -> AxiField:
     varpi_fine = grid.r[:, None] * np.sqrt(1.0 - grid.zeta_f[None, :] ** 2)
     vals_fine = b_interp(varpi_fine)
     g_modes = grid.project_fine(vals_fine.T)  # (n_l, n_r)
     g_modes[1:, 0] = 0.0
-    g = AxiField.from_modes(grid, g_modes)
-    return g, g_modes
+    return AxiField.from_modes(grid, g_modes)
 
 
 def rigid_rotation(grid: AxiGrid, beta: float) -> CentrifugalField:
@@ -151,12 +149,7 @@ def rigid_rotation(grid: AxiGrid, beta: float) -> CentrifugalField:
     g_modes[0] = beta * r ** 2 / 6.0
     g_modes[1] = -beta * r ** 2 / 6.0
     return CentrifugalField(
-        r.copy(),
-        0.25 * beta * r ** 2,
-        0.5 * beta * r,
-        AxiField.from_modes(grid, g_modes),
-        g_modes,
-        beta,
+        0.25 * beta * r ** 2, 0.5 * beta * r, AxiField.from_modes(grid, g_modes), beta
     )
 
 
@@ -178,8 +171,7 @@ def centrifugal_from_omega(
     v, x = grid.r, grid.gauss_x
     b = pref * grid.cumulative(np.asarray(law.omega_at(a * x)) ** 2 * x)
     db = pref * np.asarray(law.omega_at(a * v)) ** 2 * v
-    g, g_modes = _field_from_b(grid, cubic_spline(v, b))
-    return CentrifugalField(v.copy(), b, db, g, g_modes, None)
+    return CentrifugalField(b, db, _field_from_b(grid, cubic_spline(v, b)))
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +319,11 @@ def centrifugal_from_momentum(
     u: AxiField,
     eos: EquationOfState,
     scale: ScaleSet,
-    grid: AxiGrid,
     cyl: CylinderMass | None = None,
 ) -> CentrifugalField:
-    """Centrifugal potential b for a prescribed j(m), evaluated on the state u."""
+    """Centrifugal potential b for a prescribed j(m), evaluated on the state u,
+    on u's grid."""
+    grid = u.grid
     if cyl is None:
         cyl = mass_within_cylinder(u, eos, scale)
     pref = 1.0 / (scale.u_center * scale.length_scale ** 2)
@@ -345,8 +338,9 @@ def centrifugal_from_momentum(
     interp = cubic_spline(grid.r, b)
     db = np.zeros_like(grid.r)
     db[1:] = integrand(grid.r[1:])
-    g, g_modes = _field_from_b(grid, lambda vv: interp(np.clip(vv, 0.0, grid.r_inf)))
-    return CentrifugalField(grid.r.copy(), b, db, g, g_modes, None)
+    return CentrifugalField(
+        b, db, _field_from_b(grid, lambda vv: interp(np.clip(vv, 0.0, grid.r_inf)))
+    )
 
 
 class LinearizedCentrifugal:
@@ -361,7 +355,7 @@ class LinearizedCentrifugal:
     - b -> g modes, the fine-zeta projection of b's cubic spline at the
       cylinder radii r sqrt(1 - zeta^2) of every node.
 
-    ``apply_values`` runs the chain on nodal values and ``apply_transpose``
+    ``apply_half`` runs the chain on nodal values and ``apply_transpose``
     its transpose, so B (rank <= n_r) is never formed, and neither is any
     table of n_r^2 per degree: the splines are sampled through their slope
     map.  Its sums over zeta run on the nodes zeta >= 0 (``half_range``).
@@ -395,14 +389,10 @@ class LinearizedCentrifugal:
         """b at the grid radii for the cylinder-mass response dm there."""
         return self.grid.cumulative(self.weight * self.spline.sample(dm, *self.gauss_panels))
 
-    def apply_values(self, h_values: np.ndarray) -> np.ndarray:
-        """g-mode response (n_l, n_r) for a nodal field perturbation
-        (n_r, n_zeta)."""
-        return self.apply_half(self.grid.half_range(h_values))
-
     def apply_half(self, h_values: np.ndarray) -> np.ndarray:
-        """``apply_values`` from the perturbation's values at the nodes
-        zeta >= 0 alone (``AxiGrid.synthesize_half``)."""
+        """g-mode response (n_l, n_r) for a field perturbation given by its
+        values at the nodes zeta >= 0 alone (n_r, len(zeta_h)): a
+        ``half_range``, or ``AxiGrid.synthesize_half`` of its modes."""
         grid = self.grid
         gvals = self.fp_gauss * grid.at_gauss(h_values, axis=0)
         pvals = self.fp_part * self.rule.field_at_partials(h_values)
@@ -413,13 +403,14 @@ class LinearizedCentrifugal:
         return g_modes
 
     def apply_transpose(self, y_modes: np.ndarray) -> np.ndarray:
-        """The transpose of h modes -> ``apply_values`` of their synthesis on
-        mode arrays (n_l, n_r), its factors in reverse order: the fine-zeta
-        projection, the spline of b (``SplineSampler.sample_transpose``),
-        the cumulative integral (a suffix sum over the panels), the weighted
-        spline of dm, the cylinder integral (a suffix sum over the panels of
-        the weights scattered at each ray's cut ``kcut``), the complete and
-        partial panels' stencils (one scatter-add) and the synthesis."""
+        """The transpose of h modes -> ``apply_half`` of their
+        ``synthesize_half`` on mode arrays (n_l, n_r), its factors in reverse
+        order: the fine-zeta projection, the spline of b
+        (``SplineSampler.sample_transpose``), the cumulative integral (a
+        suffix sum over the panels), the weighted spline of dm, the cylinder
+        integral (a suffix sum over the panels of the weights scattered at
+        each ray's cut ``kcut``), the complete and partial panels' stencils
+        (one scatter-add) and the synthesis."""
         grid, rule, nj = self.grid, self.rule, len(self.grid.zeta_h)
         if self._transposed is None:
             # the weights of each complete panel on the 4 stencil nodes its
@@ -457,9 +448,9 @@ def centrifugal_deriv_apply(
     h: AxiField,
     eos: EquationOfState,
     scale: ScaleSet,
-    grid: AxiGrid,
     cyl: CylinderMass | None = None,
 ) -> AxiField:
-    """Apply the u-derivative of the momentum-law centrifugal map to h."""
+    """Apply the u-derivative of the momentum-law centrifugal map to h, on
+    u's grid."""
     lin = LinearizedCentrifugal(law, u, eos, scale, cyl)
-    return AxiField.from_modes(grid, lin.apply_values(h.values))
+    return AxiField.from_modes(u.grid, lin.apply_half(u.grid.half_range(h.values)))

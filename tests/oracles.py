@@ -178,13 +178,12 @@ def mode_operator_dense(mg, degree):
     return ker @ interp_matrix(mg.r, mg.gauss_x) / (2.0 * degree + 1.0)
 
 
-def solve_mode_dense(profile, eos, u_center, degree, source=None, far_coefficient=0.0,
-                     n_nodes=700):
+def solve_mode_dense(profile, degree, source=None, far_coefficient=0.0, n_nodes=700):
     """``perturb.solve_mode``'s mode values by one dense direct solve,
     y = (I - A)^-1 inhom, with A the n x n matrix of ``mode_operator_dense``."""
     from rotstar.perturb import ModeGrid
 
-    mg = ModeGrid.build(profile, eos, u_center, n_nodes)
+    mg = ModeGrid.build(profile, n_nodes)
     src = np.zeros_like(mg.r) if source is None else np.asarray(source(mg.r), float)
     inhom = src + (
         far_coefficient * mg.r ** degree / (2.0 * degree + 1.0) if degree > 0 else 0.0
@@ -628,7 +627,7 @@ def kernel_eval(r, zeta, rp, zetap, method: str = "adaptive") -> float:
     return val
 
 
-def mode_shooting_scipy(profile, eos, u_center, degree, far_coefficient, r_out, source=None):
+def mode_shooting_scipy(profile, degree, far_coefficient, r_out, source=None):
     """Integrate the mode ODE from a regular series start by scipy's DOP853 and
     match the outer condition r y' + (degree+1) y = far_coefficient * r^degree
     at xi1 (where the density response vanishes), for homogeneous problems."""
@@ -644,7 +643,7 @@ def mode_shooting_scipy(profile, eos, u_center, degree, far_coefficient, r_out, 
 
     def rhs(r, z):
         y, v = z
-        q = scaled_density_deriv(profile.theta_at(r), eos, u_center)
+        q = scaled_density_deriv(profile.theta_at(r), profile.eos, profile.u_center)
         return (v, -2.0 * v / r + (j * (j + 1) / r ** 2 - q) * y)
 
     r0 = 1e-6 * xi1

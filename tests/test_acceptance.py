@@ -30,15 +30,15 @@ def ref15():
     prof = rs.solve_lane_emden(eos, 1.0)
     grid = AxiGrid.build(prof.r_inf, N_R, N_ZETA, L_MAX, focus=prof.xi1)
     fam = rs.ConstantRotationFamily(
-        eos, 1.0, grid=grid, opts=rs.SolverOptions(tol=1e-12, certify=False)
+        prof, grid=grid, opts=rs.SolverOptions(tol=1e-12, certify=False)
     )
     return eos, prof, grid, fam
 
 
 @pytest.fixture(scope="module")
 def hfield15(ref15):
-    eos, prof, grid, _ = ref15
-    return rs.compute_h_field(prof, eos, 1.0, grid=grid)
+    _, prof, grid, _ = ref15
+    return rs.compute_h_field(prof, grid=grid)
 
 
 def test_criterion_01_linear_density_analytic():
@@ -149,7 +149,7 @@ def test_criterion_05_linearization_exponent(nu):
 def test_criterion_06a_degree2_sign_and_consistency(nu):
     eos = rs.EquationOfState.from_index(nu)
     prof = rs.solve_lane_emden(eos, 1.0)
-    hf = rs.compute_h_field(prof, eos, 1.0)
+    hf = rs.compute_h_field(prof)
     neg = bool(np.all(hf.h2[hf.r > 0] < 0))
     ok = neg and hf.consistency_sup <= 1e-4
     _line("6a", ok, f"nu={nu}: h2<0 {neg}, dual-path dev {hf.consistency_sup:.2e}")
@@ -211,13 +211,13 @@ def test_criterion_08_mode_decay(ref15, degree):
     eos, prof, grid, _ = ref15
     # start the homogeneous iteration away from zero so it must contract down
     sol = rs.solve_mode(
-        prof, eos, 1.0, degree, far_coefficient=0.0,
+        prof, degree, far_coefficient=0.0,
         initial=lambda r: prof.psi_at(r) * np.sin(2.0 * r),
     )
     decay = float(np.max(np.abs(sol.values)))
     from rotstar.perturb import ModeGrid, _ModeOperator
 
-    mg = ModeGrid.build(prof, eos, 1.0, 500)
+    mg = ModeGrid.build(prof, 500)
     psi = prof.psi_at(mg.r)
     rng = np.random.default_rng(degree)
     probes = [np.ones(mg.r.size)]  # the extremal direction of the bound
@@ -242,7 +242,7 @@ def test_criterion_09_invertibility_certificate(ref15, profile3, eos3):
     u3 = rs.initial_field_from_profile(grid3, profile3)
     blocks3 = rs.hl_certificate_blocks(u3, eos3, 1.0)
     vac = AxiField(grid, np.full((grid.n_r, grid.n_zeta), -1.0))
-    sigma_vac = rs.hl_certificate(vac, eos, 1.0)
+    sigma_vac = rs.hl_certificate(vac, eos, 1.0)[0]
     ok = (
         all(v > 1e-3 for v in blocks15.values())
         and all(v > 1e-3 for v in blocks3.values())
@@ -255,21 +255,23 @@ def test_criterion_09_invertibility_certificate(ref15, profile3, eos3):
 
 def test_criterion_10_mass_relations():
     eos = rs.EquationOfState.polytrope(5 / 3)
-    calc = rs.MassCalculator(eos, 1.0, n_r=N_R, n_zeta=N_ZETA, l_max=L_MAX)
+    calc = rs.MassCalculator(
+        rs.solve_lane_emden(eos, 1.0), 1.0, n_r=N_R, n_zeta=N_ZETA, l_max=L_MAX
+    )
     m1 = calc.m1(0.0)
     rhos = np.logspace(-0.5, 0.5, 7)
     slope = float(
         np.polyfit(np.log(rhos), np.log([rs.physical_mass(m1, eos, r) for r in rhos]), 1)[0]
     )
     slope_ok = abs(slope - (3 * eos.gamma - 4) / 2) <= 1e-3
+    eos43 = rs.EquationOfState.polytrope(4 / 3)
+    calc43 = rs.MassCalculator(rs.solve_lane_emden(eos43, 1.0), n_r=64, n_zeta=8, l_max=4)
     try:
-        rs.central_density_from_mass(1.0, 0.0, rs.EquationOfState.polytrope(4 / 3), (0.5, 2.0))
+        rs.central_density_from_mass(calc43, 1.0, 0.0, (0.5, 2.0))
         rejected = False
     except GammaFourThirds:
         rejected = True
-    out = rs.trace_constant_mass_curve(
-        eos, 1.0, [0.0, 2e-4, 5e-4, 1e-3, 2e-3], calculator=calc, rtol=1e-8
-    )
+    out = rs.trace_constant_mass_curve(calc, 1.0, [0.0, 2e-4, 5e-4, 1e-3, 2e-3], rtol=1e-8)
     max_err = max(out["relative_errors"])
     ok = slope_ok and rejected and len(out["points"]) == 5 and max_err <= 1e-6
     _line(10, ok, f"slope dev {abs(slope-0.5):.1e}, gamma=4/3 rejected {rejected}, "
@@ -303,7 +305,7 @@ def test_criterion_12_angular_momentum_law(ref15, scale15):
     law_r = rs.AngularMomentumLaw(
         cyl.mass[mask][keep], omega * (scale15.length_scale * cyl.varpi[mask][keep]) ** 2
     )
-    cf_j = rs.centrifugal_from_momentum(law_r, u0, eos, scale15, grid, cyl=cyl)
+    cf_j = rs.centrifugal_from_momentum(law_r, u0, eos, scale15, cyl=cyl)
     cf_c = rs.centrifugal_from_omega(rs.ConstantRotation(omega), scale15, grid)
     sel = grid.r <= prof.xi1
     rt = float(np.max(np.abs(cf_j.b[sel] - cf_c.b[sel])))
@@ -313,13 +315,13 @@ def test_criterion_12_angular_momentum_law(ref15, scale15):
     h = AxiField.from_function(
         grid, lambda r, z: np.exp(-(r ** 2) / 4) * (1 + 0.3 * (3 * z ** 2 - 1) / 2) - 0.2
     )
-    db = rs.centrifugal_deriv_apply(law, u0, h, eos, scale15, grid)
-    b0 = rs.centrifugal_from_momentum(law, u0, eos, scale15, grid)
+    db = rs.centrifugal_deriv_apply(law, u0, h, eos, scale15)
+    b0 = rs.centrifugal_from_momentum(law, u0, eos, scale15)
     eps_list = [1e-2, 3e-3, 1e-3]
     errs = []
     for eps in eps_list:
         b1 = rs.centrifugal_from_momentum(
-            law, AxiField(grid, u0.values + eps * h.values), eos, scale15, grid
+            law, AxiField(grid, u0.values + eps * h.values), eos, scale15
         )
         errs.append(float(np.max(np.abs((b1.g.values - b0.g.values) / eps - db.values))))
     order = float(np.polyfit(np.log(eps_list), np.log(errs), 1)[0])

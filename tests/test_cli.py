@@ -450,6 +450,23 @@ def test_mass_curve_reads_the_outer_radius(tmp_path):
     assert wide["mass_reference"] != default["mass_reference"]
 
 
+def test_mass_curve_reads_the_gravitational_constant(tmp_path):
+    # the inversion ran at [scale] grav_const = 2 while each point's beta and
+    # mass took G = 1: every relative error read 2^(3/2) - 1
+    ini = MASS_INI.replace("[grid]", "[scale]\ngrav_const = 2.0\n\n[grid]").replace(
+        "n_zeta = 12", "n_zeta = 8"
+    ).replace("0.0, 2e-4, 5e-4", "0.0, 1e-4").replace("rtol = 1e-9", "rtol = 1e-4")
+    out = tmp_path / "out"
+    assert main(["--config", str(_write(tmp_path, ini)), "--out", str(out)]) == 0
+    doc = json.loads((out / "mass_curve.json").read_text())
+    assert max(doc["relative_errors"]) <= 1e-4
+    for p in doc["points"]:
+        assert p["beta"] == pytest.approx(
+            p["omega2"] / (2.0 * math.pi * 2.0 * p["rho_center"]), rel=1e-15, abs=0.0
+        )
+    assert doc["points"][1]["beta"] > 0
+
+
 def test_mass_curve_refuses_negative_rotation(tmp_path, capsys):
     ini = """
 [run]
@@ -614,7 +631,7 @@ def test_hl_check_computes_the_blocks_once(tmp_path, monkeypatch):
     eos = cli.build_eos(config)
     grid, prof = cli._grid_and_profile(config, eos)
     u = equilibrium.initial_field_from_profile(grid, prof)
-    sigma = equilibrium.hl_certificate(u, eos, 1.0)
+    sigma = equilibrium.hl_certificate(u, eos, 1.0)[0]
     doc = {
         "nu": eos.nu,
         "blocks": {str(k): v for k, v in blocks(u, eos, 1.0).items()},

@@ -148,7 +148,7 @@ def test_newton_lines_name_gmres_and_preconditioner(eos15, profile15, caplog):
     # every solve.
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
     opts = SolverOptions(certify=False)
-    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=opts, profile=profile15)
+    fam = ConstantRotationFamily(profile15, grid=grid, opts=opts)
     init = initial_field_from_profile(grid, profile15)
     # the nodes up to the last one whose column of a block is not zero: the
     # star's support at the spherical start, where both builds take place
@@ -223,7 +223,7 @@ def test_hl_certificate_blocks_positive(theta15, eos15, profile3, eos3):
 
 def test_hl_certificate_vacuum_identity(grid15, eos15):
     vac = AxiField(grid15, np.full((grid15.n_r, grid15.n_zeta), -1.0))
-    assert hl_certificate(vac, eos15, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert hl_certificate(vac, eos15, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hl_weighted_degree4_block(profile15, eos15):
@@ -255,7 +255,7 @@ def test_continuation_schedule(eos15, profile15):
     # from the nearest cached state
     grid = AxiGrid.build(profile15.r_inf, n_r=160, n_zeta=16, l_max=8, focus=profile15.xi1)
     fam = ConstantRotationFamily(
-        eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-11, certify=False), profile=profile15,
+        profile15, grid=grid, opts=SolverOptions(tol=1e-11, certify=False)
     )
     sols = [fam.solve_at(beta) for beta in (0.0, 1e-4, 1e-3)]
     eq = [s.boundary_at([0.0])[0] for s in sols]
@@ -272,8 +272,7 @@ def test_continuation_failure_carries_partial(eos15, profile15):
     # fails, and the family keeps only the states that converged
     grid = AxiGrid.build(profile15.r_inf, n_r=96, n_zeta=16, l_max=4, focus=profile15.xi1)
     fam = ConstantRotationFamily(
-        eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-10, max_iter=12, certify=False),
-        profile=profile15,
+        profile15, grid=grid, opts=SolverOptions(tol=1e-10, max_iter=12, certify=False)
     )
     fam.solve_at(0.0)
     with pytest.raises(NoConvergence):
@@ -283,7 +282,7 @@ def test_continuation_failure_carries_partial(eos15, profile15):
 
 def test_solution_map_continuity(eos15, profile15):
     grid = AxiGrid.build(profile15.r_inf, n_r=160, n_zeta=16, l_max=8, focus=profile15.xi1)
-    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-12, certify=False))
+    fam = ConstantRotationFamily(profile15, grid=grid, opts=SolverOptions(tol=1e-12, certify=False))
     b0 = 5e-4
     db = 1e-5
     u1 = fam.solve_at(b0).u
@@ -294,7 +293,7 @@ def test_solution_map_continuity(eos15, profile15):
 
 def test_physical_vacuum_boundary(eos15, profile15):
     grid = AxiGrid.build(profile15.r_inf, n_r=160, n_zeta=16, l_max=8, focus=profile15.xi1)
-    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-11, certify=False))
+    fam = ConstantRotationFamily(profile15, grid=grid, opts=SolverOptions(tol=1e-11, certify=False))
     sol = fam.solve_at(1e-3)
     modes = sol.u.modes()
     eps = 1e-6
@@ -368,7 +367,7 @@ def test_centrifugal_deriv_matrix_matches_column_probing(eos15, profile15, scale
     probe, probe_t = np.empty((n, n)), np.empty((n, n))
     for k, e in enumerate(np.eye(n)):
         modes = unpack_modes(grid, e)
-        probe[:, k] = pack_modes(grid, lin.apply_values(grid.synthesize(modes)))
+        probe[:, k] = pack_modes(grid, lin.apply_half(grid.synthesize_half(modes)))
         probe_t[:, k] = pack_modes(grid, lin.apply_transpose(modes))
     assert np.max(np.abs(probe - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.max(np.abs(probe_t - want.T)) <= 1e-12 * np.max(np.abs(want))
@@ -425,13 +424,39 @@ def test_differential_law_solve(eos15, profile15, scale15):
     assert sol.boundary_at([0.0])[0] > sol.boundary_at([1.0])[0]
 
 
+def test_family_solves_at_the_central_enthalpy_of_its_profile():
+    # a white dwarf's density depends on the central enthalpy: a family given
+    # the u_center = 2 profile beside a default u_center of 1 put the
+    # equator at 2.45780 (xi1 = 1.93014); the family now reads the profile's
+    prof = solve_lane_emden(EquationOfState.white_dwarf(1.0, 2.0, 0.3), 2.0)
+    fam = ConstantRotationFamily(prof)
+    assert (fam.eos, fam.u_center) == (prof.eos, 2.0)
+    sol = fam.solve_at(1e-3)
+    equator = sol.R_of_zeta[np.argmin(np.abs(sol.u.grid.zeta))]
+    assert abs(equator - 1.9333726675477259) <= 1e-10
+
+
+def test_solve_refuses_a_field_from_another_grid(eos15, profile15):
+    # g on an unfocused grid of the same shape as init's focused one: its
+    # modes were read on init's grid, and the solve returned R = 3.84996 at
+    # the node nearest the equator, where 3.79967 is right
+    focused = AxiGrid.build(profile15.r_inf, 128, 16, 4, focus=profile15.xi1)
+    unfocused = AxiGrid.build(profile15.r_inf, 128, 16, 4)
+    init = initial_field_from_profile(focused, profile15)
+    with pytest.raises(DomainError, match="another grid"):
+        solve_equilibrium(rigid_rotation(unfocused, 1e-2), eos15, 1.0, init)
+    sol = solve_equilibrium(rigid_rotation(focused, 1e-2), eos15, 1.0, init)
+    equator = sol.R_of_zeta[np.argmin(np.abs(focused.zeta))]
+    assert abs(equator - 3.79967) <= 1e-5
+
+
 def test_large_rotation_reports_flags(eos15, profile15):
     # far beyond the slow-rotation regime the fixed point loses admissibility;
     # the family refuses that state, its error reports the flags, and it is
     # not cached
     grid = AxiGrid.build(profile15.r_inf, n_r=96, n_zeta=16, l_max=4, focus=profile15.xi1)
     fam = ConstantRotationFamily(
-        eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-9, certify=False), profile=profile15,
+        profile15, grid=grid, opts=SolverOptions(tol=1e-9, certify=False)
     )
     fam.solve_at(0.0)
     with pytest.raises(NoSignChange) as exc:
@@ -446,8 +471,7 @@ def test_family_stays_on_its_grid(eos15, profile15):
     def family(focus):
         grid = AxiGrid.build(profile15.r_inf, focus=focus)
         return ConstantRotationFamily(
-            eos15, 1.0, grid=grid, opts=SolverOptions(tol=1e-12, certify=False),
-            profile=profile15,
+            profile15, grid=grid, opts=SolverOptions(tol=1e-12, certify=False)
         )
 
     off, ref = family(0.8 * profile15.xi1), family(profile15.xi1)
@@ -468,8 +492,7 @@ def test_rigid_rotation_matches_hand_built_field(eos15, profile15):
     gm[0] = beta * grid.r ** 2 / 6.0
     gm[1] = -beta * grid.r ** 2 / 6.0
     by_hand = CentrifugalField(
-        grid.r.copy(), 0.25 * beta * grid.r ** 2, 0.5 * beta * grid.r,
-        AxiField.from_modes(grid, gm), gm, beta,
+        0.25 * beta * grid.r ** 2, 0.5 * beta * grid.r, AxiField.from_modes(grid, gm), beta
     )
     init = initial_field_from_profile(grid, profile15)
     opts = SolverOptions(tol=1e-12)
@@ -898,7 +921,7 @@ def test_certificate_reuses_the_converged_cylinder_mass(eos15, profile15, scale1
     assert np.array_equal(masses[-1][1], masses[-2][1])
     monkeypatch.undo()
     # the certificate of the solution alone gives the same sigma
-    alone = certificate(sol.u, eos15, 1.0, law=law, scale=scale15)
+    alone = certificate(sol.u, eos15, 1.0, law=law, scale=scale15)[0]
     assert abs(alone - sol.hl_sigma_min) <= 1e-13 * sol.hl_sigma_min
 
 
@@ -940,7 +963,7 @@ def _converged_state(kind, nu, size):
 def test_certificate_matches_dense_svd(kind, nu, size):
     u, eos, law, scale = _converged_state(kind, nu, size)
     want = sigma_min_dense(newton_matrix_dense(u, eos, 1.0, law, scale))
-    sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
+    sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale)
     assert abs(sigma - want) <= 1e-12 * want
     assert 0 < info["iterations"] < 100
     # some singular value lies within the residual bound; here it is sigma_min
@@ -957,7 +980,7 @@ def test_certificate_on_the_support_matches_a_full_lu(kind, nu, size):
     # residual bound
     u, eos, law, scale = _converged_state(kind, nu, size)
     want = sigma_min_lu(newton_matrix_dense(u, eos, 1.0, law, scale))[0]
-    sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
+    sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale)
     assert abs(sigma - want) <= 1e-13 * want
     assert abs(sigma - want) <= info["residual_bound"] + 1e-14 * want
 
@@ -1018,7 +1041,7 @@ def test_certificate_on_a_synthetic_support(support, eos15, profile15, monkeypat
     jac = synthetic[0]
     want = sigma_min_lu(np.eye(n) - jac)[0]
     _certify_synthetic(monkeypatch, u.grid, synthetic)
-    sigma, info = hl_certificate(u, eos15, 1.0, full_output=True)
+    sigma, info = hl_certificate(u, eos15, 1.0)
     assert abs(sigma - want) <= 1e-13 * want
     assert abs(sigma - sigma_min_dense(np.eye(n) - jac)) <= 1e-12 * want
     assert 0 < info["iterations"] < equilibrium._CERT_MAX_ITER
@@ -1089,7 +1112,7 @@ def test_centrifugal_products_are_adjoint(size):
     rng = np.random.default_rng(13)
     for _ in range(3):
         x, y = rng.standard_normal((2, packed_size(grid)))
-        bx = pack_modes(grid, lin.apply_values(grid.synthesize(unpack_modes(grid, x))))
+        bx = pack_modes(grid, lin.apply_half(grid.synthesize_half(unpack_modes(grid, x))))
         bty = pack_modes(grid, lin.apply_transpose(unpack_modes(grid, y)))
         assert abs(bx @ y - x @ bty) <= 1e-13 * np.linalg.norm(bx) * np.linalg.norm(y)
         assert np.linalg.norm(bx - mat @ x) <= 1e-13 * np.linalg.norm(bx)
@@ -1241,7 +1264,7 @@ def test_each_block_is_consumed_before_the_next_is_built(eos15, profile15, monke
 
 def test_certificate_is_deterministic(eos15, profile15):
     u = _oblate_state(profile15)
-    assert hl_certificate(u, eos15, 1.0) == hl_certificate(u, eos15, 1.0)
+    assert hl_certificate(u, eos15, 1.0)[0] == hl_certificate(u, eos15, 1.0)[0]
 
 
 def _zero_block(blocks):
@@ -1289,7 +1312,7 @@ def test_singular_or_nonfinite_preconditioner_block_certifies_zero(eos15, profil
         monkeypatch.setattr(equilibrium, "degree_blocks", _breaking(breaker))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sigma, info = hl_certificate(u, eos15, 1.0, full_output=True)
+            sigma, info = hl_certificate(u, eos15, 1.0)
             assert sigma == 0.0 and info == {"iterations": 0, "residual_bound": None}
 
 
@@ -1321,7 +1344,7 @@ def test_nonfinite_products_certify_zero(product, monkeypatch):
         monkeypatch.setattr(equilibrium, "centrifugal_deriv_matrix", with_nan)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale, full_output=True)
+        sigma, info = hl_certificate(u, eos, 1.0, law=law, scale=scale)
     assert sigma == 0.0 and info == {"iterations": 1, "residual_bound": None}
 
 
@@ -1351,8 +1374,8 @@ def test_certified_solve_records_the_certificate(eos15, profile15):
     # preconditioned by the blocks of the one Newton build, at the start
     blocks = equilibrium._factor_blocks(grid, eos15, 1.0, init.modes(), 1e-3)
     assert sol.meta["newton"]["preconditioner_builds"] == 1
-    assert sol.hl_sigma_min == hl_certificate(sol.u, eos15, 1.0, preconditioner=blocks)
-    assert abs(sol.hl_sigma_min - hl_certificate(sol.u, eos15, 1.0)) <= 1e-13 * sol.hl_sigma_min
+    assert sol.hl_sigma_min == hl_certificate(sol.u, eos15, 1.0, preconditioner=blocks)[0]
+    assert abs(sol.hl_sigma_min - hl_certificate(sol.u, eos15, 1.0)[0]) <= 1e-13 * sol.hl_sigma_min
     spherical = solve_equilibrium(None, eos15, 1.0, init, SolverOptions())
     assert spherical.meta["certificate"] == {"iterations": None, "residual_bound": None}
     unchecked = solve_equilibrium(None, eos15, 1.0, init, SolverOptions(certify=False))
@@ -1378,7 +1401,7 @@ def test_boundary_at_without_a_free_boundary_raises(eos3, profile3):
 
 
 def test_family_refuses_a_state_without_boundary(eos3, profile3):
-    fam = ConstantRotationFamily(eos3, 1.0, grid=_no_boundary_case(profile3), profile=profile3)
+    fam = ConstantRotationFamily(profile3, grid=_no_boundary_case(profile3))
     with pytest.raises(NoSignChange, match="a1=False, a2=False"):
         fam.solve_at(3e-2)
     # the family keeps the preconditioner of its spherical start
@@ -1392,8 +1415,7 @@ def test_continuation_refuses_a_state_without_boundary(eos3, profile3):
     # past the spherical state, a field with no free boundary is refused and
     # not cached
     fam = ConstantRotationFamily(
-        eos3, 1.0, grid=_no_boundary_case(profile3), opts=SolverOptions(certify=False),
-        profile=profile3,
+        profile3, grid=_no_boundary_case(profile3), opts=SolverOptions(certify=False)
     )
     fam.solve_at(0.0)
     with pytest.raises(NoSignChange):
@@ -1421,7 +1443,7 @@ def test_family_carries_its_newton_lu(eos15, profile15, monkeypatch, caplog):
     # and carries it into the next, and each certificate is preconditioned
     # by the same blocks: n_l lu_factor calls in all
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
-    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, opts=SolverOptions(), profile=profile15)
+    fam = ConstantRotationFamily(profile15, grid=grid, opts=SolverOptions())
     calls = _counting_lu(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="rotstar.equilibrium")
     first_sol = fam.solve_at(1e-3)
@@ -1468,7 +1490,7 @@ def test_family_factors_its_blocks_once(eos15, profile15, monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_factor_blocks", counting)
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
-    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, profile=profile15)
+    fam = ConstantRotationFamily(profile15, grid=grid)
     sols = [fam.solve_at(beta) for beta in (0.0, 1e-3, 2e-3)]
     assert len(builds) == 1
     assert [s.meta["newton"]["preconditioner_builds"] for s in sols] == [1, 0, 0]
@@ -1476,7 +1498,7 @@ def test_family_factors_its_blocks_once(eos15, profile15, monkeypatch):
 
 def test_family_refuses_negative_rotation(eos15, profile15):
     grid = AxiGrid.build(profile15.r_inf, n_r=64, n_zeta=12, l_max=4, focus=profile15.xi1)
-    fam = ConstantRotationFamily(eos15, 1.0, grid=grid, profile=profile15)
+    fam = ConstantRotationFamily(profile15, grid=grid)
     with pytest.raises(DomainError):
         fam.solve_at(-1e-3)
     assert fam._cache == {} and fam._preconditioner is None

@@ -336,12 +336,12 @@ def test_cubic_spline_matches_scipy_on_grid_nodes():
     assert cubic_spline(grid.r, y[:, 0])(t[:2000].reshape(40, 50)).shape == (40, 50)
 
 
-def _spline_cases(profile, eos):
+def _spline_cases(profile):
     rng = np.random.default_rng(29)
     nodes = clustered_nodes(5.5, 256, focus=3.65)
     yield nodes, np.cos(np.outer(nodes, np.linspace(0.0, 2.0, 32)))
     yield nodes, np.sin(nodes)
-    mode_nodes = ModeGrid.build(profile, eos, 1.0, 700).r
+    mode_nodes = ModeGrid.build(profile, 700).r
     yield mode_nodes, profile.theta_at(mode_nodes)
     yield mode_nodes, np.exp(-mode_nodes)[:, None, None] * rng.standard_normal((1, 2, 3))
     for n in range(4, 10):
@@ -351,10 +351,10 @@ def _spline_cases(profile, eos):
             yield x, rng.standard_normal((n, 3, 2))
 
 
-def test_cubic_spline_matches_the_banded_solve(profile15, eos15):
+def test_cubic_spline_matches_the_banded_solve(profile15):
     # the Thomas elimination against LAPACK's banded solve of the same
     # not-a-knot system: the node slopes and the spline between the nodes
-    for x, y in _spline_cases(profile15, eos15):
+    for x, y in _spline_cases(profile15):
         got = cubic_spline(x, y)
         slopes = cubic_spline_slopes_banded(x, y)
         assert np.max(np.abs(got.c[2] - slopes[:-1])) <= 1e-13 * np.max(np.abs(slopes))

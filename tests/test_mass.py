@@ -21,13 +21,13 @@ from rotstar.errors import DomainError, GammaFourThirds, NoBracket, NoSignChange
 @pytest.fixture(scope="module")
 def calc53():
     eos = EquationOfState.polytrope(5 / 3)
-    return MassCalculator(eos, 1.0, n_r=160, n_zeta=16, l_max=4)
+    return MassCalculator(solve_lane_emden(eos, 1.0), 1.0, n_r=160, n_zeta=16, l_max=4)
 
 
 def test_m1_at_zero_rotation_linear_case():
     # nu = 1: M1 = 4 pi mu1 = 4 pi^2
     eos = EquationOfState.polytrope(2.0)
-    calc = MassCalculator(eos, 1.0, n_r=160, n_zeta=16, l_max=4)
+    calc = MassCalculator(solve_lane_emden(eos, 1.0), 1.0, n_r=160, n_zeta=16, l_max=4)
     # the density has a derivative kink at the surface, so the quadrature is
     # a touch less accurate than for smooth integrands
     assert calc.m1(0.0) == pytest.approx(4 * math.pi ** 2, rel=5e-7)
@@ -41,7 +41,7 @@ def test_m1_matches_radial_mass(theta15, eos15, profile15):
 def test_m1_nu3():
     eos = EquationOfState.from_index(3.0)
     prof = solve_lane_emden(eos, 1.0)
-    calc = MassCalculator(eos, 1.0, n_r=192, n_zeta=16, l_max=4)
+    calc = MassCalculator(prof, 1.0, n_r=192, n_zeta=16, l_max=4)
     assert calc.m1(0.0) == pytest.approx(4 * math.pi * prof.mu1, rel=1e-6)
 
 
@@ -70,8 +70,8 @@ def test_central_density_inversion_closed_form(calc53):
     rho_exact = (target / (unit * m1)) ** (2 / (3 * eos.gamma - 4))
     before = calc53.mass_evaluations
     rho_num = central_density_from_mass(
-        target, 0.0, eos, (0.3 * rho_exact, 3 * rho_exact), calculator=calc53, rtol=1e-10
-    )
+        calc53, target, 0.0, (0.3 * rho_exact, 3 * rho_exact), rtol=1e-10
+    )[0]
     assert rho_num == pytest.approx(rho_exact, rel=1e-8)
     # the first step takes the exact zero-rotation slope, so it lands on the
     # root: the mass is evaluated at the bracket's geometric mean and there
@@ -79,33 +79,33 @@ def test_central_density_inversion_closed_form(calc53):
 
 
 def test_central_density_rejects_gamma_four_thirds():
+    eos = EquationOfState.polytrope(4 / 3)
+    calc = MassCalculator(solve_lane_emden(eos, 1.0), 1.0, n_r=64, n_zeta=8, l_max=4)
     with pytest.raises(GammaFourThirds):
-        central_density_from_mass(1.0, 0.0, EquationOfState.polytrope(4 / 3), (0.5, 2.0))
+        central_density_from_mass(calc, 1.0, 0.0, (0.5, 2.0))
 
 
 def test_central_density_requires_bracket(calc53):
     with pytest.raises(NoBracket):
-        central_density_from_mass(1e9, 0.0, calc53.eos, (0.5, 2.0), calculator=calc53)
+        central_density_from_mass(calc53, 1e9, 0.0, (0.5, 2.0))
     with pytest.raises(DomainError):
-        central_density_from_mass(0.0, 0.0, calc53.eos, (0.5, 2.0), calculator=calc53)
+        central_density_from_mass(calc53, 0.0, 0.0, (0.5, 2.0))
 
 
 def test_central_density_refuses_a_flat_mass_curve():
     # a mass that does not change with rho_c leaves the secant step undefined
     class Flat:
+        eos = EquationOfState.polytrope(5 / 3)
+
         def total_mass(self, rho_center, omega2):
             return 1.001
 
     with pytest.raises(NoBracket, match="does not change"):
-        central_density_from_mass(
-            1.0, 1e-3, EquationOfState.polytrope(5 / 3), (0.5, 2.0), calculator=Flat()
-        )
+        central_density_from_mass(Flat(), 1.0, 1e-3, (0.5, 2.0))
 
 
 def test_constant_mass_curve(calc53):
-    out = trace_constant_mass_curve(
-        calc53.eos, 1.0, [0.0, 2e-4, 5e-4, 1e-3, 2e-3], calculator=calc53, rtol=1e-8
-    )
+    out = trace_constant_mass_curve(calc53, 1.0, [0.0, 2e-4, 5e-4, 1e-3, 2e-3], rtol=1e-8)
     assert len(out["points"]) == 5
     assert out["points"][0].rho_center == 1.0
     assert all(e <= 1e-6 for e in out["relative_errors"])
@@ -137,7 +137,7 @@ def test_mass_calculator_refuses_a_state_without_boundary():
     # past mass shedding at nu = 3 the 64x12xl4 solve converges to a field
     # with no free boundary; its mass is not an answer
     eos = EquationOfState.from_index(3.0)
-    calc = MassCalculator(eos, 1.0, n_r=64, n_zeta=12, l_max=4)
+    calc = MassCalculator(solve_lane_emden(eos, 1.0), 1.0, n_r=64, n_zeta=12, l_max=4)
     with pytest.raises(NoSignChange):
         calc.m1(3e-2)
 
@@ -165,7 +165,7 @@ def test_mass_curve_factors_the_newton_matrix_once(monkeypatch):
     def curve():
         eos = EquationOfState.polytrope(5 / 3)
         return trace_constant_mass_curve(
-            eos, 1.0, [0.0, 1e-4, 3e-4], calculator=MassCalculator(eos, 1.0)
+            MassCalculator(solve_lane_emden(eos, 1.0), 1.0), 1.0, [0.0, 1e-4, 3e-4]
         )
 
     monkeypatch.setattr(equilibrium, "_factor_blocks", counting)
@@ -206,7 +206,7 @@ def test_mass_curve_takes_seven_solves(monkeypatch, caplog):
     eos = EquationOfState.polytrope(5 / 3)
     with caplog.at_level(logging.DEBUG, logger="rotstar.mass"):
         out = trace_constant_mass_curve(
-            eos, 1.0, [0.0, 1e-4, 3e-4], calculator=MassCalculator(eos, 1.0)
+            MassCalculator(solve_lane_emden(eos, 1.0), 1.0), 1.0, [0.0, 1e-4, 3e-4]
         )
     assert len(solves) == 7
     rhos = [p.rho_center for p in out["points"]]
@@ -225,8 +225,8 @@ def test_mass_curve_near_gamma_four_thirds_converges(monkeypatch):
     # 0.025, so rotation moves rho_c by up to 16%
     solves = _count_solves(monkeypatch)
     eos = EquationOfState.polytrope(1.35)
-    calc = MassCalculator(eos, 1.0, n_r=96, n_zeta=16, l_max=4)
-    out = trace_constant_mass_curve(eos, 1.0, [0.0, 1e-3, 2e-3, 3e-3, 4e-3], calculator=calc)
+    calc = MassCalculator(solve_lane_emden(eos, 1.0), 1.0, n_r=96, n_zeta=16, l_max=4)
+    out = trace_constant_mass_curve(calc, 1.0, [0.0, 1e-3, 2e-3, 3e-3, 4e-3])
     assert max(out["relative_errors"]) <= 1e-9
     rhos = [p.rho_center for p in out["points"]]
     assert rhos == pytest.approx(
@@ -244,8 +244,8 @@ def test_mass_curve_reports_the_rho_center_uncertainty():
     schedule = [0.0, 1e-3, 2e-3, 3e-3, 4e-3]
     loose, tight = (
         trace_constant_mass_curve(
-            eos, 1.0, schedule, rtol=rtol,
-            calculator=MassCalculator(eos, 1.0, n_r=96, n_zeta=16, l_max=4),
+            MassCalculator(solve_lane_emden(eos, 1.0), 1.0, n_r=96, n_zeta=16, l_max=4),
+            1.0, schedule, rtol=rtol,
         )["points"]
         for rtol in (1e-9, 1e-12)
     )

@@ -29,8 +29,8 @@ from oracles import (
 
 
 @pytest.fixture(scope="module")
-def hfield15(profile15_mod, eos15_mod):
-    return compute_h_field(profile15_mod, eos15_mod, 1.0)
+def hfield15(profile15_mod):
+    return compute_h_field(profile15_mod)
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +43,14 @@ def profile15_mod(eos15_mod):
     return solve_lane_emden(eos15_mod, 1.0)
 
 
-def test_vacuum_kernel_reduces_to_power(profile15_mod, eos15_mod):
+def test_vacuum_kernel_reduces_to_power(profile15_mod):
     # q = 0: the degree-2 representation returns A r^2 / 5 = r^2/5 for A = 1
-    sol = solve_mode(profile15_mod, eos15_mod, 1e-300, 2, far_coefficient=1.0)
+    sol = solve_mode(profile15_mod, 2, far_coefficient=1.0)
     assert np.all(np.isfinite(sol.values))
     assert sol.residual <= 1e-12
-    # with a tiny central enthalpy the coupling is unchanged, so instead zero
+    # the gamma-law coupling does not depend on the central enthalpy, so zero
     # the coupling explicitly through the kernel helper
-    mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 300)
+    mg = ModeGrid.build(profile15_mod, 300)
     y = np.zeros_like(mg.r)
     ker = radial_kernel(mg.r, mg.gauss_x, mg.gauss_w, 2)  # the 1/5 included
     mapped = 1.0 * mg.r ** 2 / 5.0 + ker @ (0.0 * (interp_matrix(mg.r, mg.gauss_x) @ y))
@@ -58,9 +58,9 @@ def test_vacuum_kernel_reduces_to_power(profile15_mod, eos15_mod):
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
-def test_homogeneous_modes_vanish(profile15_mod, eos15_mod, degree):
+def test_homogeneous_modes_vanish(profile15_mod, degree):
     sol = solve_mode(
-        profile15_mod, eos15_mod, 1.0, degree, far_coefficient=0.0,
+        profile15_mod, degree, far_coefficient=0.0,
         initial=lambda r: profile15_mod.psi_at(r) * np.cos(r),
     )
     assert np.max(np.abs(sol.values)) <= 1e-8
@@ -81,27 +81,27 @@ def test_direct_solve_matches_contraction(nu, degree):
     eos = EquationOfState.from_index(nu)
     prof = solve_lane_emden(eos, 1.0)
     source, far, inhom = _ROTATION_MODES[degree]
-    direct = solve_mode(prof, eos, 1.0, degree, source=source, far_coefficient=far)
+    direct = solve_mode(prof, degree, source=source, far_coefficient=far)
     assert direct.iterations <= 30  # Krylov iterations of GMRES and its refinement
     assert direct.residual <= 1e-12
     contracted = solve_mode(
-        prof, eos, 1.0, degree, source=source, far_coefficient=far, initial=inhom
+        prof, degree, source=source, far_coefficient=far, initial=inhom
     )
     assert contracted.iterations > 3
     assert np.max(np.abs(contracted.values - direct.values)) <= 1e-12
 
 
 @pytest.mark.parametrize("degree", [1, 3, -2])
-def test_solve_mode_rejects_bad_degree(profile15_mod, eos15_mod, degree):
+def test_solve_mode_rejects_bad_degree(profile15_mod, degree):
     with pytest.raises(DomainError):
-        solve_mode(profile15_mod, eos15_mod, 1.0, degree)
+        solve_mode(profile15_mod, degree)
 
 
-def test_stalled_contraction_raises_with_history(profile15_mod, eos15_mod, monkeypatch):
+def test_stalled_contraction_raises_with_history(profile15_mod, monkeypatch):
     monkeypatch.setattr(perturb, "_MAX_ITER", 2)
     with pytest.raises(NoConvergence) as info:
         solve_mode(
-            profile15_mod, eos15_mod, 1.0, 4,
+            profile15_mod, 4,
             initial=lambda r: profile15_mod.psi_at(r) * np.cos(r),
         )
     history = info.value.residual_history
@@ -110,10 +110,10 @@ def test_stalled_contraction_raises_with_history(profile15_mod, eos15_mod, monke
 
 
 @pytest.mark.parametrize("degree", [4, 6, 8])
-def test_weighted_contraction_constant(profile15_mod, eos15_mod, degree):
+def test_weighted_contraction_constant(profile15_mod, degree):
     # measured Lipschitz constant of the homogeneous iteration map in the
     # y/psi weighted sup norm stays below 3/(2 degree + 1) + 0.05
-    mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 500)
+    mg = ModeGrid.build(profile15_mod, 500)
     psi = profile15_mod.psi_at(mg.r)
     rng = np.random.default_rng(degree)
     op = _ModeOperator(mg, degree)
@@ -132,7 +132,7 @@ def test_mode_operator_matches_dense_formula(nu):
     # is the mode problem's own kernel, ratios rewritten
     eos = EquationOfState.from_index(nu)
     prof = solve_lane_emden(eos, 1.0)
-    mg = ModeGrid.build(prof, eos, 1.0, 700)
+    mg = ModeGrid.build(prof, 700)
     for degree in (0, 2, 4, 8):
         want = mode_operator_dense(mg, degree)
         op = _ModeOperator(mg, degree)
@@ -149,28 +149,28 @@ def test_solve_mode_matches_dense_solve(nu, degree):
     eos = EquationOfState.from_index(nu)
     prof = solve_lane_emden(eos, 1.0)
     source, far, _ = _ROTATION_MODES[degree]
-    sol = solve_mode(prof, eos, 1.0, degree, source=source, far_coefficient=far)
-    want = solve_mode_dense(prof, eos, 1.0, degree, source=source, far_coefficient=far)
+    sol = solve_mode(prof, degree, source=source, far_coefficient=far)
+    want = solve_mode_dense(prof, degree, source=source, far_coefficient=far)
     assert np.max(np.abs(sol.values - want)) <= 1e-12 * np.max(np.abs(want))
     assert sol.residual <= 1e-12
 
 
 @pytest.mark.parametrize("degree", [0, 2])
-def test_solve_mode_holds_no_dense_operator(profile15_mod, eos15_mod, degree):
+def test_solve_mode_holds_no_dense_operator(profile15_mod, degree):
     # one 700 x 700 matrix is 3.9 MB; the dense solve peaked at 7.6 MB
     source, far, _ = _ROTATION_MODES[degree]
     tracemalloc.start()
     try:
-        solve_mode(profile15_mod, eos15_mod, 1.0, degree, source=source, far_coefficient=far)
+        solve_mode(profile15_mod, degree, source=source, far_coefficient=far)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 2 ** 20
 
 
-def test_mode_grid_holds_no_dense_interpolation(profile15_mod, eos15_mod):
+def test_mode_grid_holds_no_dense_interpolation(profile15_mod):
     # the dense interpolation was 2,796 x 700 doubles (15.6 MB) at this size
-    mg = ModeGrid.build(profile15_mod, eos15_mod, 1.0, 700)
+    mg = ModeGrid.build(profile15_mod, 700)
     arrays = [a for a in vars(mg).values() if isinstance(a, np.ndarray)]
     assert max(a.size for a in arrays) < mg.gauss_x.size * mg.r.size
 
@@ -180,8 +180,8 @@ def test_h2_negative_and_consistent(hfield15):
     assert hfield15.consistency_sup < 1e-4
 
 
-def test_h2_against_shooting(profile15_mod, eos15_mod, hfield15):
-    y = mode_shooting(profile15_mod, eos15_mod, 1.0, 2, -5.0 / 6.0, hfield15.r)
+def test_h2_against_shooting(profile15_mod, hfield15):
+    y = mode_shooting(profile15_mod, 2, -5.0 / 6.0, hfield15.r)
     assert np.max(np.abs(y - hfield15.h2)) < 1e-5
 
 
@@ -191,9 +191,9 @@ def test_shooting_matches_scipy_dop853(nu, degree):
     # replaced, at the mode grid's nodes and below the start radius
     eos = EquationOfState.from_index(nu)
     prof = solve_lane_emden(eos, 1.0)
-    r = np.concatenate(([0.0, 1e-9], ModeGrid.build(prof, eos, 1.0, 700).r))
-    y = mode_shooting(prof, eos, 1.0, degree, -5.0 / 6.0, r)
-    ref = mode_shooting_scipy(prof, eos, 1.0, degree, -5.0 / 6.0, r)
+    r = np.concatenate(([0.0, 1e-9], ModeGrid.build(prof, 700).r))
+    y = mode_shooting(prof, degree, -5.0 / 6.0, r)
+    ref = mode_shooting_scipy(prof, degree, -5.0 / 6.0, r)
     assert np.max(np.abs(y - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
@@ -201,12 +201,22 @@ def test_shooting_matches_scipy_dop853(nu, degree):
 def test_h2_negative_across_indices(nu):
     eos = EquationOfState.from_index(nu)
     prof = solve_lane_emden(eos, 1.0)
-    hf = compute_h_field(prof, eos, 1.0)
+    hf = compute_h_field(prof)
     assert np.all(hf.h2[hf.r > 0] < 0)
     assert hf.consistency_sup < 1e-4
 
 
-def test_H_negative_with_steeper_axis_coefficient(profile15_mod, eos15_mod, hfield15):
+def test_h_field_takes_the_central_enthalpy_of_its_profile():
+    # a white dwarf's density response depends on the central enthalpy: at
+    # u_center = 2 a default u_center of 1 gave h2(xi1) = -0.66066, and the
+    # resolvent cross-check, run at the same default, did not see it
+    prof = solve_lane_emden(EquationOfState.white_dwarf(1.0, 2.0, 0.3), 2.0)
+    hf = compute_h_field(prof)
+    assert abs(hf.h2_at_xi1 - (-0.6836894774805999)) <= 1e-10
+    assert hf.consistency_sup < 1e-4
+
+
+def test_H_negative_with_steeper_axis_coefficient(profile15_mod, hfield15):
     # H = h2/psi < 0 on (0, xi1]; near the axis H/r tends to a constant that
     # the coupling makes strictly steeper than the vacuum value -1/2
     psi = profile15_mod.psi_at(hfield15.r)
@@ -253,7 +263,7 @@ def test_resolvent_blocks_match_the_dense_solve(nu, monkeypatch):
     modes0 = np.zeros((grid.n_l, grid.n_r))
     modes0[0] = prof.theta_at(grid.r)
     mat = newton_matrix(gravity_jacobian_packed(grid, eos, 1.0, modes0))
-    g1 = pack_modes(grid, rigid_rotation(grid, 1.0).g_modes)
+    g1 = pack_modes(grid, rigid_rotation(grid, 1.0).g.modes())
     want = unpack_modes(grid, np.linalg.solve(mat, g1))
     built = []
     generators = RadialKernel.generators
@@ -263,7 +273,7 @@ def test_resolvent_blocks_match_the_dense_solve(nu, monkeypatch):
         return generators(self, k, coef)
 
     monkeypatch.setattr(RadialKernel, "generators", counting)
-    got = perturb._resolvent_h(prof, eos, 1.0, grid)
+    got = perturb._resolvent_h(prof, grid)
     assert np.max(np.abs(got - want)) <= 1e-12
     assert np.all(got[2:] == 0.0)
     # only the two blocks it solves with are built, not the degree-4 one
@@ -271,10 +281,10 @@ def test_resolvent_blocks_match_the_dense_solve(nu, monkeypatch):
 
 
 def test_oblateness_report(profile15_mod, hfield15):
-    rep0 = oblateness(profile15_mod, hfield15, 0.0)
+    rep0 = oblateness(hfield15, 0.0)
     assert rep0.sigma == 0.0
     assert np.allclose(rep0.Xi1_of_zeta, profile15_mod.xi1)
-    rep = oblateness(profile15_mod, hfield15, 1e-3)
+    rep = oblateness(hfield15, 1e-3)
     assert rep.sigma > 0
     assert rep.sigma_linear == pytest.approx(
         -1.5 * profile15_mod.xi1 / profile15_mod.mu1 * hfield15.h2_at_xi1, rel=1e-13
@@ -285,23 +295,23 @@ def test_oblateness_report(profile15_mod, hfield15):
     assert (eq - pole) / profile15_mod.xi1 == pytest.approx(rep.sigma, rel=1e-10)
 
 
-def test_sigma_against_full_solver(profile15_mod, eos15_mod, hfield15):
+def test_sigma_against_full_solver(profile15_mod, hfield15):
     grid = AxiGrid.build(
         profile15_mod.r_inf, n_r=192, n_zeta=16, l_max=4, focus=profile15_mod.xi1
     )
     fam = ConstantRotationFamily(
-        eos15_mod, 1.0, grid=grid, opts=SolverOptions(tol=1e-12, certify=False)
+        profile15_mod, grid=grid, opts=SolverOptions(tol=1e-12, certify=False)
     )
     beta = 1e-3
-    rep = oblateness(profile15_mod, hfield15, beta, solution=fam.solve_at(beta))
+    rep = oblateness(hfield15, beta, solution=fam.solve_at(beta))
     assert rep.sigma_measured is not None
     assert rep.sigma_measured == pytest.approx(rep.sigma, rel=0.05)
 
 
-def test_expansion_error_exponent(profile15_mod, eos15_mod, hfield15):
+def test_expansion_error_exponent(profile15_mod, hfield15):
     grid = hfield15.resolvent_grid
     fam = ConstantRotationFamily(
-        eos15_mod, 1.0, grid=grid, opts=SolverOptions(tol=1e-13, certify=False)
+        profile15_mod, grid=grid, opts=SolverOptions(tol=1e-13, certify=False)
     )
     base = fam.solve_at(0.0).u
     hmodes = np.zeros((grid.n_l, grid.n_r))

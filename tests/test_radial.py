@@ -156,7 +156,7 @@ def test_profile_matches_dop853_at_mode_grid_points(nu):
     eos = EquationOfState.from_index(nu)
     prof = solve_lane_emden(eos, 1.0)
     dense, _, _ = _dop853_profile(eos)
-    x = ModeGrid.build(prof, eos, 1.0, 700).gauss_x
+    x = ModeGrid.build(prof, 700).gauss_x
     x = x[x >= 1e-4]
     want = dense(x)
     assert np.max(np.abs(prof.theta_at(x) - want[0])) <= 1e-11
